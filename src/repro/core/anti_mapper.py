@@ -19,25 +19,32 @@ EagerSH groups with no sharing degenerate to PLAIN records — the
 original record plus an encoding tag (paper Section 6.1: "the original
 program's unencoded output is a special case of EagerSH").
 
+A Map call that emitted exactly one record has one partition, one
+value group and nothing to share, so it skips the bucketing and
+grouping and goes straight to the PLAIN-vs-LAZY size comparison —
+the same decision the general path reaches, without its bookkeeping.
+
 CPU accounting note: the engine meters the whole (wrapped) ``map``
 call, so everything here — the original Map, the partition calls, the
 grouping — is charged to map CPU exactly once.  The internal meter
-measurements feed only the threshold decision.
+measurements feed only the threshold decision, and are taken only when
+that decision is open (AdaptiveSH with a finite ``T``).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
-from repro.core import encoding
 from repro.core.config import Strategy
+from repro.core.encoding import EagerValue, LazyValue, PlainValue
 from repro.core.runtime import AntiRuntime
 from repro.mr import counters as C
-from repro.mr import fastpath, serde
+from repro.mr import serde
 from repro.mr.api import Context, Mapper
 
-#: Cap on the batched tier's key→partition memo (cleared when full).
-_PARTITION_MEMO_LIMIT = 1 << 16
+#: "No previous record" marker for the same-object value test.
+_NO_VALUE = object()
 
 
 def _value_group_id(value: Any) -> Any:
@@ -45,14 +52,15 @@ def _value_group_id(value: Any) -> Any:
 
     Values must group together exactly when their serialised forms are
     identical.  Plain ``==`` is too coarse in Python (``1 == 1.0 ==
-    True`` but they serialise differently), so scalars are keyed by
-    ``(type, value)``; strings/bytes are safe as-is; everything else
-    (containers, unhashables) falls back to the serialised bytes.
+    True`` but they serialise differently), so ints and bools are keyed
+    by ``(type, value)``; strings/bytes are safe as-is; everything else
+    falls back to the serialised bytes — containers, unhashables, and
+    floats, whose ``0.0 == -0.0`` hides two different encodings.
     """
     kind = type(value)
     if kind is str or kind is bytes:
         return value
-    if kind is int or kind is float or kind is bool:
+    if kind is int or kind is bool:
         return (kind, value)
     return serde.encode(value)
 
@@ -63,14 +71,16 @@ class AntiMapper(Mapper):
     def __init__(self, runtime: AntiRuntime):
         self._runtime = runtime
         self._o_mapper: Mapper | None = None
-        # Batched tier: memoise key→partition across map calls.  Legal
-        # under the tier's deterministic-partitioner assumption (the
-        # same one LazySH decoding rests on); the calls it skips are
-        # the unmetered per-record ones — the metered first-record
-        # probe that feeds the threshold rule always runs.
-        self._partition_memo: dict[Any, int] | None = (
-            {} if fastpath.batch_enabled() else None
+        config = runtime.config
+        self._strategy = config.strategy
+        self._per_partition = config.per_partition_choice
+        # The two cost measurements per call feed nothing but the
+        # threshold rule, so they are taken only when ``T`` can bind.
+        self._metered = (
+            config.strategy is Strategy.ADAPTIVE
+            and config.threshold_t != math.inf
         )
+        self._partitions = runtime.partition_memo()
         self._emit_buffer: list[tuple[Any, Any]] = []
         self._capture: Context | None = None
 
@@ -95,7 +105,7 @@ class AntiMapper(Mapper):
         fn(capture)
         for key, value in emitted:
             context.counters.add(C.ANTI_PLAIN_RECORDS)
-            context.write(key, encoding.plain_value(value))
+            context.write(key, PlainValue(value))
 
     # -- the adaptive map ------------------------------------------------
     def map(self, key: Any, value: Any, context: Context) -> None:
@@ -110,168 +120,185 @@ class AntiMapper(Mapper):
         if capture is None or capture.counters is not context.counters:
             capture = context.with_capture(emitted)
             self._capture = capture
-        _, map_cost = runtime.meter.measure(
-            self._o_mapper.map, key, value, capture
-        )
+        metered = self._metered
+        call_cost = 0.0  # measured below when metered
+        if metered:
+            _, map_cost = runtime.meter.measure(
+                self._o_mapper.map, key, value, capture
+            )
+        else:
+            self._o_mapper.map(key, value, capture)
         if not emitted:
             return
 
-        # Partition the original output.  The getPartition cost is
-        # measured on the first call and extrapolated, exactly the
-        # granularity of Figure 7's "cost of partition call".
-        get_partition = runtime.partitioner.get_partition
-        num_reducers = runtime.num_reducers
-        by_partition: dict[int, list[tuple[Any, Any]]] = {}
-        first_key = emitted[0][0]
-        first_partition, single_cost = runtime.meter.measure(
-            get_partition, first_key, num_reducers
-        )
-        partition_cost = single_cost * len(emitted)
-        by_partition[first_partition] = [emitted[0]]
-        memo = self._partition_memo
-        by_partition_get = by_partition.get
-        if memo is None:
-            for record in emitted[1:]:
-                partition = get_partition(record[0], num_reducers)
-                bucket = by_partition_get(partition)
-                if bucket is None:
-                    by_partition[partition] = [record]
-                else:
-                    bucket.append(record)
-        else:
-            memo_get = memo.get
-            for record in emitted[1:]:
-                record_key = record[0]
-                try:
-                    partition = memo_get(record_key)
-                    if partition is None:
-                        partition = get_partition(record_key, num_reducers)
-                        if len(memo) >= _PARTITION_MEMO_LIMIT:
-                            memo.clear()
-                        memo[record_key] = partition
-                except TypeError:  # unhashable key
-                    partition = get_partition(record_key, num_reducers)
-                bucket = by_partition_get(partition)
-                if bucket is None:
-                    by_partition[partition] = [record]
-                else:
-                    bucket.append(record)
+        if metered:
+            # The getPartition cost is measured on the first call and
+            # extrapolated, exactly the granularity of Figure 7's
+            # "cost of partition call".
+            first_partition, single_cost = runtime.meter.measure(
+                runtime.partitioner.get_partition,
+                emitted[0][0],
+                runtime.num_reducers,
+            )
+            call_cost = map_cost + single_cost * len(emitted)
+        if len(emitted) == 1:
+            self._encode_single(
+                context, key, value, emitted[0],
+                self._lazy_allowed(call_cost, 1),
+            )
+            return
 
-        use_lazy_allowed = self._lazy_allowed(
-            map_cost, partition_cost, len(by_partition)
+        # Partition the original output.
+        if metered:
+            partitions = [first_partition]
+            partitions += self._partitions.of_records(emitted[1:])
+        else:
+            partitions = self._partitions.of_records(emitted)
+        by_partition: dict[int, list[tuple[Any, Any]]] = {}
+        by_partition_get = by_partition.get
+        for record, partition in zip(emitted, partitions):
+            bucket = by_partition_get(partition)
+            if bucket is None:
+                by_partition[partition] = [record]
+            else:
+                bucket.append(record)
+
+        lazy_allowed = self._lazy_allowed(call_cost, len(by_partition))
+        # The LazySH component is the same for every partition of the
+        # call: build it (and, for the size comparison, measure it) once.
+        lazy_component = LazyValue(key, value) if lazy_allowed else None
+        lazy_size = (
+            serde.approx_size(lazy_component)
+            if lazy_allowed and self._strategy is Strategy.ADAPTIVE
+            else 0
         )
-        config = self._runtime.config
-        if (
-            config.strategy is Strategy.ADAPTIVE
-            and not config.per_partition_choice
-        ):
+        if self._strategy is Strategy.ADAPTIVE and not self._per_partition:
             self._encode_call_level(
-                context, key, value, by_partition, use_lazy_allowed
+                context, by_partition, lazy_component, lazy_size
             )
             return
         for partition in sorted(by_partition):
-            records = by_partition[partition]
             self._encode_partition(
-                context, key, value, records, use_lazy_allowed
+                context, by_partition[partition], lazy_component, lazy_size
             )
 
-    def _lazy_allowed(
-        self, map_cost: float, partition_cost: float, num_partitions: int
-    ) -> bool:
-        """Apply the threshold rule of Figure 7 for this Map call."""
-        config = self._runtime.config
-        if config.strategy is Strategy.EAGER:
-            return False
-        if config.strategy is Strategy.LAZY:
-            return True
-        reexecution_cost = (map_cost + partition_cost) * num_partitions
-        return reexecution_cost <= config.threshold_t
+    def _lazy_allowed(self, call_cost: float, num_partitions: int) -> bool:
+        """Whether this Map call may use LazySH (Figure 7's threshold).
 
-    def _encode_call_level(
+        ``call_cost`` is the measured Map call plus its partition
+        calls; LazySH would re-execute both once per partition.  When
+        the call was not metered the strategy alone decides.
+        """
+        if not self._metered:
+            return self._strategy is not Strategy.EAGER
+        reexecution_cost = call_cost * num_partitions
+        return reexecution_cost <= self._runtime.config.threshold_t
+
+    def _encode_single(
         self,
         context: Context,
         input_key: Any,
         input_value: Any,
-        by_partition: dict[int, list[tuple[Any, Any]]],
+        record: tuple[Any, Any],
         lazy_allowed: bool,
+    ) -> None:
+        """Encode a Map call's only output record: PLAIN or LAZY.
+
+        Both records carry the same key and the same tag byte, so the
+        size comparison reduces to the payloads; a tie goes where the
+        general path sends it (LAZY per partition, EAGER per call).
+        """
+        out_key, out_value = record
+        lazy = lazy_allowed
+        if lazy and self._strategy is Strategy.ADAPTIVE:
+            plain_size = serde.approx_size(out_value)
+            lazy_size = serde.approx_size(input_key) + serde.approx_size(
+                input_value
+            )
+            lazy = (
+                lazy_size <= plain_size
+                if self._per_partition
+                else lazy_size < plain_size
+            )
+        if lazy:
+            context.counters.add(C.ANTI_LAZY_RECORDS)
+            context.write(out_key, LazyValue(input_key, input_value))
+        else:
+            context.counters.add(C.ANTI_PLAIN_RECORDS)
+            context.write(out_key, PlainValue(out_value))
+
+    def _encode_call_level(
+        self,
+        context: Context,
+        by_partition: dict[int, list[tuple[Any, Any]]],
+        lazy_component: LazyValue | None,
+        lazy_size: int,
     ) -> None:
         """Ablation mode: one eager-vs-lazy decision for the whole call.
 
         Used when ``per_partition_choice`` is off; compares the *total*
         encoded sizes across all partitions and applies the winner
         uniformly, instead of the paper's finer per-partition choice.
+        ``lazy_component`` is ``None`` when LazySH is not allowed.
         """
+        ordered = sorted(by_partition)
         eager_by_partition = {
-            partition: self._eager_encode(records)
-            for partition, records in by_partition.items()
+            partition: self._eager_encode(by_partition[partition])
+            for partition in ordered
         }
-        if lazy_allowed:
+        if lazy_component is not None:
             total_eager = sum(
                 serde.approx_size(rep) + serde.approx_size(component)
                 for encoded in eager_by_partition.values()
                 for rep, component in encoded
             )
-            lazy_component = encoding.lazy_value(input_key, input_value)
-            total_lazy = 0
-            for records in by_partition.values():
-                min_key = self._runtime.comparator.min(
-                    key for key, _ in records
-                )
-                total_lazy += serde.approx_size(min_key) + serde.approx_size(
-                    lazy_component
-                )
+            comparator_min = self._runtime.comparator.min
+            min_keys = [
+                comparator_min(key for key, _ in by_partition[partition])
+                for partition in ordered
+            ]
+            total_lazy = lazy_size * len(min_keys) + sum(
+                map(serde.approx_size, min_keys)
+            )
             if total_lazy < total_eager:
-                for partition in sorted(by_partition):
-                    self._emit_lazy(
-                        context, input_key, input_value,
-                        by_partition[partition],
-                    )
+                context.counters.add(C.ANTI_LAZY_RECORDS, len(min_keys))
+                for min_key in min_keys:
+                    context.write(min_key, lazy_component)
                 return
-        for partition in sorted(eager_by_partition):
-            self._emit_eager(context, eager_by_partition[partition])
+        for encoded in eager_by_partition.values():
+            self._emit_eager(context, encoded)
 
     def _encode_partition(
         self,
         context: Context,
-        input_key: Any,
-        input_value: Any,
         records: list[tuple[Any, Any]],
-        lazy_allowed: bool,
+        lazy_component: LazyValue | None,
+        lazy_size: int,
     ) -> None:
-        """Emit the chosen encoding of one partition's output records."""
-        runtime = self._runtime
-        config = runtime.config
-        counters = context.counters
+        """Emit the chosen encoding of one partition's output records.
 
-        if config.strategy is Strategy.LAZY:
-            self._emit_lazy(context, input_key, input_value, records)
+        ``lazy_component`` is ``None`` when LazySH is not allowed for
+        this call (Strategy EAGER, or the threshold rule said no).
+        """
+        if lazy_component is None:
+            self._emit_eager(context, self._eager_encode(records))
             return
-
-        eager_records = self._eager_encode(records)
-        if config.strategy is Strategy.EAGER or not lazy_allowed:
-            self._emit_eager(context, eager_records)
-            return
-
-        # AdaptiveSH: compare (estimated) serialised sizes, eager vs
-        # lazy.  The estimate tracks the exact size within a few bytes
-        # at a fraction of the cost of a full serialisation pass.
-        eager_size = sum(
-            serde.approx_size(rep_key) + serde.approx_size(enc_value)
-            for rep_key, enc_value in eager_records
-        )
-        min_key = runtime.comparator.min(key for key, _ in records)
-        lazy_record = (
-            min_key,
-            encoding.lazy_value(input_key, input_value),
-        )
-        lazy_size = serde.approx_size(min_key) + serde.approx_size(
-            lazy_record[1]
-        )
-        if eager_size < lazy_size:
-            self._emit_eager(context, eager_records)
-        else:
-            counters.add(C.ANTI_LAZY_RECORDS)
-            context.write(*lazy_record)
+        min_key = self._runtime.comparator.min(key for key, _ in records)
+        if self._strategy is Strategy.ADAPTIVE:
+            # AdaptiveSH: compare (estimated) serialised sizes, eager
+            # vs lazy.  The estimate tracks the exact size within a few
+            # bytes at a fraction of the cost of a full serialisation
+            # pass.
+            eager_records = self._eager_encode(records)
+            eager_size = sum(
+                serde.approx_size(rep_key) + serde.approx_size(enc_value)
+                for rep_key, enc_value in eager_records
+            )
+            if eager_size < serde.approx_size(min_key) + lazy_size:
+                self._emit_eager(context, eager_records)
+                return
+        context.counters.add(C.ANTI_LAZY_RECORDS)
+        context.write(min_key, lazy_component)
 
     def _eager_encode(
         self, records: list[tuple[Any, Any]]
@@ -284,24 +311,35 @@ class AntiMapper(Mapper):
         component.  Groups are emitted in representative-key order so
         output is deterministic.
         """
+        if len(records) == 1:
+            return [(records[0][0], PlainValue(records[0][1]))]
         comparator = self._runtime.comparator
         groups: dict[Any, tuple[Any, list[Any]]] = {}
+        # A record carrying the very object the previous one carried
+        # (one tuple fanned out to many keys) joins its group without
+        # being serialised again.
+        prev_value: Any = _NO_VALUE
+        prev_keys: list[Any] = []
         for out_key, out_value in records:
+            if out_value is prev_value:
+                prev_keys.append(out_key)
+                continue
             group_id = _value_group_id(out_value)
             group = groups.get(group_id)
-            if group is not None:
-                group[1].append(out_key)
+            if group is None:
+                group = groups[group_id] = (out_value, [out_key])
             else:
-                groups[group_id] = (out_value, [out_key])
+                group[1].append(out_key)
+            prev_value, prev_keys = out_value, group[1]
         encoded: list[tuple[Any, tuple]] = []
         for out_value, keys in groups.values():
+            if len(keys) == 1:
+                encoded.append((keys[0], PlainValue(out_value)))
+                continue
             ordered = comparator.sorted(keys)
-            rep_key, other_keys = ordered[0], ordered[1:]
-            if other_keys:
-                enc_value = encoding.eager_value(other_keys, out_value)
-            else:
-                enc_value = encoding.plain_value(out_value)
-            encoded.append((rep_key, enc_value))
+            encoded.append(
+                (ordered[0], EagerValue(ordered[1:], out_value))
+            )
         if len(encoded) > 1:
             if comparator.is_natural:
                 encoded.sort(key=lambda rec: rec[0])
@@ -313,22 +351,14 @@ class AntiMapper(Mapper):
     def _emit_eager(
         self, context: Context, eager_records: list[tuple[Any, tuple]]
     ) -> None:
+        plain = 0
         for rep_key, enc_value in eager_records:
-            if encoding.tag_of(enc_value) == encoding.PLAIN:
-                context.counters.add(C.ANTI_PLAIN_RECORDS)
-            else:
-                context.counters.add(C.ANTI_EAGER_RECORDS)
+            if type(enc_value) is PlainValue:
+                plain += 1
             context.write(rep_key, enc_value)
-
-    def _emit_lazy(
-        self,
-        context: Context,
-        input_key: Any,
-        input_value: Any,
-        records: list[tuple[Any, Any]],
-    ) -> None:
-        min_key = self._runtime.comparator.min(key for key, _ in records)
-        context.counters.add(C.ANTI_LAZY_RECORDS)
-        context.write(
-            min_key, encoding.lazy_value(input_key, input_value)
-        )
+        if plain:
+            context.counters.add(C.ANTI_PLAIN_RECORDS, plain)
+        if plain < len(eager_records):
+            context.counters.add(
+                C.ANTI_EAGER_RECORDS, len(eager_records) - plain
+            )

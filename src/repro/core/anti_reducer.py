@@ -13,6 +13,11 @@ representative key it:
 3. pops the current key's (fully decoded) group from ``Shared`` and
    runs the original Reduce on it.
 
+When ``Shared`` is idle (nothing stored, no Combiner folding inside it)
+and every component of the group is PLAIN, steps 2–3 have nothing to
+merge or reorder: the values go straight to the original Reduce, in
+arrival order, exactly as the add/pop round trip would deliver them.
+
 ``cleanup`` drains whatever is left in ``Shared`` (keys that only ever
 appeared inside encoded value components) before calling the original
 reducer's ``cleanup``.
@@ -24,21 +29,18 @@ them with the original Combiner as the target.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Iterator
 
 from repro.core import encoding
 from repro.core.runtime import AntiRuntime
 from repro.core.shared import Shared
 from repro.mr import counters as C
-from repro.mr import fastpath
+from repro.mr import fastpath, serde
 from repro.mr.api import Context, Mapper, Reducer
 from repro.obs.trace import current_tracer
 
 ReduceFn = Callable[[Any, Iterator[Any], Context], None]
-
-#: Cap on the batched tier's key→partition memo (cleared, not evicted,
-#: when full — re-execution key sets are usually far smaller).
-_PARTITION_MEMO_LIMIT = 1 << 16
 
 
 class DecodeError(RuntimeError):
@@ -80,13 +82,9 @@ class DecodeLoop:
             combiner = runtime.combiner_factory()
             combiner.setup(context.with_sink(_discard_sink))
         self._shared_combiner = combiner
-        # Batched tier: memoise key→partition for the LazySH
-        # re-execution filter.  Legal under the tier's deterministic-
-        # partitioner assumption (the same assumption LazySH decoding
-        # itself rests on); these calls are unmetered framework work,
-        # so the memo is pure wall-time.
-        self._partition_memo: dict[Any, int] | None = (
-            {} if fastpath.batch_enabled() else None
+        self._partitions = runtime.partition_memo()
+        self._natural_grouping = (
+            fastpath.enabled() and runtime.grouping_comparator.is_natural
         )
         self._reexec_buffer: list[tuple[Any, Any]] = []
         self._reexec_capture: Context | None = None
@@ -108,7 +106,7 @@ class DecodeLoop:
         grouping = self._runtime.grouping_comparator
         shared = self.shared
         target = self._target
-        if fastpath.enabled() and grouping.is_natural:
+        if self._natural_grouping:
             # ``not (alt < key)`` is exactly the natural comparator's
             # ``cmp(alt, key) >= 0`` — one rich comparison instead of a
             # Python call per drained group.
@@ -127,18 +125,68 @@ class DecodeLoop:
 
     def decode_values(
         self, rep_key: Any, values: Iterator[Any], context: Context
-    ) -> None:
+    ) -> list | None:
         """Decode one group's encoded value components into Shared.
 
         The whole group decode — including every ``Shared.add`` insert
         it performs — is one ``shared.decode`` span, so per-record
         inserts are aggregated rather than traced individually.
+
+        When Shared is idle and the group turns out to be all PLAIN,
+        nothing enters Shared: the group's values are returned instead
+        (``None`` otherwise), in the order a pop would deliver them.
         """
         with self._tracer.span(
             "shared.decode", category="shared"
         ) as span:
+            taken: list = []
+            if self._shared_combiner is None and self.shared.is_empty():
+                taken, values = self._take_plain(rep_key, values)
+                if values is None:
+                    span.set(components=len(taken))
+                    return taken
+                # Not that kind of group after all: put what was taken
+                # where the general path would have.
+                for value in taken:
+                    self.shared.add(rep_key, value)
             components = self._decode_components(rep_key, values, context)
-            span.set(components=components)
+            span.set(components=len(taken) + components)
+        return None
+
+    def _take_plain(
+        self, rep_key: Any, values: Iterator[Any]
+    ) -> tuple[list, Iterator[Any] | None]:
+        """Take a group's leading PLAIN payloads while Shared could
+        hold them without spilling.
+
+        Returns ``(payloads, rest)``: ``rest`` is ``None`` when the
+        whole group was taken, else the components from the first one
+        that is not PLAIN — or whose ``Shared.add`` would cross the
+        memory budget, so the spill happens at the very same record.
+        """
+        values = iter(values)
+        plain = encoding.PlainValue
+        approx_size = serde.approx_size
+        key_size = approx_size(rep_key)
+        room = (
+            self._runtime.config.shared_memory_bytes
+            - self.shared.memory_bytes
+        )
+        taken: list = []
+        for component in values:
+            if type(component) is plain:
+                value = component.value
+                # ``2 + len`` is ``approx_size`` of a str, as in
+                # ``Shared.add``.
+                room -= key_size + (
+                    (2 + len(value)) if type(value) is str
+                    else approx_size(value)
+                )
+                if room >= 0:
+                    taken.append(value)
+                    continue
+            return taken, chain((component,), values)
+        return taken, None
 
     def _decode_components(
         self, rep_key: Any, values: Iterator[Any], context: Context
@@ -177,7 +225,6 @@ class DecodeLoop:
         self, input_key: Any, input_value: Any, context: Context
     ) -> None:
         """Run the original Map, keeping this partition's outputs."""
-        runtime = self._runtime
         # One capture context and emission buffer per loop, reused
         # across re-executions (drained into Shared before returning).
         emitted = self._reexec_buffer
@@ -188,43 +235,27 @@ class DecodeLoop:
             self._reexec_capture = capture
         self._o_mapper.map(input_key, input_value, capture)
         context.counters.add(C.ANTI_REDUCE_MAP_REEXECUTIONS)
-        matched = False
-        memo = self._partition_memo
-        if memo is not None:
-            shared_add = self.shared.add
-            get_partition = runtime.get_partition
-            memo_get = memo.get
-            partition = self._partition
-            for key, value in emitted:
-                try:
-                    key_partition = memo_get(key)
-                    if key_partition is None:
-                        key_partition = get_partition(key)
-                        if len(memo) >= _PARTITION_MEMO_LIMIT:
-                            memo.clear()
-                        memo[key] = key_partition
-                except TypeError:  # unhashable key
-                    key_partition = get_partition(key)
-                if key_partition == partition:
-                    shared_add(key, value)
-                    matched = True
-        else:
-            for key, value in emitted:
-                if runtime.get_partition(key) == self._partition:
-                    self.shared.add(key, value)
-                    matched = True
-        if not matched:
+        partition = self._partition
+        mine = [
+            record
+            for record, key_partition in zip(
+                emitted, self._partitions.of_records(emitted)
+            )
+            if key_partition == partition
+        ]
+        if not mine:
             raise DecodeError(
                 "LazySH re-execution produced no record for partition "
                 f"{self._partition}; the Map or Partition function is "
                 "non-deterministic — set T=0 (Strategy.EAGER) for this job"
             )
+        self.shared.add_pairs(mine)
 
     def reduce_current(self, rep_key: Any, context: Context) -> None:
         """Run the target on the current (decoded) group."""
         grouping = self._runtime.grouping_comparator
         min_key = self.shared.peek_min_key()
-        if fastpath.enabled() and grouping.is_natural:
+        if self._natural_grouping:
             mismatch = min_key is None or (
                 min_key < rep_key or min_key > rep_key
             )
@@ -245,8 +276,11 @@ class DecodeLoop:
     ) -> None:
         """Steps 1–3 for one incoming encoded group."""
         self.drain_below(rep_key, context)
-        self.decode_values(rep_key, values, context)
-        self.reduce_current(rep_key, context)
+        plain_values = self.decode_values(rep_key, values, context)
+        if plain_values:
+            self._target(rep_key, iter(plain_values), context)
+        else:
+            self.reduce_current(rep_key, context)
 
     def drain_all(self, context: Context) -> None:
         """Reduce every remaining Shared group (task cleanup)."""

@@ -43,6 +43,10 @@ from repro.mr.storage import LocalStore, SpillWriter
 from repro.obs.trace import current_tracer
 
 
+#: "No previous pair" marker for ``add_pairs``' same-object test.
+_NO_VALUE = object()
+
+
 class _Entry:
     """In-memory state for one key."""
 
@@ -209,6 +213,34 @@ class Shared:
             + value_size,
         )
         for key in other_keys:
+            add_sized(
+                key,
+                value,
+                (
+                    (2 + len(key))
+                    if type(key) is str
+                    else serde.approx_size(key)
+                )
+                + value_size,
+            )
+
+    def add_pairs(self, pairs: list[tuple[Any, Any]]) -> None:
+        """``add`` every pair in order.
+
+        Consecutive pairs carrying the very same value object (one Map
+        output tuple fanned out to many keys) size it once.
+        """
+        add_sized = self._add_sized
+        prev_value: Any = _NO_VALUE
+        value_size = 0
+        for key, value in pairs:
+            if value is not prev_value:
+                prev_value = value
+                value_size = (
+                    (2 + len(value))
+                    if type(value) is str
+                    else serde.approx_size(value)
+                )
             add_sized(
                 key,
                 value,
@@ -388,7 +420,12 @@ class Shared:
             yield self.pop_min_key_values()
 
     def is_empty(self) -> bool:
-        return not self._heap and all(run.exhausted for run in self._runs)
+        if self._heap:
+            return False
+        for run in self._runs:
+            if not run.exhausted:
+                return False
+        return True
 
     def __len__(self) -> int:
         """Number of distinct in-memory keys (spilled keys not counted)."""

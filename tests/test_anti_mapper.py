@@ -11,6 +11,7 @@ from repro.core.anti_mapper import AntiMapper, _value_group_id
 from repro.core.config import AntiCombiningConfig, Strategy
 from repro.core.runtime import AntiRuntime
 from repro.mr import counters as C
+from repro.mr import serde
 from repro.mr.api import Context, Mapper, Partitioner, Reducer
 from repro.mr.comparators import default_comparator
 from repro.mr.cost import FixedCostMeter, TableCostMeter
@@ -38,6 +39,7 @@ def _runtime(
     threshold_t=math.inf,
     meter=None,
     num_reducers=4,
+    per_partition_choice=True,
 ) -> AntiRuntime:
     mapper_cls = type("Scripted", (_ScriptMapper,), {"script": script})
     return AntiRuntime(
@@ -50,7 +52,9 @@ def _runtime(
         grouping_comparator=default_comparator,
         meter=meter if meter is not None else FixedCostMeter(),
         config=AntiCombiningConfig(
-            threshold_t=threshold_t, strategy=strategy
+            threshold_t=threshold_t,
+            strategy=strategy,
+            per_partition_choice=per_partition_choice,
         ),
     )
 
@@ -113,6 +117,42 @@ class TestEagerEncoding:
         script = [(8, "b"), (0, "a"), (4, "c")]
         emitted, _ = _run_map(_runtime(script, Strategy.EAGER))
         assert [key for key, _ in emitted] == [0, 4, 8]
+
+    def test_signed_zeros_not_merged(self) -> None:
+        """``0.0 == -0.0`` (same hash, too) but they serialise
+        differently: one EagerSH group would hand one key the other's
+        zero."""
+        script = [(0, 0.0), (4, -0.0)]
+        emitted, counters = _run_map(_runtime(script, Strategy.EAGER))
+        assert [key for key, _ in emitted] == [0, 4]
+        assert [
+            math.copysign(1.0, component.value) for _, component in emitted
+        ] == [1.0, -1.0]
+        assert counters.get_int(C.ANTI_PLAIN_RECORDS) == 2
+        assert counters.get_int(C.ANTI_EAGER_RECORDS) == 0
+
+    def test_one_value_object_fanned_out_groups_like_equal_copies(
+        self,
+    ) -> None:
+        """The same-object shortcut changes nothing observable, also
+        when the object comes back after another value intervened."""
+        shared = ("tuple", 1.5, [1, 2])
+        fanned = [(0, shared), (4, shared), (8, "x"), (12, shared)]
+        copies = [
+            (key, ("tuple", 1.5, [1, 2]) if value is shared else value)
+            for key, value in fanned
+        ]
+        expected = [
+            (0, encoding.eager_value([4, 12], shared)),
+            (8, encoding.plain_value("x")),
+        ]
+        for script in (fanned, copies):
+            emitted, counters = _run_map(_runtime(script, Strategy.EAGER))
+            assert emitted == expected
+            assert counters.as_dict() == {
+                C.ANTI_EAGER_RECORDS: 1,
+                C.ANTI_PLAIN_RECORDS: 1,
+            }
 
 
 class TestLazyEncoding:
@@ -186,6 +226,144 @@ class TestAdaptiveChoice:
         assert counters.get_int(C.ANTI_PLAIN_RECORDS) == 1
 
 
+def _encoded_bytes(emitted):
+    return [serde.encode(record) for record in emitted]
+
+
+class TestSingleEmission:
+    """A one-record Map call takes a shortcut; it must land where the
+    general path lands.
+
+    The general path is observed on a two-record call whose records go
+    to two different partitions: there each partition holds one record
+    of the same size as the single call's, so under either
+    ``per_partition_choice`` setting it reaches, per partition, the
+    decision the single call must reach.
+    """
+
+    #: input ("in" under key 7) vs output value: LAZY smaller, the
+    #: exact tie (six bytes either way), PLAIN smaller.
+    VALUES = ["v" * 40, "vvvv", "v"]
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("per_partition", [True, False])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_matches_general_path(
+        self, strategy, per_partition, value
+    ) -> None:
+        def run(script):
+            return _run_map(
+                _runtime(
+                    script, strategy, per_partition_choice=per_partition
+                ),
+                input_key=7,
+                input_value="in",
+            )
+
+        single, single_counters = run([(0, value)])
+        double, double_counters = run([(0, value), (1, value)])
+        assert len(single) == 1
+        assert _encoded_bytes(double) == _encoded_bytes(
+            [single[0], (1, single[0][1])]
+        )
+        assert double_counters.as_dict() == {
+            name: 2 * count
+            for name, count in single_counters.as_dict().items()
+        }
+
+    @pytest.mark.parametrize(
+        "per_partition, expected",
+        [(True, encoding.LAZY), (False, encoding.PLAIN)],
+    )
+    def test_size_tie_breaks_opposite_ways(
+        self, per_partition, expected
+    ) -> None:
+        emitted, _ = _run_map(
+            _runtime([(0, "vvvv")], per_partition_choice=per_partition),
+            input_key=7,
+            input_value="in",
+        )
+        assert encoding.tag_of(emitted[0][1]) == expected
+
+    def test_pure_strategies_ignore_sizes(self) -> None:
+        for value in self.VALUES:
+            emitted, counters = _run_map(
+                _runtime([(0, value)], Strategy.EAGER), 7, "in"
+            )
+            assert emitted == [(0, encoding.plain_value(value))]
+            assert counters.as_dict() == {C.ANTI_PLAIN_RECORDS: 1}
+            emitted, counters = _run_map(
+                _runtime([(0, value)], Strategy.LAZY), 7, "in"
+            )
+            assert emitted == [(0, encoding.lazy_value(7, "in"))]
+            assert counters.as_dict() == {C.ANTI_LAZY_RECORDS: 1}
+
+
+class TestMetering:
+    """The meter feeds the threshold rule and nothing else."""
+
+    SCRIPTS = [[(0, "v" * 40)], [(4 * i, f"value-{i}") for i in range(6)]]
+
+    @pytest.mark.parametrize("script", SCRIPTS)
+    def test_threshold_zero_with_costly_calls_forces_eager(
+        self, script
+    ) -> None:
+        meter = FixedCostMeter()
+        emitted, counters = _run_map(
+            _runtime(script, threshold_t=0.0, meter=meter),
+            input_value="tiny",
+        )
+        assert counters.as_dict() == {C.ANTI_PLAIN_RECORDS: len(script)}
+        assert meter.calls == 2  # the Map call, one getPartition
+
+    @pytest.mark.parametrize("script", SCRIPTS)
+    def test_threshold_zero_with_free_calls_still_allows_lazy(
+        self, script
+    ) -> None:
+        meter = FixedCostMeter(cost_per_call=0.0)
+        emitted, counters = _run_map(
+            _runtime(script, threshold_t=0.0, meter=meter),
+            input_value="tiny",
+        )
+        assert counters.as_dict() == {C.ANTI_LAZY_RECORDS: 1}
+        assert meter.calls == 2
+
+    @pytest.mark.parametrize("script", SCRIPTS)
+    @pytest.mark.parametrize(
+        "map_cost, lazy", [(1.0, False), (1e-9, True)]
+    )
+    def test_finite_threshold_decides_by_measured_cost(
+        self, script, map_cost, lazy
+    ) -> None:
+        meter = TableCostMeter({"map": map_cost}, default_cost=1e-9)
+        _, counters = _run_map(
+            _runtime(script, threshold_t=0.5, meter=meter),
+            input_value="tiny",
+        )
+        assert counters.get_int(C.ANTI_LAZY_RECORDS) == (1 if lazy else 0)
+
+    @pytest.mark.parametrize("script", SCRIPTS)
+    @pytest.mark.parametrize(
+        "strategy, threshold_t",
+        [
+            (Strategy.ADAPTIVE, math.inf),
+            (Strategy.EAGER, 0.5),
+            (Strategy.LAZY, 0.5),
+        ],
+    )
+    def test_not_consulted_when_threshold_cannot_bind(
+        self, script, strategy, threshold_t
+    ) -> None:
+        meter = FixedCostMeter(cost_per_call=1e9)
+        _, counters = _run_map(
+            _runtime(script, strategy, threshold_t, meter=meter),
+            input_value="tiny",
+        )
+        assert meter.calls == 0
+        lazy = counters.get_int(C.ANTI_LAZY_RECORDS)
+        assert lazy == (0 if strategy is Strategy.EAGER else 1)
+
+
 class TestLifecycle:
     def test_no_output_map_emits_nothing(self) -> None:
         emitted, _ = _run_map(_runtime([]))
@@ -231,6 +409,10 @@ class TestValueGroupId:
     def test_scalar_type_separation(self) -> None:
         ids = {_value_group_id(v) for v in (1, 1.0, True)}
         assert len(ids) == 3
+
+    def test_signed_zeros_distinct(self) -> None:
+        assert _value_group_id(0.0) != _value_group_id(-0.0)
+        assert _value_group_id(0.5) == _value_group_id(0.5)
 
     def test_strings_and_bytes_distinct(self) -> None:
         assert _value_group_id("a") != _value_group_id(b"a")

@@ -9,11 +9,12 @@ from repro.core.anti_reducer import AntiReducer, DecodeError
 from repro.core.config import AntiCombiningConfig, Strategy
 from repro.core.runtime import AntiRuntime
 from repro.mr import counters as C
-from repro.mr.api import Context, Mapper, Partitioner, Reducer
-from repro.mr.comparators import default_comparator
+from repro.mr.api import Combiner, Context, Mapper, Partitioner, Reducer
+from repro.mr.comparators import comparator_from_key, default_comparator
 from repro.mr.cost import FixedCostMeter
 from repro.mr.counters import Counters
 from repro.mr.storage import LocalStore
+from repro.obs.trace import Tracer, activated
 
 
 class _ModPartitioner(Partitioner):
@@ -34,15 +35,21 @@ class _CollectReducer(Reducer):
         context.write(key, list(values))
 
 
-def _runtime(mapper_factory=_PrefixSumMapper, **config_kwargs) -> AntiRuntime:
+def _runtime(
+    mapper_factory=_PrefixSumMapper,
+    combiner_factory=None,
+    partitioner=None,
+    grouping_comparator=default_comparator,
+    **config_kwargs,
+) -> AntiRuntime:
     return AntiRuntime(
         mapper_factory=mapper_factory,
         reducer_factory=_CollectReducer,
-        combiner_factory=None,
-        partitioner=_ModPartitioner(),
+        combiner_factory=combiner_factory,
+        partitioner=partitioner or _ModPartitioner(),
         num_reducers=2,
         comparator=default_comparator,
-        grouping_comparator=default_comparator,
+        grouping_comparator=grouping_comparator,
         meter=FixedCostMeter(),
         config=AntiCombiningConfig(**config_kwargs),
     )
@@ -231,3 +238,171 @@ class TestSharedSpillingDuringDecode:
         output, counters = _run_reduce(runtime, groups)
         assert [key for key, _ in output] == [0] + list(range(100, 400, 2))
         assert counters.get_int(C.ANTI_SHARED_SPILLS) > 0
+
+
+def _plain(*values):
+    return [encoding.plain_value(value) for value in values]
+
+
+def _as_empty_eager(groups):
+    """The same groups with every PLAIN component written as an EagerSH
+    component with no other keys.
+
+    That decodes to the very same ``Shared`` insert (same key, value
+    and size estimate) but is not PLAIN, so the group goes the general
+    add → peek → pop way: the reference the all-PLAIN lane is held to.
+    """
+    return [
+        (
+            key,
+            [
+                encoding.eager_value([], component.value)
+                if type(component) is encoding.PlainValue
+                else component
+                for component in components
+            ],
+        )
+        for key, components in groups
+    ]
+
+
+class _FirstFieldPartitioner(Partitioner):
+    def get_partition(self, key, num_partitions):
+        return key[0] % num_partitions
+
+
+class _SumCombiner(Combiner):
+    def reduce(self, key, values, context):
+        context.write(key, sum(values))
+
+
+class TestAllPlainGroupLane:
+    """All-PLAIN groups meeting an idle ``Shared`` skip it; nothing
+    observable may tell."""
+
+    def _assert_same_as_general_path(self, runtime, groups, partition=0):
+        output, counters = _run_reduce(runtime, groups, partition)
+        ref_output, ref_counters = _run_reduce(
+            runtime, _as_empty_eager(groups), partition
+        )
+        assert output == ref_output
+        assert counters.as_dict() == ref_counters.as_dict()
+        return output, counters
+
+    def test_plain_groups(self) -> None:
+        output, counters = self._assert_same_as_general_path(
+            _runtime(),
+            [(2, _plain("b", "a", "b")), (4, _plain("c")), (6, _plain(1.5))],
+        )
+        assert output == [(2, ["b", "a", "b"]), (4, ["c"]), (6, [1.5])]
+        assert counters.as_dict() == {}
+
+    def test_group_larger_than_shared_budget(self) -> None:
+        """The lane hands over at the record that would spill, so the
+        spill (and the order a pop then delivers) is the general
+        path's."""
+        values = [f"{i:03d}" + "x" * 47 for i in range(60)]
+        groups = [(2, _plain(*values)), (4, _plain("tail"))]
+        output, counters = self._assert_same_as_general_path(
+            _runtime(shared_memory_bytes=1024), groups
+        )
+        assert counters.get_int(C.ANTI_SHARED_SPILLS) == 3
+        assert counters.get_int(C.ANTI_SHARED_SPILLED_RECORDS) == 57
+        assert counters.get_int(C.DISK_WRITE_BYTES) > 0
+        assert sorted(output[0][1]) == values
+        assert output[1] == (4, ["tail"])
+
+    @pytest.mark.parametrize("count, spills", [(32, 0), (33, 1)])
+    def test_budget_boundary(self, count, spills) -> None:
+        # 2 bytes of key + 30 of value: 32 records fill 1 KiB exactly
+        # (no spill, as ``Shared`` spills only beyond it); one more
+        # crosses.
+        _, counters = self._assert_same_as_general_path(
+            _runtime(shared_memory_bytes=1024),
+            [(2, _plain(*["y" * 28] * count))],
+        )
+        assert counters.get_int(C.ANTI_SHARED_SPILLS) == spills
+
+    @pytest.mark.parametrize(
+        "encoded",
+        [encoding.eager_value([14], "shared"), encoding.lazy_value(1, 3)],
+    )
+    def test_plain_then_encoded_component_replays_in_order(
+        self, encoded
+    ) -> None:
+        groups = [(12, _plain("a", "b") + [encoded] + _plain("c"))]
+        output, _ = self._assert_same_as_general_path(_runtime(), groups)
+        eager = type(encoded) is encoding.EagerValue
+        decoded = "shared" if eager else "out-1-2"
+        assert output[0] == (12, ["a", "b", decoded, "c"])
+
+    def test_busy_shared_keeps_plain_groups_on_the_general_path(
+        self,
+    ) -> None:
+        groups = [
+            (2, [encoding.eager_value([6, 8], "shared")]),
+            (4, _plain("p")),
+            (6, _plain("q", "r")),
+            (10, _plain("s")),
+        ]
+        output, _ = self._assert_same_as_general_path(_runtime(), groups)
+        assert output == [
+            (2, ["shared"]),
+            (4, ["p"]),
+            (6, ["shared", "q", "r"]),
+            (8, ["shared"]),
+            (10, ["s"]),
+        ]
+
+    def test_secondary_sort_groups(self) -> None:
+        """Non-natural grouping: a group's values arrive under its
+        first composite key, in sort order."""
+        runtime = _runtime(
+            partitioner=_FirstFieldPartitioner(),
+            grouping_comparator=comparator_from_key(lambda key: key[0]),
+        )
+        groups = [
+            ((2, 0), _plain("a", "b", "c")),
+            (
+                (4, 1),
+                _plain("d") + [encoding.eager_value([(4, 9), (6, 0)], "e")],
+            ),
+            ((6, 0), _plain("f")),
+        ]
+        output, _ = self._assert_same_as_general_path(runtime, groups)
+        assert output == [
+            ((2, 0), ["a", "b", "c"]),
+            ((4, 1), ["d", "e", "e"]),
+            ((6, 0), ["e", "f"]),
+        ]
+
+    def test_shared_combiner_keeps_folding(self) -> None:
+        """With the Combiner inside ``Shared`` the round trip is not a
+        no-op (it folds), so the lane must stay out of the way."""
+        runtime = _runtime(
+            combiner_factory=_SumCombiner, use_shared_combiner=True
+        )
+        output, _ = self._assert_same_as_general_path(
+            runtime, [(2, _plain(*[1] * 40))]
+        )
+        (key, values), = output
+        assert key == 2 and sum(values) == 40 and len(values) < 40
+
+    def test_empty_group_still_reported_missing(self) -> None:
+        with pytest.raises(DecodeError, match="missing"):
+            _run_reduce(_runtime(), [(2, [])])
+
+    def test_one_decode_span_per_group(self) -> None:
+        tracer = Tracer()
+        with activated(tracer):
+            _run_reduce(
+                _runtime(),
+                [
+                    (2, _plain("a", "b")),
+                    (12, _plain("a") + [encoding.lazy_value(1, 3)]),
+                ],
+            )
+        spans = [
+            span for span in tracer.records() if span.name == "shared.decode"
+        ]
+        assert [span.attrs["components"] for span in spans] == [2, 2]

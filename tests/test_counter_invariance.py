@@ -26,9 +26,12 @@ from functools import lru_cache
 import pytest
 
 from repro.datagen.qlog import generate_query_log
+from repro.datagen.randomtext import generate_random_text
 from repro.experiments.common import measure_job, strategy_variants
 from repro.experiments.fig09_map_output import STRATEGIES, partitioner_lineup
 from repro.mr import fastpath
+from repro.mr.api import Mapper, Reducer
+from repro.mr.config import JobConf
 from repro.mr.split import split_records
 from repro.workloads.query_suggestion import query_suggestion_job
 
@@ -63,9 +66,11 @@ def _analytic_counters(run) -> dict:
     }
 
 
-def _measure(job, fast: bool, batch: bool = False):
+def _measure(job, fast: bool, batch: bool = False, splits=None):
     with fastpath.forced(fast), fastpath.batch_forced(batch):
-        return measure_job("invariance", job, _splits())
+        return measure_job(
+            "invariance", job, _splits() if splits is None else splits
+        )
 
 
 #: The three data-plane tiers the invariance contract spans:
@@ -77,14 +82,15 @@ TIERS = (
 )
 
 
-def _assert_tiers_identical(job, label: str) -> dict:
+def _assert_tiers_identical(job, label: str, splits=None) -> dict:
     """Run ``job`` on every tier; assert counters and output match.
 
     Returns the reference tier's analytic counters so callers can add
     workload-shape assertions.
     """
     runs = {
-        name: _measure(job, fast, batch) for name, fast, batch in TIERS
+        name: _measure(job, fast, batch, splits)
+        for name, fast, batch in TIERS
     }
     reference = runs["reference"]
     ref_counters = _analytic_counters(reference)
@@ -160,6 +166,85 @@ def test_innode_combining_counters_identical_across_tiers(
     assert (
         innode_run.result.shuffle_bytes < plain_run.result.shuffle_bytes
     ), f"{part_name}: in-node combining did not reduce shuffle bytes"
+
+
+class _FirstWordMapper(Mapper):
+    """One record per Map call, one each from ``setup``/``cleanup``."""
+
+    def setup(self, context):
+        context.write("#setup", "begin")
+
+    def map(self, key, value, context):
+        context.write(value.split(" ", 1)[0], value)
+
+    def cleanup(self, context):
+        context.write("#cleanup", "end")
+
+
+class _SortedValuesReducer(Reducer):
+    def reduce(self, key, values, context):
+        context.write(key, sorted(values))
+
+
+#: What the parent of the lanes' commit counted for the job below —
+#: every decision and every ``Shared`` spill must stay where it was.
+_LANE_SPILLS = {
+    "anti.shared.spills": 11,
+    "anti.shared.spilled.records": 236,
+    "anti.shared.spilled.bytes": 11755,
+}
+_LANE_ALL_PLAIN = {
+    **_LANE_SPILLS,
+    "anti.plain.records": 408,
+    "anti.lazy.records": 0,
+    "map.output.materialized.bytes": 20813,
+    "disk.write.bytes": 53381,
+}
+_LANE_GOLDEN = {
+    "EagerSH": _LANE_ALL_PLAIN,
+    "LazySH": {
+        **_LANE_SPILLS,
+        "anti.plain.records": 8,  # the lifecycle emissions
+        "anti.lazy.records": 400,
+        "anti.reduce.map.reexecutions": 400,
+        "map.output.materialized.bytes": 22219,
+        "disk.write.bytes": 56193,
+    },
+    # A line is always longer than its first word: PLAIN wins the size
+    # comparison in every call.
+    "AdaptiveSH": _LANE_ALL_PLAIN,
+}
+
+
+@pytest.mark.parametrize("strategy", list(_LANE_GOLDEN))
+def test_degenerate_call_lanes_counters_identical(strategy) -> None:
+    """Lane rider on the golden invariance: a job made of nothing but
+    single-emission Map calls (plus lifecycle emissions), whose reduce
+    groups are all PLAIN under EagerSH and outgrow a 1 KiB ``Shared``.
+    The shortcuts those shapes take must count exactly what the
+    general path counted, on every tier, and reproduce Original.
+    """
+    splits = split_records(
+        generate_random_text(400, vocabulary_size=12, seed=7),
+        num_splits=NUM_SPLITS,
+    )
+    variants = strategy_variants(
+        JobConf(
+            mapper=_FirstWordMapper,
+            reducer=_SortedValuesReducer,
+            num_reducers=NUM_REDUCERS,
+            sort_buffer_bytes=SORT_BUFFER_BYTES,
+        ),
+        shared_memory_bytes=1024,
+    )
+    counters = _assert_tiers_identical(
+        variants[strategy], f"lanes/{strategy}", splits
+    )
+    golden = {name: counters.get(name, 0) for name in _LANE_GOLDEN[strategy]}
+    assert golden == _LANE_GOLDEN[strategy]
+    original = _measure(variants["Original"], True, True, splits)
+    anti = _measure(variants[strategy], True, True, splits)
+    assert anti.result.sorted_output() == original.result.sorted_output()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

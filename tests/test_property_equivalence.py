@@ -41,12 +41,15 @@ class SeededMapper(Mapper):
     reproduces the exact same output — the determinism LazySH requires.
     ``value_sharing`` controls how often output records repeat a value,
     steering between the EagerSH-friendly and worst-case regimes.
+    ``float_values`` draws the values from :data:`FLOAT_VALUES` instead
+    of small ints.
     """
 
     seed: int = 0
     max_fanout: int = 4
     key_space: int = 20
     value_sharing: int = 3  # smaller = more shared values
+    float_values: bool = False
 
     def map(self, key, value, context):
         rng = random.Random(f"{self.seed}:{key}:{value}")
@@ -54,7 +57,14 @@ class SeededMapper(Mapper):
         for _ in range(fanout):
             out_key = rng.randrange(self.key_space)
             out_value = rng.randrange(max(1, self.value_sharing))
+            if self.float_values:
+                out_value = FLOAT_VALUES[out_value]
             context.write(out_key, out_value)
+
+
+#: Signed zeros first (equal, same hash, different bytes); all dyadic,
+#: so the Combiner tests' sums are exact in any order.
+FLOAT_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0)
 
 
 class CollectReducer(Reducer):
@@ -74,15 +84,19 @@ class SumCombiner(Combiner):
         context.write(key, sum(values))
 
 
-def _mapper_class(seed, max_fanout, key_space, value_sharing):
+def _mapper_class(shape):
     return type(
         "GeneratedMapper",
         (SeededMapper,),
         {
-            "seed": seed,
-            "max_fanout": max_fanout,
-            "key_space": key_space,
-            "value_sharing": value_sharing,
+            name: shape[name]
+            for name in (
+                "seed",
+                "max_fanout",
+                "key_space",
+                "value_sharing",
+                "float_values",
+            )
         },
     )
 
@@ -100,6 +114,7 @@ job_shapes = st.fixed_dictionaries(
         "max_fanout": st.integers(0, 6),
         "key_space": st.integers(1, 25),
         "value_sharing": st.integers(1, 6),
+        "float_values": st.booleans(),
         "strategy": st.sampled_from(list(Strategy)),
         "threshold": st.sampled_from([0.0, 1e-9, math.inf]),
         "shared_memory": st.sampled_from([1024, 4 * 1024 * 1024]),
@@ -109,12 +124,7 @@ job_shapes = st.fixed_dictionaries(
 
 
 def _run_pair(shape, with_combiner: bool, use_map_combiner: bool = False):
-    mapper = _mapper_class(
-        shape["seed"],
-        shape["max_fanout"],
-        shape["key_space"],
-        shape["value_sharing"],
-    )
+    mapper = _mapper_class(shape)
     job = JobConf(
         mapper=mapper,
         reducer=SumReducer if with_combiner else CollectReducer,
@@ -143,7 +153,8 @@ class TestOutputEquivalence:
     @given(job_shapes)
     def test_without_combiner(self, shape) -> None:
         base, anti = _run_pair(shape, with_combiner=False)
-        assert anti.sorted_output() == base.sorted_output()
+        # Byte-wise: ``==`` cannot tell ``-0.0`` from ``0.0``.
+        assert anti.canonical_output() == base.canonical_output()
 
     @settings(max_examples=40, deadline=None)
     @given(job_shapes)
@@ -165,12 +176,7 @@ class TestOutputEquivalence:
     @given(job_shapes, st.sampled_from(["gzip", "snappy"]))
     def test_with_compression(self, shape, codec) -> None:
         """Anti-Combining composes with map-output compression."""
-        mapper = _mapper_class(
-            shape["seed"],
-            shape["max_fanout"],
-            shape["key_space"],
-            shape["value_sharing"],
-        )
+        mapper = _mapper_class(shape)
         job = JobConf(
             mapper=mapper,
             reducer=CollectReducer,
@@ -186,7 +192,7 @@ class TestOutputEquivalence:
         runner = LocalJobRunner()
         base = runner.run(job, splits)
         result = runner.run(anti, splits)
-        assert result.sorted_output() == base.sorted_output()
+        assert result.canonical_output() == base.canonical_output()
 
 
 class TestCrossCallEquivalence:
@@ -196,12 +202,7 @@ class TestCrossCallEquivalence:
         """The Section 9 extension obeys the same output invariant."""
         from repro.core.crosscall import enable_cross_call_anti_combining
 
-        mapper = _mapper_class(
-            shape["seed"],
-            shape["max_fanout"],
-            shape["key_space"],
-            shape["value_sharing"],
-        )
+        mapper = _mapper_class(shape)
         job = JobConf(
             mapper=mapper,
             reducer=CollectReducer,
@@ -218,7 +219,7 @@ class TestCrossCallEquivalence:
         runner = LocalJobRunner()
         base = runner.run(job, splits)
         result = runner.run(cross, splits)
-        assert result.sorted_output() == base.sorted_output()
+        assert result.canonical_output() == base.canonical_output()
         assert result.map_output_records <= base.map_output_records
 
 

@@ -15,6 +15,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -300,11 +301,20 @@ def _fused_maybe_fail(value: int) -> int:
     return value + 1
 
 
-def _crash_unless_marker(marker: str, value: int) -> int:
-    """Crash the hosting worker once per marker file, then run clean."""
+def _crash_unless_marker(marker: str, sibling: str, value: int) -> int:
+    """Crash the hosting worker once per marker file, then run clean.
+
+    A dying worker breaks the pool, which kills the other workers
+    wherever they are — so before dying, wait (bounded) for the
+    ``sibling`` marker: both crashes then happen for certain, whichever
+    worker the pool notices first.
+    """
     if not os.path.exists(marker):
         with open(marker, "w"):
             pass
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(sibling) and time.monotonic() < deadline:
+            time.sleep(0.005)
         os._exit(13)
     return value * 10
 
@@ -345,10 +355,10 @@ class TestFusedDispatch:
             # Two chunks of two; each chunk's first task kills its
             # worker, losing the chunk-mate with it.
             argsets = [
-                (markers[0], 0),
-                (markers[0], 1),
-                (markers[1], 2),
-                (markers[1], 3),
+                (markers[0], markers[1], 0),
+                (markers[0], markers[1], 1),
+                (markers[1], markers[0], 2),
+                (markers[1], markers[0], 3),
             ]
             futures = pool.submit_many(_crash_unless_marker, argsets)
             crashed = 0
