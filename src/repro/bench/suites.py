@@ -36,6 +36,14 @@ fast path over identical seeded inputs:
 * ``scaling.curve.workers{2,4}`` — the honest multicore curve: the
   same job (plane on) on 1 vs N workers, pool spawn included; gated
   only on hosts with ``os.cpu_count() >= N``.
+* ``anti.sizing.*`` — what deciding costs the anti layers:
+  ``anti.sizing.theta`` / ``anti.sizing.qs`` size captured theta-join
+  and Query-Suggestion Map output values exactly (``serde.sizeof``, a
+  serialisation each) vs with :func:`repro.mr.serde.approx_size`;
+  ``anti.sizing.decide`` runs theta-join Map calls through AdaptiveSH
+  deciding by trial encoding (EagerSH-encode the call, size every
+  record, compare with the LazySH records) vs the AntiMapper's size
+  arithmetic.
 * ``e2e.fig9`` — a small end-to-end Figure 9 run, reference toggles
   off vs the full batched tier (``REPRO_FASTPATH`` + ``REPRO_BATCH``)
   on; ``e2e.fig9.batch`` isolates the batch tier (fast paths on both
@@ -546,6 +554,97 @@ def _shm_suite(quick: bool) -> list[BenchResult]:
     ]
 
 
+def _anti_sizing_suite(quick: bool) -> list[BenchResult]:
+    """Sizing and the AdaptiveSH decision (DESIGN.md §8, *sizing*)."""
+    from repro.core.config import Strategy
+    from repro.core.encoding import LazyValue
+    from repro.core.transform import enable_anti_combining
+    from repro.datagen.cloud import generate_cloud_reports
+    from repro.datagen.qlog import generate_query_log
+    from repro.mr.api import Context
+    from repro.workloads.query_suggestion import query_suggestion_job
+    from repro.workloads.thetajoin import band_join_job
+
+    repeats = 3 if quick else 7
+    theta_inputs = generate_cloud_reports(100 if quick else 400, seed=31)
+    theta_job = band_join_job(grid_rows=12, grid_cols=12, num_reducers=8)
+    qs_inputs = generate_query_log(150 if quick else 600, seed=31)
+    qs_job = query_suggestion_job(num_reducers=8)
+
+    def map_output(job, inputs) -> list[Record]:
+        """What a fresh instance of the job's mapper writes for
+        ``inputs``."""
+        emitted: list[Record] = []
+        context = Context(
+            Counters(),
+            lambda key, value: emitted.append((key, value)),
+            partitioner=job.partitioner,
+            num_partitions=job.num_reducers,
+        )
+        mapper = job.mapper()
+        mapper.setup(context)
+        for key, value in inputs:
+            mapper.map(key, value, context)
+        mapper.cleanup(context)
+        return emitted
+
+    approx_size = serde.approx_size
+    results = []
+    for shape, job, inputs in (
+        ("theta", theta_job, theta_inputs),
+        ("qs", qs_job, qs_inputs),
+    ):
+        values = [value for _, value in map_output(job, inputs)]
+        assert all(
+            abs(approx_size(value) - serde.sizeof(value)) <= 8
+            for value in values[:200]
+        )
+        results.append(
+            bench_pair(
+                f"anti.sizing.{shape}",
+                lambda values=values: sum(map(serde.sizeof, values)),
+                lambda values=values: sum(map(approx_size, values)),
+                repeats=repeats,
+                records=len(values),
+            )
+        )
+
+    eager_job = enable_anti_combining(theta_job, strategy=Strategy.EAGER)
+    lazy_job = enable_anti_combining(theta_job, strategy=Strategy.LAZY)
+    adaptive_job = enable_anti_combining(theta_job)
+
+    def trial_encoding() -> int:
+        """EagerSH-encode every call and size what came out, then size
+        the LazySH alternative: the decision by trial."""
+        encoded = map_output(eager_job, theta_inputs)
+        eager = sum(
+            approx_size(key) + approx_size(value) for key, value in encoded
+        )
+        lazy = sum(
+            theta_job.num_reducers * (2 + approx_size(LazyValue(key, value)))
+            for key, value in theta_inputs
+        )
+        return len(encoded) if eager < lazy else 0
+
+    def size_arithmetic() -> int:
+        return len(map_output(adaptive_job, theta_inputs))
+
+    # Fig. 12: LazySH wins every theta-join partition.
+    assert size_arithmetic() == len(map_output(lazy_job, theta_inputs))
+    assert trial_encoding() == 0
+    original_records = len(map_output(theta_job, theta_inputs))
+    results.append(
+        bench_pair(
+            "anti.sizing.decide",
+            trial_encoding,
+            size_arithmetic,
+            repeats=repeats,
+            records=original_records,
+        )
+    )
+    return results
+
+
 _SUITES: dict[str, Callable[[bool], list[BenchResult]]] = {
     "serde": _serde_suite,
     "spill": _spill_merge_suite,
@@ -553,6 +652,7 @@ _SUITES: dict[str, Callable[[bool], list[BenchResult]]] = {
     "executor": _executor_suite,
     "innode": _innode_suite,
     "shm": _shm_suite,
+    "anti": _anti_sizing_suite,
     "scaling": _scaling_suite,
     "e2e": _e2e_suite,
 }
@@ -566,8 +666,8 @@ def run_suites(
     """Run the benchmark suites; returns results in a stable order.
 
     ``only`` restricts to a subset of suite names (``serde``,
-    ``spill``, ``shared``, ``executor``, ``innode``, ``scaling``,
-    ``e2e``).
+    ``spill``, ``shared``, ``executor``, ``innode``, ``shm``, ``anti``,
+    ``scaling``, ``e2e``).
     """
     selected = set(only) if only is not None else set(_SUITES)
     unknown = selected - set(_SUITES)

@@ -655,7 +655,7 @@ def main(argv: list[str] | None = None) -> int:
         dest="suites",
         metavar="NAME",
         help="restrict to a suite (serde, spill, shared, executor, "
-        "innode, shm, scaling, e2e); repeatable",
+        "innode, shm, anti, scaling, e2e); repeatable",
     )
     bench_parser.add_argument(
         "--json",

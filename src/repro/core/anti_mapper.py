@@ -43,10 +43,6 @@ from repro.mr import counters as C
 from repro.mr import serde
 from repro.mr.api import Context, Mapper
 
-#: "No previous record" marker for the same-object value test.
-_NO_VALUE = object()
-
-
 def _value_group_id(value: Any) -> Any:
     """Dictionary identity for grouping records *by value*.
 
@@ -211,15 +207,19 @@ class AntiMapper(Mapper):
         out_key, out_value = record
         lazy = lazy_allowed
         if lazy and self._strategy is Strategy.ADAPTIVE:
-            plain_size = serde.approx_size(out_value)
-            lazy_size = serde.approx_size(input_key) + serde.approx_size(
-                input_value
-            )
-            lazy = (
-                lazy_size <= plain_size
-                if self._per_partition
-                else lazy_size < plain_size
-            )
+            if out_value is input_key or out_value is input_value:
+                # The output is one half of the input (identity and
+                # swap maps): the LAZY payload is strictly larger by
+                # the other half, whatever either measures.
+                lazy = False
+            else:
+                plain_size = serde.approx_size(out_value)
+                lazy_size = serde.approx_kv_size(input_key, input_value)
+                lazy = (
+                    lazy_size <= plain_size
+                    if self._per_partition
+                    else lazy_size < plain_size
+                )
         if lazy:
             context.counters.add(C.ANTI_LAZY_RECORDS)
             context.write(out_key, LazyValue(input_key, input_value))
@@ -241,32 +241,30 @@ class AntiMapper(Mapper):
         uniformly, instead of the paper's finer per-partition choice.
         ``lazy_component`` is ``None`` when LazySH is not allowed.
         """
-        ordered = sorted(by_partition)
-        eager_by_partition = {
-            partition: self._eager_encode(by_partition[partition])
-            for partition in ordered
-        }
+        partitions = [by_partition[p] for p in sorted(by_partition)]
+        min_keys: list[Any] = []
+        budget = None
         if lazy_component is not None:
-            total_eager = sum(
-                serde.approx_size(rep) + serde.approx_size(component)
-                for encoded in eager_by_partition.values()
-                for rep, component in encoded
-            )
             comparator_min = self._runtime.comparator.min
             min_keys = [
-                comparator_min(key for key, _ in by_partition[partition])
-                for partition in ordered
+                comparator_min(key for key, _ in records)
+                for records in partitions
             ]
-            total_lazy = lazy_size * len(min_keys) + sum(
-                map(serde.approx_size, min_keys)
+            # LazySH has to be strictly smaller here: a tie is EAGER.
+            budget = serde.approx_size_sum(
+                min_keys, 1 + lazy_size * len(min_keys)
             )
-            if total_lazy < total_eager:
+        grouped = []
+        for records in partitions:
+            groups, budget = self._group_by_value(records, budget)
+            if groups is None:
                 context.counters.add(C.ANTI_LAZY_RECORDS, len(min_keys))
                 for min_key in min_keys:
                     context.write(min_key, lazy_component)
                 return
-        for encoded in eager_by_partition.values():
-            self._emit_eager(context, encoded)
+            grouped.append(groups)
+        for groups in grouped:
+            self._emit_eager(context, groups)
 
     def _encode_partition(
         self,
@@ -281,59 +279,94 @@ class AntiMapper(Mapper):
         this call (Strategy EAGER, or the threshold rule said no).
         """
         if lazy_component is None:
-            self._emit_eager(context, self._eager_encode(records))
+            self._emit_eager(context, self._group_by_value(records)[0])
             return
         min_key = self._runtime.comparator.min(key for key, _ in records)
         if self._strategy is Strategy.ADAPTIVE:
-            # AdaptiveSH: compare (estimated) serialised sizes, eager
-            # vs lazy.  The estimate tracks the exact size within a few
-            # bytes at a fraction of the cost of a full serialisation
-            # pass.
-            eager_records = self._eager_encode(records)
-            eager_size = sum(
-                serde.approx_size(rep_key) + serde.approx_size(enc_value)
-                for rep_key, enc_value in eager_records
+            # AdaptiveSH: EagerSH wins if its (estimated) serialised
+            # size stays under the LazySH record's.
+            groups, _ = self._group_by_value(
+                records, serde.approx_size(min_key) + lazy_size
             )
-            if eager_size < serde.approx_size(min_key) + lazy_size:
-                self._emit_eager(context, eager_records)
+            if groups is not None:
+                self._emit_eager(context, groups)
                 return
         context.counters.add(C.ANTI_LAZY_RECORDS)
         context.write(min_key, lazy_component)
 
-    def _eager_encode(
-        self, records: list[tuple[Any, Any]]
-    ) -> list[tuple[Any, tuple]]:
-        """EagerSH-encode one partition's records (Algorithm 1).
+    def _group_by_value(
+        self, records: list[tuple[Any, Any]], budget: int | None = None
+    ) -> tuple[list[tuple[Any, list[Any]]] | None, int | None]:
+        """Group one partition's records by value (Algorithm 1's table).
 
-        Records are grouped by value (via their serialised bytes, so
-        unhashable values work); each group becomes one record keyed by
-        its minimal key, carrying the remaining keys in the value
-        component.  Groups are emitted in representative-key order so
-        output is deterministic.
+        Returns the ``(value, keys)`` groups in first-seen order; values
+        group by their serialised bytes, so unhashable values work.
+
+        ``budget`` is the size the EagerSH encoding must stay *under*
+        (AdaptiveSH).  That size — ``approx_size`` of the records
+        :meth:`_emit_eager` would write — is the sum of every key, a
+        tag byte plus the value per group, and a two-byte key-list
+        header per group of several keys, so it is taken off the budget
+        from the group table, before any component exists.  All terms
+        are positive: once the budget is used up no later term can
+        bring it back, and the groups come back as ``None`` without
+        another value being serialised or sized — after the first one
+        when the keys and one value already fill it, as in a fan-out
+        of distinct values no smaller than the Map input.  The second
+        result is the budget left, for the next partition of a
+        call-level decision.
         """
+        first_key, first_value = records[0]
+        if budget is not None:
+            budget -= serde.approx_size_sum(
+                [key for key, _ in records],
+                1 + serde.approx_size(first_value),
+            )
+            if budget <= 0:
+                return None, budget
+        keys = [first_key]
         if len(records) == 1:
-            return [(records[0][0], PlainValue(records[0][1]))]
-        comparator = self._runtime.comparator
-        groups: dict[Any, tuple[Any, list[Any]]] = {}
+            return [(first_value, keys)], budget
+        table = {_value_group_id(first_value): (first_value, keys)}
         # A record carrying the very object the previous one carried
         # (one tuple fanned out to many keys) joins its group without
         # being serialised again.
-        prev_value: Any = _NO_VALUE
-        prev_keys: list[Any] = []
-        for out_key, out_value in records:
-            if out_value is prev_value:
-                prev_keys.append(out_key)
-                continue
-            group_id = _value_group_id(out_value)
-            group = groups.get(group_id)
-            if group is None:
-                group = groups[group_id] = (out_value, [out_key])
-            else:
-                group[1].append(out_key)
-            prev_value, prev_keys = out_value, group[1]
+        prev_value = first_value
+        for out_key, out_value in records[1:]:
+            if out_value is not prev_value:
+                group_id = _value_group_id(out_value)
+                group = table.get(group_id)
+                if group is None:
+                    if budget is not None:
+                        budget -= 1 + serde.approx_size(out_value)
+                        if budget <= 0:
+                            return None, budget
+                    group = table[group_id] = (out_value, [])
+                prev_value, keys = out_value, group[1]
+            keys.append(out_key)
+        groups = list(table.values())
+        if budget is not None:
+            budget -= 2 * sum([len(keys) > 1 for _, keys in groups])
+            if budget <= 0:
+                return None, budget
+        return groups, budget
+
+    def _emit_eager(
+        self, context: Context, groups: list[tuple[Any, list[Any]]]
+    ) -> None:
+        """Write one partition's value groups EagerSH-encoded.
+
+        Each group becomes one record keyed by its minimal key,
+        carrying the remaining keys in the value component; a group of
+        one key is a PLAIN record.  Records go out in
+        representative-key order so output is deterministic.
+        """
+        comparator = self._runtime.comparator
         encoded: list[tuple[Any, tuple]] = []
-        for out_value, keys in groups.values():
+        plain = 0
+        for out_value, keys in groups:
             if len(keys) == 1:
+                plain += 1
                 encoded.append((keys[0], PlainValue(out_value)))
                 continue
             ordered = comparator.sorted(keys)
@@ -346,19 +379,11 @@ class AntiMapper(Mapper):
             else:
                 key_fn = comparator.key_fn()
                 encoded.sort(key=lambda rec: key_fn(rec[0]))
-        return encoded
-
-    def _emit_eager(
-        self, context: Context, eager_records: list[tuple[Any, tuple]]
-    ) -> None:
-        plain = 0
-        for rep_key, enc_value in eager_records:
-            if type(enc_value) is PlainValue:
-                plain += 1
+        for rep_key, enc_value in encoded:
             context.write(rep_key, enc_value)
         if plain:
             context.counters.add(C.ANTI_PLAIN_RECORDS, plain)
-        if plain < len(eager_records):
+        if plain < len(encoded):
             context.counters.add(
-                C.ANTI_EAGER_RECORDS, len(eager_records) - plain
+                C.ANTI_EAGER_RECORDS, len(encoded) - plain
             )

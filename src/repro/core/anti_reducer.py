@@ -176,12 +176,7 @@ class DecodeLoop:
         for component in values:
             if type(component) is plain:
                 value = component.value
-                # ``2 + len`` is ``approx_size`` of a str, as in
-                # ``Shared.add``.
-                room -= key_size + (
-                    (2 + len(value)) if type(value) is str
-                    else approx_size(value)
-                )
+                room -= key_size + approx_size(value)
                 if room >= 0:
                     taken.append(value)
                     continue

@@ -51,6 +51,7 @@ class CrossCallAntiMapper(Mapper):
         self._runtime = runtime
         self._window_bytes = window_bytes
         self._o_mapper: Mapper | None = None
+        self._partitions = runtime.partition_memo()
         # partition -> value_id -> (value, [keys...])
         self._groups: dict[int, dict[Any, tuple[Any, list]]] = {}
         self._buffered_bytes = 0
@@ -58,41 +59,37 @@ class CrossCallAntiMapper(Mapper):
     # -- lifecycle -------------------------------------------------------
     def setup(self, context: Context) -> None:
         self._o_mapper = self._runtime.mapper_factory()
-        self._o_mapper.setup(context.with_sink(self._make_sink(context)))
+        self._absorb(self._o_mapper.setup, context)
 
     def cleanup(self, context: Context) -> None:
         assert self._o_mapper is not None
-        self._o_mapper.cleanup(context.with_sink(self._make_sink(context)))
+        self._absorb(self._o_mapper.cleanup, context)
         self._flush(context)
 
     def map(self, key: Any, value: Any, context: Context) -> None:
         assert self._o_mapper is not None, "setup() was not called"
-        capture = context.with_sink(self._make_sink(context))
-        self._o_mapper.map(key, value, capture)
+        self._absorb(self._o_mapper.map, context, key, value)
         if self._buffered_bytes >= self._window_bytes:
             self._flush(context)
 
     # -- windowed grouping -------------------------------------------------
-    def _make_sink(self, context: Context):
-        def sink(out_key: Any, out_value: Any) -> None:
-            self._absorb(out_key, out_value, context)
-
-        return sink
-
-    def _absorb(self, out_key: Any, out_value: Any, context: Context) -> None:
-        runtime = self._runtime
-        partition = runtime.get_partition(out_key)
-        groups = self._groups.setdefault(partition, {})
-        value_id = _value_group_id(out_value)
-        group = groups.get(value_id)
-        if group is not None:
-            group[1].append(out_key)
-            self._buffered_bytes += serde.approx_size(out_key)
-        else:
-            groups[value_id] = (out_value, [out_key])
-            self._buffered_bytes += serde.approx_size(
-                out_key
-            ) + serde.approx_size(out_value)
+    def _absorb(self, hook, context: Context, *args: Any) -> None:
+        """Run one original-mapper hook; window what it emits."""
+        emitted: list[tuple[Any, Any]] = []
+        hook(*args, context.with_capture(emitted))
+        partitions = self._partitions.of_records(emitted)
+        for (out_key, out_value), partition in zip(emitted, partitions):
+            groups = self._groups.setdefault(partition, {})
+            value_id = _value_group_id(out_value)
+            group = groups.get(value_id)
+            if group is not None:
+                group[1].append(out_key)
+                self._buffered_bytes += serde.approx_size(out_key)
+            else:
+                groups[value_id] = (out_value, [out_key])
+                self._buffered_bytes += serde.approx_kv_size(
+                    out_key, out_value
+                )
 
     def _flush(self, context: Context) -> None:
         """Encode and emit every buffered group, in key order."""

@@ -33,9 +33,6 @@ class AntiRuntime:
     meter: CostMeter
     config: AntiCombiningConfig
 
-    def get_partition(self, key) -> int:
-        return self.partitioner.get_partition(key, self.num_reducers)
-
     def partition_memo(self) -> "PartitionMemo":
         """A fresh per-task key→partition lookup."""
         return PartitionMemo(

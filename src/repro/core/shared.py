@@ -178,16 +178,7 @@ class Shared:
     # -- inserting -------------------------------------------------------
     def add(self, key: Any, value: Any) -> None:
         """Store one decoded pair (paper's ``Shared.add``)."""
-        # ``2 + len`` is exactly ``serde._approx_sized`` — the str case
-        # is inlined because add() runs once per decoded pair and str
-        # keys/values dominate every workload in the suite.
-        size = (2 + len(key)) if type(key) is str else serde.approx_size(key)
-        size += (
-            (2 + len(value))
-            if type(value) is str
-            else serde.approx_size(value)
-        )
-        self._add_sized(key, value, size)
+        self._add_sized(key, value, serde.approx_kv_size(key, value))
 
     def add_group(self, rep_key: Any, other_keys: list, value: Any) -> None:
         """Insert one decoded EagerSH group: ``value`` under every key.
@@ -196,33 +187,12 @@ class Shared:
         value)`` for each ``k`` in ``other_keys`` — the shared value's
         size estimate is just computed once instead of per key.
         """
-        value_size = (
-            (2 + len(value))
-            if type(value) is str
-            else serde.approx_size(value)
-        )
         add_sized = self._add_sized
-        add_sized(
-            rep_key,
-            value,
-            (
-                (2 + len(rep_key))
-                if type(rep_key) is str
-                else serde.approx_size(rep_key)
-            )
-            + value_size,
-        )
+        approx_size = serde.approx_size
+        value_size = approx_size(value)
+        add_sized(rep_key, value, approx_size(rep_key) + value_size)
         for key in other_keys:
-            add_sized(
-                key,
-                value,
-                (
-                    (2 + len(key))
-                    if type(key) is str
-                    else serde.approx_size(key)
-                )
-                + value_size,
-            )
+            add_sized(key, value, approx_size(key) + value_size)
 
     def add_pairs(self, pairs: list[tuple[Any, Any]]) -> None:
         """``add`` every pair in order.
@@ -231,26 +201,14 @@ class Shared:
         output tuple fanned out to many keys) size it once.
         """
         add_sized = self._add_sized
+        approx_size = serde.approx_size
         prev_value: Any = _NO_VALUE
         value_size = 0
         for key, value in pairs:
             if value is not prev_value:
                 prev_value = value
-                value_size = (
-                    (2 + len(value))
-                    if type(value) is str
-                    else serde.approx_size(value)
-                )
-            add_sized(
-                key,
-                value,
-                (
-                    (2 + len(key))
-                    if type(key) is str
-                    else serde.approx_size(key)
-                )
-                + value_size,
-            )
+                value_size = approx_size(value)
+            add_sized(key, value, approx_size(key) + value_size)
 
     def _add_sized(self, key: Any, value: Any, size: int) -> None:
         # Single-hash lookup: probe the table with the raw key directly
@@ -312,9 +270,7 @@ class Shared:
             return
         old_bytes = entry.nbytes
         entry.values = [emitted[0][1]]
-        entry.nbytes = serde.approx_size(entry.key) + serde.approx_size(
-            entry.values[0]
-        )
+        entry.nbytes = serde.approx_kv_size(entry.key, entry.values[0])
         self._mem_bytes += entry.nbytes - old_bytes
 
     def _combine_all(self) -> None:

@@ -1327,18 +1327,60 @@ def sizeof(obj: Any) -> int:
 def approx_size(obj: Any) -> int:
     """Fast estimate of the serialised size (within a few bytes).
 
-    Used for advisory memory accounting (e.g. the Shared structure's
-    spill trigger) where a full serialisation pass per record would
-    dominate the cost being modelled.  Dispatch is an exact-type table
-    (this is one of the hottest calls of the Anti decode path); the
-    estimates themselves are unchanged, so every size-derived trigger —
-    notably ``Shared``'s analytic spill counters — fires at exactly the
-    same record as before.
+    Used for advisory memory accounting (the Shared structure's spill
+    trigger) and for AdaptiveSH's eager-vs-lazy comparison, where a
+    full serialisation pass per record would dominate the cost being
+    modelled.  Every size-derived trigger — ``Shared``'s spill points,
+    the AntiMapper's decisions — rests on these exact numbers: a change
+    of estimate is a change of behaviour.
     """
-    sizer = _APPROX_SIZERS.get(type(obj))
+    kind = type(obj)
+    if kind is str:
+        return 2 + len(obj)
+    if kind is int:
+        return 1 + (obj.bit_length() + 7) // 7
+    sizer = _APPROX_SIZERS.get(kind)
     if sizer is not None:
         return sizer(obj)
     return _approx_size_fallback(obj)
+
+
+def approx_size_sum(items: Any, total: int = 0) -> int:
+    """``total`` plus :func:`approx_size` of every item, in one pass.
+
+    The sizing kernel: exact-type ``int``/``str``/``float`` items are
+    sized inline, only nested containers and the rarer scalars go
+    through the table (a lookup plus a Python call per item otherwise).
+    """
+    get = _APPROX_SIZERS.get
+    for item in items:
+        kind = type(item)
+        if kind is int:
+            total += 1 + (item.bit_length() + 7) // 7
+        elif kind is str:
+            total += 2 + len(item)
+        elif kind is float:
+            total += 9
+        else:
+            sizer = get(kind)
+            total += (
+                sizer(item)
+                if sizer is not None
+                else _approx_size_fallback(item)
+            )
+    return total
+
+
+def approx_kv_size(key: Any, value: Any) -> int:
+    """:func:`approx_size` of a key plus that of its value.
+
+    One call per decoded pair on the reduce side, so the ``str`` case —
+    most keys and values of every workload — is decided before the
+    call into :func:`approx_size`.
+    """
+    return (
+        (2 + len(key)) if type(key) is str else approx_size(key)
+    ) + ((2 + len(value)) if type(value) is str else approx_size(value))
 
 
 def _approx_one(obj: Any) -> int:
@@ -1346,7 +1388,7 @@ def _approx_one(obj: Any) -> int:
 
 
 def _approx_int(obj: Any) -> int:
-    return 1 + max(1, (obj.bit_length() + 7) // 7)
+    return 1 + (obj.bit_length() + 7) // 7
 
 
 def _approx_float(obj: Any) -> int:
@@ -1358,18 +1400,15 @@ def _approx_sized(obj: Any) -> int:
 
 
 def _approx_seq(obj: Any) -> int:
-    return 2 + sum(map(approx_size, obj))
+    return approx_size_sum(obj, 2)
 
 
 def _approx_dict(obj: Any) -> int:
-    total = 2
-    for key, value in obj.items():
-        total += approx_size(key) + approx_size(value)
-    return total
+    return approx_size_sum(obj.values(), approx_size_sum(obj, 2))
 
 
 def _approx_ext(obj: Any) -> int:
-    return 1 + sum(map(approx_size, obj))
+    return approx_size_sum(obj, 1)
 
 
 _APPROX_SIZERS: dict[type, Callable[[Any], int]] = {
@@ -1387,25 +1426,10 @@ _APPROX_SIZERS: dict[type, Callable[[Any], int]] = {
 
 
 def _approx_size_fallback(obj: Any) -> int:
-    """Exact-type dispatch missed: the original isinstance ladder, for
-    subclasses (IntEnum, unregistered NamedTuples, ...)."""
-    if type(obj) in _EXTENSION_BY_CLS:
-        return 1 + sum(approx_size(item) for item in obj)
-    if obj is None or isinstance(obj, bool):
-        return 1
-    if isinstance(obj, int):
-        return 1 + max(1, (obj.bit_length() + 7) // 7)
-    if isinstance(obj, float):
-        return 9
-    if isinstance(obj, str):
-        return 2 + len(obj)
-    if isinstance(obj, bytes):
-        return 2 + len(obj)
-    if isinstance(obj, (tuple, list, frozenset)):
-        return 2 + sum(approx_size(item) for item in obj)
-    if isinstance(obj, dict):
-        return 2 + sum(
-            approx_size(key) + approx_size(value)
-            for key, value in obj.items()
-        )
+    """Exact-type dispatch missed: a subclass (IntEnum, unregistered
+    NamedTuple, ...) is sized as the first base type it is an instance
+    of — ``bool`` before ``int``, as the encoder's ladder has it."""
+    for base, sizer in _APPROX_SIZERS.items():
+        if isinstance(obj, base):
+            return sizer(obj)
     raise SerdeError(f"unsupported type: {type(obj).__name__}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.core.runtime import AntiRuntime
 from repro.mr import counters as C
 from repro.mr import serde
 from repro.mr.api import Context, Mapper, Partitioner, Reducer
-from repro.mr.comparators import default_comparator
+from repro.mr.comparators import Comparator, default_comparator
 from repro.mr.cost import FixedCostMeter, TableCostMeter
 from repro.mr.counters import Counters
 
@@ -40,6 +41,7 @@ def _runtime(
     meter=None,
     num_reducers=4,
     per_partition_choice=True,
+    comparator=default_comparator,
 ) -> AntiRuntime:
     mapper_cls = type("Scripted", (_ScriptMapper,), {"script": script})
     return AntiRuntime(
@@ -48,8 +50,8 @@ def _runtime(
         combiner_factory=None,
         partitioner=_ModPartitioner(),
         num_reducers=num_reducers,
-        comparator=default_comparator,
-        grouping_comparator=default_comparator,
+        comparator=comparator,
+        grouping_comparator=comparator,
         meter=meter if meter is not None else FixedCostMeter(),
         config=AntiCombiningConfig(
             threshold_t=threshold_t,
@@ -297,6 +299,275 @@ class TestSingleEmission:
             )
             assert emitted == [(0, encoding.lazy_value(7, "in"))]
             assert counters.as_dict() == {C.ANTI_LAZY_RECORDS: 1}
+
+
+# -- the size decision against the trial-encoding reference ----------------
+#
+# AdaptiveSH used to decide by building the whole EagerSH encoding of a
+# partition and summing ``approx_size`` over it.  That procedure is kept
+# here, as the commit before the closed-form sizing had it, and the
+# AntiMapper must emit what it emits.
+
+
+def _reference_eager_encode(records, comparator):
+    if len(records) == 1:
+        return [(records[0][0], encoding.PlainValue(records[0][1]))]
+    groups: dict = {}
+    for out_key, out_value in records:
+        group_id = _value_group_id(out_value)
+        group = groups.get(group_id)
+        if group is None:
+            groups[group_id] = (out_value, [out_key])
+        else:
+            group[1].append(out_key)
+    encoded = []
+    for out_value, keys in groups.values():
+        if len(keys) == 1:
+            encoded.append((keys[0], encoding.PlainValue(out_value)))
+            continue
+        ordered = comparator.sorted(keys)
+        encoded.append(
+            (ordered[0], encoding.EagerValue(ordered[1:], out_value))
+        )
+    key_fn = comparator.key_fn()
+    encoded.sort(key=lambda rec: key_fn(rec[0]))
+    return encoded
+
+
+def _reference_map(runtime, input_key, input_value, script):
+    """One Map call's ``(emitted, counters)`` by full trial encoding."""
+    config = runtime.config
+    comparator = runtime.comparator
+    strategy = config.strategy
+    counters = Counters()
+    emitted: list = []
+
+    by_partition: dict = {}
+    for record in script:
+        partition = runtime.partitioner.get_partition(
+            record[0], runtime.num_reducers
+        )
+        by_partition.setdefault(partition, []).append(record)
+
+    if strategy is Strategy.ADAPTIVE and config.threshold_t != math.inf:
+        # FixedCostMeter: the Map call, then one getPartition per record.
+        call_cost = runtime.meter.cost_per_call * (1 + len(script))
+        lazy_allowed = call_cost * len(by_partition) <= config.threshold_t
+    else:
+        lazy_allowed = strategy is not Strategy.EAGER
+    lazy_component = (
+        encoding.LazyValue(input_key, input_value) if lazy_allowed else None
+    )
+    lazy_size = serde.approx_size(lazy_component) if lazy_allowed else 0
+
+    def emit_eager(eager_records):
+        for rep_key, enc_value in eager_records:
+            counters.add(
+                C.ANTI_PLAIN_RECORDS
+                if type(enc_value) is encoding.PlainValue
+                else C.ANTI_EAGER_RECORDS
+            )
+            emitted.append((rep_key, enc_value))
+
+    def emit_lazy(min_key):
+        counters.add(C.ANTI_LAZY_RECORDS)
+        emitted.append((min_key, lazy_component))
+
+    ordered = sorted(by_partition)
+    if strategy is Strategy.ADAPTIVE and not config.per_partition_choice:
+        eager_by_partition = {
+            partition: _reference_eager_encode(
+                by_partition[partition], comparator
+            )
+            for partition in ordered
+        }
+        if lazy_component is not None:
+            total_eager = sum(
+                serde.approx_size(rep) + serde.approx_size(component)
+                for encoded in eager_by_partition.values()
+                for rep, component in encoded
+            )
+            min_keys = [
+                comparator.min(key for key, _ in by_partition[partition])
+                for partition in ordered
+            ]
+            total_lazy = lazy_size * len(min_keys) + sum(
+                map(serde.approx_size, min_keys)
+            )
+            if total_lazy < total_eager:
+                for min_key in min_keys:
+                    emit_lazy(min_key)
+                return emitted, counters
+        for encoded in eager_by_partition.values():
+            emit_eager(encoded)
+        return emitted, counters
+
+    for partition in ordered:
+        records = by_partition[partition]
+        if lazy_component is None:
+            emit_eager(_reference_eager_encode(records, comparator))
+            continue
+        min_key = comparator.min(key for key, _ in records)
+        if strategy is Strategy.ADAPTIVE:
+            eager_records = _reference_eager_encode(records, comparator)
+            eager_size = sum(
+                serde.approx_size(rep_key) + serde.approx_size(enc_value)
+                for rep_key, enc_value in eager_records
+            )
+            if eager_size < serde.approx_size(min_key) + lazy_size:
+                emit_eager(eager_records)
+                continue
+        emit_lazy(min_key)
+    return emitted, counters
+
+
+_DECISION_COUNTERS = (
+    C.ANTI_PLAIN_RECORDS,
+    C.ANTI_EAGER_RECORDS,
+    C.ANTI_LAZY_RECORDS,
+)
+
+_reversed_comparator = Comparator(
+    lambda a, b: (a < b) - (a > b), name="reversed"
+)
+
+#: Builders of equal-but-distinct value objects, by value kind; ``n``
+#: picks the value, ``width`` its size.
+_VALUE_KINDS = {
+    "str": lambda n, width: "".join(["v"] * width + [str(n)]),
+    "int": lambda n, width: (n + 1) * 300 ** width,
+    "tuple": lambda n, width: ("S", tuple(range(n, n + width)), 0.5),
+    "list": lambda n, width: [n, ["x"] * width],
+}
+
+
+def _generated_call(rng: random.Random):
+    """``(input_key, input_value, script)`` of one Map call."""
+    fanout = rng.randint(1, 40)
+    build = _VALUE_KINDS[rng.choice(list(_VALUE_KINDS))]
+    width = rng.randint(0, 6)
+    # One value for everyone, a few shared ones, or all distinct.
+    distinct = rng.choice([1, 2, 3, fanout])
+    same_object = rng.random() < 0.5
+    pool = [build(n, width) for n in range(distinct)]
+    script = []
+    for _ in range(fanout):
+        n = rng.randrange(distinct)
+        script.append(
+            (
+                rng.randint(0, 10 ** rng.randint(1, 6)),
+                pool[n] if same_object else build(n, width),
+            )
+        )
+    input_key = rng.randint(0, 10 ** rng.randint(0, 12))
+    input_value = "i" * rng.choice([0, 2, 5, 10, 20, 40, 120])
+    return input_key, input_value, script
+
+
+class TestDecisionMatchesTrialEncoding:
+    def _assert_same(self, runtime, input_key, input_value, script):
+        expected, expected_counters = _reference_map(
+            runtime, input_key, input_value, script
+        )
+        emitted, counters = _run_map(runtime, input_key, input_value)
+        # Serialised, so that 1 / 1.0 / True and the component classes
+        # (all plain tuples to ``==``) have to match too.
+        assert _encoded_bytes(emitted) == _encoded_bytes(expected)
+        for name in _DECISION_COUNTERS:
+            assert counters.get_int(name) == expected_counters.get_int(name)
+        return emitted
+
+    @pytest.mark.parametrize(
+        "comparator", [default_comparator, _reversed_comparator]
+    )
+    @pytest.mark.parametrize("per_partition", [True, False])
+    @pytest.mark.parametrize(
+        "strategy, threshold_t, cost_per_call",
+        [
+            (Strategy.ADAPTIVE, math.inf, 1e-6),
+            # Finite T: calls of fan-out <= 11 over 4 partitions pass
+            # the threshold rule, larger ones are forced to EagerSH.
+            (Strategy.ADAPTIVE, 48.0, 1.0),
+            (Strategy.EAGER, 0.0, 1e-6),
+            (Strategy.LAZY, math.inf, 1e-6),
+        ],
+    )
+    def test_generated_calls(
+        self, strategy, threshold_t, cost_per_call, per_partition, comparator
+    ) -> None:
+        rng = random.Random(f"{strategy}/{threshold_t}/{per_partition}")
+        tags: set = set()
+        for _ in range(150):
+            input_key, input_value, script = _generated_call(rng)
+            runtime = _runtime(
+                script,
+                strategy,
+                threshold_t,
+                meter=FixedCostMeter(cost_per_call),
+                per_partition_choice=per_partition,
+                comparator=comparator,
+            )
+            emitted = self._assert_same(
+                runtime, input_key, input_value, script
+            )
+            tags.update(encoding.tag_of(value) for _, value in emitted)
+        if strategy is Strategy.ADAPTIVE:
+            # The generator lands on every side of the decision.
+            assert tags == {encoding.PLAIN, encoding.EAGER, encoding.LAZY}
+
+    # Keys 0 and 4 (two bytes each, one partition), input key 7: with
+    # both records carrying "vv" EagerSH takes 2+2 + (1+4) + 2 = 11
+    # bytes and LazySH 2 + 1 + 2 + (2 + len(input)) — equal at four
+    # input characters.
+    SHARED = [(0, "vv"), (4, "vv")]
+
+    @pytest.mark.parametrize(
+        "per_partition, input_value, expected",
+        [
+            (True, "iiii", encoding.LAZY),  # eager_size == budget
+            (True, "iiiii", encoding.EAGER),
+            (False, "iiii", encoding.EAGER),  # total_lazy == total_eager
+            (False, "iii", encoding.LAZY),
+        ],
+    )
+    def test_exact_ties(self, per_partition, input_value, expected) -> None:
+        assert serde.approx_size(encoding.EagerValue([4], "vv")) == 9
+        assert serde.approx_size(encoding.LazyValue(7, "iiii")) == 9
+        runtime = _runtime(self.SHARED, per_partition_choice=per_partition)
+        emitted = self._assert_same(runtime, 7, input_value, self.SHARED)
+        assert [encoding.tag_of(v) for _, v in emitted] == [expected]
+
+    @pytest.mark.parametrize("script", [SHARED, [(0, "vv"), (4, "ww")]])
+    def test_lower_bound_equal_to_budget_is_lazy(self, script) -> None:
+        """Keys plus the first value alone (2+2 + 1+4) already match
+        the LazySH record (2 + 1 + 2 + 2+2): LAZY, shared or not."""
+        lower_bound = (
+            serde.approx_size(0)
+            + serde.approx_size(4)
+            + serde.approx_size(encoding.PlainValue("vv"))
+        )
+        budget = serde.approx_size(0) + serde.approx_size(
+            encoding.LazyValue(7, "ii")
+        )
+        assert lower_bound == budget
+        emitted = self._assert_same(_runtime(script), 7, "ii", script)
+        assert [encoding.tag_of(v) for _, v in emitted] == [encoding.LAZY]
+
+    def test_lazy_is_decided_without_grouping(self, monkeypatch) -> None:
+        """A fan-out of distinct tuples no smaller than the input (the
+        theta-join shape) is LAZY after sizing one value per partition:
+        no value is serialised for a group id."""
+        from repro.core import anti_mapper
+
+        def no_grouping(value):
+            raise AssertionError(f"serialised {value!r} to decide")
+
+        monkeypatch.setattr(anti_mapper, "_value_group_id", no_grouping)
+        record = (20140622, 17, -40, 3, 1, 4, 1, 5)
+        script = [(cell, ("S", record)) for cell in range(24)]
+        emitted, counters = _run_map(_runtime(script), 9, record)
+        assert counters.as_dict() == {C.ANTI_LAZY_RECORDS: 4}
+        assert len(emitted) == 4
 
 
 class TestMetering:

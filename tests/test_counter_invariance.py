@@ -21,7 +21,10 @@ and is included in the diff.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +248,91 @@ def test_degenerate_call_lanes_counters_identical(strategy) -> None:
     original = _measure(variants["Original"], True, True, splits)
     anti = _measure(variants[strategy], True, True, splits)
     assert anti.result.sorted_output() == original.result.sorted_output()
+
+
+@lru_cache(maxsize=1)
+def _sizing_legs() -> dict:
+    """``{label: (job, splits)}`` — jobs whose keys and values are ints
+    and nested int tuples, so every anti-layer size (AdaptiveSH's
+    eager-vs-lazy comparison, ``Shared``'s spill trigger) comes from
+    the int and container paths of ``approx_size`` that the
+    Query-Suggestion matrix (``str`` everywhere) never reaches.
+    """
+    from repro.datagen.cloud import generate_cloud_reports
+    from repro.datagen.webgraph import generate_web_graph
+    from repro.workloads.pagerank import pagerank_job
+    from repro.workloads.thetajoin import band_join_job
+
+    legs = {}
+    theta_splits = split_records(
+        generate_cloud_reports(240, seed=7), num_splits=NUM_SPLITS
+    )
+    theta = band_join_job(grid_rows=12, grid_cols=12, num_reducers=8)
+    # 2 KiB of Shared: every reduce task spills several times.
+    for memory_label, anti_kwargs in (
+        ("default", {}),
+        ("spilling", {"shared_memory_bytes": 2048}),
+    ):
+        variants = strategy_variants(theta, **anti_kwargs)
+        for strategy in ("EagerSH", "LazySH", "AdaptiveSH"):
+            legs[f"theta/{memory_label}/{strategy}"] = (
+                variants[strategy],
+                theta_splits,
+            )
+    graph = generate_web_graph(150, avg_out_degree=8.0, seed=7)
+    pagerank = pagerank_job(
+        num_nodes=150, num_reducers=4, with_combiner=False
+    )
+    for strategy, job in strategy_variants(pagerank).items():
+        if strategy != "Original":
+            legs[f"pagerank/{strategy}"] = (
+                job,
+                split_records(graph, num_splits=NUM_SPLITS),
+            )
+    return legs
+
+
+def _sizing_leg_record(label: str) -> dict:
+    """One leg's analytic counters (equal on every tier) and the digest
+    of its canonical output — the shape of the golden file's entries."""
+    job, splits = _sizing_legs()[label]
+    counters = _assert_tiers_identical(job, label, splits)
+    digest = hashlib.sha256()
+    for encoded in _measure(job, True, True, splits).result.canonical_output():
+        digest.update(len(encoded).to_bytes(4, "little"))
+        digest.update(encoded)
+    return {"counters": counters, "output_sha256": digest.hexdigest()}
+
+
+#: ``{label: _sizing_leg_record(label)}`` as the parent of the
+#: size-arithmetic commit (4361164) computed it, trial encodings and
+#: recursive sizer and all.
+_SIZING_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_sizing_counters.json").read_text()
+)
+
+
+@pytest.mark.parametrize("label", list(_SIZING_GOLDEN))
+def test_sizing_decisions_counters_identical(label) -> None:
+    """Sizing rider on the golden invariance: deciding by size
+    arithmetic and sizing with the one-pass kernel must leave every
+    encoding decision, every ``Shared`` spill and every byte where the
+    trial encodings put them."""
+    record = _sizing_leg_record(label)
+    golden = _SIZING_GOLDEN[label]
+    assert record["counters"] == golden["counters"]
+    assert record["output_sha256"] == golden["output_sha256"]
+    counters = record["counters"]
+    if label.startswith("theta/spilling"):
+        assert counters["anti.shared.spills"] > 8
+    if label.endswith("AdaptiveSH"):
+        # The decision is real in both jobs: theta-join goes all LAZY
+        # (Fig. 12), PageRank mixes EAGER/PLAIN with LAZY.
+        assert counters["anti.lazy.records"] > 0
+
+
+def test_sizing_golden_covers_every_leg() -> None:
+    assert list(_SIZING_GOLDEN) == list(_sizing_legs())
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -9,6 +9,7 @@ trailing-garbage results.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,6 +181,143 @@ class TestFastPathParity:
             except serde.SerdeError:
                 continue
             raise AssertionError(f"truncation by {chop} not detected")
+
+
+# -- sizing-kernel parity ---------------------------------------------------
+#
+# `approx_size` feeds `Shared`'s spill trigger and AdaptiveSH's
+# eager-vs-lazy comparison, so its numbers are behaviour.  It began as
+# the isinstance ladder below (kept verbatim, recursing into itself);
+# the one-pass kernel must return the same number for every input.
+
+import enum  # noqa: E402
+from typing import NamedTuple  # noqa: E402
+
+_EXTENSION_CLASSES = (PlainValue, EagerValue, LazyValue)
+
+
+def _approx_size_oracle(obj) -> int:
+    if type(obj) in _EXTENSION_CLASSES:
+        return 1 + sum(_approx_size_oracle(item) for item in obj)
+    if obj is None or isinstance(obj, bool):
+        return 1
+    if isinstance(obj, int):
+        return 1 + max(1, (obj.bit_length() + 7) // 7)
+    if isinstance(obj, float):
+        return 9
+    if isinstance(obj, str):
+        return 2 + len(obj)
+    if isinstance(obj, bytes):
+        return 2 + len(obj)
+    if isinstance(obj, (tuple, list, frozenset)):
+        return 2 + sum(_approx_size_oracle(item) for item in obj)
+    if isinstance(obj, dict):
+        return 2 + sum(
+            _approx_size_oracle(key) + _approx_size_oracle(value)
+            for key, value in obj.items()
+        )
+    raise serde.SerdeError(f"unsupported type: {type(obj).__name__}")
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 300
+
+
+class _Point(NamedTuple):  # never registered as an extension
+    x: int
+    label: str
+
+
+class _Bag(dict):
+    pass
+
+
+#: Varint width edges (7 and 8 significant bits, 14 and 15), zero, and
+#: the 64-bit edges on both sides.
+_SIZE_EDGE_INTS = [0, 1, -1, 127, 128, -127, -128, 16383, 16384] + [
+    sign * (2**63 + delta) for sign in (1, -1) for delta in (-1, 0, 1)
+]
+
+_size_scalars = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from(_SIZE_EDGE_INTS)
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=24)  # any code point: len(), not utf-8 length
+    | st.binary(max_size=24)
+    | st.sampled_from(list(_Colour))
+)
+_sized_objects = st.recursive(
+    _size_scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_hashable, children, max_size=4)
+        | st.dictionaries(_hashable, children, max_size=3).map(_Bag)
+        | st.frozensets(_hashable, max_size=4)
+        | children.map(PlainValue)
+        | st.tuples(st.lists(children, max_size=3), children).map(
+            lambda pair: EagerValue(*pair)
+        )
+        | st.tuples(children, children).map(lambda pair: LazyValue(*pair))
+        | st.tuples(st.integers(), st.text(max_size=6)).map(
+            lambda pair: _Point(*pair)
+        )
+    ),
+    max_leaves=14,
+)
+
+
+class TestApproxSizeKernelParity:
+    @settings(max_examples=500, deadline=None)
+    @given(_sized_objects)
+    def test_matches_isinstance_ladder(self, obj) -> None:
+        assert serde.approx_size(obj) == _approx_size_oracle(obj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sized_objects, _sized_objects)
+    def test_pair_and_sum_helpers(self, key, value) -> None:
+        expected = _approx_size_oracle(key) + _approx_size_oracle(value)
+        assert serde.approx_kv_size(key, value) == expected
+        assert serde.approx_size_sum([key, value], 5) == 5 + expected
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            (),
+            [],
+            {},
+            frozenset(),
+            _Bag(),
+            "",
+            b"",
+            # bools are not ints to an exact-type test, in any position
+            (True, 1, False, 0),
+            [True, [False, (True,)]],
+            {True: False, 1.0: True},
+            _SIZE_EDGE_INTS,
+            tuple(_SIZE_EDGE_INTS),
+            ("naïve", "日本語", "\U0001f600"),
+            # subclasses take the fallback, alone and nested
+            _Colour.BLUE,
+            (_Colour.RED, [_Colour.BLUE]),
+            _Point(7, "p"),
+            [_Point(2**70, ""), _Bag({"k": _Point(1, "x")})],
+            PlainValue(_Point(1, "a")),
+            EagerValue([], None),
+            EagerValue(["k", 5, (1, 2)], ("S", (1, 2.5, "x"))),
+            LazyValue(2**63, {"clicks": [3, 4]}),
+        ],
+    )
+    def test_named_shapes(self, obj) -> None:
+        assert serde.approx_size(obj) == _approx_size_oracle(obj)
+        assert serde.approx_size([obj]) == 2 + _approx_size_oracle(obj)
+
+    def test_unsupported_inside_a_container(self) -> None:
+        with pytest.raises(serde.SerdeError):
+            serde.approx_size([1, "a", object()])
 
 
 # -- batched-dataflow parity (REPRO_BATCH, DESIGN.md §11) ------------------
