@@ -6,33 +6,10 @@ and writes the result document to the repository root.  Intended to be
 run on a quiet machine; the committed file is what ``repro bench
 --check`` and the CI perf-smoke job compare against.
 
-The ``e2e.fig9`` *baseline* leg deserves care: in-process it toggles
-the fast paths off, but several rewrites in this series are ungated
-(they are byte-identical, so there is no toggle), which makes the
-toggled-off leg faster than the true pre-series code.  To record an
-honest end-to-end baseline, measure fig9 at the pre-series commit::
-
-    git worktree add /tmp/seedtree <pre-series-commit>
-    PYTHONPATH=/tmp/seedtree/src python - <<'PY'
-    import statistics, time
-    from repro.experiments import run_fig9
-    run_fig9(num_queries=2500, num_reducers=4, num_splits=4)  # warmup
-    times = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        run_fig9(num_queries=2500, num_reducers=4, num_splits=4)
-        times.append(time.perf_counter() - t0)
-    print(statistics.median(times))
-    PY
-
-and pass the median via ``--e2e-baseline`` so the committed file
-records it (with provenance) instead of the in-process toggle.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/perf/run_hotpaths.py \
-        [--quick] [--out BENCH_hotpaths.json] \
-        [--e2e-baseline SECONDS --e2e-baseline-note "..."]
+        [--quick] [--out BENCH_hotpaths.json]
 """
 
 from __future__ import annotations
@@ -58,19 +35,6 @@ def main(argv: list[str] | None = None) -> int:
         default=str(REPO_ROOT / "BENCH_hotpaths.json"),
         help="output path (default: BENCH_hotpaths.json at the repo root)",
     )
-    parser.add_argument(
-        "--e2e-baseline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="override the e2e.fig9 baseline with a seed-measured wall "
-        "time (see module docstring)",
-    )
-    parser.add_argument(
-        "--e2e-baseline-note",
-        default=None,
-        help="provenance note recorded alongside --e2e-baseline",
-    )
     args = parser.parse_args(argv)
 
     results = run_suites(
@@ -78,18 +42,7 @@ def main(argv: list[str] | None = None) -> int:
         progress=lambda name: print(f"running suite: {name}", flush=True),
     )
 
-    extra: dict = {}
-    if args.e2e_baseline is not None:
-        for result in results:
-            if result.name == "e2e.fig9":
-                result.baseline_s = args.e2e_baseline
-        note = args.e2e_baseline_note or (
-            "baseline_s measured at the pre-series commit (see "
-            "benchmarks/perf/run_hotpaths.py)"
-        )
-        extra["e2e_baseline_provenance"] = note
-
-    doc = results_to_json(results, quick=args.quick, extra=extra)
+    doc = results_to_json(results, quick=args.quick)
     out = Path(args.out)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(format_table(results))

@@ -1,9 +1,9 @@
 """Performance benchmark harness for the data-plane hot paths.
 
 ``repro bench`` runs the microbenchmark suites defined in
-:mod:`repro.bench.suites` — serde encode/decode, spill+merge, Shared
-decode, executor out-of-band transport, shared-memory shuffle-plane
-transport and scaling, and an end-to-end fig9 run — and compares
+:mod:`repro.bench.suites` — run-oriented serde encode, executor
+out-of-band transport, in-node combining, anti-layer sizing, and
+shared-memory shuffle-plane transport and scaling — and compares
 against the committed ``BENCH_hotpaths.json`` baseline at the
 repository root.  ``--check`` fails both on wall-time regressions vs
 the committed file and on any ``scaling.workers*`` speedup below 1.0

@@ -1,12 +1,12 @@
 """Timing machinery for the perf microbenchmarks.
 
-Methodology: every benchmark is a *pair* of callables — a reference
-implementation (the pre-optimisation code path, e.g. verbatim
-:mod:`repro.mr.serde_ref`) and the current fast path — run over
-identical deterministically-seeded inputs.  The two legs are timed
-**interleaved** (ref, fast, ref, fast, …) so slow drift in machine
-load hits both legs equally, with one untimed warmup round, and the
-reported number is the median of the repeats.
+Methodology: every benchmark is a *pair* of callables — a baseline
+(the code path the current one replaced or is weighed against) and
+the current path — run over identical deterministically-seeded
+inputs.  The two legs are timed **interleaved** (baseline, current,
+baseline, current, …) so slow drift in machine load hits both legs
+equally, with one untimed warmup round, and the reported number is the
+median of the repeats.
 """
 
 from __future__ import annotations
@@ -91,11 +91,7 @@ def provenance() -> dict:
     }
 
 
-def results_to_json(
-    results: list[BenchResult],
-    quick: bool,
-    extra: dict | None = None,
-) -> dict:
+def results_to_json(results: list[BenchResult], quick: bool) -> dict:
     """The JSON document shape committed as ``BENCH_hotpaths.json``."""
     benchmarks: dict = {}
     for r in results:
@@ -111,15 +107,12 @@ def results_to_json(
             if throughput is not None:
                 entry["records_per_s"] = round(throughput, 1)
         benchmarks[r.name] = entry
-    doc = {
+    return {
         "schema": 2,
         "quick": quick,
         "provenance": provenance(),
         "benchmarks": benchmarks,
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def ledger_entries(results: list[BenchResult]) -> list[dict]:
@@ -172,8 +165,8 @@ def compare_to_committed(
     """Names of benchmarks slower than ``factor`` × the committed time.
 
     Compares each result's ``current_s`` against the committed run's
-    ``current_s`` (the regression gate tracks the fast path against
-    itself, not against the reference leg).  Benchmarks absent from the
+    ``current_s`` (the regression gate tracks the current leg against
+    itself, not against the baseline leg).  Benchmarks absent from the
     committed file are skipped.
     """
     if committed is None:

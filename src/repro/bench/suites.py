@@ -1,28 +1,18 @@
 """The hot-path microbenchmark suites (``repro bench``).
 
-Each benchmark pairs the **reference** implementation with the current
-fast path over identical seeded inputs:
+Each benchmark pairs a **baseline** with the current implementation
+over identical seeded inputs, and both legs are code that ships.
+(Where the data plane's time goes, layer by layer, is the job of
+``BENCHMARK.json``'s ``mr.serde.*`` / ``mr.merge.*`` /
+``core.shared.*`` metrics, not of these pairs.)
 
-* ``serde.encode.*`` — the map-side collect+spill composition.  The
-  reference leg is the pre-optimisation data plane verbatim: it
-  serialises every record twice (once for the accounted record size at
-  collect time, once for the spill bytes) through
-  :mod:`repro.mr.serde_ref`; the fast leg serialises once via
-  :func:`repro.mr.serde.append_record`.
-* ``serde.decode.*`` — a full framed-segment scan:
-  ``serde_ref.iter_records`` vs :func:`repro.mr.serde.decode_stream`.
-* ``spill.merge`` — scan k sorted runs, k-way merge, re-frame (the
-  map-side multi-pass merge composition): reference scan + comparator
-  wrapper merge keys + double-encode rewrite vs fused scan +
-  ``itemgetter`` merge keys + encode-once framing.
-* ``shared.decode`` — the paper's ``Shared`` structure under memory
-  pressure (add, spill, drain) with the fast paths toggled off vs on.
 * ``executor.oob`` — a payload-heavy task result crossing a pickle
   boundary: default-protocol round trip vs the protocol-5 out-of-band
   envelope (:func:`repro.mr.executor.dumps_oob`).
-* ``serde.encode_batch.*`` — the batched tier's run-oriented encoder
-  (DESIGN.md §11): one dispatch per homogeneous run
-  (:func:`repro.mr.serde.encode_kv_batch`) vs one per record.
+* ``serde.encode_batch.*`` — the run-oriented encoder (DESIGN.md §11):
+  one dispatch per homogeneous run
+  (:func:`repro.mr.serde.encode_kv_batch`) vs one per record
+  (:func:`repro.mr.serde.encode_kv_into`).
 * ``shuffle.innode`` — node-level in-node combining on vs off for a
   combiner-enabled Query-Suggestion job.
 * ``shm.transport`` — a map task's segment payloads reaching a
@@ -44,14 +34,6 @@ fast path over identical seeded inputs:
   deciding by trial encoding (EagerSH-encode the call, size every
   record, compare with the LazySH records) vs the AntiMapper's size
   arithmetic.
-* ``e2e.fig9`` — a small end-to-end Figure 9 run, reference toggles
-  off vs the full batched tier (``REPRO_FASTPATH`` + ``REPRO_BATCH``)
-  on; ``e2e.fig9.batch`` isolates the batch tier (fast paths on both
-  legs).  Note the toggled-off leg still benefits from ungated
-  rewrites (serde dispatch tables, hash memo); the committed
-  ``BENCH_hotpaths.json`` therefore records the true pre-PR wall time,
-  measured by running this same benchmark at the pre-PR commit (see
-  ``benchmarks/perf/README.md``).
 
 Record-path suites report ``records`` per invocation so the committed
 JSON carries ``records_per_s`` throughput alongside wall times; every
@@ -66,12 +48,10 @@ import random
 from typing import Any, Callable, Iterable
 
 from repro.bench.harness import BenchResult, bench_pair
-from repro.mr import fastpath, serde, serde_ref
-from repro.mr.comparators import default_comparator
+from repro.mr import serde
 from repro.mr.counters import Counters
 from repro.mr.executor import dumps_oob, loads_oob
 from repro.mr.segment import SegmentPayload
-from repro.mr.storage import LocalStore
 
 Record = tuple[Any, Any]
 
@@ -123,36 +103,6 @@ _SHAPES: dict[str, Callable[[int], list[Record]]] = {
 }
 
 
-# -- reference-leg helpers (verbatim pre-optimisation compositions) --------
-
-
-def _ref_collect_and_frame(records: list[Record]) -> bytes:
-    """The seed collect+spill serialisation: every record encoded twice
-    (accounted size at collect, segment bytes at spill)."""
-    out = bytearray()
-    for key, value in records:
-        len(serde_ref.encode_kv(key, value))  # collect-time record size
-        raw = serde_ref.encode_kv(key, value)  # spill-time bytes
-        serde_ref.write_varint(out, len(raw))
-        out.extend(raw)
-    return bytes(out)
-
-
-def _fast_collect_and_frame(records: list[Record]) -> bytes:
-    out = bytearray()
-    append_record = serde.append_record
-    for key, value in records:
-        append_record(out, key, value)
-    return bytes(out)
-
-
-def _frame(records: Iterable[Record]) -> bytes:
-    out = bytearray()
-    for key, value in records:
-        serde.append_record(out, key, value)
-    return bytes(out)
-
-
 # -- suites ----------------------------------------------------------------
 
 
@@ -162,33 +112,10 @@ def _serde_suite(quick: bool) -> list[BenchResult]:
     results = []
     for shape, make in _SHAPES.items():
         records = make(n)
-        framed = _fast_collect_and_frame(records)
-        assert _ref_collect_and_frame(records) == framed
-        assert serde.decode_stream(framed) == list(
-            serde_ref.iter_records(framed)
-        )
-        results.append(
-            bench_pair(
-                f"serde.encode.{shape}",
-                lambda records=records: _ref_collect_and_frame(records),
-                lambda records=records: _fast_collect_and_frame(records),
-                repeats=repeats,
-                records=n,
-            )
-        )
-        results.append(
-            bench_pair(
-                f"serde.decode.{shape}",
-                lambda framed=framed: list(serde_ref.iter_records(framed)),
-                lambda framed=framed: serde.decode_stream(framed),
-                repeats=repeats,
-                records=n,
-            )
-        )
-        # The batched tier's run-oriented encoder (DESIGN.md §11):
-        # one dispatch per homogeneous run vs one per record.  Both
-        # legs produce the payload bytes only (no framing), which is
-        # what collect_batch and the reduce-output path consume.
+        # The run-oriented encoder (DESIGN.md §11): one dispatch per
+        # homogeneous run vs one per record.  Both legs produce the
+        # payload bytes only (no framing), which is what collect_batch
+        # and the reduce-output path consume.
         def scalar_encode(records=records) -> bytes:
             out = bytearray()
             encode_kv_into = serde.encode_kv_into
@@ -212,92 +139,6 @@ def _serde_suite(quick: bool) -> list[BenchResult]:
             )
         )
     return results
-
-
-def _spill_merge_suite(quick: bool) -> list[BenchResult]:
-    import heapq
-
-    run_count = 4 if quick else 6
-    per_run = 1_000 if quick else 4_000
-    repeats = 3 if quick else 5
-    runs = [
-        bytes(
-            _frame(sorted(_records_text(per_run, seed=100 + index)))
-        )
-        for index in range(run_count)
-    ]
-
-    def reference() -> bytes:
-        key_fn = default_comparator.key_fn()
-        streams = [serde_ref.iter_records(run) for run in runs]
-        merged = heapq.merge(
-            *streams, key=lambda record: key_fn(record[0])
-        )
-        out = bytearray()
-        for key, value in merged:
-            raw = serde_ref.encode_kv(key, value)
-            serde_ref.write_varint(out, len(raw))
-            out.extend(raw)
-        return bytes(out)
-
-    def current() -> bytes:
-        from operator import itemgetter
-
-        streams = [iter(serde.decode_stream(run)) for run in runs]
-        merged = heapq.merge(*streams, key=itemgetter(0))
-        out = bytearray()
-        append_record = serde.append_record
-        for key, value in merged:
-            append_record(out, key, value)
-        return bytes(out)
-
-    assert reference() == current()
-    return [
-        bench_pair(
-            "spill.merge",
-            reference,
-            current,
-            repeats=repeats,
-            records=run_count * per_run,
-        )
-    ]
-
-
-def _shared_suite(quick: bool) -> list[BenchResult]:
-    from repro.core.shared import Shared
-
-    n = 6_000 if quick else 30_000
-    repeats = 3 if quick else 5
-    rng = random.Random(17)
-    records = [
-        ("key%05d" % rng.randint(0, n // 8), rng.randint(0, 1_000_000))
-        for _ in range(n)
-    ]
-    memory_limit = 64 * 1024  # force several spill/merge rounds
-
-    def leg(flag: bool) -> Callable[[], int]:
-        def run() -> int:
-            with fastpath.forced(flag):
-                shared = Shared(
-                    default_comparator,
-                    default_comparator,
-                    LocalStore(Counters()),
-                    Counters(),
-                    memory_limit_bytes=memory_limit,
-                )
-                for key, value in records:
-                    shared.add(key, value)
-                groups = 0
-                for _key, _values in shared.drain():
-                    groups += 1
-                return groups
-
-        return run
-
-    assert leg(False)() == leg(True)()
-    return [
-        bench_pair("shared.decode", leg(False), leg(True), repeats=repeats)
-    ]
 
 
 def _executor_suite(quick: bool) -> list[BenchResult]:
@@ -336,37 +177,6 @@ def _qs_inputs(queries: int, seed: int = 42, num_splits: int = 4):
 
     records = generate_query_log(queries, seed=seed)
     return split_records(records, num_splits=num_splits)
-
-
-def _e2e_suite(quick: bool) -> list[BenchResult]:
-    from repro.experiments import run_fig9
-
-    queries = 600 if quick else 2_500
-    repeats = 1 if quick else 3
-
-    def leg(fast: bool, batch: bool) -> Callable[[], None]:
-        def run() -> None:
-            with fastpath.forced(fast), fastpath.batch_forced(batch):
-                run_fig9(
-                    num_queries=queries, num_reducers=4, num_splits=4
-                )
-
-        return run
-
-    return [
-        # The headline number: reference path vs the full batched tier.
-        bench_pair(
-            "e2e.fig9", leg(False, False), leg(True, True), repeats=repeats
-        ),
-        # The batch tier's own contribution: fast paths on both legs,
-        # REPRO_BATCH off vs on.
-        bench_pair(
-            "e2e.fig9.batch",
-            leg(True, False),
-            leg(True, True),
-            repeats=repeats,
-        ),
-    ]
 
 
 def _innode_suite(quick: bool) -> list[BenchResult]:
@@ -647,14 +457,11 @@ def _anti_sizing_suite(quick: bool) -> list[BenchResult]:
 
 _SUITES: dict[str, Callable[[bool], list[BenchResult]]] = {
     "serde": _serde_suite,
-    "spill": _spill_merge_suite,
-    "shared": _shared_suite,
     "executor": _executor_suite,
     "innode": _innode_suite,
     "shm": _shm_suite,
     "anti": _anti_sizing_suite,
     "scaling": _scaling_suite,
-    "e2e": _e2e_suite,
 }
 
 
@@ -666,8 +473,7 @@ def run_suites(
     """Run the benchmark suites; returns results in a stable order.
 
     ``only`` restricts to a subset of suite names (``serde``,
-    ``spill``, ``shared``, ``executor``, ``innode``, ``shm``, ``anti``,
-    ``scaling``, ``e2e``).
+    ``executor``, ``innode``, ``shm``, ``anti``, ``scaling``).
     """
     selected = set(only) if only is not None else set(_SUITES)
     unknown = selected - set(_SUITES)

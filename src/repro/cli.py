@@ -36,9 +36,9 @@ Commands:
 * ``python -m repro summary`` — aggregate the benchmark reports under
   ``benchmarks/results/`` into one document.
 * ``python -m repro bench [--quick] [--check]`` — run the hot-path
-  microbenchmarks (serde, spill+merge, Shared, executor transport,
-  in-node combining, shared-memory shuffle plane, multicore scaling,
-  end-to-end fig9) and print a comparison table against the committed
+  microbenchmarks (serde, executor transport, in-node combining,
+  shared-memory shuffle plane, anti-layer sizing, multicore scaling)
+  and print a comparison table against the committed
   ``BENCH_hotpaths.json``; ``--check`` exits non-zero on a >2x
   regression vs the committed fast-path timings or any
   ``scaling.workers*`` speedup below 1.0.
@@ -654,8 +654,8 @@ def main(argv: list[str] | None = None) -> int:
         action="append",
         dest="suites",
         metavar="NAME",
-        help="restrict to a suite (serde, spill, shared, executor, "
-        "innode, shm, anti, scaling, e2e); repeatable",
+        help="restrict to a suite (serde, executor, innode, shm, "
+        "anti, scaling); repeatable",
     )
     bench_parser.add_argument(
         "--json",

@@ -36,7 +36,7 @@ from repro.core import encoding
 from repro.core.runtime import AntiRuntime
 from repro.core.shared import Shared
 from repro.mr import counters as C
-from repro.mr import fastpath, serde
+from repro.mr import serde
 from repro.mr.api import Context, Mapper, Reducer
 from repro.obs.trace import current_tracer
 
@@ -83,9 +83,7 @@ class DecodeLoop:
             combiner.setup(context.with_sink(_discard_sink))
         self._shared_combiner = combiner
         self._partitions = runtime.partition_memo()
-        self._natural_grouping = (
-            fastpath.enabled() and runtime.grouping_comparator.is_natural
-        )
+        self._natural_grouping = runtime.grouping_comparator.is_natural
         self._reexec_buffer: list[tuple[Any, Any]] = []
         self._reexec_capture: Context | None = None
         self.shared = Shared(

@@ -34,7 +34,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from repro.mr import counters as C
-from repro.mr import fastpath, serde
+from repro.mr import serde
 from repro.mr.api import Combiner, Context
 from repro.mr.comparators import Comparator
 from repro.mr.counters import Counters
@@ -140,16 +140,13 @@ class Shared:
         self._combine_batch_size = combine_batch_size
         self._name_prefix = name_prefix
         self._key_fn: Callable[[Any], Any] = comparator.key_fn()
-        # Fast paths: with a natural sort comparator the heap holds raw
-        # keys (a cmp_to_key wrapper around the natural cmp orders and
-        # ties exactly like the key itself, so heap pop order is
-        # identical); a natural grouping comparator unlocks inline
-        # group-equality tests.  Both are gated on the process-wide
-        # toggle so the invariance tests can run either way.
-        self._fast_keys = fastpath.enabled() and comparator.is_natural
-        self._fast_group = (
-            fastpath.enabled() and grouping_comparator.is_natural
-        )
+        # With a natural sort comparator the heap holds raw keys (a
+        # cmp_to_key wrapper around the natural cmp orders and ties
+        # exactly like the key itself, so heap pop order is identical);
+        # a natural grouping comparator unlocks inline group-equality
+        # tests.  Any other comparator takes the generic branches.
+        self._fast_keys = comparator.is_natural
+        self._fast_group = grouping_comparator.is_natural
         #: Raw keys when ``_fast_keys``, else cmp_to_key wrappers
         #: (``.obj`` is the key).
         self._heap: list[Any] = []
@@ -455,27 +452,8 @@ class Shared:
             runs=len(self._runs),
         ):
             writer = SpillWriter(self._store, name)
-            if fastpath.batch_enabled():
-                # Batched tier: materialise the runs, merge them with
-                # one stable sort of the concatenation (identical
-                # record order to the heap merge — see
-                # :func:`repro.mr.merge.merge_runs`, whose key adapter
-                # for this comparator matches the heap's key exactly)
-                # and bulk-append the result.  No counter is charged
-                # inside this loop either way (the write is charged at
-                # ``close``), so this is pure wall-time.
-                runs = [list(run.drain()) for run in self._runs]
-                writer.append_batch(merge_runs(runs, self._comparator))
-            else:
-                streams = [run.drain() for run in self._runs]
-                if self._fast_keys:
-                    merged = heapq.merge(*streams, key=itemgetter(0))
-                else:
-                    merged = heapq.merge(
-                        *streams, key=lambda record: self._key_fn(record[0])
-                    )
-                for key, value in merged:
-                    writer.append(key, value)
+            runs = [list(run.drain()) for run in self._runs]
+            writer.append_batch(merge_runs(runs, self._comparator))
             for run in self._runs:
                 self._store.delete_file(run.name)
             spill_file = writer.close()

@@ -236,8 +236,49 @@ class Partitioner:
         raise NotImplementedError
 
 
-#: Cap on the per-partitioner-instance key → partition memo.
+#: Cap on a key → partition memo (cleared, not evicted, when full —
+#: the key sets of one task are usually far smaller).
 _PARTITION_MEMO_LIMIT = 1 << 16
+
+
+class PartitionMemo(dict):
+    """Partition lookups for whole emission batches of one task.
+
+    Key→partition assignments are memoised across calls, which is
+    legal because the Partitioner must be deterministic (the same
+    assumption LazySH decoding rests on).  The calls it skips are
+    framework work, never the AntiMapper's metered first-record probe.
+    Hits are plain ``dict`` subscripts; only misses reach Python code.
+    """
+
+    __slots__ = ("_get_partition", "_num_reducers")
+
+    def __init__(
+        self,
+        get_partition: Callable[[Any, int], int],
+        num_reducers: int,
+    ):
+        super().__init__()
+        self._get_partition = get_partition
+        self._num_reducers = num_reducers
+
+    def __missing__(self, key: Any) -> int:
+        partition = self._get_partition(key, self._num_reducers)
+        if len(self) >= _PARTITION_MEMO_LIMIT:
+            self.clear()
+        self[key] = partition
+        return partition
+
+    def of_records(self, records: list[tuple[Any, Any]]) -> list[int]:
+        """The partition of every ``(key, value)`` record, in order."""
+        try:
+            return [self[record[0]] for record in records]
+        except TypeError:  # an unhashable key: ask for each record
+            get_partition = self._get_partition
+            num_reducers = self._num_reducers
+            return [
+                get_partition(record[0], num_reducers) for record in records
+            ]
 
 
 class HashPartitioner(Partitioner):

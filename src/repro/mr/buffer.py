@@ -27,12 +27,12 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.mr import counters as C
-from repro.mr import fastpath, serde
-from repro.mr.api import Context
+from repro.mr import serde
+from repro.mr.api import Context, PartitionMemo
 from repro.mr.compress import get_codec
 from repro.mr.config import JobConf
-from repro.mr.merge import group_by_key, merge_runs, merge_sorted
-from repro.mr.segment import Segment, build_segment_bytes, iter_segment_bytes
+from repro.mr.merge import group_by_key, merge_runs
+from repro.mr.segment import Segment
 from repro.mr.storage import LocalStore
 from repro.obs.trace import current_tracer
 
@@ -42,11 +42,8 @@ MIN_SPILLS_FOR_COMBINE = 3
 
 EmitFn = Callable[[Any, Any], None]
 
-#: Sort key for the natural-order fast path: (partition, raw key).
+#: Sort key under the natural comparator: (partition, raw key).
 _PARTITION_AND_KEY = itemgetter(0, 1)
-
-#: Bound on the batched path's key→partition memo (cleared when full).
-_PARTITION_MEMO_LIMIT = 1 << 16
 
 
 class CombineRunner:
@@ -103,115 +100,52 @@ class MapOutputBuffer:
         self._context = context
         self._task_id = task_id
         self._codec = get_codec(job.map_output_codec)
-        #: Buffered records: ``(partition, key, value)`` tuples on the
-        #: reference path, ``(partition, key, value, payload)`` with the
-        #: collect-time serialisation cached when payloads are kept.
+        #: Buffered records: ``(partition, key, value, payload)`` with
+        #: the collect-time serialisation cached when payloads are
+        #: kept, ``(partition, key, value)`` otherwise.
         self._records: list[tuple] = []
         self._buffered_bytes = 0
         self._spills: list[dict[int, Segment]] = []
         self._combine_runner = (
             CombineRunner(job, context) if job.combiner is not None else None
         )
-        self._fast = fastpath.enabled()
-        self._batch = fastpath.batch_enabled()
         # The collect-time payload is only worth keeping when segments
         # will contain exactly the collected records: a spill-time
         # combiner rewrites them, so caching bytes would be dead weight.
-        self._keep_payloads = self._fast and self._combine_runner is None
+        self._keep_payloads = self._combine_runner is None
         self._scratch = bytearray()
-        #: Batched path only: key → partition memo.  Legal because the
-        #: batched tier assumes a deterministic Partitioner (the same
-        #: assumption LazySH decoding makes); unhashable keys skip it.
-        self._partition_memo: dict = {}
+        self._partitions = PartitionMemo(
+            job.partitioner.get_partition, job.num_reducers
+        )
         self._finalized = False
 
     # -- collection ------------------------------------------------------
     def collect(self, key: Any, value: Any) -> None:
         """Accept one map-output record (the Context sink)."""
-        if self._finalized:
-            raise RuntimeError("map output buffer already finalized")
-        job = self._job
-        counters = self._context.counters
-        partition, cost = job.cost_meter.measure(
-            job.partitioner.get_partition, key, job.num_reducers
-        )
-        if not 0 <= partition < job.num_reducers:
-            raise ValueError(
-                f"partitioner returned {partition} for key {key!r}, "
-                f"outside [0, {job.num_reducers})"
-            )
-        counters.add(C.CPU_PARTITION_SECONDS, cost)
-        if self._keep_payloads:
-            # Serialise once: the same bytes provide the accounted
-            # record size here and the segment payload at spill time
-            # (the reference path encodes each record twice).
-            scratch = self._scratch
-            scratch.clear()
-            size = serde.encode_kv_into(scratch, key, value)
-            record = (partition, key, value, bytes(scratch))
-        else:
-            size = serde.record_size(key, value)
-            record = (partition, key, value)
-        counters.add(C.MAP_OUTPUT_RECORDS)
-        counters.add(C.MAP_OUTPUT_BYTES, size)
-        model = job.framework_cost_model
-        counters.add(
-            C.CPU_FRAMEWORK_SECONDS,
-            model.serialize_cost(size) + model.record_cost(1),
-        )
-        self._records.append(record)
-        self._buffered_bytes += size
-        # Spill when either the data region or the per-record metadata
-        # region fills (Hadoop's io.sort.mb / io.sort.record.percent).
-        if (
-            self._buffered_bytes >= job.sort_buffer_bytes
-            or len(self._records) >= job.sort_record_limit
-        ):
-            self._spill()
+        self.collect_batch([(key, value)])
 
     def collect_batch(self, pairs: list) -> None:
-        """Accept a whole batch of map-output records (REPRO_BATCH).
+        """Accept a batch of map-output records, in order.
 
-        Equivalent to calling :meth:`collect` once per pair, with the
-        per-record dispatch hoisted out of the loop: one run-oriented
-        encode for the batch, one metered partition pass, and counter
-        arithmetic carried in locals.  The analytic charges replay the
-        reference path's additions *in the same order* — the
-        ``cpu.framework.seconds`` accumulator starts from the counter's
-        running value, adds per record, and is written back at every
-        spill boundary, so the float sums are bit-identical — and the
-        spill trigger is still checked per record, so spills land on
-        exactly the same record as on the scalar path.
+        How the record sequence is cut into batches never shows in the
+        result: one run-oriented encode and one metered partition pass
+        serve the whole batch, but the analytic charges are added per
+        record *in record order* — the ``cpu.framework.seconds``
+        accumulator starts from the counter's running value and is
+        written back at every spill boundary, so the float sums do not
+        depend on the batching — and the spill trigger is checked per
+        record, so spills land on the same record either way.
         """
-        if not pairs:
-            return
         if self._finalized:
             raise RuntimeError("map output buffer already finalized")
+        if not pairs:
+            return
         job = self._job
         counters = self._context.counters
         num_reducers = job.num_reducers
-        get_partition = job.partitioner.get_partition
-        memo = self._partition_memo
-
-        def partition_batch() -> list[int]:
-            parts: list[int] = []
-            append = parts.append
-            memo_get = memo.get
-            for key, _ in pairs:
-                try:
-                    partition = memo_get(key)
-                except TypeError:  # unhashable key: no memo
-                    append(get_partition(key, num_reducers))
-                    continue
-                if partition is None:
-                    partition = get_partition(key, num_reducers)
-                    if len(memo) >= _PARTITION_MEMO_LIMIT:
-                        memo.clear()
-                    memo[key] = partition
-                append(partition)
-            return parts
-
-        partitions, cost = job.cost_meter.measure(partition_batch)
+        partitions, cost = job.cost_meter.measure(
+            self._partitions.of_records, pairs
+        )
         counters.add(C.CPU_PARTITION_SECONDS, cost)
 
         keep = self._keep_payloads
@@ -289,9 +223,9 @@ class MapOutputBuffer:
         """
         job = self._job
         comparator = job.comparator
-        if self._fast and comparator.is_natural:
+        if comparator.is_natural:
             records.sort(key=_PARTITION_AND_KEY)
-        elif self._fast and comparator.orders_by_encoded_bytes:
+        elif comparator.orders_by_encoded_bytes:
             encode = serde.encode
             records.sort(key=lambda rec: (rec[0], encode(rec[1])))
         else:
@@ -335,32 +269,18 @@ class MapOutputBuffer:
             pairs = [(rec[1], rec[2]) for rec in chunk]
             combined = self._apply_combiner(partition, pairs)
             return self._write_segment(name, partition, combined)
-        if self._keep_payloads:
-            return self._write_segment_payloads(name, partition, chunk)
-        return self._write_segment(
-            name, partition, [(rec[1], rec[2]) for rec in chunk]
-        )
+        return self._write_segment_payloads(name, partition, chunk)
 
     def _write_segment(
         self,
         name: str,
         partition: int,
-        records: Iterable[tuple[Any, Any]],
+        records: list[tuple[Any, Any]],
     ) -> Segment:
         """Serialise, compress (metered) and persist one segment."""
         buf = bytearray()
-        if self._batch and type(records) is list:
-            # Batched tier: frame the whole run with one run-oriented
-            # encode (byte-identical to the per-record loop below).
-            count = len(records)
-            serde.append_records(buf, records)
-        else:
-            count = 0
-            append_record = serde.append_record
-            for key, value in records:
-                append_record(buf, key, value)
-                count += 1
-        return self._persist_segment(name, partition, bytes(buf), count)
+        serde.append_records(buf, records)
+        return self._persist_segment(name, partition, bytes(buf), len(records))
 
     def _write_segment_payloads(
         self,
@@ -431,38 +351,6 @@ class MapOutputBuffer:
         self._buffered_bytes = 0
 
     # -- finalisation ----------------------------------------------------
-    def _scan_metered(self, segment: Segment) -> Iterator[tuple[Any, Any]]:
-        """Scan a segment, metering decompression and parse cost."""
-        job = self._job
-        counters = self._context.counters
-        data = segment.read_bytes()
-        raw, cost = job.cost_meter.measure(self._codec.decompress, data)
-        counters.add(C.CPU_CODEC_SECONDS, cost)
-        counters.add(
-            C.CPU_FRAMEWORK_SECONDS,
-            job.framework_cost_model.serialize_cost(len(raw)),
-        )
-        yield from iter_segment_bytes(raw, get_codec(None))
-
-    def _scan_list(self, segment: Segment) -> list[tuple[Any, Any]]:
-        """Materialised twin of :meth:`_scan_metered` — same charges.
-
-        The lazy scan charges its segment at the first record pull,
-        which a heap merge performs for every input run up front (heap
-        construction), in run order; materialising eagerly in the same
-        run order therefore reproduces the exact charge sequence.
-        """
-        job = self._job
-        counters = self._context.counters
-        data = segment.read_bytes()
-        raw, cost = job.cost_meter.measure(self._codec.decompress, data)
-        counters.add(C.CPU_CODEC_SECONDS, cost)
-        counters.add(
-            C.CPU_FRAMEWORK_SECONDS,
-            job.framework_cost_model.serialize_cost(len(raw)),
-        )
-        return serde.decode_stream(raw)
-
     def _merge_partition(
         self,
         partition: int,
@@ -488,13 +376,10 @@ class MapOutputBuffer:
     ) -> Segment:
         job = self._job
         counters = self._context.counters
-        batched = self._batch
         intermediate = 0
-        # Multi-pass merge when there are more runs than the merge factor.
-        # The batched tier materialises the runs and run-merges them
-        # (concat + stable sort); the charge order is unchanged — the
-        # merge cost first, then each run's scan charges in run order —
-        # matching when the lazy heap merge would pull them.
+        # Multi-pass merge when there are more runs than the merge
+        # factor.  Charge order per pass: the merge cost first, then
+        # each run's scan charges in run order.
         while len(segments) > job.merge_factor:
             batch, segments = segments[: job.merge_factor], segments[job.merge_factor:]
             name = f"{self._task_id}/inter{intermediate}/p{partition}"
@@ -504,15 +389,10 @@ class MapOutputBuffer:
                 C.CPU_FRAMEWORK_SECONDS,
                 job.framework_cost_model.merge_cost(total_records, len(batch)),
             )
-            if batched:
-                merged: Iterable[tuple[Any, Any]] = merge_runs(
-                    [self._scan_list(seg) for seg in batch], job.comparator
-                )
-            else:
-                merged = merge_sorted(
-                    [self._scan_metered(seg) for seg in batch],
-                    job.comparator,
-                )
+            merged = merge_runs(
+                [seg.read_records(job, counters) for seg in batch],
+                job.comparator,
+            )
             segments.append(self._write_segment(name, partition, merged))
             for seg in batch:
                 seg.delete()
@@ -522,14 +402,10 @@ class MapOutputBuffer:
             C.CPU_FRAMEWORK_SECONDS,
             job.framework_cost_model.merge_cost(total_records, len(segments)),
         )
-        if batched:
-            merged = merge_runs(
-                [self._scan_list(seg) for seg in segments], job.comparator
-            )
-        else:
-            merged = merge_sorted(
-                [self._scan_metered(seg) for seg in segments], job.comparator
-            )
+        merged = merge_runs(
+            [seg.read_records(job, counters) for seg in segments],
+            job.comparator,
+        )
         if apply_combine and self._combine_runner is not None:
             records: list[tuple[Any, Any]] = []
             groups = group_by_key(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.mr import counters as C
-from repro.mr import fastpath, serde
+from repro.mr import serde
 from repro.mr.api import CaptureContext
 from repro.mr.buffer import MapOutputBuffer
 from repro.mr.config import JobConf
@@ -23,10 +23,10 @@ from repro.mr.segment import SegmentPayload, export_segment
 from repro.mr.storage import LocalStore
 from repro.obs.trace import SpanRecord, current_tracer
 
-#: Batched tier: emissions accumulate across map calls and flush to the
-#: sort buffer once this many are pending.  Size is a latency/locality
-#: trade only — flush points never affect counters (spill checks run
-#: per record inside ``collect_batch`` either way).
+#: Emissions accumulate across map calls and flush to the sort buffer
+#: once this many are pending.  Size is a latency/locality trade only —
+#: flush points never affect counters (spill checks run per record
+#: inside ``collect_batch``).
 _BATCH_FLUSH_RECORDS = 512
 
 
@@ -99,21 +99,16 @@ class MapTask:
             store=store,
         )
         buffer = MapOutputBuffer(job, store, context, self.task_id)
-        batched = fastpath.batch_enabled()
 
         def flush_pending() -> None:
             if not pending:
                 return
-            if batched:
-                with tracer.span(
-                    "map.batch.flush",
-                    category="map",
-                    records=len(pending),
-                ):
-                    buffer.collect_batch(pending)
-            else:
-                for key, value in pending:
-                    buffer.collect(key, value)
+            with tracer.span(
+                "map.batch.flush",
+                category="map",
+                records=len(pending),
+            ):
+                buffer.collect_batch(pending)
             pending.clear()
 
         mapper = job.make_mapper()
@@ -122,48 +117,29 @@ class MapTask:
             counters.add(C.CPU_MAP_SECONDS, cost)
             flush_pending()
         with tracer.span("map.phase.map", category="map") as map_span:
+            # Input-byte accounting sums ints, which is exact under
+            # regrouping.  The mapper is metered per call — user CPU
+            # is measured, never batched away.
             records = 0
-            if batched:
-                # Batched tier: emissions accumulate across map calls
-                # and flush as one RecordBatch once the batch fills.
-                # The record sequence entering the buffer is unchanged,
-                # so spill points (checked per record either way) are
-                # identical; input-byte accounting sums ints, which is
-                # exact under regrouping.  Per-call metering of the
-                # mapper is preserved — user CPU is measured, never
-                # batched away.
-                input_scratch = bytearray()
-                encode_kv_into = serde.encode_kv_into
-                measure = job.cost_meter.measure
-                mapper_map = mapper.map
-                values = counters.raw()
-                input_bytes = 0
-                for key, value in split:
-                    records += 1
-                    input_scratch.clear()
-                    input_bytes += encode_kv_into(input_scratch, key, value)
-                    _, cost = measure(mapper_map, key, value, context)
-                    values[C.CPU_MAP_SECONDS] += cost
-                    if len(pending) >= _BATCH_FLUSH_RECORDS:
-                        flush_pending()
-                values[C.MAP_INPUT_RECORDS] += records
-                values[C.MAP_INPUT_BYTES] += input_bytes
-                # Reading the split from the distributed file system.
-                values[C.HDFS_READ_BYTES] += input_bytes
-                flush_pending()
-            else:
-                for key, value in split:
-                    records += 1
-                    counters.add(C.MAP_INPUT_RECORDS)
-                    input_size = serde.record_size(key, value)
-                    counters.add(C.MAP_INPUT_BYTES, input_size)
-                    # Reading the split from the distributed file system.
-                    counters.add(C.HDFS_READ_BYTES, input_size)
-                    _, cost = job.cost_meter.measure(
-                        mapper.map, key, value, context
-                    )
-                    counters.add(C.CPU_MAP_SECONDS, cost)
+            input_scratch = bytearray()
+            encode_kv_into = serde.encode_kv_into
+            measure = job.cost_meter.measure
+            mapper_map = mapper.map
+            values = counters.raw()
+            input_bytes = 0
+            for key, value in split:
+                records += 1
+                input_scratch.clear()
+                input_bytes += encode_kv_into(input_scratch, key, value)
+                _, cost = measure(mapper_map, key, value, context)
+                values[C.CPU_MAP_SECONDS] += cost
+                if len(pending) >= _BATCH_FLUSH_RECORDS:
                     flush_pending()
+            values[C.MAP_INPUT_RECORDS] += records
+            values[C.MAP_INPUT_BYTES] += input_bytes
+            # Reading the split from the distributed file system.
+            values[C.HDFS_READ_BYTES] += input_bytes
+            flush_pending()
             map_span.set(input_records=records)
         with tracer.span("map.phase.cleanup", category="map"):
             _, cost = job.cost_meter.measure(mapper.cleanup, context)

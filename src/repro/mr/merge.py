@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import heapq
 from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
-from repro.mr import fastpath, serde
+from repro.mr import serde
 from repro.mr.comparators import Comparator
 
 _FIRST = itemgetter(0)
@@ -20,46 +19,32 @@ def merge_key_fn(comparator: Comparator):
     ``_natural_cmp`` orders and ties exactly like the key itself);
     encoded-bytes order sorts by the serialised key (that comparator
     literally compares encoded bytes).  Both produce the same merge
-    order as the generic wrapper — ``heapq.merge`` is stable either
-    way — while avoiding a wrapper-object allocation and a Python
-    ``cmp`` call per comparison.
+    order as the generic wrapper — a stable merge breaks ties the same
+    way under any of them — while avoiding a wrapper-object allocation
+    and a Python ``cmp`` call per comparison.
     """
-    if fastpath.enabled():
-        if comparator.is_natural:
-            return _FIRST
-        if comparator.orders_by_encoded_bytes:
-            encode = serde.encode
-            return lambda record: encode(record[0])
+    if comparator.is_natural:
+        return _FIRST
+    if comparator.orders_by_encoded_bytes:
+        encode = serde.encode
+        return lambda record: encode(record[0])
     key_fn = comparator.key_fn()
     return lambda record: key_fn(record[0])
-
-
-def merge_sorted(
-    streams: Iterable[Iterator[tuple[Any, Any]]],
-    comparator: Comparator,
-) -> Iterator[tuple[Any, Any]]:
-    """Merge already-sorted record streams into one sorted stream.
-
-    Equal keys preserve stream order (stable), which keeps secondary
-    sort semantics intact.
-    """
-    return heapq.merge(*streams, key=merge_key_fn(comparator))
 
 
 def merge_runs(
     runs: list[list[tuple[Any, Any]]],
     comparator: Comparator,
 ) -> list[tuple[Any, Any]]:
-    """Batched run merge: concatenate materialised runs and stable-sort.
+    """Merge already-sorted runs: concatenate and stable-sort.
 
-    Produces exactly :func:`merge_sorted`'s record order for runs given
-    in stream order: both are stable merges under
-    :func:`merge_key_fn`'s ordering, breaking ties by (run index,
-    position within run) — which is precisely concatenation order, so
-    a stable sort of the concatenation cannot move any record relative
-    to the heap merge.  Timsort's galloping makes this far cheaper
-    than a Python-level heap walk per record (the batched dataflow's
-    run-merge, DESIGN.md §11).
+    The result is exactly a k-way heap merge (``heapq.merge``) of the
+    runs under :func:`merge_key_fn`'s ordering: equal keys keep run
+    order, then position within the run — which is concatenation order,
+    so a stable sort of the concatenation cannot move them, and
+    secondary-sort semantics stay intact.  Timsort's galloping over the
+    pre-sorted runs is far cheaper than a Python-level heap walk per
+    record (DESIGN.md §11).
     """
     if len(runs) == 1:
         return runs[0]
@@ -73,7 +58,7 @@ def merge_runs(
 def group_runs(
     records: list[tuple[Any, Any]],
 ) -> Iterator[tuple[Any, list[Any]]]:
-    """Batched group iteration over a materialised sorted run.
+    """Group iteration over a materialised sorted run.
 
     Natural-grouping twin of :func:`group_by_key` operating on a list:
     group boundaries are found by scanning indices and each group's
@@ -108,7 +93,7 @@ def group_by_key(
     current_key: Any = None
     values: list[Any] = []
     have_group = False
-    if fastpath.enabled() and grouping_comparator.is_natural:
+    if grouping_comparator.is_natural:
         # ``not (a < b or a > b)`` mirrors ``_natural_cmp`` returning 0
         # (equality under the ordering, not ``__eq__``).
         for key, value in records:

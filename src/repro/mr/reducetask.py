@@ -10,21 +10,16 @@ the Reduce function in ascending key order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.mr import counters as C
-from repro.mr import fastpath, serde
+from repro.mr import serde
 from repro.mr.api import Context
 from repro.mr.compress import get_codec
 from repro.mr.config import JobConf
 from repro.mr.counters import Counters
-from repro.mr.merge import group_by_key, group_runs, merge_runs, merge_sorted
-from repro.mr.segment import (
-    Segment,
-    SegmentPayload,
-    iter_segment_bytes,
-    write_segment,
-)
+from repro.mr.merge import group_by_key, group_runs, merge_runs
+from repro.mr.segment import Segment, SegmentPayload, write_segment
 from repro.mr.storage import LocalStore
 from repro.obs.trace import SpanRecord, current_tracer
 
@@ -87,26 +82,13 @@ class ReduceTask:
             payload.to_segment(serve_store) for payload in map_segments
         ]
         output: list[tuple[Any, Any]] = []
-        batched_output = fastpath.batch_enabled()
+        # The sink only collects; the output byte and record counters
+        # (all integers, exact under summing) are settled in one
+        # run-oriented encode after cleanup.
+        append_output = output.append
 
-        if batched_output:
-            # Batched tier: the sink only collects; the output byte and
-            # record counters (all integers, exact under summing) are
-            # settled in one run-oriented encode after cleanup.
-            append_output = output.append
-
-            def output_sink(key: Any, value: Any) -> None:
-                append_output((key, value))
-
-        else:
-
-            def output_sink(key: Any, value: Any) -> None:
-                size = serde.record_size(key, value)
-                counters.add(C.REDUCE_OUTPUT_RECORDS)
-                counters.add(C.REDUCE_OUTPUT_BYTES, size)
-                # Final output goes to the distributed file system.
-                counters.add(C.HDFS_WRITE_BYTES, size)
-                output.append((key, value))
+        def output_sink(key: Any, value: Any) -> None:
+            append_output((key, value))
 
         context = Context(
             counters=counters,
@@ -126,51 +108,35 @@ class ReduceTask:
                 segments=len(segments),
                 shuffle_bytes=counters.get_int(C.SHUFFLE_TRANSFER_BYTES),
             )
-        stream = self._merged_stream(segments, counters, store)
+        merged = self._merge_fetched(segments, counters, store)
 
         reducer = job.make_reducer()
         _, cost = job.cost_meter.measure(reducer.setup, context)
         counters.add(C.CPU_REDUCE_SECONDS, cost)
-        # The merge is lazy, so the reduce phase span also covers the
-        # streamed merge/decode work interleaved with the Reduce calls
-        # (exactly what Hadoop's reduce-phase timer reports).
         with tracer.span(
             "reduce.phase.reduce", category="reduce"
         ) as reduce_span:
             groups = 0
             grouping = job.effective_grouping_comparator
-            if isinstance(stream, list):
-                # Batched tier: the merge was materialised, so group
-                # with the index-scanning iterator when grouping is
-                # natural and accumulate the integer group counters
-                # locally (exact under summing).  ``reducer.reduce``
-                # stays metered per group, charged in group order —
-                # the same per-call float-add sequence as the
-                # reference path.
-                if grouping.is_natural:
-                    grouped = group_runs(stream)
-                else:
-                    grouped = group_by_key(iter(stream), grouping)
-                values_map = counters.raw()
-                measure = job.cost_meter.measure
-                reduce_fn = reducer.reduce
-                input_records = 0
-                for key, values in grouped:
-                    groups += 1
-                    input_records += len(values)
-                    _, cost = measure(reduce_fn, key, iter(values), context)
-                    values_map[C.CPU_REDUCE_SECONDS] += cost
-                values_map[C.REDUCE_INPUT_GROUPS] += groups
-                values_map[C.REDUCE_INPUT_RECORDS] += input_records
+            # Group with the index-scanning iterator when grouping is
+            # natural, and accumulate the integer group counters locally
+            # (exact under summing).  ``reducer.reduce`` stays metered
+            # per group, charged in group order.
+            if grouping.is_natural:
+                grouped = group_runs(merged)
             else:
-                for key, values in group_by_key(stream, grouping):
-                    groups += 1
-                    counters.add(C.REDUCE_INPUT_GROUPS)
-                    counters.add(C.REDUCE_INPUT_RECORDS, len(values))
-                    _, cost = job.cost_meter.measure(
-                        reducer.reduce, key, iter(values), context
-                    )
-                    counters.add(C.CPU_REDUCE_SECONDS, cost)
+                grouped = group_by_key(iter(merged), grouping)
+            values_map = counters.raw()
+            measure = job.cost_meter.measure
+            reduce_fn = reducer.reduce
+            input_records = 0
+            for key, values in grouped:
+                groups += 1
+                input_records += len(values)
+                _, cost = measure(reduce_fn, key, iter(values), context)
+                values_map[C.CPU_REDUCE_SECONDS] += cost
+            values_map[C.REDUCE_INPUT_GROUPS] += groups
+            values_map[C.REDUCE_INPUT_RECORDS] += input_records
             reduce_span.set(groups=groups)
         # Cleanup gets its own span: the AntiReducer drains the whole
         # remaining Shared structure here (paper Fig. 8's final drain).
@@ -178,10 +144,9 @@ class ReduceTask:
             _, cost = job.cost_meter.measure(reducer.cleanup, context)
             counters.add(C.CPU_REDUCE_SECONDS, cost)
 
-        if batched_output and output:
+        if output:
             # Settle the deferred output accounting: one run-oriented
-            # encode of the whole task output (byte-identical sizes to
-            # the per-record ``record_size`` calls it replaces).
+            # encode of the whole task output.
             scratch = bytearray()
             serde.encode_kv_batch(scratch, output)
             total_bytes = len(scratch)
@@ -241,64 +206,22 @@ class ReduceTask:
         return staged
 
     # -- merging ---------------------------------------------------------
-    def _scan_metered(
-        self, segment: Segment, counters: Counters
-    ) -> Iterator[tuple[Any, Any]]:
-        """Scan one segment, metering decompression and parse cost."""
-        job = self._job
-        data = segment.read_bytes()
-        raw, cost = job.cost_meter.measure(segment.codec.decompress, data)
-        counters.add(C.CPU_CODEC_SECONDS, cost)
-        counters.add(
-            C.CPU_FRAMEWORK_SECONDS,
-            job.framework_cost_model.serialize_cost(len(raw)),
-        )
-        yield from iter_segment_bytes(raw, get_codec(None))
-
-    def _scan_list(
-        self, segment: Segment, counters: Counters
-    ) -> list[tuple[Any, Any]]:
-        """Materialised twin of :meth:`_scan_metered` (batched tier).
-
-        Identical charges in identical order — one disk/serve read, the
-        metered decompression, and the parse's framework cost — but the
-        whole run is decoded in one :func:`serde.decode_stream` call
-        instead of a generator pulled record by record.
-        """
-        job = self._job
-        data = segment.read_bytes()
-        raw, cost = job.cost_meter.measure(segment.codec.decompress, data)
-        counters.add(C.CPU_CODEC_SECONDS, cost)
-        counters.add(
-            C.CPU_FRAMEWORK_SECONDS,
-            job.framework_cost_model.serialize_cost(len(raw)),
-        )
-        return serde.decode_stream(raw)
-
-    def _merged_stream(
+    def _merge_fetched(
         self,
         segments: list[Segment],
         counters: Counters,
         store: LocalStore,
-    ) -> Iterator[tuple[Any, Any]] | list[tuple[Any, Any]]:
-        """Merge the fetched runs into one sorted record stream.
+    ) -> list[tuple[Any, Any]]:
+        """Merge the fetched runs into one sorted, materialised run.
 
-        On the batched tier the result is a materialised list produced
-        by :func:`merge_runs` — same record order, same counter values.
-        Charge-order note: the reference path charges each pass's merge
-        cost *before* the lazy merge is consumed (``heapq.merge`` pulls
-        the first record of every run — and thus runs every scan up to
-        its first yield — only at heap build, inside ``write_segment``
-        / the reduce loop), so the batched path charges the merge cost
-        first and then scans, reproducing the framework counter's
-        float-add sequence exactly.
+        Charge order per pass: the merge cost first, then each run's
+        scan charges in run order.
         """
         job = self._job
         codec = get_codec(job.map_output_codec)
         intermediate = 0
         segments = list(segments)
         tracer = current_tracer()
-        batched = fastpath.batch_enabled()
         # Multi-pass merge mirroring Hadoop's io.sort.factor behaviour.
         while len(segments) > job.merge_factor:
             batch = segments[: job.merge_factor]
@@ -316,16 +239,10 @@ class ReduceTask:
                         total_records, len(batch)
                     ),
                 )
-                if batched:
-                    merged: Any = merge_runs(
-                        [self._scan_list(seg, counters) for seg in batch],
-                        job.comparator,
-                    )
-                else:
-                    merged = merge_sorted(
-                        [self._scan_metered(seg, counters) for seg in batch],
-                        job.comparator,
-                    )
+                merged = merge_runs(
+                    [seg.read_records(job, counters) for seg in batch],
+                    job.comparator,
+                )
                 name = f"{self.task_id}/merge{intermediate}"
                 intermediate += 1
                 segments.append(
@@ -338,12 +255,7 @@ class ReduceTask:
                 total_records, max(len(segments), 1)
             ),
         )
-        if batched:
-            return merge_runs(
-                [self._scan_list(seg, counters) for seg in segments],
-                job.comparator,
-            )
-        return merge_sorted(
-            [self._scan_metered(seg, counters) for seg in segments],
+        return merge_runs(
+            [seg.read_records(job, counters) for seg in segments],
             job.comparator,
         )

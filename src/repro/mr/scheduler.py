@@ -27,7 +27,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.mr import counters as C
 from repro.mr import events as E
-from repro.mr import serde
 from repro.mr import shm
 from repro.mr.api import Context
 from repro.mr.buffer import CombineRunner
@@ -112,9 +111,7 @@ def _innode_combine(
     framework cost, the combiner runs through the standard
     :class:`~repro.mr.buffer.CombineRunner` (``combine.*`` records,
     metered ``cpu.combine.seconds``), and the combined segment is one
-    node-local disk write.  No charge depends on the fast-path or
-    batch toggles, so the stage's counters are invariant across tiers
-    by construction.
+    node-local disk write.
 
     Returns the per-node shuffle sources (node order) and the stage's
     counters, which the caller folds after the map-task counters.
@@ -125,7 +122,6 @@ def _innode_combine(
     model = job.framework_cost_model
     codec = get_codec(job.map_output_codec)
     grouping = job.effective_grouping_comparator
-    meter = job.cost_meter
     with tracer.span("shuffle.innode.plan", category="scheduler") as plan:
         nodes = [
             list(map_results[index : index + fanin])
@@ -174,17 +170,11 @@ def _innode_combine(
                     C.CPU_FRAMEWORK_SECONDS,
                     model.merge_cost(total_records, len(segments)),
                 )
-                runs = []
-                for seg in segments:
-                    data = seg.read_bytes()  # node-local disk read
-                    raw, cost = meter.measure(seg.codec.decompress, data)
-                    counters.add(C.CPU_CODEC_SECONDS, cost)
-                    counters.add(
-                        C.CPU_FRAMEWORK_SECONDS,
-                        model.serialize_cost(len(raw)),
-                    )
-                    runs.append(serde.decode_stream(raw))
-                merged = merge_runs(runs, job.comparator)
+                # One node-local disk read per input segment.
+                merged = merge_runs(
+                    [seg.read_records(job, counters) for seg in segments],
+                    job.comparator,
+                )
                 out: list[tuple[Any, Any]] = []
                 runner.run(
                     partition,

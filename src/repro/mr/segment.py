@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.mr import fastpath, serde
+from repro.mr import counters as C
+from repro.mr import serde
 from repro.mr.compress import Codec, get_codec
+
+if TYPE_CHECKING:
+    from repro.mr.config import JobConf
+    from repro.mr.counters import Counters
 
 
 def build_segment_bytes(
@@ -34,40 +39,9 @@ def build_segment_bytes(
     return codec.compress(raw), count, len(raw)
 
 
-def build_segment_from_payloads(
-    payloads: Iterable[bytes], codec: Codec
-) -> tuple[bytes, int, int]:
-    """Like :func:`build_segment_bytes` for already-serialised records.
-
-    ``payloads`` are unframed record payloads (as produced by
-    :func:`repro.mr.serde.encode_kv`); the frame prefix is added here.
-    This is the spill path when records were serialised once at collect
-    time — byte-identical to re-encoding them.
-    """
-    buf = bytearray()
-    count = 0
-    write_varint = serde.write_varint
-    extend = buf.extend
-    for payload in payloads:
-        write_varint(buf, len(payload))
-        extend(payload)
-        count += 1
-    raw = bytes(buf)
-    return codec.compress(raw), count, len(raw)
-
-
 def iter_segment_bytes(data: bytes, codec: Codec) -> Iterator[tuple[Any, Any]]:
     """Decompress and yield the records of a segment in stored order."""
-    raw = codec.decompress(data)
-    if fastpath.enabled():
-        yield from serde.decode_stream(raw)
-        return
-    offset = 0
-    while offset < len(raw):
-        length, offset = serde.read_varint(raw, offset)
-        end = offset + length
-        yield serde.decode_kv(raw[offset:end])
-        offset = end
+    yield from serde.decode_stream(codec.decompress(data))
 
 
 @dataclass
@@ -94,6 +68,21 @@ class Segment:
     def read_bytes(self) -> bytes:
         """Raw stored bytes (charged as one disk read)."""
         return self.store.read_file(self.name)
+
+    def read_records(
+        self, job: JobConf, counters: Counters
+    ) -> list[tuple[Any, Any]]:
+        """Read the whole run back as a task of ``job`` does: one disk
+        read, the metered decompression and the parse's framework cost,
+        charged in that order."""
+        data = self.read_bytes()
+        raw, cost = job.cost_meter.measure(self.codec.decompress, data)
+        counters.add(C.CPU_CODEC_SECONDS, cost)
+        counters.add(
+            C.CPU_FRAMEWORK_SECONDS,
+            job.framework_cost_model.serialize_cost(len(raw)),
+        )
+        return serde.decode_stream(raw)
 
     def delete(self) -> None:
         self.store.delete_file(self.name)

@@ -12,7 +12,7 @@ Variable-length payloads are prefixed with an unsigned LEB128 varint.
 Integers are zig-zag encoded varints, so small values stay small — the
 same trick Hadoop's ``VIntWritable`` uses.
 
-Implementation notes (the data-plane fast path, DESIGN.md §8):
+Implementation notes (DESIGN.md §8):
 
 * The encoder streams into one caller-supplied ``bytearray``
   (:func:`encode_into` / :func:`encode_kv_into`), so hot paths reuse a
@@ -21,14 +21,14 @@ Implementation notes (the data-plane fast path, DESIGN.md §8):
   ``isinstance`` fallback for subclasses, replacing the type-check
   ladder; varints for the common short lengths are emitted inline.
 * The decoder walks the buffer with integer offsets
-  (:func:`decode_from` / :func:`decode_kv_from`) and dispatches on the
-  tag byte through a 256-entry table; it slices only where a payload
-  must be materialised (strings, bytes, bigints) and accepts a
-  ``memoryview`` so segment scans never copy per record.
+  (:func:`decode_from`) and dispatches on the tag byte through a
+  256-entry table; it slices only where a payload must be materialised
+  (strings, bytes, bigints) and accepts a ``memoryview`` so segment
+  scans never copy per record.
 * The byte format is frozen: every function here produces/consumes
   exactly the same bytes as the straightforward reference
-  implementation in :mod:`repro.mr.serde_ref`, which the property
-  tests fuzz against.
+  implementation in ``tests/serde_ref.py``, which the property tests
+  fuzz against.
 """
 
 from __future__ import annotations
@@ -800,70 +800,6 @@ def decode_from(data: Any, offset: int = 0) -> tuple[Any, int]:
         raise SerdeError("truncated record") from None
 
 
-def decode_kv_from(data: Any, offset: int = 0) -> tuple[Any, Any, int]:
-    """Decode a key/value record at ``offset``; return ``(k, v, end)``.
-
-    The per-record entry point of every segment/spill scan, so the
-    scalar tags are inlined exactly as in the container decoders.
-    """
-    try:
-        decoders = _DECODERS
-        size = len(data)
-        unpack = _FLOAT_UNPACK_FROM
-        pair = []
-        append = pair.append
-        for _ in (0, 1):
-            tag = data[offset]
-            offset += 1
-            if tag == 0x03:  # _TAG_INT
-                byte = data[offset]
-                offset += 1
-                if byte < 0x80:
-                    item = (byte >> 1) ^ -(byte & 1)
-                else:
-                    acc = byte & 0x7F
-                    shift = 7
-                    while True:
-                        byte = data[offset]
-                        offset += 1
-                        acc |= (byte & 0x7F) << shift
-                        if not byte & 0x80:
-                            item = (acc >> 1) ^ -(acc & 1)
-                            break
-                        shift += 7
-                        if shift > 70:
-                            raise SerdeError("varint too long")
-            elif tag == 0x05:  # _TAG_STR
-                n = data[offset]
-                offset += 1
-                if n > 0x7F:
-                    n, offset = _read_len_cont(data, offset, n & 0x7F)
-                end = offset + n
-                if end > size:
-                    raise SerdeError("truncated string")
-                try:
-                    item = str(data[offset:end], "utf-8")
-                except UnicodeDecodeError:
-                    raise SerdeError(
-                        "invalid utf-8 in string payload"
-                    ) from None
-                offset = end
-            elif tag == 0x04:  # _TAG_FLOAT
-                end = offset + 8
-                if end > size:
-                    raise SerdeError("truncated float")
-                item = unpack(data, offset)[0]
-                offset = end
-            elif tag <= 0x02:  # _TAG_NONE / _TAG_FALSE / _TAG_TRUE
-                item = _SMALL_VALUES[tag]
-            else:
-                item, offset = decoders[tag](data, offset)
-            append(item)
-        return pair[0], pair[1], offset
-    except IndexError:
-        raise SerdeError("truncated record") from None
-
-
 def encode(obj: Any) -> bytes:
     """Serialise one object to its binary representation."""
     out = bytearray()
@@ -934,7 +870,8 @@ def encode_kv_into(out: bytearray, key: Any, value: Any) -> int:
 
 def decode_kv(data: Any) -> tuple[Any, Any]:
     """Deserialise a key/value record produced by :func:`encode_kv`."""
-    key, value, offset = decode_kv_from(data, 0)
+    key, offset = decode_from(data, 0)
+    value, offset = decode_from(data, offset)
     if offset != len(data):
         raise SerdeError(f"{len(data) - offset} trailing bytes after record")
     return key, value

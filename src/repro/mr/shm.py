@@ -28,9 +28,8 @@ allocate or attach falls back to the inline pickle-5 payloads.  The
 counter-invariance suite pins this (`REPRO_SHM` on vs off must be
 bit-identical).
 
-The toggle mirrors :mod:`repro.mr.fastpath`: default on, disabled with
-``REPRO_SHM=0`` (or ``false`` / ``off``), pinned from code with
-:func:`forced`.  The plane only activates on executors whose results
+The toggle is on by default, disabled with ``REPRO_SHM=0`` (or
+``false`` / ``off``) and pinned from code with :func:`forced`.  The plane only activates on executors whose results
 cross a process boundary (``requires_pickling``) — under the serial
 executor results are passed by reference and there is nothing to ship.
 """

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.mr import counters as C
-from repro.mr import fastpath, serde
+from repro.mr import serde
 from repro.mr.counters import Counters
 
 
@@ -154,16 +154,6 @@ class SpillWriter:
         self._count += len(pairs)
         return len(self._buf) - before
 
-    def append_encoded(self, payload: bytes) -> int:
-        """Append one already-serialised record payload."""
-        if self._closed:
-            raise StorageError(f"spill {self.name} already closed")
-        before = len(self._buf)
-        serde.write_varint(self._buf, len(payload))
-        self._buf.extend(payload)
-        self._count += 1
-        return len(self._buf) - before
-
     def close(self) -> "SpillFile":
         """Flush to the store and return a reader handle."""
         if self._closed:
@@ -187,16 +177,7 @@ class SpillFile:
 
     def scan(self) -> Iterator[tuple[object, object]]:
         """Yield records in stored (sorted) order; charges one full read."""
-        data = self._store.read_file(self.name)
-        if fastpath.enabled():
-            yield from serde.decode_stream(data)
-            return
-        offset = 0
-        while offset < len(data):
-            length, offset = serde.read_varint(data, offset)
-            end = offset + length
-            yield serde.decode_kv(data[offset:end])
-            offset = end
+        yield from serde.decode_stream(self._store.read_file(self.name))
 
     def delete(self) -> None:
         self._store.delete_file(self.name)

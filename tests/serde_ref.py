@@ -5,8 +5,7 @@ type-check ladder on the encode side, a tag ``if``-chain walking plain
 byte offsets on the decode side.  The optimised implementation in
 :mod:`repro.mr.serde` must produce and consume **bit-identical** bytes;
 the property tests (``tests/test_property_serde_fuzz.py``) fuzz the two
-against each other, and the perf harness (``repro bench``) times the
-fast path against this module.
+against each other.
 
 The extension registry is shared with :mod:`repro.mr.serde` — register
 extension types there (:func:`repro.mr.serde.register_extension`); this

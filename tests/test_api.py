@@ -10,6 +10,7 @@ from repro.mr.api import (
     HashPartitioner,
     KeyFieldPartitioner,
     Mapper,
+    PartitionMemo,
     Reducer,
     run_reducer_on_group,
     stable_hash,
@@ -50,6 +51,39 @@ class TestPartitioners:
 
         with pytest.raises(NotImplementedError):
             Partitioner().get_partition("k", 2)
+
+
+class TestPartitionMemo:
+    @staticmethod
+    def _memo():
+        calls: list = []
+
+        def get_partition(key, num_partitions):
+            calls.append(key)
+            return len(key) % num_partitions
+
+        return PartitionMemo(get_partition, 3), calls
+
+    def test_asks_once_per_distinct_key(self) -> None:
+        memo, calls = self._memo()
+        records = [("a", 1), ("bb", 2), ("a", 3)]
+        assert memo.of_records(records) == [1, 2, 1]
+        assert memo.of_records(records) == [1, 2, 1]
+        assert calls == ["a", "bb"]
+
+    def test_unhashable_key_asks_for_every_record(self) -> None:
+        memo, calls = self._memo()
+        records = [("a", 1), (["x", "y"], 2), ("a", 3)]
+        assert memo.of_records(records) == [1, 2, 1]
+        assert calls[-3:] == ["a", ["x", "y"], "a"]
+
+    def test_cleared_when_full(self, monkeypatch) -> None:
+        import repro.mr.api as api
+
+        monkeypatch.setattr(api, "_PARTITION_MEMO_LIMIT", 2)
+        memo, _ = self._memo()
+        memo.of_records([("a", 0), ("bb", 0), ("ccc", 0)])
+        assert dict(memo) == {"ccc": 0}
 
 
 class TestContext:

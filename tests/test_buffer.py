@@ -90,6 +90,8 @@ class TestCollect:
         with pytest.raises(RuntimeError):
             buffer.collect(0, "v")
         with pytest.raises(RuntimeError):
+            buffer.collect_batch([])  # nothing to add is still a misuse
+        with pytest.raises(RuntimeError):
             buffer.finalize()
 
     def test_partition_cpu_charged(self) -> None:

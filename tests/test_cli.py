@@ -465,7 +465,7 @@ class TestScalingGate:
         results = [
             self._result("scaling.workers2", 1.2),
             self._result("scaling.workers4", 0.97),
-            self._result("e2e.fig9", 0.5),  # not a scaling benchmark
+            self._result("shuffle.innode", 0.5),  # not a scaling benchmark
         ]
         assert scaling_regressions(results) == ["scaling.workers4"]
 

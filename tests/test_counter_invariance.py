@@ -1,22 +1,34 @@
-"""Golden test: the data-plane fast paths never change what is counted.
+"""Golden test: rewriting the data plane never changes what is counted.
 
 The perf series (zero-copy serde, cached sort keys, raw-key merges,
-out-of-band shuffle) promises that every optimisation changes only
-*how* Python does the work, never how much accounted work is done:
-bytes, records, comparisons and spills must be **bit-identical** with
-the fast paths on or off, and therefore so must every analytic cost.
+batched collect/merge/reduce, out-of-band shuffle) promised that every
+optimisation changes only *how* Python does the work, never how much
+accounted work is done: bytes, records, comparisons and spills must be
+**bit-identical**, and therefore so must every analytic cost.  While
+the unoptimised paths still shipped (reference / fast / batch tiers
+behind two env flags) this test ran a job on all three and diffed the
+counters; the tiers are gone, and two checks stand in for the flags:
 
-This test runs the Figure 9 workload — all four strategies crossed
-with all three partitioners, with a sort buffer small enough to force
-map-side spills and multi-pass merges — once per data-plane tier
-(reference / fast paths / fast paths + ``REPRO_BATCH`` batched
-dataflow) and diffs every counter; an extra leg repeats the matrix
-with node-level in-node combining enabled.
+* **Goldens.**  ``golden_invariance_counters.json`` holds the analytic
+  counters and output digest of every leg below — the Figure 9
+  workload, all four strategies crossed with all three partitioners,
+  with a sort buffer small enough to force map-side spills and
+  multi-pass merges, plus the matrix with node-level in-node combining
+  enabled — recorded at the last commit that had the three tiers
+  (bcf760e), through this file's leg definitions, with
+  reference == fast == batch asserted there.
+  ``golden_sizing_counters.json`` does the same for the sizing legs.
+* **The opaque-comparator differential.**  Every specialisation left
+  in the data plane is selected by a comparator property
+  (``is_natural`` / ``orders_by_encoded_bytes``) and sits beside the
+  generic ``key_fn()`` / ``cmp`` branch that custom comparators take.
+  :data:`OPAQUE` orders exactly like the default comparator but says
+  neither, so rerunning a leg with it as sort and grouping comparator
+  drives every generic branch — and must count and output the same.
 
 Only the measured-CPU counters are excluded: those are wall-clock
-*measurements* of user/framework code (that the fast paths exist to
-shrink), not analytic charges.  ``cpu.framework.seconds`` is analytic
-and is included in the diff.
+*measurements* of user/framework code, not analytic charges.
+``cpu.framework.seconds`` is analytic and is included in the diff.
 """
 
 from __future__ import annotations
@@ -32,14 +44,14 @@ from repro.datagen.qlog import generate_query_log
 from repro.datagen.randomtext import generate_random_text
 from repro.experiments.common import measure_job, strategy_variants
 from repro.experiments.fig09_map_output import STRATEGIES, partitioner_lineup
-from repro.mr import fastpath
 from repro.mr.api import Mapper, Reducer
+from repro.mr.comparators import Comparator, _natural_cmp
 from repro.mr.config import JobConf
 from repro.mr.split import split_records
 from repro.workloads.query_suggestion import query_suggestion_job
 
-#: Wall-clock measurements of user/codec code — the only counters the
-#: fast paths are *allowed* (indeed expected) to change.
+#: Wall-clock measurements of user/codec code — the only counters a
+#: data-plane rewrite is *allowed* (indeed expected) to change.
 MEASURED_CPU_PREFIXES = (
     "cpu.map.seconds",
     "cpu.reduce.seconds",
@@ -53,6 +65,10 @@ NUM_REDUCERS = 3
 NUM_SPLITS = 4
 #: Small enough that every map task spills and merges multiple runs.
 SORT_BUFFER_BYTES = 4096
+
+#: The default order with ``is_natural`` left false: the code cannot
+#: see that it is natural and takes the generic branch everywhere.
+OPAQUE = Comparator(_natural_cmp, name="opaque")
 
 
 @lru_cache(maxsize=1)
@@ -69,67 +85,113 @@ def _analytic_counters(run) -> dict:
     }
 
 
-def _measure(job, fast: bool, batch: bool = False, splits=None):
-    with fastpath.forced(fast), fastpath.batch_forced(batch):
-        return measure_job(
-            "invariance", job, _splits() if splits is None else splits
-        )
+def _measure(job, splits=None):
+    return measure_job(
+        "invariance", job, _splits() if splits is None else splits
+    )
 
 
-#: The three data-plane tiers the invariance contract spans:
-#: reference, fast paths, fast paths + batched dataflow (REPRO_BATCH).
-TIERS = (
-    ("reference", False, False),
-    ("fast", True, False),
-    ("batch", True, True),
-)
-
-
-def _assert_tiers_identical(job, label: str, splits=None) -> dict:
-    """Run ``job`` on every tier; assert counters and output match.
-
-    Returns the reference tier's analytic counters so callers can add
-    workload-shape assertions.
-    """
-    runs = {
-        name: _measure(job, fast, batch, splits)
-        for name, fast, batch in TIERS
+def _leg_record(job, splits=None) -> dict:
+    """One leg's analytic counters and the digest of its canonical
+    output — the shape of the golden files' entries."""
+    run = _measure(job, splits)
+    digest = hashlib.sha256()
+    for encoded in run.result.canonical_output():
+        digest.update(len(encoded).to_bytes(4, "little"))
+        digest.update(encoded)
+    return {
+        "counters": _analytic_counters(run),
+        "output_sha256": digest.hexdigest(),
     }
-    reference = runs["reference"]
-    ref_counters = _analytic_counters(reference)
-    ref_output = reference.result.sorted_output()
-    for name in ("fast", "batch"):
-        tier_counters = _analytic_counters(runs[name])
-        diff = {
-            key: (ref_counters.get(key), tier_counters.get(key))
-            for key in set(ref_counters) | set(tier_counters)
-            if ref_counters.get(key) != tier_counters.get(key)
-        }
-        assert not diff, f"{label} {name}-tier counter drift: {diff}"
-        assert runs[name].result.sorted_output() == ref_output, (
-            f"{label} {name}-tier output drift"
+
+
+def _with_comparator(job: JobConf, opaque: bool) -> JobConf:
+    """``job`` as is, or sorting and grouping by :data:`OPAQUE` (set
+    before the anti-combining transform snapshots the comparators)."""
+    if not opaque:
+        return job
+    return job.clone(comparator=OPAQUE, grouping_comparator=OPAQUE)
+
+
+@lru_cache(maxsize=2)
+def _matrix_legs(opaque: bool = False) -> dict:
+    """``{label: (job, splits)}``: strategy × partitioner, then the
+    in-node legs, all over :func:`_splits`."""
+    legs = {}
+    for part_name, partitioner in partitioner_lineup().items():
+        variants = strategy_variants(
+            _with_comparator(
+                query_suggestion_job(
+                    num_reducers=NUM_REDUCERS,
+                    partitioner=partitioner,
+                    sort_buffer_bytes=SORT_BUFFER_BYTES,
+                ),
+                opaque,
+            )
         )
-    return ref_counters
+        for strategy in STRATEGIES:
+            legs[f"{part_name}/{strategy}"] = (variants[strategy], _splits())
+    for part_name, partitioner in partitioner_lineup().items():
+        innode = _with_comparator(
+            query_suggestion_job(
+                num_reducers=NUM_REDUCERS,
+                partitioner=partitioner,
+                with_combiner=True,
+                sort_buffer_bytes=SORT_BUFFER_BYTES,
+                innode_combining=True,
+                innode_fanin=2,
+            ),
+            opaque,
+        )
+        legs[f"{part_name}/innode"] = (innode, _splits())
+    return legs
+
+
+def _load_golden(name: str) -> dict:
+    return json.loads((Path(__file__).parent / name).read_text())
+
+
+#: ``{label: _leg_record(job, splits)}`` for :func:`_matrix_legs`, as
+#: the last three-tier commit computed it on every tier.
+_MATRIX_GOLDEN = _load_golden("golden_invariance_counters.json")
+
+
+def _assert_matches_golden_and_opaque(label: str, golden: dict, legs) -> dict:
+    """Run ``legs(opaque)[label]`` both ways; both must equal ``golden``.
+
+    Returns the leg's analytic counters.
+    """
+    for opaque in (False, True):
+        record = _leg_record(*legs(opaque)[label])
+        which = "opaque-comparator" if opaque else "default"
+        diff = {
+            key: (golden["counters"].get(key), record["counters"].get(key))
+            for key in set(golden["counters"]) | set(record["counters"])
+            if golden["counters"].get(key) != record["counters"].get(key)
+        }
+        assert not diff, f"{label} {which} counter drift: {diff}"
+        assert record["output_sha256"] == golden["output_sha256"], (
+            f"{label} {which} output drift"
+        )
+    return record["counters"]
+
+
+def test_matrix_golden_covers_every_leg() -> None:
+    assert list(_MATRIX_GOLDEN) == list(_matrix_legs())
 
 
 @pytest.mark.parametrize("part_name", list(partitioner_lineup()))
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_counters_identical_across_tiers(part_name, strategy) -> None:
-    partitioner = partitioner_lineup()[part_name]
-    job = strategy_variants(
-        query_suggestion_job(
-            num_reducers=NUM_REDUCERS,
-            partitioner=partitioner,
-            sort_buffer_bytes=SORT_BUFFER_BYTES,
-        )
-    )[strategy]
-
-    ref_counters = _assert_tiers_identical(job, f"{part_name}/{strategy}")
+    label = f"{part_name}/{strategy}"
+    counters = _assert_matches_golden_and_opaque(
+        label, _MATRIX_GOLDEN[label], _matrix_legs
+    )
 
     # The workload must actually exercise the spill/merge paths for the
     # invariance to mean anything.
     assert any(
-        "spill" in name and value for name, value in ref_counters.items()
+        "spill" in name and value for name, value in counters.items()
     ), "test inputs no longer force spills — shrink sort_buffer_bytes"
 
 
@@ -137,29 +199,19 @@ def test_counters_identical_across_tiers(part_name, strategy) -> None:
 def test_innode_combining_counters_identical_across_tiers(
     part_name,
 ) -> None:
-    """The in-node combining leg: its stage charges are analytic and
-    flag-independent, so the tier invariance must hold with the stage
-    enabled too — and its output must match the non-in-node job's.
+    """The in-node combining leg: its stage charges are analytic, so
+    the invariance must hold with the stage enabled too — and its
+    output must match the non-in-node job's.
     """
-    partitioner = partitioner_lineup()[part_name]
-    job = query_suggestion_job(
-        num_reducers=NUM_REDUCERS,
-        partitioner=partitioner,
-        with_combiner=True,
-        sort_buffer_bytes=SORT_BUFFER_BYTES,
-        innode_combining=True,
-        innode_fanin=2,
+    label = f"{part_name}/innode"
+    _assert_matches_golden_and_opaque(
+        label, _MATRIX_GOLDEN[label], _matrix_legs
     )
-    _assert_tiers_identical(job, f"{part_name}/innode")
 
-    plain = query_suggestion_job(
-        num_reducers=NUM_REDUCERS,
-        partitioner=partitioner,
-        with_combiner=True,
-        sort_buffer_bytes=SORT_BUFFER_BYTES,
-    )
-    innode_run = _measure(job, True, True)
-    plain_run = _measure(plain, True, True)
+    job, _ = _matrix_legs()[label]
+    plain = job.clone(innode_combining=False)
+    innode_run = _measure(job)
+    plain_run = _measure(plain)
     assert (
         innode_run.result.sorted_output()
         == plain_run.result.sorted_output()
@@ -225,7 +277,7 @@ def test_degenerate_call_lanes_counters_identical(strategy) -> None:
     single-emission Map calls (plus lifecycle emissions), whose reduce
     groups are all PLAIN under EagerSH and outgrow a 1 KiB ``Shared``.
     The shortcuts those shapes take must count exactly what the
-    general path counted, on every tier, and reproduce Original.
+    general path counted, and reproduce Original.
     """
     splits = split_records(
         generate_random_text(400, vocabulary_size=12, seed=7),
@@ -240,23 +292,24 @@ def test_degenerate_call_lanes_counters_identical(strategy) -> None:
         ),
         shared_memory_bytes=1024,
     )
-    counters = _assert_tiers_identical(
-        variants[strategy], f"lanes/{strategy}", splits
-    )
+    anti = _measure(variants[strategy], splits)
+    counters = _analytic_counters(anti)
     golden = {name: counters.get(name, 0) for name in _LANE_GOLDEN[strategy]}
     assert golden == _LANE_GOLDEN[strategy]
-    original = _measure(variants["Original"], True, True, splits)
-    anti = _measure(variants[strategy], True, True, splits)
+    original = _measure(variants["Original"], splits)
     assert anti.result.sorted_output() == original.result.sorted_output()
 
 
-@lru_cache(maxsize=1)
-def _sizing_legs() -> dict:
+@lru_cache(maxsize=2)
+def _sizing_legs(opaque: bool = False) -> dict:
     """``{label: (job, splits)}`` — jobs whose keys and values are ints
     and nested int tuples, so every anti-layer size (AdaptiveSH's
     eager-vs-lazy comparison, ``Shared``'s spill trigger) comes from
     the int and container paths of ``approx_size`` that the
-    Query-Suggestion matrix (``str`` everywhere) never reaches.
+    Query-Suggestion matrix (``str`` everywhere) never reaches.  The
+    matrix never spills ``Shared`` either: the 2 KiB theta-join legs
+    are what take the opaque differential through ``Shared._spill``
+    and ``Shared._merge_runs``.
     """
     from repro.datagen.cloud import generate_cloud_reports
     from repro.datagen.webgraph import generate_web_graph
@@ -267,7 +320,9 @@ def _sizing_legs() -> dict:
     theta_splits = split_records(
         generate_cloud_reports(240, seed=7), num_splits=NUM_SPLITS
     )
-    theta = band_join_job(grid_rows=12, grid_cols=12, num_reducers=8)
+    theta = _with_comparator(
+        band_join_job(grid_rows=12, grid_cols=12, num_reducers=8), opaque
+    )
     # 2 KiB of Shared: every reduce task spills several times.
     for memory_label, anti_kwargs in (
         ("default", {}),
@@ -280,8 +335,9 @@ def _sizing_legs() -> dict:
                 theta_splits,
             )
     graph = generate_web_graph(150, avg_out_degree=8.0, seed=7)
-    pagerank = pagerank_job(
-        num_nodes=150, num_reducers=4, with_combiner=False
+    pagerank = _with_comparator(
+        pagerank_job(num_nodes=150, num_reducers=4, with_combiner=False),
+        opaque,
     )
     for strategy, job in strategy_variants(pagerank).items():
         if strategy != "Original":
@@ -292,24 +348,10 @@ def _sizing_legs() -> dict:
     return legs
 
 
-def _sizing_leg_record(label: str) -> dict:
-    """One leg's analytic counters (equal on every tier) and the digest
-    of its canonical output — the shape of the golden file's entries."""
-    job, splits = _sizing_legs()[label]
-    counters = _assert_tiers_identical(job, label, splits)
-    digest = hashlib.sha256()
-    for encoded in _measure(job, True, True, splits).result.canonical_output():
-        digest.update(len(encoded).to_bytes(4, "little"))
-        digest.update(encoded)
-    return {"counters": counters, "output_sha256": digest.hexdigest()}
-
-
-#: ``{label: _sizing_leg_record(label)}`` as the parent of the
+#: ``{label: _leg_record(job, splits)}`` as the parent of the
 #: size-arithmetic commit (4361164) computed it, trial encodings and
 #: recursive sizer and all.
-_SIZING_GOLDEN = json.loads(
-    (Path(__file__).parent / "golden_sizing_counters.json").read_text()
-)
+_SIZING_GOLDEN = _load_golden("golden_sizing_counters.json")
 
 
 @pytest.mark.parametrize("label", list(_SIZING_GOLDEN))
@@ -318,11 +360,9 @@ def test_sizing_decisions_counters_identical(label) -> None:
     arithmetic and sizing with the one-pass kernel must leave every
     encoding decision, every ``Shared`` spill and every byte where the
     trial encodings put them."""
-    record = _sizing_leg_record(label)
-    golden = _SIZING_GOLDEN[label]
-    assert record["counters"] == golden["counters"]
-    assert record["output_sha256"] == golden["output_sha256"]
-    counters = record["counters"]
+    counters = _assert_matches_golden_and_opaque(
+        label, _SIZING_GOLDEN[label], _sizing_legs
+    )
     if label.startswith("theta/spilling"):
         assert counters["anti.shared.spills"] > 8
     if label.endswith("AdaptiveSH"):
@@ -410,13 +450,13 @@ def test_flight_recorder_preserves_counters(tmp_path) -> None:
         )
     )["EagerSH"]
 
-    plain = _measure(job, True)
+    plain = _measure(job)
     recorder = FlightRecorder(
         RunStore(tmp_path), kind="experiment", name="invariance"
     )
     set_flight_recorder(recorder)
     try:
-        recorded = _measure(job, True)
+        recorded = _measure(job)
     finally:
         clear_flight_recorder()
     recorder.finalize()

@@ -2,35 +2,87 @@
 
 from __future__ import annotations
 
-from repro.mr.comparators import comparator_from_key, default_comparator
-from repro.mr.merge import group_by_key, merge_sorted
+import heapq
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.mr.comparators import (
+    Comparator,
+    _natural_cmp,
+    comparator_from_key,
+    default_comparator,
+    raw_bytes_comparator,
+)
+from repro.mr.merge import group_by_key, merge_runs
+
+#: Orders like ``default_comparator`` but is opaque to the code
+#: (``is_natural`` is false): every specialisation falls back to the
+#: generic ``key_fn()`` / ``cmp`` branch.
+opaque_comparator = Comparator(_natural_cmp, name="opaque")
+
+_COMPARATORS = {
+    c.name: c
+    for c in (default_comparator, raw_bytes_comparator, opaque_comparator)
+}
 
 
 class TestMergeSorted:
     def test_merges_in_order(self) -> None:
-        a = iter([("a", 1), ("c", 3)])
-        b = iter([("b", 2), ("d", 4)])
-        merged = list(merge_sorted([a, b], default_comparator))
+        a = [("a", 1), ("c", 3)]
+        b = [("b", 2), ("d", 4)]
+        merged = merge_runs([a, b], default_comparator)
         assert merged == [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
 
     def test_stability_for_equal_keys(self) -> None:
-        a = iter([("k", "first")])
-        b = iter([("k", "second")])
-        merged = list(merge_sorted([a, b], default_comparator))
-        assert merged == [("k", "first"), ("k", "second")]
+        a = [("k", "first"), ("k", "second")]
+        b = [("j", "zeroth"), ("k", "third")]
+        for comparator in _COMPARATORS.values():
+            merged = merge_runs([a, b], comparator)
+            assert merged == [("j", "zeroth"), *a, ("k", "third")]
 
     def test_empty_streams(self) -> None:
-        assert list(merge_sorted([], default_comparator)) == []
-        assert list(merge_sorted([iter([])], default_comparator)) == []
+        assert merge_runs([], default_comparator) == []
+        assert merge_runs([[]], default_comparator) == []
+        assert merge_runs([[], [("a", 1)], []], default_comparator) == [
+            ("a", 1)
+        ]
 
     def test_single_stream(self) -> None:
         records = [("a", 1), ("b", 2)]
-        assert list(merge_sorted([iter(records)], default_comparator)) == records
+        assert merge_runs([records], default_comparator) == records
 
     def test_many_streams(self) -> None:
-        streams = [iter([(i, None), (i + 100, None)]) for i in range(10)]
-        merged = [key for key, _ in merge_sorted(streams, default_comparator)]
+        runs = [[(i, None), (i + 100, None)] for i in range(10)]
+        merged = [key for key, _ in merge_runs(runs, default_comparator)]
         assert merged == sorted(merged)
+
+    @pytest.mark.parametrize("name", list(_COMPARATORS))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.text(alphabet="abc", max_size=2), max_size=6),
+            max_size=5,
+        )
+    )
+    def test_equals_heap_merge(self, name, key_runs) -> None:
+        """``merge_runs`` is the k-way heap merge, record for record:
+        values tag (run, position), so any tie broken differently
+        shows."""
+        comparator = _COMPARATORS[name]
+        key_fn = comparator.key_fn()
+        runs = [
+            [
+                (key, (index, position))
+                for position, key in enumerate(sorted(keys, key=key_fn))
+            ]
+            for index, keys in enumerate(key_runs)
+        ]
+        expected = list(
+            heapq.merge(*runs, key=lambda record: key_fn(record[0]))
+        )
+        assert merge_runs([list(run) for run in runs], comparator) == expected
 
 
 class TestGroupByKey:

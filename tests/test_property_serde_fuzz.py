@@ -49,16 +49,15 @@ class TestDecoderFuzz:
         assert serde.encode(decoded) == truncated
 
 
-# -- fast-path parity against the reference implementation ----------------
+# -- parity against the reference implementation --------------------------
 #
-# The data-plane fast paths (PR "zero-copy serde") rewrote the encoder
-# and decoder; `repro.mr.serde_ref` keeps the pre-rewrite implementation
-# verbatim.  These tests pin the rewrite to the reference byte-for-byte,
-# including the framed-record composition used by spill files and
-# segments (`append_record` / `decode_stream`).
+# `tests/serde_ref.py` keeps the original, obviously-correct encoder
+# and decoder verbatim.  These tests pin `repro.mr.serde` to it
+# byte-for-byte, including the framed-record composition used by spill
+# files and segments (`append_record` / `decode_stream`).
 
 from repro.core.encoding import EagerValue, LazyValue, PlainValue  # noqa: E402
-from repro.mr import serde_ref  # noqa: E402
+from tests import serde_ref  # noqa: E402
 
 _scalars = (
     st.none()
@@ -320,14 +319,12 @@ class TestApproxSizeKernelParity:
             serde.approx_size([1, "a", object()])
 
 
-# -- batched-dataflow parity (REPRO_BATCH, DESIGN.md §11) ------------------
+# -- run-oriented encoder parity (DESIGN.md §11) ---------------------------
 #
 # The run-oriented encoders must be byte-identical to the scalar entry
 # points — and therefore to `serde_ref` — for every batch shape: empty,
 # homogeneous, and heterogeneous tails that degenerate to runs of
 # length one.
-
-from repro.mr.batch import RecordBatch, kv_type_runs  # noqa: E402
 
 _records = st.lists(st.tuples(_objects, _objects), max_size=12)
 
@@ -373,9 +370,6 @@ class TestBatchEncoderParity:
         assert serde.encode_kv_batch(out, []) == []
         assert serde.append_records(out, []) == []
         assert bytes(out) == b"prefix"
-        batch = RecordBatch([])
-        assert len(batch) == 0
-        assert batch.run_headers() == []
 
     def test_heterogeneous_tail_degenerates_to_scalar_runs(self) -> None:
         """A type change mid-batch splits the run; singleton runs take
@@ -388,13 +382,6 @@ class TestBatchEncoderParity:
             (3, 4),
             (5, 6),  # int/int run of 2
         ]
-        headers = list(kv_type_runs(records))
-        assert [(len(h), h.key_type, h.value_type) for h in headers] == [
-            (2, str, str),
-            (1, str, int),
-            (1, int, str),
-            (2, int, int),
-        ]
         out = bytearray()
         sizes = serde.encode_kv_batch(out, records)
         ref = bytearray()
@@ -404,43 +391,14 @@ class TestBatchEncoderParity:
         assert bytes(out) == bytes(ref)
         assert sizes == ref_sizes
 
-    @settings(max_examples=200, deadline=None)
-    @given(_records)
-    def test_run_headers_cover_batch_exactly(self, records) -> None:
-        headers = RecordBatch(list(records)).run_headers()
-        assert sum(len(h) for h in headers) == len(records)
-        position = 0
-        for header in headers:
-            assert header.start == position
-            assert header.end > header.start
-            for index in range(header.start, header.end):
-                key, value = records[index]
-                assert type(key) is header.key_type
-                assert type(value) is header.value_type
-            position = header.end
-        # Maximality: adjacent runs differ in at least one type.
-        for left, right in zip(headers, headers[1:]):
-            assert (
-                left.key_type is not right.key_type
-                or left.value_type is not right.value_type
-            )
-
-    @settings(max_examples=100, deadline=None)
-    @given(_records)
-    def test_record_batch_round_trip(self, records) -> None:
-        out = bytearray()
-        serde.append_records(out, records)
-        assert RecordBatch.from_segment_bytes(bytes(out)).pairs == list(
-            records
-        )
-
 
 class TestBufferBatchParity:
-    """collect() vs collect_batch() across spill-flush boundaries."""
+    """How the record sequence is cut into ``collect_batch`` calls
+    never shows: segments, analytic counters and spills depend on the
+    sequence alone."""
 
     @staticmethod
-    def _run_collect(records, batched: bool, sort_buffer_bytes: int):
-        from repro.mr import fastpath
+    def _run_collect(batches, sort_buffer_bytes: int):
         from repro.mr.api import Context, Mapper, Partitioner, Reducer
         from repro.mr.buffer import MapOutputBuffer
         from repro.mr.config import JobConf
@@ -471,24 +429,16 @@ class TestBufferBatchParity:
             store=store,
         )
         buffer = MapOutputBuffer(job, store, context, "map0")
-        with fastpath.forced(True), fastpath.batch_forced(batched):
-            if batched:
-                # Split into two batches so runs span the flush point.
-                middle = len(records) // 2
-                buffer.collect_batch(list(records[:middle]))
-                buffer.collect_batch(list(records[middle:]))
-            else:
-                for key, value in records:
-                    buffer.collect(key, value)
-            segments = buffer.finalize()
+        for batch in batches:
+            buffer.collect_batch(batch)
+        segments = buffer.finalize()
         payload = {
             partition: segment.read_bytes()
             for partition, segment in sorted(segments.items())
         }
-        # Measured-CPU counters are wall-clock measurements the batched
-        # tier is allowed to shrink (e.g. memoised partition calls);
-        # everything else — bytes, records, spills, framework charges —
-        # must be bit-identical (DESIGN.md §8).
+        # ``cpu.partition.seconds`` is metered once per batch, so it
+        # follows the cut; everything else — bytes, records, spills,
+        # framework charges — must be bit-identical (DESIGN.md §8).
         measured = (
             "cpu.map.seconds",
             "cpu.reduce.seconds",
@@ -503,7 +453,7 @@ class TestBufferBatchParity:
         }
         return payload, analytic, buffer.spill_count
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
             st.tuples(st.text(max_size=12), st.text(max_size=12)),
@@ -511,12 +461,24 @@ class TestBufferBatchParity:
             max_size=60,
         ),
         st.sampled_from([1024, 4096, 64 * 1024]),
+        st.data(),
     )
     def test_batched_collect_byte_identical(
-        self, records, sort_buffer_bytes
+        self, records, sort_buffer_bytes, data
     ) -> None:
-        """Same segment bytes, same counters, same spill count — even
-        when the tiny sort buffer forces spills mid-batch."""
-        scalar = self._run_collect(records, False, sort_buffer_bytes)
-        batched = self._run_collect(records, True, sort_buffer_bytes)
-        assert scalar == batched
+        """Same segment bytes, same counters, same spill count under
+        any split into batches — all-singletons and empty batches
+        included — even when the tiny sort buffer forces spills
+        mid-batch."""
+        cuts = data.draw(
+            st.lists(st.integers(0, len(records)), max_size=8).map(sorted),
+            label="cuts",
+        )
+        bounds = [0, *cuts, len(records)]
+        drawn = [
+            records[start:end] for start, end in zip(bounds, bounds[1:])
+        ]
+        whole = self._run_collect([records], sort_buffer_bytes)
+        assert self._run_collect(drawn, sort_buffer_bytes) == whole
+        singletons = [[record] for record in records]
+        assert self._run_collect(singletons, sort_buffer_bytes) == whole
