@@ -2,12 +2,12 @@
 
 ``repro bench`` runs the microbenchmark suites defined in
 :mod:`repro.bench.suites` — run-oriented serde encode, executor
-out-of-band transport, in-node combining, anti-layer sizing, and
-shared-memory shuffle-plane transport and scaling — and compares
-against the committed ``BENCH_hotpaths.json`` baseline at the
-repository root.  ``--check`` fails both on wall-time regressions vs
-the committed file and on any ``scaling.workers*`` speedup below 1.0
-(:func:`~repro.bench.harness.scaling_regressions`).  See
+out-of-band transport, anti-layer sizing, and shared-memory
+shuffle-plane transport and scaling — and compares against the
+committed ``BENCH_hotpaths.json`` baseline at the repository root.
+``--check`` fails both on wall-time regressions vs the committed file
+and on a ``scaling.curve.workersN`` speedup below 1.0 where the host
+has N cores (:func:`~repro.bench.harness.scaling_regressions`).  See
 ``benchmarks/perf/`` for the standalone runner that (re)generates the
 committed file.
 """

@@ -185,13 +185,10 @@ def compare_to_committed(
 def scaling_regressions(results: list[BenchResult]) -> list[str]:
     """Names of scaling benchmarks whose speedup fell below 1.0.
 
-    ``scaling.workersN`` toggles the shared-memory shuffle plane off
-    vs on at a fixed pool width, so both legs pay the same pool spawn
-    and the toggle is pure overhead removal — a speedup below 1.0 is a
-    regression on *any* host.  ``scaling.curve.workersN`` is the true
-    multicore curve (1 vs N workers) and is only gated when the host
-    actually has N cores; smaller machines record it for information
-    but cannot physically show a positive curve.
+    ``scaling.curve.workersN`` is the multicore curve (1 vs N workers)
+    and is only gated when the host actually has N cores; smaller
+    machines record it for information but cannot physically show a
+    positive curve.
     """
     failures: list[str] = []
     cpus = os.cpu_count() or 1
@@ -203,9 +200,6 @@ def scaling_regressions(results: list[BenchResult]) -> list[str]:
             except ValueError:
                 continue
             if cpus >= width and result.speedup < 1.0:
-                failures.append(name)
-        elif name.startswith("scaling.workers"):
-            if result.speedup < 1.0:
                 failures.append(name)
     return failures
 

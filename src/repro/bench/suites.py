@@ -13,19 +13,13 @@ over identical seeded inputs, and both legs are code that ships.
   one dispatch per homogeneous run
   (:func:`repro.mr.serde.encode_kv_batch`) vs one per record
   (:func:`repro.mr.serde.encode_kv_into`).
-* ``shuffle.innode`` — node-level in-node combining on vs off for a
-  combiner-enabled Query-Suggestion job.
 * ``shm.transport`` — a map task's segment payloads reaching a
   consumer: bytes shipped in the pickle stream vs published into one
   shared-memory block with only ``(block, offset, length)``
   descriptors pickled (:mod:`repro.mr.shm`).
-* ``scaling.workers{2,4}`` — the process executor at fixed width N
-  with the shared-memory shuffle plane (block transport + fused
-  dispatch) off (baseline) vs on; this speedup must stay > 1.0 on any
-  host and is gated by ``repro bench --check``.
-* ``scaling.curve.workers{2,4}`` — the honest multicore curve: the
-  same job (plane on) on 1 vs N workers, pool spawn included; gated
-  only on hosts with ``os.cpu_count() >= N``.
+* ``scaling.curve.workers{2,4}`` — the multicore curve: the same job
+  on 1 vs N pool workers, pool spawn included; gated by ``repro bench
+  --check`` on hosts with ``os.cpu_count() >= N``.
 * ``anti.sizing.*`` — what deciding costs the anti layers:
   ``anti.sizing.theta`` / ``anti.sizing.qs`` size captured theta-join
   and Query-Suggestion Map output values exactly (``serde.sizeof``, a
@@ -179,111 +173,32 @@ def _qs_inputs(queries: int, seed: int = 42, num_splits: int = 4):
     return split_records(records, num_splits=num_splits)
 
 
-def _innode_suite(quick: bool) -> list[BenchResult]:
-    """Node-level in-node combining vs the plain combiner shuffle."""
-    from repro.mr.engine import LocalJobRunner
-    from repro.workloads.query_suggestion import (
-        PrefixPartitioner,
-        query_suggestion_job,
-    )
-
-    queries = 400 if quick else 1_500
-    repeats = 3 if quick else 5
-    splits = _qs_inputs(queries)
-
-    def leg(innode: bool) -> Callable[[], int]:
-        def run() -> int:
-            job = query_suggestion_job(
-                num_reducers=4,
-                partitioner=PrefixPartitioner(5),
-                with_combiner=True,
-                innode_combining=innode,
-                innode_fanin=2,
-            )
-            return len(LocalJobRunner().run(job, splits).output)
-
-        return run
-
-    assert leg(False)() == leg(True)()
-    return [
-        bench_pair(
-            "shuffle.innode", leg(False), leg(True), repeats=repeats
-        )
-    ]
-
-
 def _scaling_suite(quick: bool) -> list[BenchResult]:
-    """Fixed-width shuffle-plane scaling plus the raw multicore curve.
+    """The multicore curve of the process executor.
 
-    ``scaling.workersN`` pins the pool width at ``N`` and toggles the
-    shared-memory shuffle plane (block transport + fused dispatch,
-    the ``REPRO_SHM`` bundle) off vs on over a wave of many small
-    tasks — the regime the plane exists for, where fixed per-task
-    dispatch overhead dominates the work.  Both legs pay the same pool
-    spawn, so the toggle is pure overhead removal and the speedup must
-    be > 1.0 on any host — enforced by
-    :func:`repro.bench.harness.scaling_regressions`.
-
-    ``scaling.curve.workersN`` is the honest multicore curve — the
-    same job (plane on) on 1 vs ``N`` workers, pool spawn included.
-    It is recorded on every host but gated only where
-    ``os.cpu_count() >= N``: a single-core container cannot show a
-    positive curve for a CPU-bound wave, however good the transport.
+    ``scaling.curve.workersN`` runs the same job on 1 vs ``N`` pool
+    workers, pool spawn included.  It is recorded on every host but
+    gated only where ``os.cpu_count() >= N`` (see
+    :func:`repro.bench.harness.scaling_regressions`): a single-core
+    container cannot show a positive curve for a CPU-bound wave,
+    however good the transport.
     """
-    from repro.mr import shm
     from repro.mr.engine import LocalJobRunner
     from repro.workloads.query_suggestion import query_suggestion_job
 
     results: list[BenchResult] = []
-
-    # -- scaling.workersN: plane off vs on at fixed width ---------------
-    # Same shape and repeats in quick and full mode: the smaller quick
-    # variants sit too close to the noise floor at width 4 for a strict
-    # > 1.0 gate, and the jobs are small enough that 5 medianed repeats
-    # stay cheap.
-    queries = 100
-    num_splits = 96
-    repeats = 5
-    splits = _qs_inputs(queries, num_splits=num_splits)
-
-    def plane_leg(workers: int, plane: bool) -> Callable[[], int]:
-        def run() -> int:
-            with shm.forced(plane):
-                job = query_suggestion_job(
-                    num_reducers=8,
-                    executor="process",
-                    max_workers=workers,
-                )
-                return len(LocalJobRunner().run(job, splits).output)
-
-        return run
-
-    for workers in (2, 4):
-        assert plane_leg(workers, False)() == plane_leg(workers, True)()
-        results.append(
-            bench_pair(
-                f"scaling.workers{workers}",
-                plane_leg(workers, False),
-                plane_leg(workers, True),
-                repeats=repeats,
-                records=queries,
-            )
-        )
-
-    # -- scaling.curve.workersN: 1 vs N workers, plane on ---------------
     curve_queries = 400 if quick else 1_200
     curve_repeats = 1 if quick else 3
     curve_splits = _qs_inputs(curve_queries, num_splits=8)
 
     def curve_leg(workers: int) -> Callable[[], int]:
         def run() -> int:
-            with shm.forced(True):
-                job = query_suggestion_job(
-                    num_reducers=4,
-                    executor="process",
-                    max_workers=workers,
-                )
-                return len(LocalJobRunner().run(job, curve_splits).output)
+            job = query_suggestion_job(
+                num_reducers=4,
+                executor="process",
+                max_workers=workers,
+            )
+            return len(LocalJobRunner().run(job, curve_splits).output)
 
         return run
 
@@ -458,7 +373,6 @@ def _anti_sizing_suite(quick: bool) -> list[BenchResult]:
 _SUITES: dict[str, Callable[[bool], list[BenchResult]]] = {
     "serde": _serde_suite,
     "executor": _executor_suite,
-    "innode": _innode_suite,
     "shm": _shm_suite,
     "anti": _anti_sizing_suite,
     "scaling": _scaling_suite,
@@ -473,7 +387,7 @@ def run_suites(
     """Run the benchmark suites; returns results in a stable order.
 
     ``only`` restricts to a subset of suite names (``serde``,
-    ``executor``, ``innode``, ``shm``, ``anti``, ``scaling``).
+    ``executor``, ``shm``, ``anti``, ``scaling``).
     """
     selected = set(only) if only is not None else set(_SUITES)
     unknown = selected - set(_SUITES)

@@ -36,12 +36,12 @@ Commands:
 * ``python -m repro summary`` — aggregate the benchmark reports under
   ``benchmarks/results/`` into one document.
 * ``python -m repro bench [--quick] [--check]`` — run the hot-path
-  microbenchmarks (serde, executor transport, in-node combining,
-  shared-memory shuffle plane, anti-layer sizing, multicore scaling)
-  and print a comparison table against the committed
-  ``BENCH_hotpaths.json``; ``--check`` exits non-zero on a >2x
-  regression vs the committed fast-path timings or any
-  ``scaling.workers*`` speedup below 1.0.
+  microbenchmarks (serde, executor transport, shared-memory shuffle
+  plane, anti-layer sizing, multicore scaling) and print a comparison
+  table against the committed ``BENCH_hotpaths.json``; ``--check``
+  exits non-zero on a >2x regression vs the committed fast-path
+  timings or a ``scaling.curve.workersN`` speedup below 1.0 on a host
+  with at least N cores.
 
 Parameter overrides accept both ``--param value`` and ``--param=value``;
 an unknown parameter fails with the experiment's tunable list.
@@ -646,16 +646,16 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         action="store_true",
         help="exit non-zero if any benchmark regresses >2x vs the "
-        "committed BENCH_hotpaths.json or any scaling.workers* "
-        "speedup is below 1.0",
+        "committed BENCH_hotpaths.json or a scaling.curve.workersN "
+        "speedup is below 1.0 on a host with >= N cores",
     )
     bench_parser.add_argument(
         "--suite",
         action="append",
         dest="suites",
         metavar="NAME",
-        help="restrict to a suite (serde, executor, innode, shm, "
-        "anti, scaling); repeatable",
+        help="restrict to a suite (serde, executor, shm, anti, "
+        "scaling); repeatable",
     )
     bench_parser.add_argument(
         "--json",

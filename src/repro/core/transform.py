@@ -73,16 +73,10 @@ def enable_anti_combining(
     if job.combiner is not None and use_map_combiner:
         combiner = partial(AntiCombiner, runtime)
 
-    # In-node combining is force-disabled on transformed jobs: the
-    # Anti-Combiner is stateful and partition-aware (not monoidal), and
-    # the anti encoding already performs the cross-record sharing that
-    # in-node combining would buy — re-combining across tasks would
-    # corrupt the encoded components.
     return job.clone(
         mapper=partial(AntiMapper, runtime),
         reducer=partial(AntiReducer, runtime),
         combiner=combiner,
-        innode_combining=False,
         anti=config,
         name=f"{job.name}+anti[{strategy.value}]",
     )

@@ -209,24 +209,7 @@ class Reducer:
 
 
 class Combiner(Reducer):
-    """A Combiner is a Reducer run on map output (paper Section 6.1).
-
-    ``monoidal`` declares that the combiner folds a commutative monoid:
-    per key it emits exactly one record, and re-combining already
-    combined output yields the same result as combining the raw records
-    in one pass (associativity with an identity).  Hadoop's combiner
-    contract permits zero or more applications at arbitrary points, but
-    *node-level in-node combining* (DESIGN.md §11) merges the outputs
-    of several co-located map tasks and combines them **again** before
-    the shuffle — legal only when re-combination is lossless, which is
-    exactly the monoid property.  It defaults to ``False``: a combiner
-    must opt in explicitly (the Anti-Combiner, for instance, is
-    stateful and partition-aware and must never be re-applied across
-    tasks).
-    """
-
-    #: Opt-in flag for node-level in-node combining.
-    monoidal = False
+    """A Combiner is a Reducer run on map output (paper Section 6.1)."""
 
 
 class Partitioner:

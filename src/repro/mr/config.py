@@ -107,17 +107,6 @@ class JobConf:
     #: this multiple of the median successful duration in its wave.
     speculative_slack: float = 2.0
 
-    #: Node-level in-node combining (DESIGN.md §11): before the
-    #: shuffle, merge the map-output segments of co-located map tasks
-    #: (``innode_fanin`` consecutive tasks model one node) and run the
-    #: combiner once more over each merged partition.  Requires a
-    #: combiner whose class declares ``monoidal = True`` — the engine
-    #: refuses the configuration otherwise, because re-combining
-    #: already-combined output is only lossless for monoidal folds.
-    innode_combining: bool = False
-    #: Map tasks per simulated node for in-node combining.
-    innode_fanin: int = 2
-
     #: CPU meter wrapping user-function calls.
     cost_meter: CostMeter = field(default_factory=PerfCounterMeter)
     #: Analytic charges for framework work (sort/serialise/stream).
@@ -163,12 +152,6 @@ class JobConf:
             )
         if self.retry_backoff_seconds < 0:
             raise JobConfError("retry_backoff_seconds must be >= 0")
-        if self.innode_fanin < 1:
-            raise JobConfError("innode_fanin must be >= 1")
-        if self.innode_combining and self.combiner is None:
-            raise JobConfError(
-                "innode_combining requires a combiner (monoidal = True)"
-            )
         if not 0 < self.speculative_quantile <= 1:
             raise JobConfError("speculative_quantile must be in (0, 1]")
         if self.speculative_slack < 1:

@@ -26,11 +26,7 @@ from repro.mr.executor import (
     default_executor_spec,
 )
 from repro.mr.runtime_model import ClusterModel, RuntimeEstimate, TaskCost
-from repro.mr.scheduler import (
-    FaultPolicy,
-    JobScheduler,
-    require_monoidal_combiner,
-)
+from repro.mr.scheduler import FaultPolicy, JobScheduler
 from repro.obs.flightrecorder import current_flight_recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
@@ -221,11 +217,6 @@ class LocalJobRunner:
         splits: Sequence[Iterable[Record]],
     ) -> JobResult:
         """Run ``job`` over ``splits`` (one map task per split)."""
-        # In-node combining legality is checked before any work is
-        # scheduled: an illegal configuration fails here, not after an
-        # entire map wave has already run.
-        if job.innode_combining:
-            require_monoidal_combiner(job)
         executor, owned = self._resolve_executor(job)
         # Tracer resolution: an explicit tracer wins; otherwise a
         # process-wide trace collector (the CLI's ``--trace``) or an

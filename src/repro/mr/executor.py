@@ -26,6 +26,8 @@ import os
 import pickle
 from typing import Any, Callable
 
+from repro.mr import shm
+
 #: Executor names accepted by :func:`create_executor` / ``JobConf.executor``.
 SERIAL = "serial"
 PROCESS = "process"
@@ -141,6 +143,10 @@ class TaskFuture:
         """
         return False
 
+    def add_done_callback(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` once the attempt has landed (now, if it has)."""
+        raise NotImplementedError
+
 
 class CompletedFuture(TaskFuture):
     """An already-resolved future (the serial executor's currency)."""
@@ -148,6 +154,9 @@ class CompletedFuture(TaskFuture):
     def __init__(self, value: Any = None, error: BaseException | None = None):
         self._value = value
         self._error = error
+
+    def add_done_callback(self, fn: Callable[[], None]) -> None:
+        fn()
 
     def result(self) -> Any:
         if self._error is not None:
@@ -188,6 +197,14 @@ class Executor:
             except WorkerCrashError as exc:
                 futures.append(CompletedFuture(error=exc))
         return futures
+
+    def open_arena(self) -> "shm.SegmentArena | None":
+        """The shared-memory arena one job's map output travels
+        through, or ``None`` when segment bytes ride inline in the task
+        results.  The caller closes the arena when its job ends.
+        Executors that run attempts in this process pass results by
+        reference: there is nothing to ship."""
+        return None
 
     def rebuild(self) -> bool:
         """Recover from an infrastructure failure; True if anything was
@@ -251,6 +268,9 @@ class _PoolFuture(TaskFuture):
 
     def cancel(self) -> bool:
         return self._future.cancel()
+
+    def add_done_callback(self, fn: Callable[[], None]) -> None:
+        self._future.add_done_callback(lambda _future: fn())
 
 
 def _invoke_oob(fn: Callable[..., Any], stream: bytes, buffers: list[bytes]) -> Any:
@@ -341,6 +361,9 @@ class _SliceFuture(TaskFuture):
     def done(self) -> bool:
         return self._fused.done()
 
+    def add_done_callback(self, fn: Callable[[], None]) -> None:
+        self._fused._future.add_done_callback(lambda _future: fn())
+
 
 class ParallelExecutor(Executor):
     """Process-pool executor: task attempts run in worker processes.
@@ -360,6 +383,12 @@ class ParallelExecutor(Executor):
         self.max_workers = max_workers
         self._pool = self._make_pool()
         self._abandoned: list[TaskFuture] = []
+        #: Arenas of the jobs in flight, and those that were in flight
+        #: when an attempt was abandoned: the attempt keeps running, and
+        #: whatever it publishes lands under one of their prefixes —
+        #: possibly after the job has closed its arena.
+        self._arenas: list[shm.SegmentArena] = []
+        self._late_arenas: list[shm.SegmentArena] = []
         self._closed = False
 
     def _make_pool(self) -> Any:
@@ -438,6 +467,24 @@ class ParallelExecutor(Executor):
             )
         return futures
 
+    def open_arena(self) -> "shm.SegmentArena | None":
+        """An arena per job wherever POSIX shared memory works; without
+        it the job's segments take the inline pickle-5 path."""
+        if not shm.available():
+            return None
+        self._arenas = [arena for arena in self._arenas if not arena.closed]
+        arena = shm.SegmentArena()
+        self._arenas.append(arena)
+        return arena
+
+    def _sweep_late(self) -> None:
+        """Unlink what abandoned attempts published after their job
+        closed its arena — blocks nobody owns.  (An arena still open
+        sweeps its own prefix when it closes.)"""
+        for arena in self._late_arenas:
+            if arena.closed:
+                shm.sweep(arena.prefix)
+
     def rebuild(self) -> bool:
         """Replace the pool with a fresh one (crash/hang recovery).
 
@@ -458,11 +505,21 @@ class ParallelExecutor(Executor):
                 process.terminate()
         old.shutdown(wait=False, cancel_futures=True)
         self._pool = self._make_pool()
+        # The old workers took their abandoned attempts with them.
+        self._sweep_late()
         self._abandoned = []
+        self._late_arenas = []
         return True
 
     def abandon(self, future: TaskFuture) -> None:
         self._abandoned.append(future)
+        self._late_arenas.extend(
+            arena
+            for arena in self._arenas
+            if not arena.closed and arena not in self._late_arenas
+        )
+        # Runs on the pool's result thread when the attempt lands.
+        future.add_done_callback(self._sweep_late)
 
     def close(self) -> None:
         if self._closed:
@@ -471,14 +528,17 @@ class ParallelExecutor(Executor):
         if any(not future.done() for future in self._abandoned):
             # A hung worker is still holding an abandoned attempt; a
             # graceful shutdown would block on it indefinitely.
-            for process in list(
-                getattr(self._pool, "_processes", {}).values()
-            ):
+            processes = list(getattr(self._pool, "_processes", {}).values())
+            for process in processes:
                 if process.is_alive():
                     process.terminate()
             self._pool.shutdown(wait=False, cancel_futures=True)
+            # Dead before the sweep below: nothing publishes after it.
+            for process in processes:
+                process.join(timeout=1.0)
         else:
             self._pool.shutdown(wait=True)
+        self._sweep_late()
 
 
 def create_executor(name: str, max_workers: int | None = None) -> Executor:

@@ -18,7 +18,6 @@ shuffle plan is a pure function of the map results.
 
 from __future__ import annotations
 
-import math
 import os
 import statistics
 import time
@@ -28,15 +27,10 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.mr import counters as C
 from repro.mr import events as E
 from repro.mr import shm
-from repro.mr.api import Context
-from repro.mr.buffer import CombineRunner
-from repro.mr.compress import get_codec
-from repro.mr.config import JobConf, JobConfError
+from repro.mr.config import JobConf
 from repro.mr.counters import Counters
 from repro.mr.events import EventLog, TaskEvent
-from repro.mr.merge import group_by_key, merge_runs
 from repro.mr.executor import (
-    CompletedFuture,
     Executor,
     SerialExecutor,
     TaskFuture,
@@ -46,13 +40,8 @@ from repro.mr.executor import (
 from repro.mr.maptask import MapTask, MapTaskResult
 from repro.mr.reducetask import ReduceTask, ReduceTaskResult
 from repro.mr.runtime_model import TaskCost
-from repro.mr.segment import SegmentPayload, export_segment, write_segment
-from repro.mr.storage import LocalStore
-from repro.obs.metrics import (
-    ATTEMPT_OUTCOMES,
-    MetricsRegistry,
-    attempt_outcome_counter,
-)
+from repro.mr.segment import SegmentPayload
+from repro.obs.metrics import MetricsRegistry, record_job_metrics
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -63,131 +52,6 @@ from repro.obs.trace import (
 
 Record = tuple[Any, Any]
 
-
-def require_monoidal_combiner(job: JobConf) -> None:
-    """Fail fast unless ``job`` may legally use in-node combining.
-
-    The stage re-combines already-combined output across co-located
-    map tasks, which is lossless only for combiners whose class
-    declares ``monoidal = True`` (see :class:`repro.mr.api.Combiner`).
-    """
-    combiner = job.make_combiner()
-    if combiner is None or not getattr(type(combiner), "monoidal", False):
-        name = type(combiner).__name__ if combiner is not None else "None"
-        raise JobConfError(
-            "innode_combining requires a combiner whose class declares "
-            f"monoidal = True; {name} does not"
-        )
-
-
-def _quantile(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile of an ascending-sorted sequence."""
-    if not ordered:
-        return 0.0
-    rank = math.ceil(q * len(ordered))
-    return ordered[min(len(ordered) - 1, max(rank - 1, 0))]
-
-
-def _innode_combine(
-    job: JobConf,
-    map_results: "Sequence[MapTaskResult]",
-    tracer: Tracer,
-) -> tuple[list[dict[int, SegmentPayload]], Counters]:
-    """Node-level in-node combining stage (DESIGN.md §11).
-
-    Groups the finished map tasks into simulated nodes
-    (``innode_fanin`` consecutive tasks per node), merges each node's
-    per-partition segments and runs the job's combiner once more over
-    the merged stream before anything crosses the shuffle.  Legal only
-    for combiners whose class declares ``monoidal = True`` — the stage
-    re-combines already-combined output, which is lossless exactly for
-    monoidal folds (the Anti-Combiner, being stateful and
-    partition-aware, must never be run here).
-
-    Accounting mirrors a map-side merge pass: the analytic merge cost
-    is charged before the segment scans (the framework counter's
-    float-add order is therefore fixed), each input segment costs one
-    node-local disk read plus metered decompression and the parse's
-    framework cost, the combiner runs through the standard
-    :class:`~repro.mr.buffer.CombineRunner` (``combine.*`` records,
-    metered ``cpu.combine.seconds``), and the combined segment is one
-    node-local disk write.
-
-    Returns the per-node shuffle sources (node order) and the stage's
-    counters, which the caller folds after the map-task counters.
-    """
-    require_monoidal_combiner(job)
-    fanin = job.innode_fanin
-    counters = Counters()
-    model = job.framework_cost_model
-    codec = get_codec(job.map_output_codec)
-    grouping = job.effective_grouping_comparator
-    with tracer.span("shuffle.innode.plan", category="scheduler") as plan:
-        nodes = [
-            list(map_results[index : index + fanin])
-            for index in range(0, len(map_results), fanin)
-        ]
-        plan.set(nodes=len(nodes), fanin=fanin)
-    combined: list[dict[int, SegmentPayload]] = []
-    for node_index, node_results in enumerate(nodes):
-        node_id = f"node{node_index}"
-        store = LocalStore(counters, node=node_id)
-        context = Context(
-            counters=counters,
-            sink=lambda key, value: None,
-            partitioner=job.partitioner,
-            num_partitions=job.num_reducers,
-            task_id=node_id,
-            store=store,
-        )
-        runner = CombineRunner(job, context)
-        node_segments: dict[int, SegmentPayload] = {}
-        partitions = sorted(
-            {
-                partition
-                for result in node_results
-                for partition in result.segments
-            }
-        )
-        for partition in partitions:
-            payloads = [
-                result.segments[partition]
-                for result in node_results
-                if partition in result.segments
-            ]
-            with tracer.span(
-                "shuffle.innode.combine",
-                category="scheduler",
-                node=node_id,
-                partition=partition,
-                runs=len(payloads),
-            ) as span:
-                segments = [
-                    payload.to_segment(store) for payload in payloads
-                ]
-                total_records = sum(seg.record_count for seg in segments)
-                counters.add(
-                    C.CPU_FRAMEWORK_SECONDS,
-                    model.merge_cost(total_records, len(segments)),
-                )
-                # One node-local disk read per input segment.
-                merged = merge_runs(
-                    [seg.read_records(job, counters) for seg in segments],
-                    job.comparator,
-                )
-                out: list[tuple[Any, Any]] = []
-                runner.run(
-                    partition,
-                    group_by_key(iter(merged), grouping),
-                    lambda key, value: out.append((key, value)),
-                )
-                segment = write_segment(
-                    store, f"{node_id}/innode{partition}", partition, out, codec
-                )
-                node_segments[partition] = export_segment(segment, node_id)
-                span.set(records_in=total_records, records_out=len(out))
-        combined.append(node_segments)
-    return combined, counters
 
 #: Seconds between polls of in-flight futures when nothing is ready.
 _POLL_TICK = 0.002
@@ -571,9 +435,10 @@ class JobScheduler:
         drained first (their FINISH/FAIL events and spans are recorded)
         so the event log stays complete for post-mortem analysis.
 
-        ``fused`` amortizes dispatch: attempts that become ready in the
-        same tick are submitted through :meth:`Executor.submit_many`
-        (the pool executor chunks them into a few fused envelopes).
+        Every attempt goes through :meth:`Executor.submit_many`;
+        ``fused`` amortizes dispatch by submitting the attempts that
+        become ready in the same tick as one group (the pool executor
+        chunks it into a few fused envelopes) instead of one by one.
         ``on_result`` observes each task's winning result as it is
         folded; ``on_discard`` observes completed results that are
         thrown away (a speculative loser finishing after the winner) —
@@ -599,75 +464,45 @@ class JobScheduler:
         durations: list[float] = []
         terminal: BaseException | None = None
 
-        def launch(index: int, speculative: bool = False) -> None:
-            number = next_attempt[index]
-            next_attempt[index] = number + 1
-            task_id = task_ids[index]
-            fault = self._policy.fault_for(kind, task_id, number)
-            started = clock()
+        def log(
+            event: str, index: int, number: int, t: float, **fields: Any
+        ) -> None:
             events.append(
                 TaskEvent(
-                    task_id=task_id,
+                    task_id=task_ids[index],
                     kind=kind,
-                    event=E.START,
+                    event=event,
                     attempt=number,
-                    t_seconds=started,
-                    speculative=speculative,
+                    t_seconds=t,
+                    **fields,
                 )
             )
-            try:
-                future = self._executor.submit(fn, *args_for(index, fault))
-            except WorkerCrashError as exc:
-                # A broken pool rejects submissions synchronously; the
-                # attempt is charged and retried like any other crash
-                # casualty, and the pool is rebuilt before the retry.
-                future = CompletedFuture(error=exc)
-            live[index] += 1
-            running.append(_Attempt(index, number, future, started, speculative))
 
-        def launch_group(indices: Sequence[int]) -> None:
-            """Launch a batch of due attempts through one fused submit.
+        def launch(indices: Sequence[int], speculative: bool = False) -> None:
+            """Start one attempt per index — a START each, in order,
+            before anything runs — through one ``submit_many``.
 
-            Event order matches per-task launches exactly (a START per
-            attempt, in task order, before anything runs); only the
-            dispatch is batched.
+            A broken pool rejects submissions synchronously and
+            ``submit_many`` returns that as an already-failed future:
+            the attempt is charged and retried like any other crash
+            casualty, and the pool is rebuilt before the retry.
             """
             pending: list[tuple[int, int, float]] = []
             argsets: list[tuple] = []
             for index in indices:
                 number = next_attempt[index]
                 next_attempt[index] = number + 1
-                task_id = task_ids[index]
-                fault = self._policy.fault_for(kind, task_id, number)
+                fault = self._policy.fault_for(kind, task_ids[index], number)
                 started = clock()
-                events.append(
-                    TaskEvent(
-                        task_id=task_id,
-                        kind=kind,
-                        event=E.START,
-                        attempt=number,
-                        t_seconds=started,
-                    )
-                )
+                log(E.START, index, number, started, speculative=speculative)
                 argsets.append(args_for(index, fault))
                 pending.append((index, number, started))
             futures = self._executor.submit_many(fn, argsets)
             for (index, number, started), future in zip(pending, futures):
                 live[index] += 1
-                running.append(_Attempt(index, number, future, started))
-
-        def record_fail(att: _Attempt, error: str, cpu: float = 0.0) -> None:
-            events.append(
-                TaskEvent(
-                    task_id=task_ids[att.index],
-                    kind=kind,
-                    event=E.FAIL,
-                    attempt=att.number,
-                    t_seconds=clock(),
-                    cpu_seconds=cpu,
-                    error=error,
+                running.append(
+                    _Attempt(index, number, future, started, speculative)
                 )
-            )
 
         def charge_and_reschedule(att: _Attempt, cause: BaseException) -> None:
             """Charge a failed/timed-out attempt; queue a retry or go
@@ -699,71 +534,46 @@ class JobScheduler:
                     (clock() + policy.backoff_delay(charged[index]), index)
                 )
 
-        def collect(att: _Attempt) -> bool:
-            """Fold one completed attempt; True if the pool crashed."""
-            nonlocal terminal
-            index = att.index
-            task_id = task_ids[index]
-            live[index] -= 1
+        def land(
+            att: _Attempt, lost_race: bool = False
+        ) -> tuple[Any, BaseException | None, float]:
+            """Wait for one attempt and write its end into the event log
+            and the trace: FINISH or FAIL with the attempt's spans, or a
+            bare KILLED for the loser of a speculative race (its result
+            is discarded wholesale).  Shared by the live loop and the
+            terminal drain.  Returns ``(result, error, t_seconds)``.
+            """
+            result = error = None
             try:
                 result = att.future.result()
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as raised:
-                exc, wasted_cpu, spans = _unwrap_failure(raised)
-                if index in done:
-                    # A speculative loser that failed after the winner
-                    # finished: it lost the race, record the kill.
-                    events.append(
-                        TaskEvent(
-                            task_id=task_id,
-                            kind=kind,
-                            event=E.KILLED,
-                            attempt=att.number,
-                            t_seconds=clock(),
-                        )
-                    )
-                    return False
-                record_fail(
-                    att, f"{type(exc).__name__}: {exc}", cpu=wasted_cpu
+                error, wasted_cpu, spans = _unwrap_failure(raised)
+            now = clock()
+            trace_attrs = {"task": task_ids[att.index], "attempt": att.number}
+            if lost_race:
+                log(E.KILLED, att.index, att.number, now)
+            elif error is not None:
+                log(
+                    E.FAIL,
+                    att.index,
+                    att.number,
+                    now,
+                    cpu_seconds=wasted_cpu,
+                    error=f"{type(error).__name__}: {error}",
                 )
                 # Failed-attempt spans stay in the trace, re-based to
                 # the attempt's start and marked as wasted work.
                 tracer.extend(
-                    spans,
-                    offset=att.started_at,
-                    task=task_id,
-                    attempt=att.number,
-                    failed=True,
+                    spans, offset=att.started_at, failed=True, **trace_attrs
                 )
-                charge_and_reschedule(att, exc)
-                return isinstance(exc, WorkerCrashError)
-            finished_at = clock()
-            if index in done:
-                # The speculative race's loser finished second; its
-                # result (and counters) are discarded wholesale.
-                events.append(
-                    TaskEvent(
-                        task_id=task_id,
-                        kind=kind,
-                        event=E.KILLED,
-                        attempt=att.number,
-                        t_seconds=finished_at,
-                    )
-                )
-                if on_discard is not None:
-                    on_discard(result)
-                return False
-            done.add(index)
-            results[index] = result
-            durations.append(finished_at - att.started_at)
-            events.append(
-                TaskEvent(
-                    task_id=task_id,
-                    kind=kind,
-                    event=E.FINISH,
-                    attempt=att.number,
-                    t_seconds=finished_at,
+            else:
+                log(
+                    E.FINISH,
+                    att.index,
+                    att.number,
+                    now,
                     cpu_seconds=result.cpu_seconds,
                     output_bytes=(
                         result.output_bytes
@@ -771,13 +581,29 @@ class JobScheduler:
                         else result.shuffle_bytes
                     ),
                 )
-            )
-            tracer.extend(
-                result.spans,
-                offset=att.started_at,
-                task=task_id,
-                attempt=att.number,
-            )
+                tracer.extend(
+                    result.spans, offset=att.started_at, **trace_attrs
+                )
+            return result, error, now
+
+        def collect(att: _Attempt) -> bool:
+            """Fold one completed attempt; True if the pool crashed."""
+            index = att.index
+            live[index] -= 1
+            # A speculative loser landing after the winner lost the race
+            # whether it failed or finished.
+            lost_race = index in done
+            result, error, finished_at = land(att, lost_race)
+            if lost_race:
+                if error is None and on_discard is not None:
+                    on_discard(result)
+                return False
+            if error is not None:
+                charge_and_reschedule(att, error)
+                return isinstance(error, WorkerCrashError)
+            done.add(index)
+            results[index] = result
+            durations.append(finished_at - att.started_at)
             if on_result is not None:
                 on_result(index, result)
             return False
@@ -791,15 +617,7 @@ class JobScheduler:
                 live[sibling.index] -= 1
                 if not sibling.future.cancel():
                     self._executor.abandon(sibling.future)
-                events.append(
-                    TaskEvent(
-                        task_id=task_ids[sibling.index],
-                        kind=kind,
-                        event=E.KILLED,
-                        attempt=sibling.number,
-                        t_seconds=clock(),
-                    )
-                )
+                log(E.KILLED, sibling.index, sibling.number, clock())
 
         wave_span = tracer.span(
             f"wave.{kind}", category="scheduler", wave=0, tasks=total
@@ -809,8 +627,10 @@ class JobScheduler:
             while len(done) < total:
                 progressed = False
 
-                # 1) Launch everything whose backoff has expired — as
-                #    one fused batch when dispatch amortization is on.
+                # 1) Launch everything whose backoff has expired: one
+                #    group when dispatch is fused, else a group of one
+                #    per attempt (inline executors run an attempt as it
+                #    is submitted, between its own START and the next).
                 now = clock()
                 waiting: list[tuple[float, int]] = []
                 due: list[int] = []
@@ -824,11 +644,8 @@ class JobScheduler:
                 ready[:] = waiting
                 if due:
                     progressed = True
-                    if fused and len(due) > 1:
-                        launch_group(due)
-                    else:
-                        for index in due:
-                            launch(index)
+                    for group in [due] if fused else [[i] for i in due]:
+                        launch(group)
 
                 # 2) Collect completed attempts (in submission order).
                 completed: list[_Attempt] = []
@@ -851,10 +668,13 @@ class JobScheduler:
                 if crashed:
                     for att in running:
                         live[att.index] -= 1
-                        record_fail(
-                            att,
-                            f"{E.WORKER_CRASH_PREFIX}: attempt lost in "
-                            "flight (worker pool broken)",
+                        log(
+                            E.FAIL,
+                            att.index,
+                            att.number,
+                            clock(),
+                            error=f"{E.WORKER_CRASH_PREFIX}: attempt lost "
+                            "in flight (worker pool broken)",
                         )
                         charge_and_reschedule(
                             att,
@@ -882,15 +702,7 @@ class JobScheduler:
                             # stop it, so its eventual result is
                             # abandoned (never folded).
                             self._executor.abandon(att.future)
-                        events.append(
-                            TaskEvent(
-                                task_id=task_ids[att.index],
-                                kind=kind,
-                                event=E.TIMEOUT,
-                                attempt=att.number,
-                                t_seconds=now,
-                            )
-                        )
+                        log(E.TIMEOUT, att.index, att.number, now)
                         charge_and_reschedule(
                             att,
                             TaskTimeoutError(
@@ -918,15 +730,18 @@ class JobScheduler:
                             continue
                         if now - att.started_at > threshold:
                             speculated[att.index] = True
-                            launch(att.index, speculative=True)
+                            launch([att.index], speculative=True)
                             progressed = True
 
-                # 6) Terminal failure: drain what is still in flight so
-                #    the event log is complete, then propagate.  The
-                #    completed log rides on the exception (``.events``)
-                #    so post-mortem analysis can see every attempt.
+                # 6) Terminal failure: block on what is still in flight
+                #    so no START is left without an end — post-mortem
+                #    analysis needs the siblings of the failing task
+                #    most — then propagate.  The completed log rides on
+                #    the exception (``.events``).
                 if terminal is not None:
-                    self._drain(kind, task_ids, running, events, clock)
+                    for att in running:
+                        land(att)
+                    running.clear()
                     try:
                         terminal.events = events
                     except Exception:
@@ -950,81 +765,11 @@ class JobScheduler:
             wave_span.__exit__(None, None, None)
         return results
 
-    def _drain(
-        self,
-        kind: str,
-        task_ids: Sequence[str],
-        running: list[_Attempt],
-        events: EventLog,
-        clock: Callable[[], float],
-    ) -> None:
-        """Block on the wave's remaining in-flight attempts, recording
-        their FINISH/FAIL events and spans, before a terminal raise.
-
-        Without this, sibling attempts submitted alongside a terminally
-        failing task would vanish from the event log (STARTs with no
-        end), breaking post-mortem analysis of exactly the runs where
-        it matters most.
-        """
-        tracer = self._tracer
-        for att in running:
-            task_id = task_ids[att.index]
-            try:
-                result = att.future.result()
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as raised:
-                exc, wasted_cpu, spans = _unwrap_failure(raised)
-                events.append(
-                    TaskEvent(
-                        task_id=task_id,
-                        kind=kind,
-                        event=E.FAIL,
-                        attempt=att.number,
-                        t_seconds=clock(),
-                        cpu_seconds=wasted_cpu,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                tracer.extend(
-                    spans,
-                    offset=att.started_at,
-                    task=task_id,
-                    attempt=att.number,
-                    failed=True,
-                )
-            else:
-                events.append(
-                    TaskEvent(
-                        task_id=task_id,
-                        kind=kind,
-                        event=E.FINISH,
-                        attempt=att.number,
-                        t_seconds=clock(),
-                        cpu_seconds=result.cpu_seconds,
-                        output_bytes=(
-                            result.output_bytes
-                            if kind == E.MAP
-                            else result.shuffle_bytes
-                        ),
-                    )
-                )
-                tracer.extend(
-                    result.spans,
-                    offset=att.started_at,
-                    task=task_id,
-                    attempt=att.number,
-                )
-        running.clear()
-
     # -- the job -----------------------------------------------------------
     def execute(
         self, job: JobConf, splits: Sequence[Iterable[Record]]
     ) -> "Any":
         """Run ``job`` over ``splits``; returns a JobResult."""
-        # Imported here: engine imports this module (facade → scheduler).
-        from repro.mr.engine import JobResult
-
         max_attempts = (
             self._max_attempts
             if self._max_attempts is not None
@@ -1062,36 +807,24 @@ class JobScheduler:
         tracer.sync(clock)
         trace = tracer.enabled
 
-        # Shared-memory shuffle plane (REPRO_SHM): on executors whose
-        # results cross a process boundary, map attempts publish their
-        # segment bytes into arena blocks and ship descriptors; the
+        # The shuffle transport is the executor's: where results cross
+        # a process boundary it hands out an arena, map attempts publish
+        # their segment bytes into its blocks and ship descriptors, the
         # arena's ref-counted leases unlink each block as its last
         # consuming reduce task folds, and `close()` (run on *every*
         # exit path) unlinks stragglers and sweeps the job prefix.
-        arena = (
-            shm.SegmentArena() if shm.plane_active(self._executor) else None
-        )
-        shm_prefix = arena.prefix if arena is not None else None
-        # Dispatch amortization rides the same toggle.  Scripted-fault
-        # runs keep per-attempt dispatch: a fused chunk dies as a unit
-        # when its worker crashes, which would spread one injected
-        # fault's casualties onto innocent chunk-mates' event logs.
-        fused = (
-            shm.enabled()
-            and self._executor.requires_pickling
-            and isinstance(self._policy, NoFaults)
+        arena = self._executor.open_arena()
+        # Dispatch amortization, where a submission costs a pickle and
+        # a pipe round trip.  Scripted-fault runs keep per-attempt
+        # dispatch: a fused chunk dies as a unit when its worker
+        # crashes, which would spread one injected fault's casualties
+        # onto innocent chunk-mates' event logs.
+        fused = self._executor.requires_pickling and isinstance(
+            self._policy, NoFaults
         )
         try:
             return self._execute_waves(
-                job,
-                split_lists,
-                policy,
-                events,
-                clock,
-                trace,
-                arena,
-                shm_prefix,
-                fused,
+                job, split_lists, policy, events, clock, trace, arena, fused
             )
         finally:
             if arena is not None:
@@ -1106,12 +839,13 @@ class JobScheduler:
         clock: Callable[[], float],
         trace: bool,
         arena: "shm.SegmentArena | None",
-        shm_prefix: str | None,
         fused: bool,
     ) -> "Any":
+        # Imported here: engine imports this module (facade → scheduler).
         from repro.mr.engine import JobResult
 
         tracer = self._tracer
+        shm_prefix = arena.prefix if arena is not None else None
 
         # Map wave.
         map_ids = [f"map{index}" for index in range(len(split_lists))]
@@ -1156,25 +890,13 @@ class JobScheduler:
             for result in map_results
         ]
 
-        # In-node combining (optional): merge and re-combine the map
-        # outputs of co-located tasks before anything is shuffled.
-        innode_counters: Counters | None = None
-        segment_sources: list[dict[int, SegmentPayload]] = [
-            result.segments for result in map_results
-        ]
-        if job.innode_combining:
-            segment_sources, innode_counters = _innode_combine(
-                job, map_results, tracer
-            )
-
-        # Shuffle plan: segments for each partition, in map-task (or,
-        # with in-node combining, node) order.
+        # Shuffle plan: segments for each partition, in map-task order.
         with tracer.span("shuffle.plan", category="scheduler"):
             shuffle_plan: list[list[SegmentPayload]] = [
                 [
-                    source[partition]
-                    for source in segment_sources
-                    if partition in source
+                    result.segments[partition]
+                    for result in map_results
+                    if partition in result.segments
                 ]
                 for partition in range(job.num_reducers)
             ]
@@ -1236,25 +958,23 @@ class JobScheduler:
         metrics = MetricsRegistry()
         for result in map_results:
             metrics.merge_counters(result.counters)
-        if innode_counters is not None:
-            # The in-node stage sits between the waves; its counters
-            # fold in the same place, keeping the fold deterministic.
-            metrics.merge_counters(innode_counters)
         for result in reduce_results:
             metrics.merge_counters(result.counters)
         for result in reduce_results:
             metrics.merge_counters(result.serve_counters)
         totals = metrics.job_counters()
-        self._record_wave_metrics(metrics, events, job)
         shuffle_bytes = [r.shuffle_bytes for r in reduce_results]
-        self._record_derived_metrics(
-            metrics, events, job, totals, shuffle_bytes
-        )
-        if arena is not None:
+        record_job_metrics(
+            metrics,
+            events,
+            job.num_reducers,
+            totals,
+            shuffle_bytes,
             # Close before recording so the stats include the final
             # sweep; `close()` is idempotent — the scheduler's finally
             # (and any error path) still runs it.
-            self._record_shm_metrics(metrics, arena.close())
+            arena_stats=arena.close() if arena is not None else None,
+        )
 
         return JobResult(
             job_name=job.name,
@@ -1269,191 +989,3 @@ class JobScheduler:
             spans=tracer.records(),
             metrics=metrics,
         )
-
-    @staticmethod
-    def _record_shm_metrics(
-        metrics: MetricsRegistry, stats: "shm.ArenaStats"
-    ) -> None:
-        """The ``mr.shm.*`` gauges: what the shuffle plane carried.
-
-        Observational only — like the ``mr.derived.*`` pass, nothing
-        here enters the job-counter ledger, so the plane's metrics can
-        never perturb the counter-determinism contract (the receipts'
-        ``counters.json`` stays bit-identical shm-on vs shm-off).
-        """
-        for name, help_text, value in (
-            ("mr.shm.blocks", "Shared-memory blocks published", stats.blocks),
-            ("mr.shm.bytes", "Shuffle bytes carried in shared memory", stats.bytes),
-            (
-                "mr.shm.leases.granted",
-                "Block leases granted to reduce tasks",
-                stats.leases_granted,
-            ),
-            (
-                "mr.shm.leases.released",
-                "Block leases released by folded reduce tasks",
-                stats.leases_released,
-            ),
-            (
-                "mr.shm.fallbacks",
-                "Map tasks that fell back to the inline pickle path",
-                stats.fallbacks,
-            ),
-            (
-                "mr.shm.swept",
-                "Blocks removed by the end-of-job sweep",
-                stats.swept,
-            ),
-        ):
-            metrics.gauge(name, help_text).set(float(value))
-
-    @staticmethod
-    def _record_wave_metrics(
-        metrics: MetricsRegistry, events: EventLog, job: JobConf
-    ) -> None:
-        """Observational metrics counters cannot express (latencies,
-        attempt counts, per-phase byte distributions)."""
-        metrics.gauge(
-            "mr.job.reducers", "Configured reduce tasks"
-        ).set(job.num_reducers)
-        for kind in (E.MAP, E.REDUCE):
-            latency = metrics.histogram(
-                f"mr.{kind}.task.wall.seconds",
-                f"Wall seconds per successful {kind} attempt",
-            )
-            for duration in events.wall_durations(kind).values():
-                latency.observe(duration)
-            cpu = metrics.histogram(
-                f"mr.{kind}.task.cpu.seconds",
-                f"CPU seconds per successful {kind} attempt",
-            )
-            attempts = metrics.counter(
-                f"mr.{kind}.attempts", f"{kind} attempts started"
-            )
-            # Register every outcome counter up front: a zero sample in
-            # the dump means "path exercised zero times", not "absent".
-            outcome = {
-                name: attempt_outcome_counter(metrics, kind, name)
-                for name in ATTEMPT_OUTCOMES
-            }
-            killed = metrics.counter(
-                f"mr.{kind}.attempts.killed",
-                f"{kind} speculative attempts killed (lost the race)",
-            )
-            output_bytes = metrics.histogram(
-                f"mr.{kind}.output.bytes",
-                "Map output bytes / reduce shuffle bytes per task",
-                buckets=tuple(4.0**n for n in range(2, 16)),
-            )
-            for event in events:
-                if event.kind != kind:
-                    continue
-                if event.event == E.START:
-                    attempts.add()
-                    if event.speculative:
-                        outcome["speculative"].add()
-                elif event.event == E.FAIL:
-                    outcome["failed"].add()
-                    if event.is_worker_crash:
-                        outcome["worker_crash"].add()
-                    metrics.counter(
-                        "mr.wasted.cpu.seconds",
-                        "CPU burned by failed attempts",
-                    ).add(event.cpu_seconds)
-                elif event.event == E.TIMEOUT:
-                    outcome["timeout"].add()
-                elif event.event == E.KILLED:
-                    killed.add()
-                elif event.event == E.FINISH:
-                    cpu.observe(event.cpu_seconds)
-                    output_bytes.observe(event.output_bytes)
-
-    @staticmethod
-    def _record_derived_metrics(
-        metrics: MetricsRegistry,
-        events: EventLog,
-        job: JobConf,
-        totals: Counters,
-        shuffle_bytes: Sequence[int],
-    ) -> None:
-        """Per-run derived analytics: the ``mr.derived.*`` gauges.
-
-        Replication rate is the communication-cost metric of the
-        MapReduce-algorithms literature (arXiv 1204.1754): map output
-        records per input record — exactly what anti-combining trades
-        against shuffle size.  The rest condenses the shuffle and the
-        task waves into scrape-friendly scalars.  Every gauge is
-        observational (never enters the job-counter ledger), so this
-        pass cannot perturb the counter-determinism contract.
-        """
-        map_in = totals.get(C.MAP_INPUT_RECORDS)
-        map_out = totals.get(C.MAP_OUTPUT_RECORDS)
-        metrics.gauge(
-            "mr.derived.replication.rate",
-            "Map output records per map input record (arXiv 1204.1754)",
-        ).set(map_out / map_in if map_in else 0.0)
-
-        if shuffle_bytes:
-            mean = sum(shuffle_bytes) / len(shuffle_bytes)
-            peak = float(max(shuffle_bytes))
-            metrics.gauge(
-                "mr.derived.shuffle.partition.mean.bytes",
-                "Mean shuffle bytes per reduce partition",
-            ).set(mean)
-            metrics.gauge(
-                "mr.derived.shuffle.partition.max.bytes",
-                "Largest reduce partition's shuffle bytes",
-            ).set(peak)
-            metrics.gauge(
-                "mr.derived.shuffle.skew",
-                "Shuffle-byte partition skew: max over mean bytes "
-                "per reduce partition",
-            ).set(peak / mean if mean else 0.0)
-
-        for kind in (E.MAP, E.REDUCE):
-            durations = sorted(events.wall_durations(kind).values())
-            if not durations:
-                continue
-            median = _quantile(durations, 0.5)
-            metrics.gauge(
-                f"mr.derived.{kind}.wall.p50.seconds",
-                f"Median successful {kind} attempt wall seconds",
-            ).set(median)
-            metrics.gauge(
-                f"mr.derived.{kind}.wall.p95.seconds",
-                f"95th-percentile successful {kind} attempt "
-                "wall seconds",
-            ).set(_quantile(durations, 0.95))
-            metrics.gauge(
-                f"mr.derived.{kind}.wall.max.seconds",
-                f"Slowest successful {kind} attempt wall seconds",
-            ).set(durations[-1])
-            metrics.gauge(
-                f"mr.derived.{kind}.straggler.ratio",
-                f"Slowest {kind} attempt over the wave median",
-            ).set(durations[-1] / median if median else 0.0)
-
-        for counter_name, decision in (
-            (C.ANTI_EAGER_RECORDS, "eager"),
-            (C.ANTI_LAZY_RECORDS, "lazy"),
-            (C.ANTI_PLAIN_RECORDS, "plain"),
-        ):
-            metrics.gauge(
-                f"mr.derived.anti.{decision}.records",
-                "Records the anti-combining "
-                f"{decision} decision fired for",
-            ).set(totals.get(counter_name))
-
-        metrics.gauge(
-            "mr.derived.innode.enabled",
-            "Whether node-level in-node combining was configured",
-        ).set(1.0 if job.innode_combining else 0.0)
-        combiner = job.make_combiner()
-        legal = combiner is not None and getattr(
-            type(combiner), "monoidal", False
-        )
-        metrics.gauge(
-            "mr.derived.innode.combine.legal",
-            "Whether the job's combiner may legally run in the "
-            "in-node stage (declares monoidal = True)",
-        ).set(1.0 if legal else 0.0)

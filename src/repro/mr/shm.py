@@ -25,20 +25,20 @@ The plane is transport-only: the bytes written into a block are exactly
 the payload bytes the pickle path would have shipped, every analytic
 counter charge is derived from the same lengths, and any failure to
 allocate or attach falls back to the inline pickle-5 payloads.  The
-counter-invariance suite pins this (`REPRO_SHM` on vs off must be
-bit-identical).
+counter-invariance suite pins this (a pool run with the plane must be
+bit-identical to one without).
 
-The toggle is on by default, disabled with ``REPRO_SHM=0`` (or
-``false`` / ``off``) and pinned from code with :func:`forced`.  The plane only activates on executors whose results
-cross a process boundary (``requires_pickling``) — under the serial
-executor results are passed by reference and there is nothing to ship.
+There is no toggle.  An executor whose results cross a process boundary
+hands each job an arena when :func:`available` says the platform has
+POSIX shared memory (:meth:`repro.mr.executor.Executor.open_arena`);
+under the serial executor results are passed by reference and there is
+nothing to ship.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -49,51 +49,14 @@ __all__ = [
     "SegmentArena",
     "ShmSegmentPayload",
     "available",
-    "enabled",
-    "forced",
-    "plane_active",
     "publish_segments",
     "release_attachments",
-    "set_enabled",
     "sweep",
 ]
 
 #: Prefix of every block this module creates; the crash-safe sweep
 #: removes ``/dev/shm`` entries matching a job's full prefix.
 _PREFIX_ROOT = "repro-shm-"
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-    )
-
-
-_enabled: bool = _env_flag("REPRO_SHM")
-
-
-def enabled() -> bool:
-    """Whether the shared-memory shuffle plane is requested."""
-    return _enabled
-
-
-def set_enabled(value: bool) -> None:
-    """Turn the shuffle plane on or off process-wide."""
-    global _enabled
-    _enabled = bool(value)
-
-
-@contextmanager
-def forced(value: bool) -> Iterator[None]:
-    """Run a block with the toggle pinned to ``value``."""
-    previous = _enabled
-    set_enabled(value)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
 
 
 _available: bool | None = None
@@ -116,15 +79,6 @@ def available() -> bool:
         except Exception:
             _available = False
     return _available
-
-
-def plane_active(executor: Any) -> bool:
-    """Whether the plane should carry ``executor``'s shuffle bytes."""
-    return (
-        _enabled
-        and bool(getattr(executor, "requires_pickling", False))
-        and available()
-    )
 
 
 def _unregister_tracker(name: str) -> None:
@@ -460,6 +414,12 @@ class SegmentArena:
         self._blocks: dict[str, _Block] = {}
         self.stats = ArenaStats()
         self._closed = False
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has run: nobody owns a block that
+        appears under the prefix from now on."""
+        return self._closed
 
     def adopt_segments(self, segments: dict[int, Any]) -> None:
         """Register the blocks behind one map result's segments.

@@ -89,8 +89,6 @@ def describe_job_conf(job: Any) -> dict:
         "combiner": getattr(job, "combiner", None) is not None,
         "strategy": strategy,
         "threshold_t": threshold_t,
-        "innode_combining": getattr(job, "innode_combining", False),
-        "innode_fanin": getattr(job, "innode_fanin", None),
         "max_task_attempts": getattr(job, "max_task_attempts", None),
         "speculative_execution": getattr(
             job, "speculative_execution", False

@@ -16,11 +16,15 @@ histograms, shuffle-bytes-per-reducer, attempt/retry counts.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.mr import counters as C
+from repro.mr import events as E
 from repro.mr.counters import Counters
+from repro.mr.events import EventLog
 
 #: Default histogram buckets: geometric, wide enough for both seconds
 #: (task latencies) and byte counts when scaled observations are used.
@@ -301,6 +305,207 @@ def attempt_outcome_counter(
         f"mr.{kind}.attempts.{outcome}",
         f"{kind} {ATTEMPT_OUTCOMES[outcome]}",
     )
+
+
+def record_job_metrics(
+    metrics: MetricsRegistry,
+    events: EventLog,
+    num_reducers: int,
+    totals: Counters,
+    shuffle_bytes: Sequence[int],
+    arena_stats: Any = None,
+) -> None:
+    """Everything a finished job's registry holds beyond the counter
+    ledger: the per-wave attempt metrics, the ``mr.derived.*`` gauges
+    and — when the shuffle went through shared memory — the
+    ``mr.shm.*`` gauges of its :class:`~repro.mr.shm.ArenaStats`.
+
+    A pure function of the finished :class:`EventLog`, the job totals
+    and the per-reducer shuffle bytes, called once by the scheduler.
+    """
+    _record_wave_metrics(metrics, events, num_reducers)
+    _record_derived_metrics(metrics, events, totals, shuffle_bytes)
+    if arena_stats is not None:
+        _record_shm_metrics(metrics, arena_stats)
+
+
+def _quantile(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank quantile of an ascending-sorted sequence."""
+    if not ordered:
+        return 0.0
+    rank = math.ceil(q * len(ordered))
+    return ordered[min(len(ordered) - 1, max(rank - 1, 0))]
+
+
+def _record_wave_metrics(
+    metrics: MetricsRegistry, events: EventLog, num_reducers: int
+) -> None:
+    """Observational metrics counters cannot express (latencies,
+    attempt counts, per-phase byte distributions)."""
+    metrics.gauge(
+        "mr.job.reducers", "Configured reduce tasks"
+    ).set(num_reducers)
+    for kind in (E.MAP, E.REDUCE):
+        latency = metrics.histogram(
+            f"mr.{kind}.task.wall.seconds",
+            f"Wall seconds per successful {kind} attempt",
+        )
+        for duration in events.wall_durations(kind).values():
+            latency.observe(duration)
+        cpu = metrics.histogram(
+            f"mr.{kind}.task.cpu.seconds",
+            f"CPU seconds per successful {kind} attempt",
+        )
+        attempts = metrics.counter(
+            f"mr.{kind}.attempts", f"{kind} attempts started"
+        )
+        # Register every outcome counter up front: a zero sample in
+        # the dump means "path exercised zero times", not "absent".
+        outcome = {
+            name: attempt_outcome_counter(metrics, kind, name)
+            for name in ATTEMPT_OUTCOMES
+        }
+        killed = metrics.counter(
+            f"mr.{kind}.attempts.killed",
+            f"{kind} speculative attempts killed (lost the race)",
+        )
+        output_bytes = metrics.histogram(
+            f"mr.{kind}.output.bytes",
+            "Map output bytes / reduce shuffle bytes per task",
+            buckets=tuple(4.0**n for n in range(2, 16)),
+        )
+        for event in events:
+            if event.kind != kind:
+                continue
+            if event.event == E.START:
+                attempts.add()
+                if event.speculative:
+                    outcome["speculative"].add()
+            elif event.event == E.FAIL:
+                outcome["failed"].add()
+                if event.is_worker_crash:
+                    outcome["worker_crash"].add()
+                metrics.counter(
+                    "mr.wasted.cpu.seconds",
+                    "CPU burned by failed attempts",
+                ).add(event.cpu_seconds)
+            elif event.event == E.TIMEOUT:
+                outcome["timeout"].add()
+            elif event.event == E.KILLED:
+                killed.add()
+            elif event.event == E.FINISH:
+                cpu.observe(event.cpu_seconds)
+                output_bytes.observe(event.output_bytes)
+
+
+def _record_derived_metrics(
+    metrics: MetricsRegistry,
+    events: EventLog,
+    totals: Counters,
+    shuffle_bytes: Sequence[int],
+) -> None:
+    """Per-run derived analytics: the ``mr.derived.*`` gauges.
+
+    Replication rate is the communication-cost metric of the
+    MapReduce-algorithms literature (arXiv 1204.1754): map output
+    records per input record — exactly what anti-combining trades
+    against shuffle size.  The rest condenses the shuffle and the
+    task waves into scrape-friendly scalars.  Every gauge is
+    observational (never enters the job-counter ledger), so this
+    pass cannot perturb the counter-determinism contract.
+    """
+    map_in = totals.get(C.MAP_INPUT_RECORDS)
+    map_out = totals.get(C.MAP_OUTPUT_RECORDS)
+    metrics.gauge(
+        "mr.derived.replication.rate",
+        "Map output records per map input record (arXiv 1204.1754)",
+    ).set(map_out / map_in if map_in else 0.0)
+
+    if shuffle_bytes:
+        mean = sum(shuffle_bytes) / len(shuffle_bytes)
+        peak = float(max(shuffle_bytes))
+        metrics.gauge(
+            "mr.derived.shuffle.partition.mean.bytes",
+            "Mean shuffle bytes per reduce partition",
+        ).set(mean)
+        metrics.gauge(
+            "mr.derived.shuffle.partition.max.bytes",
+            "Largest reduce partition's shuffle bytes",
+        ).set(peak)
+        metrics.gauge(
+            "mr.derived.shuffle.skew",
+            "Shuffle-byte partition skew: max over mean bytes "
+            "per reduce partition",
+        ).set(peak / mean if mean else 0.0)
+
+    for kind in (E.MAP, E.REDUCE):
+        durations = sorted(events.wall_durations(kind).values())
+        if not durations:
+            continue
+        median = _quantile(durations, 0.5)
+        metrics.gauge(
+            f"mr.derived.{kind}.wall.p50.seconds",
+            f"Median successful {kind} attempt wall seconds",
+        ).set(median)
+        metrics.gauge(
+            f"mr.derived.{kind}.wall.p95.seconds",
+            f"95th-percentile successful {kind} attempt "
+            "wall seconds",
+        ).set(_quantile(durations, 0.95))
+        metrics.gauge(
+            f"mr.derived.{kind}.wall.max.seconds",
+            f"Slowest successful {kind} attempt wall seconds",
+        ).set(durations[-1])
+        metrics.gauge(
+            f"mr.derived.{kind}.straggler.ratio",
+            f"Slowest {kind} attempt over the wave median",
+        ).set(durations[-1] / median if median else 0.0)
+
+    for counter_name, decision in (
+        (C.ANTI_EAGER_RECORDS, "eager"),
+        (C.ANTI_LAZY_RECORDS, "lazy"),
+        (C.ANTI_PLAIN_RECORDS, "plain"),
+    ):
+        metrics.gauge(
+            f"mr.derived.anti.{decision}.records",
+            "Records the anti-combining "
+            f"{decision} decision fired for",
+        ).set(totals.get(counter_name))
+
+
+def _record_shm_metrics(metrics: MetricsRegistry, stats: Any) -> None:
+    """The ``mr.shm.*`` gauges: what the shuffle plane carried.
+
+    Observational only — like the ``mr.derived.*`` pass, nothing
+    here enters the job-counter ledger, so the plane's metrics can
+    never perturb the counter-determinism contract (the receipts'
+    ``counters.json`` stays bit-identical shm-on vs shm-off).
+    """
+    for name, help_text, value in (
+        ("mr.shm.blocks", "Shared-memory blocks published", stats.blocks),
+        ("mr.shm.bytes", "Shuffle bytes carried in shared memory", stats.bytes),
+        (
+            "mr.shm.leases.granted",
+            "Block leases granted to reduce tasks",
+            stats.leases_granted,
+        ),
+        (
+            "mr.shm.leases.released",
+            "Block leases released by folded reduce tasks",
+            stats.leases_released,
+        ),
+        (
+            "mr.shm.fallbacks",
+            "Map tasks that fell back to the inline pickle path",
+            stats.fallbacks,
+        ),
+        (
+            "mr.shm.swept",
+            "Blocks removed by the end-of-job sweep",
+            stats.swept,
+        ),
+    ):
+        metrics.gauge(name, help_text).set(float(value))
 
 
 def _fmt(value: float) -> str:

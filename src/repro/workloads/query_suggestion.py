@@ -82,11 +82,6 @@ def _merge_counts(values: Iterator[Any]) -> dict:
 class QuerySuggestionCombiner(Combiner):
     """Replace repeated queries in a group with one frequency map."""
 
-    #: Count-dict union is a commutative monoid (identity: empty dict),
-    #: so re-combining combined output is lossless and node-level
-    #: in-node combining is legal for this workload.
-    monoidal = True
-
     def reduce(self, key: Any, values: Iterator[Any], context: Context) -> None:
         context.write(key, _merge_counts(values))
 

@@ -13,9 +13,8 @@ counters; the tiers are gone, and two checks stand in for the flags:
   counters and output digest of every leg below — the Figure 9
   workload, all four strategies crossed with all three partitioners,
   with a sort buffer small enough to force map-side spills and
-  multi-pass merges, plus the matrix with node-level in-node combining
-  enabled — recorded at the last commit that had the three tiers
-  (bcf760e), through this file's leg definitions, with
+  multi-pass merges — recorded at the last commit that had the three
+  tiers (bcf760e), through this file's leg definitions, with
   reference == fast == batch asserted there.
   ``golden_sizing_counters.json`` does the same for the sizing legs.
 * **The opaque-comparator differential.**  Every specialisation left
@@ -115,8 +114,8 @@ def _with_comparator(job: JobConf, opaque: bool) -> JobConf:
 
 @lru_cache(maxsize=2)
 def _matrix_legs(opaque: bool = False) -> dict:
-    """``{label: (job, splits)}``: strategy × partitioner, then the
-    in-node legs, all over :func:`_splits`."""
+    """``{label: (job, splits)}``: strategy × partitioner, all over
+    :func:`_splits`."""
     legs = {}
     for part_name, partitioner in partitioner_lineup().items():
         variants = strategy_variants(
@@ -131,19 +130,6 @@ def _matrix_legs(opaque: bool = False) -> dict:
         )
         for strategy in STRATEGIES:
             legs[f"{part_name}/{strategy}"] = (variants[strategy], _splits())
-    for part_name, partitioner in partitioner_lineup().items():
-        innode = _with_comparator(
-            query_suggestion_job(
-                num_reducers=NUM_REDUCERS,
-                partitioner=partitioner,
-                with_combiner=True,
-                sort_buffer_bytes=SORT_BUFFER_BYTES,
-                innode_combining=True,
-                innode_fanin=2,
-            ),
-            opaque,
-        )
-        legs[f"{part_name}/innode"] = (innode, _splits())
     return legs
 
 
@@ -193,34 +179,6 @@ def test_counters_identical_across_tiers(part_name, strategy) -> None:
     assert any(
         "spill" in name and value for name, value in counters.items()
     ), "test inputs no longer force spills — shrink sort_buffer_bytes"
-
-
-@pytest.mark.parametrize("part_name", list(partitioner_lineup()))
-def test_innode_combining_counters_identical_across_tiers(
-    part_name,
-) -> None:
-    """The in-node combining leg: its stage charges are analytic, so
-    the invariance must hold with the stage enabled too — and its
-    output must match the non-in-node job's.
-    """
-    label = f"{part_name}/innode"
-    _assert_matches_golden_and_opaque(
-        label, _MATRIX_GOLDEN[label], _matrix_legs
-    )
-
-    job, _ = _matrix_legs()[label]
-    plain = job.clone(innode_combining=False)
-    innode_run = _measure(job)
-    plain_run = _measure(plain)
-    assert (
-        innode_run.result.sorted_output()
-        == plain_run.result.sorted_output()
-    ), f"{part_name}: in-node combining changed the job output"
-    # The stage actually combined something: co-located map outputs
-    # shrink the shuffle relative to the plain combiner job.
-    assert (
-        innode_run.result.shuffle_bytes < plain_run.result.shuffle_bytes
-    ), f"{part_name}: in-node combining did not reduce shuffle bytes"
 
 
 class _FirstWordMapper(Mapper):
@@ -376,12 +334,13 @@ def test_sizing_golden_covers_every_leg() -> None:
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_shm_plane_counters_identical(strategy) -> None:
-    """Shared-memory shuffle rider on the golden invariance: with the
-    zero-copy shuffle plane on, the segment bytes travel through
+def test_shm_plane_counters_identical(strategy, monkeypatch) -> None:
+    """Shared-memory shuffle rider on the golden invariance: on the
+    zero-copy shuffle plane the segment bytes travel through
     ``/dev/shm`` blocks instead of the pool pipes — and not one
     analytic counter may move, because every transfer/spill/merge
-    charge is derived from the same payload lengths either way.
+    charge is derived from the same payload lengths either way.  The
+    inline leg is what a host without POSIX shared memory runs.
     """
     from repro.mr import shm
     from repro.mr.engine import LocalJobRunner
@@ -399,10 +358,10 @@ def test_shm_plane_counters_identical(strategy) -> None:
 
     with ParallelExecutor(max_workers=2) as pool:
         runner = LocalJobRunner(executor=pool)
-        with shm.forced(False):
+        with monkeypatch.context() as patch:
+            patch.setattr(shm, "available", lambda: False)
             off = runner.run(job, _splits())
-        with shm.forced(True):
-            on = runner.run(job, _splits())
+        on = runner.run(job, _splits())
 
     # The plane really carried the shuffle on the "on" leg.
     assert on.metrics.gauge_values()["mr.shm.blocks"] >= 1.0

@@ -733,29 +733,6 @@ class TestDerivedMetrics:
             C.ANTI_PLAIN_RECORDS, 0.0
         )
 
-    def test_innode_legality_gauges(self) -> None:
-        # WordCount's combiner does not declare monoidal = True.
-        job, splits = _wordcount()
-        gauges = LocalJobRunner().run(job, splits).metrics.gauge_values()
-        assert gauges["mr.derived.innode.enabled"] == 0.0
-        assert gauges["mr.derived.innode.combine.legal"] == 0.0
-
-        # Query-Suggestion's combiner declares monoidal = True: legal
-        # for the in-node stage even when innode combining is off.
-        queries = generate_query_log(num_queries=60, seed=7)
-        job = query_suggestion_job(
-            k=3,
-            num_reducers=2,
-            with_combiner=True,
-            cost_meter=FixedCostMeter(),
-        )
-        result = LocalJobRunner().run(
-            job, split_records(queries, num_splits=2)
-        )
-        gauges = result.metrics.gauge_values()
-        assert gauges["mr.derived.innode.enabled"] == 0.0
-        assert gauges["mr.derived.innode.combine.legal"] == 1.0
-
     def test_derived_gauges_stay_out_of_job_counters(self) -> None:
         job, splits = _wordcount()
         result = LocalJobRunner().run(job, splits)

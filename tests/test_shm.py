@@ -156,8 +156,7 @@ class TestJobLifecycle:
     def test_successful_pool_run_leaves_no_residue(self) -> None:
         job, splits = _job_and_splits()
         with ParallelExecutor(max_workers=2) as pool:
-            with shm.forced(True):
-                result = LocalJobRunner(executor=pool).run(job, splits)
+            result = LocalJobRunner(executor=pool).run(job, splits)
         assert not _shm_residue()
         gauges = result.metrics.gauge_values()
         assert gauges["mr.shm.blocks"] >= 1.0
@@ -175,27 +174,25 @@ class TestJobLifecycle:
     def test_failed_run_leaves_no_residue(self) -> None:
         job, splits = _job_and_splits(max_task_attempts=1)
         with ParallelExecutor(max_workers=2) as pool:
-            with shm.forced(True):
-                with pytest.raises(Exception):
-                    LocalJobRunner(
-                        executor=pool,
-                        fault_policy=ScriptedFaults(
-                            faults={"reduce0": ["fail"]}
-                        ),
-                    ).run(job, splits)
+            with pytest.raises(Exception):
+                LocalJobRunner(
+                    executor=pool,
+                    fault_policy=ScriptedFaults(
+                        faults={"reduce0": ["fail"]}
+                    ),
+                ).run(job, splits)
         assert not _shm_residue()
 
     def test_exhausted_retries_leave_no_residue(self) -> None:
         job, splits = _job_and_splits(max_task_attempts=2)
         with ParallelExecutor(max_workers=2) as pool:
-            with shm.forced(True):
-                with pytest.raises(TaskFailedError):
-                    LocalJobRunner(
-                        executor=pool,
-                        fault_policy=ScriptedFaults(
-                            faults={"reduce1": ["fail", "fail"]}
-                        ),
-                    ).run(job, splits)
+            with pytest.raises(TaskFailedError):
+                LocalJobRunner(
+                    executor=pool,
+                    fault_policy=ScriptedFaults(
+                        faults={"reduce1": ["fail", "fail"]}
+                    ),
+                ).run(job, splits)
         assert not _shm_residue()
 
     def test_task_timeout_leaves_no_residue(self) -> None:
@@ -204,13 +201,42 @@ class TestJobLifecycle:
             task_timeout_seconds=0.3,
         )
         with ParallelExecutor(max_workers=2) as pool:
-            with shm.forced(True):
-                result = LocalJobRunner(
-                    executor=pool,
-                    fault_policy=ScriptedFaults(
-                        faults={"reduce0": [("hang", 1.5)]}
-                    ),
-                ).run(job, splits)
+            result = LocalJobRunner(
+                executor=pool,
+                fault_policy=ScriptedFaults(
+                    faults={"reduce0": [("hang", 1.5)]}
+                ),
+            ).run(job, splits)
+        assert not _shm_residue()
+        serial = LocalJobRunner(executor=SerialExecutor()).run(job, splits)
+        assert result.sorted_output() == serial.sorted_output()
+
+    def test_late_publish_after_map_timeout_is_discarded(self) -> None:
+        """A map attempt abandoned by the task timeout keeps running on
+        a caller-owned pool that outlives the job, and publishes its
+        block after the job's arena has closed and swept.  The executor
+        issued the prefix and took the abandon: it unlinks the block
+        when the attempt lands, and again on ``close()``."""
+        job, splits = _job_and_splits(
+            max_task_attempts=3,
+            task_timeout_seconds=0.3,
+        )
+        pool = ParallelExecutor(3)
+        try:
+            result = LocalJobRunner(
+                executor=pool,
+                fault_policy=ScriptedFaults(
+                    faults={"map0": [("hang", 1.5)]}
+                ),
+            ).run(job, splits)
+            assert len(result.events.timeouts()) == 1
+            assert not _shm_residue()
+            # The hung attempt wakes ~1.2 s after the job ended, runs
+            # the map task and publishes under the closed job's prefix.
+            time.sleep(2.0)
+            assert not _shm_residue()
+        finally:
+            pool.close()
         assert not _shm_residue()
         serial = LocalJobRunner(executor=SerialExecutor()).run(job, splits)
         assert result.sorted_output() == serial.sorted_output()
@@ -218,13 +244,12 @@ class TestJobLifecycle:
     def test_worker_crash_rebuild_leaves_no_residue(self) -> None:
         job, splits = _job_and_splits(max_task_attempts=2)
         with ParallelExecutor(max_workers=2) as pool:
-            with shm.forced(True):
-                result = LocalJobRunner(
-                    executor=pool,
-                    fault_policy=ScriptedFaults(
-                        faults={"map0": ["crash"]}
-                    ),
-                ).run(job, splits)
+            result = LocalJobRunner(
+                executor=pool,
+                fault_policy=ScriptedFaults(
+                    faults={"map0": ["crash"]}
+                ),
+            ).run(job, splits)
         assert not _shm_residue()
         serial = LocalJobRunner(executor=SerialExecutor()).run(job, splits)
         assert result.sorted_output() == serial.sorted_output()
@@ -232,19 +257,25 @@ class TestJobLifecycle:
 
     def test_serial_executor_bypasses_the_plane(self) -> None:
         job, splits = _job_and_splits()
-        with shm.forced(True):
-            result = LocalJobRunner(executor=SerialExecutor()).run(
-                job, splits
-            )
+        result = LocalJobRunner(executor=SerialExecutor()).run(
+            job, splits
+        )
         assert "mr.shm.blocks" not in result.metrics.gauge_values()
         assert not _shm_residue()
 
-    def test_disabled_plane_keeps_pickle_path(self) -> None:
+    def test_disabled_plane_keeps_pickle_path(self, monkeypatch) -> None:
+        """A host without POSIX shared memory gets no arena: the pool
+        ships segment bytes inline (pickle-5 out-of-band) instead."""
         job, splits = _job_and_splits()
         with ParallelExecutor(max_workers=2) as pool:
-            with shm.forced(False):
-                result = LocalJobRunner(executor=pool).run(job, splits)
+            with_plane = LocalJobRunner(executor=pool).run(job, splits)
+            monkeypatch.setattr(shm, "available", lambda: False)
+            assert pool.open_arena() is None
+            result = LocalJobRunner(executor=pool).run(job, splits)
         assert "mr.shm.blocks" not in result.metrics.gauge_values()
+        assert "mr.shm.blocks" in with_plane.metrics.gauge_values()
+        assert result.sorted_output() == with_plane.sorted_output()
+        assert result.counters.as_dict() == with_plane.counters.as_dict()
         assert not _shm_residue()
 
 
@@ -270,7 +301,6 @@ def test_no_resource_tracker_warnings() -> None:
     env["PYTHONPATH"] = "src" + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    env["REPRO_SHM"] = "1"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
