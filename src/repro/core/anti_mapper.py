@@ -21,8 +21,10 @@ program's unencoded output is a special case of EagerSH").
 
 A Map call that emitted exactly one record has one partition, one
 value group and nothing to share, so it skips the bucketing and
-grouping and goes straight to the PLAIN-vs-LAZY size comparison —
-the same decision the general path reaches, without its bookkeeping.
+grouping: it is PLAIN or LAZY by the size comparison the general path
+ends in.  Where even that comparison has a known answer — EagerSH, or
+an output value that *is* one half of the Map input — the record takes
+the PLAIN lane at the top of ``map``: tagged and written, nothing else.
 
 CPU accounting note: the engine meters the whole (wrapped) ``map``
 call, so everything here — the original Map, the partition calls, the
@@ -76,9 +78,16 @@ class AntiMapper(Mapper):
             config.strategy is Strategy.ADAPTIVE
             and config.threshold_t != math.inf
         )
+        # The PLAIN lane (in ``map``) takes the unmetered single
+        # emissions whose PLAIN-vs-LAZY answer needs no sizing: all of
+        # them under EagerSH, the identity ones under AdaptiveSH.
+        lane = not self._metered
+        self._lane_always = lane and config.strategy is Strategy.EAGER
+        self._lane_identity = lane and config.strategy is Strategy.ADAPTIVE
         self._partitions = runtime.partition_memo()
         self._emit_buffer: list[tuple[Any, Any]] = []
         self._capture: Context | None = None
+        self._counts: dict[str, float] = {}
 
     # -- lifecycle -------------------------------------------------------
     def setup(self, context: Context) -> None:
@@ -116,6 +125,7 @@ class AntiMapper(Mapper):
         if capture is None or capture.counters is not context.counters:
             capture = context.with_capture(emitted)
             self._capture = capture
+            self._counts = context.counters.raw()
         metered = self._metered
         call_cost = 0.0  # measured below when metered
         if metered:
@@ -124,6 +134,24 @@ class AntiMapper(Mapper):
             )
         else:
             self._o_mapper.map(key, value, capture)
+            if len(emitted) == 1:
+                out_key, out_value = emitted[0]
+                if self._lane_always or (
+                    self._lane_identity
+                    and (out_value is key or out_value is value)
+                ):
+                    # The PLAIN lane.  An output that is one half of
+                    # the input (identity and swap maps) is smaller
+                    # than the LAZY payload by the other half, whatever
+                    # either measures.  Counted on the live counter
+                    # mapping and built as the tuple it is: what
+                    # ``counters.add`` and ``PlainValue(...)`` do,
+                    # without their frames.
+                    self._counts[C.ANTI_PLAIN_RECORDS] += 1
+                    context.write(
+                        out_key, tuple.__new__(PlainValue, (out_value,))
+                    )
+                    return
         if not emitted:
             return
 
@@ -207,19 +235,13 @@ class AntiMapper(Mapper):
         out_key, out_value = record
         lazy = lazy_allowed
         if lazy and self._strategy is Strategy.ADAPTIVE:
-            if out_value is input_key or out_value is input_value:
-                # The output is one half of the input (identity and
-                # swap maps): the LAZY payload is strictly larger by
-                # the other half, whatever either measures.
-                lazy = False
-            else:
-                plain_size = serde.approx_size(out_value)
-                lazy_size = serde.approx_kv_size(input_key, input_value)
-                lazy = (
-                    lazy_size <= plain_size
-                    if self._per_partition
-                    else lazy_size < plain_size
-                )
+            plain_size = serde.approx_size(out_value)
+            lazy_size = serde.approx_kv_size(input_key, input_value)
+            lazy = (
+                lazy_size <= plain_size
+                if self._per_partition
+                else lazy_size < plain_size
+            )
         if lazy:
             context.counters.add(C.ANTI_LAZY_RECORDS)
             context.write(out_key, LazyValue(input_key, input_value))

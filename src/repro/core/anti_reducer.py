@@ -14,9 +14,11 @@ representative key it:
    runs the original Reduce on it.
 
 When ``Shared`` is idle (nothing stored, no Combiner folding inside it)
-and every component of the group is PLAIN, steps 2–3 have nothing to
-merge or reorder: the values go straight to the original Reduce, in
-arrival order, exactly as the add/pop round trip would deliver them.
+and every component of the group is PLAIN, steps 1–3 have nothing to
+drain, merge or reorder: the group takes the PLAIN lane at the top of
+:meth:`DecodeLoop.process_group` and its values go straight to the
+original Reduce, in arrival order, exactly as the add/pop round trip
+would deliver them.
 
 ``cleanup`` drains whatever is left in ``Shared`` (keys that only ever
 appeared inside encoded value components) before calling the original
@@ -29,8 +31,8 @@ them with the original Combiner as the target.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Any, Callable, Iterator
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core import encoding
 from repro.core.runtime import AntiRuntime
@@ -49,6 +51,10 @@ class DecodeError(RuntimeError):
 
 def _discard_sink(key: Any, value: Any) -> None:
     """Swallow emissions from lifecycle hooks of helper instances."""
+
+
+#: The payload of a ``PlainValue`` (its only field), extracted at C level.
+_plain_payload = itemgetter(0)
 
 
 class DecodeLoop:
@@ -82,6 +88,7 @@ class DecodeLoop:
             combiner = runtime.combiner_factory()
             combiner.setup(context.with_sink(_discard_sink))
         self._shared_combiner = combiner
+        self._memory_limit = runtime.config.shared_memory_bytes
         self._partitions = runtime.partition_memo()
         self._natural_grouping = runtime.grouping_comparator.is_natural
         self._reexec_buffer: list[tuple[Any, Any]] = []
@@ -91,7 +98,7 @@ class DecodeLoop:
             grouping_comparator=runtime.grouping_comparator,
             store=context.store,
             counters=context.counters,
-            memory_limit_bytes=runtime.config.shared_memory_bytes,
+            memory_limit_bytes=self._memory_limit,
             merge_threshold=runtime.config.shared_merge_threshold,
             combiner=combiner,
             combine_context=context if combiner is not None else None,
@@ -122,68 +129,14 @@ class DecodeLoop:
             target(rep_key, iter(values), context)
 
     def decode_values(
-        self, rep_key: Any, values: Iterator[Any], context: Context
-    ) -> list | None:
+        self, rep_key: Any, values: Iterable[Any], context: Context
+    ) -> None:
         """Decode one group's encoded value components into Shared.
 
         The whole group decode — including every ``Shared.add`` insert
         it performs — is one ``shared.decode`` span, so per-record
         inserts are aggregated rather than traced individually.
-
-        When Shared is idle and the group turns out to be all PLAIN,
-        nothing enters Shared: the group's values are returned instead
-        (``None`` otherwise), in the order a pop would deliver them.
         """
-        with self._tracer.span(
-            "shared.decode", category="shared"
-        ) as span:
-            taken: list = []
-            if self._shared_combiner is None and self.shared.is_empty():
-                taken, values = self._take_plain(rep_key, values)
-                if values is None:
-                    span.set(components=len(taken))
-                    return taken
-                # Not that kind of group after all: put what was taken
-                # where the general path would have.
-                for value in taken:
-                    self.shared.add(rep_key, value)
-            components = self._decode_components(rep_key, values, context)
-            span.set(components=len(taken) + components)
-        return None
-
-    def _take_plain(
-        self, rep_key: Any, values: Iterator[Any]
-    ) -> tuple[list, Iterator[Any] | None]:
-        """Take a group's leading PLAIN payloads while Shared could
-        hold them without spilling.
-
-        Returns ``(payloads, rest)``: ``rest`` is ``None`` when the
-        whole group was taken, else the components from the first one
-        that is not PLAIN — or whose ``Shared.add`` would cross the
-        memory budget, so the spill happens at the very same record.
-        """
-        values = iter(values)
-        plain = encoding.PlainValue
-        approx_size = serde.approx_size
-        key_size = approx_size(rep_key)
-        room = (
-            self._runtime.config.shared_memory_bytes
-            - self.shared.memory_bytes
-        )
-        taken: list = []
-        for component in values:
-            if type(component) is plain:
-                value = component.value
-                room -= key_size + approx_size(value)
-                if room >= 0:
-                    taken.append(value)
-                    continue
-            return taken, chain((component,), values)
-        return taken, None
-
-    def _decode_components(
-        self, rep_key: Any, values: Iterator[Any], context: Context
-    ) -> int:
         shared = self.shared
         components = 0
         # The tag dispatch is inlined (one ``type`` check per component
@@ -192,27 +145,30 @@ class DecodeLoop:
         plain, eager, lazy = (
             encoding.PlainValue, encoding.EagerValue, encoding.LazyValue
         )
-        for component in values:
-            components += 1
-            kind = type(component)
-            if kind is plain:
-                shared.add(rep_key, component.value)
-            elif kind is eager:
-                other_keys = component.other_keys
-                if not isinstance(other_keys, list):
-                    raise encoding.EncodingError(
-                        f"malformed eager value: {component!r}"
+        with self._tracer.span(
+            "shared.decode", category="shared"
+        ) as span:
+            for component in values:
+                components += 1
+                kind = type(component)
+                if kind is plain:
+                    shared.add(rep_key, component.value)
+                elif kind is eager:
+                    other_keys = component.other_keys
+                    if not isinstance(other_keys, list):
+                        raise encoding.EncodingError(
+                            f"malformed eager value: {component!r}"
+                        )
+                    shared.add_group(rep_key, other_keys, component.value)
+                elif kind is lazy:
+                    self._reexecute_map(
+                        component.input_key, component.input_value, context
                     )
-                shared.add_group(rep_key, other_keys, component.value)
-            elif kind is lazy:
-                self._reexecute_map(
-                    component.input_key, component.input_value, context
-                )
-            else:
-                raise encoding.EncodingError(
-                    f"not an encoded value component: {component!r}"
-                )
-        return components
+                else:
+                    raise encoding.EncodingError(
+                        f"not an encoded value component: {component!r}"
+                    )
+            span.set(components=components)
 
     def _reexecute_map(
         self, input_key: Any, input_value: Any, context: Context
@@ -268,12 +224,62 @@ class DecodeLoop:
         self, rep_key: Any, values: Iterator[Any], context: Context
     ) -> None:
         """Steps 1–3 for one incoming encoded group."""
+        shared = self.shared
+        if (
+            self._shared_combiner is None
+            and not shared._heap
+            and not shared._runs
+        ):
+            # The PLAIN lane.  ``Shared`` is idle, so nothing sorts
+            # before this key, and PLAIN components would come back
+            # from add -> peek -> pop as they went in.  The lane only
+            # establishes that the group is all PLAIN and that the
+            # running size ``Shared.add`` keeps stays within the memory
+            # budget; it never touches ``Shared``.  Anything else
+            # (another encoding, a malformed component, a record that
+            # would spill, an empty group) sends the whole group down
+            # the general path, to spill and fail where it always did.
+            components = [*values]
+            plain = encoding.PlainValue
+            # Sized as ``serde.approx_kv_size`` sizes a pair (its exact
+            # ``str`` case inline), the key once for the group.
+            approx_size = serde.approx_size
+            key_size = (
+                2 + len(rep_key)
+                if type(rep_key) is str
+                else approx_size(rep_key)
+            )
+            room = self._memory_limit
+            for component in components:
+                if type(component) is not plain:
+                    break
+                value = component[0]
+                room -= key_size + (
+                    2 + len(value)
+                    if type(value) is str
+                    else approx_size(value)
+                )
+                if room < 0:
+                    break
+            else:
+                if components:
+                    if self._tracer.enabled:
+                        # Still one span per group; nothing was decoded
+                        # into ``Shared``, so it has no duration.
+                        with self._tracer.span(
+                            "shared.decode",
+                            category="shared",
+                            components=len(components),
+                        ):
+                            pass
+                    self._target(
+                        rep_key, map(_plain_payload, components), context
+                    )
+                    return
+            values = components
         self.drain_below(rep_key, context)
-        plain_values = self.decode_values(rep_key, values, context)
-        if plain_values:
-            self._target(rep_key, iter(plain_values), context)
-        else:
-            self.reduce_current(rep_key, context)
+        self.decode_values(rep_key, values, context)
+        self.reduce_current(rep_key, context)
 
     def drain_all(self, context: Context) -> None:
         """Reduce every remaining Shared group (task cleanup)."""
@@ -301,6 +307,9 @@ class AntiReducer(Reducer):
             target=self._o_reducer.reduce,
             shared_prefix=f"{context.task_id}/shared",
         )
+        # The task calls ``reduce`` once per group: from here on it is
+        # the loop's method itself, not a frame that forwards to it.
+        self.reduce = self._loop.process_group  # type: ignore[method-assign]
 
     def reduce(self, key: Any, values: Iterator[Any], context: Context) -> None:
         assert self._loop is not None, "setup() was not called"

@@ -90,26 +90,6 @@ def tag_of(encoded: Any) -> int:
     raise EncodingError(f"not an encoded value component: {encoded!r}")
 
 
-def plain_payload(encoded: PlainValue) -> Any:
-    """The original value of a PLAIN component."""
-    return encoded.value
-
-
-def eager_payload(encoded: EagerValue) -> tuple[list, Any]:
-    """The ``(other_keys, value)`` of an EAGER component."""
-    return encoded.other_keys, encoded.value
-
-
-def lazy_payload(encoded: LazyValue) -> tuple[Any, Any]:
-    """The ``(input_key, input_value)`` of a LAZY component."""
-    return encoded.input_key, encoded.input_value
-
-
-def encoded_record_size(key: Any, encoded: Any) -> int:
-    """Serialised size in bytes of an encoded record."""
-    return serde.record_size(key, encoded)
-
-
 def decoded_pairs_of_eager(rep_key: Any, encoded: Any) -> list[tuple[Any, Any]]:
     """Expand an EAGER (or PLAIN) record into its original pairs."""
     tag = tag_of(encoded)

@@ -148,7 +148,8 @@ class Shared:
         self._fast_keys = comparator.is_natural
         self._fast_group = grouping_comparator.is_natural
         #: Raw keys when ``_fast_keys``, else cmp_to_key wrappers
-        #: (``.obj`` is the key).
+        #: (``.obj`` is the key).  Both this and ``_runs`` empty is
+        #: "idle", which ``DecodeLoop.process_group`` tests per group.
         self._heap: list[Any] = []
         self._table: dict[Any, _Entry] = {}
         self._mem_bytes = 0
@@ -383,10 +384,6 @@ class Shared:
     def __len__(self) -> int:
         """Number of distinct in-memory keys (spilled keys not counted)."""
         return len(self._table)
-
-    @property
-    def memory_bytes(self) -> int:
-        return self._mem_bytes
 
     @property
     def spill_count(self) -> int:

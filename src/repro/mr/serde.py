@@ -177,8 +177,8 @@ def _enc_bytes(out: bytearray, obj: Any) -> None:
 # their element loops: a `type(item) is ...` chain costs a pointer
 # compare, while even a table hit costs a dict lookup plus a Python
 # function call per element.  The inline bodies are byte-for-byte the
-# same as _enc_str/_enc_int/_enc_float; keep the four copies (tuple,
-# list, extension, encode_kv_into) in sync.
+# same as _enc_str/_enc_int/_enc_float; keep the copies (tuple, list,
+# extension, one-field extension, encode_kv_into) in sync.
 
 
 def _enc_tuple(out: bytearray, obj: Any) -> None:
@@ -391,6 +391,39 @@ def _make_ext_encoder(ext_id: int) -> Callable[[bytearray, Any], None]:
     return enc
 
 
+def _make_ext1_encoder(ext_id: int) -> Callable[[bytearray, Any], None]:
+    """The encoder of a one-field extension: no item loop, and the
+    field's ``str``/``int`` tag goes out with the extension tag."""
+    tag = _TAG_EXT_BASE | ext_id
+    str_head = bytes((tag, _TAG_STR))
+    int_head = bytes((tag, _TAG_INT))
+
+    def enc(out: bytearray, obj: Any) -> None:
+        item = obj[0]
+        kind = type(item)
+        if kind is str:
+            raw = item.encode("utf-8")
+            out += str_head
+            size = len(raw)
+            while size > 0x7F:
+                out.append(size & 0x7F | 0x80)
+                size >>= 7
+            out.append(size)
+            out += raw
+        elif kind is int and _INT_LO <= item < _INT_HI:
+            out += int_head
+            value = (item << 1) ^ (item >> 63)
+            while value > 0x7F:
+                out.append(value & 0x7F | 0x80)
+                value >>= 7
+            out.append(value)
+        else:
+            out.append(tag)
+            encode_into(out, item)
+
+    return enc
+
+
 # -- decoding --------------------------------------------------------------
 #
 # A 256-entry dispatch table indexed by the tag byte.  Decoders take
@@ -508,8 +541,8 @@ def _dec_bytes(data: Any, offset: int) -> tuple[Any, int]:
 # loops for the same reason the encoders do: the per-element dispatch
 # (table index + Python call) costs more than decoding a small int or
 # short string.  The inline bodies match _dec_int/_dec_str/_dec_float
-# exactly; keep the four copies (tuple, list, extension,
-# decode_kv_from) in sync.
+# exactly; keep the copies (tuple, list, extension, one-field
+# extension, decode_stream) in sync.
 
 
 def _dec_tuple(data: Any, offset: int) -> tuple[Any, int]:
@@ -735,6 +768,46 @@ def _make_ext_decoder(
     return dec
 
 
+def _make_ext1_decoder(cls: type) -> Callable[[Any, int], tuple[Any, int]]:
+    """The decoder of a one-field extension: no item list, ``str`` and
+    ``int`` fields inline, and the value built as the tuple it is
+    (what ``cls._make`` does) rather than through ``cls.__new__``."""
+    new = tuple.__new__
+
+    def dec(data: Any, offset: int) -> tuple[Any, int]:
+        tag = data[offset]
+        offset += 1
+        if tag == 0x03:  # _TAG_INT
+            byte = data[offset]
+            offset += 1
+            acc = byte & 0x7F
+            shift = 7
+            while byte & 0x80:
+                if shift > 70:
+                    raise SerdeError("varint too long")
+                byte = data[offset]
+                offset += 1
+                acc |= (byte & 0x7F) << shift
+                shift += 7
+            return new(cls, ((acc >> 1) ^ -(acc & 1),)), offset
+        if tag == 0x05:  # _TAG_STR
+            n = data[offset]
+            offset += 1
+            if n > 0x7F:
+                n, offset = _read_len_cont(data, offset, n & 0x7F)
+            end = offset + n
+            if end > len(data):
+                raise SerdeError("truncated string")
+            try:
+                return new(cls, (str(data[offset:end], "utf-8"),)), end
+            except UnicodeDecodeError:
+                raise SerdeError("invalid utf-8 in string payload") from None
+        item, offset = _DECODERS[tag](data, offset)
+        return new(cls, (item,)), offset
+
+    return dec
+
+
 _DECODERS: list[Callable[[Any, int], tuple[Any, int]]] = [
     _dec_unknown_tag(tag) for tag in range(256)
 ]
@@ -778,8 +851,12 @@ def register_extension(ext_id: int, cls: type) -> None:
     extension = _Extension(ext_id, cls, len(fields))
     _EXTENSIONS[ext_id] = extension
     _EXTENSION_BY_CLS[cls] = extension
-    _ENCODERS[cls] = _make_ext_encoder(ext_id)
-    _DECODERS[_TAG_EXT_BASE | ext_id] = _make_ext_decoder(extension)
+    if len(fields) == 1:
+        _ENCODERS[cls] = _make_ext1_encoder(ext_id)
+        _DECODERS[_TAG_EXT_BASE | ext_id] = _make_ext1_decoder(cls)
+    else:
+        _ENCODERS[cls] = _make_ext_encoder(ext_id)
+        _DECODERS[_TAG_EXT_BASE | ext_id] = _make_ext_decoder(extension)
     _APPROX_SIZERS[cls] = _approx_ext
 
 

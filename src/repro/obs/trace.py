@@ -24,6 +24,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
@@ -199,13 +200,20 @@ NULL_TRACER = NullTracer()
 # attempt body *activates* its tracer for the duration of the task —
 # in the worker process when attempts run on a pool — and instrumented
 # code asks for ``current_tracer()``.
+#
+# The activation is per thread (a context variable): attempts running
+# concurrently on the job service's worker threads, or an abandoned
+# attempt still finishing beside its retry, each see only their own
+# tracer, and leaving one block never restores another thread's.
 
-_active: Tracer | NullTracer = NULL_TRACER
+_active: ContextVar[Tracer | NullTracer] = ContextVar(
+    "repro_active_tracer", default=NULL_TRACER
+)
 
 
 def current_tracer() -> Tracer | NullTracer:
     """The tracer instrumented code should record on (never ``None``)."""
-    return _active
+    return _active.get()
 
 
 class activated:
@@ -213,17 +221,15 @@ class activated:
 
     def __init__(self, tracer: Tracer | NullTracer):
         self._tracer = tracer
-        self._previous: Tracer | NullTracer = NULL_TRACER
+        self._token: Token | None = None
 
     def __enter__(self) -> Tracer | NullTracer:
-        global _active
-        self._previous = _active
-        _active = self._tracer
+        self._token = _active.set(self._tracer)
         return self._tracer
 
     def __exit__(self, *exc_info: Any) -> None:
-        global _active
-        _active = self._previous
+        assert self._token is not None
+        _active.reset(self._token)
 
 
 # -- multi-job collection (the CLI's --trace flag) -------------------------

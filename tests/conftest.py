@@ -8,6 +8,15 @@ from repro.mr.api import Context
 from repro.mr.counters import Counters
 from repro.mr.cost import FixedCostMeter
 from repro.mr.storage import LocalStore
+from repro.obs.trace import NULL_TRACER, current_tracer
+
+
+@pytest.fixture(autouse=True)
+def _no_tracer_left_active():
+    """A tracer still active after a test would put every later
+    in-process job of the session on the traced path."""
+    yield
+    assert current_tracer() is NULL_TRACER
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import encoding
 from repro.core.anti_mapper import AntiMapper, _value_group_id
@@ -17,6 +19,7 @@ from repro.mr.api import Context, Mapper, Partitioner, Reducer
 from repro.mr.comparators import Comparator, default_comparator
 from repro.mr.cost import FixedCostMeter, TableCostMeter
 from repro.mr.counters import Counters
+from repro.mr.maptask import MapTask
 
 
 class _ModPartitioner(Partitioner):
@@ -299,6 +302,102 @@ class TestSingleEmission:
             )
             assert emitted == [(0, encoding.lazy_value(7, "in"))]
             assert counters.as_dict() == {C.ANTI_LAZY_RECORDS: 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        strategy=st.sampled_from(list(Strategy)),
+        per_partition=st.booleans(),
+        # T = inf: unmetered.  A finite T is metered; at a fixed cost
+        # of 1 per call, T = 100 allows LazySH and T = 0.5 forbids it.
+        threshold_t=st.sampled_from([math.inf, 100.0, 0.5]),
+        input_key=st.integers(-(2**70), 2**70) | st.text(max_size=8),
+        input_value=st.text(max_size=40) | st.integers(0, 2**40),
+        echo=st.sampled_from(["key", "value", "copy", "other"]),
+        other=st.text(max_size=60) | st.integers(-(2**70), 2**70),
+    )
+    def test_generated_calls_match_general_path(
+        self,
+        strategy,
+        per_partition,
+        threshold_t,
+        input_key,
+        input_value,
+        echo,
+        other,
+    ) -> None:
+        """What a one-record call writes — through the PLAIN lane when
+        the output *is* half of the input, through the size comparison
+        otherwise — is what the general path writes for each record of
+        the same call fanned out to two partitions."""
+
+        class Echo(Mapper):
+            keys = [0]
+
+            def map(self, key, value, context):
+                out = {
+                    "key": key,
+                    "value": value,
+                    # Equal to the input value, never the same object.
+                    "copy": serde.decode(serde.encode(value)),
+                    "other": other,
+                }[echo]
+                for out_key in self.keys:
+                    context.write(out_key, out)
+
+        def run(keys):
+            runtime = AntiRuntime(
+                mapper_factory=type("Fanned", (Echo,), {"keys": keys}),
+                reducer_factory=Reducer,
+                combiner_factory=None,
+                partitioner=_ModPartitioner(),
+                num_reducers=4,
+                comparator=default_comparator,
+                grouping_comparator=default_comparator,
+                meter=FixedCostMeter(cost_per_call=1.0),
+                config=AntiCombiningConfig(
+                    threshold_t=threshold_t,
+                    strategy=strategy,
+                    per_partition_choice=per_partition,
+                ),
+            )
+            return _run_map(runtime, input_key, input_value)
+
+        single, single_counters = run([0])
+        double, double_counters = run([0, 1])
+        assert len(single) == 1
+        assert _encoded_bytes(double) == _encoded_bytes(
+            [single[0], (1, single[0][1])]
+        )
+        assert type(double[0][1]) is type(single[0][1])
+        assert double_counters.as_dict() == {
+            name: 2 * count
+            for name, count in single_counters.as_dict().items()
+        }
+
+    @pytest.mark.parametrize("strategy", [Strategy.EAGER, Strategy.ADAPTIVE])
+    def test_failed_task_has_counted_what_it_wrote(self, strategy) -> None:
+        """``anti.plain.records`` is exact at every instant, so the
+        counters of an attempt that dies mid-split report the records
+        written before the failing call — no more, no fewer."""
+        from repro.core.transform import enable_anti_combining
+        from repro.mr.config import JobConf
+
+        class FailsOnSixth(Mapper):
+            def map(self, key, value, context):
+                if key == 5:
+                    raise RuntimeError("boom")
+                context.write(value, key)
+
+        job = enable_anti_combining(
+            JobConf(mapper=FailsOnSixth, reducer=Reducer, num_reducers=2),
+            strategy=strategy,
+        )
+        counters = Counters()
+        with pytest.raises(RuntimeError, match="boom"):
+            MapTask(job, "map0").run(
+                [(i, f"line {i}") for i in range(10)], counters=counters
+            )
+        assert counters.get_int(C.ANTI_PLAIN_RECORDS) == 5
 
 
 # -- the size decision against the trial-encoding reference ----------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import encoding
 from repro.core.anti_reducer import AntiReducer, DecodeError
@@ -10,7 +12,13 @@ from repro.core.config import AntiCombiningConfig, Strategy
 from repro.core.runtime import AntiRuntime
 from repro.mr import counters as C
 from repro.mr.api import Combiner, Context, Mapper, Partitioner, Reducer
-from repro.mr.comparators import comparator_from_key, default_comparator
+from repro.mr import serde
+from repro.mr.comparators import (
+    Comparator,
+    _natural_cmp,
+    comparator_from_key,
+    default_comparator,
+)
 from repro.mr.cost import FixedCostMeter
 from repro.mr.counters import Counters
 from repro.mr.storage import LocalStore
@@ -40,6 +48,7 @@ def _runtime(
     combiner_factory=None,
     partitioner=None,
     grouping_comparator=default_comparator,
+    comparator=default_comparator,
     **config_kwargs,
 ) -> AntiRuntime:
     return AntiRuntime(
@@ -48,7 +57,7 @@ def _runtime(
         combiner_factory=combiner_factory,
         partitioner=partitioner or _ModPartitioner(),
         num_reducers=2,
-        comparator=default_comparator,
+        comparator=comparator,
         grouping_comparator=grouping_comparator,
         meter=FixedCostMeter(),
         config=AntiCombiningConfig(**config_kwargs),
@@ -406,3 +415,137 @@ class TestAllPlainGroupLane:
             span for span in tracer.records() if span.name == "shared.decode"
         ]
         assert [span.attrs["components"] for span in spans] == [2, 2]
+
+
+    @pytest.mark.parametrize(
+        "junk", ["junk", ("tuple",), encoding.EagerValue("not-a-list", "v")]
+    )
+    def test_malformed_component_after_plain_ones_is_rejected(
+        self, junk
+    ) -> None:
+        """The lane looks at component types before it looks at
+        payloads: anything that is not a component still fails the way
+        the general path fails it."""
+        with pytest.raises(encoding.EncodingError):
+            _run_reduce(_runtime(), [(2, _plain("a") + [junk])])
+        with pytest.raises(encoding.EncodingError):
+            _run_reduce(_runtime(), [(2, [junk])])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_generated_groups_match_the_general_path(self, data) -> None:
+        """Groups of 1..n PLAIN components with EAGER/LAZY components at
+        drawn positions, a ``Shared`` budget drawn around one record's
+        size: tracer off or on, natural or opaque comparator, the lane
+        and the general path produce the same output and counters."""
+        groups = data.draw(_generated_groups())
+        first_key, first_components = groups[0]
+        record_size = serde.approx_kv_size(
+            first_key, first_components[0].value
+        )
+        budget = data.draw(
+            st.sampled_from(
+                [
+                    record_size - 1,
+                    record_size,
+                    record_size + 1,
+                    record_size + 600,
+                    1024,
+                    4 * 1024 * 1024,
+                ]
+            ),
+            label="shared_memory_bytes",
+        )
+        expected = None
+        for comparator in (default_comparator, _OPAQUE):
+            runtime = _runtime(
+                comparator=comparator,
+                grouping_comparator=comparator,
+                shared_memory_bytes=budget,
+            )
+            for traced in (False, True):
+                for leg in (groups, _as_empty_eager(groups)):
+                    tracer = Tracer()
+                    if traced:
+                        with activated(tracer):
+                            output, counters = _run_reduce(runtime, leg)
+                    else:
+                        output, counters = _run_reduce(runtime, leg)
+                    outcome = (output, counters.as_dict())
+                    if expected is None:
+                        expected = outcome
+                    assert outcome == expected
+                    spans = [
+                        span.attrs["components"]
+                        for span in tracer.records()
+                        if span.name == "shared.decode"
+                    ]
+                    assert spans == (
+                        [len(components) for _, components in groups]
+                        if traced
+                        else []
+                    )
+
+
+#: The natural order with ``is_natural`` left false (generic branches).
+_OPAQUE = Comparator(_natural_cmp, name="opaque")
+
+_payloads = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.text(max_size=3),
+    st.sampled_from(["v" * 30, "w" * 500, ("t", 1), None, 2.5]),
+)
+#: ``shared_memory_bytes`` is at least 1 KiB, so the record whose size
+#: the budget is drawn around is larger than that.
+_anchor_payloads = st.integers(1030, 1100).map(lambda n: "a" * n)
+
+
+@st.composite
+def _generated_groups(draw):
+    """Sorted even-key groups for partition 0 of ``_ModPartitioner``.
+
+    The first component of the first group is PLAIN (its size anchors
+    the drawn ``Shared`` budget).  EAGER components name later even
+    keys; LAZY components appear only under keys ``10 i + 2``, where
+    ``_PrefixSumMapper(i, n >= 2)`` re-creates exactly that key as its
+    smallest output in partition 0.
+    """
+    keys = draw(
+        st.lists(
+            st.integers(1, 30).map(lambda n: 2 * n),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        ).map(sorted)
+    )
+    groups = []
+    for key in keys:
+        kinds = ["plain", "plain", "plain", "eager"]
+        if key % 10 == 2:
+            kinds.append("lazy")
+        components = []
+        for kind in draw(
+            st.lists(st.sampled_from(kinds), min_size=1, max_size=6)
+        ):
+            if not groups and not components:
+                components.append(
+                    encoding.plain_value(draw(_anchor_payloads))
+                )
+            elif kind == "plain":
+                components.append(encoding.plain_value(draw(_payloads)))
+            elif kind == "eager":
+                others = draw(
+                    st.lists(
+                        st.integers(1, 20).map(lambda n: key + 2 * n),
+                        max_size=3,
+                    )
+                )
+                components.append(
+                    encoding.eager_value(others, draw(_payloads))
+                )
+            else:
+                components.append(
+                    encoding.lazy_value(key // 10, draw(st.integers(2, 5)))
+                )
+        groups.append((key, components))
+    return groups

@@ -12,12 +12,12 @@ class TestConstructors:
     def test_plain(self) -> None:
         component = encoding.plain_value("v")
         assert encoding.tag_of(component) == encoding.PLAIN
-        assert encoding.plain_payload(component) == "v"
+        assert component.value == "v"
 
     def test_eager(self) -> None:
         component = encoding.eager_value(["k2", "k3"], "v")
         assert encoding.tag_of(component) == encoding.EAGER
-        assert encoding.eager_payload(component) == (["k2", "k3"], "v")
+        assert (component.other_keys, component.value) == (["k2", "k3"], "v")
 
     def test_eager_copies_keys(self) -> None:
         keys = ["a"]
@@ -28,7 +28,7 @@ class TestConstructors:
     def test_lazy(self) -> None:
         component = encoding.lazy_value(7, "input")
         assert encoding.tag_of(component) == encoding.LAZY
-        assert encoding.lazy_payload(component) == (7, "input")
+        assert (component.input_key, component.input_value) == (7, "input")
 
 
 class TestTagValidation:
@@ -91,6 +91,6 @@ class TestDecodedPairs:
 
     def test_encoded_record_size(self) -> None:
         component = encoding.plain_value("v")
-        assert encoding.encoded_record_size("k", component) == len(
+        assert serde.record_size("k", component) == len(
             serde.encode_kv("k", component)
         )

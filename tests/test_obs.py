@@ -142,6 +142,43 @@ class TestTracer:
             assert current_tracer() is tracer
         assert current_tracer() is NULL_TRACER
 
+    def test_activation_is_per_thread(self) -> None:
+        """Two ``activated`` blocks interleaved on two threads — A
+        enters, B enters, A exits, B exits — each see their own tracer
+        and leave nothing active (with one process-wide slot, B's exit
+        restored A's tracer for good)."""
+        import threading
+
+        tracers = {"a": Tracer(), "b": Tracer()}
+        seen: dict[str, list] = {"a": [], "b": []}
+        steps = {
+            name: threading.Event()
+            for name in ("a-in", "b-in", "a-out", "b-out")
+        }
+
+        def worker(name, entered, wait_before_exit, exited) -> None:
+            with activated(tracers[name]):
+                seen[name].append(current_tracer())
+                steps[entered].set()
+                assert steps[wait_before_exit].wait(5)
+                seen[name].append(current_tracer())
+            seen[name].append(current_tracer())
+            steps[exited].set()
+
+        threads = [
+            threading.Thread(target=worker, args=("a", "a-in", "b-in", "a-out")),
+            threading.Thread(target=worker, args=("b", "b-in", "a-out", "b-out")),
+        ]
+        threads[0].start()
+        assert steps["a-in"].wait(5)
+        threads[1].start()
+        for thread in threads:
+            thread.join(5)
+            assert not thread.is_alive()
+        for name, tracer in tracers.items():
+            assert seen[name] == [tracer, tracer, NULL_TRACER]
+        assert current_tracer() is NULL_TRACER
+
 
 # -- metrics registry ------------------------------------------------------
 

@@ -182,6 +182,96 @@ class TestFastPathParity:
             raise AssertionError(f"truncation by {chop} not detected")
 
 
+# -- one-field extensions ---------------------------------------------------
+#
+# `register_extension` gives a one-field class a loop-free codec (the
+# PLAIN record of every bypass workload goes through it).  It is keyed
+# on the arity alone, so it is held to the reference through two
+# classes: `PlainValue` and a one-field extension of the test suite's.
+
+from tests.test_serde import _Solo  # noqa: E402
+
+serde.register_extension(13, _Solo)  # the id tests/test_serde.py uses
+
+_ONE_FIELD_CLASSES = (PlainValue, _Solo)
+
+_ONE_FIELD_PAYLOADS = [
+    *_BOUNDARY_INTS,
+    63,
+    64,
+    -64,
+    -65,
+    8191,
+    8192,
+    2**35,
+    "",
+    "ascii",
+    "naïve — ≥ 128 bytes? no: non-ASCII",
+    "x" * 127,
+    "y" * 128,
+    "é" * 100,  # 200 utf-8 bytes behind a two-byte length
+    "z" * 20000,
+    1.5,
+    None,
+    True,
+    b"raw",
+    ("tuple", 1),
+    ["list", 2.0],
+    {"k": [1, 2]},
+    frozenset({1, 2}),
+]
+
+
+class TestOneFieldExtensionCodec:
+    @pytest.mark.parametrize("cls", _ONE_FIELD_CLASSES)
+    @settings(max_examples=200, deadline=None)
+    @given(payload=_objects)
+    def test_generated_payloads_match_reference(self, cls, payload) -> None:
+        self._assert_matches_reference(cls(payload))
+        self._assert_matches_reference(cls(PlainValue(payload)))
+
+    @pytest.mark.parametrize("cls", _ONE_FIELD_CLASSES)
+    @pytest.mark.parametrize("payload", _ONE_FIELD_PAYLOADS, ids=repr)
+    def test_named_payloads_match_reference(self, cls, payload) -> None:
+        self._assert_matches_reference(cls(payload))
+        self._assert_matches_reference(cls(cls(payload)))
+        self._assert_matches_reference(PlainValue(_Solo(payload)))
+
+    @staticmethod
+    def _assert_matches_reference(value) -> None:
+        data = serde.encode(value)
+        assert data == serde_ref.encode(value)
+        for decoded in (serde.decode(data), serde_ref.decode(data)):
+            assert decoded == value
+            assert type(decoded) is type(value)
+            assert type(decoded[0]) is type(value[0])
+        out = bytearray()
+        serde.append_records(out, [("k", value), (value, "v")])
+        assert serde.decode_stream(out) == [("k", value), (value, "v")]
+
+    @pytest.mark.parametrize("cls", _ONE_FIELD_CLASSES)
+    @pytest.mark.parametrize(
+        "payload",
+        [5, 8192, 2**70, "text", "é" * 100, 2.5, ("a", ["b"]), None],
+        ids=repr,
+    )
+    def test_every_truncation_raises(self, cls, payload) -> None:
+        for value in (cls(payload), cls(PlainValue(payload))):
+            data = serde.encode(value)
+            for cut in range(len(data)):
+                with pytest.raises(serde.SerdeError):
+                    serde.decode(data[:cut])
+                with pytest.raises(serde.SerdeError):
+                    serde.decode(memoryview(data)[:cut])
+
+    def test_overlong_varint_and_bad_utf8_rejected(self) -> None:
+        tag = serde.encode(PlainValue(0))[0]
+        with pytest.raises(serde.SerdeError, match="varint too long"):
+            serde.decode(bytes([tag, 0x03]) + b"\xff" * 11 + b"\x01")
+        with pytest.raises(serde.SerdeError, match="utf-8"):
+            serde.decode(bytes([tag, 0x05, 2, 0xC3, 0x28]))
+
+
 # -- sizing-kernel parity ---------------------------------------------------
 #
 # `approx_size` feeds `Shared`'s spill trigger and AdaptiveSH's
