@@ -10,10 +10,11 @@ counter-determinism contract holds with the recorder on or off.
 One :class:`FlightRecorder` owns one run directory (see
 :mod:`repro.obs.run_store` for the layout).  Entries, events and spans
 are appended incrementally as each job finishes, so a run that crashes
-mid-way still leaves its post-mortem bundle on disk; the deterministic
-``counters.json`` receipt and the ``metrics.prom`` dump land at
-:meth:`FlightRecorder.finalize` — which the CLI drives from its
-``finally`` path with ``status="failed"`` when the experiment raised.
+mid-way still leaves its post-mortem bundle on disk (a job costs one
+write per artifact); the deterministic ``counters.json`` receipt and
+the ``metrics.prom`` dump land at :meth:`FlightRecorder.finalize` —
+which the CLI drives from its ``finally`` path with
+``status="failed"`` when the experiment raised.
 """
 
 from __future__ import annotations
@@ -315,29 +316,32 @@ class FlightRecorder:
         return self._run_id
 
     # -- internals -------------------------------------------------------
+    # A job's span rows and its event rows land as one write each
+    # (`RunStore.append_rows`), however many rows the job produced.
     def _append_spans(
         self, index: int, name: str, spans: Sequence[Any]
     ) -> None:
         # The same row shape `repro trace` consumes (obs.export
         # write_jsonl/load_jsonl), so a recorded run's spans.jsonl
         # renders directly with the existing per-phase report.
-        self._store.append_row(
-            self._run_id,
-            SPANS_FILE,
-            {"type": "job", "job": name, "run": index},
+        rows = [{"type": "job", "job": name, "run": index}]
+        rows.extend(
+            {"type": "span", "job": name, "run": index, **span.as_dict()}
+            for span in spans
         )
-        for span in spans:
-            row = {"type": "span", "job": name, "run": index}
-            row.update(span.as_dict())
-            self._store.append_row(self._run_id, SPANS_FILE, row)
+        self._store.append_rows(self._run_id, SPANS_FILE, rows)
 
     def _append_events(
         self, index: int, name: str, events: Sequence[dict]
     ) -> None:
-        for event in events:
-            row = {"type": "event", "job": name, "run": index}
-            row.update(event)
-            self._store.append_row(self._run_id, EVENTS_FILE, row)
+        self._store.append_rows(
+            self._run_id,
+            EVENTS_FILE,
+            (
+                {"type": "event", "job": name, "run": index, **event}
+                for event in events
+            ),
+        )
 
 
 # -- the process-wide (and thread-scoped) hook -----------------------------

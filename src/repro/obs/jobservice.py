@@ -23,12 +23,16 @@ into the shared store, so:
   would, which is why :mod:`repro.obs.flightrecorder` grew scopes.
 
 Shutdown is graceful: :meth:`JobService.drain` stops admission,
-lets queued and in-flight jobs finish, then parks the workers.
+lets queued and in-flight jobs finish, then parks the workers.  A
+service that was killed instead leaves its in-flight bundles
+``running`` for good; :meth:`JobService.start` marks those of dead
+service processes ``failed`` before the workers take their first job.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import queue
 import threading
 import time
@@ -41,7 +45,12 @@ from repro.obs.flightrecorder import (
     clear_flight_recorder,
     set_flight_recorder,
 )
-from repro.obs.run_store import COMPLETED, FAILED, RunStore
+from repro.obs.run_store import (
+    COMPLETED,
+    FAILED,
+    RUNNING as RUN_RUNNING,  # a run's status; RUNNING below is a job's state
+    RunStore,
+)
 
 #: Job lifecycle states (``queued`` → ``running`` → ``done``/``failed``).
 QUEUED = "queued"
@@ -54,6 +63,9 @@ DEFAULT_QUEUE_DEPTH = 16
 #: Seconds a rejected client should wait before retrying (the HTTP
 #: layer sends it as the ``Retry-After`` header of the 429).
 DEFAULT_RETRY_AFTER = 1.0
+
+#: ``manifest.argv[0]`` of every bundle a job service records.
+SERVICE_ARGV0 = "jobs"
 
 #: Queue sentinel that parks one worker thread.
 _STOP = object()
@@ -106,6 +118,24 @@ class JobRecord:
         if self.error is not None:
             doc["error"] = self.error
         return doc
+
+
+def _process_gone(pid: Any) -> bool:
+    """True only when ``pid`` provably names no process.
+
+    Anything else reads as alive and its bundle is left for a later
+    start: a recycled pid, someone else's process, and an exited one
+    its parent has not reaped yet.
+    """
+    if not isinstance(pid, int) or pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:
+        pass  # it exists; it is just not ours to signal
+    return False
 
 
 def default_experiment_registry() -> dict[str, Callable[..., Any]]:
@@ -213,8 +243,10 @@ class JobService:
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "JobService":
-        """Spawn the worker threads (idempotent)."""
+        """Reconcile orphaned bundles, then spawn the worker threads
+        (idempotent)."""
         if not self._threads:
+            self._reconcile_orphans()
             self._threads = [
                 threading.Thread(
                     target=self._worker,
@@ -226,6 +258,35 @@ class JobService:
             for thread in self._threads:
                 thread.start()
         return self
+
+    def _reconcile_orphans(self) -> None:
+        """Finalise as ``failed`` every ``running`` bundle a job
+        service recorded whose process is gone.
+
+        A ``running`` run is never pruned and never kept by the ledger
+        index, so each one a killed server left behind would stay a
+        forever-``running`` row in ``/runs`` and a disk read per scrape.
+        Bundles of live processes (this one included) and of other
+        recorders (``repro run --record``) are not ours to close.
+        """
+        for record in self._store.load_all():
+            manifest = record.manifest
+            pid = manifest.get("pid")
+            if (
+                record.status_name != RUN_RUNNING
+                or (manifest.get("argv") or [None])[0] != SERVICE_ARGV0
+                or not _process_gone(pid)
+            ):
+                continue
+            self._store.write_status(
+                record.run_id,
+                {
+                    "status": FAILED,
+                    "finished_unix": time.time(),
+                    "entries": len(record.entries),
+                    "error": f"orphaned: recorder process {pid} is gone",
+                },
+            )
 
     def drain(self, timeout: float | None = None) -> bool:
         """Graceful shutdown: reject new jobs, finish admitted ones.
@@ -345,7 +406,7 @@ class JobService:
                 kind="experiment",
                 name=record.experiment,
                 params={record.experiment: record.params},
-                argv=["jobs", record.experiment],
+                argv=[SERVICE_ARGV0, record.experiment],
             )
         except Exception as exc:
             record.error = f"{type(exc).__name__}: {exc}"

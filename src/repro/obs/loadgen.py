@@ -14,6 +14,11 @@ the service's heavy-traffic contract end to end:
   (:func:`repro.obs.metrics.validate_prometheus_text`) — concurrent
   writers must never tear a scrape.
 
+The report also prints what the server says each job's run took
+(``finished_unix − started_unix`` from ``GET /jobs``): median, p95 and
+the last quarter's median over the first quarter's — per-job cost that
+grows with the ledger shows there as a ratio above 1.
+
 The ledger's retention must keep at least ``count`` runs for the
 bundle check to hold (``REPRO_RUNS_KEEP``), since a prune racing the
 verification is indistinguishable from a lost run.
@@ -22,6 +27,7 @@ verification is indistinguishable from a lost run.
 from __future__ import annotations
 
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -53,6 +59,9 @@ class LoadReport:
     scrape_errors: list[str] = field(default_factory=list)
     submit_errors: list[str] = field(default_factory=list)
     seconds: float = 0.0
+    #: The server's own run seconds of every done job
+    #: (``finished_unix − started_unix``), in completion order.
+    run_seconds: list[float] = field(default_factory=list)
 
     def ok(self) -> bool:
         return (
@@ -64,6 +73,27 @@ class LoadReport:
             and not self.scrape_errors
             and not self.submit_errors
             and self.scrapes > 0
+        )
+
+    def run_latency(self) -> tuple[float, float, float] | None:
+        """``(p50 ms, p95 ms, growth)`` of the done jobs' run seconds.
+
+        Growth is the median of the last quarter of jobs over the
+        median of the first quarter, in completion order.
+        """
+        runs = self.run_seconds
+        if not runs:
+            return None
+        quarter = max(1, len(runs) // 4)
+        first = statistics.median(runs[:quarter])
+        last = statistics.median(runs[-quarter:])
+        p95 = (
+            statistics.quantiles(runs, n=20)[-1] if len(runs) > 1 else runs[0]
+        )
+        return (
+            statistics.median(runs) * 1e3,
+            p95 * 1e3,
+            last / first if first > 0 else float("inf"),
         )
 
     def summary(self) -> str:
@@ -78,6 +108,12 @@ class LoadReport:
             f"{len(self.scrape_errors)} invalid",
             f"wall: {self.seconds:.1f}s",
         ]
+        latency = self.run_latency()
+        if latency is not None:
+            lines.append(
+                "run latency: p50 {:.1f} ms, p95 {:.1f} ms, last quarter "
+                "/ first quarter {:.2f}x".format(*latency)
+            )
         for label, problems in (
             ("failed", self.failed_jobs),
             ("lost", self.lost_jobs),
@@ -209,6 +245,11 @@ def run_load(
         stop_scraping.set()
         scraper.join()
 
+    done = [job for job in states.values() if job["state"] == "done"]
+    done.sort(key=lambda job: job["finished_unix"])
+    report.run_seconds = [
+        job["finished_unix"] - job["started_unix"] for job in done
+    ]
     for job_id, job in sorted(states.items()):
         if job["state"] != "done":
             report.failed_jobs.append(

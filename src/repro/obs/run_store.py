@@ -26,11 +26,22 @@ touches a run that is still ``running``.
 
 Concurrency contract: many writers (processes or threads) may share
 one store root.  Creation retries on directory collisions instead of
-pre-checking, JSONL rows land as one ``O_APPEND`` write each (so a
-crash can only tear the *final* line, which readers skip and count),
+pre-checking, a batch of JSONL rows lands as one ``O_APPEND`` write (so
+a crash can only tear the *final* line, which readers skip and count),
 JSON documents are written to a temp file and atomically renamed into
 place, and readers tolerate runs vanishing underneath them (a
 concurrent ``prune``/``delete``).
+
+The ledger index: ``status.json`` is a run's *last* write, so a bundle
+whose status is not ``running`` can no longer change.  A store
+instance therefore reads a finished bundle from disk once and keeps
+the :class:`RunRecord`; every lookup starts from one directory listing
+and the index forgets whatever the listing no longer names (a run
+pruned or deleted by another process), loads what it has not seen (a
+run recorded by another process), and never keeps a ``running`` run —
+that one is re-read every time, which is what makes its newly appended
+entries visible.  The index holds only runs that are on disk, so
+retention (``keep`` finished runs) bounds it too.
 """
 
 from __future__ import annotations
@@ -39,9 +50,12 @@ import hashlib
 import json
 import os
 import shutil
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Iterable
 
 #: File names inside one run directory.
 MANIFEST_FILE = "manifest.json"
@@ -189,6 +203,25 @@ def _read_jsonl(path: Path, on_torn_tail=None) -> list[dict]:
     return rows
 
 
+def _interned(value: Any) -> Any:
+    """``value`` rebuilt with every dict key and string interned.
+
+    Kept records repeat the same counter names, gauge names and conf
+    values run after run; sharing one copy of each roughly halves what
+    the index holds per record.
+    """
+    kind = type(value)
+    if kind is str:
+        return sys.intern(value)
+    if kind is dict:
+        return {
+            sys.intern(key): _interned(item) for key, item in value.items()
+        }
+    if kind is list:
+        return [_interned(item) for item in value]
+    return value
+
+
 class RunStore:
     """The on-disk ledger of recorded runs."""
 
@@ -220,6 +253,17 @@ class RunStore:
         #: artifact; readers skip it and account for it here (the
         #: ``/metrics`` scrape surfaces the total).
         self.torn_tail_lines = 0
+        #: Bundles this store instance has read from disk.  With the
+        #: index a finished bundle counts here once, so the number a
+        #: lookup adds does not depend on how long the ledger is
+        #: (``repro_store_bundle_reads`` on ``/metrics``).
+        self.bundle_reads = 0
+        #: The ledger index: the record of every *finished* run this
+        #: instance has read and that the last listing still named.
+        self._index: dict[str, RunRecord] = {}
+        #: Guards the index and the two read counters; never held
+        #: while a bundle is being read.
+        self._lock = threading.Lock()
 
     # -- creation --------------------------------------------------------
     def create(self, manifest: dict) -> OpenRun:
@@ -259,15 +303,20 @@ class RunStore:
         self.write_status(run_id, {"status": RUNNING})
         return OpenRun(run_id=run_id, path=path)
 
-    def append_row(self, run_id: str, file_name: str, row: dict) -> None:
-        """Append one JSON row to a run's JSONL artifact.
+    def append_rows(
+        self, run_id: str, file_name: str, rows: Iterable[dict]
+    ) -> None:
+        """Append JSON rows to a run's JSONL artifact in one write.
 
-        The row is pre-encoded and lands through an unbuffered
+        The batch is pre-encoded and lands through an unbuffered
         ``O_APPEND`` handle, so concurrent appenders never interleave
-        within a line and a crash can only tear the final line — which
-        :func:`_read_jsonl` skips and counts on read.
+        within it and a crash can only tear the final line — which
+        :func:`_read_jsonl` skips and counts on read.  An empty batch
+        touches nothing.
         """
-        data = (json.dumps(row) + "\n").encode()
+        data = "".join(json.dumps(row) + "\n" for row in rows).encode()
+        if not data:
+            return
         with (self.root / run_id / file_name).open(
             "ab", buffering=0
         ) as handle:
@@ -275,20 +324,37 @@ class RunStore:
             while view:
                 view = view[handle.write(view) :]
 
+    def append_row(self, run_id: str, file_name: str, row: dict) -> None:
+        """Append one JSON row to a run's JSONL artifact."""
+        self.append_rows(run_id, file_name, (row,))
+
     def write_status(self, run_id: str, status: dict) -> None:
+        """Write a run's status; a finished one must be its last write
+        (the index keeps whatever it reads after it)."""
         _write_json(self.root / run_id / STATUS_FILE, status)
 
     # -- lookup ----------------------------------------------------------
+    def _listing(self) -> list[str]:
+        """The store root's entries, oldest first: the one disk access
+        every lookup starts from.  The index forgets every run it does
+        not name — pruned or deleted, by whichever process."""
+        with self._lock:
+            try:
+                names = sorted(os.listdir(self.root))
+            except FileNotFoundError:
+                names = []
+            for gone in self._index.keys() - set(names):
+                del self._index[gone]
+        return names
+
     def run_ids(self) -> list[str]:
         """Every recorded run id, oldest first."""
-        if not self.root.exists():
-            return []
-        ids = [
-            entry.name
-            for entry in self.root.iterdir()
-            if (entry / MANIFEST_FILE).exists()
+        index = self._index
+        return [
+            name
+            for name in self._listing()
+            if name in index or (self.root / name / MANIFEST_FILE).exists()
         ]
-        return sorted(ids)
 
     def resolve(self, prefix: str) -> str:
         """The unique run id starting with ``prefix`` (git-style)."""
@@ -309,50 +375,80 @@ class RunStore:
         return matches[0]
 
     def load(self, run_id: str) -> RunRecord:
-        path = self.root / run_id
-        manifest_path = path / MANIFEST_FILE
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except FileNotFoundError:
-            # Also covers the run vanishing (concurrent prune/delete)
-            # between a listing and this load.
-            raise RunStoreError(
-                f"no run matching {run_id!r} under {self.root}"
-            ) from None
-        counters_doc = _read_json(path / COUNTERS_FILE)
-        return RunRecord(
-            run_id=run_id,
-            path=path,
-            manifest=manifest,
-            status=_read_json(path / STATUS_FILE, {"status": RUNNING}),
-            entries=_read_jsonl(path / ENTRIES_FILE, self._count_torn),
-            counters=counters_doc.get("counters")
-            if counters_doc
-            else None,
-        )
+        """One run's record; :class:`RunStoreError` if it is not (or
+        no longer) in the ledger."""
+        self._listing()  # a kept record of a run that is gone goes here
+        return self._record(run_id)
 
     def load_all(self) -> list[RunRecord]:
         """Every loadable run; one vanishing mid-iteration (a
         concurrent ``prune``/``delete``) is skipped, not raised."""
+        return self._records(self._listing())
+
+    def _records(self, run_ids: list[str]) -> list[RunRecord]:
         records: list[RunRecord] = []
-        for run_id in self.run_ids():
+        for run_id in run_ids:
             try:
-                records.append(self.load(run_id))
+                records.append(self._record(run_id))
             except RunStoreError:
                 continue
         return records
 
-    def _count_torn(self, path: Path) -> None:
-        self.torn_tail_lines += 1
+    def _record(self, run_id: str) -> RunRecord:
+        """The record of a run the caller has just listed: the kept
+        one if it had finished, else whatever is on disk now."""
+        record = self._index.get(run_id)
+        if record is not None:
+            return record
+        path = self.root / run_id
+        try:
+            # status.json first: finalisation writes it last, so
+            # whatever is read *after* a finished status is final too.
+            status = _read_json(path / STATUS_FILE, {"status": RUNNING})
+            manifest = json.loads((path / MANIFEST_FILE).read_text())
+        except (FileNotFoundError, NotADirectoryError):
+            # Not a run directory — or the run vanished (concurrent
+            # prune/delete) between a listing and this load.
+            raise RunStoreError(
+                f"no run matching {run_id!r} under {self.root}"
+            ) from None
+        torn: list[Path] = []
+        entries = _read_jsonl(path / ENTRIES_FILE, torn.append)
+        counters = _read_json(path / COUNTERS_FILE).get("counters")
+        finished = status.get("status", RUNNING) != RUNNING
+        if finished:
+            manifest, status, entries, counters = _interned(
+                [manifest, status, entries, counters]
+            )
+        record = RunRecord(
+            run_id, path, manifest, status, entries, counters
+        )
+        with self._lock:
+            self.bundle_reads += 1
+            self.torn_tail_lines += len(torn)
+            if finished:
+                self._index[run_id] = record
+        return record
+
+    def _forget(self, run_id: str) -> None:
+        with self._lock:
+            self._index.pop(run_id, None)
 
     # -- retention -------------------------------------------------------
     def prune(self, keep: int | None = None) -> list[str]:
         """Delete the oldest finished runs beyond ``keep``; a run still
-        marked ``running`` is never pruned.  Returns the ids removed."""
+        marked ``running`` is never pruned.  Returns the ids removed.
+
+        A listing no longer than ``keep`` has nothing to remove, so
+        nothing is loaded for it.
+        """
         keep = self.keep if keep is None else keep
+        run_ids = self._listing()
+        if len(run_ids) <= keep:
+            return []
         finished = [
             record
-            for record in self.load_all()
+            for record in self._records(run_ids)
             if record.status_name != RUNNING
         ]
         finished.sort(key=lambda record: (record.started, record.run_id))
@@ -361,6 +457,7 @@ class RunStore:
             # ignore_errors: a concurrent prune may be removing the
             # same run; losing that race is success, not failure.
             shutil.rmtree(record.path, ignore_errors=True)
+            self._forget(record.run_id)
             removed.append(record.run_id)
         return removed
 
@@ -371,3 +468,4 @@ class RunStore:
                 f"no run matching {run_id!r} under {self.root}"
             )
         shutil.rmtree(path, ignore_errors=True)
+        self._forget(run_id)

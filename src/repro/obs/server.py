@@ -99,6 +99,12 @@ def render_metrics(store: RunStore) -> str:
     lines.append(
         f"repro_store_torn_tail_lines {store.torn_tail_lines}"
     )
+    lines.append(
+        "# HELP repro_store_bundle_reads Run bundles this store has "
+        "read from disk (a finished run is read once, then kept)"
+    )
+    lines.append("# TYPE repro_store_bundle_reads gauge")
+    lines.append(f"repro_store_bundle_reads {store.bundle_reads}")
 
     # Distinct raw counter names can sanitise to one Prometheus name
     # (``a.b`` and ``a_b`` both become ``a_b``); merging *before*

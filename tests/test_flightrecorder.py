@@ -133,6 +133,26 @@ class TestRecording:
         assert "map" in kinds and "reduce" in kinds
 
 
+    def test_a_job_costs_one_write_per_artifact(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        store = RunStore(tmp_path)
+        written: list[str] = []
+        append_rows = store.append_rows
+
+        def counting(run_id, file_name, rows):
+            written.append(file_name)
+            append_rows(run_id, file_name, rows)
+
+        monkeypatch.setattr(store, "append_rows", counting)
+        recorder = _record_wordcount(store)
+        assert written == ["entries.jsonl", "spans.jsonl", "events.jsonl"]
+        # ... and the batches hold a row per span and per attempt event.
+        spans = (recorder.path / "spans.jsonl").read_text().splitlines()
+        events = (recorder.path / "events.jsonl").read_text().splitlines()
+        assert len(spans) > 10 and len(events) >= 5
+
+
 # -- the deterministic receipt ----------------------------------------------
 class TestCountersReceipt:
     def test_receipt_filters_measured_cpu(self) -> None:

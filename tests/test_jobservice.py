@@ -15,11 +15,16 @@ The service contract pinned here:
 * **Load holds** — the load generator drives a burst of jobs through
   the bounded queue with zero lost accepted jobs and every ``/metrics``
   scrape valid throughout.
+* **Orphans are reconciled** — bundles a killed service left
+  ``running`` are finalised ``failed`` when the next one starts.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -36,9 +41,10 @@ from repro.obs.jobservice import (
     ServiceDraining,
     resolve_spec,
 )
-from repro.obs.loadgen import run_load
+from repro.obs.loadgen import LoadReport, run_load
+from repro.obs.metrics import validate_prometheus_text
 from repro.obs.run_store import RunStore
-from repro.obs.server import ObservabilityServer
+from repro.obs.server import ObservabilityServer, render_metrics
 
 #: Small enough for sub-second jobs, big enough to exercise the
 #: spill/merge paths the experiment drivers hit.
@@ -219,6 +225,62 @@ class TestAdmission:
         assert service.drain(timeout=30)
 
 
+# -- start-up reconciliation ------------------------------------------------
+class TestOrphanReconciliation:
+    def test_dead_services_running_bundle_is_failed_at_start(
+        self, tmp_path
+    ) -> None:
+        """The ``kill -9`` leg: a ``running`` bundle is never pruned and
+        never kept by the index, so one nobody will finish has to be
+        closed by whoever serves the ledger next."""
+        gone = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True, text=True, check=True,
+        )
+        dead_pid = int(gone.stdout)  # waited for, so the pid is free
+        store = RunStore(tmp_path, keep=100)
+
+        def running_bundle(pid: int, argv: list[str]) -> str:
+            run = store.create(
+                {"kind": "experiment", "name": "wc", "argv": argv,
+                 "pid": pid}
+            )
+            store.append_row(
+                run.run_id,
+                "entries.jsonl",
+                {"index": 0, "kind": "job", "name": "wc",
+                 "counters": {"map.input.records": 4.0}, "derived": {}},
+            )
+            return run.run_id
+
+        orphan = running_bundle(dead_pid, ["jobs", "wc"])
+        ours = running_bundle(os.getpid(), ["jobs", "wc"])
+        cli_run = running_bundle(dead_pid, ["run", "wc"])
+        service = JobService(
+            store, experiments={"ok": lambda: None}, workers=1
+        ).start()
+        try:
+            record = store.load(orphan)
+            assert record.status_name == "failed"
+            assert record.status["error"] == (
+                f"orphaned: recorder process {dead_pid} is gone"
+            )
+            assert record.status["entries"] == 1
+            assert record.counters is None  # it never finalised
+            # A live service's bundle and another recorder's are not
+            # this service's to close.
+            assert store.load(ours).status_name == "running"
+            assert store.load(cli_run).status_name == "running"
+            families = validate_prometheus_text(render_metrics(store))
+            assert {
+                labels["status"]: value
+                for _, labels, value in families["repro_runs"]["samples"]
+            } == {"running": 2.0, "completed": 0.0, "failed": 1.0}
+            assert families["map_input_records"]["samples"][0][2] == 12.0
+        finally:
+            assert service.drain(timeout=30)
+
+
 # -- the HTTP surface -------------------------------------------------------
 @pytest.fixture
 def live(tmp_path):
@@ -370,6 +432,46 @@ class TestLoadGenerator:
         assert report.ok(), report.summary()
         assert report.done == 12
         assert report.scrapes > 0
+
+    def test_report_carries_server_side_run_latency(self, tmp_path) -> None:
+        import time
+
+        store = RunStore(tmp_path, keep=500)
+        service = JobService(
+            store,
+            experiments={"nap": lambda: time.sleep(0.02)},
+            workers=1,
+            queue_depth=4,
+        ).start()
+        server = ObservabilityServer(store, service=service).start()
+        try:
+            report = run_load(
+                url=server.url,
+                experiment="nap",
+                count=8,
+                concurrency=2,
+                timeout=120.0,
+                scrape_interval=0.05,
+            )
+        finally:
+            service.drain(timeout=60)
+            server.stop()
+        assert report.ok(), report.summary()
+        # One sample per done job, from the server's own timestamps:
+        # no run can be shorter than the job it wraps.
+        assert len(report.run_seconds) == 8
+        assert min(report.run_seconds) >= 0.02
+        p50_ms, p95_ms, growth = report.run_latency()
+        assert 20.0 <= p50_ms <= p95_ms
+        assert growth > 0
+        assert "run latency: p50 " in report.summary()
+
+    def test_run_latency_growth_is_last_quarter_over_first(self) -> None:
+        report = LoadReport(run_seconds=[0.1] * 4 + [0.3] * 4)
+        assert report.run_latency() == pytest.approx((200.0, 300.0, 3.0))
+        assert "last quarter / first quarter 3.00x" in report.summary()
+        assert LoadReport().run_latency() is None
+        assert "run latency" not in LoadReport().summary()
 
     def test_overflowing_burst_sheds_load_via_429(self, tmp_path) -> None:
         import time

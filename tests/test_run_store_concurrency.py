@@ -151,6 +151,62 @@ class TestTornTail:
             json.loads(line)
 
 
+class TestAppendRows:
+    """A job's rows land as one batch: the same torn-tail contract
+    must hold for a batch as for a row."""
+
+    ROWS = [
+        {"index": index, "kind": "job", "name": f"j{index}",
+         "counters": {"c": 1.0}, "derived": {}}
+        for index in range(3)
+    ]
+
+    def _run_with_batch(self, tmp_path):
+        store = RunStore(tmp_path, keep=500)
+        run = store.create({"kind": "x", "name": "batch"})
+        store.append_rows(run.run_id, ENTRIES_FILE, self.ROWS)
+        return store, run
+
+    def test_batch_is_the_rows_one_per_line(self, tmp_path) -> None:
+        store, run = self._run_with_batch(tmp_path)
+        single = store.create({"kind": "x", "name": "single"})
+        for row in self.ROWS:
+            store.append_row(single.run_id, ENTRIES_FILE, row)
+        assert (run.path / ENTRIES_FILE).read_bytes() == (
+            single.path / ENTRIES_FILE
+        ).read_bytes()
+        assert store.load(run.run_id).entries == self.ROWS
+
+    def test_batch_truncated_mid_row_keeps_every_complete_row(
+        self, tmp_path
+    ) -> None:
+        store, run = self._run_with_batch(tmp_path)
+        path = run.path / ENTRIES_FILE
+        with path.open("r+b") as handle:  # crash mid-write
+            handle.truncate(path.stat().st_size - 9)
+        record = store.load(run.run_id)
+        assert record.entries == self.ROWS[:2]
+        assert store.torn_tail_lines == 1
+
+    def test_rows_after_a_torn_batch_still_raise(self, tmp_path) -> None:
+        # The torn row is no longer the last line once anyone appends
+        # behind it: that is corruption, not a crash tail.
+        store, run = self._run_with_batch(tmp_path)
+        path = run.path / ENTRIES_FILE
+        with path.open("r+b") as handle:
+            handle.truncate(path.stat().st_size - 9)
+        store.append_rows(run.run_id, ENTRIES_FILE, self.ROWS)
+        with pytest.raises(json.JSONDecodeError):
+            store.load(run.run_id)
+
+    def test_empty_batch_writes_nothing(self, tmp_path) -> None:
+        store = RunStore(tmp_path, keep=500)
+        run = store.create({"kind": "x", "name": "empty"})
+        store.append_rows(run.run_id, ENTRIES_FILE, [])
+        store.append_rows(run.run_id, ENTRIES_FILE, iter(()))
+        assert not (run.path / ENTRIES_FILE).exists()
+
+
 class TestVanishingRuns:
     def _store_with_finished(self, tmp_path, count: int) -> RunStore:
         store = RunStore(tmp_path, keep=500)
