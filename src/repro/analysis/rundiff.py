@@ -4,8 +4,7 @@ Regression triage over recorded runs: ``diff`` lines up two runs'
 deterministic counter receipts, their per-entry ``mr.derived.*``
 gauges, and the per-phase span breakdown (aggregated from each run's
 ``spans.jsonl``, the same rows ``repro trace`` renders) and reports
-what moved.  Bench runs diff the same way — their per-suite timings
-are recorded as ``bench.<suite>.*`` counters.
+what moved.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ Consumes the JSONL flavour written by ``repro run --trace`` (see
   rows expose the Anti-Combining-specific work (decode, Shared spills,
   run merges) that plain MapReduce does not have;
 * an **attempt summary** from the event log — attempts started /
-  failed per task kind and the CPU seconds burned by failed attempts
-  (wasted work made visible).
+  failed / timed out / killed (speculative losers) per task kind and
+  the CPU seconds burned by failed attempts (wasted work made visible).
 """
 
 from __future__ import annotations
@@ -20,7 +20,17 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from repro.analysis.report import format_table
+from repro.mr.events import FAIL, KILLED, START, TIMEOUT
 from repro.obs.trace import JobTrace
+
+#: Event type → the ``attempt_rows`` column that counts it.
+_ATTEMPT_COLUMN = {
+    START: "started",
+    FAIL: "failed",
+    TIMEOUT: "timed_out",
+    KILLED: "killed",
+}
+_ATTEMPT_HEADERS = ["kind", *_ATTEMPT_COLUMN.values(), "wasted_cpu_s"]
 
 
 def phase_rows(job: JobTrace) -> list[dict[str, Any]]:
@@ -53,18 +63,23 @@ def phase_rows(job: JobTrace) -> list[dict[str, Any]]:
 
 
 def attempt_rows(job: JobTrace) -> list[dict[str, Any]]:
-    """Started/failed attempt counts and wasted CPU, per task kind."""
+    """Started/failed/timed-out/killed attempt counts and wasted CPU,
+    per task kind."""
     stats: dict[str, dict[str, Any]] = {}
     for event in job.events:
         kind = event.get("kind", "?")
         entry = stats.setdefault(
             kind,
-            {"kind": kind, "started": 0, "failed": 0, "wasted_cpu_s": 0.0},
+            {
+                "kind": kind,
+                **dict.fromkeys(_ATTEMPT_COLUMN.values(), 0),
+                "wasted_cpu_s": 0.0,
+            },
         )
-        if event.get("event") == "start":
-            entry["started"] += 1
-        elif event.get("event") == "fail":
-            entry["failed"] += 1
+        what = event.get("event")
+        if what in _ATTEMPT_COLUMN:
+            entry[_ATTEMPT_COLUMN[what]] += 1
+        if what == FAIL:
             entry["wasted_cpu_s"] += float(event.get("cpu_seconds", 0.0))
     return [stats[kind] for kind in sorted(stats)]
 
@@ -94,11 +109,10 @@ def render_job(job: JobTrace) -> str:
     attempts = attempt_rows(job)
     if attempts:
         lines.append("")
-        headers = ["kind", "started", "failed", "wasted_cpu_s"]
         lines.append(
             format_table(
-                headers,
-                [[row[header] for header in headers] for row in attempts],
+                _ATTEMPT_HEADERS,
+                [[row[h] for h in _ATTEMPT_HEADERS] for row in attempts],
             )
         )
     return "\n".join(lines)

@@ -35,13 +35,6 @@ Commands:
   stays valid under load.
 * ``python -m repro summary`` — aggregate the benchmark reports under
   ``benchmarks/results/`` into one document.
-* ``python -m repro bench [--quick] [--check]`` — run the hot-path
-  microbenchmarks (serde, executor transport, shared-memory shuffle
-  plane, anti-layer sizing, multicore scaling) and print a comparison
-  table against the committed ``BENCH_hotpaths.json``; ``--check``
-  exits non-zero on a >2x regression vs the committed fast-path
-  timings or a ``scaling.curve.workersN`` speedup below 1.0 on a host
-  with at least N cores.
 
 Parameter overrides accept both ``--param value`` and ``--param=value``;
 an unknown parameter fails with the experiment's tunable list.
@@ -380,95 +373,6 @@ def _cmd_trace(path: str) -> int:
     return 0
 
 
-def _cmd_bench(
-    quick: bool,
-    check: bool,
-    suites: list[str] | None,
-    json_out: str | None,
-    record: bool = False,
-    runs_dir: str | None = None,
-) -> int:
-    from repro.bench import (
-        compare_to_committed,
-        format_table,
-        load_committed,
-        results_to_json,
-        run_suites,
-        scaling_regressions,
-    )
-
-    try:
-        results = run_suites(
-            quick=quick,
-            only=suites or None,
-            progress=lambda name: print(
-                f"running suite: {name}", file=sys.stderr, flush=True
-            ),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    committed = load_committed()
-    print(format_table(results, committed))
-    if record or runs_dir is not None:
-        # Per-suite timings land in the run ledger as bench.<suite>.*
-        # counters, so `repro runs diff` compares bench runs too.
-        from repro.obs.flightrecorder import FlightRecorder
-        from repro.obs.run_store import RunStore
-
-        recorder = FlightRecorder(
-            RunStore(runs_dir),
-            kind="bench",
-            name="bench-quick" if quick else "bench",
-            params={"quick": quick, "suites": suites or []},
-        )
-        recorder.record_bench(results)
-        recorder.finalize("completed")
-        print(f"run ledger: {recorder.path}", file=sys.stderr)
-    if json_out is not None:
-        import json
-
-        pathlib.Path(json_out).write_text(
-            json.dumps(
-                results_to_json(results, quick=quick),
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        print(f"wrote {json_out}", file=sys.stderr)
-    if not check:
-        return 0
-    if committed is None:
-        print(
-            "error: --check needs the committed BENCH_hotpaths.json "
-            "(run benchmarks/perf/run_hotpaths.py to generate it)",
-            file=sys.stderr,
-        )
-        return 2
-    failed = False
-    regressions = compare_to_committed(results, committed)
-    if regressions:
-        print(
-            "perf regression (>2x vs committed): "
-            + ", ".join(regressions),
-            file=sys.stderr,
-        )
-        failed = True
-    scaling_failures = scaling_regressions(results)
-    if scaling_failures:
-        print(
-            "scaling regression (speedup < 1.0): "
-            + ", ".join(scaling_failures),
-            file=sys.stderr,
-        )
-        failed = True
-    if failed:
-        return 1
-    print("no perf regressions vs committed baseline", file=sys.stderr)
-    return 0
-
-
 def _cmd_serve(
     host: str,
     port: int,
@@ -634,47 +538,6 @@ def main(argv: list[str] | None = None) -> int:
     trace_parser.add_argument(
         "events", help="the .jsonl file written by 'run --trace'"
     )
-    bench_parser = subparsers.add_parser(
-        "bench", help="run the hot-path microbenchmarks"
-    )
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small inputs, few repeats (the CI perf-smoke mode)",
-    )
-    bench_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if any benchmark regresses >2x vs the "
-        "committed BENCH_hotpaths.json or a scaling.curve.workersN "
-        "speedup is below 1.0 on a host with >= N cores",
-    )
-    bench_parser.add_argument(
-        "--suite",
-        action="append",
-        dest="suites",
-        metavar="NAME",
-        help="restrict to a suite (serde, executor, shm, anti, "
-        "scaling); repeatable",
-    )
-    bench_parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the result document as JSON to PATH",
-    )
-    bench_parser.add_argument(
-        "--record",
-        action="store_true",
-        help="record per-suite results into the flight-recorder "
-        "ledger (comparable with 'repro runs diff')",
-    )
-    bench_parser.add_argument(
-        "--runs-dir",
-        default=None,
-        metavar="DIR",
-        help="ledger root for --record (implies --record)",
-    )
     serve_parser = subparsers.add_parser(
         "serve",
         help="serve the run ledger over HTTP "
@@ -794,15 +657,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_summary(args.results_dir)
         if args.command == "trace":
             return _cmd_trace(args.events)
-        if args.command == "bench":
-            return _cmd_bench(
-                args.quick,
-                args.check,
-                args.suites,
-                args.json,
-                args.record,
-                args.runs_dir,
-            )
         if args.command == "serve":
             return _cmd_serve(
                 args.host,

@@ -425,7 +425,7 @@ class ParallelExecutor(Executor):
         A wave of N small tasks submitted one by one pays N pickles of
         the (shared) job configuration and N pool-queue round trips —
         fixed overhead that dominates when the tasks themselves are
-        short (the anti-scaling measured in BENCH_hotpaths.json).  Here
+        short (``mr.executor.roundtrip_ms`` in BENCHMARK.json).  Here
         the wave is split into at most ``max_workers`` contiguous
         chunks, each shipped as a single :func:`_invoke_oob_many`
         envelope whose argument pickles share common objects once.

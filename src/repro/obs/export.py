@@ -23,6 +23,14 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from repro.mr.events import (
+    ATTEMPT_ENDS,
+    FAIL,
+    FINISH,
+    KILLED,
+    START,
+    TIMEOUT,
+)
 from repro.obs.trace import JobTrace, SpanRecord
 
 #: Events ship times in microseconds.
@@ -30,6 +38,13 @@ _US = 1_000_000.0
 
 #: tid reserved for scheduler-scope spans (waves etc.).
 SCHEDULER_TID = 0
+
+#: Slice-name suffix of an attempt that did not finish, by how it ended.
+_END_SUFFIX = {
+    FAIL: " [FAILED]",
+    TIMEOUT: " [TIMEOUT]",
+    KILLED: " [KILLED]",
+}
 
 
 def _task_of(span: SpanRecord) -> str | None:
@@ -57,16 +72,18 @@ def _tid_table(job: JobTrace) -> dict[str, int]:
 def _event_slices(
     job: JobTrace, pid: int, tids: dict[str, int]
 ) -> Iterable[dict[str, Any]]:
-    """Per-attempt slices from START→FINISH/FAIL event pairs."""
+    """Per-attempt slices: a START paired with whichever of
+    ``ATTEMPT_ENDS`` closed it, so the wall time a timed-out attempt
+    or a speculative loser held a slot stays on the track."""
     starts: dict[tuple[str, int], float] = {}
     for event in job.events:
         task = event.get("task_id", "")
         attempt = int(event.get("attempt", 1))
         kind = event.get("event")
         t = float(event.get("t_seconds", 0.0))
-        if kind == "start":
+        if kind == START:
             starts[(task, attempt)] = t
-        elif kind in ("finish", "fail"):
+        elif kind in ATTEMPT_ENDS:
             begin = starts.pop((task, attempt), None)
             if begin is None:
                 continue
@@ -74,15 +91,12 @@ def _event_slices(
                 "attempt": attempt,
                 "cpu_seconds": event.get("cpu_seconds", 0.0),
             }
-            if kind == "fail":
+            if kind == FAIL:
                 args["error"] = event.get("error", "")
-            else:
+            elif kind == FINISH:
                 args["output_bytes"] = event.get("output_bytes", 0)
             yield {
-                "name": (
-                    f"{task} attempt {attempt}"
-                    + (" [FAILED]" if kind == "fail" else "")
-                ),
+                "name": f"{task} attempt {attempt}{_END_SUFFIX.get(kind, '')}",
                 "cat": f"scheduler,{event.get('kind', '')}",
                 "ph": "X",
                 "ts": begin * _US,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import threading
 import time
 from pathlib import Path
@@ -49,6 +50,12 @@ DERIVED_PREFIX = "mr.derived."
 #: receipt) but belong in the per-job entry rows for `runs diff`.
 SHM_PREFIX = "mr.shm."
 
+#: Minted once per process and written into every manifest beside
+#: ``pid``: two incarnations of a containerised server are both pid 1,
+#: and only this tells the second one that the first one's ``running``
+#: bundles are not its own (see ``JobService._reconcile_orphans``).
+BOOT_ID = os.urandom(8).hex()
+
 
 def _write_atomic(path: Path, payload: str) -> None:
     """Write a finalisation artifact atomically (temp file + rename)."""
@@ -59,9 +66,13 @@ def _write_atomic(path: Path, payload: str) -> None:
 
 def run_environment() -> dict:
     """Interpreter/machine provenance recorded into every manifest."""
-    from repro.bench.harness import provenance
-
-    return provenance()
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def describe_job_conf(job: Any) -> dict:
@@ -112,7 +123,7 @@ def deterministic_counters(counters: dict[str, float]) -> dict[str, float]:
 
 
 class FlightRecorder:
-    """Records one run (experiment / pipeline / bench) into the ledger."""
+    """Records one run (a CLI experiment or a service job) into the ledger."""
 
     def __init__(
         self,
@@ -144,6 +155,7 @@ class FlightRecorder:
             "argv": list(argv) if argv is not None else None,
             "env": run_environment(),
             "pid": os.getpid(),
+            "boot": BOOT_ID,
         }
         run = store.create(manifest)
         self._run_id = run.run_id
@@ -233,25 +245,6 @@ class FlightRecorder:
             },
         )
         self._append_spans(index, entry_name, result.spans)
-
-    def record_bench(self, results: Sequence[Any]) -> None:
-        """Record a bench sweep: one ``bench`` entry per suite result."""
-        from repro.bench.harness import ledger_entries
-
-        for entry in ledger_entries(results):
-            with self._lock:
-                self._record_bench_entry_locked(entry)
-
-    def _record_bench_entry_locked(self, entry: dict) -> None:
-        index = self._entry_index
-        self._entry_index += 1
-        bag = Counters()
-        for cname in sorted(entry["counters"]):
-            bag.add(cname, entry["counters"][cname])
-        self._metrics.merge_counters(bag)
-        self._store.append_row(
-            self._run_id, ENTRIES_FILE, {"index": index, **entry}
-        )
 
     def record_error(self, exc: BaseException) -> None:
         """Attach a terminal failure to the run's final status.

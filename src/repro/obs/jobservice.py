@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.obs.flightrecorder import (
+    BOOT_ID,
     THREAD_SCOPE,
     FlightRecorder,
     clear_flight_recorder,
@@ -124,8 +125,8 @@ def _process_gone(pid: Any) -> bool:
     """True only when ``pid`` provably names no process.
 
     Anything else reads as alive and its bundle is left for a later
-    start: a recycled pid, someone else's process, and an exited one
-    its parent has not reaped yet.
+    start: a foreign pid that was recycled, someone else's process,
+    and an exited one its parent has not reaped yet.
     """
     if not isinstance(pid, int) or pid <= 0:
         return False
@@ -267,16 +268,27 @@ class JobService:
         index, so each one a killed server left behind would stay a
         forever-``running`` row in ``/runs`` and a disk read per scrape.
         Bundles of live processes (this one included) and of other
-        recorders (``repro run --record``) are not ours to close.
+        recorders (``repro run --record``) are not ours to close.  A
+        bundle carrying this process's pid but another ``boot`` is a
+        predecessor's: a restarted container is pid 1 every time.
         """
         for record in self._store.load_all():
             manifest = record.manifest
-            pid = manifest.get("pid")
             if (
                 record.status_name != RUN_RUNNING
                 or (manifest.get("argv") or [None])[0] != SERVICE_ARGV0
-                or not _process_gone(pid)
             ):
+                continue
+            pid = manifest.get("pid")
+            boot = manifest.get("boot")
+            if pid == os.getpid() and boot not in (None, BOOT_ID):
+                cause = (
+                    f"recorder process {pid} was boot {boot}, "
+                    f"this one is boot {BOOT_ID}"
+                )
+            elif _process_gone(pid):
+                cause = f"recorder process {pid} is gone"
+            else:
                 continue
             self._store.write_status(
                 record.run_id,
@@ -284,7 +296,7 @@ class JobService:
                     "status": FAILED,
                     "finished_unix": time.time(),
                     "entries": len(record.entries),
-                    "error": f"orphaned: recorder process {pid} is gone",
+                    "error": f"orphaned: {cause}",
                 },
             )
 

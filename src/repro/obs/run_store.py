@@ -1,13 +1,13 @@
 """The persistent run ledger: content-addressed run directories.
 
-Every recorded run (an experiment, a pipeline, a bench sweep) lives in
-its own directory under the store root (``.repro/runs`` by default,
-``REPRO_RUNS_DIR`` overrides)::
+Every recorded run (an experiment, with the jobs and pipelines it
+drove) lives in its own directory under the store root (``.repro/runs``
+by default, ``REPRO_RUNS_DIR`` overrides)::
 
     .repro/runs/<run_id>/
         manifest.json   # what ran: kind, name, params, env, schema
         status.json     # running | completed | failed (+ error)
-        entries.jsonl   # one row per recorded job / pipeline / suite
+        entries.jsonl   # one row per recorded job / pipeline
         events.jsonl    # per-attempt scheduler events, flat
         spans.jsonl     # phase spans in the `repro trace` JSONL shape
         counters.json   # deterministic run-total counter fold

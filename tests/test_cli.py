@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import (
@@ -183,6 +185,19 @@ class TestCommands:
     def test_run_all_rejects_overrides(self, capsys) -> None:
         assert main(["run", "all", "--num-lines", "120"]) == 2
         assert "do not apply to 'run all'" in capsys.readouterr().err
+
+    def test_bench_subcommand_is_gone(self, capsys) -> None:
+        """BENCHMARK.json is the only timed gate: the retired
+        micro-benchmark command is a usage error, not a stub."""
+        with pytest.raises(SystemExit) as usage:
+            main(["bench"])
+        assert usage.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as helped:
+            main(["--help"])
+        assert helped.value.code == 0
+        # ("benchmark" survives in `summary`'s help: match the word)
+        assert "bench" not in re.split(r"[\s{},]+", capsys.readouterr().out)
 
 
 class TestTrace:
@@ -367,124 +382,3 @@ class TestRecordFlag:
 
         assert current_flight_recorder() is None
 
-
-class TestBenchCommand:
-    def test_bench_single_suite(self, capsys) -> None:
-        assert main(["bench", "--quick", "--suite", "executor"]) == 0
-        out = capsys.readouterr().out
-        assert "executor.oob" in out
-
-    def test_bench_unknown_suite(self, capsys) -> None:
-        assert main(["bench", "--suite", "nope"]) == 2
-        assert "unknown suite" in capsys.readouterr().err
-
-    def test_bench_check_passes_against_committed(
-        self, capsys, tmp_path, monkeypatch
-    ) -> None:
-        import json
-
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "BENCH_hotpaths.json").write_text(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "benchmarks": {
-                        "executor.oob": {"current_s": 1e9, "baseline_s": 1e9}
-                    },
-                }
-            )
-        )
-        assert main(["bench", "--quick", "--suite", "executor", "--check"]) == 0
-        assert "no perf regressions" in capsys.readouterr().err
-
-    def test_bench_check_flags_regression(
-        self, capsys, tmp_path, monkeypatch
-    ) -> None:
-        import json
-
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "BENCH_hotpaths.json").write_text(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "benchmarks": {
-                        "executor.oob": {"current_s": 1e-12, "baseline_s": 1e-12}
-                    },
-                }
-            )
-        )
-        assert main(["bench", "--quick", "--suite", "executor", "--check"]) == 1
-        assert "executor.oob" in capsys.readouterr().err
-
-    def test_bench_check_requires_committed_file(
-        self, capsys, tmp_path, monkeypatch
-    ) -> None:
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--quick", "--suite", "executor", "--check"]) == 2
-        assert "BENCH_hotpaths.json" in capsys.readouterr().err
-
-    def test_bench_check_flags_scaling_regression(
-        self, capsys, tmp_path, monkeypatch
-    ) -> None:
-        import json
-
-        from repro.bench.harness import BenchResult
-
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "BENCH_hotpaths.json").write_text(
-            json.dumps({"schema": 2, "benchmarks": {}})
-        )
-        fake = [
-            BenchResult(
-                name="scaling.curve.workers2",
-                baseline_s=0.9,
-                current_s=1.0,
-                repeats=1,
-            )
-        ]
-        monkeypatch.setattr(
-            "repro.bench.run_suites", lambda **kwargs: fake
-        )
-        # The curve is gated only where the host has the cores.
-        monkeypatch.setattr("repro.bench.harness.os.cpu_count", lambda: 2)
-        assert main(["bench", "--quick", "--check"]) == 1
-        err = capsys.readouterr().err
-        assert "scaling regression" in err
-        assert "scaling.curve.workers2" in err
-
-
-class TestScalingGate:
-    def _result(self, name: str, speedup: float):
-        from repro.bench.harness import BenchResult
-
-        return BenchResult(
-            name=name, baseline_s=speedup, current_s=1.0, repeats=1
-        )
-
-    def test_curve_gated_only_with_enough_cores(self, monkeypatch) -> None:
-        import repro.bench.harness as harness
-
-        results = [
-            self._result("scaling.curve.workers2", 0.8),
-            self._result("scaling.curve.workers4", 0.7),
-        ]
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
-        assert harness.scaling_regressions(results) == []
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        assert harness.scaling_regressions(results) == [
-            "scaling.curve.workers2"
-        ]
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        assert harness.scaling_regressions(results) == [
-            "scaling.curve.workers2",
-            "scaling.curve.workers4",
-        ]
-
-    def test_curve_passes_when_positive(self, monkeypatch) -> None:
-        import repro.bench.harness as harness
-
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        results = [
-            self._result("scaling.curve.workers2", 1.6),
-        ]
-        assert harness.scaling_regressions(results) == []

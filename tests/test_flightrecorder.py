@@ -21,7 +21,6 @@ import json
 
 import pytest
 
-from repro.bench.harness import BenchResult, ledger_entries
 from repro.cli import main
 from repro.mr.counters import MEASURED_CPU_COUNTERS
 from repro.mr.cost import FixedCostMeter
@@ -260,34 +259,6 @@ class TestOtherEntryKinds:
             == job_counters["map.input.records"]
         )
 
-    def test_bench_entries_recorded(self, tmp_path) -> None:
-        store = RunStore(tmp_path)
-        results = [
-            BenchResult("serde", 0.2, 0.1, repeats=3, records=1000),
-            BenchResult("spill", 0.4, 0.4, repeats=3),
-        ]
-        recorder = FlightRecorder(store, kind="bench", name="bench")
-        recorder.record_bench(results)
-        recorder.finalize(COMPLETED)
-
-        record = store.load(recorder.run_id)
-        assert [entry["name"] for entry in record.entries] == [
-            "serde",
-            "spill",
-        ]
-        doc = json.loads((recorder.path / "counters.json").read_text())
-        assert doc["counters"]["bench.serde.current.seconds"] == 0.1
-        assert doc["counters"]["bench.serde.speedup"] == 2.0
-        assert doc["counters"]["bench.serde.records"] == 1000.0
-
-    def test_ledger_entries_shape(self) -> None:
-        entries = ledger_entries(
-            [BenchResult("x", 1.0, 0.5, repeats=2)]
-        )
-        assert entries[0]["kind"] == "bench"
-        assert entries[0]["counters"]["bench.x.speedup"] == 2.0
-        assert "bench.x.records" not in entries[0]["counters"]
-
 
 # -- manifest ---------------------------------------------------------------
 class TestManifest:
@@ -307,6 +278,28 @@ class TestManifest:
         assert manifest["argv"] == ["run", "wc", "--num-lines", "40"]
         assert "python" in manifest["env"]
         assert manifest["run_id"] == recorder.run_id
+
+    def test_manifest_env_and_boot(self, tmp_path) -> None:
+        import os
+        import platform
+
+        from repro.obs.flightrecorder import BOOT_ID
+
+        store = RunStore(tmp_path)
+        first = FlightRecorder(store, kind="experiment", name="a")
+        second = FlightRecorder(store, kind="experiment", name="b")
+        manifest = store.load(first.run_id).manifest
+        assert manifest["env"] == {
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+        }
+        # One boot id per process, beside the pid it disambiguates.
+        assert manifest["pid"] == os.getpid()
+        assert manifest["boot"] == BOOT_ID
+        assert store.load(second.run_id).manifest["boot"] == BOOT_ID
 
     def test_describe_job_conf_anti_strategy(self) -> None:
         from repro.core.config import Strategy

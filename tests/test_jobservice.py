@@ -280,6 +280,43 @@ class TestOrphanReconciliation:
         finally:
             assert service.drain(timeout=30)
 
+    def test_same_pid_foreign_boot_is_a_predecessors_bundle(
+        self, tmp_path
+    ) -> None:
+        """A containerised server is pid 1 in every incarnation, so a
+        live pid proves nothing about *which* process wrote the bundle;
+        the manifest's ``boot`` id does."""
+        from repro.obs.flightrecorder import BOOT_ID
+
+        store = RunStore(tmp_path, keep=100)
+
+        def running_bundle(boot: str) -> str:
+            return store.create(
+                {"kind": "experiment", "name": "wc",
+                 "argv": ["jobs", "wc"], "pid": os.getpid(), "boot": boot}
+            ).run_id
+
+        predecessors = running_bundle("0123456789abcdef")
+        ours = running_bundle(BOOT_ID)
+        service = JobService(
+            store, experiments={"ok": lambda: None}, workers=1
+        ).start()
+        try:
+            record = store.load(predecessors)
+            assert record.status_name == "failed"
+            assert record.status["error"] == (
+                f"orphaned: recorder process {os.getpid()} was boot "
+                f"0123456789abcdef, this one is boot {BOOT_ID}"
+            )
+            assert store.load(ours).status_name == "running"
+            families = validate_prometheus_text(render_metrics(store))
+            assert {
+                labels["status"]: value
+                for _, labels, value in families["repro_runs"]["samples"]
+            } == {"running": 1.0, "completed": 0.0, "failed": 1.0}
+        finally:
+            assert service.drain(timeout=30)
+
 
 # -- the HTTP surface -------------------------------------------------------
 @pytest.fixture

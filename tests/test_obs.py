@@ -80,6 +80,40 @@ def _wordcount():
     return job, split_records(lines, num_splits=3)
 
 
+def _timeout_and_kill_trace() -> JobTrace:
+    """A hand-built event log (no sleeping): ``map0`` hangs past the
+    task timeout and is retried; ``map1``'s speculative backup wins and
+    the original is killed; ``reduce0`` fails once."""
+
+    def event(task, what, attempt, t, **fields):
+        return E.TaskEvent(
+            task_id=task,
+            kind=E.MAP if task.startswith("map") else E.REDUCE,
+            event=what,
+            attempt=attempt,
+            t_seconds=t,
+            **fields,
+        )
+
+    log = E.EventLog(
+        [
+            event("map0", E.START, 1, 0.0),
+            event("map1", E.START, 1, 0.0),
+            event("map0", E.TIMEOUT, 1, 0.3),
+            event("map0", E.START, 2, 0.3),
+            event("map1", E.START, 2, 0.35, speculative=True),
+            event("map0", E.FINISH, 2, 0.4, cpu_seconds=0.05),
+            event("map1", E.FINISH, 2, 0.45, cpu_seconds=0.05),
+            event("map1", E.KILLED, 1, 0.5),
+            event("reduce0", E.START, 1, 0.5),
+            event("reduce0", E.FAIL, 1, 0.6, cpu_seconds=0.02, error="boom"),
+            event("reduce0", E.START, 2, 0.6),
+            event("reduce0", E.FINISH, 2, 0.7, cpu_seconds=0.03),
+        ]
+    )
+    return JobTrace(job_name="faulty", spans=[], events=log.as_dicts())
+
+
 # -- tracer unit tests -----------------------------------------------------
 
 
@@ -510,6 +544,29 @@ class TestTraceReport:
         assert job.name in report
         assert "map.phase.map" in report
 
+    def test_attempt_table_counts_every_way_an_attempt_ends(self) -> None:
+        from repro.analysis.tracereport import (
+            attempt_rows,
+            render_trace_report,
+        )
+
+        trace = _timeout_and_kill_trace()
+        assert attempt_rows(trace) == [
+            {"kind": "map", "started": 4, "failed": 0, "timed_out": 1,
+             "killed": 1, "wasted_cpu_s": 0.0},
+            {"kind": "reduce", "started": 2, "failed": 1, "timed_out": 0,
+             "killed": 0, "wasted_cpu_s": 0.02},
+        ]
+        header = next(
+            line
+            for line in render_trace_report([trace]).splitlines()
+            if line.lstrip().startswith("kind")
+        )
+        assert header.split() == [
+            "kind", "started", "failed", "timed_out", "killed",
+            "wasted_cpu_s",
+        ]
+
     def test_empty_report(self) -> None:
         from repro.analysis.tracereport import render_trace_report
 
@@ -828,6 +885,33 @@ class TestExportEdgeCases:
         assert len(slices) == 1
         assert "error" in slices[0]["args"]
         assert "injected fault" in slices[0]["args"]["error"]
+
+    def test_timed_out_and_killed_attempts_keep_their_slices(self) -> None:
+        """Every member of ``ATTEMPT_ENDS`` closes a slice: the 0.3 s a
+        wave waited on a hung attempt is on the track it was spent on."""
+        slices = {
+            e["name"]: e
+            for e in chrome_trace([_timeout_and_kill_trace()])["traceEvents"]
+            if e["ph"] == "X"
+        }
+        assert sorted(slices) == [
+            "map0 attempt 1 [TIMEOUT]",
+            "map0 attempt 2",
+            "map1 attempt 1 [KILLED]",
+            "map1 attempt 2",
+            "reduce0 attempt 1 [FAILED]",
+            "reduce0 attempt 2",
+        ]
+        timed_out = slices["map0 attempt 1 [TIMEOUT]"]
+        assert (timed_out["ts"], timed_out["dur"]) == (0.0, 300_000.0)
+        assert timed_out["tid"] == slices["map0 attempt 2"]["tid"]
+        killed = slices["map1 attempt 1 [KILLED]"]
+        assert (killed["ts"], killed["dur"]) == (0.0, 500_000.0)
+        # Only a FAIL carries an error, only a FINISH output bytes.
+        assert set(timed_out["args"]) == {"attempt", "cpu_seconds"}
+        assert set(killed["args"]) == {"attempt", "cpu_seconds"}
+        assert slices["reduce0 attempt 1 [FAILED]"]["args"]["error"] == "boom"
+        assert "output_bytes" in slices["map0 attempt 2"]["args"]
 
     def test_chrome_trace_json_is_strictly_valid(self) -> None:
         job, splits = _anti_job()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.analysis.rundiff import (
@@ -18,7 +20,9 @@ from repro.obs.flightrecorder import (
     clear_flight_recorder,
     set_flight_recorder,
 )
+from repro.obs.metrics import validate_prometheus_text
 from repro.obs.run_store import COMPLETED, RunStore
+from repro.obs.server import render_metrics
 from repro.workloads.wordcount import wordcount_job
 
 
@@ -44,6 +48,38 @@ class TestRenderers:
         table = runs_table(store.load_all())
         assert run_id in table
         assert "completed" in table
+        # A ledger written while `kind: bench` runs existed still reads
+        # everywhere: the kind is a manifest string and `bench.*` a
+        # counters dict — nothing keys on either.
+        counters = {"bench.executor.oob.speedup": 16.5}
+        legacy = store.create(
+            {"schema": 1, "kind": "bench", "name": "bench-quick",
+             "params": {"quick": True, "suites": []}, "argv": None}
+        )
+        store.append_row(
+            legacy.run_id,
+            "entries.jsonl",
+            {"index": 0, "kind": "bench", "name": "executor.oob",
+             "counters": counters, "derived": {}, "repeats": 3},
+        )
+        (legacy.path / "counters.json").write_text(
+            json.dumps({"schema": 1, "counters": counters})
+        )
+        store.write_status(legacy.run_id, {"status": COMPLETED, "entries": 1})
+        record = store.load(legacy.run_id)
+        row = next(
+            line
+            for line in runs_table(store.load_all()).splitlines()
+            if line.startswith(legacy.run_id)
+        )
+        assert row.split()[1:5] == ["bench", "bench-quick", "completed", "1"]
+        assert "bench.executor.oob.speedup" in render_run(record)
+        assert "bench.executor.oob.speedup" in render_diff(
+            store.load(run_id), record
+        )
+        assert record.summary()["kind"] == "bench"  # GET /runs
+        families = validate_prometheus_text(render_metrics(store))
+        assert families["bench_executor_oob_speedup"]["samples"][0][2] == 16.5
 
     def test_render_run_sections(self, tmp_path) -> None:
         store = RunStore(tmp_path)

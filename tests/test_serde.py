@@ -190,6 +190,44 @@ class TestApproxSize:
         approx = serde.approx_size(obj)
         assert 0.5 * exact <= approx <= 2 * exact + 4
 
+    @pytest.mark.parametrize("workload", ["theta", "qs"])
+    def test_approx_within_8_bytes_on_real_map_output(
+        self, workload: str
+    ) -> None:
+        """What AdaptiveSH actually sizes: the values the theta-join and
+        Query-Suggestion mappers emit, not literals."""
+        from repro.datagen.cloud import generate_cloud_reports
+        from repro.datagen.qlog import generate_query_log
+        from repro.mr.api import Context
+        from repro.mr.counters import Counters
+        from repro.workloads.query_suggestion import query_suggestion_job
+        from repro.workloads.thetajoin import band_join_job
+
+        if workload == "theta":
+            job = band_join_job(grid_rows=12, grid_cols=12, num_reducers=8)
+            inputs = generate_cloud_reports(100, seed=31)
+        else:
+            job = query_suggestion_job(num_reducers=8)
+            inputs = generate_query_log(150, seed=31)
+        values: list[Any] = []
+        context = Context(
+            Counters(),
+            lambda key, value: values.append(value),
+            partitioner=job.partitioner,
+            num_partitions=job.num_reducers,
+        )
+        mapper = job.mapper()
+        mapper.setup(context)
+        for key, value in inputs:
+            mapper.map(key, value, context)
+        mapper.cleanup(context)
+        assert len(values) >= 200
+        sized = [
+            (value, serde.approx_size(value), serde.sizeof(value))
+            for value in values[:200]
+        ]
+        assert [row for row in sized if abs(row[1] - row[2]) > 8] == []
+
     def test_approx_unsupported(self) -> None:
         with pytest.raises(serde.SerdeError):
             serde.approx_size(object())
