@@ -46,6 +46,7 @@ from repro.obs.flightrecorder import (
     clear_flight_recorder,
     set_flight_recorder,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.run_store import (
     COMPLETED,
     FAILED,
@@ -64,6 +65,11 @@ DEFAULT_QUEUE_DEPTH = 16
 #: Seconds a rejected client should wait before retrying (the HTTP
 #: layer sends it as the ``Retry-After`` header of the 429).
 DEFAULT_RETRY_AFTER = 1.0
+
+#: Buckets of the queue-wait and run-time histograms, seconds.
+LATENCY_BUCKETS = (
+    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0
+)
 
 #: ``manifest.argv[0]`` of every bundle a job service records.
 SERVICE_ARGV0 = "jobs"
@@ -237,6 +243,24 @@ class JobService:
         self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
         self._records: dict[str, JobRecord] = {}
         self._order: list[str] = []
+        #: Jobs by state, and what the finished ones took: what
+        #: ``/metrics`` says about the service, kept as each job moves
+        #: (under the lock) so a scrape never walks the job list.
+        self._states = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED_STATE: 0}
+        self._metrics = MetricsRegistry()
+        self._queue_wait = self._metrics.histogram(
+            "repro_job_queue_wait_seconds",
+            "Seconds a job waited in the admission queue",
+            LATENCY_BUCKETS,
+        )
+        self._run_time = self._metrics.histogram(
+            "repro_job_run_seconds",
+            "Seconds a job ran, recording and finalisation included",
+            LATENCY_BUCKETS,
+        )
+        self._queued = self._metrics.gauge(
+            "repro_job_queue_depth", "Jobs waiting in the admission queue"
+        )
         self._lock = threading.Lock()
         self._seq = itertools.count(1)
         self._draining = False
@@ -359,6 +383,7 @@ class JobService:
                 ) from None
             self._records[record.job_id] = record
             self._order.append(record.job_id)
+            self._states[QUEUED] += 1
         return record
 
     # -- inspection ------------------------------------------------------
@@ -366,23 +391,37 @@ class JobService:
         with self._lock:
             return self._records.get(job_id)
 
-    def jobs(self) -> list[JobRecord]:
-        with self._lock:
-            return [self._records[job_id] for job_id in self._order]
-
     def describe(self) -> dict:
         """The ``GET /jobs`` document: queue stats + every job."""
-        jobs = self.jobs()
-        by_state = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED_STATE: 0}
-        for record in jobs:
-            by_state[record.state] = by_state.get(record.state, 0) + 1
-        return {
-            "workers": self.workers,
-            "queue_depth": self.queue_depth,
-            "draining": self._draining,
-            "states": by_state,
-            "jobs": [record.as_dict() for record in jobs],
-        }
+        with self._lock:
+            return {
+                "workers": self.workers,
+                "queue_depth": self.queue_depth,
+                "draining": self._draining,
+                "states": dict(self._states),
+                "jobs": [
+                    self._records[job_id].as_dict()
+                    for job_id in self._order
+                ],
+            }
+
+    def metrics_text(self) -> str:
+        """The service's ``/metrics`` families: jobs by state, queue
+        depth, and the queue-wait and run-time histograms — the same
+        size however many jobs have been served."""
+        with self._lock:
+            states = dict(self._states)
+            self._queued.set(states[QUEUED])
+            rest = self._metrics.prometheus_text()
+        lines = [
+            "# HELP repro_jobs Jobs submitted to this service, by state",
+            "# TYPE repro_jobs gauge",
+        ]
+        lines.extend(
+            f'repro_jobs{{state="{state}"}} {count}'
+            for state, count in states.items()
+        )
+        return "\n".join(lines) + "\n" + rest
 
     # -- execution -------------------------------------------------------
     def _registry(self) -> Mapping[str, Callable[..., Any]]:
@@ -408,8 +447,7 @@ class JobService:
         the ``finally`` path with ``failed`` status on a raise — so the
         receipt (and the failure bundle) are identical either way.
         """
-        record.state = RUNNING
-        record.started_unix = time.time()
+        self._enter(record, RUNNING)
         status = FAILED
         try:
             fn = self._registry()[record.experiment]
@@ -422,8 +460,7 @@ class JobService:
             )
         except Exception as exc:
             record.error = f"{type(exc).__name__}: {exc}"
-            record.state = FAILED_STATE
-            record.finished_unix = time.time()
+            self._enter(record, FAILED_STATE)
             return
         record.run_id = recorder.run_id
         set_flight_recorder(recorder, scope=THREAD_SCOPE)
@@ -442,7 +479,24 @@ class JobService:
                     f"{type(exc).__name__}: {exc}"
                 )
                 status = FAILED
-            record.state = (
-                DONE if status == COMPLETED else FAILED_STATE
+            self._enter(
+                record, DONE if status == COMPLETED else FAILED_STATE
             )
-            record.finished_unix = time.time()
+
+    def _enter(self, record: JobRecord, state: str) -> None:
+        """Move a job to ``running`` or to a terminal state; a finished
+        job is observed once, here.  The stamp lands before the state,
+        so a reader that sees ``done`` sees ``finished_unix`` too."""
+        now = time.time()
+        with self._lock:
+            self._states[record.state] -= 1
+            self._states[state] += 1
+            if state == RUNNING:
+                record.started_unix = now
+            else:
+                record.finished_unix = now
+                self._queue_wait.observe(
+                    record.started_unix - record.submitted_unix
+                )
+                self._run_time.observe(now - record.started_unix)
+            record.state = state

@@ -17,7 +17,9 @@ the service's heavy-traffic contract end to end:
 The report also prints what the server says each job's run took
 (``finished_unix − started_unix`` from ``GET /jobs``): median, p95 and
 the last quarter's median over the first quarter's — per-job cost that
-grows with the ledger shows there as a ratio above 1.
+grows with the ledger shows there as a ratio above 1 — and, for the
+scrapes, the median request time and the last one's bytes and
+``mr_derived_*`` sample count, which must not grow with it either.
 
 The ledger's retention must keep at least ``count`` runs for the
 bundle check to hold (``REPRO_RUNS_KEEP``), since a prune racing the
@@ -62,6 +64,12 @@ class LoadReport:
     #: The server's own run seconds of every done job
     #: (``finished_unix − started_unix``), in completion order.
     run_seconds: list[float] = field(default_factory=list)
+    #: Seconds each ``/metrics`` request took, and what the last valid
+    #: one carried: its bytes and its ``mr_derived_*`` samples — the
+    #: per-run series, which must not pile up as the ledger grows.
+    scrape_seconds: list[float] = field(default_factory=list)
+    scrape_bytes: int = 0
+    scrape_derived_samples: int = 0
 
     def ok(self) -> bool:
         return (
@@ -97,6 +105,16 @@ class LoadReport:
         )
 
     def summary(self) -> str:
+        scrapes = (
+            f"scrapes: {self.scrapes} /metrics scrapes, "
+            f"{len(self.scrape_errors)} invalid"
+        )
+        if self.scrape_seconds:
+            scrapes += (
+                f", p50 {statistics.median(self.scrape_seconds) * 1e3:.1f}"
+                f" ms, last {self.scrape_bytes} bytes with "
+                f"{self.scrape_derived_samples} mr_derived_* samples"
+            )
         lines = [
             f"jobs: {self.accepted}/{self.count} accepted "
             f"({self.retries_429} retries after 429), "
@@ -104,8 +122,7 @@ class LoadReport:
             f"{len(self.lost_jobs)} lost",
             f"bundles: {self.done - len(self.missing_bundles)}"
             f"/{self.done} finished run bundles verified",
-            f"scrapes: {self.scrapes} /metrics scrapes, "
-            f"{len(self.scrape_errors)} invalid",
+            scrapes,
             f"wall: {self.seconds:.1f}s",
         ]
         latency = self.run_latency()
@@ -177,7 +194,9 @@ def run_load(
         # Continuous scrapes *while* workers write: any torn read,
         # duplicate TYPE family, or 500 is a contract violation.
         while not stop_scraping.is_set():
+            began = time.monotonic()
             code, body, _ = _request(f"{url}/metrics")
+            report.scrape_seconds.append(time.monotonic() - began)
             report.scrapes += 1
             if code != 200:
                 report.scrape_errors.append(
@@ -185,10 +204,17 @@ def run_load(
                 )
             else:
                 try:
-                    validate_prometheus_text(body)
+                    families = validate_prometheus_text(body)
                 except ValueError as exc:
                     report.scrape_errors.append(
                         f"scrape {report.scrapes}: {exc}"
+                    )
+                else:
+                    report.scrape_bytes = len(body.encode())
+                    report.scrape_derived_samples = sum(
+                        len(family["samples"])
+                        for name, family in families.items()
+                        if name.startswith("mr_derived_")
                     )
             stop_scraping.wait(scrape_interval)
 

@@ -42,12 +42,20 @@ run recorded by another process), and never keeps a ``running`` run —
 that one is re-read every time, which is what makes its newly appended
 entries visible.  The index holds only runs that are on disk, so
 retention (``keep`` finished runs) bounds it too.
+
+The ledger aggregate: what ``/metrics`` publishes about finished runs —
+runs by status, the entry count and every entry counter summed — is
+kept beside the index and under its lock.  A record is folded in once,
+when it enters the index, and taken out when it leaves; the sums are
+exact (:class:`ExactSum`), so what they read depends only on which runs
+are in the index, never on the order they came and went in.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -117,6 +125,10 @@ class RunRecord:
     @property
     def started(self) -> float:
         return float(self.manifest.get("started_unix", 0.0))
+
+    @property
+    def finished(self) -> float:
+        return float(self.status.get("finished_unix", 0.0))
 
     def summary(self) -> dict:
         """The compact JSON shape the ``/runs`` endpoint lists."""
@@ -222,6 +234,71 @@ def _interned(value: Any) -> Any:
     return value
 
 
+class ExactSum:
+    """A float total that can give back what it was given.
+
+    The total is held as Shewchuk's non-overlapping partials (the
+    algorithm behind :func:`math.fsum`), which represent the sum of
+    everything added *exactly*; taking a value out is adding its
+    negation, just as exactly.  ``math.fsum(partials)`` rounds once, so
+    it equals ``math.fsum`` of the values still in — whatever was added
+    and taken out in between, in whatever order.  Finite values only.
+    """
+
+    __slots__ = ("partials", "terms")
+
+    def __init__(self) -> None:
+        self.partials: list[float] = []
+        #: Values added and not taken out again.
+        self.terms = 0
+
+    def add(self, x: float) -> None:
+        self.terms += 1
+        self._grow(x)
+
+    def take(self, x: float) -> None:
+        self.terms -= 1
+        self._grow(-x)
+
+    def _grow(self, x: float) -> None:
+        partials = self.partials
+        kept = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            high = x + y
+            low = y - (high - x)  # the rounding error of x + y, exactly
+            if low:
+                partials[kept] = low
+                kept += 1
+            x = high
+        partials[kept:] = [x]
+
+
+def _counter_terms(entries: list[dict]) -> list[tuple[str, float]]:
+    """Every ``(counter name, value)`` a run's entries carry."""
+    return [
+        (name, float(value))
+        for entry in entries
+        for name, value in entry.get("counters", {}).items()
+    ]
+
+
+@dataclass(frozen=True)
+class LedgerAggregate:
+    """The whole ledger as ``/metrics`` publishes it."""
+
+    #: Runs by status name, ``running`` ones included.
+    by_status: dict[str, int]
+    #: Recorded entries across all runs.
+    entries: int
+    #: Every entry counter summed across all runs, correctly rounded.
+    counters: dict[str, float]
+    #: The runs that are live — every ``running`` one and the most
+    #: recently finished one — oldest id first.
+    live: list[RunRecord]
+
+
 class RunStore:
     """The on-disk ledger of recorded runs."""
 
@@ -261,8 +338,14 @@ class RunStore:
         #: The ledger index: the record of every *finished* run this
         #: instance has read and that the last listing still named.
         self._index: dict[str, RunRecord] = {}
-        #: Guards the index and the two read counters; never held
-        #: while a bundle is being read.
+        #: The ledger aggregate over exactly the index's records:
+        #: runs by status, entries, and each entry counter's sum.  A
+        #: name nothing in the index contributes to has no item here.
+        self._by_status: dict[str, int] = {}
+        self._entries = 0
+        self._sums: dict[str, ExactSum] = {}
+        #: Guards the index, the aggregate and the two read counters;
+        #: never held while a bundle is being read.
         self._lock = threading.Lock()
 
     # -- creation --------------------------------------------------------
@@ -344,7 +427,7 @@ class RunStore:
             except FileNotFoundError:
                 names = []
             for gone in self._index.keys() - set(names):
-                del self._index[gone]
+                self._drop(gone)
         return names
 
     def run_ids(self) -> list[str]:
@@ -426,13 +509,90 @@ class RunStore:
         with self._lock:
             self.bundle_reads += 1
             self.torn_tail_lines += len(torn)
-            if finished:
-                self._index[run_id] = record
+            # Two first readers of one bundle: the second finds it kept.
+            if finished and run_id not in self._index:
+                self._keep(record)
         return record
+
+    # -- the index and its aggregate (callers hold the lock) -------------
+    def _keep(self, record: RunRecord) -> None:
+        terms = _counter_terms(record.entries)  # may raise: mutate after
+        self._index[record.run_id] = record
+        status = record.status_name
+        self._by_status[status] = self._by_status.get(status, 0) + 1
+        self._entries += len(record.entries)
+        sums = self._sums
+        for name, value in terms:
+            total = sums.get(name)
+            if total is None:
+                total = sums[name] = ExactSum()
+            total.add(value)
+
+    def _drop(self, run_id: str) -> None:
+        record = self._index.pop(run_id, None)
+        if record is None:
+            return
+        status = record.status_name
+        self._by_status[status] -= 1
+        if not self._by_status[status]:
+            del self._by_status[status]
+        self._entries -= len(record.entries)
+        sums = self._sums
+        for name, value in _counter_terms(record.entries):
+            total = sums[name]
+            total.take(value)
+            if not total.terms:
+                # Its last contributor left: the family goes with it.
+                del sums[name]
 
     def _forget(self, run_id: str) -> None:
         with self._lock:
-            self._index.pop(run_id, None)
+            self._drop(run_id)
+
+    def aggregate(self) -> LedgerAggregate:
+        """The ledger's totals and live runs, for one scrape.
+
+        Costs one listing plus the bundles of the runs in flight (and
+        of any finished run not seen before, once): finished runs come
+        out of the aggregate, whatever their number.
+        """
+        index = self._index
+        unkept = self._records(
+            [name for name in self._listing() if name not in index]
+        )
+        with self._lock:
+            # A run read as running above that another reader has since
+            # found finished is in the aggregate: it counts there, once.
+            running = [
+                record
+                for record in unkept
+                if record.status_name == RUNNING
+                and record.run_id not in index
+            ]
+            by_status = dict(self._by_status)
+            entries = self._entries
+            terms = {
+                name: list(total.partials)
+                for name, total in self._sums.items()
+            }
+            newest = max(
+                index.values(),
+                key=lambda record: (record.finished, record.run_id),
+                default=None,
+            )
+        for record in running:
+            by_status[RUNNING] = by_status.get(RUNNING, 0) + 1
+            entries += len(record.entries)
+            for name, value in _counter_terms(record.entries):
+                terms.setdefault(name, []).append(value)
+        live = running + ([newest] if newest is not None else [])
+        live.sort(key=lambda record: record.run_id)
+        return LedgerAggregate(
+            by_status,
+            entries,
+            {name: math.fsum(parts) for name, parts in terms.items()},
+            live,
+        )
 
     # -- retention -------------------------------------------------------
     def prune(self, keep: int | None = None) -> list[str]:

@@ -6,7 +6,8 @@ process's jobs are visible mid-run) behind these read endpoints:
 
 * ``/metrics`` — a Prometheus text-format scrape: run counts by
   status, every recorded counter aggregated across runs, and the
-  ``mr.derived.*`` gauges per run entry (labelled ``run``/``entry``).
+  ``mr.derived.*`` gauges per entry (labelled ``run``/``entry``) of
+  the runs that are live — those in flight and the last to finish.
 * ``/runs`` — JSON list of recorded runs (id, kind, status, entries).
 * ``/runs/<id>`` — one run's full detail (manifest, counters, entries);
   git-style unique id prefixes resolve.
@@ -48,25 +49,27 @@ from repro.obs.metrics import (
 from repro.obs.run_store import RunStore, RunStoreError
 
 
-def render_metrics(store: RunStore) -> str:
-    """The whole ledger as one Prometheus scrape.
+def render_metrics(
+    store: RunStore, service: JobService | None = None
+) -> str:
+    """The ledger as one Prometheus scrape, the same size at any length.
 
     Counters aggregate across every run's entries (pipeline entries
     carry only their own ``pipeline.*`` ledger, so stage jobs are not
-    double-counted); derived gauges keep per-run, per-entry resolution
-    through labels.
+    double-counted) and come from the store's ledger aggregate, so no
+    finished run's entries are walked here.  Derived gauges keep
+    per-run, per-entry resolution through labels, for the runs that are
+    live only — what a finished run recorded is served by
+    ``/runs/<id>``, its ``metrics.prom`` and ``repro runs show/diff``.
+    An attached job service's own families come last.
     """
-    runs = store.load_all()
+    ledger = store.aggregate()
     by_status = {"running": 0, "completed": 0, "failed": 0}
-    counters: dict[str, float] = {}
+    by_status.update(ledger.by_status)
+    counters = ledger.counters
     derived: dict[str, list[tuple[str, int, str, float]]] = {}
-    entries_total = 0
-    for run in runs:
-        by_status[run.status_name] = by_status.get(run.status_name, 0) + 1
+    for run in ledger.live:
         for entry in run.entries:
-            entries_total += 1
-            for name, value in entry.get("counters", {}).items():
-                counters[name] = counters.get(name, 0.0) + value
             for name, value in entry.get("derived", {}).items():
                 derived.setdefault(name, []).append(
                     (
@@ -90,7 +93,7 @@ def render_metrics(store: RunStore) -> str:
         "# HELP repro_run_entries Recorded entries across all runs"
     )
     lines.append("# TYPE repro_run_entries gauge")
-    lines.append(f"repro_run_entries {entries_total}")
+    lines.append(f"repro_run_entries {ledger.entries}")
     lines.append(
         "# HELP repro_store_torn_tail_lines JSONL tail lines skipped "
         "as torn (crash mid-append) by this store's reads"
@@ -138,11 +141,19 @@ def render_metrics(store: RunStore) -> str:
                 f'entry="{escape_label_value(entry_name)}"'
             )
             lines.append(f"{name}{{{labels}}} {_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if service is not None:
+        text += service.metrics_text()
+    return text
 
 
 class _LedgerHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
+    #: The listen backlog.  ``socketserver``'s 5 is one burst of
+    #: loadgen's default nine connections short: the accept loop shares
+    #: the GIL with the job workers, the kernel drops the SYNs that do
+    #: not fit, and those clients retransmit a full second later.
+    request_queue_size = 128
 
     def __init__(
         self,
@@ -167,7 +178,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif path == "/metrics":
                 self._send(
                     200,
-                    render_metrics(store),
+                    render_metrics(store, self._service()),
                     "text/plain; version=0.0.4; charset=utf-8",
                 )
             elif path == "/runs":

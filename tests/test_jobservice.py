@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import threading
@@ -318,6 +319,90 @@ class TestOrphanReconciliation:
             assert service.drain(timeout=30)
 
 
+# -- the service's own /metrics families ------------------------------------
+class TestServiceMetrics:
+    @staticmethod
+    def _scrape(store: RunStore, service: JobService) -> dict:
+        families = validate_prometheus_text(render_metrics(store, service))
+        observed = {
+            value
+            for family in (
+                "repro_job_queue_wait_seconds", "repro_job_run_seconds"
+            )
+            for name, _, value in families[family]["samples"]
+            if name.endswith("_count")
+        }
+        return {
+            "states": {
+                labels["state"]: value
+                for _, labels, value in families["repro_jobs"]["samples"]
+            },
+            "queue_depth": families["repro_job_queue_depth"]["samples"][0][2],
+            "observed": observed,
+        }
+
+    def test_states_follow_each_job_and_finished_jobs_are_observed_once(
+        self, tmp_path
+    ) -> None:
+        started = threading.Event()
+        release = threading.Event()
+
+        def blocker() -> None:
+            started.set()
+            assert release.wait(30)
+
+        def boom() -> None:
+            raise RuntimeError("kaput")
+
+        store = RunStore(tmp_path, keep=100)
+        service = JobService(
+            store,
+            experiments={"block": blocker, "boom": boom, "ok": lambda: None},
+            workers=1,
+            queue_depth=4,
+        )
+        assert self._scrape(store, service) == {
+            "states": {"queued": 0, "running": 0, "done": 0, "failed": 0},
+            "queue_depth": 0,
+            "observed": {0},
+        }
+        service.start()
+        try:
+            service.submit({"experiment": "block"})
+            assert started.wait(10)  # the one worker holds it
+            service.submit({"experiment": "boom"})
+            service.submit({"experiment": "ok"})
+            # The scrape validates while a job runs and two wait.
+            assert self._scrape(store, service) == {
+                "states": {"queued": 2, "running": 1, "done": 0, "failed": 0},
+                "queue_depth": 2,
+                "observed": {0},
+            }
+        finally:
+            release.set()
+        assert service.drain(timeout=30)
+        after = self._scrape(store, service)
+        assert after == {
+            "states": {"queued": 0, "running": 0, "done": 2, "failed": 1},
+            "queue_depth": 0,
+            # _count (== the +Inf bucket, which the validator pins) of
+            # both histograms: one observation per finished job.
+            "observed": {3},
+        }
+        assert service.describe()["states"] == after["states"]
+
+    def test_job_families_do_not_grow_with_jobs_served(self, tmp_path) -> None:
+        store = RunStore(tmp_path, keep=100)
+        service = JobService(
+            store, experiments={"ok": lambda: None}, workers=2
+        ).start()
+        before = service.metrics_text().count("\n")
+        for _ in range(12):
+            service.submit({"experiment": "ok"})
+        assert service.drain(timeout=30)
+        assert service.metrics_text().count("\n") == before
+
+
 # -- the HTTP surface -------------------------------------------------------
 @pytest.fixture
 def live(tmp_path):
@@ -509,6 +594,34 @@ class TestLoadGenerator:
         assert "last quarter / first quarter 3.00x" in report.summary()
         assert LoadReport().run_latency() is None
         assert "run latency" not in LoadReport().summary()
+
+    def test_report_carries_scrape_cost_and_size(self, live) -> None:
+        store, _, server = live
+        report = run_load(
+            url=server.url,
+            experiment="wordcount",
+            params=TINY_WORDCOUNT,
+            count=12,
+            concurrency=2,
+            timeout=120.0,
+            scrape_interval=0.05,
+        )
+        assert report.ok(), report.summary()
+        assert len(report.scrape_seconds) == report.scrapes
+        # The last scrape carried the per-entry series of the live runs
+        # only: the newest finished one, plus at most one per worker.
+        per_run = sum(
+            len(entry["derived"]) for entry in store.load_all()[0].entries
+        )
+        assert per_run > 0
+        assert per_run <= report.scrape_derived_samples <= 3 * per_run
+        assert 0 < report.scrape_bytes < 16 * 1024
+        p50_ms = statistics.median(report.scrape_seconds) * 1e3
+        assert (
+            f"invalid, p50 {p50_ms:.1f} ms, last {report.scrape_bytes} bytes "
+            f"with {report.scrape_derived_samples} mr_derived_* samples"
+        ) in report.summary()
+        assert "p50" not in LoadReport(scrapes=0).summary().splitlines()[2]
 
     def test_overflowing_burst_sheds_load_via_429(self, tmp_path) -> None:
         import time

@@ -11,8 +11,13 @@ no index to be wrong:
   issued through the warm store, through a second store and through
   another *process*, the warm store answers ``load_all`` / ``run_ids``
   / ``resolve`` / ``render_metrics`` exactly as a cold one does.
+* **Exact sums** — the ledger aggregate's counter sums are kept as
+  runs come and go, so the same differential runs again with weights
+  whose float sum depends on order, and the accumulator alone is held
+  to ``math.fsum`` of whatever is still in it.
 * **Work count** — bundles read from disk per {finalize, scrape,
-  ``GET /runs``, ``GET /runs/<id>``} do not depend on ledger size.
+  ``GET /runs``, ``GET /runs/<id>``} do not depend on ledger size, and
+  neither do a scrape's lines, bytes and ``mr_derived_*`` samples.
 * **Read order** — ``status.json`` is read first, so nothing stale is
   ever kept beside a finished status.
 * **Stress** — scrapes stay valid and the index stays right while
@@ -22,6 +27,7 @@ no index to be wrong:
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -33,6 +39,8 @@ import urllib.request
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.obs import run_store
@@ -43,6 +51,7 @@ from repro.obs.run_store import (
     ENTRIES_FILE,
     FAILED,
     RUNNING,
+    ExactSum,
     RunStore,
     RunStoreError,
 )
@@ -183,6 +192,86 @@ class TestWarmEqualsCold:
             # has lost, whoever removed it.
             assert set(warm._index) <= set(cold.run_ids())
 
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_seeded_interleaving_of_fractional_weights(
+        self, tmp_path, seed: int
+    ) -> None:
+        """The same ops with weights whose float sum depends on the
+        order they are added in — and, kept with ``+=`` / ``-=``, on
+        what was added and taken out in between.  The warm store's
+        sums have been through every add and removal; the cold one
+        adds the survivors once, in listing order."""
+        rng = random.Random(seed)
+        stores = {
+            "warm": RunStore(tmp_path, keep=1000),
+            "second": RunStore(tmp_path, keep=1000),
+        }
+        warm = stores["warm"]
+        for step in range(40):
+            ledger = RunStore(tmp_path, keep=1000).load_all()
+            running = [r for r in ledger if r.status_name == RUNNING]
+            finished = len(ledger) - len(running)
+            kind = rng.choice(
+                ["create"]
+                + ["append", "append", "finish"] * bool(running)
+                + ["delete"] * (finished > 0)
+                + ["prune"] * (finished > 2)
+            )
+            op: dict = {"op": kind}
+            if kind == "create":
+                op.update(name=f"r{step}", started=1000.0 + step)
+            elif kind == "append":
+                record = rng.choice(running)
+                have = len(record.entries)
+                op.update(
+                    run=record.run_id,
+                    indexes=[have, have + 1],
+                    weight=rng.choice([0.1 * step, 1e16, -1e16, 3e-7]),
+                )
+            elif kind == "finish":
+                op.update(
+                    run=rng.choice(running).run_id,
+                    status=rng.choice([COMPLETED, FAILED]),
+                    total=float(step),
+                )
+            elif kind == "delete":
+                op.update(
+                    run=rng.choice(
+                        [r for r in ledger if r.status_name != RUNNING]
+                    ).run_id
+                )
+            else:
+                op.update(keep=rng.randint(1, finished - 1))
+            actor = rng.choice(["warm", "second", "second", "process"])
+            if actor == "process":
+                _in_another_process(tmp_path, [op])
+            else:
+                ledger_ops.apply(stores[actor], op)
+            assert _view(warm) == _view(RunStore(tmp_path, keep=1000)), (
+                f"seed {seed}, step {step}: {actor} {op}"
+            )
+
+    def test_sums_do_not_remember_what_left(self, tmp_path) -> None:
+        """``(0.1 + 1e16 + 0.2) - 1e16`` is ``0.0`` in floats; the
+        scrape after the ``1e16`` run is deleted says ``0.3``."""
+        store = RunStore(tmp_path, keep=1000)
+        runs = {}
+        for tag, weight in enumerate([0.1, 1e16, 0.2, 3e-7]):
+            run = store.create(
+                {"kind": "t", "name": f"r{tag}", "started_unix": 1000.0 + tag}
+            )
+            runs[weight] = run.run_id
+            for op in (
+                {"op": "append", "indexes": [0], "weight": weight},
+                {"op": "finish", "status": COMPLETED, "total": float(tag)},
+            ):
+                ledger_ops.apply(store, {**op, "run": run.run_id})
+        assert "\nmap_input_records 1e+16\n" in render_metrics(store)
+        _in_another_process(tmp_path, [{"op": "delete", "run": runs[1e16]}])
+        expected = math.fsum([0.1, 0.2, 3e-7])
+        assert f"\nmap_input_records {expected!r}\n" in render_metrics(store)
+        assert _view(store) == _view(RunStore(tmp_path, keep=1000))
+
     def test_running_run_is_reread_and_finished_run_is_not(
         self, tmp_path
     ) -> None:
@@ -253,7 +342,163 @@ class TestCrossProcessCoherence:
             server.stop()
 
 
+# -- the accumulator alone ----------------------------------------------------
+class TestExactSum:
+    #: Magnitudes whose sum cannot overflow within one example.
+    FINITE = st.floats(
+        min_value=-1e300, max_value=1e300, allow_nan=False
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(FINITE, st.integers(min_value=0)), max_size=80))
+    @example([1e16, 1.0, -1e16])
+    @example([1e16, 1.0, 0])  # (1e16 + 1.0) - 1e16 is 0.0 in floats
+    @example([0.1, 0.2, 0.3, 1, 0, 0])
+    def test_value_is_fsum_of_what_is_still_in(self, steps) -> None:
+        """A float step adds it; an integer step takes back out the
+        value at that position (modulo) among those still in."""
+        total = ExactSum()
+        still_in: list[float] = []
+        for step in steps:
+            if isinstance(step, float):
+                total.add(step)
+                still_in.append(step)
+            elif still_in:
+                total.take(still_in.pop(step % len(still_in)))
+            assert math.fsum(total.partials) == math.fsum(still_in)
+            assert total.terms == len(still_in)
+
+
 # -- deterministic work count --------------------------------------------------
+def _derived_samples(text: str) -> list[str]:
+    """The ``run`` label of every ``mr_derived_*`` sample of a scrape."""
+    return [
+        labels["run"]
+        for name, family in validate_prometheus_text(text).items()
+        if name.startswith("mr_derived_")
+        for _, labels, _ in family["samples"]
+    ]
+
+
+class TestScrapeBound:
+    def test_scrape_size_does_not_depend_on_ledger_size(
+        self, tmp_path
+    ) -> None:
+        """Lines and ``mr_derived_*`` samples of a scrape are the same
+        at 20 and at 200 finished two-job runs (the parent: 30 more
+        lines per run), and one run's series more per run in flight."""
+        store = RunStore(tmp_path, keep=500)
+        sizes = {}
+        for size in (20, 200):
+            for tag in range(len(store.run_ids()), size):
+                newest = _finished_run(store, tag)
+            text = render_metrics(store)
+            assert len(text.encode()) < 16 * 1024
+            assert _derived_samples(text) == [newest, newest]
+            sizes[size] = text.count("\n")
+        assert sizes[20] == sizes[200]
+
+        flying = []
+        for n in (1, 2):
+            run = store.create({"kind": "t", "name": f"live{n}"})
+            flying.append(run.run_id)
+            ledger_ops.apply(
+                store,
+                {"op": "append", "run": run.run_id, "indexes": [0, 1],
+                 "weight": 1.0},
+            )
+            text = render_metrics(store)
+            assert sorted(_derived_samples(text)) == sorted(
+                [newest, newest] + flying * 2
+            )
+            assert text.count("\n") == sizes[200] + 2 * n
+
+    def test_series_follow_the_newest_finished_run(self, tmp_path) -> None:
+        store = RunStore(tmp_path, keep=500)
+        older = _finished_run(store, 1)
+        newer = _finished_run(store, 2)
+        assert _derived_samples(render_metrics(store)) == [newer] * 2
+        run = store.create({"kind": "t", "name": "live"})
+        ledger_ops.apply(
+            store,
+            {"op": "append", "run": run.run_id, "indexes": [0], "weight": 1.0},
+        )
+        # Finishing last makes it the newest, failed or not, whatever
+        # its id sorts as.
+        ledger_ops.apply(
+            store,
+            {"op": "finish", "run": run.run_id, "status": FAILED,
+             "total": 3.0},
+        )
+        assert _derived_samples(render_metrics(store)) == [run.run_id]
+        # Deleted — by another process — the series go back to the
+        # newest that is left, and again.
+        _in_another_process(tmp_path, [{"op": "delete", "run": run.run_id}])
+        assert _derived_samples(render_metrics(store)) == [newer] * 2
+        store.delete(newer)
+        assert _derived_samples(render_metrics(store)) == [older] * 2
+        store.delete(older)
+        assert _derived_samples(render_metrics(store)) == []
+
+    @pytest.mark.parametrize("how", ["delete", "process", "prune"])
+    def test_family_of_a_run_that_left_is_absent(
+        self, tmp_path, how: str
+    ) -> None:
+        """A counter only a pruned or deleted run contributed is gone
+        from the next scrape — dropped, not left at 0."""
+        store = RunStore(tmp_path, keep=500)
+        run = store.create({"kind": "t", "name": "odd", "started_unix": 1.0})
+        store.append_row(
+            run.run_id,
+            ENTRIES_FILE,
+            {"index": 0, "kind": "job", "name": "odd",
+             "counters": {"only.here": 0.5}, "derived": {}},
+        )
+        store.write_status(run.run_id, {"status": COMPLETED})
+        _finished_run(store, 1)
+        _finished_run(store, 2)
+        assert "\nonly_here 0.5\n" in render_metrics(store)
+        if how == "delete":
+            store.delete(run.run_id)
+        elif how == "process":
+            _in_another_process(
+                tmp_path, [{"op": "delete", "run": run.run_id}]
+            )
+        else:
+            assert store.prune(2) == [run.run_id]
+        text = render_metrics(store)
+        assert "only_here" not in text
+        assert "\nmap_input_records 6\n" in text  # the others stay
+
+    def test_two_first_readers_fold_a_bundle_once(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        run_id = _finished_run(RunStore(tmp_path, keep=1000), 3)
+        store = RunStore(tmp_path, keep=1000)
+        both_inside = threading.Barrier(2)
+        real_read = run_store._read_jsonl
+
+        def read_together(path, on_torn_tail=None):
+            rows = real_read(path, on_torn_tail)
+            both_inside.wait(30)
+            return rows
+
+        readers = [
+            threading.Thread(target=store.load, args=(run_id,))
+            for _ in range(2)
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(run_store, "_read_jsonl", read_together)
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join(60)
+        assert not any(thread.is_alive() for thread in readers)
+        assert store.bundle_reads == 2  # both did read it
+        assert "\nmap_input_records 6\n" in render_metrics(store)
+        assert _view(store) == _view(RunStore(tmp_path, keep=1000))
+
+
 class TestBundleReads:
     @pytest.mark.parametrize(
         "size, keep", [(20, 500), (200, 500), (20, 20), (200, 200)]

@@ -9,6 +9,8 @@ so a real Prometheus scraper would accept the scrape.
 from __future__ import annotations
 
 import json
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -151,6 +153,37 @@ class TestEndpoints:
             assert response.headers["Content-Type"].startswith(
                 "text/plain; version=0.0.4"
             )
+
+
+class TestConnectionBursts:
+    def test_a_burst_waits_in_the_listen_queue_not_for_a_retransmit(
+        self, store
+    ) -> None:
+        """Sixteen connections arrive before the accept loop gets a
+        turn (it shares the GIL with the job workers).  The listen
+        queue must hold them: with ``socketserver``'s backlog of 5 the
+        kernel drops the SYNs that do not fit and those clients
+        retransmit a full second later."""
+        instance = ObservabilityServer(store)  # listening, not accepting
+        clients = [socket.socket() for _ in range(16)]
+        try:
+            for client in clients:
+                client.setblocking(False)
+                client.connect_ex((instance.host, instance.port))
+            began = time.perf_counter()
+            instance.start()
+            for client in clients:
+                client.settimeout(30)
+                client.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+                body = b""
+                while chunk := client.recv(4096):
+                    body += chunk
+                assert body.endswith(b"\r\n\r\nok\n")
+                assert time.perf_counter() - began < 0.9
+        finally:
+            for client in clients:
+                client.close()
+            instance.stop()
 
 
 class TestRenderMetrics:
