@@ -2,9 +2,8 @@
 
 Regression triage over recorded runs: ``diff`` lines up two runs'
 deterministic counter receipts, their per-entry ``mr.derived.*``
-gauges, and the per-phase span breakdown (aggregated from each run's
-``spans.jsonl``, the same rows ``repro trace`` renders) and reports
-what moved.
+gauges, and the per-phase span breakdown (the same loaded jobs ``repro
+trace`` renders) and reports what moved.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Any
 from repro.analysis.report import format_table
 from repro.analysis.tracereport import phase_rows
 from repro.obs.export import load_jsonl
-from repro.obs.run_store import SPANS_FILE, RunRecord
+from repro.obs.run_store import RunRecord
 
 
 def _stamp(unix: float) -> str:
@@ -142,11 +141,8 @@ def _derived_by_entry(record: RunRecord) -> dict[str, float]:
 
 def _phase_totals(record: RunRecord) -> dict[str, float]:
     """Total seconds per span name across all jobs of one run."""
-    spans_path = record.path / SPANS_FILE
-    if not spans_path.exists():
-        return {}
     totals: dict[str, float] = {}
-    for job in load_jsonl(spans_path):
+    for job in load_jsonl(record):
         for row in phase_rows(job):
             phase = row["phase"]
             totals[phase] = totals.get(phase, 0.0) + row["total_s"]

@@ -1,7 +1,7 @@
-"""Per-phase profiling report over a recorded trace (``repro trace``).
+"""Per-phase profiling report over a recorded run (``repro trace``).
 
-Consumes the JSONL flavour written by ``repro run --trace`` (see
-:mod:`repro.obs.export`) and renders, per job:
+Consumes the jobs :func:`repro.obs.export.load_jsonl` rebuilds from a
+flight-recorder bundle and renders, per job:
 
 * a **phase breakdown** — every span name aggregated into calls, total
   seconds, mean/max, and share of the job's total span time.  This is
@@ -20,17 +20,11 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from repro.analysis.report import format_table
-from repro.mr.events import FAIL, KILLED, START, TIMEOUT
-from repro.obs.trace import JobTrace
+from repro.obs.export import JobTrace
 
-#: Event type → the ``attempt_rows`` column that counts it.
-_ATTEMPT_COLUMN = {
-    START: "started",
-    FAIL: "failed",
-    TIMEOUT: "timed_out",
-    KILLED: "killed",
-}
-_ATTEMPT_HEADERS = ["kind", *_ATTEMPT_COLUMN.values(), "wasted_cpu_s"]
+#: The :meth:`EventLog.attempt_counts` columns the table shows.
+_ATTEMPT_COLUMNS = ["started", "failed", "timed_out", "killed", "wasted_cpu_s"]
+_ATTEMPT_HEADERS = ["kind", *_ATTEMPT_COLUMNS]
 
 
 def phase_rows(job: JobTrace) -> list[dict[str, Any]]:
@@ -65,23 +59,10 @@ def phase_rows(job: JobTrace) -> list[dict[str, Any]]:
 def attempt_rows(job: JobTrace) -> list[dict[str, Any]]:
     """Started/failed/timed-out/killed attempt counts and wasted CPU,
     per task kind."""
-    stats: dict[str, dict[str, Any]] = {}
-    for event in job.events:
-        kind = event.get("kind", "?")
-        entry = stats.setdefault(
-            kind,
-            {
-                "kind": kind,
-                **dict.fromkeys(_ATTEMPT_COLUMN.values(), 0),
-                "wasted_cpu_s": 0.0,
-            },
-        )
-        what = event.get("event")
-        if what in _ATTEMPT_COLUMN:
-            entry[_ATTEMPT_COLUMN[what]] += 1
-        if what == FAIL:
-            entry["wasted_cpu_s"] += float(event.get("cpu_seconds", 0.0))
-    return [stats[kind] for kind in sorted(stats)]
+    return [
+        {"kind": kind, **{column: row[column] for column in _ATTEMPT_COLUMNS}}
+        for kind, row in sorted(job.events.attempt_counts().items())
+    ]
 
 
 def render_job(job: JobTrace) -> str:

@@ -13,16 +13,14 @@ Commands:
   map/reduce tasks on a pool of ``N`` worker processes instead of
   serially; ``REPRO_JOBS=N`` in the environment is the fallback.
   Counters are byte-identical either way.
-* ``--trace PATH`` (anywhere on the ``run`` line) records phase spans
-  and per-attempt events for every job the experiment runs and writes
-  a Chrome-trace JSON (loadable in ``chrome://tracing`` / Perfetto)
-  plus a flat ``.jsonl`` sibling.
 * ``--record`` / ``--runs-dir DIR`` (anywhere on the ``run`` line)
   writes the run into the flight-recorder ledger (``.repro/runs`` by
-  default): manifest, counters receipt, Prometheus dump, events and
+  default): manifest, counters receipt, per-attempt events and phase
   spans — with ``status=failed`` bundles kept on crashes.
-* ``python -m repro trace <events.jsonl>`` — render the per-phase
-  profiling breakdown of a recorded ``.jsonl`` trace.
+* ``python -m repro trace <run> [--chrome PATH]`` — render the
+  per-phase breakdown and the attempt table of a recorded run (an id,
+  a unique prefix, or a bundle directory); ``--chrome`` also writes
+  the Chrome-trace JSON (loadable in ``chrome://tracing`` / Perfetto).
 * ``python -m repro runs ls|show|diff`` — inspect the ledger; ``diff``
   compares two runs' counters, derived gauges and phase breakdowns.
 * ``python -m repro serve`` — HTTP job service over the ledger: a live
@@ -148,7 +146,6 @@ class RunnerFlags:
     """Engine-level flags split out of an experiment's overrides."""
 
     jobs: int | None = None
-    trace: str | None = None
     record: bool = False
     runs_dir: str | None = None
 
@@ -156,8 +153,8 @@ class RunnerFlags:
 def _extract_runner_flags(
     pairs: list[str],
 ) -> tuple[RunnerFlags, list[str]]:
-    """Split the runner flags (``--jobs/-j N``, ``--trace PATH``,
-    ``--record``, ``--runs-dir DIR``) out of the overrides.
+    """Split the runner flags (``--jobs/-j N``, ``--record``,
+    ``--runs-dir DIR``) out of the overrides.
 
     The ``run`` sub-parser collects everything after the experiment
     name into ``overrides`` (argparse.REMAINDER), so runner flags given
@@ -172,7 +169,7 @@ def _extract_runner_flags(
         name, eq, inline = flag.partition("=")
         if name == "--record":
             flags.record = True
-        elif name in ("-j", "--jobs", "--trace", "--runs-dir"):
+        elif name in ("-j", "--jobs", "--runs-dir"):
             if eq:
                 value = inline
             else:
@@ -180,9 +177,7 @@ def _extract_runner_flags(
                     raise ValueError(f"missing value for {flag!r}")
                 value = pairs[index + 1]
                 index += 1
-            if name == "--trace":
-                flags.trace = value
-            elif name == "--runs-dir":
+            if name == "--runs-dir":
                 flags.runs_dir = value
             else:
                 flags.jobs = int(value)
@@ -240,28 +235,9 @@ def _cmd_list() -> int:
     return 0
 
 
-def _write_traces(trace_path: str, collector: Any) -> None:
-    """Write the collected traces: Chrome JSON + a ``.jsonl`` sibling."""
-    from repro.obs.export import write_chrome_trace, write_jsonl
-
-    chrome_path = pathlib.Path(trace_path)
-    if chrome_path.suffix == ".jsonl":
-        chrome_path = chrome_path.with_suffix(".json")
-    jsonl_path = chrome_path.with_suffix(".jsonl")
-    write_chrome_trace(chrome_path, collector.jobs)
-    write_jsonl(jsonl_path, collector.jobs)
-    print(
-        f"trace: {len(collector.jobs)} job(s) -> {chrome_path} "
-        f"(chrome://tracing / Perfetto) + {jsonl_path} "
-        "(python -m repro trace)",
-        file=sys.stderr,
-    )
-
-
 def _cmd_run(
     name: str,
     overrides: list[str],
-    trace_path: str | None = None,
     record: bool = False,
     runs_dir: str | None = None,
 ) -> int:
@@ -271,8 +247,6 @@ def _cmd_run(
             from repro.mr.executor import set_default_jobs
 
             set_default_jobs(flags.jobs)
-        if flags.trace is not None:
-            trace_path = flags.trace
         record = record or flags.record
         if flags.runs_dir is not None:
             runs_dir = flags.runs_dir
@@ -318,12 +292,6 @@ def _cmd_run(
             argv=["run", name, *overrides],
         )
         set_flight_recorder(recorder)
-    collector = None
-    if trace_path is not None:
-        from repro.obs.trace import TraceCollector, set_trace_collector
-
-        collector = TraceCollector()
-        set_trace_collector(collector)
     status = "failed"
     try:
         for index, exp_name in enumerate(names):
@@ -338,7 +306,7 @@ def _cmd_run(
             recorder.record_error(exc)
         raise
     finally:
-        # Flush whatever was traced/recorded even when an experiment
+        # Finalise whatever was recorded even when an experiment
         # raises: a post-mortem is exactly when the bundle matters.
         # The failed run keeps its partial artifacts and is finalised
         # with status=failed.
@@ -349,27 +317,48 @@ def _cmd_run(
             recorder.finalize(status)
             print(
                 f"run ledger: {recorder.path} (status={status}; "
-                "inspect with 'python -m repro runs ls/show/diff')",
+                "inspect with 'python -m repro runs ls/show/diff' "
+                "and 'python -m repro trace')",
                 file=sys.stderr,
             )
-        if collector is not None:
-            from repro.obs.trace import clear_trace_collector
-
-            clear_trace_collector()
-            if trace_path is not None:
-                _write_traces(trace_path, collector)
     return 0
 
 
-def _cmd_trace(path: str) -> int:
-    trace_file = pathlib.Path(path)
-    if not trace_file.exists():
-        print(f"error: no such trace file: {path}", file=sys.stderr)
-        return 2
+def _cmd_trace(
+    run: str, runs_dir: str | None, chrome_path: str | None
+) -> int:
     from repro.analysis.tracereport import render_trace_report
-    from repro.obs.export import load_jsonl
+    from repro.obs.export import load_jsonl, write_chrome_trace
+    from repro.obs.run_store import RunStore, RunStoreError
 
-    print(render_trace_report(load_jsonl(trace_file)))
+    if chrome_path is not None:
+        parent = pathlib.Path(chrome_path).parent
+        if not parent.is_dir():
+            print(
+                f"error: --chrome: no such directory: {parent}",
+                file=sys.stderr,
+            )
+            return 2
+    try:
+        bundle = pathlib.Path(run)
+        if bundle.is_dir():
+            bundle = bundle.resolve()
+            record = RunStore(bundle.parent).load(bundle.name)
+        else:
+            store = RunStore(runs_dir)
+            record = store.load(store.resolve(run))
+    except RunStoreError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    jobs = load_jsonl(record)
+    if chrome_path is not None:
+        write_chrome_trace(chrome_path, jobs)
+        print(
+            f"trace: {len(jobs)} job(s) -> {chrome_path} "
+            "(chrome://tracing / Perfetto)",
+            file=sys.stderr,
+        )
+    print(render_trace_report(jobs))
     return 0
 
 
@@ -508,13 +497,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default: serial; REPRO_JOBS env is the fallback)",
     )
     run_parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="record phase spans + scheduling events; writes "
-        "Chrome-trace JSON to PATH and a .jsonl sibling",
-    )
-    run_parser.add_argument(
         "--record",
         action="store_true",
         help="record the run into the flight-recorder ledger "
@@ -533,10 +515,18 @@ def main(argv: list[str] | None = None) -> int:
         help="parameter overrides as --param value (or --param=value) pairs",
     )
     trace_parser = subparsers.add_parser(
-        "trace", help="per-phase breakdown of a recorded .jsonl trace"
+        "trace",
+        help="per-phase breakdown and attempt table of a recorded run",
     )
     trace_parser.add_argument(
-        "events", help="the .jsonl file written by 'run --trace'"
+        "run",
+        help="run id (unique prefixes resolve) or a bundle directory",
+    )
+    trace_parser.add_argument(
+        "--chrome",
+        default=None,
+        metavar="PATH",
+        help="also write the run as Chrome-trace JSON to PATH",
     )
     serve_parser = subparsers.add_parser(
         "serve",
@@ -634,7 +624,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     runs_diff.add_argument("run_a", help="baseline run id (or prefix)")
     runs_diff.add_argument("run_b", help="candidate run id (or prefix)")
-    for sub in (runs_ls, runs_show, runs_diff):
+    for sub in (runs_ls, runs_show, runs_diff, trace_parser):
         sub.add_argument(
             "--runs-dir",
             default=None,
@@ -656,7 +646,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "summary":
             return _cmd_summary(args.results_dir)
         if args.command == "trace":
-            return _cmd_trace(args.events)
+            return _cmd_trace(args.run, args.runs_dir, args.chrome)
         if args.command == "serve":
             return _cmd_serve(
                 args.host,
@@ -683,7 +673,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_run(
             args.experiment,
             args.overrides,
-            args.trace,
             args.record,
             args.runs_dir,
         )

@@ -29,12 +29,7 @@ from repro.mr.runtime_model import ClusterModel, RuntimeEstimate, TaskCost
 from repro.mr.scheduler import FaultPolicy, JobScheduler
 from repro.obs.flightrecorder import current_flight_recorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import (
-    NullTracer,
-    SpanRecord,
-    Tracer,
-    current_trace_collector,
-)
+from repro.obs.trace import NullTracer, SpanRecord, Tracer
 
 Record = tuple[Any, Any]
 
@@ -218,18 +213,15 @@ class LocalJobRunner:
     ) -> JobResult:
         """Run ``job`` over ``splits`` (one map task per split)."""
         executor, owned = self._resolve_executor(job)
-        # Tracer resolution: an explicit tracer wins; otherwise a
-        # process-wide trace collector (the CLI's ``--trace``) or an
+        # Tracer resolution: an explicit tracer wins; otherwise an
         # installed flight recorder turns tracing on for every job run
-        # while installed (a recorded run's spans.jsonl feeds the
-        # `repro runs diff` per-phase breakdown); otherwise the no-op
+        # while installed (the bundle's spans.jsonl is what `repro
+        # trace` and `repro runs diff` render); otherwise the no-op
         # tracer keeps the run zero-overhead.
-        collector = current_trace_collector()
         recorder = current_flight_recorder()
         tracer = self._tracer
-        if tracer is None:
-            active = collector is not None or recorder is not None
-            tracer = Tracer() if active else None
+        if tracer is None and recorder is not None:
+            tracer = Tracer()
         scheduler = JobScheduler(
             executor,
             fault_policy=self._fault_policy,
@@ -254,13 +246,9 @@ class LocalJobRunner:
                 gc.enable()
             if owned:
                 executor.close()
-        if collector is not None:
-            collector.add_job(
-                job.name, result.spans, result.events.as_dicts()
-            )
-        # The flight recorder mirrors the collector hook: zero-cost
-        # when disabled, and observation-only when on — it reads the
-        # finished result, so counters are identical either way.
+        # Zero-cost when no recorder is installed, and observation-only
+        # when one is — it reads the finished result, so counters are
+        # identical either way.
         if recorder is not None:
             recorder.record_job(job, result)
         return result

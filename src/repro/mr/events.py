@@ -18,7 +18,7 @@ the overhead a real JobTracker would observe.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 #: Task kinds.
 MAP = "map"
@@ -69,6 +69,13 @@ class TaskEvent:
         return self.event == FAIL and self.error.startswith(
             WORKER_CRASH_PREFIX
         )
+
+    @classmethod
+    def from_dict(cls, row: dict[str, Any]) -> "TaskEvent":
+        """The inverse of ``asdict``; keys that are not fields (a
+        ledger row's ``type``/``job``/``run``) are ignored."""
+        known = cls.__dataclass_fields__
+        return cls(**{k: v for k, v in row.items() if k in known})
 
 
 class EventLog:
@@ -140,6 +147,32 @@ class EventLog:
             and (kind is None or e.kind == kind)
         ]
 
+    def attempt_pairs(
+        self,
+    ) -> Iterator[tuple[TaskEvent, TaskEvent | None]]:
+        """Each START with the event that closed it, or ``None`` yet.
+
+        The one START→end pairing every view of the log is built on
+        (durations, Chrome-trace slices, the attempt counts).  An
+        attempt is ``(task_id, attempt)``; whichever of
+        ``ATTEMPT_ENDS`` carries the same pair closes it.  Closed
+        attempts come in the order their end events were logged, then
+        the attempts still open (a run that died mid-wave) in START
+        order.  An end event whose START the log never saw pairs with
+        nothing and is not yielded.
+        """
+        open_starts: dict[tuple[str, int], TaskEvent] = {}
+        for event in self._events:
+            key = (event.task_id, event.attempt)
+            if event.event == START:
+                open_starts[key] = event
+            elif event.event in ATTEMPT_ENDS:
+                start = open_starts.pop(key, None)
+                if start is not None:
+                    yield start, event
+        for start in open_starts.values():
+            yield start, None
+
     def wall_durations(self, kind: str) -> dict[str, float]:
         """Measured wall seconds of each *successful* attempt, by task.
 
@@ -147,18 +180,11 @@ class EventLog:
         finishing attempt; failed attempts are excluded (they did not
         contribute a result).
         """
-        starts: dict[tuple[str, int], float] = {}
-        durations: dict[str, float] = {}
-        for event in self._events:
-            if event.kind != kind:
-                continue
-            if event.event == START:
-                starts[(event.task_id, event.attempt)] = event.t_seconds
-            elif event.event == FINISH:
-                begin = starts.get((event.task_id, event.attempt))
-                if begin is not None:
-                    durations[event.task_id] = event.t_seconds - begin
-        return durations
+        return {
+            start.task_id: end.t_seconds - start.t_seconds
+            for start, end in self.attempt_pairs()
+            if end is not None and end.event == FINISH and end.kind == kind
+        }
 
     def attempt_wall_durations(self, kind: str) -> list[float]:
         """Measured wall seconds of *every* attempt, failed ones too.
@@ -170,18 +196,45 @@ class EventLog:
         the slot time retries, hangs and speculative losers occupied —
         so runtime estimates can charge them.
         """
-        starts: dict[tuple[str, int], float] = {}
-        durations: list[float] = []
-        for event in self._events:
-            if event.kind != kind:
+        return [
+            end.t_seconds - start.t_seconds
+            for start, end in self.attempt_pairs()
+            if end is not None and end.kind == kind
+        ]
+
+    def attempt_counts(self) -> dict[str, dict[str, float]]:
+        """How many attempts started and how each one ended, per kind.
+
+        The one count behind both the ``mr.<kind>.attempts*`` metrics
+        and the attempt table of ``repro trace``.  ``wasted_cpu_s`` is
+        the CPU seconds FAILed attempts burned before dying.
+        """
+        counts: dict[str, dict[str, float]] = {}
+        for start, end in self.attempt_pairs():
+            row = counts.get(start.kind)
+            if row is None:
+                row = counts[start.kind] = {
+                    "started": 0,
+                    "speculative": 0,
+                    "failed": 0,
+                    "worker_crash": 0,
+                    "timed_out": 0,
+                    "killed": 0,
+                    "wasted_cpu_s": 0.0,
+                }
+            row["started"] += 1
+            row["speculative"] += start.speculative
+            if end is None:
                 continue
-            if event.event == START:
-                starts[(event.task_id, event.attempt)] = event.t_seconds
-            elif event.event in ATTEMPT_ENDS:
-                begin = starts.pop((event.task_id, event.attempt), None)
-                if begin is not None:
-                    durations.append(event.t_seconds - begin)
-        return durations
+            if end.event == FAIL:
+                row["failed"] += 1
+                row["worker_crash"] += end.is_worker_crash
+                row["wasted_cpu_s"] += end.cpu_seconds
+            elif end.event == TIMEOUT:
+                row["timed_out"] += 1
+            elif end.event == KILLED:
+                row["killed"] += 1
+        return counts
 
     def shuffle_bytes_by_task(self) -> dict[str, int]:
         """Shuffle bytes fetched per reduce task (from FINISH events)."""

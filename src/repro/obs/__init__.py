@@ -12,13 +12,14 @@ those bytes and CPU seconds happened.
   and histograms with a Prometheus-text-format dump.  The engine
   re-derives the job's :class:`~repro.mr.counters.Counters` totals from
   the registry, so the two surfaces can never disagree.
-* :mod:`repro.obs.export` — Chrome-trace-format JSON (loadable in
-  Perfetto / ``chrome://tracing``) and a flat JSONL consumed by the
-  ``repro trace`` CLI subcommand.
 * :mod:`repro.obs.run_store` / :mod:`repro.obs.flightrecorder` — the
   persistent run ledger: every recorded run leaves a content-addressed
   directory under ``.repro/runs`` with its manifest, deterministic
-  counter receipt, Prometheus dump, events and spans.
+  counter receipt, events and spans.  The bundle is the only persisted
+  form of a run.
+* :mod:`repro.obs.export` — views of a bundle: its jobs loaded back
+  (what the ``repro trace`` report renders) and the Chrome-trace-format
+  JSON (loadable in Perfetto / ``chrome://tracing``) built from them.
 * :mod:`repro.obs.server` / :mod:`repro.obs.jobservice` — the
   ``repro serve`` HTTP service: ledger reads (``/metrics`` Prometheus
   scrape, ``/runs``, ``/healthz``) plus the job-submission write path
@@ -28,23 +29,18 @@ those bytes and CPU seconds happened.
 
 from repro.obs.trace import (
     NULL_TRACER,
-    JobTrace,
     NullTracer,
     SpanRecord,
-    TraceCollector,
     Tracer,
     activated,
-    clear_trace_collector,
-    current_trace_collector,
     current_tracer,
-    set_trace_collector,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.export import (
+    JobTrace,
     chrome_trace,
     load_jsonl,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.flightrecorder import (
     FlightRecorder,
@@ -67,15 +63,10 @@ __all__ = [
     "RunStoreError",
     "NullTracer",
     "SpanRecord",
-    "TraceCollector",
     "Tracer",
     "activated",
     "chrome_trace",
-    "clear_trace_collector",
-    "current_trace_collector",
     "current_tracer",
     "load_jsonl",
-    "set_trace_collector",
     "write_chrome_trace",
-    "write_jsonl",
 ]

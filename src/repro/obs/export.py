@@ -1,4 +1,5 @@
-"""Trace export: Chrome-trace-format JSON and a flat JSONL.
+"""Trace views of a recorded run: its jobs loaded back from the
+bundle, and the Chrome-trace-format JSON built from them.
 
 Chrome trace format (the "JSON Array / traceEvents" flavour) loads in
 ``chrome://tracing`` and in Perfetto's legacy-trace importer.  The
@@ -12,26 +13,30 @@ mapping:
   visually;
 * scheduler-level spans (waves, shuffle planning) live on ``tid 0``.
 
-The JSONL flavour is one self-describing JSON object per line
-(``{"type": "span" | "event" | "job", ...}``) and is what the
-``repro trace`` CLI subcommand consumes.
+A bundle's ``spans.jsonl`` and ``events.jsonl`` hold one
+self-describing JSON object per line (``{"type": "job" | "span" |
+"event", "job": name, "run": entry index, ...}``), written by the
+:class:`~repro.obs.flightrecorder.FlightRecorder`; :func:`load_jsonl`
+is their only reader.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.mr.events import (
-    ATTEMPT_ENDS,
     FAIL,
     FINISH,
     KILLED,
-    START,
     TIMEOUT,
+    EventLog,
+    TaskEvent,
 )
-from repro.obs.trace import JobTrace, SpanRecord
+from repro.obs.run_store import EVENTS_FILE, SPANS_FILE, RunRecord
+from repro.obs.trace import SpanRecord
 
 #: Events ship times in microseconds.
 _US = 1_000_000.0
@@ -47,6 +52,17 @@ _END_SUFFIX = {
 }
 
 
+@dataclass
+class JobTrace:
+    """The complete trace of one finished job."""
+
+    job_name: str
+    #: Every span on the job timeline (seconds since job start).
+    spans: list[SpanRecord] = field(default_factory=list)
+    #: The scheduler's per-attempt event log.
+    events: EventLog = field(default_factory=EventLog)
+
+
 def _task_of(span: SpanRecord) -> str | None:
     task = span.attrs.get("task")
     return task if isinstance(task, str) else None
@@ -57,8 +73,8 @@ def _tid_table(job: JobTrace) -> dict[str, int]:
     tasks: list[str] = []
     seen: set[str] = set()
     for event in job.events:
-        task = event.get("task_id")
-        if isinstance(task, str) and task not in seen:
+        task = event.task_id
+        if task not in seen:
             seen.add(task)
             tasks.append(task)
     for span in job.spans:
@@ -75,36 +91,28 @@ def _event_slices(
     """Per-attempt slices: a START paired with whichever of
     ``ATTEMPT_ENDS`` closed it, so the wall time a timed-out attempt
     or a speculative loser held a slot stays on the track."""
-    starts: dict[tuple[str, int], float] = {}
-    for event in job.events:
-        task = event.get("task_id", "")
-        attempt = int(event.get("attempt", 1))
-        kind = event.get("event")
-        t = float(event.get("t_seconds", 0.0))
-        if kind == START:
-            starts[(task, attempt)] = t
-        elif kind in ATTEMPT_ENDS:
-            begin = starts.pop((task, attempt), None)
-            if begin is None:
-                continue
-            args: dict[str, Any] = {
-                "attempt": attempt,
-                "cpu_seconds": event.get("cpu_seconds", 0.0),
-            }
-            if kind == FAIL:
-                args["error"] = event.get("error", "")
-            elif kind == FINISH:
-                args["output_bytes"] = event.get("output_bytes", 0)
-            yield {
-                "name": f"{task} attempt {attempt}{_END_SUFFIX.get(kind, '')}",
-                "cat": f"scheduler,{event.get('kind', '')}",
-                "ph": "X",
-                "ts": begin * _US,
-                "dur": max(t - begin, 0.0) * _US,
-                "pid": pid,
-                "tid": tids.get(task, SCHEDULER_TID),
-                "args": args,
-            }
+    for start, end in job.events.attempt_pairs():
+        if end is None:
+            continue
+        args: dict[str, Any] = {
+            "attempt": end.attempt,
+            "cpu_seconds": end.cpu_seconds,
+        }
+        if end.event == FAIL:
+            args["error"] = end.error
+        elif end.event == FINISH:
+            args["output_bytes"] = end.output_bytes
+        suffix = _END_SUFFIX.get(end.event, "")
+        yield {
+            "name": f"{end.task_id} attempt {end.attempt}{suffix}",
+            "cat": f"scheduler,{end.kind}",
+            "ph": "X",
+            "ts": start.t_seconds * _US,
+            "dur": max(end.t_seconds - start.t_seconds, 0.0) * _US,
+            "pid": pid,
+            "tid": tids.get(end.task_id, SCHEDULER_TID),
+            "args": args,
+        }
 
 
 def _span_slices(
@@ -169,57 +177,27 @@ def write_chrome_trace(path: str | Path, jobs: Sequence[JobTrace]) -> Path:
     return path
 
 
-# -- flat JSONL ------------------------------------------------------------
+# -- loading a recorded run ------------------------------------------------
 
 
-def write_jsonl(path: str | Path, jobs: Sequence[JobTrace]) -> Path:
-    """Write one JSON object per line: job headers, spans, events.
+def load_jsonl(record: RunRecord) -> list[JobTrace]:
+    """A recorded run's jobs, rebuilt from its ``spans.jsonl`` and
+    ``events.jsonl`` in entry order.
 
-    Every row carries the job's ``run`` index next to its name: one
-    experiment driver often runs the *same-named* job several times
+    Every row carries the entry's ``run`` index next to its job name:
+    one experiment driver often runs the *same-named* job several times
     (e.g. Figure 9's per-partitioner variants), and the index keeps
-    those runs apart on reload.
+    those runs apart.
     """
-    path = Path(path)
-    with path.open("w") as handle:
-        for index, job in enumerate(jobs):
-            header = {"type": "job", "job": job.job_name, "run": index}
-            handle.write(json.dumps(header) + "\n")
-            for span in job.spans:
-                row = {"type": "span", "job": job.job_name, "run": index}
-                row.update(span.as_dict())
-                handle.write(json.dumps(row) + "\n")
-            for event in job.events:
-                row = {"type": "event", "job": job.job_name, "run": index}
-                row.update(event)
-                handle.write(json.dumps(row) + "\n")
-    return path
-
-
-def load_jsonl(path: str | Path) -> list[JobTrace]:
-    """Load a JSONL trace back into :class:`JobTrace` objects."""
     jobs: dict[tuple[Any, str], JobTrace] = {}
-    order: list[tuple[Any, str]] = []
-
-    def job_for(run: Any, name: str) -> JobTrace:
-        key = (run, name)
-        if key not in jobs:
-            jobs[key] = JobTrace(job_name=name)
-            order.append(key)
-        return jobs[key]
-
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        row = json.loads(line)
+    for row in record.rows(SPANS_FILE) + record.rows(EVENTS_FILE):
         kind = row.get("type")
-        name = row.get("job", "")
-        run = row.get("run", 0)
-        if kind == "job":
-            job_for(run, name)
-        elif kind == "span":
-            job_for(run, name).spans.append(
+        key = (row.get("run", 0), row.get("job", ""))
+        job = jobs.get(key)
+        if job is None:
+            job = jobs[key] = JobTrace(job_name=key[1])
+        if kind == "span":
+            job.spans.append(
                 SpanRecord(
                     name=row["name"],
                     start=float(row["start"]),
@@ -229,10 +207,5 @@ def load_jsonl(path: str | Path) -> list[JobTrace]:
                 )
             )
         elif kind == "event":
-            event = {
-                key: value
-                for key, value in row.items()
-                if key not in ("type", "job", "run")
-            }
-            job_for(run, name).events.append(event)
-    return [jobs[key] for key in order]
+            job.events.append(TaskEvent.from_dict(row))
+    return list(jobs.values())

@@ -1,9 +1,9 @@
 """The flight recorder: writes every run into the persistent ledger.
 
-Follows the same zero-cost-when-disabled pattern as the tracer's
-process-wide collector: the engine asks :func:`current_flight_recorder`
-after each job and gets ``None`` unless one was installed, so recording
-costs nothing when off — and when on, it only *reads* the finished
+Zero-cost when disabled, like the tracer: the engine asks
+:func:`current_flight_recorder` for each job and gets ``None`` unless
+one was installed, so recording costs nothing when off — and when on,
+it turns tracing on for the job and then only *reads* the finished
 :class:`~repro.mr.engine.JobResult`, never reaches into the run, so the
 counter-determinism contract holds with the recorder on or off.
 
@@ -11,10 +11,10 @@ One :class:`FlightRecorder` owns one run directory (see
 :mod:`repro.obs.run_store` for the layout).  Entries, events and spans
 are appended incrementally as each job finishes, so a run that crashes
 mid-way still leaves its post-mortem bundle on disk (a job costs one
-write per artifact); the deterministic ``counters.json`` receipt and
-the ``metrics.prom`` dump land at :meth:`FlightRecorder.finalize` —
-which the CLI drives from its ``finally`` path with
-``status="failed"`` when the experiment raised.
+write per artifact); the deterministic ``counters.json`` receipt
+lands at :meth:`FlightRecorder.finalize` — which the CLI drives from
+its ``finally`` path with ``status="failed"`` when the experiment
+raised.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.mr.counters import MEASURED_CPU_COUNTERS, Counters
-from repro.obs.metrics import MetricsRegistry
+from repro.mr.events import EventLog
 from repro.obs.run_store import (
     COMPLETED,
     COUNTERS_FILE,
     ENTRIES_FILE,
     EVENTS_FILE,
-    METRICS_FILE,
     SPANS_FILE,
     RunStore,
 )
@@ -134,17 +133,16 @@ class FlightRecorder:
         argv: Sequence[str] | None = None,
     ) -> None:
         self._store = store
-        #: The run-level registry: the aggregate of every recorded
-        #: entry's metrics.  Its job-counter subset is the same fold as
-        #: merging each job's counter bag in arrival order, so the
-        #: finalised receipt is bit-identical to the engine's totals.
-        self._metrics = MetricsRegistry()
+        #: The run-total counter fold: every recorded entry's counter
+        #: bag merged in arrival order, so the finalised receipt is
+        #: bit-identical to the engine's totals.
+        self._counters = Counters()
         self._entry_index = 0
         self._error: str | None = None
         self._finalized = False
         #: One recorder may be fed from several threads (a pipeline's
         #: concurrent stages, the job service's workers): the lock
-        #: keeps each entry's (index, metrics fold, rows) atomic so the
+        #: keeps each entry's (index, counter fold, rows) atomic so the
         #: fold order matches the entry order.
         self._lock = threading.Lock()
         manifest = {
@@ -181,7 +179,7 @@ class FlightRecorder:
         name = getattr(result, "job_name", None) or getattr(
             job, "name", "job"
         )
-        self._metrics.merge_registry(result.metrics)
+        self._counters.merge(result.counters)
         derived = {
             gauge: value
             for gauge, value in result.metrics.gauge_values().items()
@@ -203,7 +201,7 @@ class FlightRecorder:
             },
         )
         self._append_spans(index, name, result.spans)
-        self._append_events(index, name, result.events.as_dicts())
+        self._append_events(index, name, result.events)
 
     def record_pipeline(self, name: str, result: Any) -> None:
         """Record one pipeline run as a ``pipeline:<name>`` entry.
@@ -225,10 +223,7 @@ class FlightRecorder:
             for cname, value in result.metrics.counter_values().items()
             if cname.startswith("pipeline.")
         }
-        bag = Counters()
-        for cname in sorted(pipeline_counters):
-            bag.add(cname, pipeline_counters[cname])
-        self._metrics.merge_counters(bag)
+        self._counters.merge_mapping(pipeline_counters)
         self._store.append_row(
             self._run_id,
             ENTRIES_FILE,
@@ -256,14 +251,9 @@ class FlightRecorder:
         with self._lock:
             self._error = f"{type(exc).__name__}: {exc}"
             events = getattr(exc, "events", None)
-            if events is not None:
-                rows = (
-                    events.as_dicts()
-                    if hasattr(events, "as_dicts")
-                    else list(events)
-                )
+            if isinstance(events, EventLog):
                 self._append_events(
-                    self._entry_index, "terminal-failure", rows
+                    self._entry_index, "terminal-failure", events
                 )
 
     # -- finalisation ----------------------------------------------------
@@ -272,18 +262,15 @@ class FlightRecorder:
 
         ``counters.json`` holds only the deterministic (analytic)
         counter fold — the receipt two identical runs reproduce bit for
-        bit; the full fold including measured CPU lives in
-        ``metrics.prom`` and the per-entry rows.
+        bit; measured CPU lives in the per-entry rows.
         """
         with self._lock:
             if self._finalized:
                 return self._run_id
             self._finalized = True
-            analytic = deterministic_counters(
-                self._metrics.job_counters().as_dict()
-            )
-            # Receipt and dump land atomically (temp file + rename):
-            # a concurrent scrape never observes a torn receipt.
+            analytic = deterministic_counters(self._counters.as_dict())
+            # The receipt lands atomically (temp file + rename): a
+            # concurrent scrape never observes a torn one.
             _write_atomic(
                 self._path / COUNTERS_FILE,
                 json.dumps(
@@ -292,10 +279,6 @@ class FlightRecorder:
                     sort_keys=True,
                 )
                 + "\n",
-            )
-            _write_atomic(
-                self._path / METRICS_FILE,
-                self._metrics.prometheus_text(),
             )
             status_doc: dict[str, Any] = {
                 "status": status,
@@ -314,9 +297,8 @@ class FlightRecorder:
     def _append_spans(
         self, index: int, name: str, spans: Sequence[Any]
     ) -> None:
-        # The same row shape `repro trace` consumes (obs.export
-        # write_jsonl/load_jsonl), so a recorded run's spans.jsonl
-        # renders directly with the existing per-phase report.
+        # The job header row is what keeps an entry with no spans and
+        # no events (an empty pipeline) in `obs.export.load_jsonl`.
         rows = [{"type": "job", "job": name, "run": index}]
         rows.extend(
             {"type": "span", "job": name, "run": index, **span.as_dict()}
@@ -325,14 +307,14 @@ class FlightRecorder:
         self._store.append_rows(self._run_id, SPANS_FILE, rows)
 
     def _append_events(
-        self, index: int, name: str, events: Sequence[dict]
+        self, index: int, name: str, events: EventLog
     ) -> None:
         self._store.append_rows(
             self._run_id,
             EVENTS_FILE,
             (
                 {"type": "event", "job": name, "run": index, **event}
-                for event in events
+                for event in events.as_dicts()
             ),
         )
 

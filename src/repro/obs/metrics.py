@@ -194,33 +194,6 @@ class MetricsRegistry:
                 totals.add(name, metric.value)
         return totals
 
-    # -- registry aggregation --------------------------------------------
-    def merge_registry(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (run-level aggregation).
-
-        Counters add, gauges last-write-wins, histograms add bucket by
-        bucket (layouts must match).  Job-counter provenance carries
-        over: names folded via :meth:`merge_counters` in ``other`` stay
-        job counters here, so the aggregate's :meth:`job_counters` is
-        the same per-name float fold as merging every job's counter bag
-        in arrival order — bit-identical totals.
-        """
-        for name, metric in other._counters.items():
-            self.counter(name, metric.help).add(metric.value)
-        self._job_counter_names |= other._job_counter_names
-        for name, metric in other._gauges.items():
-            self.gauge(name, metric.help).set(metric.value)
-        for name, metric in other._histograms.items():
-            mine = self.histogram(name, metric.help, metric.buckets)
-            if mine.buckets != metric.buckets:
-                raise ValueError(
-                    f"histogram {name!r} bucket layouts differ"
-                )
-            for index, count in enumerate(metric.bucket_counts):
-                mine.bucket_counts[index] += count
-            mine.sum += metric.sum
-            mine.count += metric.count
-
     # -- snapshots -------------------------------------------------------
     def counter_values(self) -> dict[str, float]:
         return {name: m.value for name, m in self._counters.items()}
@@ -284,27 +257,31 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-#: Outcome suffixes of the scheduler's per-kind attempt counters
-#: (``mr.<kind>.attempts.<outcome>``), with their help strings.  The
-#: scheduler registers all of them for every run — a zero sample in the
-#: Prometheus dump is a statement that the path was exercised zero
-#: times, not that it does not exist.
-ATTEMPT_OUTCOMES: dict[str, str] = {
-    "failed": "attempts that raised (task failures and worker crashes)",
-    "speculative": "speculative backup attempts launched",
-    "timeout": "attempts abandoned after exceeding task_timeout_seconds",
-    "worker_crash": "attempts lost to a crashed worker process",
-}
-
-
-def attempt_outcome_counter(
-    registry: "MetricsRegistry", kind: str, outcome: str
-) -> Counter:
-    """The ``mr.<kind>.attempts.<outcome>`` counter of one registry."""
-    return registry.counter(
-        f"mr.{kind}.attempts.{outcome}",
-        f"{kind} {ATTEMPT_OUTCOMES[outcome]}",
-    )
+#: The scheduler's per-kind attempt counters: metric-name suffix after
+#: ``mr.<kind>.attempts``, the :meth:`EventLog.attempt_counts` column
+#: it publishes, and its help string.  All of them are registered for
+#: every run — a zero sample in the Prometheus dump is a statement that
+#: the path was exercised zero times, not that it does not exist.
+_ATTEMPT_COUNTERS: tuple[tuple[str, str, str], ...] = (
+    ("", "started", "attempts started"),
+    (
+        ".failed",
+        "failed",
+        "attempts that raised (task failures and worker crashes)",
+    ),
+    (".speculative", "speculative", "speculative backup attempts launched"),
+    (
+        ".timeout",
+        "timed_out",
+        "attempts abandoned after exceeding task_timeout_seconds",
+    ),
+    (
+        ".worker_crash",
+        "worker_crash",
+        "attempts lost to a crashed worker process",
+    ),
+    (".killed", "killed", "speculative attempts killed (lost the race)"),
+)
 
 
 def record_job_metrics(
@@ -345,6 +322,10 @@ def _record_wave_metrics(
     metrics.gauge(
         "mr.job.reducers", "Configured reduce tasks"
     ).set(num_reducers)
+    attempt_counts = events.attempt_counts()
+    wasted = metrics.counter(
+        "mr.wasted.cpu.seconds", "CPU burned by failed attempts"
+    )
     for kind in (E.MAP, E.REDUCE):
         latency = metrics.histogram(
             f"mr.{kind}.task.wall.seconds",
@@ -356,46 +337,21 @@ def _record_wave_metrics(
             f"mr.{kind}.task.cpu.seconds",
             f"CPU seconds per successful {kind} attempt",
         )
-        attempts = metrics.counter(
-            f"mr.{kind}.attempts", f"{kind} attempts started"
-        )
-        # Register every outcome counter up front: a zero sample in
-        # the dump means "path exercised zero times", not "absent".
-        outcome = {
-            name: attempt_outcome_counter(metrics, kind, name)
-            for name in ATTEMPT_OUTCOMES
-        }
-        killed = metrics.counter(
-            f"mr.{kind}.attempts.killed",
-            f"{kind} speculative attempts killed (lost the race)",
-        )
         output_bytes = metrics.histogram(
             f"mr.{kind}.output.bytes",
             "Map output bytes / reduce shuffle bytes per task",
             buckets=tuple(4.0**n for n in range(2, 16)),
         )
         for event in events:
-            if event.kind != kind:
-                continue
-            if event.event == E.START:
-                attempts.add()
-                if event.speculative:
-                    outcome["speculative"].add()
-            elif event.event == E.FAIL:
-                outcome["failed"].add()
-                if event.is_worker_crash:
-                    outcome["worker_crash"].add()
-                metrics.counter(
-                    "mr.wasted.cpu.seconds",
-                    "CPU burned by failed attempts",
-                ).add(event.cpu_seconds)
-            elif event.event == E.TIMEOUT:
-                outcome["timeout"].add()
-            elif event.event == E.KILLED:
-                killed.add()
-            elif event.event == E.FINISH:
+            if event.kind == kind and event.event == E.FINISH:
                 cpu.observe(event.cpu_seconds)
                 output_bytes.observe(event.output_bytes)
+        counts = attempt_counts.get(kind, {})
+        for suffix, column, help_text in _ATTEMPT_COUNTERS:
+            metrics.counter(
+                f"mr.{kind}.attempts{suffix}", f"{kind} {help_text}"
+            ).add(counts.get(column, 0))
+        wasted.add(counts.get("wasted_cpu_s", 0.0))
 
 
 def _record_derived_metrics(
@@ -548,23 +504,6 @@ def _unescape(value: str) -> str:
             out.append(char)
             index += 1
     return "".join(out)
-
-
-def parse_prometheus_counters(text: str) -> dict[str, float]:
-    """Parse plain counter/gauge samples back out of a text dump.
-
-    Helper for tests that assert the dump agrees with the job counters;
-    histogram series (``_bucket``/``_sum``/``_count``) are skipped.
-    """
-    values: dict[str, float] = {}
-    for line in text.splitlines():
-        if not line or line.startswith("#") or "{" in line:
-            continue
-        name, _, raw = line.partition(" ")
-        if name.endswith(("_sum", "_count")):
-            continue
-        values[name] = float(raw)
-    return values
 
 
 # -- full text-format parser (exposition format 0.0.4) ---------------------

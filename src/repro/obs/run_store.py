@@ -9,16 +9,15 @@ by default, ``REPRO_RUNS_DIR`` overrides)::
         status.json     # running | completed | failed (+ error)
         entries.jsonl   # one row per recorded job / pipeline
         events.jsonl    # per-attempt scheduler events, flat
-        spans.jsonl     # phase spans in the `repro trace` JSONL shape
+        spans.jsonl     # phase spans, one job header row per entry
         counters.json   # deterministic run-total counter fold
-        metrics.prom    # Prometheus text dump of the run registry
 
 The run id is content-addressed: a UTC timestamp prefix (so a plain
 directory sort is chronological) followed by a SHA-256 prefix of the
 canonical manifest JSON.  ``entries``/``events``/``spans`` are written
 *incrementally* by the flight recorder, so a run that dies mid-way
-still leaves a usable post-mortem bundle; ``counters.json`` and
-``metrics.prom`` land at finalisation.
+still leaves a usable post-mortem bundle; ``counters.json`` lands at
+finalisation.
 
 Retention: :meth:`RunStore.prune` keeps the newest ``keep`` finished
 runs (``REPRO_RUNS_KEEP`` overrides the default of 64) and never
@@ -63,7 +62,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 #: File names inside one run directory.
 MANIFEST_FILE = "manifest.json"
@@ -72,7 +71,6 @@ ENTRIES_FILE = "entries.jsonl"
 EVENTS_FILE = "events.jsonl"
 SPANS_FILE = "spans.jsonl"
 COUNTERS_FILE = "counters.json"
-METRICS_FILE = "metrics.prom"
 
 DEFAULT_ROOT = ".repro/runs"
 ENV_ROOT = "REPRO_RUNS_DIR"
@@ -109,6 +107,10 @@ class RunRecord:
     #: The deterministic run-total counters, or ``None`` for a run that
     #: never finalised (hard crash mid-run).
     counters: dict | None = None
+    #: The owning store's torn-tail account (see :meth:`rows`).
+    on_torn_tail: Callable[[Path], None] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def status_name(self) -> str:
@@ -154,10 +156,11 @@ class RunRecord:
         doc["entry_list"] = self.entries
         return doc
 
-    def metrics_text(self) -> str | None:
-        """The finalised Prometheus dump, or ``None`` if never written."""
-        path = self.path / METRICS_FILE
-        return path.read_text() if path.exists() else None
+    def rows(self, file_name: str) -> list[dict]:
+        """Every complete row of one of the run's JSONL artifacts
+        (``[]`` if it was never written), read now: unlike ``entries``
+        the span and event rows are not kept with the record."""
+        return _read_jsonl(self.path / file_name, self.on_torn_tail)
 
 
 def _canonical_json(document: dict) -> str:
@@ -495,8 +498,7 @@ class RunStore:
             raise RunStoreError(
                 f"no run matching {run_id!r} under {self.root}"
             ) from None
-        torn: list[Path] = []
-        entries = _read_jsonl(path / ENTRIES_FILE, torn.append)
+        entries = _read_jsonl(path / ENTRIES_FILE, self._torn_tail)
         counters = _read_json(path / COUNTERS_FILE).get("counters")
         finished = status.get("status", RUNNING) != RUNNING
         if finished:
@@ -504,15 +506,24 @@ class RunStore:
                 [manifest, status, entries, counters]
             )
         record = RunRecord(
-            run_id, path, manifest, status, entries, counters
+            run_id,
+            path,
+            manifest,
+            status,
+            entries,
+            counters,
+            on_torn_tail=self._torn_tail,
         )
         with self._lock:
             self.bundle_reads += 1
-            self.torn_tail_lines += len(torn)
             # Two first readers of one bundle: the second finds it kept.
             if finished and run_id not in self._index:
                 self._keep(record)
         return record
+
+    def _torn_tail(self, path: Path) -> None:
+        with self._lock:
+            self.torn_tail_lines += 1
 
     # -- the index and its aggregate (callers hold the lock) -------------
     def _keep(self, record: RunRecord) -> None:

@@ -60,7 +60,7 @@ def render_metrics(
     finished run's entries are walked here.  Derived gauges keep
     per-run, per-entry resolution through labels, for the runs that are
     live only — what a finished run recorded is served by
-    ``/runs/<id>``, its ``metrics.prom`` and ``repro runs show/diff``.
+    ``/runs/<id>`` and ``repro runs show/diff``.
     An attached job service's own families come last.
     """
     ledger = store.aggregate()

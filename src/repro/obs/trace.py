@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -230,66 +230,3 @@ class activated:
     def __exit__(self, *exc_info: Any) -> None:
         assert self._token is not None
         _active.reset(self._token)
-
-
-# -- multi-job collection (the CLI's --trace flag) -------------------------
-
-
-@dataclass
-class JobTrace:
-    """The complete trace of one finished job."""
-
-    job_name: str
-    #: Every span on the job timeline (seconds since job start).
-    spans: list[SpanRecord] = field(default_factory=list)
-    #: The scheduler's event log, as plain dicts (picklable/JSON-able).
-    events: list[dict] = field(default_factory=list)
-
-
-class TraceCollector:
-    """Accumulates one :class:`JobTrace` per executed job.
-
-    An experiment driver typically runs several jobs (the Original /
-    EagerSH / LazySH / AdaptiveSH variants); the collector keeps each
-    job's trace separate so the export can render them as separate
-    processes on one timeline.
-    """
-
-    def __init__(self) -> None:
-        self.jobs: list[JobTrace] = []
-
-    def add_job(
-        self,
-        job_name: str,
-        spans: Iterable[SpanRecord],
-        events: Iterable[dict],
-    ) -> None:
-        self.jobs.append(
-            JobTrace(
-                job_name=job_name, spans=list(spans), events=list(events)
-            )
-        )
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    def __iter__(self) -> Iterator[JobTrace]:
-        return iter(self.jobs)
-
-
-_collector: TraceCollector | None = None
-
-
-def set_trace_collector(collector: TraceCollector) -> None:
-    """Install a process-wide collector; jobs run after this are traced."""
-    global _collector
-    _collector = collector
-
-
-def clear_trace_collector() -> None:
-    global _collector
-    _collector = None
-
-
-def current_trace_collector() -> TraceCollector | None:
-    return _collector

@@ -41,7 +41,7 @@ from repro.obs.flightrecorder import (
     current_flight_recorder,
     set_flight_recorder,
 )
-from repro.obs.trace import SpanRecord, current_trace_collector
+from repro.obs.trace import SpanRecord
 from repro.pipeline.convergence import resolve_until
 from repro.pipeline.dataset import Dataset, DatasetStore
 from repro.pipeline.graph import (
@@ -295,15 +295,11 @@ class Pipeline:
             spans=execution.spans,
             seconds=seconds,
         )
-        collector = current_trace_collector()
-        if collector is not None:
-            # The pipeline's stage timeline rides along the per-job
-            # traces the engine already collected for ``--trace``.
-            collector.add_job(f"pipeline:{self.name}", execution.spans, [])
         recorder = current_flight_recorder()
         if recorder is not None:
             # Stage jobs were already recorded one by one through the
-            # engine hook; this entry adds the pipeline-level ledger.
+            # engine hook; this entry adds the pipeline-level ledger
+            # and the stage timeline.
             recorder.record_pipeline(self.name, result)
         return result
 

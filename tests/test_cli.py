@@ -86,26 +86,24 @@ class TestJobsFlag:
             ["--num-queries", "100", "-j", "4", "--seed", "7"]
         )
         assert flags.jobs == 4
-        assert flags.trace is None
         assert rest == ["--num-queries", "100", "--seed", "7"]
         flags, rest = _extract_runner_flags(["--jobs", "2"])
-        assert (flags.jobs, flags.trace, rest) == (2, None, [])
+        assert (flags.jobs, rest) == (2, [])
         flags, rest = _extract_runner_flags(["--num-queries", "100"])
         assert flags.jobs is None
-        assert flags.trace is None
         assert rest == ["--num-queries", "100"]
 
-    def test_extract_trace_flag(self) -> None:
-        flags, rest = _extract_runner_flags(
-            ["--trace", "out.json", "--seed", "7"]
-        )
-        assert (flags.jobs, flags.trace, rest) == (
-            None,
-            "out.json",
-            ["--seed", "7"],
-        )
-        flags, rest = _extract_runner_flags(["--trace=out.json"])
-        assert (flags.jobs, flags.trace, rest) == (None, "out.json", [])
+    def test_extract_trace_flag(self, capsys) -> None:
+        """``run --trace`` is gone (a recorded run is traced after the
+        fact): the flag is no runner flag, so it reaches the experiment
+        as an unknown parameter — in either position."""
+        _, rest = _extract_runner_flags(["--trace", "out.json"])
+        assert rest == ["--trace", "out.json"]
+        assert main(["run", "fig9", "--trace", "out.json"]) == 2
+        assert "unknown parameter '--trace'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as usage:
+            main(["run", "--trace", "out.json", "fig9"])
+        assert usage.value.code == 2
 
     def test_extract_record_flags(self) -> None:
         flags, rest = _extract_runner_flags(
@@ -200,15 +198,20 @@ class TestCommands:
         assert "bench" not in re.split(r"[\s{},]+", capsys.readouterr().out)
 
 
+def _only_bundle(ledger):
+    (bundle,) = [p for p in ledger.iterdir() if p.is_dir()]
+    return bundle
+
+
 class TestTrace:
     def test_run_with_trace_then_report(self, capsys, tmp_path) -> None:
-        trace_path = tmp_path / "trace.json"
+        ledger = tmp_path / "runs"
         status = main(
             [
                 "run",
                 "sec71",
-                "--trace",
-                str(trace_path),
+                "--runs-dir",
+                str(ledger),
                 "--num-lines",
                 "120",
                 "--num-reducers",
@@ -218,27 +221,34 @@ class TestTrace:
             ]
         )
         assert status == 0
+        assert "Section 7.1" in capsys.readouterr().out
+        bundle = _only_bundle(ledger)
+
+        # By id prefix under --runs-dir, with the Chrome document ...
+        chrome_path = tmp_path / "trace.json"
+        argv = ["trace", bundle.name[:-3], "--runs-dir", str(ledger)]
+        assert main([*argv, "--chrome", str(chrome_path)]) == 0
         captured = capsys.readouterr()
-        assert "Section 7.1" in captured.out
+        report = captured.out
         assert "trace:" in captured.err
+        # ... phases and the attempt table in one report ...
+        assert "map.phase.map" in report
+        assert "wasted_cpu_s" in report
 
         import json
 
-        document = json.loads(trace_path.read_text())
-        assert document["traceEvents"]
-
-        jsonl_path = tmp_path / "trace.jsonl"
-        assert jsonl_path.exists()
-        assert main(["trace", str(jsonl_path)]) == 0
-        report = capsys.readouterr().out
-        assert "phase" in report
-        assert "map.phase.map" in report
+        document = json.loads(chrome_path.read_text())
+        names = {event["name"] for event in document["traceEvents"]}
+        assert {"wave.map", "map.phase.map", "map0 attempt 1"} <= names
+        # ... and by bundle directory, same report.
+        assert main(["trace", str(bundle)]) == 0
+        assert capsys.readouterr().out == report
 
     def test_failing_run_still_flushes_partial_trace(
         self, capsys, tmp_path, monkeypatch
     ) -> None:
         """A post-mortem is exactly when the partial trace matters: the
-        jobs traced before the experiment died must reach disk."""
+        jobs recorded before the experiment died can be traced."""
 
         def exploding_experiment():
             from repro.mr.engine import LocalJobRunner
@@ -253,29 +263,95 @@ class TestTrace:
         monkeypatch.setitem(
             EXPERIMENTS, "exploding", (exploding_experiment, "test dummy")
         )
-        trace_path = tmp_path / "trace.json"
+        ledger = tmp_path / "runs"
         with pytest.raises(RuntimeError, match="boom"):
-            main(["run", "exploding", "--trace", str(trace_path)])
+            main(["run", "exploding", "--runs-dir", str(ledger)])
+        assert "status=failed" in capsys.readouterr().err
+
+        chrome_path = tmp_path / "trace.json"
+        bundle = _only_bundle(ledger)
+        assert main(["trace", str(bundle), "--chrome", str(chrome_path)]) == 0
+        assert "== job: wordcount ==" in capsys.readouterr().out
 
         import json
 
-        assert "trace:" in capsys.readouterr().err
-        document = json.loads(trace_path.read_text())
-        assert document["traceEvents"]
-        assert (tmp_path / "trace.jsonl").exists()
-        # The collector was still cleared despite the failure.
-        from repro.obs.trace import current_trace_collector
-
-        assert current_trace_collector() is None
-
-    def test_trace_collector_cleared_after_run(self) -> None:
-        from repro.obs.trace import current_trace_collector
-
-        assert current_trace_collector() is None
+        assert json.loads(chrome_path.read_text())["traceEvents"]
 
     def test_trace_missing_file(self, capsys, tmp_path) -> None:
-        assert main(["trace", str(tmp_path / "nope.jsonl")]) == 2
-        assert "no such trace file" in capsys.readouterr().err
+        """An unknown id, an ambiguous prefix and a directory that is no
+        bundle are each a one-line error and exit 2."""
+        ledger = tmp_path / "runs"
+        for _ in range(2):
+            main(["run", "wordcount", "--runs-dir", str(ledger),
+                  "--num-lines", "20", "--num-splits", "2"])
+        capsys.readouterr()
+        for argv, message in (
+            (["trace", "nope", "--runs-dir", str(ledger)], "no run matching"),
+            (["trace", "20", "--runs-dir", str(ledger)], "ambiguous"),
+            (["trace", str(ledger)], "no run matching"),
+            (["trace", str(tmp_path / "nope.jsonl")], "no run matching"),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.err.count("\n") == 1
+            assert captured.out == ""
+
+    def test_chrome_path_is_checked_before_rendering(
+        self, capsys, tmp_path
+    ) -> None:
+        ledger = tmp_path / "runs"
+        main(["run", "wordcount", "--runs-dir", str(ledger),
+              "--num-lines", "20", "--num-splits", "2"])
+        capsys.readouterr()
+        bundle = _only_bundle(ledger)
+        missing = tmp_path / "missing-dir" / "t.json"
+        assert main(["trace", str(bundle), "--chrome", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert "no such directory" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("artifact", ["spans.jsonl", "events.jsonl"])
+    def test_torn_final_line_does_not_crash_a_reader(
+        self, capsys, tmp_path, artifact
+    ) -> None:
+        """A crash mid-append tears at most the last line: `trace` and
+        `runs diff` render every complete row, as `runs show` does."""
+        ledger = tmp_path / "runs"
+        main(["run", "wordcount", "--runs-dir", str(ledger),
+              "--num-lines", "20", "--num-splits", "2"])
+        capsys.readouterr()
+        bundle = _only_bundle(ledger)
+
+        from repro.analysis.rundiff import render_diff
+        from repro.obs.export import load_jsonl
+        from repro.obs.run_store import RunStore
+
+        def rows(store: RunStore) -> int:
+            jobs = load_jsonl(store.load(bundle.name))
+            return sum(len(job.spans) + len(job.events) for job in jobs)
+
+        whole = rows(RunStore(ledger))
+        torn = bundle / artifact
+        torn.write_bytes(torn.read_bytes()[:-37])
+
+        assert main(["trace", str(bundle)]) == 0
+        assert "== job: wordcount+anti[adaptive] ==" in capsys.readouterr().out
+        argv = ["runs", "diff", bundle.name, bundle.name]
+        assert main([*argv, "--runs-dir", str(ledger)]) == 0
+        assert "counters: identical" in capsys.readouterr().out
+
+        store = RunStore(ledger)
+        assert rows(store) == whole - 1
+        assert store.torn_tail_lines == 1
+        record = store.load(bundle.name)
+        render_diff(record, record)
+        assert store.torn_tail_lines == 3
+        # An undecodable line anywhere else is corruption: still raises.
+        lines = torn.read_text().splitlines(keepends=True)
+        torn.write_text(lines[0][:-20] + "\n" + "".join(lines[1:]))
+        with pytest.raises(ValueError):
+            load_jsonl(record)
 
 
 class TestRecordFlag:
@@ -311,7 +387,6 @@ class TestRecordFlag:
             "status.json",
             "entries.jsonl",
             "counters.json",
-            "metrics.prom",
             "events.jsonl",
             "spans.jsonl",
         ):
@@ -354,8 +429,6 @@ class TestRecordFlag:
                     "--record",
                     "--runs-dir",
                     str(ledger),
-                    "--trace",
-                    str(tmp_path / "trace.json"),
                 ]
             )
 
@@ -376,8 +449,8 @@ class TestRecordFlag:
         assert len(entries) == 1
         assert entries[0]["name"] == "wordcount"
         assert (bundle / "counters.json").exists()
-        # The partial trace flushed too (PR 4 contract still holds).
-        assert (tmp_path / "trace.jsonl").exists()
+        # The partial trace is in the bundle too.
+        assert (bundle / "spans.jsonl").exists()
         from repro.obs.flightrecorder import current_flight_recorder
 
         assert current_flight_recorder() is None

@@ -112,10 +112,11 @@ class TestRecording:
     def test_spans_jsonl_is_trace_compatible(self, tmp_path) -> None:
         store = RunStore(tmp_path)
         recorder = _record_wordcount(store)
-        jobs = load_jsonl(recorder.path / "spans.jsonl")
+        jobs = load_jsonl(store.load(recorder.run_id))
         assert len(jobs) == 1
         assert jobs[0].job_name == "wordcount"
         assert jobs[0].spans
+        assert len(jobs[0].events) >= 5
 
     def test_events_jsonl_has_attempt_rows(self, tmp_path) -> None:
         store = RunStore(tmp_path)
@@ -199,15 +200,6 @@ class TestCountersReceipt:
         receipts = sorted(ledger.glob("*/counters.json"))
         assert len(receipts) == 2
         assert receipts[0].read_bytes() == receipts[1].read_bytes()
-
-    def test_metrics_prom_written(self, tmp_path) -> None:
-        from repro.obs.metrics import validate_prometheus_text
-
-        recorder = _record_wordcount(RunStore(tmp_path))
-        families = validate_prometheus_text(
-            (recorder.path / "metrics.prom").read_text()
-        )
-        assert any(name.startswith("mr_derived_") for name in families)
 
     def test_finalize_is_idempotent(self, tmp_path) -> None:
         store = RunStore(tmp_path)

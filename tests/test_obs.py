@@ -26,31 +26,27 @@ from repro.mr import events as E
 from repro.mr.api import Context, Mapper
 from repro.mr.counters import Counters
 from repro.mr.cost import FixedCostMeter
-from repro.mr.engine import LocalJobRunner
+from repro.mr.engine import JobResult, LocalJobRunner
 from repro.mr.executor import ParallelExecutor
 from repro.mr.scheduler import ScriptedFaults
 from repro.mr.split import split_records
-from repro.obs.export import chrome_trace, load_jsonl, write_jsonl
+from repro.obs.export import JobTrace, chrome_trace, load_jsonl
+from repro.obs.flightrecorder import FlightRecorder
 from repro.obs.metrics import (
     MetricsRegistry,
     escape_label_value,
-    parse_prometheus_counters,
     parse_prometheus_text,
     prometheus_name,
     validate_prometheus_text,
 )
+from repro.obs.run_store import RunStore
 from repro.obs.trace import (
     NULL_TRACER,
-    JobTrace,
     NullTracer,
     SpanRecord,
-    TraceCollector,
     Tracer,
     activated,
-    clear_trace_collector,
-    current_trace_collector,
     current_tracer,
-    set_trace_collector,
 )
 from repro.workloads.query_suggestion import query_suggestion_job
 from repro.workloads.wordcount import wordcount_job
@@ -111,7 +107,31 @@ def _timeout_and_kill_trace() -> JobTrace:
             event("reduce0", E.FINISH, 2, 0.7, cpu_seconds=0.03),
         ]
     )
-    return JobTrace(job_name="faulty", spans=[], events=log.as_dicts())
+    return JobTrace(job_name="faulty", spans=[], events=log)
+
+
+def _trace_of(result: JobResult) -> JobTrace:
+    return JobTrace(result.job_name, result.spans, result.events)
+
+
+def _plain_samples(text: str) -> dict[str, float]:
+    """Every unlabelled sample of an exposition, by sample name."""
+    return {
+        name: value
+        for family in parse_prometheus_text(text).values()
+        for name, labels, value in family["samples"]
+        if not labels
+    }
+
+
+def _recorded(tmp_path, *results) -> list[JobTrace]:
+    """``results`` written into a fresh bundle and loaded back."""
+    store = RunStore(tmp_path)
+    recorder = FlightRecorder(store, kind="test", name="roundtrip")
+    for result in results:
+        recorder.record_job(None, result)
+    recorder.finalize()
+    return load_jsonl(store.load(recorder.run_id))
 
 
 # -- tracer unit tests -----------------------------------------------------
@@ -278,7 +298,7 @@ class TestMetricsRegistry:
         text = registry.prometheus_text()
         assert "# TYPE map_output_bytes counter" in text
         assert 'lat_bucket{le="+Inf"} 1' in text
-        parsed = parse_prometheus_counters(text)
+        parsed = _plain_samples(text)
         assert parsed["map_output_bytes"] == 1234
         assert parsed["cpu_seconds"] == 0.25
         assert parsed["mr_job_reducers"] == 4
@@ -352,7 +372,7 @@ class TestTracedRuns:
     def test_prometheus_dump_agrees_with_counters(self) -> None:
         job, splits = _anti_job()
         result = LocalJobRunner().run(job, splits)
-        parsed = parse_prometheus_counters(result.metrics.prometheus_text())
+        parsed = _plain_samples(result.metrics.prometheus_text())
         for name, value in result.counters.as_dict().items():
             assert parsed[prometheus_name(name)] == pytest.approx(
                 value
@@ -374,9 +394,12 @@ class TestTracedRuns:
         assert failures[0].cpu_seconds > 0
         wasted = result.metrics.counter_values()["mr.wasted.cpu.seconds"]
         assert wasted == pytest.approx(failures[0].cpu_seconds)
-        # A clean run is unaffected.
+        # A clean run is unaffected — and says so: the wasted-CPU
+        # counter reads zero like the other outcome counters, it is
+        # not absent.
         clean = LocalJobRunner().run(job, splits)
         assert result.counters.as_dict() == clean.counters.as_dict()
+        assert clean.metrics.counter_values()["mr.wasted.cpu.seconds"] == 0.0
 
     def test_failed_attempt_spans_survive_in_trace(self) -> None:
         job, splits = _wordcount()
@@ -415,28 +438,15 @@ class FlakyMapper(Mapper):
 
 
 class TestExport:
-    def _collect(self, executor=None) -> TraceCollector:
+    def _run(self, executor=None):
         job, splits = _anti_job()
-        collector = TraceCollector()
-        set_trace_collector(collector)
-        try:
-            LocalJobRunner(executor=executor).run(job, splits)
-        finally:
-            clear_trace_collector()
-        return collector
-
-    def test_collector_install_and_clear(self) -> None:
-        assert current_trace_collector() is None
-        collector = self._collect()
-        assert current_trace_collector() is None
-        assert len(collector) == 1
-        (job_trace,) = list(collector)
-        assert job_trace.spans
-        assert job_trace.events
+        return LocalJobRunner(executor=executor, tracer=Tracer()).run(
+            job, splits
+        )
 
     def test_chrome_trace_document(self) -> None:
-        collector = self._collect()
-        document = chrome_trace(collector.jobs)
+        result = self._run()
+        document = chrome_trace([_trace_of(result)])
         # Loadable: serialises to JSON and back.
         document = json.loads(json.dumps(document))
         events = document["traceEvents"]
@@ -454,7 +464,7 @@ class TestExport:
             for event in events
             if event["ph"] == "M" and event["name"] == "process_name"
         ]
-        assert process_names == [collector.jobs[0].job_name]
+        assert process_names == [result.job_name]
         # Slices are well-formed complete events.
         for event in events:
             if event["ph"] == "X":
@@ -463,25 +473,21 @@ class TestExport:
 
     def test_chrome_trace_parallel_executor(self) -> None:
         with ParallelExecutor(max_workers=2) as pool:
-            collector = self._collect(executor=pool)
+            result = self._run(executor=pool)
         names = {
             event["name"]
-            for event in chrome_trace(collector.jobs)["traceEvents"]
+            for event in chrome_trace([_trace_of(result)])["traceEvents"]
         }
         assert "wave.map" in names
         assert "shared.decode" in names
         assert "shared.spill" in names
 
     def test_jsonl_roundtrip(self, tmp_path) -> None:
-        collector = self._collect()
-        path = write_jsonl(tmp_path / "trace.jsonl", collector.jobs)
-        loaded = load_jsonl(path)
-        assert len(loaded) == 1
-        original = collector.jobs[0]
-        restored = loaded[0]
+        original = self._run()
+        (restored,) = _recorded(tmp_path, original)
         assert restored.job_name == original.job_name
         assert restored.spans == original.spans
-        assert restored.events == original.events
+        assert list(restored.events) == list(original.events)
 
     def test_empty_jobs_export(self) -> None:
         document = chrome_trace([])
@@ -499,7 +505,7 @@ class TestExport:
         trace = JobTrace(
             job_name=job.name,
             spans=tracer.records(),
-            events=result.events.as_dicts(),
+            events=result.events,
         )
         names = {
             event["name"] for event in chrome_trace([trace])["traceEvents"]
@@ -525,7 +531,7 @@ class TestTraceReport:
         trace = JobTrace(
             job_name=job.name,
             spans=tracer.records(),
-            events=result.events.as_dicts(),
+            events=result.events,
         )
         rows = phase_rows(trace)
         phases = {row["phase"] for row in rows}
@@ -749,33 +755,6 @@ class TestExpositionFormat:
                 'h_bucket{le="+Inf"} 1\nh_sum 1\nh_count 2\n'
             )
 
-    def test_merge_registry_aggregates(self) -> None:
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        bag_a, bag_b = Counters(), Counters()
-        bag_a.add("x", 1.0)
-        bag_b.add("x", 2.0)
-        a.merge_counters(bag_a)
-        b.merge_counters(bag_b)
-        a.gauge("g").set(1.0)
-        b.gauge("g").set(5.0)
-        a.histogram("h", buckets=(1.0,)).observe(0.5)
-        b.histogram("h", buckets=(1.0,)).observe(2.0)
-        a.merge_registry(b)
-        assert a.job_counters().as_dict() == {"x": 3.0}
-        assert a.gauge_values()["g"] == 5.0  # last write wins
-        snapshot = a.histogram_snapshots()["h"]
-        assert snapshot["count"] == 2
-        assert snapshot["sum"] == 2.5
-
-    def test_merge_registry_bucket_mismatch_rejected(self) -> None:
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.histogram("h", buckets=(1.0,))
-        b.histogram("h", buckets=(2.0,))
-        with pytest.raises(ValueError, match="bucket layouts"):
-            a.merge_registry(b)
-
 
 # -- derived analytics (mr.derived.* gauges) -------------------------------
 
@@ -841,9 +820,7 @@ class TestDerivedMetrics:
 
 class TestExportEdgeCases:
     def test_zero_job_jsonl_roundtrip(self, tmp_path) -> None:
-        path = write_jsonl(tmp_path / "empty.jsonl", [])
-        assert path.exists()
-        assert load_jsonl(path) == []
+        assert _recorded(tmp_path) == []
 
     def test_unicode_span_names_roundtrip(self, tmp_path) -> None:
         trace = JobTrace(
@@ -857,10 +834,11 @@ class TestExportEdgeCases:
                     attrs={"task": "map0", "note": "héllo"},
                 )
             ],
-            events=[],
         )
-        path = write_jsonl(tmp_path / "unicode.jsonl", [trace])
-        (restored,) = load_jsonl(path)
+        (restored,) = _recorded(
+            tmp_path,
+            JobResult(trace.job_name, {}, Counters(), spans=trace.spans),
+        )
         assert restored.job_name == trace.job_name
         assert restored.spans == trace.spans
         # The Chrome document survives a strict JSON round-trip too.
@@ -874,9 +852,7 @@ class TestExportEdgeCases:
             max_attempts=2, fault_policy=ScriptedFaults({"map0": 1})
         )
         result = runner.run(job, splits)
-        trace = JobTrace(
-            job_name=job.name, spans=[], events=result.events.as_dicts()
-        )
+        trace = JobTrace(job_name=job.name, spans=[], events=result.events)
         slices = [
             e
             for e in chrome_trace([trace])["traceEvents"]
@@ -915,13 +891,8 @@ class TestExportEdgeCases:
 
     def test_chrome_trace_json_is_strictly_valid(self) -> None:
         job, splits = _anti_job()
-        collector = TraceCollector()
-        set_trace_collector(collector)
-        try:
-            LocalJobRunner().run(job, splits)
-        finally:
-            clear_trace_collector()
-        payload = json.dumps(chrome_trace(collector.jobs))
+        result = LocalJobRunner(tracer=Tracer()).run(job, splits)
+        payload = json.dumps(chrome_trace([_trace_of(result)]))
         document = json.loads(payload)
         assert document["traceEvents"]
         # allow_nan=False would have raised on Infinity/NaN; check

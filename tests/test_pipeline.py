@@ -25,11 +25,13 @@ from repro.mr.engine import LocalJobRunner
 from repro.mr.executor import ParallelExecutor
 from repro.mr.split import split_records
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import (
-    TraceCollector,
-    clear_trace_collector,
-    set_trace_collector,
+from repro.obs.export import load_jsonl
+from repro.obs.flightrecorder import (
+    FlightRecorder,
+    clear_flight_recorder,
+    set_flight_recorder,
 )
+from repro.obs.run_store import RunStore
 from repro.pipeline import (
     Dataset,
     DatasetStore,
@@ -525,14 +527,18 @@ def test_pipeline_spans_and_metrics_ledger() -> None:
     assert result.summary()["jobs"] == 1
 
 
-def test_pipeline_publishes_stage_timeline_to_trace_collector() -> None:
-    collector = TraceCollector()
-    set_trace_collector(collector)
+def test_pipeline_publishes_stage_timeline_to_flight_recorder(
+    tmp_path,
+) -> None:
+    store = RunStore(tmp_path)
+    recorder = FlightRecorder(store, kind="test", name="traced")
+    set_flight_recorder(recorder)
     try:
         pipeline = Pipeline("traced")
         pipeline.source("records", [(1, 1)])
         pipeline.run()
     finally:
-        clear_trace_collector()
-    names = [job.job_name for job in collector.jobs]
+        clear_flight_recorder()
+    recorder.finalize()
+    names = [job.job_name for job in load_jsonl(store.load(recorder.run_id))]
     assert "pipeline:traced" in names
