@@ -36,6 +36,7 @@ that decision is open (AdaptiveSH with a finite ``T``).
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Any
 
 from repro.core.config import Strategy
@@ -44,6 +45,10 @@ from repro.core.runtime import AntiRuntime
 from repro.mr import counters as C
 from repro.mr import serde
 from repro.mr.api import Context, Mapper
+
+#: The key of a ``(key, value)`` record, extracted at C level.
+_record_key = itemgetter(0)
+
 
 def _value_group_id(value: Any) -> Any:
     """Dictionary identity for grouping records *by value*.
@@ -84,13 +89,14 @@ class AntiMapper(Mapper):
         lane = not self._metered
         self._lane_always = lane and config.strategy is Strategy.EAGER
         self._lane_identity = lane and config.strategy is Strategy.ADAPTIVE
-        self._partitions = runtime.partition_memo()
         self._emit_buffer: list[tuple[Any, Any]] = []
         self._capture: Context | None = None
         self._counts: dict[str, float] = {}
 
     # -- lifecycle -------------------------------------------------------
     def setup(self, context: Context) -> None:
+        if context.partitions is None:
+            raise ValueError("the AntiMapper needs the task's Partitioner")
         self._o_mapper = self._runtime.mapper_factory()
         self._passthrough(self._o_mapper.setup, context)
 
@@ -160,9 +166,9 @@ class AntiMapper(Mapper):
             # extrapolated, exactly the granularity of Figure 7's
             # "cost of partition call".
             first_partition, single_cost = runtime.meter.measure(
-                runtime.partitioner.get_partition,
+                context.partitioner.get_partition,
                 emitted[0][0],
-                runtime.num_reducers,
+                context.num_partitions,
             )
             call_cost = map_cost + single_cost * len(emitted)
         if len(emitted) == 1:
@@ -175,9 +181,9 @@ class AntiMapper(Mapper):
         # Partition the original output.
         if metered:
             partitions = [first_partition]
-            partitions += self._partitions.of_records(emitted[1:])
+            partitions += context.partitions.of_records(emitted[1:])
         else:
-            partitions = self._partitions.of_records(emitted)
+            partitions = context.partitions.of_records(emitted)
         by_partition: dict[int, list[tuple[Any, Any]]] = {}
         by_partition_get = by_partition.get
         for record, partition in zip(emitted, partitions):
@@ -269,7 +275,7 @@ class AntiMapper(Mapper):
         if lazy_component is not None:
             comparator_min = self._runtime.comparator.min
             min_keys = [
-                comparator_min(key for key, _ in records)
+                comparator_min(map(_record_key, records))
                 for records in partitions
             ]
             # LazySH has to be strictly smaller here: a tie is EAGER.
@@ -303,13 +309,22 @@ class AntiMapper(Mapper):
         if lazy_component is None:
             self._emit_eager(context, self._group_by_value(records)[0])
             return
-        min_key = self._runtime.comparator.min(key for key, _ in records)
+        # The partition's minimal key, without a frame per record.
+        comparator = self._runtime.comparator
+        if comparator.is_natural:
+            min_key = min(map(_record_key, records))
+        else:
+            min_key = comparator.min(map(_record_key, records))
         if self._strategy is Strategy.ADAPTIVE:
             # AdaptiveSH: EagerSH wins if its (estimated) serialised
-            # size stays under the LazySH record's.
-            groups, _ = self._group_by_value(
-                records, serde.approx_size(min_key) + lazy_size
+            # size stays under the LazySH record's.  (Sizes here are
+            # ``serde.approx_size``, its ``str`` case inline.)
+            key_size = (
+                2 + len(min_key)
+                if type(min_key) is str
+                else serde.approx_size(min_key)
             )
+            groups, _ = self._group_by_value(records, key_size + lazy_size)
             if groups is not None:
                 self._emit_eager(context, groups)
                 return
@@ -341,8 +356,12 @@ class AntiMapper(Mapper):
         first_key, first_value = records[0]
         if budget is not None:
             budget -= serde.approx_size_sum(
-                [key for key, _ in records],
-                1 + serde.approx_size(first_value),
+                map(_record_key, records),
+                (
+                    3 + len(first_value)
+                    if type(first_value) is str
+                    else 1 + serde.approx_size(first_value)
+                ),
             )
             if budget <= 0:
                 return None, budget
@@ -360,7 +379,11 @@ class AntiMapper(Mapper):
                 group = table.get(group_id)
                 if group is None:
                     if budget is not None:
-                        budget -= 1 + serde.approx_size(out_value)
+                        budget -= (
+                            3 + len(out_value)
+                            if type(out_value) is str
+                            else 1 + serde.approx_size(out_value)
+                        )
                         if budget <= 0:
                             return None, budget
                     group = table[group_id] = (out_value, [])

@@ -31,6 +31,7 @@ them with the original Combiner as the target.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
@@ -89,8 +90,8 @@ class DecodeLoop:
             combiner.setup(context.with_sink(_discard_sink))
         self._shared_combiner = combiner
         self._memory_limit = runtime.config.shared_memory_bytes
-        self._partitions = runtime.partition_memo()
-        self._natural_grouping = runtime.grouping_comparator.is_natural
+        if context.partitions is None:
+            raise DecodeError("decoding requires the task's Partitioner")
         self._reexec_buffer: list[tuple[Any, Any]] = []
         self._reexec_capture: Context | None = None
         self.shared = Shared(
@@ -108,24 +109,8 @@ class DecodeLoop:
     # -- the three steps ---------------------------------------------------
     def drain_below(self, key: Any, context: Context) -> None:
         """Reduce every Shared group sorting strictly before ``key``."""
-        grouping = self._runtime.grouping_comparator
-        shared = self.shared
         target = self._target
-        if self._natural_grouping:
-            # ``not (alt < key)`` is exactly the natural comparator's
-            # ``cmp(alt, key) >= 0`` — one rich comparison instead of a
-            # Python call per drained group.
-            while True:
-                alt_key = shared.peek_min_key()
-                if alt_key is None or not (alt_key < key):
-                    return
-                rep_key, values = shared.pop_min_key_values()
-                target(rep_key, iter(values), context)
-        while True:
-            alt_key = shared.peek_min_key()
-            if alt_key is None or grouping.cmp(alt_key, key) >= 0:
-                return
-            rep_key, values = shared.pop_min_key_values()
+        for rep_key, values in self.shared.pop_groups(key):
             target(rep_key, iter(values), context)
 
     def decode_values(
@@ -145,6 +130,10 @@ class DecodeLoop:
         plain, eager, lazy = (
             encoding.PlainValue, encoding.EagerValue, encoding.LazyValue
         )
+        # A run of PLAIN components enters ``Shared`` as one batch, in
+        # its place in the component order (so every pair is inserted,
+        # and the memory limit tested, in the order it always was).
+        plain_run: list[Any] = []
         with self._tracer.span(
             "shared.decode", category="shared"
         ) as span:
@@ -152,8 +141,12 @@ class DecodeLoop:
                 components += 1
                 kind = type(component)
                 if kind is plain:
-                    shared.add(rep_key, component.value)
-                elif kind is eager:
+                    plain_run.append(component[0])
+                    continue
+                if plain_run:
+                    shared.add_pairs(zip(repeat(rep_key), plain_run))
+                    plain_run = []
+                if kind is eager:
                     other_keys = component.other_keys
                     if not isinstance(other_keys, list):
                         raise encoding.EncodingError(
@@ -168,6 +161,8 @@ class DecodeLoop:
                     raise encoding.EncodingError(
                         f"not an encoded value component: {component!r}"
                     )
+            if plain_run:
+                shared.add_pairs(zip(repeat(rep_key), plain_run))
             span.set(components=components)
 
     def _reexecute_map(
@@ -184,14 +179,7 @@ class DecodeLoop:
             self._reexec_capture = capture
         self._o_mapper.map(input_key, input_value, capture)
         context.counters.add(C.ANTI_REDUCE_MAP_REEXECUTIONS)
-        partition = self._partition
-        mine = [
-            record
-            for record, key_partition in zip(
-                emitted, self._partitions.of_records(emitted)
-            )
-            if key_partition == partition
-        ]
+        mine = context.partitions.records_in(emitted, self._partition)
         if not mine:
             raise DecodeError(
                 "LazySH re-execution produced no record for partition "
@@ -202,34 +190,25 @@ class DecodeLoop:
 
     def reduce_current(self, rep_key: Any, context: Context) -> None:
         """Run the target on the current (decoded) group."""
-        grouping = self._runtime.grouping_comparator
-        min_key = self.shared.peek_min_key()
-        if self._natural_grouping:
-            mismatch = min_key is None or (
-                min_key < rep_key or min_key > rep_key
-            )
-        else:
-            mismatch = (
-                min_key is None or grouping.cmp(min_key, rep_key) != 0
-            )
-        if mismatch:
-            raise DecodeError(
-                f"decoded group for key {rep_key!r} is missing; the Map "
-                "or Partition function is non-deterministic"
-            )
-        popped_key, decoded = self.shared.pop_min_key_values()
-        self._target(popped_key, iter(decoded), context)
+        # Everything below ``rep_key`` was drained before the decode,
+        # which adds nothing below it: its group is all there is to pop.
+        groups = self.shared.pop_groups(rep_key, inclusive=True)
+        if len(groups) == 1:
+            popped_key, decoded = groups[0]
+            if self._runtime.grouping_comparator.cmp(popped_key, rep_key) == 0:
+                self._target(popped_key, iter(decoded), context)
+                return
+        raise DecodeError(
+            f"decoded group for key {rep_key!r} is missing; the Map "
+            "or Partition function is non-deterministic"
+        )
 
     def process_group(
         self, rep_key: Any, values: Iterator[Any], context: Context
     ) -> None:
         """Steps 1–3 for one incoming encoded group."""
         shared = self.shared
-        if (
-            self._shared_combiner is None
-            and not shared._heap
-            and not shared._runs
-        ):
+        if self._shared_combiner is None and shared.idle:
             # The PLAIN lane.  ``Shared`` is idle, so nothing sorts
             # before this key, and PLAIN components would come back
             # from add -> peek -> pop as they went in.  The lane only

@@ -51,13 +51,14 @@ class CrossCallAntiMapper(Mapper):
         self._runtime = runtime
         self._window_bytes = window_bytes
         self._o_mapper: Mapper | None = None
-        self._partitions = runtime.partition_memo()
         # partition -> value_id -> (value, [keys...])
         self._groups: dict[int, dict[Any, tuple[Any, list]]] = {}
         self._buffered_bytes = 0
 
     # -- lifecycle -------------------------------------------------------
     def setup(self, context: Context) -> None:
+        if context.partitions is None:
+            raise ValueError("the AntiMapper needs the task's Partitioner")
         self._o_mapper = self._runtime.mapper_factory()
         self._absorb(self._o_mapper.setup, context)
 
@@ -77,7 +78,7 @@ class CrossCallAntiMapper(Mapper):
         """Run one original-mapper hook; window what it emits."""
         emitted: list[tuple[Any, Any]] = []
         hook(*args, context.with_capture(emitted))
-        partitions = self._partitions.of_records(emitted)
+        partitions = context.partitions.of_records(emitted)
         for (out_key, out_value), partition in zip(emitted, partitions):
             groups = self._groups.setdefault(partition, {})
             value_id = _value_group_id(out_value)

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.config import AntiCombiningConfig
-from repro.mr.api import (
-    Combiner,
-    Mapper,
-    PartitionMemo,
-    Partitioner,
-    Reducer,
-)
+from repro.mr.api import Combiner, Mapper, Partitioner, Reducer
 from repro.mr.comparators import Comparator
 from repro.mr.cost import CostMeter
 
@@ -37,7 +31,3 @@ class AntiRuntime:
     grouping_comparator: Comparator
     meter: CostMeter
     config: AntiCombiningConfig
-
-    def partition_memo(self) -> PartitionMemo:
-        """A fresh per-task key→partition lookup."""
-        return PartitionMemo(self.partitioner.get_partition, self.num_reducers)

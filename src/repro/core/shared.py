@@ -30,8 +30,9 @@ grouping-equal — as in Hadoop.
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from operator import itemgetter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.mr import counters as C
 from repro.mr import serde
@@ -43,8 +44,8 @@ from repro.mr.storage import LocalStore, SpillWriter
 from repro.obs.trace import current_tracer
 
 
-#: "No previous pair" marker for ``add_pairs``' same-object test.
-_NO_VALUE = object()
+#: "No previous pair" marker for ``add_pairs``' same-object tests.
+_NOTHING = object()
 
 
 class _Entry:
@@ -148,12 +149,15 @@ class Shared:
         self._fast_keys = comparator.is_natural
         self._fast_group = grouping_comparator.is_natural
         #: Raw keys when ``_fast_keys``, else cmp_to_key wrappers
-        #: (``.obj`` is the key).  Both this and ``_runs`` empty is
-        #: "idle", which ``DecodeLoop.process_group`` tests per group.
+        #: (``.obj`` is the key).
         self._heap: list[Any] = []
         self._table: dict[Any, _Entry] = {}
         self._mem_bytes = 0
         self._runs: list[_Run] = []
+        #: Nothing stored, in memory or in a run — ``is_empty()``, kept
+        #: as a plain attribute by every insert and pop because
+        #: ``DecodeLoop.process_group`` reads it once per group.
+        self.idle = True
         self._spill_count = 0
         self._spilled_records = 0
         # Captured once: Shared lives and dies inside one task attempt,
@@ -176,72 +180,81 @@ class Shared:
     # -- inserting -------------------------------------------------------
     def add(self, key: Any, value: Any) -> None:
         """Store one decoded pair (paper's ``Shared.add``)."""
-        self._add_sized(key, value, serde.approx_kv_size(key, value))
+        self.add_pairs(((key, value),))
 
     def add_group(self, rep_key: Any, other_keys: list, value: Any) -> None:
         """Insert one decoded EagerSH group: ``value`` under every key.
 
-        Equivalent to ``add(rep_key, value)`` followed by ``add(k,
-        value)`` for each ``k`` in ``other_keys`` — the shared value's
-        size estimate is just computed once instead of per key.
+        Exactly ``add(rep_key, value)`` followed by ``add(k, value)``
+        for each ``k`` in ``other_keys``.
         """
-        add_sized = self._add_sized
-        approx_size = serde.approx_size
-        value_size = approx_size(value)
-        add_sized(rep_key, value, approx_size(rep_key) + value_size)
-        for key in other_keys:
-            add_sized(key, value, approx_size(key) + value_size)
+        self.add_pairs(zip((rep_key, *other_keys), repeat(value)))
 
-    def add_pairs(self, pairs: list[tuple[Any, Any]]) -> None:
-        """``add`` every pair in order.
+    def add_pairs(self, pairs: Iterable[tuple[Any, Any]]) -> None:
+        """``add`` every pair in order: the one insert loop.
 
-        Consecutive pairs carrying the very same value object (one Map
-        output tuple fanned out to many keys) size it once.
+        A decoded batch costs one frame of ours, not one per pair, and
+        behaves exactly like that many ``add`` calls: each pair is
+        sized as ``serde.approx_kv_size`` sizes it (the ``str`` case
+        inline; consecutive pairs carrying the very same key or value
+        object — a PLAIN run, one Map output tuple fanned out to many
+        keys — size it once), and the memory limit is tested after
+        every pair, so a spill lands on the same pair however the pairs
+        were batched.
         """
-        add_sized = self._add_sized
-        approx_size = serde.approx_size
-        prev_value: Any = _NO_VALUE
-        value_size = 0
+        table = self._table
+        heap = self._heap
+        memory_limit = self._memory_limit
+        # (Few locals: ``add`` pays this prologue for a batch of one.)
+        prev_key = prev_value = _NOTHING
         for key, value in pairs:
+            if key is not prev_key:
+                prev_key = key
+                key_size = (
+                    2 + len(key)
+                    if type(key) is str
+                    else serde.approx_size(key)
+                )
             if value is not prev_value:
                 prev_value = value
-                value_size = approx_size(value)
-            add_sized(key, value, approx_size(key) + value_size)
-
-    def _add_sized(self, key: Any, value: Any, size: int) -> None:
-        # Single-hash lookup: probe the table with the raw key directly
-        # (``dict.get`` raises TypeError for unhashable keys, exactly
-        # the case ``_key_id`` serialises) instead of hashing once in
-        # ``_key_id`` and again in the lookup.
-        table = self._table
-        try:
-            entry = table.get(key)
-            key_id = key
-        except TypeError:
-            key_id = serde.encode(key)
-            entry = table.get(key_id)
-        if entry is None:
-            self._table[key_id] = _Entry(key, [value], size)
-            heapq.heappush(
-                self._heap, key if self._fast_keys else self._key_fn(key)
-            )
+                value_size = (
+                    2 + len(value)
+                    if type(value) is str
+                    else serde.approx_size(value)
+                )
+            size = key_size + value_size
+            # Single-hash lookup: probe the table with the raw key
+            # directly (``dict.get`` raises TypeError for unhashable
+            # keys, exactly the case ``_key_id`` serialises) instead of
+            # hashing once in ``_key_id`` and again in the lookup.
+            try:
+                entry = table.get(key)
+                key_id = key
+            except TypeError:
+                key_id = serde.encode(key)
+                entry = table.get(key_id)
             self._mem_bytes += size
-        else:
-            entry.values.append(value)
-            entry.nbytes += size
-            self._mem_bytes += size
-            if (
-                self._combiner is not None
-                and len(entry.values) >= self._combine_batch_size
-            ):
-                self._combine_entry(entry)
-        if self._mem_bytes > self._memory_limit:
-            if self._combiner is not None:
-                # Combine everything first; that alone often frees
-                # enough memory to avoid the spill (Section 5).
-                self._combine_all()
-            if self._mem_bytes > self._memory_limit:
-                self._spill()
+            if entry is None:
+                table[key_id] = _Entry(key, [value], size)
+                heapq.heappush(
+                    heap, key if self._fast_keys else self._key_fn(key)
+                )
+            else:
+                entry.values.append(value)
+                entry.nbytes += size
+                if (
+                    self._combiner is not None
+                    and len(entry.values) >= self._combine_batch_size
+                ):
+                    self._combine_entry(entry)
+            if self._mem_bytes > memory_limit:
+                if self._combiner is not None:
+                    # Combine everything first; that alone often frees
+                    # enough memory to avoid the spill (Section 5).
+                    self._combine_all()
+                if self._mem_bytes > memory_limit:
+                    self._spill()
+        self.idle = not heap and not self._runs
 
     def _combine_entry(self, entry: _Entry) -> None:
         """Fold one entry's value list with the original Combiner.
@@ -314,6 +327,60 @@ class Shared:
         rep_key = self.peek_min_key()
         if rep_key is None:
             raise KeyError("pop_min_key_values on empty Shared")
+        return self._pop_group(rep_key)
+
+    def pop_groups(
+        self, bound: Any, inclusive: bool = False
+    ) -> list[tuple[Any, list]]:
+        """Pop, in key order, the groups sorting strictly below ``bound``
+        — with ``inclusive``, also the group grouping-equal to it.
+
+        What ``pop_min_key_values`` would return one call at a time
+        while ``peek_min_key`` stays on that side of ``bound``.  With
+        natural comparators and nothing spilled a group is the heap top
+        and its table entry, values as stored, so the whole drain is
+        this one frame; a group that has a grouping-equal neighbour in
+        the heap, spilled runs and other comparators go through
+        :meth:`_pop_group`.
+        """
+        groups: list[tuple[Any, list]] = []
+        heap = self._heap
+        if self._fast_keys and self._fast_group and not self._runs:
+            table_pop = self._table.pop
+            heappop = heapq.heappop
+            while heap:
+                key = heap[0]
+                if not key < bound and (not inclusive or bound < key):
+                    break
+                # The second-smallest key is one of the root's children.
+                size = len(heap)
+                if (size > 1 and not key < heap[1]) or (
+                    size > 2 and not key < heap[2]
+                ):
+                    groups.append(self._pop_group(key))
+                    continue
+                heappop(heap)
+                try:  # single-hash pop, mirroring ``add_pairs``' probe
+                    entry = table_pop(key)
+                except TypeError:
+                    entry = table_pop(serde.encode(key))
+                self._mem_bytes -= entry.nbytes
+                groups.append((key, entry.values))
+            self.idle = not heap
+            return groups
+        grouping_cmp = self._grouping.cmp
+        while True:
+            min_key = self.peek_min_key()
+            if min_key is None:
+                break
+            order = grouping_cmp(min_key, bound)
+            if order > 0 or (order == 0 and not inclusive):
+                break
+            groups.append(self._pop_group(min_key))
+        return groups
+
+    def _pop_group(self, rep_key: Any) -> tuple[Any, list]:
+        """Pop the minimal group, ``rep_key`` being ``peek_min_key()``."""
         collected: list[tuple[Any, list]] = []  # (sort key, values)
         fast = self._fast_keys and self._fast_group
         if fast:
@@ -324,7 +391,7 @@ class Shared:
                 if key < rep_key or key > rep_key:
                     break
                 heapq.heappop(heap)
-                # Single-hash pop, mirroring ``add``'s raw-key probe.
+                # Single-hash pop, mirroring ``add_pairs``' raw-key probe.
                 try:
                     entry = table.pop(key)
                 except TypeError:
@@ -358,10 +425,11 @@ class Shared:
                     )
         if self._runs:
             self._runs = [run for run in self._runs if not run.exhausted]
-        if len(collected) > 1:
-            collected.sort(key=itemgetter(0))
-        values = [value for _, group in collected for value in group]
-        return rep_key, values
+        self.idle = not self._heap and not self._runs
+        if len(collected) == 1:
+            return rep_key, collected[0][1]
+        collected.sort(key=itemgetter(0))
+        return rep_key, [value for _, group in collected for value in group]
 
     def _head_obj(self) -> Any:
         """The raw key at the top of the heap."""

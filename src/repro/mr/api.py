@@ -75,6 +75,7 @@ class Context:
         "task_id",
         "partition",
         "store",
+        "partitions",
     )
 
     def __init__(
@@ -98,6 +99,17 @@ class Context:
         #: The task's local disk (a LocalStore); the Shared structure
         #: spills here (paper Section 5).
         self.store = store
+        #: The task's one key→partition memo (``None`` without a
+        #: Partitioner).  Contexts derived with ``with_sink`` /
+        #: ``with_capture`` share it, so everything a task runs — the
+        #: map-output buffer, the Anti wrappers, a spill-time combiner —
+        #: asks the Partitioner about a key once and cannot disagree
+        #: about the answer.
+        self.partitions: PartitionMemo | None = (
+            None
+            if partitioner is None
+            else PartitionMemo(partitioner.get_partition, num_partitions)
+        )
 
     def write(self, key: Any, value: Any) -> None:
         """Emit one output record."""
@@ -135,15 +147,7 @@ class Context:
         matters to partition-aware consumers such as the spill-time
         Anti-Combiner.
         """
-        return Context(
-            counters=self.counters,
-            sink=sink,
-            partitioner=self.partitioner,
-            num_partitions=self.num_partitions,
-            task_id=self.task_id,
-            partition=self.partition if partition is None else partition,
-            store=self.store,
-        )
+        return self._derive(Context, sink, partition)
 
     def with_capture(self, buffer: list) -> "CaptureContext":
         """A copy of this context appending ``(key, value)`` pairs to
@@ -154,15 +158,21 @@ class Context:
         instead of three (write → lambda → append) on the interception
         paths that run once per original-Map output record.
         """
-        return CaptureContext(
-            counters=self.counters,
-            sink=buffer.append,
-            partitioner=self.partitioner,
-            num_partitions=self.num_partitions,
-            task_id=self.task_id,
-            partition=self.partition,
-            store=self.store,
-        )
+        return self._derive(CaptureContext, buffer.append, None)
+
+    def _derive(self, kind: type, sink: Any, partition: int | None) -> Any:
+        """A ``kind`` context of the same task: same fields, same
+        partition memo (not a fresh one), another sink."""
+        derived = kind.__new__(kind)
+        derived.counters = self.counters
+        derived._sink = sink
+        derived.partitioner = self.partitioner
+        derived.num_partitions = self.num_partitions
+        derived.task_id = self.task_id
+        derived.partition = self.partition if partition is None else partition
+        derived.store = self.store
+        derived.partitions = self.partitions
+        return derived
 
 
 class CaptureContext(Context):
@@ -261,6 +271,21 @@ class PartitionMemo(dict):
             num_reducers = self._num_reducers
             return [
                 get_partition(record[0], num_reducers) for record in records
+            ]
+
+    def records_in(
+        self, records: list[tuple[Any, Any]], partition: int
+    ) -> list[tuple[Any, Any]]:
+        """The records whose key is assigned to ``partition``, in order."""
+        try:
+            return [
+                record for record in records if self[record[0]] == partition
+            ]
+        except TypeError:  # an unhashable key: ``of_records`` asks for each
+            return [
+                record
+                for record, assigned in zip(records, self.of_records(records))
+                if assigned == partition
             ]
 
 

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.mr import counters as C
 from repro.mr import serde
-from repro.mr.api import Context, PartitionMemo
+from repro.mr.api import Context
 from repro.mr.compress import get_codec
 from repro.mr.config import JobConf
 from repro.mr.merge import group_by_key, merge_runs
@@ -95,6 +95,8 @@ class MapOutputBuffer:
         context: Context,
         task_id: str,
     ):
+        if context.partitions is None:
+            raise ValueError("the map-output buffer needs the task's Partitioner")
         self._job = job
         self._store = store
         self._context = context
@@ -114,9 +116,6 @@ class MapOutputBuffer:
         # combiner rewrites them, so caching bytes would be dead weight.
         self._keep_payloads = self._combine_runner is None
         self._scratch = bytearray()
-        self._partitions = PartitionMemo(
-            job.partitioner.get_partition, job.num_reducers
-        )
         self._finalized = False
 
     # -- collection ------------------------------------------------------
@@ -144,7 +143,7 @@ class MapOutputBuffer:
         counters = self._context.counters
         num_reducers = job.num_reducers
         partitions, cost = job.cost_meter.measure(
-            self._partitions.of_records, pairs
+            self._context.partitions.of_records, pairs
         )
         counters.add(C.CPU_PARTITION_SECONDS, cost)
 

@@ -77,6 +77,15 @@ class TestPartitionMemo:
         assert memo.of_records(records) == [1, 2, 1]
         assert calls[-3:] == ["a", ["x", "y"], "a"]
 
+    def test_records_in_keeps_one_partition_in_order(self) -> None:
+        memo, calls = self._memo()
+        records = [("a", 1), ("bb", 2), ("a", 3), ("dddd", 4)]
+        assert memo.records_in(records, 1) == [("a", 1), ("a", 3), ("dddd", 4)]
+        assert memo.records_in(records, 0) == []
+        assert calls == ["a", "bb", "dddd"]
+        unhashable = [(["x"], 1), ("a", 2)]
+        assert memo.records_in(unhashable, 1) == unhashable
+
     def test_cleared_when_full(self, monkeypatch) -> None:
         import repro.mr.api as api
 
@@ -110,6 +119,31 @@ class TestContext:
         assert new_ctx.partition == 1
         assert new_ctx.num_partitions == 3
         assert new_ctx.counters is ctx.counters
+
+    def test_derived_contexts_share_the_partition_memo(self) -> None:
+        ctx = Context(
+            Counters(),
+            lambda k, v: None,
+            partitioner=HashPartitioner(),
+            num_partitions=3,
+            task_id="t",
+            partition=1,
+            store="store",
+        )
+        assert ctx.partitions is not None and not ctx.partitions
+        captured: list = []
+        for derived in (
+            ctx.with_sink(lambda k, v: None),
+            ctx.with_sink(lambda k, v: None, partition=2),
+            ctx.with_capture(captured),
+            ctx.with_capture(captured).with_sink(lambda k, v: None),
+        ):
+            assert derived.partitions is ctx.partitions
+            assert derived.partitioner is ctx.partitioner
+            assert derived.task_id == "t" and derived.store == "store"
+        ctx.with_capture(captured).write("k", "v")
+        assert captured == [("k", "v")]
+        assert Context(Counters(), lambda k, v: None).partitions is None
 
     def test_with_sink_partition_override(self) -> None:
         ctx = Context(Counters(), lambda k, v: None, partition=1)

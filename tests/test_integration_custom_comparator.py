@@ -97,7 +97,12 @@ class TestDescendingSortOrder:
             config=AntiCombiningConfig(strategy=Strategy.EAGER),
         )
         emitted = []
-        context = Context(Counters(), lambda k, v: emitted.append((k, v)))
+        context = Context(
+            Counters(),
+            lambda k, v: emitted.append((k, v)),
+            partitioner=runtime.partitioner,
+            num_partitions=runtime.num_reducers,
+        )
         mapper = AntiMapper(runtime)
         mapper.setup(context)
         mapper.map(1, "shared", context)

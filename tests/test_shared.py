@@ -232,3 +232,91 @@ class TestCombineInShared:
         key, values = shared.pop_min_key_values()
         assert key == 5
         assert values == [1] * 6  # raw values kept, nothing lost
+
+
+class TestBatches:
+    """``add_group`` / ``add_pairs`` / ``pop_groups``: one frame for a
+    batch, the behaviour of that many single calls.  The cases are the
+    ones ``tests/test_property_shared.py``'s machines shrink to when the
+    batched code is broken in the obvious ways."""
+
+    def test_a_fanned_out_value_is_sized_for_every_pair(self) -> None:
+        # One value object under many keys is *sized* once but *charged*
+        # per pair: the spill lands where single adds put it.
+        value = "x" * 40
+        keys = list(range(30))
+        runs = []
+        for feed in ("add", "add_group", "add_pairs"):
+            counters = Counters()
+            shared = _shared(counters=counters, memory_limit_bytes=256)
+            if feed == "add":
+                for key in keys:
+                    shared.add(key, value)
+            elif feed == "add_group":
+                shared.add_group(keys[0], keys[1:], value)
+            else:
+                shared.add_pairs([(key, value) for key in keys])
+            runs.append(
+                (
+                    counters.get_int(C.ANTI_SHARED_SPILLS),
+                    counters.get_int(C.ANTI_SHARED_SPILLED_BYTES),
+                    counters.get_int(C.ANTI_SHARED_SPILLED_RECORDS),
+                    len(shared),
+                    list(shared.drain()),
+                )
+            )
+        assert runs[0][0] > 1
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_pop_groups_stops_at_the_bound(self) -> None:
+        shared = _shared()
+        shared.add_pairs([(key, key.upper()) for key in "dbca"])
+        assert shared.pop_groups("c") == [("a", ["A"]), ("b", ["B"])]
+        assert shared.pop_groups("c") == []
+        assert shared.pop_groups("c", inclusive=True) == [("c", ["C"])]
+        assert shared.peek_min_key() == "d"
+        assert shared.pop_groups("z") == [("d", ["D"])]
+        assert shared.is_empty() and shared.idle
+
+    def test_pop_groups_takes_a_grouping_equal_neighbour_whole(self) -> None:
+        # ``[1]`` and ``[1.0]`` order as equals but serialise (and so
+        # hash-table) differently: two heap entries, one group.
+        shared = _shared()
+        shared.add_pairs([([1], "int"), ([2], "two"), ([1.0], "float")])
+        groups = shared.pop_groups([2])
+        assert len(groups) == 1
+        assert groups[0][0] == [1]
+        assert sorted(groups[0][1]) == ["float", "int"]
+        assert shared.pop_groups([2], inclusive=True) == [([2], ["two"])]
+
+    def test_pop_groups_reads_spilled_runs(self) -> None:
+        shared = _shared(memory_limit_bytes=256)
+        for key in range(40):
+            shared.add(key, "x" * 20)
+        assert shared.spill_count > 0 and not shared.idle
+        groups = shared.pop_groups(30)
+        assert [key for key, _ in groups] == list(range(30))
+        assert all(values == ["x" * 20] for _, values in groups)
+        assert shared.peek_min_key() == 30
+
+    def test_pop_groups_under_an_opaque_comparator(self) -> None:
+        from repro.mr.comparators import Comparator
+
+        descending = Comparator(lambda a, b: (a < b) - (a > b), name="desc")
+        shared = _shared(comparator=descending, grouping_comparator=descending)
+        shared.add_group(3, [1, 2], "v")
+        assert shared.pop_groups(2) == [(3, ["v"])]
+        assert shared.pop_groups(2, inclusive=True) == [(2, ["v"])]
+        assert shared.pop_groups(0) == [(1, ["v"])]
+        assert shared.idle
+
+    def test_idle_follows_every_insert_and_pop(self) -> None:
+        shared = _shared(memory_limit_bytes=64)
+        assert shared.idle
+        shared.add_pairs([])
+        assert shared.idle
+        shared.add("k", "v" * 100)  # over budget: straight to a run
+        assert shared.spill_count == 1 and len(shared) == 0
+        assert not shared.idle
+        assert shared.pop_min_key_values() == ("k", ["v" * 100])
+        assert shared.idle
