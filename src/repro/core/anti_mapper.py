@@ -36,7 +36,7 @@ that decision is open (AdaptiveSH with a finite ``T``).
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Any
 
 from repro.core.config import Strategy
@@ -370,11 +370,18 @@ class AntiMapper(Mapper):
             return [(first_value, keys)], budget
         table = {_value_group_id(first_value): (first_value, keys)}
         # A record carrying the very object the previous one carried
-        # (one tuple fanned out to many keys) joins its group without
-        # being serialised again.
+        # (one tuple fanned out to many keys), or a tuple rebuilt around
+        # the very same items (PageRank's ``(RANK, contribution)`` per
+        # out-edge), joins its group without being serialised again:
+        # identical items encode to identical bytes.
         prev_value = first_value
         for out_key, out_value in records[1:]:
-            if out_value is not prev_value:
+            if out_value is not prev_value and not (
+                type(out_value) is tuple
+                and type(prev_value) is tuple
+                and len(out_value) == len(prev_value)
+                and all(map(is_, out_value, prev_value))
+            ):
                 group_id = _value_group_id(out_value)
                 group = table.get(group_id)
                 if group is None:

@@ -29,10 +29,9 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.mr import counters as C
 from repro.mr import serde
 from repro.mr.api import Context
-from repro.mr.compress import get_codec
 from repro.mr.config import JobConf
 from repro.mr.merge import group_by_key, merge_runs
-from repro.mr.segment import Segment
+from repro.mr.segment import Segment, merge_pass, persist_segment
 from repro.mr.storage import LocalStore
 from repro.obs.trace import current_tracer
 
@@ -101,7 +100,6 @@ class MapOutputBuffer:
         self._store = store
         self._context = context
         self._task_id = task_id
-        self._codec = get_codec(job.map_output_codec)
         #: Buffered records: ``(partition, key, value, payload)`` with
         #: the collect-time serialisation cached when payloads are
         #: kept, ``(partition, key, value)`` otherwise.
@@ -305,22 +303,14 @@ class MapOutputBuffer:
     def _persist_segment(
         self, name: str, partition: int, raw: bytes, count: int
     ) -> Segment:
-        job = self._job
-        counters = self._context.counters
-        counters.add(
-            C.CPU_FRAMEWORK_SECONDS,
-            job.framework_cost_model.serialize_cost(len(raw)),
-        )
-        data, cost = job.cost_meter.measure(self._codec.compress, raw)
-        counters.add(C.CPU_CODEC_SECONDS, cost)
-        self._store.write_file(name, data)
-        return Segment(
-            store=self._store,
-            name=name,
-            partition=partition,
-            record_count=count,
-            raw_bytes=len(raw),
-            codec=self._codec,
+        return persist_segment(
+            self._job,
+            self._context.counters,
+            self._store,
+            name,
+            partition,
+            raw,
+            count,
         )
 
     def _spill(self) -> None:
@@ -375,27 +365,39 @@ class MapOutputBuffer:
     ) -> Segment:
         job = self._job
         counters = self._context.counters
+        store = self._store
         intermediate = 0
         # Multi-pass merge when there are more runs than the merge
-        # factor.  Charge order per pass: the merge cost first, then
-        # each run's scan charges in run order.
+        # factor.  No user code runs at these passes, so they move the
+        # stored records as they are (``merge_pass``).
         while len(segments) > job.merge_factor:
             batch, segments = segments[: job.merge_factor], segments[job.merge_factor:]
             name = f"{self._task_id}/inter{intermediate}/p{partition}"
             intermediate += 1
-            total_records = sum(seg.record_count for seg in batch)
-            counters.add(
-                C.CPU_FRAMEWORK_SECONDS,
-                job.framework_cost_model.merge_cost(total_records, len(batch)),
+            segments.append(
+                merge_pass(job, counters, batch, store, name, partition)
             )
-            merged = merge_runs(
-                [seg.read_records(job, counters) for seg in batch],
-                job.comparator,
-            )
-            segments.append(self._write_segment(name, partition, merged))
             for seg in batch:
                 seg.delete()
 
+        name = f"{self._task_id}/out/p{partition}"
+        if apply_combine:
+            final = self._combine_merge(partition, segments, name)
+        else:
+            final = merge_pass(job, counters, segments, store, name, partition)
+        for seg in segments:
+            seg.delete()
+        return final
+
+    def _combine_merge(
+        self, partition: int, segments: list[Segment], name: str
+    ) -> Segment:
+        """The final merge the Combiner runs at: the one map-side merge
+        that decodes values, because user code needs them as objects.
+        Charged as :func:`merge_pass` is."""
+        assert self._combine_runner is not None
+        job = self._job
+        counters = self._context.counters
         total_records = sum(seg.record_count for seg in segments)
         counters.add(
             C.CPU_FRAMEWORK_SECONDS,
@@ -405,20 +407,12 @@ class MapOutputBuffer:
             [seg.read_records(job, counters) for seg in segments],
             job.comparator,
         )
-        if apply_combine and self._combine_runner is not None:
-            records: list[tuple[Any, Any]] = []
-            groups = group_by_key(
-                iter(merged), job.effective_grouping_comparator
-            )
-            self._combine_runner.run(
-                partition, groups, lambda k, v: records.append((k, v))
-            )
-            merged = records
-        name = f"{self._task_id}/out/p{partition}"
-        final = self._write_segment(name, partition, merged)
-        for seg in segments:
-            seg.delete()
-        return final
+        records: list[tuple[Any, Any]] = []
+        groups = group_by_key(iter(merged), job.effective_grouping_comparator)
+        self._combine_runner.run(
+            partition, groups, lambda k, v: records.append((k, v))
+        )
+        return self._write_segment(name, partition, records)
 
     def finalize(self) -> dict[int, Segment]:
         """Flush and merge everything; return final segments by partition."""

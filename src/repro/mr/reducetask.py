@@ -15,11 +15,10 @@ from typing import Any, Sequence
 from repro.mr import counters as C
 from repro.mr import serde
 from repro.mr.api import Context
-from repro.mr.compress import get_codec
 from repro.mr.config import JobConf
 from repro.mr.counters import Counters
 from repro.mr.merge import group_by_key, group_runs, merge_runs
-from repro.mr.segment import Segment, SegmentPayload, write_segment
+from repro.mr.segment import Segment, SegmentPayload, merge_pass
 from repro.mr.storage import LocalStore
 from repro.obs.trace import SpanRecord, current_tracer
 
@@ -218,11 +217,12 @@ class ReduceTask:
         scan charges in run order.
         """
         job = self._job
-        codec = get_codec(job.map_output_codec)
         intermediate = 0
         segments = list(segments)
         tracer = current_tracer()
         # Multi-pass merge mirroring Hadoop's io.sort.factor behaviour.
+        # No user code runs at these passes, so they move the stored
+        # records as they are (``merge_pass``, charged as the map side's).
         while len(segments) > job.merge_factor:
             batch = segments[: job.merge_factor]
             segments = segments[job.merge_factor :]
@@ -232,22 +232,14 @@ class ReduceTask:
                 pass_index=intermediate,
                 runs=len(batch),
             ):
-                total_records = sum(seg.record_count for seg in batch)
-                counters.add(
-                    C.CPU_FRAMEWORK_SECONDS,
-                    job.framework_cost_model.merge_cost(
-                        total_records, len(batch)
-                    ),
-                )
-                merged = merge_runs(
-                    [seg.read_records(job, counters) for seg in batch],
-                    job.comparator,
-                )
                 name = f"{self.task_id}/merge{intermediate}"
                 intermediate += 1
                 segments.append(
-                    write_segment(store, name, self.partition, merged, codec)
+                    merge_pass(
+                        job, counters, batch, store, name, self.partition
+                    )
                 )
+        # The last merge feeds the Reduce function, so it decodes.
         total_records = sum(seg.record_count for seg in segments)
         counters.add(
             C.CPU_FRAMEWORK_SECONDS,

@@ -3,40 +3,25 @@
 A *segment* holds the records of one partition, sorted by key, as a
 (possibly compressed) concatenation of length-prefixed serialised
 key/value pairs — the simulator's equivalent of one partition's slice
-of a Hadoop spill or final map-output file.
+of a Hadoop spill or final map-output file.  A merge pass that runs no
+user code (:func:`merge_pass`) moves those stored records as they are,
+the way Hadoop merges IFile segments under a raw comparator.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.mr import counters as C
 from repro.mr import serde
 from repro.mr.compress import Codec, get_codec
+from repro.mr.merge import merge_runs
 
 if TYPE_CHECKING:
     from repro.mr.config import JobConf
     from repro.mr.counters import Counters
-
-
-def build_segment_bytes(
-    records: Iterable[tuple[Any, Any]], codec: Codec
-) -> tuple[bytes, int, int]:
-    """Serialise and compress ``records``.
-
-    Returns ``(data, record_count, raw_bytes)`` where ``raw_bytes`` is
-    the uncompressed serialised size.
-    """
-    buf = bytearray()
-    count = 0
-    append_record = serde.append_record
-    for key, value in records:
-        append_record(buf, key, value)
-        count += 1
-    raw = bytes(buf)
-    return codec.compress(raw), count, len(raw)
 
 
 def iter_segment_bytes(data: bytes, codec: Codec) -> Iterator[tuple[Any, Any]]:
@@ -75,6 +60,17 @@ class Segment:
         """Read the whole run back as a task of ``job`` does: one disk
         read, the metered decompression and the parse's framework cost,
         charged in that order."""
+        return serde.decode_stream(self._read_raw(job, counters))
+
+    def read_frames(
+        self, job: JobConf, counters: Counters
+    ) -> list[tuple[Any, bytes]]:
+        """Read the whole run back as ``(key, frame)`` pairs
+        (:func:`serde.decode_frames`), charged exactly as
+        :meth:`read_records` is."""
+        return serde.decode_frames(self._read_raw(job, counters))
+
+    def _read_raw(self, job: JobConf, counters: Counters) -> bytes:
         data = self.read_bytes()
         raw, cost = job.cost_meter.measure(self.codec.decompress, data)
         counters.add(C.CPU_CODEC_SECONDS, cost)
@@ -82,7 +78,7 @@ class Segment:
             C.CPU_FRAMEWORK_SECONDS,
             job.framework_cost_model.serialize_cost(len(raw)),
         )
-        return serde.decode_stream(raw)
+        return raw
 
     def delete(self) -> None:
         self.store.delete_file(self.name)
@@ -206,21 +202,63 @@ def export_segment(segment: Segment, origin: str) -> SegmentPayload:
     )
 
 
-def write_segment(
+def persist_segment(
+    job: JobConf,
+    counters: Counters,
     store: Any,
     name: str,
     partition: int,
-    records: Iterable[tuple[Any, Any]],
-    codec: Codec,
+    raw: bytes,
+    count: int,
 ) -> Segment:
-    """Build a segment from sorted ``records`` and persist it."""
-    data, count, raw_bytes = build_segment_bytes(records, codec)
+    """Compress the framed records ``raw`` and persist them as a
+    segment, as every segment write of a task of ``job`` is charged:
+    the serialisation's framework cost, the metered compression, then
+    the disk write."""
+    counters.add(
+        C.CPU_FRAMEWORK_SECONDS,
+        job.framework_cost_model.serialize_cost(len(raw)),
+    )
+    codec = get_codec(job.map_output_codec)
+    data, cost = job.cost_meter.measure(codec.compress, raw)
+    counters.add(C.CPU_CODEC_SECONDS, cost)
     store.write_file(name, data)
     return Segment(
         store=store,
         name=name,
         partition=partition,
         record_count=count,
-        raw_bytes=raw_bytes,
+        raw_bytes=len(raw),
         codec=codec,
+    )
+
+
+def merge_pass(
+    job: JobConf,
+    counters: Counters,
+    runs: list[Segment],
+    store: Any,
+    name: str,
+    partition: int,
+) -> Segment:
+    """Merge sorted ``runs`` into one new segment, moving each record
+    as the bytes it is stored as.
+
+    The merge of every pass that runs no user code, on either side of
+    the shuffle: keys are decoded to order the records, values are
+    never decoded.  Charged in this order: the merge cost, each run's
+    read in run order, then the write (:func:`persist_segment`).
+    """
+    counters.add(
+        C.CPU_FRAMEWORK_SECONDS,
+        job.framework_cost_model.merge_cost(
+            sum(run.record_count for run in runs), len(runs)
+        ),
+    )
+    merged = merge_runs(
+        [run.read_frames(job, counters) for run in runs], job.comparator
+    )
+    raw = b"".join([frame for _, frame in merged])
+    return persist_segment(
+        job, counters, store, name, partition, raw, len(merged)
     )

@@ -1326,6 +1326,61 @@ def decode_stream(data: Any) -> list[tuple[Any, Any]]:
     return out
 
 
+def decode_frames(data: bytes) -> list[tuple[Any, bytes]]:
+    """Split a varint-framed record stream into ``(key, frame)`` pairs.
+
+    The reader of the merge passes that run no user code: only each
+    record's key is decoded (to order it); ``frame`` is the record's
+    stored bytes, length prefix included, so ``b"".join`` of the frames
+    is the stream again.  The encoder is canonical — one object, one
+    encoding, minimal varints — so a frame is exactly what decoding its
+    record and appending it again (:func:`append_records`) would write.
+    """
+    out: list[tuple[Any, bytes]] = []
+    append = out.append
+    decoders = _DECODERS
+    size = len(data)
+    offset = 0
+    try:
+        while offset < size:
+            start = offset
+            n = data[offset]
+            offset += 1
+            if n > 0x7F:
+                n, offset = _read_len_cont(data, offset, n & 0x7F)
+            end = offset + n
+            if end > size:
+                raise SerdeError("truncated record")
+            tag = data[offset]
+            offset += 1
+            if tag == 0x05:  # _TAG_STR
+                n = data[offset]
+                offset += 1
+                if n > 0x7F:
+                    n, offset = _read_len_cont(data, offset, n & 0x7F)
+                key_end = offset + n
+                if key_end > end:
+                    raise SerdeError("truncated string")
+                try:
+                    key = str(data[offset:key_end], "utf-8")
+                except UnicodeDecodeError:
+                    raise SerdeError(
+                        "invalid utf-8 in string payload"
+                    ) from None
+            elif tag == 0x03 and offset < end and data[offset] < 0x80:
+                byte = data[offset]  # a one-byte _TAG_INT
+                key = (byte >> 1) ^ -(byte & 1)
+            else:
+                key, offset = decoders[tag](data, offset)
+                if offset > end:
+                    raise SerdeError("key overruns its record")
+            append((key, data[start:end]))
+            offset = end
+    except IndexError:
+        raise SerdeError("truncated record") from None
+    return out
+
+
 def record_size(key: Any, value: Any) -> int:
     """Exact serialised size in bytes of a key/value record."""
     return encode_kv_into(bytearray(), key, value)

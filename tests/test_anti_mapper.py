@@ -668,6 +668,37 @@ class TestDecisionMatchesTrialEncoding:
         assert counters.as_dict() == {C.ANTI_LAZY_RECORDS: 4}
         assert len(emitted) == 4
 
+    @pytest.mark.parametrize("strategy", [Strategy.ADAPTIVE, Strategy.EAGER])
+    def test_rebuilt_tuples_of_one_object_group_without_serialising(
+        self, strategy, monkeypatch
+    ) -> None:
+        """A fan-out that builds ``(tag, shared)`` afresh per key (the
+        PageRank Map) groups like one shared tuple: same records, one
+        group id per partition instead of one per record."""
+        from repro.core import anti_mapper
+
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return _value_group_id(value)
+
+        monkeypatch.setattr(anti_mapper, "_value_group_id", counted)
+        shared = float("0.1")
+        other = float("0.1")  # equal to ``shared``, another object
+        script = [(key, ("R", shared)) for key in range(20)]
+        script += [(key, ("R", other)) for key in range(20, 28)]
+        script += [(key, ("R", -0.0)) for key in range(28, 36)]
+        script += [(key, ("R", 0.0)) for key in range(36, 44)]
+        assert script[0][1] is not script[1][1]
+        assert other is not shared
+        runtime = _runtime(script, strategy)
+        emitted = self._assert_same(runtime, 7, "i" * 120, script)
+        assert {encoding.tag_of(v) for _, v in emitted} == {encoding.EAGER}
+        # Per partition: the first value, then each value that is not
+        # built from the previous one's very items.
+        assert len(calls) == 4 * 4
+
 
 class TestMetering:
     """The meter feeds the threshold rule and nothing else."""

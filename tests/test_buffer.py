@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.mr import counters as C
+from repro.mr import serde
 from repro.mr.api import Combiner, Context, HashPartitioner, Mapper, Partitioner, Reducer
 from repro.mr.buffer import MapOutputBuffer
 from repro.mr.config import JobConf
@@ -137,6 +138,40 @@ class TestSpilling:
         segments = buffer.finalize()
         assert [k for k, _ in segments[0].scan()] == sorted(keys)
 
+    def test_merge_passes_move_stored_bytes(self, monkeypatch) -> None:
+        """Without a Combiner no merge runs user code: every pass,
+        intermediate and final, moves records as their stored bytes —
+        no value decoded, no record re-encoded — and writes what
+        decoding, merging and re-encoding would."""
+        buffer, counters, _ = _make_buffer(sort_buffer_bytes=16 * 1024)
+        # A key's value is a function of the key: records that tie are
+        # identical, so the reference need not model tie order.
+        keys = [(i * 7919) % 400 for i in range(700)]
+        values = {key: ("v", key, [float(key)] * (key % 5)) for key in keys}
+        for key in keys:
+            buffer.collect(key, values[key])
+        calls = {"decode_stream": 0, "append_records": 0}
+        for name in calls:
+            original = getattr(serde, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(serde, name, counted)
+        segments = buffer.finalize()
+        assert buffer.spill_count >= 12
+        assert counters.get_int(C.MAP_SPILLS) == buffer.spill_count
+        assert calls == {"decode_stream": 0, "append_records": 0}
+        monkeypatch.undo()
+        for partition, segment in segments.items():
+            expected = bytearray()
+            serde.append_records(
+                expected,
+                sorted((k, values[k]) for k in keys if k % 4 == partition),
+            )
+            assert segment.store.peek_file(segment.name) == bytes(expected)
+
     def test_single_spill_becomes_final_output(self) -> None:
         """One spill + empty buffer = rename, no extra disk traffic."""
         buffer, counters, _ = _make_buffer(sort_buffer_bytes=16 * 1024)
@@ -191,6 +226,26 @@ class TestSpillCombine:
         segments = buffer.finalize()
         records = list(segments[0].scan())
         assert records == [(4, 163)]
+
+    def test_combiner_at_final_merge_gets_decoded_values(self) -> None:
+        seen: list = []
+
+        class Recording(_SumCombiner):
+            def reduce(self, key, values, context):
+                values = list(values)
+                seen.append(values)
+                super().reduce(key, iter(values), context)
+
+        buffer, _, _ = _make_buffer(
+            combiner=Recording, sort_buffer_bytes=16 * 1024
+        )
+        for _ in range(51 * 3 + 10):
+            buffer.collect(4, 1)
+        buffer.finalize()
+        assert buffer.spill_count >= 3
+        # Four spill-time calls, then the final merge's one call over
+        # the four combined values — ints, not stored bytes.
+        assert seen[-1] == [51, 51, 51, 10]
 
     def test_combine_cpu_charged(self) -> None:
         buffer, counters, _ = _make_buffer(combiner=_SumCombiner)

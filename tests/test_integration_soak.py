@@ -24,9 +24,6 @@ from repro.workloads.query_suggestion import (
     query_suggestion_job,
 )
 
-#: Soak tier: excluded from tier-1, run by the nightly `-m slow` job.
-pytestmark = pytest.mark.slow
-
 
 @pytest.fixture(scope="module")
 def hostile_setup():
@@ -48,10 +45,14 @@ def hostile_setup():
 
 class TestSoak:
     def test_baseline_actually_stresses_everything(self, hostile_setup):
-        _, _, baseline = hostile_setup
+        job, _, baseline = hostile_setup
         counters = baseline.counters
         assert counters.get_int(C.MAP_SPILLS) > 10
         assert baseline.disk_read_bytes > baseline.map_output_bytes
+        # Reduce-side merge passes: more fetched segments per reducer
+        # than the merge factor.
+        fetched = counters.get_int(C.REDUCE_MERGE_SEGMENTS)
+        assert fetched / job.num_reducers > job.merge_factor
 
     @pytest.mark.parametrize(
         "strategy", [Strategy.EAGER, Strategy.LAZY, Strategy.ADAPTIVE]

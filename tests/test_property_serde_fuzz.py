@@ -572,3 +572,155 @@ class TestBufferBatchParity:
         assert self._run_collect(drawn, sort_buffer_bytes) == whole
         singletons = [[record] for record in records]
         assert self._run_collect(singletons, sort_buffer_bytes) == whole
+
+
+# -- the frame merge (DESIGN.md §8 item 3) ----------------------------------
+#
+# A merge pass that runs no user code reads `(key, frame)` pairs
+# (`decode_frames`) and writes the joined frames.  It must write exactly
+# what decoding the runs, merging the records and appending them again
+# writes, under every comparator specialisation.
+
+from repro.mr.comparators import (  # noqa: E402
+    Comparator,
+    _natural_cmp,
+    default_comparator,
+    raw_bytes_comparator,
+)
+from repro.mr.merge import merge_key_fn, merge_runs  # noqa: E402
+
+#: Orders like the natural comparator but declares nothing.
+_opaque_comparator = Comparator(_natural_cmp, name="opaque")
+
+_odd_floats = st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), -1e308])
+_wide_ints = st.sampled_from(_BOUNDARY_INTS) | st.integers(
+    min_value=-(2**80), max_value=2**80
+)
+#: Strings past 127 utf-8 bytes put records behind two-byte prefixes.
+_texts = st.text(max_size=8) | st.text(min_size=70, max_size=150)
+_frame_scalars = (
+    _scalars | _odd_floats | _wide_ints | _texts | st.floats()
+)
+_frame_objects = st.recursive(
+    _frame_scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_hashable, children, max_size=4)
+        | st.frozensets(_hashable, max_size=4)
+        | children.map(PlainValue)
+        | st.tuples(st.lists(children, max_size=3), children).map(
+            lambda pair: EagerValue(*pair)
+        )
+        | st.tuples(children, children).map(lambda pair: LazyValue(*pair))
+    ),
+    max_leaves=10,
+)
+
+#: Keys the natural comparator can order: one kind per example.
+_natural_key_kinds = [
+    _texts,
+    st.floats() | _odd_floats,
+    _wide_ints,
+    st.tuples(_wide_ints, st.text(max_size=6)),
+    st.tuples(
+        st.lists(st.integers(), max_size=3).map(tuple),
+        st.lists(st.text(max_size=3), max_size=3),
+    ),
+    _wide_ints.map(PlainValue),
+]
+
+
+@st.composite
+def _runs(draw, comparator):
+    """Up to five sorted runs of ``(key, value)`` records."""
+    if comparator.orders_by_encoded_bytes:
+        keys = _frame_objects
+    else:
+        keys = draw(st.sampled_from(_natural_key_kinds))
+    records = st.tuples(keys, _frame_objects)
+    runs = draw(st.lists(st.lists(records, max_size=6), max_size=5))
+    key_fn = merge_key_fn(comparator)
+    return [sorted(run, key=key_fn) for run in runs]
+
+
+def _stream(records) -> bytes:
+    out = bytearray()
+    serde.append_records(out, records)
+    return bytes(out)
+
+
+def _key_bytes(pairs) -> list:
+    return [(type(key), serde.encode(key)) for key, _ in pairs]
+
+
+class TestFrameMerge:
+    @pytest.mark.parametrize(
+        "comparator",
+        [default_comparator, raw_bytes_comparator, _opaque_comparator],
+        ids=lambda c: c.name,
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_frame_merge_writes_the_reencoded_merge(
+        self, comparator, data
+    ) -> None:
+        runs = data.draw(_runs(comparator), label="runs")
+        streams = [_stream(run) for run in runs]
+        frames = [serde.decode_frames(stream) for stream in streams]
+        decoded = [serde.decode_stream(stream) for stream in streams]
+        for stream, framed, records in zip(streams, frames, decoded):
+            # Keys compared encoded: nan is not equal to itself.
+            assert _key_bytes(framed) == _key_bytes(records)
+            assert b"".join(frame for _, frame in framed) == stream
+        merged = merge_runs(frames, comparator)
+        assert b"".join(frame for _, frame in merged) == _stream(
+            merge_runs(decoded, comparator)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_frame_objects, _frame_objects), min_size=1, max_size=5
+        ),
+        st.data(),
+    )
+    def test_truncation_raises_or_ends_on_a_frame(self, records, data) -> None:
+        stream = _stream(records)
+        cut = data.draw(st.integers(0, len(stream) - 1), label="cut")
+        try:
+            framed = serde.decode_frames(stream[:cut])
+        except serde.SerdeError:
+            return
+        # Permissible only when the cut fell between two frames.
+        boundaries = {0}
+        for _, frame in serde.decode_frames(stream):
+            boundaries.add(max(boundaries) + len(frame))
+        assert cut in boundaries
+        assert b"".join(frame for _, frame in framed) == stream[:cut]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_garbage_raises_serde_error_only(self, data: bytes) -> None:
+        try:
+            framed = serde.decode_frames(data)
+        except serde.SerdeError:
+            return
+        assert b"".join(frame for _, frame in framed) == data
+
+    def test_corrupt_records_raise(self) -> None:
+        stream = _stream([("key", ["some", "value", 123]), (7, 2.5)])
+        # An unknown key tag.
+        with pytest.raises(serde.SerdeError, match="unknown tag"):
+            serde.decode_frames(stream[:1] + b"\xff" + stream[2:])
+        # A frame too short to hold its key, for each inline key kind
+        # and one through the tag table.
+        for key in ("key", 7, 2**70):
+            framed = _stream([(key, None)])
+            with pytest.raises(serde.SerdeError):
+                serde.decode_frames(b"\x01" + framed[1:])
+        # A frame longer than the stream.
+        with pytest.raises(serde.SerdeError, match="truncated"):
+            serde.decode_frames(b"\x7f" + stream[1:])
+        with pytest.raises(serde.SerdeError, match="utf-8"):
+            serde.decode_frames(bytes([4, 0x05, 2, 0xC3, 0x28]))

@@ -94,6 +94,42 @@ class TestReduceTask:
         assert key == 0
         assert sorted(values) == [f"s{i}" for i in range(5)]
 
+    def test_multi_pass_merge_charged_like_the_map_side(self) -> None:
+        """Each intermediate pass charges merge, its reads, then its
+        write — serialisation and a metered compress — as a map-side
+        pass does; the last merge charges merge and reads."""
+        job = _job(merge_factor=2, map_output_codec="gzip")
+        maps = _run_map_tasks(job, [[(0, f"s{i}")] for i in range(5)])
+        segments = [m.segments[0] for m in maps]
+        result = ReduceTask(job, 0).run(segments)
+
+        model = job.framework_cost_model
+        raw = [segment.raw_bytes for segment in segments]
+        # Runs are (records, raw bytes); passes take the first two and
+        # append their output: s0+s1 -> m0, s2+s3 -> m1, s4+m0 -> m2,
+        # then the last merge reads m1 and m2.
+        runs = [(1, size) for size in raw]
+        framework = 0.0
+        codec = 0.0
+        while len(runs) > 2:
+            batch, runs = runs[:2], runs[2:]
+            records = sum(count for count, _ in batch)
+            framework += model.merge_cost(records, 2)
+            for _, size in batch:
+                framework += model.serialize_cost(size)
+                codec += 1e-6
+            written = sum(size for _, size in batch)
+            framework += model.serialize_cost(written)
+            codec += 1e-6
+            runs.append((records, written))
+        framework += model.merge_cost(5, 2)
+        for _, size in runs:
+            framework += model.serialize_cost(size)
+            codec += 1e-6
+        assert result.counters.get(C.CPU_FRAMEWORK_SECONDS) == framework
+        assert result.counters.get(C.CPU_CODEC_SECONDS) == codec
+        assert sorted(result.output[0][1]) == [f"s{i}" for i in range(5)]
+
     def test_reduce_output_counters(self) -> None:
         job = _job()
         maps = _run_map_tasks(job, [[(0, "a")]])
