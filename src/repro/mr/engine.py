@@ -54,6 +54,14 @@ class JobResult:
     #: byte histograms and attempt counts.  ``metrics.prometheus_text()``
     #: is the scrape-style dump.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    #: Each partition's output as its reduce task encoded it, with the
+    #: per-record sizes (``ReduceTaskResult.output_encoding``).  Kept
+    #: for a job whose splits are all ``SizedSplit``s — a pipeline's,
+    #: whose output the pipeline's store takes as encoded — and empty
+    #: for any other job.
+    output_encodings_by_partition: dict[
+        int, tuple[bytearray, list[int]]
+    ] = field(default_factory=dict)
 
     @property
     def output(self) -> list[Record]:
@@ -63,14 +71,31 @@ class JobResult:
             result.extend(self.outputs_by_partition[partition])
         return result
 
+    def encoded_output(self) -> tuple[list[bytearray], list[int]] | None:
+        """``output``'s encoding as the reduce tasks wrote it: the
+        partitions' bytes and every record's size, in partition order.
+        None for a result assembled without them."""
+        parts: list[bytearray] = []
+        sizes: list[int] = []
+        for partition in sorted(self.outputs_by_partition):
+            encoding = self.output_encodings_by_partition.get(partition)
+            if encoding is None:
+                return None
+            parts.append(encoding[0])
+            sizes.extend(encoding[1])
+        return parts, sizes
+
     def _record_encodings(self) -> list[bytes]:
         """Each output record's serialised bytes, in output order."""
         from repro.mr import serde
 
-        output = self.output
-        scratch = bytearray()
-        sizes = serde.encode_kv_batch(scratch, output)
-        data = bytes(scratch)
+        encoded = self.encoded_output()
+        if encoded is None:
+            scratch = bytearray()
+            sizes = serde.encode_kv_batch(scratch, self.output)
+            encoded = [scratch], sizes
+        parts, sizes = encoded
+        data = b"".join(parts)
         keys: list[bytes] = []
         offset = 0
         for size in sizes:

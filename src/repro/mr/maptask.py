@@ -20,6 +20,7 @@ from repro.mr.buffer import MapOutputBuffer
 from repro.mr.config import JobConf
 from repro.mr.counters import Counters
 from repro.mr.segment import SegmentPayload, export_segment
+from repro.mr.split import SizedSplit
 from repro.mr.storage import LocalStore
 from repro.obs.trace import SpanRecord, current_tracer
 
@@ -118,19 +119,24 @@ class MapTask:
             flush_pending()
         with tracer.span("map.phase.map", category="map") as map_span:
             # Input-byte accounting sums ints, which is exact under
-            # regrouping.  The mapper is metered per call — user CPU
-            # is measured, never batched away.
+            # regrouping.  A sized split (one a pipeline cut from a
+            # dataset already encoded) carries its length; any other is
+            # sized record by record as it is read.  The mapper is
+            # metered per call — user CPU is measured, never batched
+            # away.
             records = 0
             input_scratch = bytearray()
             encode_kv_into = serde.encode_kv_into
             measure = job.cost_meter.measure
             mapper_map = mapper.map
             values = counters.raw()
-            input_bytes = 0
+            sized = isinstance(split, SizedSplit)
+            input_bytes = split.encoded_bytes if sized else 0
             for key, value in split:
                 records += 1
-                input_scratch.clear()
-                input_bytes += encode_kv_into(input_scratch, key, value)
+                if not sized:
+                    input_scratch.clear()
+                    input_bytes += encode_kv_into(input_scratch, key, value)
                 _, cost = measure(mapper_map, key, value, context)
                 values[C.CPU_MAP_SECONDS] += cost
                 if len(pending) >= _BATCH_FLUSH_RECORDS:

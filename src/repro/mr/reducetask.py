@@ -43,6 +43,10 @@ class ReduceTaskResult:
     serve_counters: Counters = field(default_factory=Counters)
     #: Phase spans recorded while the task ran (empty unless traced).
     spans: list[SpanRecord] = field(default_factory=list)
+    #: ``output`` encoded back to back, unframed (the bytes
+    #: ``reduce.output.bytes`` counts), and each record's size in it;
+    #: kept only when asked for (``ReduceTask.run``'s ``keep_encoding``).
+    output_encoding: tuple[bytearray, list[int]] | None = None
 
     @property
     def cpu_seconds(self) -> float:
@@ -65,9 +69,12 @@ class ReduceTask:
         self,
         map_segments: Sequence[SegmentPayload],
         counters: Counters | None = None,
+        keep_encoding: bool = False,
     ) -> ReduceTaskResult:
         """Run the task; ``counters`` may be caller-supplied so partial
-        work stays observable when the task raises."""
+        work stays observable when the task raises.  ``keep_encoding``
+        keeps the encoding that counts the output bytes on the result,
+        for a pipeline to materialize the output from."""
         job = self._job
         tracer = current_tracer()
         counters = counters if counters is not None else Counters()
@@ -143,17 +150,16 @@ class ReduceTask:
             _, cost = job.cost_meter.measure(reducer.cleanup, context)
             counters.add(C.CPU_REDUCE_SECONDS, cost)
 
+        # Settle the deferred output accounting: one run-oriented encode
+        # of the whole task output.
+        encoded = bytearray()
+        sizes = serde.encode_kv_batch(encoded, output)
         if output:
-            # Settle the deferred output accounting: one run-oriented
-            # encode of the whole task output.
-            scratch = bytearray()
-            serde.encode_kv_batch(scratch, output)
-            total_bytes = len(scratch)
             values_map = counters.raw()
             values_map[C.REDUCE_OUTPUT_RECORDS] += len(output)
-            values_map[C.REDUCE_OUTPUT_BYTES] += total_bytes
+            values_map[C.REDUCE_OUTPUT_BYTES] += len(encoded)
             # Final output goes to the distributed file system.
-            values_map[C.HDFS_WRITE_BYTES] += total_bytes
+            values_map[C.HDFS_WRITE_BYTES] += len(encoded)
 
         return ReduceTaskResult(
             task_id=self.task_id,
@@ -161,6 +167,7 @@ class ReduceTask:
             output=output,
             counters=counters,
             serve_counters=serve_counters,
+            output_encoding=(encoded, sizes) if keep_encoding else None,
         )
 
     # -- shuffle fetch ---------------------------------------------------

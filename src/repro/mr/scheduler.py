@@ -41,6 +41,7 @@ from repro.mr.maptask import MapTask, MapTaskResult
 from repro.mr.reducetask import ReduceTask, ReduceTaskResult
 from repro.mr.runtime_model import TaskCost
 from repro.mr.segment import SegmentPayload
+from repro.mr.split import SizedSplit
 from repro.obs.metrics import MetricsRegistry, record_job_metrics
 from repro.obs.trace import (
     NULL_TRACER,
@@ -318,6 +319,7 @@ def _run_reduce_attempt(
     payloads: list[SegmentPayload],
     fault: FaultSpec | None,
     trace: bool = False,
+    keep_encoding: bool = False,
 ) -> ReduceTaskResult:
     _execute_fault(fault, f"reduce{partition}")
     counters = Counters()
@@ -325,7 +327,7 @@ def _run_reduce_attempt(
     try:
         with activated(tracer):
             result = ReduceTask(job, partition).run(
-                payloads, counters=counters
+                payloads, counters=counters, keep_encoding=keep_encoding
             )
     except Exception as exc:
         raise TaskAttemptFailure(
@@ -905,7 +907,14 @@ class JobScheduler:
             # unlinked the moment its last consumer's result folds.
             arena.lease_plan(shuffle_plan)
 
-        # Reduce wave.
+        # Reduce wave.  A job fed sized splits is a pipeline's: its
+        # reduce tasks hand back the encoding that counts their output,
+        # for the pipeline's store and the next job's splits.  Any other
+        # job drops it, so neither the pool transport nor the result
+        # carries the bytes twice.
+        keep_encoding = all(
+            isinstance(split, SizedSplit) for split in split_lists
+        )
         reduce_ids = [
             f"reduce{partition}" for partition in range(job.num_reducers)
         ]
@@ -919,6 +928,7 @@ class JobScheduler:
                 shuffle_plan[index],
                 fault,
                 trace,
+                keep_encoding,
             ),
             policy,
             events,
@@ -980,6 +990,11 @@ class JobScheduler:
             job_name=job.name,
             outputs_by_partition={
                 r.partition: r.output for r in reduce_results
+            },
+            output_encodings_by_partition={
+                r.partition: r.output_encoding
+                for r in reduce_results
+                if r.output_encoding is not None
             },
             counters=totals,
             map_task_costs=map_costs,

@@ -179,15 +179,56 @@ def _enc_bytes(out: bytearray, obj: Any) -> None:
 # function call per element.  The inline bodies are byte-for-byte the
 # same as _enc_str/_enc_int/_enc_float; keep the copies (tuple, list,
 # extension, one-field extension, encode_kv_into) in sync.
+#
+# One bulk case sits in front of the list and tuple loops: at least
+# three elements, every one an exact `int` in [_SMALL_INT_LO,
+# _SMALL_INT_HI), encode as one `b"".join` over precomputed tag +
+# zig-zag varint bytes (PageRank's adjacency lists).  The exact-type
+# check is what keeps `True`, `1.0` and IntEnum members, which hash
+# equal to table keys, out of the table.  Scalars never look the table
+# up: per scalar, the lookup costs more than the inline ladder.
+
+_SMALL_INT_LO = -128
+_SMALL_INT_HI = 2048
+_INT_ONLY = frozenset((int,))
+
+
+def _int_encoding(value: int) -> bytes:
+    out = bytearray()
+    _enc_int(out, value)
+    return bytes(out)
+
+
+_SMALL_INT_ENCODING = {
+    value: _int_encoding(value)
+    for value in range(_SMALL_INT_LO, _SMALL_INT_HI)
+}.__getitem__
+
+
+def _small_int_run(obj: Any) -> bytes | None:
+    """The elements of ``obj`` encoded back to back, if every one is an
+    exact ``int`` inside the table; otherwise None."""
+    if set(map(type, obj)) == _INT_ONLY:
+        try:
+            return b"".join(map(_SMALL_INT_ENCODING, obj))
+        except KeyError:
+            pass
+    return None
 
 
 def _enc_tuple(out: bytearray, obj: Any) -> None:
     out.append(_TAG_TUPLE)
     length = len(obj)
+    run = (
+        _small_int_run(obj) if length > 2 and type(obj[0]) is int else None
+    )
     while length > 0x7F:
         out.append(length & 0x7F | 0x80)
         length >>= 7
     out.append(length)
+    if run is not None:
+        out += run
+        return
     append = out.append
     get = _ENCODERS.get
     for item in obj:
@@ -225,10 +266,16 @@ def _enc_tuple(out: bytearray, obj: Any) -> None:
 def _enc_list(out: bytearray, obj: Any) -> None:
     out.append(_TAG_LIST)
     length = len(obj)
+    run = (
+        _small_int_run(obj) if length > 2 and type(obj[0]) is int else None
+    )
     while length > 0x7F:
         out.append(length & 0x7F | 0x80)
         length >>= 7
     out.append(length)
+    if run is not None:
+        out += run
+        return
     append = out.append
     get = _ENCODERS.get
     for item in obj:

@@ -9,6 +9,45 @@ from repro.mr import serde
 Record = tuple[Any, Any]
 
 
+class SizedSplit(list):
+    """An input split that knows its records' total encoded size.
+
+    A pipeline cuts one from a dataset whose encoding already exists
+    (the producing job's output bytes), so the map task charges its
+    input bytes from ``encoded_bytes`` instead of encoding every record
+    to measure it — as Hadoop reads a split's length from the file
+    system.  A job fed only sized splits is a pipeline's, and its reduce
+    tasks keep their output's encoding in turn
+    (:meth:`~repro.mr.engine.JobResult.encoded_output`).  Otherwise a
+    plain ``list``.
+    """
+
+    __slots__ = ("encoded_bytes",)
+
+    def __init__(self, records: Iterable[Record], encoded_bytes: int):
+        super().__init__(records)
+        self.encoded_bytes = encoded_bytes
+
+
+def sized_splits(
+    splits: Sequence[list[Record]], sizes: Sequence[int]
+) -> list[SizedSplit]:
+    """``splits`` with each one's encoded size attached, cut from
+    ``sizes``: the per-record sizes of the splits' records, concatenated
+    in split order."""
+    sized: list[SizedSplit] = []
+    start = 0
+    for split in splits:
+        end = start + len(split)
+        sized.append(SizedSplit(split, sum(sizes[start:end])))
+        start = end
+    if start != len(sizes):
+        raise ValueError(
+            f"{len(sizes)} record sizes for {start} split records"
+        )
+    return sized
+
+
 def split_records(
     records: Sequence[Record] | Iterable[Record],
     num_splits: int | None = None,

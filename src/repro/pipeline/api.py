@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.mr.config import JobConf
 from repro.mr.engine import LocalJobRunner
-from repro.mr.split import split_records
+from repro.mr.split import sized_splits, split_records
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.flightrecorder import (
     clear_flight_recorder,
@@ -439,11 +439,22 @@ class _Execution:
     def _run_mapreduce(self, stage: Stage, result: StageResult) -> None:
         assert stage.job is not None and stage.num_splits is not None
         records: list[Record] = []
+        sizes: list[int] = []
         for dataset in stage.inputs:
-            records.extend(self.store.read(dataset))
-        splits = split_records(records, num_splits=stage.num_splits)
+            dataset_records, dataset_sizes = self.store.read_sized(dataset)
+            records.extend(dataset_records)
+            sizes.extend(dataset_sizes)
+        # Each split carries its encoded length, cut from the inputs'
+        # encodings, so map tasks charge input bytes without encoding.
+        splits = sized_splits(
+            split_records(records, num_splits=stage.num_splits), sizes
+        )
         job_result = self.runner.run(stage.job, splits)
-        self.store.put(stage.outputs[0], job_result.output)
+        # The reduce tasks' encoding of the output becomes the dataset's
+        # materialization: the store never encodes it again.
+        self.store.put(
+            stage.outputs[0], job_result.output, job_result.encoded_output()
+        )
         result.job_result = job_result
         result.counters = job_result.counters
         result.records_out = len(job_result.output)

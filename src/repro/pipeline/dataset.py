@@ -4,9 +4,11 @@ A :class:`Dataset` is an *edge* of a job graph: a named, immutable
 collection of ``(key, value)`` records produced by one stage and
 consumed by any number of later stages (possibly across loop
 iterations).  Between stages the driver *materializes* each consumed
-dataset — serde-encodes its records into one contiguous blob, the
-simulator's stand-in for writing a job input/output to the distributed
-file system.
+dataset — its records serde-encoded into one blob, the simulator's
+stand-in for writing a job input/output to the distributed file system.
+A dataset a MapReduce job produced arrives with that encoding: the
+reduce tasks already wrote it to count their output bytes, so the store
+hashes and sizes those bytes and never encodes the records again.
 
 Materialization is cached two ways:
 
@@ -14,7 +16,8 @@ Materialization is cached two ways:
   many stages (or loop iterations) consume it.  Re-reads are *encode
   cache hits*: the loop-invariant PageRank structure dataset is encoded
   before the first iteration and every subsequent iteration reuses the
-  blob (``pipeline.dataset.encode.hits``).
+  blob (``pipeline.dataset.encode.hits``).  A loop output is an alias
+  of the final iteration's dataset and shares its materialization.
 * **By content** — blobs are stored under the hash of their bytes, so
   two datasets that happen to carry identical records share one blob
   (``pipeline.dataset.content.dedup``); re-derived-but-unchanged data
@@ -22,20 +25,24 @@ Materialization is cached two ways:
 
 The store hands consumers the original record lists (the blob is the
 durable form; an in-process read does not pay a decode pass — serde
-round-trip exactness is pinned separately by the serde test suite).
+round-trip exactness is pinned separately by the serde test suite),
+plus, for a MapReduce stage's input splits, every record's encoded size.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from repro.mr import serde
 from repro.obs.metrics import MetricsRegistry
 
 Record = tuple[Any, Any]
+#: Records encoded back to back (a reduce task's output, or the store's
+#: own encode of a dataset), and every record's size in them.
+Encoding = tuple[list[bytearray], list[int]]
 
 #: Pipeline-level metric names (observational; never part of a job's
 #: counter ledger).
@@ -68,8 +75,9 @@ class DatasetInfo:
     #: Hex digest of the encoded blob (shared when deduplicated).
     content_key: str = ""
     encoded_bytes: int = 0
-    #: Times this dataset's records were serde-encoded (0 or 1; an
-    #: aliased loop output inherits its source's materialization).
+    #: Times this dataset was materialized (0 or 1): its records
+    #: encoded, by the store or by the job that produced them.  An
+    #: aliased loop output shares its source's and reports 0.
     encodes: int = 0
     #: Reads served from the materialization cache without encoding.
     cache_hits: int = 0
@@ -95,8 +103,15 @@ class DatasetStore:
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._records: dict[int, list[Record]] = {}
         self._info: dict[int, DatasetInfo] = {}
-        #: Content-addressed blob store: hash -> encoded bytes.
-        self._blobs: dict[str, bytes] = {}
+        #: Alias id -> the id of the dataset whose materialization it
+        #: shares.
+        self._alias_of: dict[int, int] = {}
+        #: Encodings handed over at ``put``, until materialized.
+        self._pending: dict[int, Encoding] = {}
+        #: Per-record encoded sizes of every materialized dataset.
+        self._sizes: dict[int, list[int]] = {}
+        #: Content-addressed blob store: hash -> encoded byte runs.
+        self._blobs: dict[str, list[bytearray]] = {}
         # Stages may materialize concurrently (parallel branches run on
         # driver threads); the store is the shared structure.
         self._lock = threading.Lock()
@@ -111,8 +126,14 @@ class DatasetStore:
             self._metrics.counter(name, help_text)
 
     # -- producing -------------------------------------------------------
-    def put(self, dataset: Dataset, records: Sequence[Record]) -> None:
-        """Store a stage's output records under ``dataset``."""
+    def put(
+        self,
+        dataset: Dataset,
+        records: Sequence[Record],
+        encoding: Encoding | None = None,
+    ) -> None:
+        """Store a stage's output records under ``dataset``, with their
+        encoding if the producer already made one."""
         with self._lock:
             if dataset.dataset_id in self._records:
                 raise ValueError(
@@ -123,39 +144,38 @@ class DatasetStore:
             self._info[dataset.dataset_id] = DatasetInfo(
                 name=dataset.name, num_records=len(records)
             )
+            if encoding is not None:
+                self._pending[dataset.dataset_id] = encoding
 
     def alias(self, dataset: Dataset, source: Dataset) -> None:
-        """Expose ``source``'s records (and materialization) as
+        """Expose ``source``'s records and materialization as
         ``dataset`` — used for loop-output handles, which must not cost
-        a second encode."""
+        a second encode, whichever of the two is read first."""
         with self._lock:
-            src = self._require(source)
-            self._records[dataset.dataset_id] = src
-            info = self._info[source.dataset_id]
+            records = self._require(source)
+            self._records[dataset.dataset_id] = records
+            self._alias_of[dataset.dataset_id] = self._root(source)
             self._info[dataset.dataset_id] = DatasetInfo(
-                name=dataset.name,
-                num_records=info.num_records,
-                content_key=info.content_key,
-                encoded_bytes=info.encoded_bytes,
-                # The alias itself never encodes; reads through it hit
-                # the source's materialization.
-                encodes=0,
-                deduplicated=info.deduplicated,
+                name=dataset.name, num_records=len(records)
             )
 
     # -- consuming -------------------------------------------------------
     def read(self, dataset: Dataset) -> list[Record]:
         """A stage's view of ``dataset``: materialize (cached), return
         the records."""
+        return self.read_sized(dataset)[0]
+
+    def read_sized(self, dataset: Dataset) -> tuple[list[Record], list[int]]:
+        """:meth:`read`, plus every record's encoded size."""
         with self._lock:
             records = self._require(dataset)
-            info = self._info[dataset.dataset_id]
-            if info.content_key:
-                info.cache_hits += 1
+            root = self._root(dataset)
+            if self._info[root].content_key:
+                self._info[dataset.dataset_id].cache_hits += 1
                 self._metrics.counter(ENCODE_HITS).add()
             else:
-                self._encode_locked(dataset, records, info)
-            return records
+                self._materialize_locked(root, records)
+            return records, self._sizes[root]
 
     def peek(self, dataset: Dataset) -> list[Record]:
         """Records without materialization side effects (convergence
@@ -169,9 +189,22 @@ class DatasetStore:
 
     # -- ledger ----------------------------------------------------------
     def infos(self) -> dict[str, DatasetInfo]:
-        """Per-dataset ledger, keyed by (qualified) dataset name."""
+        """Per-dataset ledger, keyed by (qualified) dataset name.  An
+        alias reports its source's content key, size and dedup flag."""
         with self._lock:
-            return {info.name: info for info in self._info.values()}
+            ledger: dict[str, DatasetInfo] = {}
+            for dataset_id, info in self._info.items():
+                root = self._alias_of.get(dataset_id)
+                if root is not None:
+                    source = self._info[root]
+                    info = replace(
+                        info,
+                        content_key=source.content_key,
+                        encoded_bytes=source.encoded_bytes,
+                        deduplicated=source.deduplicated,
+                    )
+                ledger[info.name] = info
+            return ledger
 
     def records_by_name(self) -> dict[str, list[Record]]:
         """Every dataset's records, keyed by (qualified) dataset name."""
@@ -190,21 +223,29 @@ class DatasetStore:
             )
         return records
 
-    def _encode_locked(
-        self, dataset: Dataset, records: list[Record], info: DatasetInfo
-    ) -> None:
-        buffer = bytearray()
-        for key, value in records:
-            serde.encode_kv_into(buffer, key, value)
-        blob = bytes(buffer)
-        content_key = hashlib.sha256(blob).hexdigest()
+    def _root(self, dataset: Dataset) -> int:
+        """The id of the dataset that owns ``dataset``'s materialization."""
+        return self._alias_of.get(dataset.dataset_id, dataset.dataset_id)
+
+    def _materialize_locked(self, root: int, records: list[Record]) -> None:
+        encoding = self._pending.pop(root, None)
+        if encoding is None:
+            buffer = bytearray()
+            encoding = [buffer], serde.encode_kv_batch(buffer, records)
+        blob, sizes = encoding
+        digest = hashlib.sha256()
+        for run in blob:
+            digest.update(run)
+        content_key = digest.hexdigest()
+        info = self._info[root]
         info.content_key = content_key
-        info.encoded_bytes = len(blob)
+        info.encoded_bytes = sum(map(len, blob))
         info.encodes += 1
+        self._sizes[root] = sizes
         self._metrics.counter(ENCODE_MISSES).add()
         if content_key in self._blobs:
             info.deduplicated = True
             self._metrics.counter(CONTENT_DEDUP).add()
         else:
             self._blobs[content_key] = blob
-            self._metrics.counter(ENCODED_BYTES).add(len(blob))
+            self._metrics.counter(ENCODED_BYTES).add(info.encoded_bytes)

@@ -5,8 +5,9 @@ A seeded generator draws a randomized :class:`ScriptedFaults` schedule
 pool) and injects it into every job of a multi-stage pipeline (PageRank:
 transform → mapreduce → transform per iteration).  The retried run must
 be indistinguishable from a fault-free serial run: bit-identical final
-records, per-iteration job outputs, and full counter dicts (jobs use a
-:class:`FixedCostMeter`, so every ``cpu.*`` charge is analytic).
+records, per-iteration job outputs, full counter dicts (jobs use a
+:class:`FixedCostMeter`, so every ``cpu.*`` charge is analytic) and
+dataset ledgers (content keys, sizes, dedup flags).
 
 Every assertion message carries the seed and the drawn schedule, so a
 failure is replayable by pinning ``SEEDS`` to the printed value.
@@ -19,6 +20,7 @@ import random
 import pytest
 
 from repro.datagen.webgraph import generate_web_graph
+from repro.mr import events as E
 from repro.mr.cost import FixedCostMeter
 from repro.mr.engine import LocalJobRunner
 from repro.mr.executor import ParallelExecutor
@@ -114,6 +116,18 @@ def _assert_matches_baseline(records, result, baseline, context: str):
     assert (
         result.counters.as_dict() == base_result.counters.as_dict()
     ), f"pipeline counter fold drifted ({context})"
+    # A job's output dataset is materialized from the bytes its winning
+    # reduce attempts encoded: retries and speculation must not show.
+    assert _dataset_ledger(result) == _dataset_ledger(
+        base_result
+    ), f"dataset ledger drifted ({context})"
+
+
+def _dataset_ledger(result) -> dict:
+    return {
+        name: (info.content_key, info.encoded_bytes, info.deduplicated)
+        for name, info in result.datasets.items()
+    }
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -163,4 +177,32 @@ def test_fuzzed_fault_schedule_is_invisible_on_pool(seed, baseline) -> None:
     assert any(
         kind == "hang" for _, _, kind in policy.injected
     ), f"hang was never injected ({context})"
+    _assert_matches_baseline(records, result, baseline, context)
+
+
+def test_speculated_reduce_attempts_are_invisible_on_pool(baseline) -> None:
+    """``reduce0``'s first attempt straggles in every job, so a
+    speculative backup races it; whichever wins, its output bytes become
+    the dataset, and the ledger must equal the fault-free run's."""
+    faults = {"reduce0": [("slow", 0.5)]}
+    policy = ScriptedFaults(faults=faults)
+    with ParallelExecutor(max_workers=2) as pool:
+        runner = LocalJobRunner(executor=pool, fault_policy=policy)
+        records, result = run_pagerank_pipeline(
+            _job(
+                max_task_attempts=2,
+                speculative_execution=True,
+                speculative_quantile=0.5,
+                speculative_slack=2.0,
+            ),
+            _graph(),
+            iterations=ITERATIONS,
+            num_splits=NUM_SPLITS,
+            runner=runner,
+        )
+    context = f"faults={faults!r}"
+    assert any(
+        job.events.speculative_starts(E.REDUCE)
+        for job in result.job_results()
+    ), f"no reduce attempt was speculated ({context})"
     _assert_matches_baseline(records, result, baseline, context)

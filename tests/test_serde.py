@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import math
 from typing import Any, NamedTuple
 
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mr import serde
+from tests import serde_ref
 
 
 class TestRoundtrip:
@@ -177,6 +179,84 @@ class TestExtensions:
     def test_unregistered_extension_decode(self) -> None:
         with pytest.raises(serde.SerdeError, match="unregistered extension"):
             serde.decode(bytes([0x4B]))  # ext id 11, never registered
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+_LO, _HI = serde._SMALL_INT_LO, serde._SMALL_INT_HI
+
+
+class TestSmallIntBulkPath:
+    """A list or tuple of >= 3 exact ints inside the table encodes as
+    one join; everything else takes the element loop.  Either way the
+    bytes are the reference encoder's."""
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [True, 1, 2],
+            [1, 2, True],
+            [False, False, False],
+            [_Small.ONE, _Small.TWO, 3],
+            [1, _Small.TWO, 3],
+            (_Small.ONE, _Small.TWO, _Small.ONE),
+            [1.0, 2, 3],
+            [1, 2, 3.0],
+            [1, 2, "3"],
+        ],
+    )
+    def test_non_int_elements_miss_the_bulk_path(self, obj: Any) -> None:
+        assert serde._small_int_run(obj) is None
+        assert serde.encode(obj) == serde_ref.encode(obj)
+
+    @pytest.mark.parametrize(
+        "edge",
+        [_LO - 1, _LO, _LO + 1, _HI - 2, _HI - 1, _HI, _HI + 1],
+    )
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_table_edges(self, edge: int, container: type) -> None:
+        for obj in (
+            container([edge, edge, edge]),
+            container([0, 1, edge]),
+            container([edge, 0, 1]),
+        ):
+            inside = _LO <= edge < _HI
+            assert (serde._small_int_run(obj) is not None) == inside
+            assert serde.encode(obj) == serde_ref.encode(obj)
+
+    @pytest.mark.parametrize(
+        "value", [2**62 - 1, 2**62, 2**62 + 1, -(2**62) - 1, -(2**62), -(2**62) + 1]
+    )
+    def test_zigzag_range_neighbours(self, value: int) -> None:
+        for obj in ([1, 2, value], (value, 1, 2), [value] * 3):
+            assert serde._small_int_run(obj) is None
+            assert serde.encode(obj) == serde_ref.encode(obj)
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 127, 128, 129, 300])
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_lengths(self, length: int, container: type) -> None:
+        obj = container(range(-3, length - 3))
+        assert serde.encode(obj) == serde_ref.encode(obj)
+        assert serde.decode(serde.encode(obj)) == obj
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+            ([1, 2, 3], (4, 5, 6), [700, 1023, 2047]),
+            (1, 2, [3, 4, 5]),
+            [(1, 2), (3, 4), (5, 6)],
+            [1, 2, [3, 4, 5]],
+            ("S", [1, 2, 3]),
+            (0.25, [699, 0, 12, 5000]),
+        ],
+    )
+    def test_nested(self, obj: Any) -> None:
+        assert serde.encode(obj) == serde_ref.encode(obj)
+        assert serde.encode_kv(7, obj) == serde_ref.encode_kv(7, obj)
 
 
 class TestApproxSize:
