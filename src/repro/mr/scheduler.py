@@ -26,7 +26,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.mr import counters as C
 from repro.mr import events as E
-from repro.mr import shm
 from repro.mr.config import JobConf
 from repro.mr.counters import Counters
 from repro.mr.events import EventLog, TaskEvent
@@ -288,7 +287,6 @@ def _run_map_attempt(
     split: list[Record],
     fault: FaultSpec | None,
     trace: bool = False,
-    shm_prefix: str | None = None,
 ) -> MapTaskResult:
     _execute_fault(fault, task_id)
     counters = Counters()
@@ -301,15 +299,6 @@ def _run_map_attempt(
             exc, counters.total_cpu_seconds(), tracer.records()
         ) from exc
     result.spans = tracer.records()
-    if shm_prefix is not None:
-        # Shared-memory shuffle plane: publish the finished segments
-        # into one block and return descriptors instead of bytes.  The
-        # publish is transport-only (it copies the already-charged
-        # payload bytes), so counters are untouched; a failed publish
-        # keeps the inline payloads — the automatic pickle-5 fallback.
-        published = shm.publish_segments(shm_prefix, result.segments)
-        if published is not None:
-            result.segments = published
     return result
 
 
@@ -333,11 +322,6 @@ def _run_reduce_attempt(
         raise TaskAttemptFailure(
             exc, counters.total_cpu_seconds(), tracer.records()
         ) from exc
-    finally:
-        # Close this attempt's shared-memory attachments: the decoded
-        # output holds no views, and the worker must not accumulate
-        # mappings across the attempts it hosts.  No-op off the plane.
-        shm.release_attachments()
     result.spans = tracer.records()
     return result
 
@@ -419,8 +403,6 @@ class JobScheduler:
         events: EventLog,
         clock: Callable[[], float],
         fused: bool = False,
-        on_result: Callable[[int, Any], None] | None = None,
-        on_discard: Callable[[Any], None] | None = None,
     ) -> list[Any]:
         """Run one wave of tasks under the full fault-tolerance envelope.
 
@@ -441,10 +423,6 @@ class JobScheduler:
         ``fused`` amortizes dispatch by submitting the attempts that
         become ready in the same tick as one group (the pool executor
         chunks it into a few fused envelopes) instead of one by one.
-        ``on_result`` observes each task's winning result as it is
-        folded; ``on_discard`` observes completed results that are
-        thrown away (a speculative loser finishing after the winner) —
-        the shared-memory arena uses the pair to drive block leases.
         """
         tracer = self._tracer
         total = len(task_ids)
@@ -597,8 +575,6 @@ class JobScheduler:
             lost_race = index in done
             result, error, finished_at = land(att, lost_race)
             if lost_race:
-                if error is None and on_discard is not None:
-                    on_discard(result)
                 return False
             if error is not None:
                 charge_and_reschedule(att, error)
@@ -606,8 +582,6 @@ class JobScheduler:
             done.add(index)
             results[index] = result
             durations.append(finished_at - att.started_at)
-            if on_result is not None:
-                on_result(index, result)
             return False
 
         def kill_siblings(of: _Attempt) -> None:
@@ -772,6 +746,9 @@ class JobScheduler:
         self, job: JobConf, splits: Sequence[Iterable[Record]]
     ) -> "Any":
         """Run ``job`` over ``splits``; returns a JobResult."""
+        # Imported here: engine imports this module (facade → scheduler).
+        from repro.mr.engine import JobResult
+
         max_attempts = (
             self._max_attempts
             if self._max_attempts is not None
@@ -809,13 +786,6 @@ class JobScheduler:
         tracer.sync(clock)
         trace = tracer.enabled
 
-        # The shuffle transport is the executor's: where results cross
-        # a process boundary it hands out an arena, map attempts publish
-        # their segment bytes into its blocks and ship descriptors, the
-        # arena's ref-counted leases unlink each block as its last
-        # consuming reduce task folds, and `close()` (run on *every*
-        # exit path) unlinks stragglers and sweeps the job prefix.
-        arena = self._executor.open_arena()
         # Dispatch amortization, where a submission costs a pickle and
         # a pipe round trip.  Scripted-fault runs keep per-attempt
         # dispatch: a fused chunk dies as a unit when its worker
@@ -824,30 +794,6 @@ class JobScheduler:
         fused = self._executor.requires_pickling and isinstance(
             self._policy, NoFaults
         )
-        try:
-            return self._execute_waves(
-                job, split_lists, policy, events, clock, trace, arena, fused
-            )
-        finally:
-            if arena is not None:
-                arena.close()
-
-    def _execute_waves(
-        self,
-        job: JobConf,
-        split_lists: list[list[Record]],
-        policy: RetryPolicy,
-        events: EventLog,
-        clock: Callable[[], float],
-        trace: bool,
-        arena: "shm.SegmentArena | None",
-        fused: bool,
-    ) -> "Any":
-        # Imported here: engine imports this module (facade → scheduler).
-        from repro.mr.engine import JobResult
-
-        tracer = self._tracer
-        shm_prefix = arena.prefix if arena is not None else None
 
         # Map wave.
         map_ids = [f"map{index}" for index in range(len(split_lists))]
@@ -861,24 +807,11 @@ class JobScheduler:
                 split_lists[index],
                 fault,
                 trace,
-                shm_prefix,
             ),
             policy,
             events,
             clock,
             fused=fused,
-            on_result=(
-                None
-                if arena is None
-                else lambda index, result: arena.adopt_segments(
-                    result.segments
-                )
-            ),
-            on_discard=(
-                None
-                if arena is None
-                else lambda result: arena.discard_segments(result.segments)
-            ),
         )
         map_costs = [
             TaskCost(
@@ -902,10 +835,6 @@ class JobScheduler:
                 ]
                 for partition in range(job.num_reducers)
             ]
-        if arena is not None:
-            # One lease per (block, consuming reduce task): a block is
-            # unlinked the moment its last consumer's result folds.
-            arena.lease_plan(shuffle_plan)
 
         # Reduce wave.  A job fed sized splits is a pipeline's: its
         # reduce tasks hand back the encoding that counts their output,
@@ -934,13 +863,6 @@ class JobScheduler:
             events,
             clock,
             fused=fused,
-            on_result=(
-                None
-                if arena is None
-                else lambda index, result: arena.release_plan_entry(
-                    shuffle_plan[index]
-                )
-            ),
         )
         reduce_costs = [
             TaskCost(
@@ -975,15 +897,7 @@ class JobScheduler:
         totals = metrics.job_counters()
         shuffle_bytes = [r.shuffle_bytes for r in reduce_results]
         record_job_metrics(
-            metrics,
-            events,
-            job.num_reducers,
-            totals,
-            shuffle_bytes,
-            # Close before recording so the stats include the final
-            # sweep; `close()` is idempotent — the scheduler's finally
-            # (and any error path) still runs it.
-            arena_stats=arena.close() if arena is not None else None,
+            metrics, events, job.num_reducers, totals, shuffle_bytes
         )
 
         return JobResult(

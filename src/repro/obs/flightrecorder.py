@@ -44,11 +44,6 @@ SCHEMA_VERSION = 1
 #: Gauge-name prefix of the scheduler's derived-analytics pass.
 DERIVED_PREFIX = "mr.derived."
 
-#: Gauge-name prefix of the shared-memory shuffle plane's stats; like
-#: the derived pass these are observational (never in the counter
-#: receipt) but belong in the per-job entry rows for `runs diff`.
-SHM_PREFIX = "mr.shm."
-
 #: Minted once per process and written into every manifest beside
 #: ``pid``: two incarnations of a containerised server are both pid 1,
 #: and only this tells the second one that the first one's ``running``
@@ -183,7 +178,7 @@ class FlightRecorder:
         derived = {
             gauge: value
             for gauge, value in result.metrics.gauge_values().items()
-            if gauge.startswith((DERIVED_PREFIX, SHM_PREFIX))
+            if gauge.startswith(DERIVED_PREFIX)
         }
         self._store.append_row(
             self._run_id,

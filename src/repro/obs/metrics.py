@@ -290,20 +290,16 @@ def record_job_metrics(
     num_reducers: int,
     totals: Counters,
     shuffle_bytes: Sequence[int],
-    arena_stats: Any = None,
 ) -> None:
     """Everything a finished job's registry holds beyond the counter
-    ledger: the per-wave attempt metrics, the ``mr.derived.*`` gauges
-    and — when the shuffle went through shared memory — the
-    ``mr.shm.*`` gauges of its :class:`~repro.mr.shm.ArenaStats`.
+    ledger: the per-wave attempt metrics and the ``mr.derived.*``
+    gauges.
 
     A pure function of the finished :class:`EventLog`, the job totals
     and the per-reducer shuffle bytes, called once by the scheduler.
     """
     _record_wave_metrics(metrics, events, num_reducers)
     _record_derived_metrics(metrics, events, totals, shuffle_bytes)
-    if arena_stats is not None:
-        _record_shm_metrics(metrics, arena_stats)
 
 
 def _quantile(ordered: Sequence[float], q: float) -> float:
@@ -427,41 +423,6 @@ def _record_derived_metrics(
             "Records the anti-combining "
             f"{decision} decision fired for",
         ).set(totals.get(counter_name))
-
-
-def _record_shm_metrics(metrics: MetricsRegistry, stats: Any) -> None:
-    """The ``mr.shm.*`` gauges: what the shuffle plane carried.
-
-    Observational only — like the ``mr.derived.*`` pass, nothing
-    here enters the job-counter ledger, so the plane's metrics can
-    never perturb the counter-determinism contract (the receipts'
-    ``counters.json`` stays bit-identical shm-on vs shm-off).
-    """
-    for name, help_text, value in (
-        ("mr.shm.blocks", "Shared-memory blocks published", stats.blocks),
-        ("mr.shm.bytes", "Shuffle bytes carried in shared memory", stats.bytes),
-        (
-            "mr.shm.leases.granted",
-            "Block leases granted to reduce tasks",
-            stats.leases_granted,
-        ),
-        (
-            "mr.shm.leases.released",
-            "Block leases released by folded reduce tasks",
-            stats.leases_released,
-        ),
-        (
-            "mr.shm.fallbacks",
-            "Map tasks that fell back to the inline pickle path",
-            stats.fallbacks,
-        ),
-        (
-            "mr.shm.swept",
-            "Blocks removed by the end-of-job sweep",
-            stats.swept,
-        ),
-    ):
-        metrics.gauge(name, help_text).set(float(value))
 
 
 def _fmt(value: float) -> str:

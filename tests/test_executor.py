@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 
+from repro.datagen.qlog import generate_query_log
+from repro.mr.cost import FixedCostMeter
+from repro.mr.engine import LocalJobRunner
 from repro.mr.executor import (
     EXECUTOR_NAMES,
     JOBS_ENV_VAR,
@@ -11,6 +20,7 @@ from repro.mr.executor import (
     ParallelExecutor,
     SerialExecutor,
     UnpicklableJobError,
+    WorkerCrashError,
     check_picklable,
     clear_default_executor,
     configure_from_env,
@@ -19,6 +29,9 @@ from repro.mr.executor import (
     set_default_executor,
     set_default_jobs,
 )
+from repro.mr.scheduler import ScriptedFaults, TaskFailedError
+from repro.mr.split import split_records
+from repro.workloads.query_suggestion import query_suggestion_job
 
 
 @pytest.fixture(autouse=True)
@@ -189,3 +202,247 @@ class TestJobConfKnobs:
             wordcount_job(executor="process", max_workers=0)
         with pytest.raises(ValueError, match="max_task_attempts"):
             wordcount_job(max_task_attempts=0)
+
+
+# -- pool lifecycle ---------------------------------------------------------
+#
+# Map output crosses the pool inside the pickle-5 envelope of the task
+# results, so what a pool run must release on every exit path is its
+# worker processes.  Each test compares the job's outcome with a serial
+# run and checks that no worker outlives ``close()``.
+
+
+def _job_and_splits(**knobs):
+    records = generate_query_log(150, seed=7)
+    job = query_suggestion_job(
+        num_reducers=2,
+        sort_buffer_bytes=4096,
+        cost_meter=FixedCostMeter(),
+        **knobs,
+    )
+    return job, split_records(records, num_splits=4)
+
+
+def _outcome(executor, job, splits, faults=None):
+    """``(summary, result)`` of one run: the summary is the sorted
+    output and counters, or what the run raised; ``result`` is the
+    ``JobResult`` (``None`` when the run raised)."""
+    policy = None if faults is None else ScriptedFaults(faults=faults)
+    runner = LocalJobRunner(executor=executor, fault_policy=policy)
+    try:
+        result = runner.run(job, splits)
+    except TaskFailedError as exc:
+        summary = ("failed", exc.task_id, exc.attempts, repr(exc.cause))
+        return summary, None
+    except Exception as exc:
+        return ("raised", repr(exc)), None
+    summary = ("ok", result.sorted_output(), result.counters.as_dict())
+    return summary, result
+
+
+def _pool_outcome(job, splits, faults=None, workers=2):
+    """Run on a job-owned pool; assert every worker died with it."""
+    before = set(multiprocessing.active_children())
+    with ParallelExecutor(max_workers=workers) as pool:
+        summary, result = _outcome(pool, job, splits, faults)
+    assert set(multiprocessing.active_children()) <= before
+    return summary, result
+
+
+class TestPoolLifecycle:
+    def test_success_matches_serial(self) -> None:
+        job, splits = _job_and_splits()
+        pooled, _ = _pool_outcome(job, splits)
+        assert pooled[0] == "ok"
+        assert pooled == _outcome(SerialExecutor(), job, splits)[0]
+
+    def test_task_failure_matches_serial(self) -> None:
+        job, splits = _job_and_splits(max_task_attempts=1)
+        faults = {"reduce0": ["fail"]}
+        pooled, _ = _pool_outcome(job, splits, faults)
+        assert pooled[0] == "raised"
+        assert pooled == _outcome(SerialExecutor(), job, splits, faults)[0]
+
+    def test_exhausted_retries_match_serial(self) -> None:
+        job, splits = _job_and_splits(max_task_attempts=2)
+        faults = {"reduce1": ["fail", "fail"]}
+        pooled, _ = _pool_outcome(job, splits, faults)
+        assert pooled[:3] == ("failed", "reduce1", 2)
+        assert pooled == _outcome(SerialExecutor(), job, splits, faults)[0]
+
+    def test_worker_crash_rebuild_matches_serial(self) -> None:
+        job, splits = _job_and_splits(max_task_attempts=2)
+        pooled, result = _pool_outcome(job, splits, {"map0": ["crash"]})
+        assert result is not None and result.events.worker_crashes()
+        assert pooled == _outcome(SerialExecutor(), job, splits)[0]
+
+    def test_reduce_timeout_matches_serial(self) -> None:
+        job, splits = _job_and_splits(
+            max_task_attempts=2, task_timeout_seconds=0.3
+        )
+        pooled, result = _pool_outcome(
+            job, splits, {"reduce0": [("hang", 1.5)]}
+        )
+        assert result is not None and result.events.timeouts()
+        assert pooled == _outcome(SerialExecutor(), job, splits)[0]
+
+    def test_hung_map_attempt_outlives_its_job(self) -> None:
+        """A map attempt abandoned by the task timeout keeps running on
+        a caller-owned pool after its job has returned.  Its result is
+        never folded — neither into its own job nor into the next job
+        on the same pool — and ``close()`` stops the hung worker
+        promptly instead of waiting the hang out."""
+        job, splits = _job_and_splits(
+            max_task_attempts=3, task_timeout_seconds=0.3
+        )
+        serial, _ = _outcome(SerialExecutor(), job, splits)
+        before = set(multiprocessing.active_children())
+        pool = ParallelExecutor(3)
+        try:
+            first, result = _outcome(
+                pool, job, splits, {"map0": [("hang", 60.0)]}
+            )
+            assert result is not None
+            assert "map0" in {e.task_id for e in result.events.timeouts()}
+            finishes = [
+                e.attempt
+                for e in result.events.for_task("map0")
+                if e.event == "finish"
+            ]
+            assert len(finishes) == 1 and finishes[0] > 1
+            second, _ = _outcome(pool, job, splits)
+        finally:
+            started = time.monotonic()
+            pool.close()
+            closed_in = time.monotonic() - started
+        assert closed_in < 5.0
+        assert set(multiprocessing.active_children()) <= before
+        assert first == serial
+        assert second == serial
+
+
+def test_no_resource_tracker_warnings() -> None:
+    """A pool run under ``-W error::ResourceWarning`` exits cleanly,
+    with no ResourceWarning and no resource-tracker chatter on stderr."""
+    code = (
+        "from repro.datagen.qlog import generate_query_log\n"
+        "from repro.mr.split import split_records\n"
+        "from repro.mr.engine import LocalJobRunner\n"
+        "from repro.mr.executor import ParallelExecutor\n"
+        "from repro.workloads.query_suggestion import query_suggestion_job\n"
+        "records = generate_query_log(120, seed=3)\n"
+        "splits = split_records(records, num_splits=4)\n"
+        "job = query_suggestion_job(num_reducers=2)\n"
+        "with ParallelExecutor(max_workers=2) as pool:\n"
+        "    LocalJobRunner(executor=pool).run(job, splits)\n"
+        "print('done')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "done" in proc.stdout
+    assert "resource_tracker" not in proc.stderr, proc.stderr
+    assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+
+# -- fused dispatch ---------------------------------------------------------
+
+
+_MARKER_VALUE = 17
+
+
+def _fused_square(value: int) -> int:
+    return value * value
+
+
+def _fused_maybe_fail(value: int) -> int:
+    if value == _MARKER_VALUE:
+        raise ValueError("scripted task failure")
+    return value + 1
+
+
+def _crash_unless_marker(marker: str, sibling: str, value: int) -> int:
+    """Crash the hosting worker once per marker file, then run clean.
+
+    A dying worker breaks the pool, which kills the other workers
+    wherever they are — so before dying, wait (bounded) for the
+    ``sibling`` marker: both crashes then happen for certain, whichever
+    worker the pool notices first.
+    """
+    if not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(sibling) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        os._exit(13)
+    return value * 10
+
+
+class TestFusedDispatch:
+    def test_results_in_submission_order(self) -> None:
+        with ParallelExecutor(max_workers=2) as pool:
+            futures = pool.submit_many(
+                _fused_square, [(i,) for i in range(7)]
+            )
+            assert [f.result() for f in futures] == [
+                i * i for i in range(7)
+            ]
+
+    def test_task_failure_stays_in_its_slice(self) -> None:
+        with ParallelExecutor(max_workers=1) as pool:
+            # One worker → one fused chunk: the failure must not
+            # poison its chunk-mates.
+            futures = pool.submit_many(
+                _fused_maybe_fail, [(1,), (_MARKER_VALUE,), (3,)]
+            )
+            assert futures[0].result() == 2
+            with pytest.raises(ValueError):
+                futures[1].result()
+            assert futures[2].result() == 4
+
+    def test_slice_cancel_always_fails(self) -> None:
+        with ParallelExecutor(max_workers=1) as pool:
+            futures = pool.submit_many(_fused_square, [(1,), (2,)])
+            assert futures[0].cancel() is False
+            [f.result() for f in futures]
+
+    def test_chunk_crash_surfaces_worker_crash_and_rebuilds(
+        self, tmp_path
+    ) -> None:
+        with ParallelExecutor(max_workers=2) as pool:
+            markers = [str(tmp_path / "a"), str(tmp_path / "b")]
+            # Two chunks of two; each chunk's first task kills its
+            # worker, losing the chunk-mate with it.
+            argsets = [
+                (markers[0], markers[1], 0),
+                (markers[0], markers[1], 1),
+                (markers[1], markers[0], 2),
+                (markers[1], markers[0], 3),
+            ]
+            futures = pool.submit_many(_crash_unless_marker, argsets)
+            crashed = 0
+            for future in futures:
+                try:
+                    future.result()
+                except WorkerCrashError:
+                    crashed += 1
+            assert crashed == len(futures)
+            assert pool.rebuild()
+            retry = pool.submit_many(_crash_unless_marker, argsets)
+            assert [f.result() for f in retry] == [0, 10, 20, 30]
+
+    def test_serial_submit_many_matches_submit(self) -> None:
+        pool = SerialExecutor()
+        futures = pool.submit_many(_fused_square, [(2,), (3,)])
+        assert [f.result() for f in futures] == [4, 9]
