@@ -17,14 +17,21 @@ Implementation notes (DESIGN.md §8):
 * The encoder streams into one caller-supplied ``bytearray``
   (:func:`encode_into` / :func:`encode_kv_into`), so hot paths reuse a
   single buffer instead of concatenating per-value ``bytes`` objects.
-  Type dispatch is a ``dict`` keyed on ``type(obj)`` with an
-  ``isinstance`` fallback for subclasses, replacing the type-check
-  ladder; varints for the common short lengths are emitted inline.
+  Type dispatch is a ``dict`` keyed on ``type(obj)``; a subclass walks
+  the same ``dict`` in order with ``isinstance``.  Varints for the
+  common short lengths are emitted inline.
 * The decoder walks the buffer with integer offsets
   (:func:`decode_from`) and dispatches on the tag byte through a
   256-entry table; it slices only where a payload must be materialised
   (strings, bytes, bigints) and accepts a ``memoryview`` so segment
   scans never copy per record.
+* Tuples, lists and multi-field extensions share one element loop per
+  direction (:func:`_items_encoder`, :func:`_items_decoder`), which
+  handles ``str``/``int``/``float`` elements inline.  The two
+  per-record entry points, :func:`encode_kv_into` and
+  :func:`decode_stream`, carry the same scalar chain for the record's
+  key and value; one-field extensions (the PLAIN record) have a
+  loop-free codec of their own.
 * The byte format is frozen: every function here produces/consumes
   exactly the same bytes as the straightforward reference
   implementation in ``tests/serde_ref.py``, which the property tests
@@ -34,6 +41,7 @@ Implementation notes (DESIGN.md §8):
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import Any, Callable
 
 # Type tags (one byte each).
@@ -173,12 +181,17 @@ def _enc_bytes(out: bytearray, obj: Any) -> None:
     out += obj
 
 
-# The container encoders inline the scalar cases (str, int, float) in
-# their element loops: a `type(item) is ...` chain costs a pointer
-# compare, while even a table hit costs a dict lookup plus a Python
-# function call per element.  The inline bodies are byte-for-byte the
-# same as _enc_str/_enc_int/_enc_float; keep the copies (tuple, list,
-# extension, one-field extension, encode_kv_into) in sync.
+# -- the element loops -----------------------------------------------------
+#
+# Every container whose elements follow its header back to back — tuple,
+# list, and each multi-field extension — is encoded by one closure that
+# _items_encoder returns and decoded by one that _items_decoder returns.
+# The closure *is* the container codec, so sharing the loop adds no
+# Python call per element or per container.  Its loop encodes the
+# scalar cases (str, int, float) inline: a `type(item) is ...` chain
+# costs a pointer compare, while even a table hit costs a dict lookup
+# plus a Python function call per element.  Everything else dispatches
+# through the type table.
 #
 # One bulk case sits in front of the list and tuple loops: at least
 # three elements, every one an exact `int` in [_SMALL_INT_LO,
@@ -216,192 +229,37 @@ def _small_int_run(obj: Any) -> bytes | None:
     return None
 
 
-def _enc_tuple(out: bytearray, obj: Any) -> None:
-    out.append(_TAG_TUPLE)
-    length = len(obj)
-    run = (
-        _small_int_run(obj) if length > 2 and type(obj[0]) is int else None
-    )
-    while length > 0x7F:
-        out.append(length & 0x7F | 0x80)
-        length >>= 7
-    out.append(length)
-    if run is not None:
-        out += run
-        return
-    append = out.append
-    get = _ENCODERS.get
-    for item in obj:
-        kind = type(item)
-        if kind is str:
-            raw = item.encode("utf-8")
-            append(0x05)  # _TAG_STR
-            size = len(raw)
-            while size > 0x7F:
-                append(size & 0x7F | 0x80)
-                size >>= 7
-            append(size)
-            out += raw
-        elif kind is int:
-            if _INT_LO <= item < _INT_HI:
-                append(0x03)  # _TAG_INT
-                value = (item << 1) ^ (item >> 63)
-                while value > 0x7F:
-                    append(value & 0x7F | 0x80)
-                    value >>= 7
-                append(value)
-            else:
-                _enc_int(out, item)
-        elif kind is float:
-            append(0x04)  # _TAG_FLOAT
-            out += _FLOAT_PACK(item)
-        else:
-            encoder = get(kind)
-            if encoder is not None:
-                encoder(out, item)
-            else:
-                _encode_fallback(out, item)
-
-
-def _enc_list(out: bytearray, obj: Any) -> None:
-    out.append(_TAG_LIST)
-    length = len(obj)
-    run = (
-        _small_int_run(obj) if length > 2 and type(obj[0]) is int else None
-    )
-    while length > 0x7F:
-        out.append(length & 0x7F | 0x80)
-        length >>= 7
-    out.append(length)
-    if run is not None:
-        out += run
-        return
-    append = out.append
-    get = _ENCODERS.get
-    for item in obj:
-        kind = type(item)
-        if kind is str:
-            raw = item.encode("utf-8")
-            append(0x05)  # _TAG_STR
-            size = len(raw)
-            while size > 0x7F:
-                append(size & 0x7F | 0x80)
-                size >>= 7
-            append(size)
-            out += raw
-        elif kind is int:
-            if _INT_LO <= item < _INT_HI:
-                append(0x03)  # _TAG_INT
-                value = (item << 1) ^ (item >> 63)
-                while value > 0x7F:
-                    append(value & 0x7F | 0x80)
-                    value >>= 7
-                append(value)
-            else:
-                _enc_int(out, item)
-        elif kind is float:
-            append(0x04)  # _TAG_FLOAT
-            out += _FLOAT_PACK(item)
-        else:
-            encoder = get(kind)
-            if encoder is not None:
-                encoder(out, item)
-            else:
-                _encode_fallback(out, item)
-
-
-def _enc_dict(out: bytearray, obj: Any) -> None:
-    out.append(_TAG_DICT)
-    write_varint(out, len(obj))
-    get = _ENCODERS.get
-    for key, value in obj.items():
-        encoder = get(type(key))
-        if encoder is not None:
-            encoder(out, key)
-        else:
-            _encode_fallback(out, key)
-        encoder = get(type(value))
-        if encoder is not None:
-            encoder(out, value)
-        else:
-            _encode_fallback(out, value)
-
-
-def _enc_frozenset(out: bytearray, obj: Any) -> None:
-    out.append(_TAG_FROZENSET)
-    # Canonical element order: sorted by serialised representation.
-    items = sorted(obj, key=encode)
-    write_varint(out, len(items))
-    get = _ENCODERS.get
-    for item in items:
-        encoder = get(type(item))
-        if encoder is not None:
-            encoder(out, item)
-        else:
-            _encode_fallback(out, item)
-
-
-_ENCODERS: dict[type, Callable[[bytearray, Any], None]] = {
-    type(None): _enc_none,
-    bool: _enc_bool,
-    int: _enc_int,
-    float: _enc_float,
-    str: _enc_str,
-    bytes: _enc_bytes,
-    tuple: _enc_tuple,
-    list: _enc_list,
-    dict: _enc_dict,
-    frozenset: _enc_frozenset,
-}
-
-
-def _encode_fallback(out: bytearray, obj: Any) -> None:
-    """Exact-type dispatch missed: subclasses and unsupported types.
-
-    Mirrors the reference implementation's type-check ladder so
-    subclasses (IntEnum, NamedTuples that are not registered
-    extensions, ...) serialise exactly as before.
-    """
-    if obj is None:
-        _enc_none(out, obj)
-    elif isinstance(obj, bool):
-        _enc_bool(out, obj)
-    elif isinstance(obj, int):
-        _enc_int(out, obj)
-    elif isinstance(obj, float):
-        _enc_float(out, obj)
-    elif isinstance(obj, str):
-        _enc_str(out, obj)
-    elif isinstance(obj, bytes):
-        _enc_bytes(out, obj)
-    elif isinstance(obj, tuple):
-        _enc_tuple(out, obj)
-    elif isinstance(obj, list):
-        _enc_list(out, obj)
-    elif isinstance(obj, dict):
-        _enc_dict(out, obj)
-    elif isinstance(obj, frozenset):
-        _enc_frozenset(out, obj)
-    else:
-        raise SerdeError(f"unsupported type: {type(obj).__name__}")
-
-
-def encode_into(out: bytearray, obj: Any) -> None:
-    """Append the serialisation of one object to ``out`` (streaming)."""
-    encoder = _ENCODERS.get(type(obj))
-    if encoder is not None:
-        encoder(out, obj)
-    else:
-        _encode_fallback(out, obj)
-
-
-def _make_ext_encoder(ext_id: int) -> Callable[[bytearray, Any], None]:
-    tag = _TAG_EXT_BASE | ext_id
+def _items_encoder(
+    head: int, counted: bool
+) -> Callable[[bytearray, Any], None]:
+    """The encoder of a container written as the tag byte ``head`` and
+    its elements: a tuple or list when ``counted`` (a varint element
+    count follows the tag, and the small-int bulk path applies), a
+    multi-field extension otherwise (the class fixes the arity)."""
+    # The tag and a one-byte count go out as one of these.
+    heads = [bytes((head, n)) for n in range(0x80)] if counted else []
 
     def enc(out: bytearray, obj: Any) -> None:
-        out.append(tag)
-        # Same inline scalar chain as _enc_tuple: extension values are
-        # the per-record encodings on the hottest paths.
+        if counted:
+            length = len(obj)
+            run = (
+                _small_int_run(obj)
+                if length > 2 and type(obj[0]) is int
+                else None
+            )
+            if length < 0x80:
+                out += heads[length]
+            else:
+                out.append(head)
+                while length > 0x7F:
+                    out.append(length & 0x7F | 0x80)
+                    length >>= 7
+                out.append(length)
+            if run is not None:
+                out += run
+                return
+        else:
+            out.append(head)
         append = out.append
         get = _ENCODERS.get
         for item in obj:
@@ -429,13 +287,66 @@ def _make_ext_encoder(ext_id: int) -> Callable[[bytearray, Any], None]:
                 append(0x04)  # _TAG_FLOAT
                 out += _FLOAT_PACK(item)
             else:
-                encoder = get(kind)
-                if encoder is not None:
-                    encoder(out, item)
-                else:
-                    _encode_fallback(out, item)
+                get(kind, _encode_fallback)(out, item)
 
     return enc
+
+
+_enc_tuple = _items_encoder(_TAG_TUPLE, True)
+_enc_list = _items_encoder(_TAG_LIST, True)
+
+
+def _enc_dict(out: bytearray, obj: Any) -> None:
+    out.append(_TAG_DICT)
+    write_varint(out, len(obj))
+    get = _ENCODERS.get
+    for key, value in obj.items():
+        get(type(key), _encode_fallback)(out, key)
+        get(type(value), _encode_fallback)(out, value)
+
+
+def _enc_frozenset(out: bytearray, obj: Any) -> None:
+    out.append(_TAG_FROZENSET)
+    # Canonical element order: sorted by serialised representation.
+    items = sorted(obj, key=encode)
+    write_varint(out, len(items))
+    get = _ENCODERS.get
+    for item in items:
+        get(type(item), _encode_fallback)(out, item)
+
+
+#: Exact type -> encoder.  The insertion order is also the order
+#: :func:`_encode_fallback` tries base types in; registered extension
+#: classes are appended after ``tuple``.
+_ENCODERS: dict[type, Callable[[bytearray, Any], None]] = {
+    type(None): _enc_none,
+    bool: _enc_bool,
+    int: _enc_int,
+    float: _enc_float,
+    str: _enc_str,
+    bytes: _enc_bytes,
+    tuple: _enc_tuple,
+    list: _enc_list,
+    dict: _enc_dict,
+    frozenset: _enc_frozenset,
+}
+
+
+def _encode_fallback(out: bytearray, obj: Any) -> None:
+    """Exact-type dispatch missed: a subclass (IntEnum, a NamedTuple
+    that is not a registered extension, ...) encodes as the first base
+    type it is an instance of — ``bool`` before ``int``, ``tuple``
+    before any extension class, as the reference encoder has it."""
+    for base, encoder in _ENCODERS.items():
+        if isinstance(obj, base):
+            encoder(out, obj)
+            return
+    raise SerdeError(f"unsupported type: {type(obj).__name__}")
+
+
+def encode_into(out: bytearray, obj: Any) -> None:
+    """Append the serialisation of one object to ``out`` (streaming)."""
+    _ENCODERS.get(type(obj), _encode_fallback)(out, obj)
 
 
 def _make_ext1_encoder(ext_id: int) -> Callable[[bytearray, Any], None]:
@@ -584,122 +495,89 @@ def _dec_bytes(data: Any, offset: int) -> tuple[Any, int]:
     return bytes(data[offset:end]), end
 
 
-# The hot container decoders inline the scalar tags in their element
-# loops for the same reason the encoders do: the per-element dispatch
-# (table index + Python call) costs more than decoding a small int or
-# short string.  The inline bodies match _dec_int/_dec_str/_dec_float
-# exactly; keep the copies (tuple, list, extension, one-field
-# extension, decode_stream) in sync.
+def _items_decoder(
+    build: Callable[[list], Any] | None, arity: int | None = None
+) -> Callable[[Any, int], tuple[Any, int]]:
+    """The decoder of what :func:`_items_encoder` writes: ``arity``
+    elements, or a varint element count first when ``arity`` is None.
+    ``build`` turns the element list into the value; with None the
+    list is the value."""
 
-
-def _dec_tuple(data: Any, offset: int) -> tuple[Any, int]:
-    length, offset = _read_len(data, offset)
-    items = []
-    append = items.append
-    decoders = _DECODERS
-    size = len(data)
-    unpack = _FLOAT_UNPACK_FROM
-    for _ in range(length):
-        tag = data[offset]
-        offset += 1
-        if tag == 0x03:  # _TAG_INT
-            byte = data[offset]
+    def dec(data: Any, offset: int) -> tuple[Any, int]:
+        if arity is None:
+            length = data[offset]
             offset += 1
-            if byte < 0x80:
-                item = (byte >> 1) ^ -(byte & 1)
-            else:
-                acc = byte & 0x7F
+            if length > 0x7F:
+                length &= 0x7F
                 shift = 7
                 while True:
                     byte = data[offset]
                     offset += 1
-                    acc |= (byte & 0x7F) << shift
+                    length |= (byte & 0x7F) << shift
                     if not byte & 0x80:
-                        item = (acc >> 1) ^ -(acc & 1)
                         break
                     shift += 7
                     if shift > 70:
                         raise SerdeError("varint too long")
-        elif tag == 0x05:  # _TAG_STR
-            n = data[offset]
-            offset += 1
-            if n > 0x7F:
-                n, offset = _read_len_cont(data, offset, n & 0x7F)
-            end = offset + n
-            if end > size:
-                raise SerdeError("truncated string")
-            try:
-                item = str(data[offset:end], "utf-8")
-            except UnicodeDecodeError:
-                raise SerdeError("invalid utf-8 in string payload") from None
-            offset = end
-        elif tag == 0x04:  # _TAG_FLOAT
-            end = offset + 8
-            if end > size:
-                raise SerdeError("truncated float")
-            item = unpack(data, offset)[0]
-            offset = end
-        elif tag <= 0x02:  # _TAG_NONE / _TAG_FALSE / _TAG_TRUE
-            item = _SMALL_VALUES[tag]
         else:
-            item, offset = decoders[tag](data, offset)
-        append(item)
-    return tuple(items), offset
-
-
-def _dec_list(data: Any, offset: int) -> tuple[Any, int]:
-    length, offset = _read_len(data, offset)
-    items = []
-    append = items.append
-    decoders = _DECODERS
-    size = len(data)
-    unpack = _FLOAT_UNPACK_FROM
-    for _ in range(length):
-        tag = data[offset]
-        offset += 1
-        if tag == 0x03:  # _TAG_INT
-            byte = data[offset]
+            length = arity
+        items = []
+        append = items.append
+        size = len(data)
+        for _ in range(length):
+            tag = data[offset]
             offset += 1
-            if byte < 0x80:
-                item = (byte >> 1) ^ -(byte & 1)
+            if tag == 0x03:  # _TAG_INT
+                byte = data[offset]
+                offset += 1
+                if byte < 0x80:
+                    item = (byte >> 1) ^ -(byte & 1)
+                else:
+                    acc = byte & 0x7F
+                    shift = 7
+                    while True:
+                        byte = data[offset]
+                        offset += 1
+                        acc |= (byte & 0x7F) << shift
+                        if not byte & 0x80:
+                            item = (acc >> 1) ^ -(acc & 1)
+                            break
+                        shift += 7
+                        if shift > 70:
+                            raise SerdeError("varint too long")
+            elif tag == 0x05:  # _TAG_STR
+                n = data[offset]
+                offset += 1
+                if n > 0x7F:
+                    n, offset = _read_len_cont(data, offset, n & 0x7F)
+                end = offset + n
+                if end > size:
+                    raise SerdeError("truncated string")
+                try:
+                    item = str(data[offset:end], "utf-8")
+                except UnicodeDecodeError:
+                    raise SerdeError(
+                        "invalid utf-8 in string payload"
+                    ) from None
+                offset = end
+            elif tag == 0x04:  # _TAG_FLOAT
+                end = offset + 8
+                if end > size:
+                    raise SerdeError("truncated float")
+                item = _FLOAT_UNPACK_FROM(data, offset)[0]
+                offset = end
+            elif tag <= 0x02:  # _TAG_NONE / _TAG_FALSE / _TAG_TRUE
+                item = _SMALL_VALUES[tag]
             else:
-                acc = byte & 0x7F
-                shift = 7
-                while True:
-                    byte = data[offset]
-                    offset += 1
-                    acc |= (byte & 0x7F) << shift
-                    if not byte & 0x80:
-                        item = (acc >> 1) ^ -(acc & 1)
-                        break
-                    shift += 7
-                    if shift > 70:
-                        raise SerdeError("varint too long")
-        elif tag == 0x05:  # _TAG_STR
-            n = data[offset]
-            offset += 1
-            if n > 0x7F:
-                n, offset = _read_len_cont(data, offset, n & 0x7F)
-            end = offset + n
-            if end > size:
-                raise SerdeError("truncated string")
-            try:
-                item = str(data[offset:end], "utf-8")
-            except UnicodeDecodeError:
-                raise SerdeError("invalid utf-8 in string payload") from None
-            offset = end
-        elif tag == 0x04:  # _TAG_FLOAT
-            end = offset + 8
-            if end > size:
-                raise SerdeError("truncated float")
-            item = unpack(data, offset)[0]
-            offset = end
-        elif tag <= 0x02:  # _TAG_NONE / _TAG_FALSE / _TAG_TRUE
-            item = _SMALL_VALUES[tag]
-        else:
-            item, offset = decoders[tag](data, offset)
-        append(item)
-    return items, offset
+                item, offset = _DECODERS[tag](data, offset)
+            append(item)
+        return (items if build is None else build(items)), offset
+
+    return dec
+
+
+_dec_tuple = _items_decoder(tuple)
+_dec_list = _items_decoder(None)
 
 
 def _dec_frozenset(data: Any, offset: int) -> tuple[Any, int]:
@@ -745,72 +623,6 @@ def _dec_unregistered_ext(
 ) -> Callable[[Any, int], tuple[Any, int]]:
     def dec(data: Any, offset: int) -> tuple[Any, int]:
         raise SerdeError(f"unregistered extension id {ext_id}")
-
-    return dec
-
-
-def _make_ext_decoder(
-    extension: _Extension,
-) -> Callable[[Any, int], tuple[Any, int]]:
-    cls = extension.cls
-    arity = extension.arity
-
-    def dec(data: Any, offset: int) -> tuple[Any, int]:
-        # Same inline scalar chain as _dec_tuple: extension values are
-        # the per-record decodings on the hottest paths.
-        items = []
-        append = items.append
-        decoders = _DECODERS
-        size = len(data)
-        unpack = _FLOAT_UNPACK_FROM
-        for _ in range(arity):
-            tag = data[offset]
-            offset += 1
-            if tag == 0x03:  # _TAG_INT
-                byte = data[offset]
-                offset += 1
-                if byte < 0x80:
-                    item = (byte >> 1) ^ -(byte & 1)
-                else:
-                    acc = byte & 0x7F
-                    shift = 7
-                    while True:
-                        byte = data[offset]
-                        offset += 1
-                        acc |= (byte & 0x7F) << shift
-                        if not byte & 0x80:
-                            item = (acc >> 1) ^ -(acc & 1)
-                            break
-                        shift += 7
-                        if shift > 70:
-                            raise SerdeError("varint too long")
-            elif tag == 0x05:  # _TAG_STR
-                n = data[offset]
-                offset += 1
-                if n > 0x7F:
-                    n, offset = _read_len_cont(data, offset, n & 0x7F)
-                end = offset + n
-                if end > size:
-                    raise SerdeError("truncated string")
-                try:
-                    item = str(data[offset:end], "utf-8")
-                except UnicodeDecodeError:
-                    raise SerdeError(
-                        "invalid utf-8 in string payload"
-                    ) from None
-                offset = end
-            elif tag == 0x04:  # _TAG_FLOAT
-                end = offset + 8
-                if end > size:
-                    raise SerdeError("truncated float")
-                item = unpack(data, offset)[0]
-                offset = end
-            elif tag <= 0x02:  # _TAG_NONE / _TAG_FALSE / _TAG_TRUE
-                item = _SMALL_VALUES[tag]
-            else:
-                item, offset = decoders[tag](data, offset)
-            append(item)
-        return cls(*items), offset
 
     return dec
 
@@ -881,7 +693,9 @@ def register_extension(ext_id: int, cls: type) -> None:
     Extension values serialise as one tag byte followed by their fields
     — no length prefix, since the arity is fixed by the class.  This is
     how the Anti-Combining encodings achieve the paper's "a few bits"
-    of per-record overhead (see :mod:`repro.core.encoding`).
+    of per-record overhead (see :mod:`repro.core.encoding`).  A
+    one-field class gets the loop-free codec above; any other arity
+    gets the element loops, building the value as the tuple it is.
 
     Registration is idempotent for the same ``(ext_id, cls)`` pair.
     """
@@ -898,12 +712,15 @@ def register_extension(ext_id: int, cls: type) -> None:
     extension = _Extension(ext_id, cls, len(fields))
     _EXTENSIONS[ext_id] = extension
     _EXTENSION_BY_CLS[cls] = extension
+    tag = _TAG_EXT_BASE | ext_id
     if len(fields) == 1:
         _ENCODERS[cls] = _make_ext1_encoder(ext_id)
-        _DECODERS[_TAG_EXT_BASE | ext_id] = _make_ext1_decoder(cls)
+        _DECODERS[tag] = _make_ext1_decoder(cls)
     else:
-        _ENCODERS[cls] = _make_ext_encoder(ext_id)
-        _DECODERS[_TAG_EXT_BASE | ext_id] = _make_ext_decoder(extension)
+        _ENCODERS[cls] = _items_encoder(tag, False)
+        _DECODERS[tag] = _items_decoder(
+            partial(tuple.__new__, cls), len(fields)
+        )
     _APPROX_SIZERS[cls] = _approx_ext
 
 
@@ -927,11 +744,7 @@ def decode_from(data: Any, offset: int = 0) -> tuple[Any, int]:
 def encode(obj: Any) -> bytes:
     """Serialise one object to its binary representation."""
     out = bytearray()
-    encoder = _ENCODERS.get(type(obj))
-    if encoder is not None:
-        encoder(out, obj)
-    else:
-        _encode_fallback(out, obj)
+    _ENCODERS.get(type(obj), _encode_fallback)(out, obj)
     return bytes(out)
 
 
@@ -954,7 +767,8 @@ def encode_kv_into(out: bytearray, key: Any, value: Any) -> int:
     """Append a key/value record to ``out``; return its size in bytes.
 
     This is the per-record entry point of the map-side collect path, so
-    the scalar cases are inlined exactly as in the container encoders.
+    the key and value take the element loop's inline scalar chain
+    rather than a call each.
     """
     before = len(out)
     append = out.append
@@ -984,11 +798,7 @@ def encode_kv_into(out: bytearray, key: Any, value: Any) -> int:
             append(0x04)  # _TAG_FLOAT
             out += _FLOAT_PACK(item)
         else:
-            encoder = get(kind)
-            if encoder is not None:
-                encoder(out, item)
-            else:
-                _encode_fallback(out, item)
+            get(kind, _encode_fallback)(out, item)
     return len(out) - before
 
 
@@ -1054,11 +864,16 @@ def encode_kv_batch(out: bytearray, pairs: Any) -> list[int]:
             # experiments over one log), and the hit path is a dict
             # lookup + one buffer extend instead of two utf-8 encodes
             # and eight appends.  Equal pairs encode identically, so
-            # the bytes are exactly the inline encode's.
+            # the bytes are exactly the inline encode's.  A record
+            # given as a list is memoised as the tuple of its items.
             memo_get = _KV_PAIR_MEMO.get
             for index in range(i, j):
                 pair = pairs[index]
-                cached = memo_get(pair)
+                try:
+                    cached = memo_get(pair)
+                except TypeError:
+                    pair = tuple(pair)
+                    cached = memo_get(pair)
                 if cached is not None:
                     out += cached
                     sizes_append(len(cached))
@@ -1118,11 +933,7 @@ def encode_kv_batch(out: bytearray, pairs: Any) -> list[int]:
                         append(size)
                         out += raw
                     else:
-                        encoder = get(type(item))
-                        if encoder is not None:
-                            encoder(out, item)
-                        else:
-                            _encode_fallback(out, item)
+                        get(type(item), _encode_fallback)(out, item)
                 sizes_append(len(out) - before)
         else:
             enc_key = get(key_kind, _encode_fallback)
@@ -1198,10 +1009,9 @@ def decode_stream(data: Any) -> list[tuple[Any, Any]]:
 
     The scan-side twin of :func:`append_record` and the hottest decode
     loop in the data plane: one Python call decodes an entire segment,
-    walking ``data`` by integer offsets.  The scalar tags and one level
-    of tuple nesting are decoded inline (matching the container
-    decoders byte for byte); everything else dispatches through the
-    tag table.
+    walking ``data`` by integer offsets.  The key's and the value's
+    scalar tags are decoded inline, with the element loop's chain;
+    containers and extensions dispatch through the tag table.
     """
     out: list[tuple[Any, Any]] = []
     append = out.append
@@ -1264,67 +1074,10 @@ def decode_stream(data: Any) -> list[tuple[Any, Any]]:
                 key = small[tag]
             else:
                 key, offset = decoders[tag](data, offset)
-            # --- value (one level of tuple inlined) ---
+            # --- value ---
             tag = data[offset]
             offset += 1
-            if tag == 0x07:  # _TAG_TUPLE
-                n2 = data[offset]
-                offset += 1
-                if n2 > 0x7F:
-                    n2, offset = _read_len_cont(data, offset, n2 & 0x7F)
-                items = []
-                iappend = items.append
-                for _ in range(n2):
-                    tag = data[offset]
-                    offset += 1
-                    if tag == 0x03:  # _TAG_INT
-                        byte = data[offset]
-                        offset += 1
-                        if byte < 0x80:
-                            item = (byte >> 1) ^ -(byte & 1)
-                        else:
-                            acc = byte & 0x7F
-                            shift = 7
-                            while True:
-                                byte = data[offset]
-                                offset += 1
-                                acc |= (byte & 0x7F) << shift
-                                if not byte & 0x80:
-                                    item = (acc >> 1) ^ -(acc & 1)
-                                    break
-                                shift += 7
-                                if shift > 70:
-                                    raise SerdeError("varint too long")
-                    elif tag == 0x05:  # _TAG_STR
-                        n = data[offset]
-                        offset += 1
-                        if n > 0x7F:
-                            n, offset = _read_len_cont(
-                                data, offset, n & 0x7F
-                            )
-                        end = offset + n
-                        if end > size:
-                            raise SerdeError("truncated string")
-                        try:
-                            item = str(data[offset:end], "utf-8")
-                        except UnicodeDecodeError:
-                            raise SerdeError(
-                                "invalid utf-8 in string payload"
-                            ) from None
-                        offset = end
-                    elif tag == 0x04:  # _TAG_FLOAT
-                        end = offset + 8
-                        if end > size:
-                            raise SerdeError("truncated float")
-                        item = unpack(data, offset)[0]
-                        offset = end
-                    elif tag <= 0x02:
-                        item = small[tag]
-                    else:
-                        item, offset = decoders[tag](data, offset)
-                    iappend(item)
-                value = tuple(items)
-            elif tag == 0x05:  # _TAG_STR
+            if tag == 0x05:  # _TAG_STR
                 n = data[offset]
                 offset += 1
                 if n > 0x7F:
@@ -1363,7 +1116,7 @@ def decode_stream(data: Any) -> list[tuple[Any, Any]]:
                     raise SerdeError("truncated float")
                 value = unpack(data, offset)[0]
                 offset = end
-            elif tag <= 0x02:
+            elif tag <= 0x02:  # _TAG_NONE / _TAG_FALSE / _TAG_TRUE
                 value = small[tag]
             else:
                 value, offset = decoders[tag](data, offset)

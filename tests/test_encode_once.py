@@ -202,6 +202,24 @@ def test_sized_splits_cut_sizes_at_the_split_boundaries() -> None:
         sized_splits([records], sizes[:-1])
 
 
+def test_list_shaped_source_records_run_like_tuples() -> None:
+    """The store encodes a source in one batch; ``[key, value]`` lists
+    are records as much as ``(key, value)`` tuples are."""
+    records = [("d1", "a b a"), ("d2", "b c"), ("d3", "a c c")]
+    outputs = []
+    for rows in (records, [list(record) for record in records]):
+        pipeline = Pipeline("wc", runner=LocalJobRunner(executor="serial"))
+        source = pipeline.source("in", rows)
+        pipeline.mapreduce(
+            "count", wordcount_job(num_reducers=NUM_REDUCERS), source, 2
+        )
+        result = pipeline.run()
+        encoded = result.datasets["in"].encoded_bytes
+        outputs.append((result.job_results()[0].output, encoded))
+    assert outputs[1] == outputs[0]
+    assert sorted(outputs[0][0]) == [("a", 3), ("b", 2), ("c", 3)]
+
+
 # -- a loop output is an alias of the final iteration's dataset -----------
 
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Any, NamedTuple
+import sys
+from typing import Any, Callable, NamedTuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.encoding import EagerValue, LazyValue
 from repro.mr import serde
 from tests import serde_ref
 
@@ -347,3 +349,205 @@ class TestSerdeProperties:
     @given(_objects)
     def test_encoding_is_deterministic(self, obj: Any) -> None:
         assert serde.encode(obj) == serde.encode(obj)
+
+
+# -- the shared element loops -------------------------------------------
+
+
+class _Sub(_Pair):
+    """A subclass of a registered extension: encodes as a plain tuple."""
+
+
+class TestFallbackWalk:
+    """A subclass misses exact-type dispatch and encodes as the first
+    base type it is an instance of, in the reference encoder's order."""
+
+    @pytest.mark.parametrize(
+        "obj",
+        [_Small.TWO, [_Small.ONE, 2**70], _Sub("a", 1), (_Sub(1.5, None),)],
+        ids=repr,
+    )
+    def test_subclasses_match_the_reference(self, obj: Any) -> None:
+        serde.register_extension(14, _Pair)
+        assert serde.encode(obj) == serde_ref.encode(obj)
+        assert serde.encode_kv(obj, obj) == serde_ref.encode_kv(obj, obj)
+
+    def test_unsupported_type_inside_a_container(self) -> None:
+        with pytest.raises(serde.SerdeError, match="unsupported type: set"):
+            serde.encode(("a", [{1}]))
+
+
+_EAGER_TAG = serde.encode(EagerValue([], None))[0]
+_LAZY_TAG = serde.encode(LazyValue(None, None))[0]
+#: A frame prefix and the key "k": what precedes a framed record's value.
+_STREAM_HEAD = b"\x7f\x05\x01k"
+#: Eleven continuation bytes: one more than any varint may have.
+_OVERLONG = b"\xff" * 11 + b"\x01"
+
+
+def _stream(value: Any) -> bytes:
+    out = bytearray()
+    serde.append_records(out, [("k", value)])
+    return bytes(out)
+
+
+#: shape -> (decoder, a valid encoding, the bytes before a container's
+#: element count, the bytes before one element, the bytes after it).
+#: In the extensions the element is a field of their own.
+_DAMAGE_SHAPES = {
+    "tuple": (
+        serde.decode,
+        serde.encode(("é", 300, 2.5, None, [1, 2, 3], -(2**70), "x" * 200)),
+        b"\x07",
+        b"\x07\x01",
+        b"",
+    ),
+    "list": (
+        serde.decode,
+        serde.encode(["é", 300, 2.5, True, (1, "a"), "x" * 200]),
+        b"\x08",
+        b"\x08\x01",
+        b"",
+    ),
+    "eager": (
+        serde.decode,
+        serde.encode(EagerValue(["k1", "é" * 70], ("R", 0.125))),
+        bytes([_EAGER_TAG, 0x08]),
+        bytes([_EAGER_TAG, 0x08, 0x00]),
+        b"",
+    ),
+    "lazy": (
+        serde.decode,
+        serde.encode(LazyValue(12345, ("S", [1, 2, 3], "vé"))),
+        bytes([_LAZY_TAG, 0x07]),
+        bytes([_LAZY_TAG]),
+        b"\x00",
+    ),
+    "stream": (
+        serde.decode_stream,
+        _stream(("R", 0.25, 700, "é" * 100)),
+        _STREAM_HEAD + b"\x07",
+        _STREAM_HEAD + b"\x07\x01",
+        b"",
+    ),
+}
+
+
+class TestDamagedContainers:
+    """Damaged input in every shape the element loops decode raises
+    SerdeError, from ``bytes`` and from a ``memoryview`` alike."""
+
+    @staticmethod
+    def _views(data: bytes) -> tuple[bytes, memoryview]:
+        return data, memoryview(data)
+
+    @pytest.mark.parametrize("shape", sorted(_DAMAGE_SHAPES))
+    def test_every_truncation_raises(self, shape: str) -> None:
+        decode, data, *_ = _DAMAGE_SHAPES[shape]
+        assert decode(data)  # the whole encoding is valid
+        # An empty stream is a valid stream of no records.
+        first = 1 if decode is serde.decode_stream else 0
+        for cut in range(first, len(data)):
+            for view in self._views(data):
+                with pytest.raises(serde.SerdeError):
+                    decode(view[:cut])
+
+    @pytest.mark.parametrize("shape", sorted(_DAMAGE_SHAPES))
+    def test_overlong_element_count_rejected(self, shape: str) -> None:
+        decode, _, count_head, _, _ = _DAMAGE_SHAPES[shape]
+        for view in self._views(count_head + _OVERLONG):
+            with pytest.raises(serde.SerdeError, match="varint too long"):
+                decode(view)
+
+    @pytest.mark.parametrize("shape", sorted(_DAMAGE_SHAPES))
+    def test_overlong_int_element_rejected(self, shape: str) -> None:
+        decode, _, _, head, tail = _DAMAGE_SHAPES[shape]
+        for view in self._views(head + b"\x03" + _OVERLONG + tail):
+            with pytest.raises(serde.SerdeError, match="varint too long"):
+                decode(view)
+
+    @pytest.mark.parametrize("shape", sorted(_DAMAGE_SHAPES))
+    def test_bad_utf8_element_rejected(self, shape: str) -> None:
+        decode, _, _, head, tail = _DAMAGE_SHAPES[shape]
+        for view in self._views(head + b"\x05\x02\xc3\x28" + tail):
+            with pytest.raises(serde.SerdeError, match="utf-8"):
+                decode(view)
+
+
+def _serde_calls(fn: Callable[..., Any], *args: Any) -> int:
+    """Python calls into ``mr/serde.py`` that ``fn(*args)`` makes."""
+    calls = 0
+
+    def profile(frame: Any, event: str, arg: Any) -> None:
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == serde.__file__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _scalars(n: int) -> list:
+    """``n`` elements of the inline kinds, multi-byte ints included.
+    Strings stay under 128 utf-8 bytes: a longer length prefix is read
+    by a call, per string, in every decoder."""
+    return [("ab", 300, 2.5, "é" * 60, -5)[i % 5] for i in range(n)]
+
+
+_LOOP_SHAPES: dict[str, Callable[[list], Any]] = {
+    "tuple": tuple,
+    "list": list,
+    "eager": lambda items: EagerValue(items, "v"),
+    "lazy": lambda items: LazyValue(tuple(items), 2.5),
+}
+
+
+class TestNoCallPerElement:
+    """One shared element loop per direction, not one element codec per
+    element: a container's calls into serde do not grow with its length
+    (DESIGN.md §8 rejected the per-element call)."""
+
+    @pytest.mark.parametrize("shape", sorted(_LOOP_SHAPES))
+    def test_container_calls_do_not_grow(self, shape: str) -> None:
+        one, many = (_LOOP_SHAPES[shape](_scalars(n)) for n in (1, 500))
+        assert _serde_calls(serde.encode, one) == _serde_calls(
+            serde.encode, many
+        )
+        data_one, data_many = serde.encode(one), serde.encode(many)
+        assert serde.decode(data_many) == many
+        assert _serde_calls(serde.decode, data_one) == _serde_calls(
+            serde.decode, data_many
+        )
+
+    @pytest.mark.parametrize("records", [1, 500])
+    def test_decode_stream_is_one_call(self, records: int) -> None:
+        pairs = [(f"key{i}", f"value {i % 7}") for i in range(records)]
+        out = bytearray()
+        serde.append_records(out, pairs)
+        assert _serde_calls(serde.decode_stream, bytes(out)) == 1
+        assert serde.decode_stream(out) == pairs
+
+
+class TestBatchListRecords:
+    """Records may be lists as well as tuples (a pipeline source takes
+    either); the batch encoder's str/str memo must take both."""
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [["d1", "a b a"], ["d2", "b c"]],
+            [["d1", "x"], ("d1", "x"), ["d1", "x"], ["d2", "é" * 200]],
+            [["k", ["v", 1]], ["k", ["w", 2]], [1, 2], [3, 4]],
+        ],
+    )
+    def test_list_pairs_encode_like_the_scalar_path(self, records) -> None:
+        batch = bytearray()
+        sizes = serde.encode_kv_batch(batch, records)
+        scalar = bytearray()
+        expected = [serde.encode_kv_into(scalar, k, v) for k, v in records]
+        assert bytes(batch) == bytes(scalar)
+        assert sizes == expected
