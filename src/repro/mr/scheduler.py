@@ -84,15 +84,6 @@ class TaskAttemptFailure(RuntimeError):
         self.spans = spans if spans is not None else []
 
 
-def _unwrap_failure(
-    exc: BaseException,
-) -> tuple[BaseException, float, list[SpanRecord]]:
-    """The real exception, wasted CPU seconds and spans of a failure."""
-    if isinstance(exc, TaskAttemptFailure):
-        return exc.cause, exc.cpu_seconds, exc.spans
-    return exc, 0.0, []
-
-
 class TaskFailedError(RuntimeError):
     """A task exhausted its attempts; the job fails."""
 
@@ -148,22 +139,14 @@ class FaultPolicy:
     scheduling process; the sabotage itself happens inside the worker
     (the attempt raises, dies, or sleeps), so the full cross-executor
     failure path — pickled exceptions, broken pools, abandoned futures
-    — is exercised for real.
-
-    Policies may override either :meth:`should_fail` (legacy: plain
-    task failures only) or :meth:`fault_for` (full fault-kind control).
+    — is exercised for real.  Policies override :meth:`fault_for`.
     """
-
-    def should_fail(self, kind: str, task_id: str, attempt: int) -> bool:
-        return False
 
     def fault_for(
         self, kind: str, task_id: str, attempt: int
     ) -> FaultSpec | None:
         """The fault to inject into this attempt, or ``None`` to run it
-        clean.  The default consults :meth:`should_fail`."""
-        if self.should_fail(kind, task_id, attempt):
-            return (FAULT_FAIL, 0.0)
+        clean."""
         return None
 
 
@@ -239,46 +222,52 @@ class ScriptedFaults(FaultPolicy):
 # back attached to the picklable result — like the segment payloads —
 # and the scheduler re-bases them onto the job timeline.  On failure
 # the partial counters and spans ride back inside TaskAttemptFailure.
-#
-# On the process pool, attempt arguments and results cross the boundary
-# as pickle-protocol-5 envelopes with segment payload bytes carried as
-# out-of-band buffers (see executor.dumps_oob): map results returning
-# here and the shuffle plan's payload lists submitted to reduce
-# attempts are never re-embedded in a nested pickle stream.
+# Arguments and results cross a pool as pickle-5 envelopes whose
+# segment payload bytes are out-of-band buffers (executor.dumps_oob).
 
 
-def _execute_fault(fault: FaultSpec | None, task_id: str) -> None:
-    """Carry out an injected fault inside the attempt body.
+def _run_attempt(
+    task_id: str,
+    fault: FaultSpec | None,
+    trace: bool,
+    run: Callable[[Counters], Any],
+) -> Any:
+    """Carry out the attempt's injected fault, then ``run`` its task.
 
-    * ``fail`` raises :class:`InjectedTaskFailure` — an ordinary task
-      failure.
-    * ``crash`` kills the hosting worker process with ``os._exit`` (no
-      cleanup, no exception — exactly like a segfault or the OOM
-      killer), which breaks the whole pool.  Under the serial executor
-      there is no worker to kill, so the crash surfaces as the
-      :class:`~repro.mr.executor.WorkerCrashError` the broken pool
-      would have produced — the scheduler's recovery path is identical
-      either way.
-    * ``hang`` / ``slow`` sleep for the scripted seconds and then run
-      the attempt normally: a hang is meant to outlive the task
-      timeout, a slow attempt to trail its wave and trigger
-      speculation.
+    ``fail`` raises :class:`InjectedTaskFailure`, an ordinary task
+    failure.  ``crash`` kills the hosting worker with ``os._exit`` (no
+    cleanup, no exception — like a segfault or the OOM killer), which
+    breaks the whole pool; under the serial executor, with no worker to
+    kill, it raises the :class:`~repro.mr.executor.WorkerCrashError` a
+    broken pool would have produced, so recovery takes the same path.
+    ``hang`` / ``slow`` sleep for the scripted seconds, then run: a hang
+    is meant to outlive the task timeout, a slow attempt to trail its
+    wave and trigger speculation.
     """
-    if fault is None:
-        return
-    fault_kind, seconds = fault
-    if fault_kind == FAULT_CRASH:
-        import multiprocessing
+    if fault is not None:
+        fault_kind, seconds = fault
+        if fault_kind == FAULT_CRASH:
+            import multiprocessing
 
-        if multiprocessing.parent_process() is not None:
-            os._exit(13)
-        raise WorkerCrashError(
-            f"injected worker crash running {task_id} (serial executor)"
-        )
-    if fault_kind in (FAULT_HANG, FAULT_SLOW):
+            if multiprocessing.parent_process() is not None:
+                os._exit(13)
+            raise WorkerCrashError(
+                f"injected worker crash running {task_id} (serial executor)"
+            )
+        if fault_kind not in (FAULT_HANG, FAULT_SLOW):
+            raise InjectedTaskFailure(f"injected fault: {task_id}")
         time.sleep(seconds)
-        return
-    raise InjectedTaskFailure(f"injected fault: {task_id}")
+    counters = Counters()
+    tracer = Tracer() if trace else NULL_TRACER
+    try:
+        with activated(tracer):
+            result = run(counters)
+    except Exception as exc:
+        raise TaskAttemptFailure(
+            exc, counters.total_cpu_seconds(), tracer.records()
+        ) from exc
+    result.spans = tracer.records()
+    return result
 
 
 def _run_map_attempt(
@@ -288,18 +277,12 @@ def _run_map_attempt(
     fault: FaultSpec | None,
     trace: bool = False,
 ) -> MapTaskResult:
-    _execute_fault(fault, task_id)
-    counters = Counters()
-    tracer = Tracer() if trace else NULL_TRACER
-    try:
-        with activated(tracer):
-            result = MapTask(job, task_id).run(split, counters=counters)
-    except Exception as exc:
-        raise TaskAttemptFailure(
-            exc, counters.total_cpu_seconds(), tracer.records()
-        ) from exc
-    result.spans = tracer.records()
-    return result
+    return _run_attempt(
+        task_id,
+        fault,
+        trace,
+        lambda counters: MapTask(job, task_id).run(split, counters=counters),
+    )
 
 
 def _run_reduce_attempt(
@@ -310,20 +293,14 @@ def _run_reduce_attempt(
     trace: bool = False,
     keep_encoding: bool = False,
 ) -> ReduceTaskResult:
-    _execute_fault(fault, f"reduce{partition}")
-    counters = Counters()
-    tracer = Tracer() if trace else NULL_TRACER
-    try:
-        with activated(tracer):
-            result = ReduceTask(job, partition).run(
-                payloads, counters=counters, keep_encoding=keep_encoding
-            )
-    except Exception as exc:
-        raise TaskAttemptFailure(
-            exc, counters.total_cpu_seconds(), tracer.records()
-        ) from exc
-    result.spans = tracer.records()
-    return result
+    return _run_attempt(
+        f"reduce{partition}",
+        fault,
+        trace,
+        lambda counters: ReduceTask(job, partition).run(
+            payloads, counters=counters, keep_encoding=keep_encoding
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -331,8 +308,8 @@ class RetryPolicy:
     """The fault-tolerance envelope one wave runs under.
 
     Assembled by :meth:`JobScheduler.execute` from the job's knobs (and
-    the scheduler's ``max_attempts`` override); pure data so tests can
-    drive :meth:`JobScheduler._run_wave` directly.
+    the scheduler's ``max_attempts`` override); pure data, so the wave
+    policy's decisions below can be tested without a scheduler.
     """
 
     max_attempts: int = 1
@@ -351,24 +328,139 @@ class RetryPolicy:
         return self.retry_backoff_seconds * (2.0 ** (failures - 1))
 
 
-class _Attempt:
-    """One in-flight task attempt (scheduler-side bookkeeping)."""
+# -- the wave policy: decisions as pure functions of the folded EventLog ----
 
-    __slots__ = ("index", "number", "future", "started_at", "speculative")
 
-    def __init__(
-        self,
-        index: int,
-        number: int,
-        future: TaskFuture,
-        started_at: float,
-        speculative: bool = False,
+@dataclass
+class TaskView:
+    """One task's attempts in one wave, as its events fold them: STARTs,
+    charges (FAILs plus TIMEOUTs; a KILLED is never charged), open
+    STARTs, whether a START was a speculative backup, whether one
+    FINISHed, and the last charge's ``t_seconds`` and log position."""
+
+    started: int = 0
+    charged: int = 0
+    live: int = 0
+    speculated: bool = False
+    finished: bool = False
+    charged_at: float = 0.0
+    charge_seq: int = -1
+
+
+class WaveView:
+    """The per-task fold of one wave's ``events``, kept current by
+    folding each later event as it is logged.  ``open`` maps each open
+    attempt, ``(task index, attempt)``, to its START ``t_seconds`` in
+    START order; ``durations`` are the successful attempts' wall seconds
+    (``EventLog.wall_durations``), the speculation baseline."""
+
+    def __init__(self, task_ids: Sequence[str], events: Iterable = ()):
+        self.tasks = [TaskView() for _ in task_ids]
+        self._index = {task_id: i for i, task_id in enumerate(task_ids)}
+        self.open: dict[tuple[int, int], float] = {}
+        self.durations: list[float] = []
+        self.finished = self._seq = 0
+        for event in events:
+            self.fold(event)
+
+    def fold(self, event: TaskEvent) -> None:
+        self._seq += 1
+        index = self._index.get(event.task_id)
+        if index is None:
+            return  # another wave's task
+        task, key = self.tasks[index], (index, event.attempt)
+        if event.event == E.START:
+            task.started += 1
+            task.live += 1
+            task.speculated |= event.speculative
+            self.open[key] = event.t_seconds
+            return
+        started_at = self.open.pop(key, None)
+        if started_at is None:
+            return  # an end whose START this fold never saw
+        task.live -= 1
+        if event.event == E.FINISH and not task.finished:
+            task.finished = True
+            self.finished += 1
+            self.durations.append(event.t_seconds - started_at)
+        elif event.event in (E.FAIL, E.TIMEOUT):
+            task.charged += 1
+            task.charged_at = event.t_seconds
+            task.charge_seq = self._seq
+
+
+def waiting_tasks(
+    view: WaveView, policy: RetryPolicy
+) -> list[tuple[int, int, float]]:
+    """``(charge_seq, task index, retry due at)`` of each task waiting
+    for its next attempt — unfinished, nothing in flight, attempts left
+    — in the order they became ready: first attempts by index, then
+    retries by charge.  A retry is due at its last charge plus the
+    backoff."""
+    backoff = policy.backoff_delay
+    return sorted(
+        (task.charge_seq, index, task.charged_at + backoff(task.charged))
+        for index, task in enumerate(view.tasks)
+        if not (task.finished or task.live)
+        and task.charged < policy.max_attempts
+    )
+
+
+def due_launches(view: WaveView, now: float, policy: RetryPolicy) -> list[int]:
+    """The waiting tasks whose backoff has expired, in ready order."""
+    return [i for _, i, due_at in waiting_tasks(view, policy) if now >= due_at]
+
+
+def overdue_attempts(
+    view: WaveView, now: float, policy: RetryPolicy
+) -> list[tuple[int, int]]:
+    """Open attempts that outlived the task timeout, in START order."""
+    timeout = policy.task_timeout_seconds
+    if timeout is None:
+        return []
+    return [key for key, t in view.open.items() if now - t > timeout]
+
+
+def backups_due(view: WaveView, now: float, policy: RetryPolicy) -> list[int]:
+    """Tasks that get their one speculative backup now: once a
+    ``speculative_quantile`` of the wave has finished, those with an
+    attempt running longer than ``speculative_slack`` × the median
+    successful duration, in START order."""
+    total = len(view.tasks)
+    if not (
+        policy.speculative_execution
+        and view.durations
+        and policy.speculative_quantile * total <= view.finished < total
     ):
-        self.index = index
-        self.number = number
-        self.future = future
-        self.started_at = started_at
-        self.speculative = speculative
+        return []
+    threshold = policy.speculative_slack * statistics.median(view.durations)
+    stragglers = [
+        index
+        for (index, _), t in view.open.items()
+        if now - t > threshold and not view.tasks[index].speculated
+    ]
+    return list(dict.fromkeys(stragglers))
+
+
+def terminal_task(view: WaveView, policy: RetryPolicy) -> int | None:
+    """The task that fails the wave, if any: the first to be charged
+    ``max_attempts`` times with nothing in flight and no FINISH."""
+    spent = [
+        (task.charge_seq, index)
+        for index, task in enumerate(view.tasks)
+        if task.charged >= policy.max_attempts
+        and not (task.live or task.finished)
+    ]
+    return min(spent)[1] if spent else None
+
+
+def idle_delay(view: WaveView, now: float, policy: RetryPolicy) -> float:
+    """How long an idle tick sleeps: one poll tick while attempts are in
+    flight, else until the earliest retry is due."""
+    waiting = waiting_tasks(view, policy)
+    if view.open or not waiting:
+        return _POLL_TICK
+    return max(0.0, min(due_at for *_, due_at in waiting) - now)
 
 
 class JobScheduler:
@@ -406,339 +498,169 @@ class JobScheduler:
     ) -> list[Any]:
         """Run one wave of tasks under the full fault-tolerance envelope.
 
-        An event loop over in-flight attempts: launch what is ready
-        (first attempts immediately, retries after their backoff),
-        collect completions as they land, classify failures (task vs
-        infrastructure), abandon attempts that outlive the task
-        timeout, and race speculative backups against stragglers.
-        Results are returned in task order, independent of completion
-        order, and exactly one successful attempt per task is folded —
-        the counter-determinism contract.
-
-        On a terminal failure the remaining in-flight attempts are
-        drained first (their FINISH/FAIL events and spans are recorded)
-        so the event log stays complete for post-mortem analysis.
-
-        Every attempt goes through :meth:`Executor.submit_many`;
-        ``fused`` amortizes dispatch by submitting the attempts that
-        become ready in the same tick as one group (the pool executor
-        chunks it into a few fused envelopes) instead of one by one.
+        Each tick applies the wave policy's decisions in a fixed order,
+        as the numbered steps below.  Every event is folded into the
+        wave's :class:`WaveView` as it is logged, so the loop keeps only
+        what a log cannot hold: the futures and each task's last
+        exception.  Results come back in task order, one successful
+        attempt folded per task — the counter-determinism contract.
+        ``fused`` submits the attempts due in one tick as one
+        :meth:`Executor.submit_many` group (the pool chunks it into a
+        few fused envelopes) instead of one by one.
         """
-        tracer = self._tracer
         total = len(task_ids)
+        view = WaveView(task_ids)
         results: list[Any] = [None] * total
-        done: set[int] = set()
-        #: Next attempt number per task (monotonic; speculative backups
-        #: consume numbers too).
-        next_attempt = [1] * total
-        #: Charged failures per task (fail/timeout/crash — not KILLED);
-        #: a task is terminal at ``policy.max_attempts`` charges.
-        charged = [0] * total
-        #: Live (in-flight) attempts per task.
-        live = [0] * total
-        speculated = [False] * total
-        running: list[_Attempt] = []
-        #: Attempts ready to launch, as ``(not_before, index)`` pairs.
-        ready: list[tuple[float, int]] = [(0.0, i) for i in range(total)]
-        #: Wall seconds of successful attempts (speculation baseline).
-        durations: list[float] = []
-        terminal: BaseException | None = None
+        #: In-flight futures by ``(task index, attempt)``, in submission
+        #: order — the order of ``view.open``.
+        futures: dict[tuple[int, int], TaskFuture] = {}
+        #: Each task's last charged exception: a terminal verdict's cause.
+        causes: dict[int, BaseException] = {}
 
-        def log(
-            event: str, index: int, number: int, t: float, **fields: Any
-        ) -> None:
-            events.append(
-                TaskEvent(
-                    task_id=task_ids[index],
-                    kind=kind,
-                    event=event,
-                    attempt=number,
-                    t_seconds=t,
-                    **fields,
-                )
-            )
+        def log(event: str, key: tuple[int, int], t: float, **fields) -> None:
+            index, number = key
+            row = TaskEvent(task_ids[index], kind, event, number, t, **fields)
+            events.append(row)
+            view.fold(row)
+
+        def fail(key: tuple[int, int], cause: BaseException, **fields) -> None:
+            causes[key[0]] = cause
+            message = f"{type(cause).__name__}: {cause}"
+            log(E.FAIL, key, clock(), error=message, **fields)
 
         def launch(indices: Sequence[int], speculative: bool = False) -> None:
-            """Start one attempt per index — a START each, in order,
-            before anything runs — through one ``submit_many``.
-
-            A broken pool rejects submissions synchronously and
-            ``submit_many`` returns that as an already-failed future:
-            the attempt is charged and retried like any other crash
-            casualty, and the pool is rebuilt before the retry.
-            """
-            pending: list[tuple[int, int, float]] = []
-            argsets: list[tuple] = []
+            """One START per index, in order, then one ``submit_many``.
+            A broken pool's synchronous rejection comes back as a failed
+            future, charged and retried like any crash casualty."""
+            keys, argsets = [], []
             for index in indices:
-                number = next_attempt[index]
-                next_attempt[index] = number + 1
-                fault = self._policy.fault_for(kind, task_ids[index], number)
-                started = clock()
-                log(E.START, index, number, started, speculative=speculative)
+                key = (index, view.tasks[index].started + 1)
+                fault = self._policy.fault_for(kind, task_ids[index], key[1])
+                log(E.START, key, clock(), speculative=speculative)
+                keys.append(key)
                 argsets.append(args_for(index, fault))
-                pending.append((index, number, started))
-            futures = self._executor.submit_many(fn, argsets)
-            for (index, number, started), future in zip(pending, futures):
-                live[index] += 1
-                running.append(
-                    _Attempt(index, number, future, started, speculative)
-                )
+            futures.update(zip(keys, self._executor.submit_many(fn, argsets)))
 
-        def charge_and_reschedule(att: _Attempt, cause: BaseException) -> None:
-            """Charge a failed/timed-out attempt; queue a retry or go
-            terminal.  The attempt must already be off the live books."""
-            nonlocal terminal
-            index = att.index
-            charged[index] += 1
-            if terminal is not None or index in done:
-                return
-            if live[index] > 0:
-                # A sibling attempt (a speculative backup, or the
-                # original it was backing up) is still racing for this
-                # task; its outcome decides whether a retry is needed.
-                return
-            if charged[index] >= policy.max_attempts:
-                if policy.max_attempts == 1:
-                    # Fail-fast configuration: propagate the task's own
-                    # exception unchanged (the historical behaviour).
-                    terminal = cause
-                else:
-                    failure = TaskFailedError(
-                        task_ids[index], charged[index], cause
-                    )
-                    failure.__cause__ = cause
-                    terminal = failure
-            else:
-                # Queue the retry behind its exponential backoff.
-                ready.append(
-                    (clock() + policy.backoff_delay(charged[index]), index)
-                )
-
-        def land(
-            att: _Attempt, lost_race: bool = False
-        ) -> tuple[Any, BaseException | None, float]:
-            """Wait for one attempt and write its end into the event log
-            and the trace: FINISH or FAIL with the attempt's spans, or a
-            bare KILLED for the loser of a speculative race (its result
-            is discarded wholesale).  Shared by the live loop and the
-            terminal drain.  Returns ``(result, error, t_seconds)``.
-            """
-            result = error = None
+        def land(key: tuple[int, int], future: TaskFuture) -> Any:
+            """Wait for one attempt and log its end: FINISH (keeping the
+            result) or FAIL, with its spans re-based into the trace, or
+            a bare KILLED when its task already finished (a lost race).
+            Returns a FAIL's exception."""
+            index, number = key
             try:
-                result = att.future.result()
+                result, error = future.result(), None
+            except TaskAttemptFailure as raised:
+                error, wasted_cpu = raised.cause, raised.cpu_seconds
+                spans = raised.spans
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as raised:
-                error, wasted_cpu, spans = _unwrap_failure(raised)
-            now = clock()
-            trace_attrs = {"task": task_ids[att.index], "attempt": att.number}
-            if lost_race:
-                log(E.KILLED, att.index, att.number, now)
+                error, wasted_cpu, spans = raised, 0.0, []
+            attrs = {"task": task_ids[index], "attempt": number}
+            attrs["offset"] = view.open[key]
+            if view.tasks[index].finished:
+                log(E.KILLED, key, clock())
             elif error is not None:
-                log(
-                    E.FAIL,
-                    att.index,
-                    att.number,
-                    now,
-                    cpu_seconds=wasted_cpu,
-                    error=f"{type(error).__name__}: {error}",
-                )
-                # Failed-attempt spans stay in the trace, re-based to
-                # the attempt's start and marked as wasted work.
-                tracer.extend(
-                    spans, offset=att.started_at, failed=True, **trace_attrs
-                )
+                fail(key, error, cpu_seconds=wasted_cpu)
+                # A failed attempt's spans stay, marked as wasted work.
+                self._tracer.extend(spans, failed=True, **attrs)
+                return error
             else:
-                log(
-                    E.FINISH,
-                    att.index,
-                    att.number,
-                    now,
-                    cpu_seconds=result.cpu_seconds,
-                    output_bytes=(
-                        result.output_bytes
-                        if kind == E.MAP
-                        else result.shuffle_bytes
-                    ),
-                )
-                tracer.extend(
-                    result.spans, offset=att.started_at, **trace_attrs
-                )
-            return result, error, now
+                if kind == E.MAP:
+                    out = result.output_bytes
+                else:
+                    out = result.shuffle_bytes
+                cpu = result.cpu_seconds
+                log(E.FINISH, key, clock(), cpu_seconds=cpu, output_bytes=out)
+                self._tracer.extend(result.spans, **attrs)
+                results[index] = result
+            return None
 
-        def collect(att: _Attempt) -> bool:
-            """Fold one completed attempt; True if the pool crashed."""
-            index = att.index
-            live[index] -= 1
-            # A speculative loser landing after the winner lost the race
-            # whether it failed or finished.
-            lost_race = index in done
-            result, error, finished_at = land(att, lost_race)
-            if lost_race:
-                return False
-            if error is not None:
-                charge_and_reschedule(att, error)
-                return isinstance(error, WorkerCrashError)
-            done.add(index)
-            results[index] = result
-            durations.append(finished_at - att.started_at)
-            return False
+        def stop(key: tuple[int, int], event: str, t: float) -> None:
+            """Cancel (or, once running, abandon) an attempt and end it."""
+            future = futures.pop(key)
+            if not future.cancel():
+                self._executor.abandon(future)
+            log(event, key, t)
 
-        def kill_siblings(of: _Attempt) -> None:
-            """Kill still-running attempts of a task that just won."""
-            for sibling in [
-                a for a in running if a.index == of.index and a is not of
-            ]:
-                running.remove(sibling)
-                live[sibling.index] -= 1
-                if not sibling.future.cancel():
-                    self._executor.abandon(sibling.future)
-                log(E.KILLED, sibling.index, sibling.number, clock())
-
-        wave_span = tracer.span(
-            f"wave.{kind}", category="scheduler", wave=0, tasks=total
-        )
-        wave_span.__enter__()
-        try:
-            while len(done) < total:
-                progressed = False
-
-                # 1) Launch everything whose backoff has expired: one
-                #    group when dispatch is fused, else a group of one
-                #    per attempt (inline executors run an attempt as it
-                #    is submitted, between its own START and the next).
-                now = clock()
-                waiting: list[tuple[float, int]] = []
-                due: list[int] = []
-                for not_before, index in ready:
-                    if index in done:
+        def drained_failure(index: int) -> BaseException:
+            """End every attempt still in flight (post-mortem analysis
+            needs the failing task's siblings most), waiting on none past
+            its task timeout; then the wave's exception: the task's own
+            when fail-fast, else :class:`TaskFailedError`."""
+            timeout = policy.task_timeout_seconds
+            for key, future in list(futures.items()):
+                began = view.open[key]
+                if timeout is not None:
+                    while not future.done() and clock() - began <= timeout:
+                        self._sleep(_POLL_TICK)
+                    if not future.done():
+                        stop(key, E.TIMEOUT, clock())
                         continue
-                    if now < not_before:
-                        waiting.append((not_before, index))
-                    else:
-                        due.append(index)
-                ready[:] = waiting
-                if due:
-                    progressed = True
-                    for group in [due] if fused else [[i] for i in due]:
-                        launch(group)
+                land(key, futures.pop(key))
+            failure = cause = causes[index]
+            if policy.max_attempts > 1:
+                charged = view.tasks[index].charged
+                failure = TaskFailedError(task_ids[index], charged, cause)
+                failure.__cause__ = cause
+            failure.events = events
+            return failure
 
-                # 2) Collect completed attempts (in submission order).
-                completed: list[_Attempt] = []
-                still: list[_Attempt] = []
-                for att in running:
-                    (completed if att.future.done() else still).append(att)
-                running[:] = still
+        with self._tracer.span(
+            f"wave.{kind}", category="scheduler", wave=0, tasks=total
+        ):
+            while view.finished < total:
+                # 1) Launch what is due: one group when dispatch is
+                #    fused, else one per attempt (an inline executor runs
+                #    each between its own START and the next).
+                due = due_launches(view, clock(), policy)
+                for group in [due] if fused and due else [[i] for i in due]:
+                    launch(group)
+
+                # 2) Collect completions in submission order; a FINISH
+                #    kills its task's siblings still in flight.
+                landed = [
+                    (key, futures.pop(key))
+                    for key in [k for k, f in futures.items() if f.done()]
+                ]
                 crashed = False
-                for att in completed:
-                    progressed = True
-                    was_won_before = att.index in done
-                    crashed = collect(att) or crashed
-                    if att.index in done and not was_won_before:
-                        kill_siblings(att)
+                for key, future in landed:
+                    crashed |= isinstance(land(key, future), WorkerCrashError)
+                    if view.tasks[key[0]].finished:
+                        for sibling in [k for k in futures if k[0] == key[0]]:
+                            stop(sibling, E.KILLED, clock())
 
-                # 3) Worker crash: every attempt still in flight went
-                #    down with the pool.  Charge them as retries, then
-                #    rebuild the pool so the next launches land on
-                #    fresh workers.
+                # 3) A worker crash took everything in flight down with
+                #    it: charge it all, then rebuild the pool.
                 if crashed:
-                    for att in running:
-                        live[att.index] -= 1
-                        log(
-                            E.FAIL,
-                            att.index,
-                            att.number,
-                            clock(),
-                            error=f"{E.WORKER_CRASH_PREFIX}: attempt lost "
-                            "in flight (worker pool broken)",
-                        )
-                        charge_and_reschedule(
-                            att,
-                            WorkerCrashError(
-                                "attempt lost in flight (worker pool broken)"
-                            ),
-                        )
-                    running.clear()
+                    for key in list(futures):
+                        del futures[key]
+                        lost = "attempt lost in flight (worker pool broken)"
+                        fail(key, WorkerCrashError(lost))
                     self._executor.rebuild()
 
                 # 4) Abandon attempts that outlived the task timeout.
-                if policy.task_timeout_seconds is not None:
-                    now = clock()
-                    overdue = [
-                        att
-                        for att in running
-                        if now - att.started_at > policy.task_timeout_seconds
-                    ]
-                    for att in overdue:
-                        progressed = True
-                        running.remove(att)
-                        live[att.index] -= 1
-                        if not att.future.cancel():
-                            # Already running somewhere: nothing can
-                            # stop it, so its eventual result is
-                            # abandoned (never folded).
-                            self._executor.abandon(att.future)
-                        log(E.TIMEOUT, att.index, att.number, now)
-                        charge_and_reschedule(
-                            att,
-                            TaskTimeoutError(
-                                task_ids[att.index],
-                                att.number,
-                                policy.task_timeout_seconds,
-                            ),
-                        )
-
-                # 5) Race speculative backups against stragglers once
-                #    enough of the wave has finished to know what a
-                #    typical task costs.
-                if (
-                    policy.speculative_execution
-                    and durations
-                    and len(done) < total
-                    and len(done) >= policy.speculative_quantile * total
-                ):
-                    threshold = policy.speculative_slack * statistics.median(
-                        durations
+                now = clock()
+                overdue = overdue_attempts(view, now, policy)
+                for index, number in overdue:
+                    stop((index, number), E.TIMEOUT, now)
+                    causes[index] = TaskTimeoutError(
+                        task_ids[index], number, policy.task_timeout_seconds
                     )
-                    now = clock()
-                    for att in list(running):
-                        if att.speculative or speculated[att.index]:
-                            continue
-                        if now - att.started_at > threshold:
-                            speculated[att.index] = True
-                            launch([att.index], speculative=True)
-                            progressed = True
 
-                # 6) Terminal failure: block on what is still in flight
-                #    so no START is left without an end — post-mortem
-                #    analysis needs the siblings of the failing task
-                #    most — then propagate.  The completed log rides on
-                #    the exception (``.events``).
-                if terminal is not None:
-                    for att in running:
-                        land(att)
-                    running.clear()
-                    try:
-                        terminal.events = events
-                    except Exception:
-                        pass
-                    raise terminal
+                # 5) Race speculative backups against stragglers.
+                backups = backups_due(view, clock(), policy)
+                for index in backups:
+                    launch([index], speculative=True)
 
-                if len(done) >= total or progressed:
-                    continue
+                # 6) A terminal verdict: drain, then fail the wave.
+                failed = terminal_task(view, policy)
+                if failed is not None:
+                    raise drained_failure(failed)
 
-                # 7) Idle: wait for the earliest wake-up — a retry's
-                #    backoff deadline, or the poll tick while attempts
-                #    are in flight.
-                delay = _POLL_TICK
-                if not running and ready:
-                    now = clock()
-                    delay = max(
-                        0.0, min(nb for nb, _ in ready) - now
-                    )
-                self._sleep(delay)
-        finally:
-            wave_span.__exit__(None, None, None)
+                # 7) Idle: sleep until the earliest wake-up.
+                if not (due or landed or overdue or backups):
+                    self._sleep(idle_delay(view, clock(), policy))
         return results
 
     # -- the job -----------------------------------------------------------
@@ -749,11 +671,9 @@ class JobScheduler:
         # Imported here: engine imports this module (facade → scheduler).
         from repro.mr.engine import JobResult
 
-        max_attempts = (
-            self._max_attempts
-            if self._max_attempts is not None
-            else job.max_task_attempts
-        )
+        max_attempts = job.max_task_attempts
+        if self._max_attempts is not None:
+            max_attempts = self._max_attempts
         if max_attempts < 1:
             raise ValueError("max_task_attempts must be >= 1")
         policy = RetryPolicy(
@@ -795,23 +715,18 @@ class JobScheduler:
             self._policy, NoFaults
         )
 
+        def wave(kind: str, ids: list[str], fn: Callable, args_for) -> list:
+            return self._run_wave(
+                kind, ids, fn, args_for, policy, events, clock, fused
+            )
+
         # Map wave.
         map_ids = [f"map{index}" for index in range(len(split_lists))]
-        map_results: list[MapTaskResult] = self._run_wave(
+        map_results: list[MapTaskResult] = wave(
             E.MAP,
             map_ids,
             _run_map_attempt,
-            lambda index, fault: (
-                job,
-                map_ids[index],
-                split_lists[index],
-                fault,
-                trace,
-            ),
-            policy,
-            events,
-            clock,
-            fused=fused,
+            lambda i, fault: (job, map_ids[i], split_lists[i], fault, trace),
         )
         map_costs = [
             TaskCost(
@@ -841,28 +756,12 @@ class JobScheduler:
         # for the pipeline's store and the next job's splits.  Any other
         # job drops it, so neither the pool transport nor the result
         # carries the bytes twice.
-        keep_encoding = all(
-            isinstance(split, SizedSplit) for split in split_lists
-        )
-        reduce_ids = [
-            f"reduce{partition}" for partition in range(job.num_reducers)
-        ]
-        reduce_results: list[ReduceTaskResult] = self._run_wave(
+        keep = all(isinstance(split, SizedSplit) for split in split_lists)
+        reduce_results: list[ReduceTaskResult] = wave(
             E.REDUCE,
-            reduce_ids,
+            [f"reduce{partition}" for partition in range(job.num_reducers)],
             _run_reduce_attempt,
-            lambda index, fault: (
-                job,
-                index,
-                shuffle_plan[index],
-                fault,
-                trace,
-                keep_encoding,
-            ),
-            policy,
-            events,
-            clock,
-            fused=fused,
+            lambda i, fault: (job, i, shuffle_plan[i], fault, trace, keep),
         )
         reduce_costs = [
             TaskCost(
