@@ -56,9 +56,9 @@ class JobResult:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: Each partition's output as its reduce task encoded it, with the
     #: per-record sizes (``ReduceTaskResult.output_encoding``).  Kept
-    #: for a job whose splits are all ``SizedSplit``s — a pipeline's,
-    #: whose output the pipeline's store takes as encoded — and empty
-    #: for any other job.
+    #: for a job run with ``keep_output_encoding`` — a pipeline's, whose
+    #: output the pipeline's store takes as encoded — and empty for any
+    #: other job.
     output_encodings_by_partition: dict[
         int, tuple[bytearray, list[int]]
     ] = field(default_factory=dict)
@@ -235,8 +235,14 @@ class LocalJobRunner:
         self,
         job: JobConf,
         splits: Sequence[Iterable[Record]],
+        keep_output_encoding: bool = False,
     ) -> JobResult:
-        """Run ``job`` over ``splits`` (one map task per split)."""
+        """Run ``job`` over ``splits`` (one map task per split).
+
+        ``keep_output_encoding`` keeps the reduce tasks' encoding of the
+        output on the result (:meth:`JobResult.encoded_output`); a
+        pipeline asks for it, and every other caller leaves it off.
+        """
         executor, owned = self._resolve_executor(job)
         # Tracer resolution: an explicit tracer wins; otherwise an
         # installed flight recorder turns tracing on for every job run
@@ -265,7 +271,7 @@ class LocalJobRunner:
         if gc_was_enabled:
             gc.disable()
         try:
-            result = scheduler.execute(job, splits)
+            result = scheduler.execute(job, splits, keep_output_encoding)
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -119,18 +119,27 @@ class MapTask:
             flush_pending()
         with tracer.span("map.phase.map", category="map") as map_span:
             # Input-byte accounting sums ints, which is exact under
-            # regrouping.  A sized split (one a pipeline cut from a
-            # dataset already encoded) carries its length; any other is
-            # sized record by record as it is read.  The mapper is
-            # metered per call — user CPU is measured, never batched
-            # away.
+            # regrouping.  A sized split carries its length; any other
+            # is sized record by record as it is read (the scheduler
+            # writes that count back onto an unsized ``SizedSplit`` once
+            # the attempt finishes).  The mapper is metered per call —
+            # user CPU is measured, never batched away.
             records = 0
             input_scratch = bytearray()
             encode_kv_into = serde.encode_kv_into
             measure = job.cost_meter.measure
             mapper_map = mapper.map
             values = counters.raw()
-            sized = isinstance(split, SizedSplit)
+            sized = (
+                isinstance(split, SizedSplit)
+                and split.encoded_bytes is not None
+            )
+            if sized and len(split) != split.sized_records:
+                raise ValueError(
+                    f"the split of {self.task_id} has {len(split)} records "
+                    f"but was sized at {split.sized_records}: a split is "
+                    "immutable once cut"
+                )
             input_bytes = split.encoded_bytes if sized else 0
             for key, value in split:
                 records += 1

@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 from repro.mr import counters as C
 from repro.mr import serde
-from repro.mr.api import Context
+from repro.mr.api import CaptureContext
 from repro.mr.config import JobConf
 from repro.mr.counters import Counters
 from repro.mr.merge import group_by_key, group_runs, merge_runs
@@ -88,17 +88,13 @@ class ReduceTask:
             payload.to_segment(serve_store) for payload in map_segments
         ]
         output: list[tuple[Any, Any]] = []
-        # The sink only collects; the output byte and record counters
-        # (all integers, exact under summing) are settled in one
-        # run-oriented encode after cleanup.
-        append_output = output.append
-
-        def output_sink(key: Any, value: Any) -> None:
-            append_output((key, value))
-
-        context = Context(
+        # A capture context: ``write`` appends the pair to ``output``
+        # itself, no closure frame per output record.  The output byte
+        # and record counters (all integers, exact under summing) are
+        # settled in one run-oriented encode after cleanup.
+        context = CaptureContext(
             counters=counters,
-            sink=output_sink,
+            sink=output.append,
             partitioner=job.partitioner,
             num_partitions=job.num_reducers,
             task_id=self.task_id,

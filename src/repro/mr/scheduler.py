@@ -665,9 +665,18 @@ class JobScheduler:
 
     # -- the job -----------------------------------------------------------
     def execute(
-        self, job: JobConf, splits: Sequence[Iterable[Record]]
+        self,
+        job: JobConf,
+        splits: Sequence[Iterable[Record]],
+        keep_output_encoding: bool = False,
     ) -> "Any":
-        """Run ``job`` over ``splits``; returns a JobResult."""
+        """Run ``job`` over ``splits``; returns a JobResult.
+
+        ``keep_output_encoding`` keeps each reduce task's encoding of its
+        output on the result, for a pipeline's store and the next job's
+        splits.  Any other job drops it, so neither the pool transport
+        nor the result carries the bytes twice.
+        """
         # Imported here: engine imports this module (facade → scheduler).
         from repro.mr.engine import JobResult
 
@@ -739,6 +748,11 @@ class JobScheduler:
             )
             for result in map_results
         ]
+        # A split its finished attempt sized keeps the count, so a later
+        # job over the same split charges it without encoding.
+        for split, result in zip(split_lists, map_results):
+            if isinstance(split, SizedSplit) and split.encoded_bytes is None:
+                split.size(result.counters.get_int(C.MAP_INPUT_BYTES))
 
         # Shuffle plan: segments for each partition, in map-task order.
         with tracer.span("shuffle.plan", category="scheduler"):
@@ -751,17 +765,14 @@ class JobScheduler:
                 for partition in range(job.num_reducers)
             ]
 
-        # Reduce wave.  A job fed sized splits is a pipeline's: its
-        # reduce tasks hand back the encoding that counts their output,
-        # for the pipeline's store and the next job's splits.  Any other
-        # job drops it, so neither the pool transport nor the result
-        # carries the bytes twice.
-        keep = all(isinstance(split, SizedSplit) for split in split_lists)
+        # Reduce wave.
         reduce_results: list[ReduceTaskResult] = wave(
             E.REDUCE,
             [f"reduce{partition}" for partition in range(job.num_reducers)],
             _run_reduce_attempt,
-            lambda i, fault: (job, i, shuffle_plan[i], fault, trace, keep),
+            lambda i, fault: (
+                job, i, shuffle_plan[i], fault, trace, keep_output_encoding
+            ),
         )
         reduce_costs = [
             TaskCost(

@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.mr.config import JobConf
 from repro.mr.engine import LocalJobRunner
-from repro.mr.split import sized_splits, split_records
+from repro.mr.split import split_records
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.flightrecorder import (
     clear_flight_recorder,
@@ -446,10 +446,12 @@ class _Execution:
             sizes.extend(dataset_sizes)
         # Each split carries its encoded length, cut from the inputs'
         # encodings, so map tasks charge input bytes without encoding.
-        splits = sized_splits(
-            split_records(records, num_splits=stage.num_splits), sizes
+        splits = split_records(
+            records, num_splits=stage.num_splits, sizes=sizes
         )
-        job_result = self.runner.run(stage.job, splits)
+        job_result = self.runner.run(
+            stage.job, splits, keep_output_encoding=True
+        )
         # The reduce tasks' encoding of the output becomes the dataset's
         # materialization: the store never encodes it again.
         self.store.put(

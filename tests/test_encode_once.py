@@ -1,11 +1,14 @@
-"""A record crosses a pipeline job boundary encoded once.
+"""A record crosses a pipeline job boundary encoded once, and a split is
+sized once.
 
 The reduce task encodes its output to count ``reduce.output.bytes``;
-that encoding becomes the output dataset's materialization, and the
-per-record sizes, cut at the input splits' boundaries, become the next
-map tasks' input bytes.  These tests count the encodes that are gone and
-hold the counters to what the plain runner over ``split_records`` lists
-counts, which still sizes every input record by encoding it.
+in a pipeline that encoding becomes the output dataset's
+materialization, and the per-record sizes, cut at the input splits'
+boundaries, become the next map tasks' input bytes.  A ``split_records``
+split outside a pipeline is sized by its first finished map attempt and
+keeps that size for every later job.  These tests count the encodes
+that are gone and hold the counters to what runs over plain lists
+count, which encode every input record on every run.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from repro.mr.config import JobConf
 from repro.mr.cost import FixedCostMeter
 from repro.mr.engine import LocalJobRunner
 from repro.mr.executor import ParallelExecutor
-from repro.mr.split import SizedSplit, sized_splits, split_records
+from repro.mr.scheduler import ScriptedFaults
+from repro.mr.split import SizedSplit, split_records
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import Pipeline
 from repro.pipeline import dataset as dataset_module
@@ -155,7 +159,7 @@ def test_chained_jobs_count_what_the_plain_runner_counts(chain, strategy) -> Non
     by_hand = _by_hand(runner, first, second, records)
     piped = _chained(runner, first, second, records).job_results()
     _assert_same_jobs(by_hand, piped)
-    # Only a job fed sized splits hands its output encoding on.
+    # Only a pipeline's job hands its output encoding on.
     assert [job.encoded_output() is None for job in by_hand] == [True, True]
     assert [job.encoded_output() is None for job in piped] == [False, False]
 
@@ -183,23 +187,197 @@ def _assert_same_jobs(expected, actual) -> None:
 def test_sized_splits_cut_sizes_at_the_split_boundaries() -> None:
     records = [(index, "x" * index) for index in range(10)]
     sizes = [serde.record_size(key, value) for key, value in records]
-    splits = sized_splits(split_records(records, num_splits=3), sizes)
-    assert [list(split) for split in splits] == split_records(
-        records, num_splits=3
-    )
+    splits = split_records(records, num_splits=3, sizes=sizes)
+    assert splits == split_records(records, num_splits=3)
     assert [split.encoded_bytes for split in splits] == [
         sum(sizes[0:4]),
         sum(sizes[4:7]),
         sum(sizes[7:10]),
     ]
-    copy = pickle.loads(pickle.dumps(splits[1], protocol=5))
-    assert isinstance(copy, SizedSplit)
-    assert (list(copy), copy.encoded_bytes) == (
-        list(splits[1]),
-        splits[1].encoded_bytes,
-    )
     with pytest.raises(ValueError, match="record sizes"):
-        sized_splits([records], sizes[:-1])
+        split_records(records, num_splits=3, sizes=sizes[:-1])
+
+
+# -- a split is sized once ---------------------------------------------------
+
+
+def _job() -> JobConf:
+    return wordcount_job(num_reducers=NUM_REDUCERS, cost_meter=FixedCostMeter())
+
+
+def _encoded_size(records) -> int:
+    return sum(serde.record_size(key, value) for key, value in records)
+
+
+def _assert_counts_like_plain_lists(result, splits, job=None) -> None:
+    """``result`` is what a run over plain-list copies of ``splits``
+    gives; a plain list is encoded record by record on every run."""
+    plain = LocalJobRunner(executor="serial").run(
+        job or _job(), [list(split) for split in splits]
+    )
+    assert result.output == plain.output
+    assert result.counters.as_dict() == plain.counters.as_dict()
+
+
+class _RefusingSerde:
+    """Stands in for ``repro.mr.serde`` inside one module and fails every
+    encode made through it."""
+
+    def __getattr__(self, name: str):
+        attr = getattr(serde, name)
+        if not name.startswith("encode"):
+            return attr
+
+        def refused(*args, **kwargs):
+            raise AssertionError(f"serde.{name} called")
+
+        return refused
+
+
+@pytest.mark.parametrize("sized", [True, False], ids=["sized", "unsized"])
+def test_a_split_pickles_with_its_size(sized) -> None:
+    records = [(index, "x" * index) for index in range(6)]
+    split = SizedSplit(records, _encoded_size(records) if sized else None)
+    copy = pickle.loads(pickle.dumps(split, protocol=5))
+    assert type(copy) is SizedSplit
+    assert (copy, copy.encoded_bytes, copy.sized_records) == (
+        split,
+        split.encoded_bytes,
+        split.sized_records,
+    )
+
+
+def test_a_split_is_sized_once_on_the_serial_executor(monkeypatch) -> None:
+    records = _lines()
+    splits = split_records(records, num_splits=NUM_SPLITS)
+    assert [split.encoded_bytes for split in splits] == [None] * NUM_SPLITS
+    in_maps = _CountingSerde()
+    monkeypatch.setattr(maptask, "serde", in_maps)
+    runner = LocalJobRunner(executor="serial")
+
+    first = runner.run(_job(), splits)
+    assert in_maps.calls["encode_kv_into"] == len(records)
+    assert [split.encoded_bytes for split in splits] == [
+        _encoded_size(split) for split in splits
+    ]
+    in_maps.calls.clear()
+    second = runner.run(_job(), splits)
+    assert in_maps.calls["encode_kv_into"] == 0
+    for result in (first, second):
+        _assert_counts_like_plain_lists(result, splits)
+
+
+def test_a_split_is_sized_once_on_the_pool(monkeypatch) -> None:
+    """The first run's sizes come back in the map results and land on
+    the caller's splits; the second run's workers, forked with the map
+    task's encoder refused, charge the sizes the splits pickled with."""
+    splits = split_records(_lines(), num_splits=NUM_SPLITS)
+    with ParallelExecutor(max_workers=2) as pool:
+        first = LocalJobRunner(executor=pool).run(_job(), splits)
+    assert [split.encoded_bytes for split in splits] == [
+        _encoded_size(split) for split in splits
+    ]
+    monkeypatch.setattr(maptask, "serde", _RefusingSerde())
+    with ParallelExecutor(max_workers=2) as pool:
+        second = LocalJobRunner(executor=pool).run(_job(), splits)
+    monkeypatch.undo()
+    for result in (first, second):
+        _assert_counts_like_plain_lists(result, splits)
+
+
+def test_splits_cut_by_bytes_are_sized_at_cut(monkeypatch) -> None:
+    """The cutter computes every record's size anyway; its splits keep
+    them, so even their first run encodes no input record."""
+    splits = split_records(_lines(), split_bytes=256)
+    assert len(splits) > 1
+    assert [split.encoded_bytes for split in splits] == [
+        _encoded_size(split) for split in splits
+    ]
+    in_maps = _CountingSerde()
+    monkeypatch.setattr(maptask, "serde", in_maps)
+    result = LocalJobRunner(executor="serial").run(_job(), splits)
+    assert in_maps.calls["encode_kv_into"] == 0
+    _assert_counts_like_plain_lists(result, splits)
+    empty = split_records([], split_bytes=10)
+    assert empty == [[]] and empty[0].encoded_bytes == 0
+
+
+class _WatchedFaults(ScriptedFaults):
+    """Scripted faults that note ``split``'s size as map0's attempts
+    start."""
+
+    def __init__(self, split: SizedSplit, **script) -> None:
+        super().__init__(**script)
+        self.split = split
+        self.sizes_at_start: list = []
+
+    def fault_for(self, kind, task_id, attempt):
+        if task_id == "map0":
+            self.sizes_at_start.append(self.split.encoded_bytes)
+        return super().fault_for(kind, task_id, attempt)
+
+
+def test_a_failed_attempt_leaves_its_split_unsized() -> None:
+    """On the default executor: serial, or a pool under ``REPRO_JOBS``."""
+    splits = split_records(_lines(), num_splits=NUM_SPLITS)
+    faults = _WatchedFaults(splits[0], fail_first={"map0": 1})
+    runner = LocalJobRunner(fault_policy=faults, max_attempts=2)
+    result = runner.run(_job(), splits)
+    assert faults.injected == [("map0", 1, "fail")]
+    assert faults.sizes_at_start == [None, None]
+    assert splits[0].encoded_bytes == _encoded_size(splits[0])
+    _assert_counts_like_plain_lists(result, splits)
+
+
+class _FailsOnceAtCleanup(Mapper):
+    """Identity Map; the first task to reach cleanup fails there, after
+    reading its whole split."""
+
+    failures_left = 0
+
+    def cleanup(self, context: Context) -> None:
+        if _FailsOnceAtCleanup.failures_left:
+            _FailsOnceAtCleanup.failures_left -= 1
+            raise RuntimeError("cleanup failed")
+
+
+def test_an_attempt_that_read_its_split_then_failed_leaves_it_unsized(
+    monkeypatch,
+) -> None:
+    monkeypatch.setattr(_FailsOnceAtCleanup, "failures_left", 1)
+    job = JobConf(
+        mapper=_FailsOnceAtCleanup,
+        reducer=Reducer,
+        num_reducers=NUM_REDUCERS,
+        name="fails-once",
+        cost_meter=FixedCostMeter(),
+    )
+    splits = split_records(_lines(), num_splits=NUM_SPLITS)
+    faults = _WatchedFaults(splits[0])
+    runner = LocalJobRunner(
+        executor="serial", fault_policy=faults, max_attempts=2
+    )
+    result = runner.run(job, splits)
+    assert faults.sizes_at_start == [None, None]
+    assert splits[0].encoded_bytes == _encoded_size(splits[0])
+    _assert_counts_like_plain_lists(result, splits, job)
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [{"num_splits": NUM_SPLITS}, {"split_bytes": 256}],
+    ids=["by_count", "by_bytes"],
+)
+def test_a_split_changed_after_sizing_fails_its_map_task(cut) -> None:
+    records = _lines()
+    splits = split_records(records, **cut)
+    runner = LocalJobRunner()
+    runner.run(_job(), splits)
+    sized = splits[1].encoded_bytes
+    splits[1].append(records[0])
+    with pytest.raises(ValueError, match=r"map1 has \d+ records but was sized"):
+        runner.run(_job(), splits)
+    assert splits[1].encoded_bytes == sized
 
 
 def test_list_shaped_source_records_run_like_tuples() -> None:
