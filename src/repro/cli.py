@@ -369,11 +369,15 @@ def _cmd_serve(
     workers: int,
     queue_depth: int,
 ) -> int:
+    import signal
+
     from repro.obs.jobservice import JobService
     from repro.obs.run_store import RunStore
     from repro.obs.server import ObservabilityServer
 
     store = RunStore(runs_dir)
+    # start() forks the job workers: it runs before the HTTP server
+    # and its threads exist.
     service = JobService(
         store, workers=workers, queue_depth=queue_depth
     ).start()
@@ -384,10 +388,12 @@ def _cmd_serve(
         f"serving run ledger {store.root} on {server.url} "
         "(endpoints: /metrics /runs /runs/<id> /healthz "
         "POST /jobs /jobs/<id>; "
-        f"{workers} worker(s), queue depth {queue_depth}; "
-        "Ctrl-C drains and stops)",
+        f"{workers} worker process(es), queue depth {queue_depth}; "
+        "Ctrl-C or SIGTERM drains and stops)",
         file=sys.stderr,
     )
+    # SIGTERM is Ctrl-C: a service manager's stop drains the queue.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -553,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=2,
         metavar="N",
-        help="job-execution worker threads (default: 2)",
+        help="jobs run at once, each in a worker process (default: 2)",
     )
     serve_parser.add_argument(
         "--queue-depth",

@@ -355,22 +355,81 @@ class _SliceFuture(TaskFuture):
         self._fused._future.add_done_callback(lambda _future: fn())
 
 
+# -- parent-death watch -------------------------------------------------------
+#
+# A pool worker blocks on its call queue, whose write end it holds
+# itself, so a worker whose parent was SIGKILLed would wait forever,
+# reparented to init.  PR_SET_PDEATHSIG does not cover it: it fires
+# when the *thread* that forked exits, and a pool rebuilt after a crash
+# is forked from whatever thread drove the job.  Instead each process
+# that forks pool workers keeps one lifeline pipe whose write end it
+# never closes; every worker closes its inherited copy of that end
+# first thing and watches the read end from a daemon thread, which
+# reads EOF the moment the parent process is gone.
+
+_lifeline: tuple[int, int, int] | None = None  # (owner pid, read fd, write fd)
+
+
+def _lifeline_fds() -> tuple[int, int]:
+    """This process's lifeline pipe, made on first use."""
+    global _lifeline
+    if _lifeline is None or _lifeline[0] != os.getpid():
+        _lifeline = (os.getpid(), *os.pipe())
+    return _lifeline[1], _lifeline[2]
+
+
+def _exit_on_eof(read_fd: int) -> None:
+    os.read(read_fd, 1)  # nothing is ever written: returns at EOF
+    os._exit(1)
+
+
+def _init_worker(
+    read_fd: int,
+    write_fd: int,
+    initializer: Callable[..., Any] | None,
+    initargs: tuple,
+) -> None:
+    """Pool-worker start-up: watch the parent, then the caller's init."""
+    import threading
+
+    os.close(write_fd)
+    threading.Thread(
+        target=_exit_on_eof,
+        args=(read_fd,),
+        name="repro-parent-watch",
+        daemon=True,
+    ).start()
+    if initializer is not None:
+        initializer(*initargs)
+
+
 class ParallelExecutor(Executor):
     """Process-pool executor: task attempts run in worker processes.
 
     Uses the ``fork`` start method where available (cheap, inherits
-    imported modules) and the platform default elsewhere.
+    imported modules) and the platform default elsewhere.  Under
+    ``fork`` the workers exit when the process that made the pool dies,
+    however it died, and ``initargs`` are inherited, never pickled.
+    ``initializer(*initargs)`` runs in every worker before its first
+    attempt, a rebuilt pool's included.
     """
 
     name = PROCESS
     requires_pickling = True
 
-    def __init__(self, max_workers: int | None = None):
+    def __init__(
+        self,
+        max_workers: int | None = None,
+        initializer: Callable[..., Any] | None = None,
+        initargs: tuple = (),
+    ):
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise ExecutorError("max_workers must be >= 1")
         self.max_workers = max_workers
+        self._initializer = initializer
+        self._initargs = initargs
         self._pool = self._make_pool()
         self._abandoned: list[TaskFuture] = []
         self._closed = False
@@ -379,11 +438,17 @@ class ParallelExecutor(Executor):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        context = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                initializer=self._initializer,
+                initargs=self._initargs,
+            )
         return ProcessPoolExecutor(
-            max_workers=self.max_workers, mp_context=context
+            max_workers=self.max_workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(*_lifeline_fds(), self._initializer, self._initargs),
         )
 
     def submit(self, fn: Callable[..., Any], /, *args: Any) -> TaskFuture:

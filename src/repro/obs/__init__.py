@@ -23,8 +23,8 @@ those bytes and CPU seconds happened.
 * :mod:`repro.obs.server` / :mod:`repro.obs.jobservice` — the
   ``repro serve`` HTTP service: ledger reads (``/metrics`` Prometheus
   scrape, ``/runs``, ``/healthz``) plus the job-submission write path
-  (``POST /jobs`` into a bounded queue, executed by a worker pool with
-  per-job flight recorders).
+  (``POST /jobs`` into a bounded queue, each job run in a worker
+  process under its own flight recorder).
 """
 
 from repro.obs.trace import (

@@ -116,6 +116,25 @@ def deterministic_counters(counters: dict[str, float]) -> dict[str, float]:
     }
 
 
+def run_manifest(
+    kind: str,
+    name: str,
+    params: dict | None = None,
+    argv: Sequence[str] | None = None,
+) -> dict:
+    """The manifest of a run recorded by this process."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": kind,
+        "name": name,
+        "params": params or {},
+        "argv": list(argv) if argv is not None else None,
+        "env": run_environment(),
+        "pid": os.getpid(),
+        "boot": BOOT_ID,
+    }
+
+
 class FlightRecorder:
     """Records one run (a CLI experiment or a service job) into the ledger."""
 
@@ -127,7 +146,23 @@ class FlightRecorder:
         params: dict | None = None,
         argv: Sequence[str] | None = None,
     ) -> None:
+        self._open(
+            store, store.create(run_manifest(kind, name, params, argv)).run_id
+        )
+
+    @classmethod
+    def attach(cls, store: RunStore, run_id: str) -> "FlightRecorder":
+        """A recorder for a run another process created: the job
+        service creates each job's run, and the worker process that
+        runs the job records into it and finalises it."""
+        recorder = cls.__new__(cls)
+        recorder._open(store, run_id)
+        return recorder
+
+    def _open(self, store: RunStore, run_id: str) -> None:
         self._store = store
+        self._run_id = run_id
+        self._path = store.root / run_id
         #: The run-total counter fold: every recorded entry's counter
         #: bag merged in arrival order, so the finalised receipt is
         #: bit-identical to the engine's totals.
@@ -136,23 +171,10 @@ class FlightRecorder:
         self._error: str | None = None
         self._finalized = False
         #: One recorder may be fed from several threads (a pipeline's
-        #: concurrent stages, the job service's workers): the lock
-        #: keeps each entry's (index, counter fold, rows) atomic so the
-        #: fold order matches the entry order.
+        #: concurrent stages): the lock keeps each entry's (index,
+        #: counter fold, rows) atomic so the fold order matches the
+        #: entry order.
         self._lock = threading.Lock()
-        manifest = {
-            "schema": SCHEMA_VERSION,
-            "kind": kind,
-            "name": name,
-            "params": params or {},
-            "argv": list(argv) if argv is not None else None,
-            "env": run_environment(),
-            "pid": os.getpid(),
-            "boot": BOOT_ID,
-        }
-        run = store.create(manifest)
-        self._run_id = run.run_id
-        self._path = run.path
 
     @property
     def run_id(self) -> str:
@@ -314,52 +336,25 @@ class FlightRecorder:
         )
 
 
-# -- the process-wide (and thread-scoped) hook -----------------------------
+# -- the process-wide hook ---------------------------------------------------
+#
+# One recorded run per process: the CLI installs the recorder for the
+# experiment it runs, and a job-service worker process for each job it
+# runs.  A pipeline's concurrent stage threads record into it too.
 
 _recorder: FlightRecorder | None = None
-_thread_hook = threading.local()
-
-#: Hook scopes: ``"process"`` is the CLI's classic one-run-per-process
-#: install; ``"thread"`` scopes the recorder to the calling thread so
-#: the job service's worker pool can run many recorded jobs
-#: concurrently in one process without clobbering each other.
-PROCESS_SCOPE = "process"
-THREAD_SCOPE = "thread"
 
 
-def _check_scope(scope: str) -> None:
-    if scope not in (PROCESS_SCOPE, THREAD_SCOPE):
-        raise ValueError(
-            f"unknown flight-recorder scope {scope!r}; "
-            f"expected {PROCESS_SCOPE!r} or {THREAD_SCOPE!r}"
-        )
+def set_flight_recorder(recorder: FlightRecorder) -> None:
+    """Install a recorder; jobs run after this are recorded."""
+    global _recorder
+    _recorder = recorder
 
 
-def set_flight_recorder(
-    recorder: FlightRecorder, scope: str = PROCESS_SCOPE
-) -> None:
-    """Install a recorder; jobs run after this are recorded.
-
-    A thread-scoped recorder shadows the process-wide one for the
-    installing thread only (the engine resolves thread-local first).
-    """
-    _check_scope(scope)
-    if scope == THREAD_SCOPE:
-        _thread_hook.recorder = recorder
-    else:
-        global _recorder
-        _recorder = recorder
-
-
-def clear_flight_recorder(scope: str = PROCESS_SCOPE) -> None:
-    _check_scope(scope)
-    if scope == THREAD_SCOPE:
-        _thread_hook.recorder = None
-    else:
-        global _recorder
-        _recorder = None
+def clear_flight_recorder() -> None:
+    global _recorder
+    _recorder = None
 
 
 def current_flight_recorder() -> FlightRecorder | None:
-    recorder = getattr(_thread_hook, "recorder", None)
-    return recorder if recorder is not None else _recorder
+    return _recorder

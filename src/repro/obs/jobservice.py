@@ -1,32 +1,43 @@
 """The job-submission write path of ``repro serve``.
 
-PR 7 built the *read* side of the heavy-traffic job service — the
-flight recorder, the persistent :class:`~repro.obs.run_store.RunStore`
-ledger, and the HTTP endpoints over it.  This module is the missing
-*write* half: a :class:`JobService` accepts job specs (an experiment
+The *read* side of the job service is the flight recorder, the
+persistent :class:`~repro.obs.run_store.RunStore` ledger and the HTTP
+endpoints over it.  This module is the *write* half: a :class:`JobService` accepts job specs (an experiment
 name plus parameter overrides), admits them into a **bounded queue**
 (a full queue is an explicit rejection the HTTP layer maps to a 429
-with ``Retry-After``, not an unbounded backlog), and executes them on
-a small pool of worker threads through the existing engine/scheduler.
+with ``Retry-After``, not an unbounded backlog), and runs up to
+``workers`` of them at once, each in a worker process of its own.
 
-Each job runs under its own **thread-scoped** flight recorder writing
-into the shared store, so:
+Each of the ``workers`` slots is a dispatcher thread that owns a
+one-process :class:`~repro.mr.executor.ParallelExecutor`: the thread
+takes a job off the queue, creates its run in the ledger (so ``GET
+/jobs/<id>`` names the ``run_id`` while the job runs), hands the job
+to its worker by experiment name, and waits.  The worker process runs
+the exact sequence of ``repro run --record`` into that run — recorder
+in, driver call, recorder finalised with ``failed`` status on a raise —
+so:
 
 * ``GET /runs/<id>`` and ``/metrics`` serve a submitted job's status,
   receipt and ``mr.derived.*`` gauges the moment they land;
 * a job submitted over HTTP produces a ``counters.json`` receipt
-  **bit-identical** to the same job run via ``repro run --record``
-  (the receipt is the deterministic analytic counter fold, and the
-  worker drives the exact same experiment driver the CLI does);
-* many jobs recording concurrently in one process never clobber each
-  other — the process-wide hook of the one-run-per-process CLI days
-  would, which is why :mod:`repro.obs.flightrecorder` grew scopes.
+  **bit-identical** to the same job run via ``repro run --record``;
+* jobs run side by side on separate interpreters, not on one GIL.
+
+The workers are forked in :meth:`JobService.start`, before the
+dispatcher threads (and the HTTP server) start, so a fork never copies
+a lock another thread holds.  They inherit the experiment registry —
+custom callables included — and open their own store on the ledger
+root.  They ignore SIGINT, so a Ctrl-C to the terminal's process group
+drains the service instead of failing the jobs in flight.  A worker
+that dies fails only its own job: the service finalises that run
+``failed`` with a cause naming the worker, then forks the slot anew.
 
 Shutdown is graceful: :meth:`JobService.drain` stops admission,
-lets queued and in-flight jobs finish, then parks the workers.  A
-service that was killed instead leaves its in-flight bundles
-``running`` for good; :meth:`JobService.start` marks those of dead
-service processes ``failed`` before the workers take their first job.
+lets queued and in-flight jobs finish, then parks the dispatchers and
+closes their workers.  A service that was killed instead leaves its
+in-flight bundles ``running`` for good; :meth:`JobService.start` marks
+those of dead service processes ``failed`` before the workers take
+their first job.
 """
 
 from __future__ import annotations
@@ -34,16 +45,18 @@ from __future__ import annotations
 import itertools
 import os
 import queue
+import signal
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro.mr.executor import ParallelExecutor, WorkerCrashError
 from repro.obs.flightrecorder import (
     BOOT_ID,
-    THREAD_SCOPE,
     FlightRecorder,
     clear_flight_recorder,
+    run_manifest,
     set_flight_recorder,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -74,7 +87,7 @@ LATENCY_BUCKETS = (
 #: ``manifest.argv[0]`` of every bundle a job service records.
 SERVICE_ARGV0 = "jobs"
 
-#: Queue sentinel that parks one worker thread.
+#: Queue sentinel that parks one dispatcher thread.
 _STOP = object()
 
 
@@ -143,6 +156,62 @@ def _process_gone(pid: Any) -> bool:
     except PermissionError:
         pass  # it exists; it is just not ours to signal
     return False
+
+
+# -- the worker process -------------------------------------------------------
+
+#: A job worker's experiment registry and ledger store, installed by
+#: :func:`_init_job_worker` in the worker process itself.
+_worker_registry: Mapping[str, Callable[..., Any]] = {}
+_worker_store: RunStore | None = None
+
+
+def _init_job_worker(
+    registry: Mapping[str, Callable[..., Any]], root: Any, keep: int
+) -> None:
+    """Job-worker start-up.  Ctrl-C is the service's to handle (it
+    drains); SIGTERM, which is how a pool stops a worker, exits even in
+    a slot forked after ``repro serve`` made SIGTERM drain; and the
+    worker's store is its own, not the one it inherited."""
+    global _worker_registry, _worker_store
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _worker_registry = registry
+    _worker_store = RunStore(root, keep=keep)
+
+
+def _run_job(
+    run_id: str, experiment: str, params: dict
+) -> tuple[str, str | None]:
+    """Run one job in a worker process, recording into ``run_id``.
+
+    This is deliberately the same sequence as ``repro run --record``:
+    recorder in, driver call, recorder finalised with ``failed`` status
+    on a raise — so the receipt (and the failure bundle) are identical
+    either way.  Returns the run's final status and the job's error.
+    """
+    recorder = FlightRecorder.attach(_worker_store, run_id)
+    status, error = FAILED, None
+    set_flight_recorder(recorder)
+    try:
+        _worker_registry[experiment](**params)
+        status = COMPLETED
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        recorder.record_error(exc)
+    finally:
+        clear_flight_recorder()
+        try:
+            recorder.finalize(status)
+        except Exception as exc:
+            error = error or f"{type(exc).__name__}: {exc}"
+            status = FAILED
+    return status, error
+
+
+def _fork(executor: ParallelExecutor) -> int:
+    """Fork a one-process pool's worker now; its pid."""
+    return executor.submit(os.getpid).result()
 
 
 def default_experiment_registry() -> dict[str, Callable[..., Any]]:
@@ -219,7 +288,7 @@ def resolve_spec(
 
 
 class JobService:
-    """Bounded admission queue + worker pool over the run ledger."""
+    """Bounded admission queue + worker processes over the run ledger."""
 
     def __init__(
         self,
@@ -268,17 +337,26 @@ class JobService:
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "JobService":
-        """Reconcile orphaned bundles, then spawn the worker threads
-        (idempotent)."""
+        """Reconcile orphaned bundles, fork the workers, then start the
+        dispatcher threads (idempotent)."""
         if not self._threads:
             self._reconcile_orphans()
+            initargs = (self._registry(), self._store.root, self._store.keep)
+            executors = [
+                ParallelExecutor(
+                    1, initializer=_init_job_worker, initargs=initargs
+                )
+                for _ in range(self.workers)
+            ]
+            pids = [_fork(executor) for executor in executors]
             self._threads = [
                 threading.Thread(
                     target=self._worker,
+                    args=(executor, pid),
                     name=f"repro-job-worker-{index}",
                     daemon=True,
                 )
-                for index in range(self.workers)
+                for index, (executor, pid) in enumerate(zip(executors, pids))
             ]
             for thread in self._threads:
                 thread.start()
@@ -327,18 +405,19 @@ class JobService:
     def drain(self, timeout: float | None = None) -> bool:
         """Graceful shutdown: reject new jobs, finish admitted ones.
 
-        Parks each worker with a sentinel *behind* everything already
-        queued, so every accepted job still runs; returns ``True`` once
-        all workers have exited (``False`` on timeout).
+        Parks each dispatcher with a sentinel *behind* everything
+        already queued, so every accepted job still runs; returns
+        ``True`` once all dispatchers have exited and closed their
+        workers (``False`` on timeout).
         """
         with self._lock:
             already = self._draining
             self._draining = True
         if self._threads and not already:
             for _ in self._threads:
-                # Blocks while the queue is full — workers are still
-                # consuming, so space frees up; the sentinel lands
-                # after every accepted job.
+                # Blocks while the queue is full — dispatchers are
+                # still consuming, so space frees up; the sentinel
+                # lands after every accepted job.
                 self._queue.put(_STOP)
         deadline = (
             None if timeout is None else time.monotonic() + timeout
@@ -429,59 +508,66 @@ class JobService:
             self._experiments = default_experiment_registry()
         return self._experiments
 
-    def _worker(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is _STOP:
-                    return
-                self._execute(item)
-            finally:
-                self._queue.task_done()
+    def _worker(self, executor: ParallelExecutor, pid: int) -> None:
+        """One dispatcher: run each job it takes in its own worker."""
+        try:
+            while True:
+                item = self._queue.get()
+                try:
+                    if item is _STOP:
+                        return
+                    if not self._execute(item, executor, pid):
+                        executor.rebuild()
+                        pid = _fork(executor)
+                finally:
+                    self._queue.task_done()
+        finally:
+            executor.close()
 
-    def _execute(self, record: JobRecord) -> None:
-        """Run one job under its own thread-scoped flight recorder.
+    def _execute(
+        self, record: JobRecord, executor: ParallelExecutor, pid: int
+    ) -> bool:
+        """Run one job in worker ``pid``; False if the worker died.
 
-        This is deliberately the same sequence as ``repro run
-        --record``: recorder in, driver call, recorder finalised from
-        the ``finally`` path with ``failed`` status on a raise — so the
-        receipt (and the failure bundle) are identical either way.
+        The run is created here, so the job names its ``run_id`` while
+        it runs and the manifest carries the service's pid; the worker
+        records into it and finalises it (:func:`_run_job`).
         """
         self._enter(record, RUNNING)
-        status = FAILED
         try:
-            fn = self._registry()[record.experiment]
-            recorder = FlightRecorder(
-                self._store,
-                kind="experiment",
-                name=record.experiment,
-                params={record.experiment: record.params},
-                argv=[SERVICE_ARGV0, record.experiment],
+            run = self._store.create(
+                run_manifest(
+                    "experiment",
+                    record.experiment,
+                    params={record.experiment: record.params},
+                    argv=[SERVICE_ARGV0, record.experiment],
+                )
             )
         except Exception as exc:
             record.error = f"{type(exc).__name__}: {exc}"
             self._enter(record, FAILED_STATE)
-            return
-        record.run_id = recorder.run_id
-        set_flight_recorder(recorder, scope=THREAD_SCOPE)
+            return True
+        record.run_id = run.run_id
+        alive = True
         try:
-            fn(**record.params)
-            status = COMPLETED
-        except Exception as exc:
-            record.error = f"{type(exc).__name__}: {exc}"
-            recorder.record_error(exc)
-        finally:
-            clear_flight_recorder(scope=THREAD_SCOPE)
-            try:
-                recorder.finalize(status)
-            except Exception as exc:
-                record.error = record.error or (
-                    f"{type(exc).__name__}: {exc}"
-                )
-                status = FAILED
-            self._enter(
-                record, DONE if status == COMPLETED else FAILED_STATE
+            status, record.error = executor.submit(
+                _run_job, run.run_id, record.experiment, record.params
+            ).result()
+        except WorkerCrashError:
+            alive = False
+            status = FAILED
+            record.error = f"job worker process {pid} died mid-job"
+            self._store.write_status(
+                run.run_id,
+                {
+                    "status": FAILED,
+                    "finished_unix": time.time(),
+                    "entries": len(self._store.load(run.run_id).entries),
+                    "error": record.error,
+                },
             )
+        self._enter(record, DONE if status == COMPLETED else FAILED_STATE)
+        return alive
 
     def _enter(self, record: JobRecord, state: str) -> None:
         """Move a job to ``running`` or to a terminal state; a finished

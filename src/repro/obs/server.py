@@ -151,8 +151,8 @@ class _LedgerHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     #: The listen backlog.  ``socketserver``'s 5 is one burst of
     #: loadgen's default nine connections short: the accept loop shares
-    #: the GIL with the job workers, the kernel drops the SYNs that do
-    #: not fit, and those clients retransmit a full second later.
+    #: the GIL with the request threads, the kernel drops the SYNs that
+    #: do not fit, and those clients retransmit a full second later.
     request_queue_size = 128
 
     def __init__(

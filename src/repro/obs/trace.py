@@ -201,10 +201,10 @@ NULL_TRACER = NullTracer()
 # in the worker process when attempts run on a pool — and instrumented
 # code asks for ``current_tracer()``.
 #
-# The activation is per thread (a context variable): attempts running
-# concurrently on the job service's worker threads, or an abandoned
-# attempt still finishing beside its retry, each see only their own
-# tracer, and leaving one block never restores another thread's.
+# The activation is per thread (a context variable): jobs running
+# concurrently on a pipeline's stage threads, or an abandoned attempt
+# still finishing beside its retry, each see only their own tracer,
+# and leaving one block never restores another thread's.
 
 _active: ContextVar[Tracer | NullTracer] = ContextVar(
     "repro_active_tracer", default=NULL_TRACER

@@ -36,11 +36,7 @@ from repro.mr.config import JobConf
 from repro.mr.engine import LocalJobRunner
 from repro.mr.split import split_records
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.flightrecorder import (
-    clear_flight_recorder,
-    current_flight_recorder,
-    set_flight_recorder,
-)
+from repro.obs.flightrecorder import current_flight_recorder
 from repro.obs.trace import SpanRecord
 from repro.pipeline.convergence import resolve_until
 from repro.pipeline.dataset import Dataset, DatasetStore
@@ -357,29 +353,11 @@ class _Execution:
             inline = [s for s in wave if s not in parallel]
             buckets: dict[int, list[StageResult]] = {}
             if parallel:
-                # A flight recorder resolves thread-local first (the
-                # job service installs per-job recorders on worker
-                # threads), so the submitting thread's recorder must be
-                # re-installed on each stage thread for the engine hook
-                # to record the stage jobs of a concurrent wave.
-                recorder = current_flight_recorder()
-
-                def run_stage_recorded(stage: Stage) -> list[StageResult]:
-                    if recorder is None:
-                        return self._run_stage(stage)
-                    set_flight_recorder(recorder, scope="thread")
-                    try:
-                        return self._run_stage(stage)
-                    finally:
-                        clear_flight_recorder(scope="thread")
-
                 with ThreadPoolExecutor(
                     max_workers=min(self.max_concurrent, len(parallel))
                 ) as pool:
                     futures = {
-                        stage.stage_id: pool.submit(
-                            run_stage_recorded, stage
-                        )
+                        stage.stage_id: pool.submit(self._run_stage, stage)
                         for stage in parallel
                     }
                     for stage in inline:

@@ -321,6 +321,56 @@ class TestPoolLifecycle:
         assert second == serial
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` names a live process (a zombie is dead)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat"), reason="needs Linux /proc"
+)
+def test_workers_exit_when_their_parent_is_killed() -> None:
+    """SIGKILL leaves no pool worker behind, even one forked by a
+    thread that has since exited (where PR_SET_PDEATHSIG would have
+    fired too early)."""
+    code = (
+        "import multiprocessing, os, threading, time\n"
+        "from repro.mr.executor import ParallelExecutor\n"
+        "pool = ParallelExecutor(2)\n"
+        "forker = threading.Thread(target=lambda: pool.submit(int).result())\n"
+        "forker.start(); forker.join()\n"
+        "print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdout=subprocess.PIPE,
+        text=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=env,
+    )
+    try:
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(workers) == 2
+        assert all(map(_running, workers))  # the forking thread is gone
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 2.0
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, workers))
+
+
 def test_no_resource_tracker_warnings() -> None:
     """A pool run under ``-W error::ResourceWarning`` exits cleanly,
     with no ResourceWarning and no resource-tracker chatter on stderr."""

@@ -11,7 +11,12 @@ The service contract pinned here:
 * **Graceful drain** — every accepted job finishes (and finalises its
   ledger bundle) before the workers park.
 * **Failure isolation** — a raising job lands a ``status=failed``
-  bundle and the worker survives to run the next job.
+  bundle and the worker survives to run the next job; a worker process
+  that dies fails only its own job, and its slot is forked anew.
+* **Jobs run side by side** — each in a worker process of its own,
+  none of them the service's; ``drain`` leaves no worker behind.
+* **Signals** — SIGTERM, or a Ctrl-C to the process group, drains
+  ``repro serve`` to exit status 0; a SIGKILLed one leaves no worker.
 * **Load holds** — the load generator drives a burst of jobs through
   the bounded queue with zero lost accepted jobs and every ``/metrics``
   scrape valid throughout.
@@ -22,20 +27,25 @@ The service contract pinned here:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import signal
 import statistics
 import subprocess
 import sys
-import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.obs.jobservice import (
     DONE,
     FAILED_STATE,
+    RUNNING,
     JobQueueFull,
     JobService,
     JobSpecError,
@@ -56,6 +66,27 @@ TINY_WORDCOUNT = {
     "num_reducers": 2,
     "num_splits": 2,
 }
+
+
+#: Jobs run in forked worker processes: whatever an injected job shares
+#: with the test thread is a fork-inherited multiprocessing primitive,
+#: made before the service starts.
+FORK = multiprocessing.get_context("fork")
+
+
+class SharedTally:
+    """A list stand-in the job workers ``append`` to and the test
+    ``len``s: only the count crosses the process boundary."""
+
+    def __init__(self) -> None:
+        self._count = FORK.Value("i", 0)
+
+    def append(self, _item: object) -> None:
+        with self._count.get_lock():
+            self._count.value += 1
+
+    def __len__(self) -> int:
+        return self._count.value
 
 
 def _post(url: str, document: dict) -> tuple[int, dict, dict]:
@@ -154,8 +185,8 @@ class TestResolveSpec:
 # -- admission control ------------------------------------------------------
 class TestAdmission:
     def test_full_queue_rejects_with_retry_after(self, tmp_path) -> None:
-        started = threading.Event()
-        release = threading.Event()
+        started = FORK.Event()
+        release = FORK.Event()
 
         def blocker() -> None:
             started.set()
@@ -181,7 +212,7 @@ class TestAdmission:
         assert _wait_terminal(service, second.job_id).state == DONE
 
     def test_drain_finishes_accepted_then_rejects(self, tmp_path) -> None:
-        ran: list[int] = []
+        ran = SharedTally()
         service = JobService(
             RunStore(tmp_path, keep=100),
             experiments={"quick": lambda: ran.append(1)},
@@ -224,6 +255,96 @@ class TestAdmission:
         assert failed_run.status_name == "failed"
         assert "kaput" in failed_run.status["error"]
         assert service.drain(timeout=30)
+
+
+# -- worker processes -------------------------------------------------------
+class TestWorkerProcesses:
+    def test_two_workers_run_two_jobs_at_once_in_their_own_processes(
+        self, tmp_path
+    ) -> None:
+        pids = FORK.Queue()
+        release = FORK.Event()
+
+        def blocker() -> None:
+            pids.put(os.getpid())
+            assert release.wait(30)
+
+        service = JobService(
+            RunStore(tmp_path, keep=100),
+            experiments={"block": blocker},
+            workers=2,
+        ).start()
+        try:
+            records = [
+                service.submit({"experiment": "block"}) for _ in range(2)
+            ]
+            # Neither job returns before release: both run at once.
+            running = {pids.get(timeout=10), pids.get(timeout=10)}
+        finally:
+            release.set()
+        assert service.drain(timeout=30)
+        assert len(running) == 2
+        assert os.getpid() not in running
+        assert all(
+            service.job(record.job_id).state == DONE for record in records
+        )
+
+    def test_a_dying_worker_fails_only_its_own_job(self, tmp_path) -> None:
+        started = FORK.Event()
+        release = FORK.Event()
+        died = FORK.Value("i", 0)
+
+        def blocker() -> None:
+            started.set()
+            assert release.wait(30)
+
+        def die() -> None:
+            died.value = os.getpid()
+            os._exit(3)
+
+        store = RunStore(tmp_path, keep=100)
+        service = JobService(
+            store,
+            experiments={"block": blocker, "die": die, "ok": lambda: None},
+            workers=2,
+        ).start()
+        try:
+            sibling = service.submit({"experiment": "block"})
+            assert started.wait(10)  # one slot holds the sibling
+            dead = _wait_terminal(
+                service, service.submit({"experiment": "die"}).job_id
+            )
+            # The sibling still holds its slot, so the next job runs on
+            # the dead worker's slot, forked anew.
+            after = _wait_terminal(
+                service, service.submit({"experiment": "ok"}).job_id
+            )
+            assert service.job(sibling.job_id).state == RUNNING
+        finally:
+            release.set()
+        assert service.drain(timeout=30)
+        cause = f"worker process {died.value} died"
+        assert dead.state == FAILED_STATE and cause in dead.error
+        bundle = store.load(dead.run_id)
+        assert bundle.status_name == "failed"
+        assert cause in bundle.status["error"]
+        assert after.state == DONE
+        assert service.job(sibling.job_id).state == DONE
+        assert store.load(sibling.run_id).status_name == "completed"
+
+    def test_drain_leaves_no_worker_process(self, tmp_path) -> None:
+        before = set(multiprocessing.active_children())
+        service = JobService(
+            RunStore(tmp_path, keep=100),
+            experiments={"ok": lambda: None},
+            workers=2,
+        ).start()
+        serving = set(multiprocessing.active_children()) - before
+        for _ in range(4):
+            service.submit({"experiment": "ok"})
+        assert service.drain(timeout=30)
+        assert len(serving) == 2
+        assert set(multiprocessing.active_children()) <= before
 
 
 # -- start-up reconciliation ------------------------------------------------
@@ -344,8 +465,8 @@ class TestServiceMetrics:
     def test_states_follow_each_job_and_finished_jobs_are_observed_once(
         self, tmp_path
     ) -> None:
-        started = threading.Event()
-        release = threading.Event()
+        started = FORK.Event()
+        release = FORK.Event()
 
         def blocker() -> None:
             started.set()
@@ -493,8 +614,8 @@ class TestHTTPSurface:
         assert excinfo.value.code == 404
 
     def test_http_429_carries_retry_after_header(self, tmp_path) -> None:
-        started = threading.Event()
-        release = threading.Event()
+        started = FORK.Event()
+        release = FORK.Event()
 
         def blocker() -> None:
             started.set()
@@ -522,6 +643,34 @@ class TestHTTPSurface:
             release.set()
             service.drain(timeout=30)
             server.stop()
+
+    def test_running_job_names_its_run_id(self, tmp_path) -> None:
+        started = FORK.Event()
+        release = FORK.Event()
+
+        def blocker() -> None:
+            started.set()
+            assert release.wait(30)
+
+        store = RunStore(tmp_path, keep=100)
+        service = JobService(
+            store, experiments={"block": blocker}, workers=1
+        ).start()
+        server = ObservabilityServer(store, service=service).start()
+        try:
+            code, doc, _ = _post(server.url, {"experiment": "block"})
+            assert code == 202
+            assert started.wait(10)
+            code, job = _get(server.url, f"/jobs/{doc['job_id']}")
+            assert code == 200 and job["state"] == "running"
+            run = store.load(job["run_id"])
+            assert run.status_name == "running"
+            assert run.manifest["pid"] == os.getpid()  # the service's
+        finally:
+            release.set()
+            service.drain(timeout=30)
+            server.stop()
+        assert store.load(job["run_id"]).status_name == "completed"
 
     def test_server_without_service_disables_write_path(
         self, tmp_path
@@ -651,3 +800,129 @@ class TestLoadGenerator:
             server.stop()
         assert report.ok(), report.summary()
         assert report.retries_429 > 0
+
+
+# -- `repro serve` under signals ---------------------------------------------
+def _proc_stat(pid: int) -> list[str] | None:
+    """The fields of ``/proc/<pid>/stat`` after the command name."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _alive(pid: int) -> bool:
+    """Running, sleeping or stopped: gone and zombie both count as dead."""
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+def _children(pid: int) -> set[int]:
+    """The live children of ``pid``, whichever of its threads forked them."""
+    return {
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit()
+        and (_proc_stat(int(entry)) or ["", ""])[1] == str(pid)
+        and _alive(int(entry))
+    }
+
+
+class _Served:
+    """``repro serve --workers 2`` leading a process group of its own."""
+
+    def __init__(self, ledger: Path) -> None:
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        self.ledger = ledger
+        self.proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--runs-dir", str(ledger), "--workers", "2",
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+            # A shell that started the suite in the background handed
+            # it an ignored SIGINT; Ctrl-C must mean Ctrl-C here.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        banner = self.proc.stderr.readline()
+        self.url = "http://" + banner.split(" on http://", 1)[1].split()[0]
+        #: Forked by start(), before the banner.
+        self.workers = _children(self.proc.pid)
+
+    def submit_running(self) -> None:
+        """Submit a job that runs for about two seconds; return once
+        it is running."""
+        code, doc, _ = _post(
+            self.url,
+            {
+                "experiment": "wordcount",
+                "params": {**TINY_WORDCOUNT, "num_lines": 30000},
+            },
+        )
+        assert code == 202
+        deadline = time.monotonic() + 30
+        while _get(self.url, f"/jobs/{doc['job_id']}")[1]["state"] != RUNNING:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+
+    def stopped(self) -> tuple[int, str]:
+        """Wait for the server to exit; its status and its stderr."""
+        try:
+            _, err = self.proc.communicate(timeout=120)
+        finally:
+            # Not communicate(): a worker that outlived the server
+            # would hold its stderr open for good.
+            self.proc.kill()
+            self.proc.wait()
+            self.proc.stderr.close()
+        return self.proc.returncode, err
+
+    def bundle_status(self) -> str:
+        (record,) = RunStore(self.ledger).load_all()
+        return record.status_name
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs Linux /proc"
+)
+class TestServeSignals:
+    def test_sigkill_leaves_no_worker_behind(self, tmp_path) -> None:
+        served = _Served(tmp_path / "ledger")
+        workers = served.workers
+        served.submit_running()
+        served.proc.kill()
+        served.proc.wait()
+        served.proc.stderr.close()
+        deadline = time.monotonic() + 2.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(workers) == 2
+        assert not any(map(_alive, workers))
+
+    def test_sigterm_drains_to_exit_zero(self, tmp_path) -> None:
+        served = _Served(tmp_path / "ledger")
+        workers = served.workers
+        served.submit_running()
+        served.proc.terminate()
+        code, err = served.stopped()
+        assert code == 0, err
+        assert served.bundle_status() == "completed"
+        assert len(workers) == 2
+        assert not any(map(_alive, workers))
+
+    def test_sigint_to_the_process_group_drains(self, tmp_path) -> None:
+        served = _Served(tmp_path / "ledger")
+        served.submit_running()
+        os.killpg(served.proc.pid, signal.SIGINT)
+        code, err = served.stopped()
+        assert code == 0, err
+        assert served.bundle_status() == "completed"

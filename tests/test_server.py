@@ -160,7 +160,7 @@ class TestConnectionBursts:
         self, store
     ) -> None:
         """Sixteen connections arrive before the accept loop gets a
-        turn (it shares the GIL with the job workers).  The listen
+        turn (it shares the GIL with the request threads).  The listen
         queue must hold them: with ``socketserver``'s backlog of 5 the
         kernel drops the SYNs that do not fit and those clients
         retransmit a full second later."""
