@@ -5,6 +5,11 @@ are full multi-job experiments, not micro-benchmarks), prints the
 reproduced table to the terminal (bypassing pytest's capture), and
 persists it under ``benchmarks/results/`` so EXPERIMENTS.md can be
 cross-checked against the latest run.
+
+``REPRO_JOBS=4 pytest benchmarks/`` runs every experiment's map and
+reduce tasks on four worker processes (each job reads ``REPRO_JOBS``);
+counters, and therefore the persisted reports, are byte-identical to a
+serial run.
 """
 
 from __future__ import annotations
@@ -14,21 +19,6 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def executor_from_env():
-    """Honour ``REPRO_JOBS=N`` for the whole benchmark session.
-
-    ``REPRO_JOBS=4 pytest benchmarks/`` runs every experiment's map and
-    reduce tasks on four worker processes; counters (and therefore the
-    persisted reports) are byte-identical to a serial run.
-    """
-    from repro.mr.executor import clear_default_executor, configure_from_env
-
-    configure_from_env()
-    yield
-    clear_default_executor()
 
 
 @pytest.fixture

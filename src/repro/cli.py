@@ -26,8 +26,9 @@ Commands:
 * ``python -m repro serve`` — HTTP job service over the ledger: a live
   Prometheus ``/metrics`` scrape plus ``/runs``, ``/runs/<id>`` and
   ``/healthz``, and a job-submission write path (``POST /jobs`` into a
-  bounded queue executed by ``--workers`` threads; a full queue
-  answers 429 + Retry-After).  See ``docs/observability.md``.
+  bounded queue, each job run in one of ``--workers`` worker
+  processes; a full queue answers 429 + Retry-After).  See
+  ``docs/observability.md``.
 * ``python -m repro loadgen`` — replay many jobs against a live server
   and verify zero accepted jobs are lost and every ``/metrics`` scrape
   stays valid under load.
@@ -240,13 +241,16 @@ def _cmd_run(
     overrides: list[str],
     record: bool = False,
     runs_dir: str | None = None,
+    jobs: int | None = None,
 ) -> int:
     try:
         flags, overrides = _extract_runner_flags(overrides)
         if flags.jobs is not None:
+            jobs = flags.jobs
+        if jobs is not None:
             from repro.mr.executor import set_default_jobs
 
-            set_default_jobs(flags.jobs)
+            set_default_jobs(jobs)
         record = record or flags.record
         if flags.runs_dir is not None:
             runs_dir = flags.runs_dir
@@ -289,7 +293,8 @@ def _cmd_run(
             kind="experiment",
             name=name,
             params={exp: kwargs_by_name[exp] for exp in names},
-            argv=["run", name, *overrides],
+            argv=["run", name, *overrides]
+            + ([] if jobs is None else ["-j", str(jobs)]),
         )
         set_flight_recorder(recorder)
     status = "failed"
@@ -672,15 +677,12 @@ def main(argv: list[str] | None = None) -> int:
             )
         if args.command == "runs":
             return _cmd_runs(args)
-        if args.jobs is not None:
-            from repro.mr.executor import set_default_jobs
-
-            set_default_jobs(args.jobs)
         return _cmd_run(
             args.experiment,
             args.overrides,
             args.record,
             args.runs_dir,
+            args.jobs,
         )
     except BrokenPipeError:
         # stdout went away (e.g. piped into `head`); exit quietly

@@ -79,16 +79,14 @@ def measure_job(
     splits: Sequence[Iterable[tuple[Any, Any]]],
     cluster: ClusterModel | None = None,
     runner: LocalJobRunner | None = None,
-    executor: Executor | str | None = None,
+    executor: Executor | None = None,
 ) -> MeasuredRun:
     """Run one job and capture the quantities the paper reports.
 
-    ``executor`` selects an execution backend for this measurement (an
-    :class:`~repro.mr.executor.Executor` instance or a name); when
-    omitted, the default :class:`LocalJobRunner` resolution applies —
-    i.e. the CLI's ``--jobs``/``REPRO_JOBS`` override, then the job's
-    own knobs.  The measured byte/record quantities are identical
-    across backends; only wall-clock concurrency differs.
+    ``executor`` is the backend for this measurement; when omitted,
+    :class:`LocalJobRunner` runs the job on the ``--jobs``/``REPRO_JOBS``
+    default.  The measured byte/record quantities are identical across
+    backends; only wall-clock concurrency differs.
     """
     if runner is None:
         runner = LocalJobRunner(executor=executor)

@@ -30,10 +30,9 @@ from repro.mr.executor import (
     Executor,
     ParallelExecutor,
     SerialExecutor,
-    create_executor,
+    WorkerCrashError,
 )
 from repro.mr.runtime_model import ClusterModel
-from repro.mr.executor import WorkerCrashError
 from repro.mr.scheduler import (
     FaultPolicy,
     JobScheduler,
@@ -72,7 +71,6 @@ __all__ = [
     "TaskTimeoutError",
     "WorkerCrashError",
     "available_codecs",
-    "create_executor",
     "default_comparator",
     "get_codec",
     "split_records",

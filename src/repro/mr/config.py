@@ -21,7 +21,6 @@ from repro.mr.api import Combiner, HashPartitioner, Mapper, Partitioner, Reducer
 from repro.mr.comparators import Comparator, default_comparator
 from repro.mr.compress import get_codec
 from repro.mr.cost import CostMeter, FrameworkCostModel, PerfCounterMeter
-from repro.mr.executor import EXECUTOR_NAMES
 
 MapperFactory = Callable[[], Mapper]
 ReducerFactory = Callable[[], Reducer]
@@ -73,12 +72,6 @@ class JobConf:
     #: merge (and the extra disk traffic is accounted).
     reduce_buffer_bytes: int = 8 * 1024 * 1024
 
-    #: Execution backend: ``"serial"`` (in-process, the default) or
-    #: ``"process"`` (a worker-process pool).  Byte/record counters are
-    #: identical across backends; only wall-clock concurrency differs.
-    executor: str = "serial"
-    #: Worker processes for the process executor (``None`` = CPU count).
-    max_workers: int | None = None
     #: Attempts per task before the job fails (1 = fail fast, no
     #: retry — Hadoop's ``mapred.map.max.attempts`` analogue).
     max_task_attempts: int = 1
@@ -134,13 +127,6 @@ class JobConf:
             raise JobConfError("reducer must be a zero-argument factory")
         if self.combiner is not None and not callable(self.combiner):
             raise JobConfError("combiner must be a zero-argument factory or None")
-        if self.executor not in EXECUTOR_NAMES:
-            known = ", ".join(EXECUTOR_NAMES)
-            raise JobConfError(
-                f"unknown executor {self.executor!r}; known: {known}"
-            )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise JobConfError("max_workers must be >= 1 (or None)")
         if self.max_task_attempts < 1:
             raise JobConfError("max_task_attempts must be >= 1")
         if (

@@ -1,13 +1,13 @@
 """The local job runner: the simulator's JobTracker facade.
 
-``LocalJobRunner`` resolves an execution backend (serial by default, a
-process pool when requested via ``JobConf.executor``, an explicit
-executor argument, or the ``--jobs``/``REPRO_JOBS`` override) and
-hands the job to the :class:`~repro.mr.scheduler.JobScheduler`, which
-runs the map wave, the shuffle, and the reduce wave with per-task
-retries.  Per-task cost snapshots and the per-attempt event log are
-kept so the :class:`~repro.mr.runtime_model.ClusterModel` can turn
-them into a simulated wall-clock runtime.
+``LocalJobRunner`` picks an execution backend (the executor instance
+it was given, else a pool of ``--jobs``/``REPRO_JOBS`` workers when
+that count is above 1, else the serial executor) and hands the job to
+the :class:`~repro.mr.scheduler.JobScheduler`, which runs the map
+wave, the shuffle, and the reduce wave with per-task retries.
+Per-task cost snapshots and the per-attempt event log are kept so the
+:class:`~repro.mr.runtime_model.ClusterModel` can turn them into a
+simulated wall-clock runtime.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from repro.mr.counters import Counters
 from repro.mr.events import EventLog
 from repro.mr.executor import (
     Executor,
-    create_executor,
-    default_executor_spec,
+    ParallelExecutor,
+    SerialExecutor,
+    default_jobs,
 )
 from repro.mr.runtime_model import ClusterModel, RuntimeEstimate, TaskCost
 from repro.mr.scheduler import FaultPolicy, JobScheduler
@@ -190,20 +191,19 @@ class JobResult:
 class LocalJobRunner:
     """Executes a job on in-memory splits, faithfully accounted.
 
-    The runner is a thin facade: executor resolution here, task-graph
+    The runner is a thin facade: executor choice here, task-graph
     execution in the :class:`~repro.mr.scheduler.JobScheduler`.
 
-    ``executor`` may be an :class:`~repro.mr.executor.Executor`
-    instance (caller owns its lifetime) or an executor name
-    (``"serial"`` / ``"process"``, created and closed per run).  When
-    omitted, the process-wide ``--jobs``/``REPRO_JOBS`` override is
-    consulted first, then the job's own ``executor``/``max_workers``
-    knobs.
+    ``executor`` is an :class:`~repro.mr.executor.Executor` instance
+    whose lifetime the caller owns.  When omitted, each run makes its
+    own: a :class:`~repro.mr.executor.ParallelExecutor` of
+    :func:`~repro.mr.executor.default_jobs` workers when that count is
+    above 1, else a :class:`~repro.mr.executor.SerialExecutor`.
     """
 
     def __init__(
         self,
-        executor: Executor | str | None = None,
+        executor: Executor | None = None,
         fault_policy: FaultPolicy | None = None,
         max_attempts: int | None = None,
         tracer: Tracer | NullTracer | None = None,
@@ -219,18 +219,6 @@ class LocalJobRunner:
         self._clock = clock
         self._sleep = sleep
 
-    def _resolve_executor(self, job: JobConf) -> tuple[Executor, bool]:
-        """The executor for ``job`` and whether this run owns it."""
-        if isinstance(self._executor, Executor):
-            return self._executor, False
-        if isinstance(self._executor, str):
-            return create_executor(self._executor, job.max_workers), True
-        override = default_executor_spec()
-        if override is not None:
-            name, max_workers = override
-            return create_executor(name, max_workers), True
-        return create_executor(job.executor, job.max_workers), True
-
     def run(
         self,
         job: JobConf,
@@ -243,7 +231,10 @@ class LocalJobRunner:
         output on the result (:meth:`JobResult.encoded_output`); a
         pipeline asks for it, and every other caller leaves it off.
         """
-        executor, owned = self._resolve_executor(job)
+        executor = self._executor
+        if executor is None:
+            jobs = default_jobs()
+            executor = ParallelExecutor(jobs) if jobs > 1 else SerialExecutor()
         # Tracer resolution: an explicit tracer wins; otherwise an
         # installed flight recorder turns tracing on for every job run
         # while installed (the bundle's spans.jsonl is what `repro
@@ -275,11 +266,11 @@ class LocalJobRunner:
         finally:
             if gc_was_enabled:
                 gc.enable()
-            if owned:
+            if executor is not self._executor:
                 executor.close()
         # Zero-cost when no recorder is installed, and observation-only
         # when one is — it reads the finished result, so counters are
         # identical either way.
         if recorder is not None:
-            recorder.record_job(job, result)
+            recorder.record_job(job, result, executor)
         return result

@@ -12,12 +12,13 @@ provided:
   ``ProcessPoolExecutor`` backend.  Task attempts (and their results)
   cross a process boundary, which is why task inputs and outputs must
   pickle; byte/record counters are required to be identical to the
-  serial executor's (the engine's tests pin this).
+  serial executor's (the engine's tests pin this).  Every submission
+  is a chunk of attempts shipped in one pickle-5 envelope.
 
-A process-wide *default executor override* supports the CLI's
-``--jobs/-j`` flag and the ``REPRO_JOBS`` environment variable: when
-set, jobs that do not explicitly construct a runner with an executor
-use the override instead of their ``JobConf.executor`` knob.
+A job given no executor instance runs on a pool of
+:func:`default_jobs` workers when that count is above 1, and serially
+otherwise: the CLI's ``--jobs`` sets the count
+(:func:`set_default_jobs`), else ``REPRO_JOBS`` does.
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ from __future__ import annotations
 import os
 import pickle
 from typing import Any, Callable
-
-#: Executor names accepted by :func:`create_executor` / ``JobConf.executor``.
-SERIAL = "serial"
-PROCESS = "process"
-EXECUTOR_NAMES = (SERIAL, PROCESS)
 
 #: Environment variable naming the default worker count (0/1 = serial).
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -99,7 +95,7 @@ class _OobEnvelope:
 
     The pool transports the envelope instead of the result object, so
     payload bytes ride as flat top-level buffers rather than embedded
-    in a nested object graph; :meth:`_PoolFuture.result` opens it.
+    in a nested object graph; :meth:`_FusedFuture.outcomes` opens it.
     """
 
     __slots__ = ("stream", "buffers")
@@ -182,19 +178,11 @@ class Executor:
     ) -> list[TaskFuture]:
         """Submit one attempt per argument tuple; one future each.
 
-        The base implementation is sequential :meth:`submit` calls with
-        the synchronous crash classification the scheduler's per-task
-        launch path performs — identical semantics, single entry point.
+        The base implementation is sequential :meth:`submit` calls.
         Pool executors override this to *fuse* the submissions into a
         handful of chunked envelopes (dispatch amortization).
         """
-        futures: list[TaskFuture] = []
-        for args in argsets:
-            try:
-                futures.append(self.submit(fn, *args))
-            except WorkerCrashError as exc:
-                futures.append(CompletedFuture(error=exc))
-        return futures
+        return [self.submit(fn, *args) for args in argsets]
 
     def rebuild(self) -> bool:
         """Recover from an infrastructure failure; True if anything was
@@ -227,46 +215,13 @@ class SerialExecutor(Executor):
     retry path is identical across executors.
     """
 
-    name = SERIAL
+    name = "serial"
 
     def submit(self, fn: Callable[..., Any], /, *args: Any) -> TaskFuture:
         try:
             return CompletedFuture(fn(*args))
         except Exception as exc:
             return CompletedFuture(error=exc)
-
-
-class _PoolFuture(TaskFuture):
-    def __init__(self, future: Any):
-        self._future = future
-
-    def result(self) -> Any:
-        from concurrent.futures import BrokenExecutor
-
-        try:
-            value = self._future.result()
-        except BrokenExecutor as exc:
-            raise WorkerCrashError(
-                f"worker process died; pool is broken ({exc})"
-            ) from exc
-        if isinstance(value, _OobEnvelope):
-            return loads_oob(value.stream, value.buffers)
-        return value
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def cancel(self) -> bool:
-        return self._future.cancel()
-
-    def add_done_callback(self, fn: Callable[[], None]) -> None:
-        self._future.add_done_callback(lambda _future: fn())
-
-
-def _invoke_oob(fn: Callable[..., Any], stream: bytes, buffers: list[bytes]) -> Any:
-    """Worker-side shim: unpack OOB args, run, repack the result."""
-    args = loads_oob(stream, buffers)
-    return _OobEnvelope(*dumps_oob(fn(*args)))
 
 
 def _invoke_oob_many(
@@ -295,13 +250,21 @@ def _invoke_oob_many(
     return _OobEnvelope(*dumps_oob(outcomes))
 
 
+def _pool_crash(exc: BaseException) -> WorkerCrashError:
+    """The :class:`WorkerCrashError` a broken pool's ``exc`` stands for."""
+    error = WorkerCrashError(f"worker process died; pool is broken ({exc})")
+    error.__cause__ = exc
+    return error
+
+
 class _FusedFuture:
     """Scheduler-side handle to one fused chunk's pool future."""
 
-    __slots__ = ("_future", "_outcomes", "_error")
+    __slots__ = ("_future", "_size", "_outcomes", "_error")
 
-    def __init__(self, future: Any):
+    def __init__(self, future: Any, size: int):
         self._future = future
+        self._size = size
         self._outcomes: list[tuple[bool, Any]] | None = None
         self._error: BaseException | None = None
 
@@ -312,16 +275,11 @@ class _FusedFuture:
             raise self._error
         if self._outcomes is None:
             try:
-                value = self._future.result()
+                envelope = self._future.result()
             except BrokenExecutor as exc:
-                self._error = WorkerCrashError(
-                    f"worker process died; pool is broken ({exc})"
-                )
-                self._error.__cause__ = exc
+                self._error = _pool_crash(exc)
                 raise self._error
-            if isinstance(value, _OobEnvelope):
-                value = loads_oob(value.stream, value.buffers)
-            self._outcomes = value
+            self._outcomes = loads_oob(envelope.stream, envelope.buffers)
         return self._outcomes
 
     def done(self) -> bool:
@@ -331,9 +289,10 @@ class _FusedFuture:
 class _SliceFuture(TaskFuture):
     """One task attempt's view of a fused chunk.
 
-    ``cancel`` always fails: cancelling the chunk would cancel sibling
-    attempts of *other* tasks, so the scheduler's abandon path applies
-    instead (as for any running pool attempt).
+    ``cancel`` succeeds only for the sole attempt of a chunk that is
+    still queued.  Cancelling a larger chunk would cancel sibling
+    attempts of *other* tasks, so it always fails and the scheduler's
+    abandon path applies instead (as for any running pool attempt).
     """
 
     __slots__ = ("_fused", "_index")
@@ -350,6 +309,9 @@ class _SliceFuture(TaskFuture):
 
     def done(self) -> bool:
         return self._fused.done()
+
+    def cancel(self) -> bool:
+        return self._fused._size == 1 and self._fused._future.cancel()
 
     def add_done_callback(self, fn: Callable[[], None]) -> None:
         self._fused._future.add_done_callback(lambda _future: fn())
@@ -414,7 +376,7 @@ class ParallelExecutor(Executor):
     attempt, a rebuilt pool's included.
     """
 
-    name = PROCESS
+    name = "process"
     requires_pickling = True
 
     def __init__(
@@ -452,19 +414,8 @@ class ParallelExecutor(Executor):
         )
 
     def submit(self, fn: Callable[..., Any], /, *args: Any) -> TaskFuture:
-        from concurrent.futures import BrokenExecutor
-
-        if self._closed:
-            raise ExecutorError("executor already closed")
-        stream, buffers = dumps_oob(args)
-        try:
-            return _PoolFuture(
-                self._pool.submit(_invoke_oob, fn, stream, buffers)
-            )
-        except BrokenExecutor as exc:
-            raise WorkerCrashError(
-                f"worker process died; pool rejects submissions ({exc})"
-            ) from exc
+        """One attempt: a chunk of one (see :meth:`submit_many`)."""
+        return self.submit_many(fn, [args])[0]
 
     def submit_many(
         self, fn: Callable[..., Any], argsets: list[tuple]
@@ -477,7 +428,9 @@ class ParallelExecutor(Executor):
         short (``mr.executor.roundtrip_ms`` in BENCHMARK.json).  Here
         the wave is split into at most ``max_workers`` contiguous
         chunks, each shipped as a single :func:`_invoke_oob_many`
-        envelope whose argument pickles share common objects once.
+        envelope whose argument pickles share common objects once.  A
+        broken pool's synchronous rejection comes back as failed
+        futures, one per attempt of the rejected chunk.
         """
         from concurrent.futures import BrokenExecutor
 
@@ -490,27 +443,16 @@ class ParallelExecutor(Executor):
         futures: list[TaskFuture] = []
         for start in range(0, count, chunk):
             group = argsets[start : start + chunk]
-            if len(group) == 1:
-                try:
-                    futures.append(self.submit(fn, *group[0]))
-                except WorkerCrashError as exc:
-                    futures.append(CompletedFuture(error=exc))
-                continue
             stream, buffers = dumps_oob(list(group))
             try:
                 pool_future = self._pool.submit(
                     _invoke_oob_many, fn, stream, buffers
                 )
             except BrokenExecutor as exc:
-                error = WorkerCrashError(
-                    f"worker process died; pool rejects submissions ({exc})"
-                )
-                error.__cause__ = exc
-                futures.extend(
-                    CompletedFuture(error=error) for _ in group
-                )
+                error = _pool_crash(exc)
+                futures.extend(CompletedFuture(error=error) for _ in group)
                 continue
-            fused = _FusedFuture(pool_future)
+            fused = _FusedFuture(pool_future, len(group))
             futures.extend(
                 _SliceFuture(fused, index) for index in range(len(group))
             )
@@ -568,16 +510,6 @@ class ParallelExecutor(Executor):
             self._pool.shutdown(wait=True)
 
 
-def create_executor(name: str, max_workers: int | None = None) -> Executor:
-    """Instantiate an executor by name (``"serial"`` or ``"process"``)."""
-    if name == SERIAL:
-        return SerialExecutor()
-    if name == PROCESS:
-        return ParallelExecutor(max_workers=max_workers)
-    known = ", ".join(EXECUTOR_NAMES)
-    raise ExecutorError(f"unknown executor {name!r}; known: {known}")
-
-
 def check_picklable(job: Any) -> None:
     """Fail fast, with guidance, if ``job`` cannot cross processes."""
     try:
@@ -591,66 +523,36 @@ def check_picklable(job: Any) -> None:
         ) from exc
 
 
-# -- process-wide default override (CLI --jobs / REPRO_JOBS) ---------------
+# -- process-wide default worker count (CLI --jobs / REPRO_JOBS) -----------
 
-_default_override: tuple[str, int | None] | None = None
-
-
-def set_default_executor(name: str, max_workers: int | None = None) -> None:
-    """Install a process-wide default executor specification."""
-    if name not in EXECUTOR_NAMES:
-        known = ", ".join(EXECUTOR_NAMES)
-        raise ExecutorError(f"unknown executor {name!r}; known: {known}")
-    global _default_override
-    _default_override = (name, max_workers)
+_default_jobs: int | None = None
 
 
-def clear_default_executor() -> None:
-    """Remove the process-wide default executor specification."""
-    global _default_override
-    _default_override = None
+def set_default_jobs(jobs: int | None) -> None:
+    """Set the worker count for jobs run without an executor instance
+    (the CLI's ``--jobs N``); ``None`` restores the ``REPRO_JOBS``
+    fallback."""
+    global _default_jobs
+    _default_jobs = jobs
 
 
-def set_default_jobs(jobs: int) -> None:
-    """Map a ``--jobs N`` request onto the default executor override."""
-    if jobs > 1:
-        set_default_executor(PROCESS, jobs)
-    else:
-        set_default_executor(SERIAL)
+def default_jobs() -> int:
+    """Worker count for a job given no executor: the
+    :func:`set_default_jobs` value, else ``REPRO_JOBS``, else 1.  Above
+    1 the job runs on a pool of that many workers; otherwise serially.
 
-
-def configure_from_env(environ: Any = None) -> bool:
-    """Install the override from ``REPRO_JOBS``; return whether it was set."""
-    env = os.environ if environ is None else environ
-    raw = env.get(JOBS_ENV_VAR, "").strip()
+    A malformed ``REPRO_JOBS`` raises :class:`ExecutorError`: silently
+    ignoring it would run the job serially while the user believes it
+    is parallel.
+    """
+    if _default_jobs is not None:
+        return _default_jobs
+    raw = os.environ.get(JOBS_ENV_VAR, "").strip()
     if not raw:
-        return False
+        return 1
     try:
-        jobs = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise ExecutorError(
             f"{JOBS_ENV_VAR} must be an integer, got {raw!r}"
         ) from exc
-    set_default_jobs(jobs)
-    return True
-
-
-def default_executor_spec() -> tuple[str, int | None] | None:
-    """The active override (explicit call wins over the environment).
-
-    A malformed ``REPRO_JOBS`` raises :class:`ExecutorError`, exactly
-    like :func:`configure_from_env` — silently ignoring it here would
-    run the job serially while the user believes it is parallel.
-    """
-    if _default_override is not None:
-        return _default_override
-    raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-    if raw:
-        try:
-            jobs = int(raw)
-        except ValueError as exc:
-            raise ExecutorError(
-                f"{JOBS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from exc
-        return (PROCESS, jobs) if jobs > 1 else (SERIAL, None)
-    return None

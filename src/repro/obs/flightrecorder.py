@@ -69,8 +69,9 @@ def run_environment() -> dict:
     }
 
 
-def describe_job_conf(job: Any) -> dict:
-    """The manifest-able knobs of a :class:`~repro.mr.config.JobConf`.
+def describe_job_conf(job: Any, executor: Any = None) -> dict:
+    """The manifest-able knobs of a :class:`~repro.mr.config.JobConf`,
+    with the name and worker count of the executor the job ran on.
 
     Only primitives: mapper/reducer are factories and stay out; the
     anti-combining config collapses to its strategy + threshold.
@@ -88,7 +89,8 @@ def describe_job_conf(job: Any) -> dict:
     return {
         "name": getattr(job, "name", "job"),
         "num_reducers": getattr(job, "num_reducers", None),
-        "executor": getattr(job, "executor", None),
+        "executor": getattr(executor, "name", None),
+        "workers": getattr(executor, "max_workers", None),
         "codec": getattr(job, "map_output_codec", None),
         "sort_buffer_bytes": getattr(job, "sort_buffer_bytes", None),
         "merge_factor": getattr(job, "merge_factor", None),
@@ -170,10 +172,10 @@ class FlightRecorder:
         self._entry_index = 0
         self._error: str | None = None
         self._finalized = False
-        #: One recorder may be fed from several threads (a pipeline's
-        #: concurrent stages): the lock keeps each entry's (index,
-        #: counter fold, rows) atomic so the fold order matches the
-        #: entry order.
+        #: One recorder may be fed from several threads (jobs a library
+        #: caller runs on threads of its own): the lock keeps each
+        #: entry's (index, counter fold, rows) atomic so the fold order
+        #: matches the entry order.
         self._lock = threading.Lock()
 
     @property
@@ -185,12 +187,13 @@ class FlightRecorder:
         return self._path
 
     # -- recording -------------------------------------------------------
-    def record_job(self, job: Any, result: Any) -> None:
-        """Record one finished job (called by the engine after a run)."""
+    def record_job(self, job: Any, result: Any, executor: Any = None) -> None:
+        """Record one finished job (called by the engine after a run,
+        with the executor the job ran on)."""
         with self._lock:
-            self._record_job_locked(job, result)
+            self._record_job_locked(job, result, executor)
 
-    def _record_job_locked(self, job: Any, result: Any) -> None:
+    def _record_job_locked(self, job: Any, result: Any, executor: Any) -> None:
         index = self._entry_index
         self._entry_index += 1
         name = getattr(result, "job_name", None) or getattr(
@@ -209,7 +212,7 @@ class FlightRecorder:
                 "index": index,
                 "kind": "job",
                 "name": name,
-                "conf": describe_job_conf(job),
+                "conf": describe_job_conf(job, executor),
                 "counters": result.counters.as_dict(),
                 "derived": derived,
                 "shuffle_bytes_per_reducer": list(
@@ -340,7 +343,7 @@ class FlightRecorder:
 #
 # One recorded run per process: the CLI installs the recorder for the
 # experiment it runs, and a job-service worker process for each job it
-# runs.  A pipeline's concurrent stage threads record into it too.
+# runs.  Jobs a caller runs on threads of its own record into it too.
 
 _recorder: FlightRecorder | None = None
 

@@ -201,8 +201,8 @@ NULL_TRACER = NullTracer()
 # in the worker process when attempts run on a pool — and instrumented
 # code asks for ``current_tracer()``.
 #
-# The activation is per thread (a context variable): jobs running
-# concurrently on a pipeline's stage threads, or an abandoned attempt
+# The activation is per thread (a context variable): jobs a caller
+# runs concurrently on threads of its own, or an abandoned attempt
 # still finishing beside its retry, each see only their own tracer,
 # and leaving one block never restores another thread's.
 

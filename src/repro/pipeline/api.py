@@ -4,11 +4,10 @@ A pipeline is declared as a dataflow graph — sources, driver-side
 transforms, MapReduce jobs, convergence loops — over named datasets,
 then executed with :meth:`Pipeline.run`:
 
-* stages are scheduled **topologically**; stages of one wave are
-  mutually independent and MapReduce stages among them may run
-  **concurrently** (``max_concurrent_stages``) on driver threads, each
-  job using the engine's executor resolution (so a shared process pool
-  serves parallel branches);
+* stages are scheduled **topologically**, wave by wave; the stages of
+  one wave are mutually independent and run one after another in
+  declaration order on the calling thread, each MapReduce job on the
+  runner's executor (a process pool parallelises *within* a job);
 * every dataset crossing a stage boundary is **materialized** through
   the content-addressed :class:`~repro.pipeline.dataset.DatasetStore`,
   so loop-invariant inputs are serde-encoded exactly once;
@@ -20,16 +19,15 @@ then executed with :meth:`Pipeline.run`:
   :class:`~repro.pipeline.result.PipelineResult`.
 
 Determinism contract: stage results, counter folds, dataset ledgers
-and loop iteration counts are identical across ``max_concurrent_stages``
-settings and engine executors (wall-clock timings excepted), because
-every fold happens in declaration order, never completion order.
+and loop iteration counts are identical across engine executors
+(wall-clock timings excepted), because every fold happens in
+declaration order, which is also the run order.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.mr.config import JobConf
@@ -81,24 +79,19 @@ class Pipeline:
 
     ``runner`` is the :class:`~repro.mr.engine.LocalJobRunner` every
     MapReduce stage goes through (fault policy, retries, speculation
-    and executor resolution all apply per stage); default: a fresh
-    runner with default resolution.  ``max_concurrent_stages`` > 1 lets
-    independent MapReduce branches of one wave run concurrently.
+    and the executor apply per stage); default: a fresh runner on the
+    default executor.
     """
 
     def __init__(
         self,
         name: str = "pipeline",
         runner: LocalJobRunner | None = None,
-        max_concurrent_stages: int = 1,
         _ids: Any = None,
         _prefix: str = "",
     ):
-        if max_concurrent_stages < 1:
-            raise PipelineError("max_concurrent_stages must be >= 1")
         self.name = name
         self._runner = runner
-        self._max_concurrent = max_concurrent_stages
         self._ids = _ids if _ids is not None else _GLOBAL_IDS
         self._prefix = _prefix
         self._graph = JobGraph(name)
@@ -263,16 +256,13 @@ class Pipeline:
         )
         metrics = MetricsRegistry()
         store = DatasetStore(metrics)
-        execution = _Execution(
-            runner, store, metrics, self._ids, self._max_concurrent
-        )
+        execution = _Execution(runner, store, metrics, self._ids)
         started = time.perf_counter()
         stage_results = execution.run_graph(self._graph)
         seconds = time.perf_counter() - started
 
         # Fold every job's counters in stage (declaration/iteration)
-        # order — never completion order — so totals are reproducible
-        # across concurrency settings and executors.
+        # order, so totals are reproducible across executors.
         for stage in stage_results:
             if stage.job_result is not None:
                 metrics.merge_counters(stage.job_result.counters)
@@ -309,13 +299,11 @@ class _Execution:
         store: DatasetStore,
         metrics: MetricsRegistry,
         ids: Any,
-        max_concurrent: int,
     ):
         self.runner = runner
         self.store = store
         self.metrics = metrics
         self.ids = ids
-        self.max_concurrent = max_concurrent
         self.loop_iterations: dict[str, int] = {}
         self.spans: list[SpanRecord] = []
         self._epoch = time.perf_counter()
@@ -341,34 +329,8 @@ class _Execution:
         graph.validate(self.store.has)
         results: list[StageResult] = []
         for wave in graph.topo_order():
-            # MapReduce stages of one wave are independent jobs; fan
-            # them out on driver threads when concurrency is enabled.
-            # Loops and transforms run inline on the driver thread
-            # (loops schedule their own sub-graphs recursively).
-            parallel = (
-                [s for s in wave if s.kind == MAPREDUCE]
-                if self.max_concurrent > 1 and len(wave) > 1
-                else []
-            )
-            inline = [s for s in wave if s not in parallel]
-            buckets: dict[int, list[StageResult]] = {}
-            if parallel:
-                with ThreadPoolExecutor(
-                    max_workers=min(self.max_concurrent, len(parallel))
-                ) as pool:
-                    futures = {
-                        stage.stage_id: pool.submit(self._run_stage, stage)
-                        for stage in parallel
-                    }
-                    for stage in inline:
-                        buckets[stage.stage_id] = self._run_stage(stage)
-                    for stage_id, future in futures.items():
-                        buckets[stage_id] = future.result()
-            else:
-                for stage in inline:
-                    buckets[stage.stage_id] = self._run_stage(stage)
             for stage in wave:
-                results.extend(buckets[stage.stage_id])
+                results.extend(self._run_stage(stage))
         return results
 
     # -- stage execution -------------------------------------------------

@@ -112,8 +112,8 @@ class DatasetStore:
         self._sizes: dict[int, list[int]] = {}
         #: Content-addressed blob store: hash -> encoded byte runs.
         self._blobs: dict[str, list[bytearray]] = {}
-        # Stages may materialize concurrently (parallel branches run on
-        # driver threads); the store is the shared structure.
+        # A store may be read and written from several threads (a
+        # caller sharing one across threads of its own).
         self._lock = threading.Lock()
         # Register the cache counters up front: a zero in the dump
         # means "no traffic", not "absent".

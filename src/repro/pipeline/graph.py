@@ -15,7 +15,7 @@ Acyclicity is enforced by construction — a stage can only consume
 datasets that already exist when it is declared — and re-checked by
 :meth:`JobGraph.topo_order`, which also yields the deterministic
 schedule: ready stages run in declaration order, so results, counter
-folds and ledgers are reproducible no matter how branches interleave.
+folds and ledgers are reproducible on every executor.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class JobGraph:
 
         Returns the schedule as *waves*: each wave holds the stages
         (in declaration order) whose inputs are all satisfied once the
-        previous waves ran.  Stages within a wave are independent — the
-        driver may run them concurrently.
+        previous waves ran.  Stages within a wave are independent of
+        each other; the pipeline runs them in declaration order.
         """
         remaining: dict[int, int] = {}
         consumers: dict[int, list[Stage]] = {}

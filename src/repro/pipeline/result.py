@@ -41,9 +41,9 @@ class PipelineResult:
     /iteration) order — loop bodies contribute one entry per stage per
     iteration, labelled ``loop[i].stage``.  ``counters`` is the fold of
     every MapReduce stage's job counters in that same order, so
-    aggregates are reproducible across branch interleavings and
-    executors.  ``metrics`` additionally carries the pipeline-level
-    ledger: dataset encode hits/misses, content dedup, stage walls.
+    aggregates are reproducible across executors.  ``metrics``
+    additionally carries the pipeline-level ledger: dataset encode
+    hits/misses, content dedup, stage walls.
     """
 
     name: str

@@ -162,7 +162,6 @@ def run_multiquery_pipeline(
     num_splits: int = 8,
     runner: Any = None,
     shared: bool = True,
-    max_concurrent_stages: int = 1,
     **job_kwargs: Any,
 ) -> tuple[dict[str, list], "PipelineResult"]:
     """The multi-query setting as a dataflow pipeline.
@@ -170,21 +169,17 @@ def run_multiquery_pipeline(
     ``shared=True`` runs one merged scan-sharing job and demultiplexes
     per-query result datasets with transforms.  ``shared=False`` runs
     one job per query over the same source dataset — the per-query
-    branches are independent stages of one wave, so they execute
-    concurrently when ``max_concurrent_stages > 1``.  Either way the
-    per-query datasets (``query.<name>``) carry untagged keys and match
-    :func:`split_results_by_query` of the corresponding job output.
+    branches are independent stages of one wave, run in declaration
+    order.  Either way the per-query datasets (``query.<name>``) carry
+    untagged keys and match :func:`split_results_by_query` of the
+    corresponding job output.
 
     Returns ``({query name: records}, PipelineResult)``.
     """
     from repro.pipeline import Pipeline
 
     queries = list(queries)
-    pipeline = Pipeline(
-        "multiquery",
-        runner=runner,
-        max_concurrent_stages=max_concurrent_stages,
-    )
+    pipeline = Pipeline("multiquery", runner=runner)
     docs = pipeline.source("docs", records)
     if shared:
         scan = pipeline.mapreduce(

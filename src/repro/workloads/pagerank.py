@@ -181,7 +181,6 @@ def run_pagerank_pipeline(
     num_splits: int = 8,
     runner: LocalJobRunner | None = None,
     until: Any = None,
-    max_concurrent_stages: int = 1,
 ) -> tuple[list[tuple[Any, tuple]], PipelineResult]:
     """:func:`run_pagerank` on the pipeline layer.
 
@@ -201,11 +200,7 @@ def run_pagerank_pipeline(
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         until = iterations
-    pipeline = Pipeline(
-        "pagerank",
-        runner=runner,
-        max_concurrent_stages=max_concurrent_stages,
-    )
+    pipeline = Pipeline("pagerank", runner=runner)
     structure_records, rank_records = split_graph(graph)
     structure = pipeline.source("structure", structure_records)
     ranks0 = pipeline.source("ranks", rank_records)

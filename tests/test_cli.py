@@ -15,7 +15,7 @@ from repro.cli import (
     main,
 )
 from repro.experiments import run_fig9
-from repro.mr.executor import clear_default_executor, default_executor_spec
+from repro.mr.executor import default_jobs, set_default_jobs
 
 
 class TestRegistry:
@@ -139,10 +139,10 @@ class TestJobsFlag:
                 ]
             )
             assert status == 0
-            assert default_executor_spec() == ("process", 2)
+            assert default_jobs() == 2
             assert "Section 7.1" in capsys.readouterr().out
         finally:
-            clear_default_executor()
+            set_default_jobs(None)
 
 
 class TestCommands:

@@ -26,7 +26,7 @@ from repro.mr.api import Context, Mapper, Reducer
 from repro.mr.config import JobConf
 from repro.mr.cost import FixedCostMeter
 from repro.mr.engine import LocalJobRunner
-from repro.mr.executor import ParallelExecutor
+from repro.mr.executor import ParallelExecutor, SerialExecutor
 from repro.mr.scheduler import ScriptedFaults
 from repro.mr.split import SizedSplit, split_records
 from repro.obs.metrics import MetricsRegistry
@@ -129,7 +129,8 @@ def test_job_output_is_never_encoded_again(monkeypatch) -> None:
     monkeypatch.setattr(dataset_module, "serde", in_store)
     first, second, records = _wordcount_chain()
 
-    pipeline = Pipeline("chain", runner=LocalJobRunner(executor="serial"))
+    runner = LocalJobRunner(executor=SerialExecutor())
+    pipeline = Pipeline("chain", runner=runner)
     source = pipeline.source("input", records)
     middle = pipeline.mapreduce("first", first, source, num_splits=NUM_SPLITS)
     last = pipeline.mapreduce("second", second, middle, num_splits=NUM_SPLITS)
@@ -212,7 +213,7 @@ def _encoded_size(records) -> int:
 def _assert_counts_like_plain_lists(result, splits, job=None) -> None:
     """``result`` is what a run over plain-list copies of ``splits``
     gives; a plain list is encoded record by record on every run."""
-    plain = LocalJobRunner(executor="serial").run(
+    plain = LocalJobRunner(executor=SerialExecutor()).run(
         job or _job(), [list(split) for split in splits]
     )
     assert result.output == plain.output
@@ -253,7 +254,7 @@ def test_a_split_is_sized_once_on_the_serial_executor(monkeypatch) -> None:
     assert [split.encoded_bytes for split in splits] == [None] * NUM_SPLITS
     in_maps = _CountingSerde()
     monkeypatch.setattr(maptask, "serde", in_maps)
-    runner = LocalJobRunner(executor="serial")
+    runner = LocalJobRunner(executor=SerialExecutor())
 
     first = runner.run(_job(), splits)
     assert in_maps.calls["encode_kv_into"] == len(records)
@@ -295,7 +296,7 @@ def test_splits_cut_by_bytes_are_sized_at_cut(monkeypatch) -> None:
     ]
     in_maps = _CountingSerde()
     monkeypatch.setattr(maptask, "serde", in_maps)
-    result = LocalJobRunner(executor="serial").run(_job(), splits)
+    result = LocalJobRunner(executor=SerialExecutor()).run(_job(), splits)
     assert in_maps.calls["encode_kv_into"] == 0
     _assert_counts_like_plain_lists(result, splits)
     empty = split_records([], split_bytes=10)
@@ -355,7 +356,7 @@ def test_an_attempt_that_read_its_split_then_failed_leaves_it_unsized(
     splits = split_records(_lines(), num_splits=NUM_SPLITS)
     faults = _WatchedFaults(splits[0])
     runner = LocalJobRunner(
-        executor="serial", fault_policy=faults, max_attempts=2
+        executor=SerialExecutor(), fault_policy=faults, max_attempts=2
     )
     result = runner.run(job, splits)
     assert faults.sizes_at_start == [None, None]
@@ -386,7 +387,8 @@ def test_list_shaped_source_records_run_like_tuples() -> None:
     records = [("d1", "a b a"), ("d2", "b c"), ("d3", "a c c")]
     outputs = []
     for rows in (records, [list(record) for record in records]):
-        pipeline = Pipeline("wc", runner=LocalJobRunner(executor="serial"))
+        runner = LocalJobRunner(executor=SerialExecutor())
+        pipeline = Pipeline("wc", runner=runner)
         source = pipeline.source("in", rows)
         pipeline.mapreduce(
             "count", wordcount_job(num_reducers=NUM_REDUCERS), source, 2

@@ -14,7 +14,6 @@ from repro.datagen.qlog import generate_query_log
 from repro.mr.cost import FixedCostMeter
 from repro.mr.engine import LocalJobRunner
 from repro.mr.executor import (
-    EXECUTOR_NAMES,
     JOBS_ENV_VAR,
     ExecutorError,
     ParallelExecutor,
@@ -22,11 +21,7 @@ from repro.mr.executor import (
     UnpicklableJobError,
     WorkerCrashError,
     check_picklable,
-    clear_default_executor,
-    configure_from_env,
-    create_executor,
-    default_executor_spec,
-    set_default_executor,
+    default_jobs,
     set_default_jobs,
 )
 from repro.mr.scheduler import ScriptedFaults, TaskFailedError
@@ -38,9 +33,9 @@ from repro.workloads.query_suggestion import query_suggestion_job
 def _clean_override(monkeypatch):
     """Every test starts with no process-wide override and no env."""
     monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-    clear_default_executor()
+    set_default_jobs(None)
     yield
-    clear_default_executor()
+    set_default_jobs(None)
 
 
 def _square(x: int) -> int:
@@ -51,27 +46,32 @@ def _boom() -> None:
     raise ValueError("boom")
 
 
+def _wait_for(path: str) -> None:
+    """Block (bounded) until ``path`` exists."""
+    deadline = time.monotonic() + 10.0
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def _touch(path: str) -> None:
+    with open(path, "w"):
+        pass
+
+
 class TestCreateExecutor:
-    def test_names_registry(self) -> None:
-        assert set(EXECUTOR_NAMES) == {"serial", "process"}
+    """The name and width a run's ledger entry records (``conf``)."""
 
     def test_serial_by_name(self) -> None:
-        executor = create_executor("serial")
-        assert isinstance(executor, SerialExecutor)
+        executor = SerialExecutor()
         assert executor.name == "serial"
         assert not executor.requires_pickling
         assert executor.max_workers == 1
 
     def test_process_by_name(self) -> None:
-        with create_executor("process", max_workers=2) as executor:
-            assert isinstance(executor, ParallelExecutor)
+        with ParallelExecutor(max_workers=2) as executor:
             assert executor.name == "process"
             assert executor.requires_pickling
             assert executor.max_workers == 2
-
-    def test_unknown_name_raises(self) -> None:
-        with pytest.raises(ExecutorError, match="unknown executor"):
-            create_executor("threads")
 
     def test_bad_worker_count_raises(self) -> None:
         with pytest.raises(ExecutorError, match="max_workers"):
@@ -114,6 +114,23 @@ class TestParallelExecutor:
         with pytest.raises(ExecutorError, match="closed"):
             executor.submit(_square, 1)
 
+    def test_queued_submit_cancels(self, tmp_path) -> None:
+        """A one-attempt submission still queued behind a blocking task
+        cancels, and its function never runs."""
+        release, ran = str(tmp_path / "release"), str(tmp_path / "ran")
+        with ParallelExecutor(max_workers=1) as executor:
+            blocker = executor.submit(_wait_for, release)
+            # The pool hands a worker's call queue up to two tasks
+            # beyond the running one; those can no longer be cancelled.
+            fillers = [executor.submit(_square, n) for n in range(3)]
+            queued = executor.submit(_touch, ran)
+            assert queued.cancel() is True
+            assert queued.done()
+            _touch(release)
+            blocker.result()
+            assert [f.result() for f in fillers] == [0, 1, 4]
+        assert not os.path.exists(ran)
+
 
 class TestCheckPicklable:
     def test_picklable_job_passes(self) -> None:
@@ -135,53 +152,71 @@ class TestCheckPicklable:
 
 class TestDefaultOverride:
     def test_unset_by_default(self) -> None:
-        assert default_executor_spec() is None
+        assert default_jobs() == 1
 
-    def test_set_default_executor(self) -> None:
-        set_default_executor("process", 4)
-        assert default_executor_spec() == ("process", 4)
-        clear_default_executor()
-        assert default_executor_spec() is None
-
-    def test_set_default_executor_rejects_unknown(self) -> None:
-        with pytest.raises(ExecutorError, match="unknown executor"):
-            set_default_executor("threads")
+    def test_set_default_jobs_none_restores_env(self, monkeypatch) -> None:
+        monkeypatch.setenv(JOBS_ENV_VAR, "4")
+        set_default_jobs(3)
+        assert default_jobs() == 3
+        set_default_jobs(None)
+        assert default_jobs() == 4
 
     def test_set_default_jobs(self) -> None:
         set_default_jobs(3)
-        assert default_executor_spec() == ("process", 3)
+        assert default_jobs() == 3
         set_default_jobs(1)
-        assert default_executor_spec() == ("serial", None)
+        assert default_jobs() == 1
 
     def test_env_fallback(self, monkeypatch) -> None:
         monkeypatch.setenv(JOBS_ENV_VAR, "5")
-        assert default_executor_spec() == ("process", 5)
+        assert default_jobs() == 5
         monkeypatch.setenv(JOBS_ENV_VAR, "1")
-        assert default_executor_spec() == ("serial", None)
+        assert default_jobs() == 1
+
     def test_malformed_env_raises_in_both_entry_points(
         self, monkeypatch
     ) -> None:
         # A malformed REPRO_JOBS must fail loudly everywhere: silently
         # falling back to serial would fake a parallel run.  Both entry
-        # points — the lazy spec lookup and the eager configuration —
-        # agree on raising.
+        # points — the lookup and a job run given no executor — agree
+        # on raising.
+        from repro.workloads.wordcount import wordcount_job
+
         monkeypatch.setenv(JOBS_ENV_VAR, "not-a-number")
         with pytest.raises(ExecutorError, match="must be an integer"):
-            default_executor_spec()
+            default_jobs()
         with pytest.raises(ExecutorError, match="must be an integer"):
-            configure_from_env()
+            LocalJobRunner().run(wordcount_job(), [[(0, "a b")]])
 
     def test_explicit_override_beats_env(self, monkeypatch) -> None:
         monkeypatch.setenv(JOBS_ENV_VAR, "8")
         set_default_jobs(1)
-        assert default_executor_spec() == ("serial", None)
+        assert default_jobs() == 1
 
-    def test_configure_from_env(self, monkeypatch) -> None:
-        assert not configure_from_env({})
-        assert configure_from_env({JOBS_ENV_VAR: "2"})
-        assert default_executor_spec() == ("process", 2)
-        with pytest.raises(ExecutorError, match="integer"):
-            configure_from_env({JOBS_ENV_VAR: "many"})
+    def test_default_jobs_selects_pool(self, monkeypatch) -> None:
+        """A job given no executor runs on a pool of the default width,
+        which it closes, with the serial run's counters."""
+        from repro.mr import engine
+        from repro.workloads.wordcount import wordcount_job
+
+        made: list[ParallelExecutor] = []
+
+        class Spy(ParallelExecutor):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(engine, "ParallelExecutor", Spy)
+        job = wordcount_job(num_reducers=2, cost_meter=FixedCostMeter())
+        splits = split_records([(i, "a b c a") for i in range(40)], 2)
+        serial = LocalJobRunner().run(job, splits)
+        assert made == []
+        set_default_jobs(2)
+        pooled = LocalJobRunner().run(job, splits)
+        assert [(pool.max_workers, pool._closed) for pool in made] == [
+            (2, True)
+        ]
+        assert pooled.counters.as_dict() == serial.counters.as_dict()
 
 
 class TestJobConfKnobs:
@@ -189,17 +224,11 @@ class TestJobConfKnobs:
         from repro.workloads.wordcount import wordcount_job
 
         job = wordcount_job()
-        assert job.executor == "serial"
-        assert job.max_workers is None
         assert job.max_task_attempts == 1
 
     def test_validation(self) -> None:
         from repro.workloads.wordcount import wordcount_job
 
-        with pytest.raises(ValueError, match="executor"):
-            wordcount_job(executor="threads")
-        with pytest.raises(ValueError, match="max_workers"):
-            wordcount_job(executor="process", max_workers=0)
         with pytest.raises(ValueError, match="max_task_attempts"):
             wordcount_job(max_task_attempts=0)
 

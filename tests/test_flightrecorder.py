@@ -25,6 +25,7 @@ from repro.cli import main
 from repro.mr.counters import MEASURED_CPU_COUNTERS
 from repro.mr.cost import FixedCostMeter
 from repro.mr.engine import LocalJobRunner
+from repro.mr.executor import ParallelExecutor, SerialExecutor
 from repro.mr.split import split_records
 from repro.obs.export import load_jsonl
 from repro.obs.flightrecorder import (
@@ -88,6 +89,24 @@ class TestRecording:
         assert entry["conf"]["strategy"] == "original"
         assert "mr.derived.replication.rate" in entry["derived"]
         assert len(entry["shuffle_bytes_per_reducer"]) == 2
+
+    def test_entry_names_the_executor_that_ran(self, tmp_path) -> None:
+        store = RunStore(tmp_path)
+        recorder = FlightRecorder(store, kind="experiment", name="wc")
+        set_flight_recorder(recorder)
+        try:
+            job, splits = _wordcount()
+            with ParallelExecutor(max_workers=2) as pool:
+                LocalJobRunner(executor=pool).run(job, splits)
+            LocalJobRunner(executor=SerialExecutor()).run(job, splits)
+        finally:
+            clear_flight_recorder()
+        recorder.finalize(COMPLETED)
+        confs = [entry["conf"] for entry in store.load(recorder.run_id).entries]
+        assert [(conf["executor"], conf["workers"]) for conf in confs] == [
+            ("process", 2),
+            ("serial", 1),
+        ]
 
     def test_disabled_recorder_is_none(self) -> None:
         assert current_flight_recorder() is None

@@ -260,7 +260,6 @@ def test_pipeline_multiquery_branches_concurrent_deterministic(pool) -> None:
         num_splits=NUM_SPLITS,
         shared=False,
         runner=LocalJobRunner(executor=pool),
-        max_concurrent_stages=2,
         cost_meter=FixedCostMeter(),
     )
     assert parallel_q == serial_q

@@ -104,20 +104,6 @@ class TestExecutorParity:
             == serial.shuffle_bytes_per_reducer
         )
 
-    def test_executor_by_name(self) -> None:
-        job, splits = _wordcount()
-        serial = LocalJobRunner(executor="serial").run(job, splits)
-        named = LocalJobRunner(executor="process").run(job, splits)
-        assert named.counters.as_dict() == serial.counters.as_dict()
-
-    def test_job_conf_knob_selects_executor(self) -> None:
-        job, splits = _wordcount()
-        serial = LocalJobRunner().run(job, splits)
-        knobbed = LocalJobRunner().run(
-            job.clone(executor="process", max_workers=2), splits
-        )
-        assert knobbed.counters.as_dict() == serial.counters.as_dict()
-
     def test_unpicklable_job_fails_fast_on_process(self, pool) -> None:
         from repro.mr.api import Reducer
         from repro.mr.config import JobConf

@@ -40,11 +40,11 @@ class _Witness(FlightRecorder):
         super().__init__(store, kind="test", name="parity")
         self.seen: list[JobTrace] = []
 
-    def record_job(self, job, result) -> None:
+    def record_job(self, job, result, executor=None) -> None:
         self.seen.append(
             JobTrace(result.job_name, result.spans, result.events)
         )
-        super().record_job(job, result)
+        super().record_job(job, result, executor)
 
     def record_pipeline(self, name, result) -> None:
         self.seen.append(
