@@ -23,6 +23,7 @@ reproduced.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
@@ -41,8 +42,9 @@ MIN_SPILLS_FOR_COMBINE = 3
 
 EmitFn = Callable[[Any, Any], None]
 
-#: Sort key under the natural comparator: (partition, raw key).
-_PARTITION_AND_KEY = itemgetter(0, 1)
+#: A buffered record's partition, and its raw key.
+_PARTITION = itemgetter(0)
+_KEY = itemgetter(1)
 
 
 class CombineRunner:
@@ -74,14 +76,17 @@ class CombineRunner:
             emit(key, value)
 
         cctx = self._context.with_sink(counted_emit, partition=partition)
-        combiner.setup(cctx)
+        measure = job.cost_meter.measure
+        _, cost = measure(combiner.setup, cctx)
+        counters.add(C.CPU_COMBINE_SECONDS, cost)
         for key, values in groups:
             counters.add(C.COMBINE_INPUT_RECORDS, len(values))
-            _, cost = job.cost_meter.measure(
-                combiner.reduce, key, iter(values), cctx
-            )
+            _, cost = measure(combiner.reduce, key, iter(values), cctx)
             counters.add(C.CPU_COMBINE_SECONDS, cost)
-        combiner.cleanup(cctx)
+        # The spill-time AntiCombiner's cleanup drains Shared, running
+        # the user's Combine on every group left there.
+        _, cost = measure(combiner.cleanup, cctx)
+        counters.add(C.CPU_COMBINE_SECONDS, cost)
 
 
 class MapOutputBuffer:
@@ -209,25 +214,26 @@ class MapOutputBuffer:
         """Sort records by (partition, key); yield per-partition slices.
 
         The yielded lists hold the buffer's record tuples; callers pick
-        the fields they need.  The sort key depends on the comparator:
-        natural order sorts by the raw key, an encoded-bytes comparator
-        sorts by the cached serialised key, anything else falls back to
-        a ``cmp_to_key`` wrapper per record.  All three orderings are
-        identical (ties broken by buffer order either way — Python's
-        sort is stable and equal keys compare equal under the wrapper
-        too), and the sort-cost charge depends only on the record
-        count.
+        the fields they need.  The buffer is sorted stably on the
+        partition, an int, each partition's bounds are bisected, and
+        each slice is sorted on the key alone: the raw key under natural
+        order, the serialised key under an encoded-bytes comparator, a
+        ``cmp_to_key`` wrapper otherwise.  Two stable sorts give the
+        order one stable sort on ``(partition, key)`` would (ties stay
+        in buffer order), and the sort-cost charge depends only on the
+        record count.
         """
         job = self._job
         comparator = job.comparator
         if comparator.is_natural:
-            records.sort(key=_PARTITION_AND_KEY)
+            sort_key = _KEY
         elif comparator.orders_by_encoded_bytes:
             encode = serde.encode
-            records.sort(key=lambda rec: (rec[0], encode(rec[1])))
+            sort_key = lambda rec: encode(rec[1])
         else:
             key_fn = comparator.key_fn()
-            records.sort(key=lambda rec: (rec[0], key_fn(rec[1])))
+            sort_key = lambda rec: key_fn(rec[1])
+        records.sort(key=_PARTITION)
         self._context.counters.add(
             C.CPU_FRAMEWORK_SECONDS,
             job.framework_cost_model.sort_cost(len(records)),
@@ -236,10 +242,12 @@ class MapOutputBuffer:
         total = len(records)
         while start < total:
             partition = records[start][0]
-            end = start
-            while end < total and records[end][0] == partition:
-                end += 1
-            yield partition, records[start:end]
+            end = bisect_left(
+                records, partition + 1, start, total, key=_PARTITION
+            )
+            chunk = records[start:end]
+            chunk.sort(key=sort_key)
+            yield partition, chunk
             start = end
 
     def _apply_combiner(

@@ -43,9 +43,9 @@ class ReduceTaskResult:
     serve_counters: Counters = field(default_factory=Counters)
     #: Phase spans recorded while the task ran (empty unless traced).
     spans: list[SpanRecord] = field(default_factory=list)
-    #: ``output`` encoded back to back, unframed (the bytes
-    #: ``reduce.output.bytes`` counts), and each record's size in it;
-    #: kept only when asked for (``ReduceTask.run``'s ``keep_encoding``).
+    #: ``output`` encoded back to back, unframed (``reduce.output.bytes``
+    #: is its length), and each record's size in it; encoded only when
+    #: asked for (``ReduceTask.run``'s ``keep_encoding``), else None.
     output_encoding: tuple[bytearray, list[int]] | None = None
 
     @property
@@ -72,9 +72,10 @@ class ReduceTask:
         keep_encoding: bool = False,
     ) -> ReduceTaskResult:
         """Run the task; ``counters`` may be caller-supplied so partial
-        work stays observable when the task raises.  ``keep_encoding``
-        keeps the encoding that counts the output bytes on the result,
-        for a pipeline to materialize the output from."""
+        work stays observable when the task raises.  The output is
+        sized, not encoded, to count its bytes; ``keep_encoding``
+        encodes it onto the result, for a pipeline to materialize the
+        output from."""
         job = self._job
         tracer = current_tracer()
         counters = counters if counters is not None else Counters()
@@ -91,7 +92,8 @@ class ReduceTask:
         # A capture context: ``write`` appends the pair to ``output``
         # itself, no closure frame per output record.  The output byte
         # and record counters (all integers, exact under summing) are
-        # settled in one run-oriented encode after cleanup.
+        # settled once after cleanup, from an exact size of the whole
+        # task output.
         context = CaptureContext(
             counters=counters,
             sink=output.append,
@@ -146,16 +148,21 @@ class ReduceTask:
             _, cost = job.cost_meter.measure(reducer.cleanup, context)
             counters.add(C.CPU_REDUCE_SECONDS, cost)
 
-        # Settle the deferred output accounting: one run-oriented encode
-        # of the whole task output.
-        encoded = bytearray()
-        sizes = serde.encode_kv_batch(encoded, output)
+        # Settle the deferred output accounting.  Only a pipeline uses
+        # the output's bytes; every other job needs just their count.
+        output_encoding = None
+        if keep_encoding:
+            encoded = bytearray()
+            output_encoding = (encoded, serde.encode_kv_batch(encoded, output))
+            output_bytes = len(encoded)
+        else:
+            output_bytes = serde.kv_batch_size(output)
         if output:
             values_map = counters.raw()
             values_map[C.REDUCE_OUTPUT_RECORDS] += len(output)
-            values_map[C.REDUCE_OUTPUT_BYTES] += len(encoded)
+            values_map[C.REDUCE_OUTPUT_BYTES] += output_bytes
             # Final output goes to the distributed file system.
-            values_map[C.HDFS_WRITE_BYTES] += len(encoded)
+            values_map[C.HDFS_WRITE_BYTES] += output_bytes
 
         return ReduceTaskResult(
             task_id=self.task_id,
@@ -163,7 +170,7 @@ class ReduceTask:
             output=output,
             counters=counters,
             serve_counters=serve_counters,
-            output_encoding=(encoded, sizes) if keep_encoding else None,
+            output_encoding=output_encoding,
         )
 
     # -- shuffle fetch ---------------------------------------------------

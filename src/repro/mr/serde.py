@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import struct
 from functools import partial
+from itertools import chain, groupby, repeat
+from operator import rshift, xor
 from typing import Any, Callable
 
 # Type tags (one byte each).
@@ -946,6 +948,117 @@ def encode_kv_batch(out: bytearray, pairs: Any) -> list[int]:
                 sizes_append(len(out) - before)
         i = j
     return sizes
+
+
+# -- exact batch sizing ----------------------------------------------------
+#
+# What encode_kv_batch would append, without building the bytes: a run
+# of one (key type, value type) shape is sized a column at a time, and
+# each column sizer makes only C-level passes (map, "".join,
+# str.isascii, bytes.translate).  A run with a column of a type that
+# has no sizer here, or that its sizer returns None for, goes through
+# encode_kv_batch.
+
+#: ``bytes.translate`` table from the bit length of ``i`` (of ``~i``
+#: below 0; the zig-zag value is one bit longer) to the tag byte plus
+#: zig-zag varint width of ``i``; 0 outside [_INT_LO, _INT_HI).
+_INT_SIZE_BY_BITS = bytes(
+    1 + (bits + 7) // 7 if bits < 63 else 0 for bits in range(256)
+)
+
+
+def _str_column_size(column: Any) -> int | None:
+    """Exact ``str``s: tag, one-byte length, ASCII payload; None for
+    any string of 128 bytes or more, or outside ASCII."""
+    text = "".join(column)
+    if not text.isascii() or max(map(len, column)) > 0x7F:
+        return None
+    return 2 * len(column) + len(text)
+
+
+def _int_column_size(column: Any) -> int | None:
+    """Exact ``int``s: tag and zig-zag varint; None for any bigint."""
+    if min(column) < 0:
+        # i ^ (i >> 63) is ~i below 0 and i otherwise.
+        column = list(map(xor, column, map(rshift, column, repeat(63))))
+    try:
+        sizes = bytes(map(int.bit_length, column)).translate(
+            _INT_SIZE_BY_BITS
+        )
+    except ValueError:  # a bit length past 255
+        return None
+    return None if 0 in sizes else sum(sizes)
+
+
+def _list_column_size(column: Any) -> int | None:
+    """Exact ``list``s of under 128 items that all have one exact,
+    covered type: tag, one-byte count, items."""
+    if max(map(len, column)) > 0x7F:
+        return None
+    items = list(chain.from_iterable(column))
+    kinds = set(map(type, items))
+    if not kinds:
+        return 2 * len(column)
+    sizer = _COLUMN_SIZERS.get(kinds.pop()) if len(kinds) == 1 else None
+    if sizer is None:
+        return None
+    items_size = sizer(items)
+    return None if items_size is None else 2 * len(column) + items_size
+
+
+_COLUMN_SIZERS: dict[type, Callable[[Any], int | None]] = {
+    str: _str_column_size,
+    int: _int_column_size,
+    list: _list_column_size,
+}
+
+
+def kv_batch_size(pairs: Any) -> int:
+    """``len`` of what :func:`encode_kv_batch` appends for ``pairs``.
+
+    Exact, and cheaper than encoding: a run of one ``(key type, value
+    type)`` shape whose key and value columns are covered is sized
+    without building its bytes; any other run is encoded.  Records are
+    unpacked as the encoder unpacks them, so a malformed one raises the
+    same error.
+    """
+    keys = [key for key, _ in pairs]
+    values = [value for _, value in pairs]
+    key_kinds = set(map(type, keys))
+    value_kinds = set(map(type, values))
+    if len(key_kinds) == 1 == len(value_kinds):
+        return _run_size(pairs, keys, values, *key_kinds, *value_kinds)
+    total = 0
+    start = 0
+    for (key_kind, value_kind), run in groupby(
+        zip(map(type, keys), map(type, values))
+    ):
+        end = start + len(list(run))
+        total += _run_size(
+            pairs[start:end],
+            keys[start:end],
+            values[start:end],
+            key_kind,
+            value_kind,
+        )
+        start = end
+    return total
+
+
+def _run_size(
+    pairs: Any, keys: list, values: list, key_kind: type, value_kind: type
+) -> int:
+    key_sizer = _COLUMN_SIZERS.get(key_kind)
+    value_sizer = _COLUMN_SIZERS.get(value_kind)
+    if key_sizer is not None and value_sizer is not None:
+        size = key_sizer(keys)
+        if size is not None:
+            value_size = value_sizer(values)
+            if value_size is not None:
+                return size + value_size
+    out = bytearray()
+    encode_kv_batch(out, pairs)
+    return len(out)
 
 
 # -- framed record streams -------------------------------------------------

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.mr import counters as C
 from repro.mr import serde
 from repro.mr.api import Combiner, Context, HashPartitioner, Mapper, Partitioner, Reducer
 from repro.mr.buffer import MapOutputBuffer
+from repro.mr.comparators import (
+    Comparator,
+    default_comparator,
+    raw_bytes_comparator,
+)
 from repro.mr.config import JobConf
 from repro.mr.counters import Counters
-from repro.mr.cost import FixedCostMeter
+from repro.mr.cost import FixedCostMeter, TableCostMeter
 from repro.mr.storage import LocalStore
 
 
@@ -183,6 +190,51 @@ class TestSpilling:
         assert sum(s.record_count for s in segments.values()) == 51
 
 
+def _descending(a, b) -> int:
+    return (b > a) - (b < a)
+
+
+class TestSpillOrder:
+    """A spill writes each partition's records in the order one stable
+    sort on ``(partition, key)`` gives, under every kind of comparator."""
+
+    @pytest.mark.parametrize(
+        "comparator",
+        [
+            default_comparator,
+            raw_bytes_comparator,
+            Comparator(_descending, name="descending"),
+        ],
+        ids=["natural", "encoded-bytes", "custom-cmp"],
+    )
+    def test_spill_segments_match_stable_sort(self, comparator) -> None:
+        # 51 records per spill window (16 KiB buffer); keys repeat, the
+        # values tell tied records apart, and partition 3 stays empty.
+        buffer, counters, store = _make_buffer(
+            sort_buffer_bytes=16 * 1024, comparator=comparator
+        )
+        records = [
+            ((i * 37) % 7 * 4 + i % 3, f"v{i}") for i in range(102)
+        ]
+        for key, value in records:
+            buffer.collect(key, value)
+        assert counters.get_int(C.MAP_SPILLS) == 2
+        key_fn = functools.cmp_to_key(comparator.cmp)
+        for spill in range(2):
+            window = records[spill * 51 : (spill + 1) * 51]
+            expected = sorted(
+                window, key=lambda rec: (rec[0] % 4, key_fn(rec[0]))
+            )
+            assert not store.exists(f"map0/spill{spill}/p3")
+            for partition in range(3):
+                pairs = [rec for rec in expected if rec[0] % 4 == partition]
+                assert len({key for key, _ in pairs}) < len(pairs)
+                raw = bytearray()
+                serde.append_records(raw, pairs)
+                name = f"map0/spill{spill}/p{partition}"
+                assert store.peek_file(name) == bytes(raw)
+
+
 class TestCompression:
     def test_compressed_segments_smaller(self) -> None:
         plain, _, _ = _make_buffer()
@@ -253,3 +305,24 @@ class TestSpillCombine:
         buffer.collect(0, 2)
         buffer.finalize()
         assert counters.get(C.CPU_COMBINE_SECONDS) > 0
+
+    def test_combiner_setup_and_cleanup_cpu_charged(self) -> None:
+        """A stateful combiner does work in ``setup``/``cleanup`` (the
+        spill-time AntiCombiner drains Shared there): every combiner
+        run charges both, as map and reduce tasks charge theirs."""
+        runs = []
+
+        class Counting(_SumCombiner):
+            def setup(self, context):
+                runs.append(context)
+
+        buffer, counters, _ = _make_buffer(
+            combiner=Counting,
+            sort_buffer_bytes=16 * 1024,
+            cost_meter=TableCostMeter({"setup": 1.0, "cleanup": 2.0}),
+        )
+        for i in range(51 * 3 + 10):  # 4 spills, 2 partitions, merge combine
+            buffer.collect(i % 2, 1)
+        buffer.finalize()
+        assert len(runs) == 4 * 2 + 2
+        assert counters.get(C.CPU_COMBINE_SECONDS) == 3.0 * len(runs)

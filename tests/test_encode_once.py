@@ -1,14 +1,15 @@
 """A record crosses a pipeline job boundary encoded once, and a split is
 sized once.
 
-The reduce task encodes its output to count ``reduce.output.bytes``;
-in a pipeline that encoding becomes the output dataset's
-materialization, and the per-record sizes, cut at the input splits'
-boundaries, become the next map tasks' input bytes.  A ``split_records``
-split outside a pipeline is sized by its first finished map attempt and
-keeps that size for every later job.  These tests count the encodes
-that are gone and hold the counters to what runs over plain lists
-count, which encode every input record on every run.
+A reduce task counts ``reduce.output.bytes`` with an exact size of its
+output and encodes the output only in a pipeline, where that encoding
+becomes the output dataset's materialization, and the per-record
+sizes, cut at the input splits' boundaries, become the next map tasks'
+input bytes.  A ``split_records`` split outside a pipeline is sized by
+its first finished map attempt and keeps that size for every later job.
+These tests count the encodes that are gone and hold the counters to
+what runs over plain lists count, which encode every input record on
+every run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import pytest
 
 from repro.datagen.webgraph import generate_web_graph
 from repro.experiments.common import strategy_variants
-from repro.mr import maptask, serde
+from repro.mr import counters as C
+from repro.mr import maptask, reducetask, serde
 from repro.mr.api import Context, Mapper, Reducer
 from repro.mr.config import JobConf
 from repro.mr.cost import FixedCostMeter
@@ -147,6 +149,36 @@ def test_job_output_is_never_encoded_again(monkeypatch) -> None:
         assert info.encodes == 1
         assert info.encoded_bytes == len(encoded)
         assert info.content_key == hashlib.sha256(encoded).hexdigest()
+
+
+@pytest.mark.parametrize("strategy", ["Original", "AdaptiveSH"])
+@pytest.mark.parametrize(
+    "chain", [_wordcount_chain, _pagerank_chain], ids=["wordcount", "pagerank"]
+)
+def test_reduce_task_encodes_its_output_only_for_a_pipeline(
+    monkeypatch, chain, strategy
+) -> None:
+    """A reduce task sizes its output to count it: ``encode_kv_batch``
+    runs once per task when the encoding is kept, never otherwise, and
+    ``reduce.output.bytes`` is the encoded length either way."""
+    job, _, records = chain()
+    job = strategy_variants(job)[strategy]
+    counted = _CountingSerde()
+    monkeypatch.setattr(reducetask, "serde", counted)
+    runner = LocalJobRunner(executor=SerialExecutor())
+    results = {}
+    for keep in (False, True):
+        counted.calls.clear()
+        splits = split_records(records, num_splits=NUM_SPLITS)
+        results[keep] = runner.run(job, splits, keep_output_encoding=keep)
+        assert counted.calls["encode_kv_batch"] == (NUM_REDUCERS if keep else 0)
+    sized, kept = results[False], results[True]
+    assert sized.output == kept.output
+    assert sized.counters.as_dict() == kept.counters.as_dict()
+    encoded = bytearray()
+    serde.encode_kv_batch(encoded, sized.output)
+    assert sized.counters.get_int(C.REDUCE_OUTPUT_BYTES) == len(encoded)
+    assert sized.counters.get_int(C.HDFS_WRITE_BYTES) == len(encoded)
 
 
 @pytest.mark.parametrize("strategy", ["Original", "AdaptiveSH"])

@@ -482,6 +482,99 @@ class TestBatchEncoderParity:
         assert sizes == ref_sizes
 
 
+# -- exact batch sizing -----------------------------------------------------
+#
+# `kv_batch_size` sizes the runs its column sizers cover without
+# encoding them and encodes the rest; either way it must return the
+# encoder's length.  The columns below straddle every edge of what is
+# covered, and a batch is a few runs drawn column by column, so
+# covered and uncovered runs sit side by side.
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+_sizer_strs = (
+    st.text(alphabet=st.characters(max_codepoint=0x7F), max_size=8)
+    | st.text(max_size=4)
+    | st.sampled_from(["x" * 127, "y" * 128, "é", "naïve"])
+)
+_sizer_ints = (
+    st.integers(-200, 200)
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from(
+        [
+            serde._INT_LO - 1,
+            serde._INT_LO,
+            serde._INT_LO + 1,
+            serde._INT_HI - 1,
+            serde._INT_HI,
+            serde._INT_HI + 1,
+            63,
+            64,
+            -64,
+            -65,
+            2**100,
+            -(2**100),
+        ]
+    )
+)
+_sizer_lists = (
+    st.lists(_sizer_strs, max_size=4)
+    | st.lists(_sizer_ints, max_size=4)
+    | st.lists(st.lists(st.integers(-5, 5), max_size=4), max_size=3)
+    | st.lists(_sizer_strs | _sizer_ints, max_size=4)
+    | st.sampled_from(
+        [[], ["a"] * 127, ["a"] * 128, list(range(127)), [1] * 128]
+    )
+)
+_sizer_others = st.sampled_from(
+    [
+        True,
+        _Small.ONE,
+        -0.0,
+        float("nan"),
+        None,
+        ("a", 1),
+        PlainValue("p"),
+        PlainValue(7),
+    ]
+)
+_SIZER_COLUMNS = (_sizer_strs, _sizer_ints, _sizer_lists, _sizer_others)
+
+
+@st.composite
+def _sizer_batches(draw):
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        keys = draw(st.sampled_from(_SIZER_COLUMNS))
+        values = draw(st.sampled_from(_SIZER_COLUMNS))
+        for _ in range(draw(st.integers(1, 5))):
+            record = (draw(keys), draw(values))
+            pairs.append(list(record) if draw(st.booleans()) else record)
+    return pairs
+
+
+class TestBatchSizer:
+    @settings(max_examples=400, deadline=None)
+    @given(_sizer_batches())
+    def test_size_is_the_encoded_length(self, pairs) -> None:
+        out = bytearray()
+        serde.encode_kv_batch(out, pairs)
+        assert bytes(out) == b"".join(
+            serde_ref.encode_kv(key, value) for key, value in pairs
+        )
+        assert serde.kv_batch_size(pairs) == len(out)
+
+    def test_malformed_record_raises_as_the_encoder_does(self) -> None:
+        for pairs in ([("a", 1, 2)], [("a", 1), ("b",)]):
+            with pytest.raises(ValueError):
+                serde.encode_kv_batch(bytearray(), pairs)
+            with pytest.raises(ValueError):
+                serde.kv_batch_size(pairs)
+
+
 class TestBufferBatchParity:
     """How the record sequence is cut into ``collect_batch`` calls
     never shows: segments, analytic counters and spills depend on the

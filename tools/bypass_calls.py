@@ -21,6 +21,17 @@ workload, where nearly every record is shared — the same total is what
 encoding, decoding and ``Shared`` cost in frames, and has a budget of
 its own there.  It is a count, not a speed-up: calls differ in cost,
 and work inside one call is invisible to it.
+
+The total is a difference, so a saving moves it by what it saves
+AdaptiveSH *minus* what it saves Original.  A call removed from a path
+that runs once per record a variant handles shrinks both sides, each
+by its own record count.  On ``query_suggestion`` Original writes about
+14 Map output records per input record and AdaptiveSH far fewer, so a
+per-map-output-record call taken out of the collect loop or the segment
+writer raises the total: dropping one ``len(records)`` per collected
+record moved it from 126.13 to 139.92, and the table already shows
+``write_varint`` at -13.80 calls per record on Original's side.  Read a
+rise here against the two columns before reading it as new overhead.
 """
 
 from __future__ import annotations
