@@ -74,6 +74,8 @@ class AntiMapper(Mapper):
     def __init__(self, runtime: AntiRuntime):
         self._runtime = runtime
         self._o_mapper: Mapper | None = None
+        #: Orders ``(key, ...)`` records by the job's sort comparator.
+        self._order = runtime.comparator.record_key(0)
         config = runtime.config
         self._strategy = config.strategy
         self._per_partition = config.per_partition_choice
@@ -273,11 +275,8 @@ class AntiMapper(Mapper):
         min_keys: list[Any] = []
         budget = None
         if lazy_component is not None:
-            comparator_min = self._runtime.comparator.min
-            min_keys = [
-                comparator_min(map(_record_key, records))
-                for records in partitions
-            ]
+            order = self._order
+            min_keys = [min(records, key=order)[0] for records in partitions]
             # LazySH has to be strictly smaller here: a tie is EAGER.
             budget = serde.approx_size_sum(
                 min_keys, 1 + lazy_size * len(min_keys)
@@ -309,12 +308,9 @@ class AntiMapper(Mapper):
         if lazy_component is None:
             self._emit_eager(context, self._group_by_value(records)[0])
             return
-        # The partition's minimal key, without a frame per record.
-        comparator = self._runtime.comparator
-        if comparator.is_natural:
-            min_key = min(map(_record_key, records))
-        else:
-            min_key = comparator.min(map(_record_key, records))
+        # The partition's minimal key (no frame per record when the
+        # order is natural).
+        min_key = min(records, key=self._order)[0]
         if self._strategy is Strategy.ADAPTIVE:
             # AdaptiveSH: EagerSH wins if its (estimated) serialised
             # size stays under the LazySH record's.  (Sizes here are
@@ -426,11 +422,7 @@ class AntiMapper(Mapper):
                 (ordered[0], EagerValue(ordered[1:], out_value))
             )
         if len(encoded) > 1:
-            if comparator.is_natural:
-                encoded.sort(key=lambda rec: rec[0])
-            else:
-                key_fn = comparator.key_fn()
-                encoded.sort(key=lambda rec: key_fn(rec[0]))
+            encoded.sort(key=self._order)
         for rep_key, enc_value in encoded:
             context.write(rep_key, enc_value)
         if plain:

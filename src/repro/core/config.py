@@ -61,7 +61,8 @@ class AntiCombiningConfig:
     #: partition* (Section 6.1: "the greater flexibility enables
     #: greater data reduction").  Setting this to False makes one
     #: decision for the whole Map call instead — the ablation
-    #: ``benchmarks/bench_ablation_granularity.py`` quantifies the gap.
+    #: ``benchmarks/bench_ablations.py::test_ablation_granularity``
+    #: quantifies the gap.
     per_partition_choice: bool = True
 
     def __post_init__(self) -> None:

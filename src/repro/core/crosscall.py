@@ -50,6 +50,8 @@ class CrossCallAntiMapper(Mapper):
             raise ValueError("window_bytes must be >= 1 KiB")
         self._runtime = runtime
         self._window_bytes = window_bytes
+        #: Orders ``(key, ...)`` records by the job's sort comparator.
+        self._order = runtime.comparator.record_key(0)
         self._o_mapper: Mapper | None = None
         # partition -> value_id -> (value, [keys...])
         self._groups: dict[int, dict[Any, tuple[Any, list]]] = {}
@@ -108,11 +110,7 @@ class CrossCallAntiMapper(Mapper):
                     component = encoding.plain_value(out_value)
                     counters.add(C.ANTI_PLAIN_RECORDS)
                 encoded.append((rep_key, component))
-            if comparator.is_natural:
-                encoded.sort(key=lambda record: record[0])
-            else:
-                key_fn = comparator.key_fn()
-                encoded.sort(key=lambda record: key_fn(record[0]))
+            encoded.sort(key=self._order)
             for rep_key, component in encoded:
                 context.write(rep_key, component)
         self._groups = {}

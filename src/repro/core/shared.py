@@ -72,32 +72,27 @@ class _Run:
         self._head = next(self._records, None)
 
     @property
-    def head_key(self) -> Any:
-        return None if self._head is None else self._head[0]
+    def head(self) -> tuple[Any, Any] | None:
+        return self._head
 
     @property
     def exhausted(self) -> bool:
         return self._head is None
 
     def pop_group(
-        self, rep_key: Any, grouping: Comparator, natural: bool = False
+        self, rep_key: Any, group_key: Callable[[tuple], Any]
     ) -> list[tuple[Any, Any]]:
         """Pop all leading records grouping-equal to ``rep_key``.
 
-        With ``natural`` the equality test is inlined as
-        ``not (a < b or a > b)`` — exactly when a natural grouping
-        comparator returns 0 — skipping a Python call per record.
+        ``group_key`` is the grouping comparator's ``record_key(0)``:
+        ``not (a < b or a > b)`` on its keys is the comparator's 0.
         """
+        rep = group_key((rep_key,))
         popped: list[tuple[Any, Any]] = []
-        if natural:
-            while self._head is not None:
-                head_key = self._head[0]
-                if head_key < rep_key or head_key > rep_key:
-                    break
-                popped.append(self._head)
-                self._advance()
-            return popped
-        while self._head is not None and grouping.cmp(self._head[0], rep_key) == 0:
+        while self._head is not None:
+            head = group_key(self._head)
+            if head < rep or head > rep:
+                break
             popped.append(self._head)
             self._advance()
         return popped
@@ -141,15 +136,17 @@ class Shared:
         self._combine_batch_size = combine_batch_size
         self._name_prefix = name_prefix
         self._key_fn: Callable[[Any], Any] = comparator.key_fn()
+        #: Sort and group keys of ``(key, ...)`` records (run heads).
+        self._order = comparator.record_key(0)
+        self._group_key = grouping_comparator.record_key(0)
         # With a natural sort comparator the heap holds raw keys (a
         # cmp_to_key wrapper around the natural cmp orders and ties
-        # exactly like the key itself, so heap pop order is identical);
-        # a natural grouping comparator unlocks inline group-equality
-        # tests.  Any other comparator takes the generic branches.
+        # exactly like the key itself, so heap pop order is identical),
+        # else cmp_to_key wrappers (``.obj`` is the key): nothing else
+        # lets ``heapq`` order a custom comparator.  With natural
+        # grouping too, ``pop_groups`` drains the heap in one frame.
         self._fast_keys = comparator.is_natural
         self._fast_group = grouping_comparator.is_natural
-        #: Raw keys when ``_fast_keys``, else cmp_to_key wrappers
-        #: (``.obj`` is the key).
         self._heap: list[Any] = []
         self._table: dict[Any, _Entry] = {}
         self._mem_bytes = 0
@@ -163,19 +160,6 @@ class Shared:
         # Captured once: Shared lives and dies inside one task attempt,
         # whose body activated the tracer (or left the no-op default).
         self._tracer = current_tracer()
-
-    @staticmethod
-    def _key_id(key: Any) -> Any:
-        """Hash-table identity for a key.
-
-        Hashable keys are used directly; unhashable (e.g. list-valued)
-        keys fall back to their serialised bytes.
-        """
-        try:
-            hash(key)
-        except TypeError:
-            return serde.encode(key)
-        return key
 
     # -- inserting -------------------------------------------------------
     def add(self, key: Any, value: Any) -> None:
@@ -224,9 +208,8 @@ class Shared:
                 )
             size = key_size + value_size
             # Single-hash lookup: probe the table with the raw key
-            # directly (``dict.get`` raises TypeError for unhashable
-            # keys, exactly the case ``_key_id`` serialises) instead of
-            # hashing once in ``_key_id`` and again in the lookup.
+            # (``dict.get`` raises TypeError for an unhashable key,
+            # which is then identified by its serialised bytes).
             try:
                 entry = table.get(key)
                 key_id = key
@@ -296,26 +279,13 @@ class Shared:
         if self._fast_keys and not self._runs:
             # Common case (nothing spilled): the heap top is the answer.
             return self._heap[0] if self._heap else None
-        best: Any = None
-        have_best = False
+        # The first minimum of the heap top and the run heads, in that
+        # order (``min`` keeps the first of equal keys).
+        heads = [run.head for run in self._runs if not run.exhausted]
         if self._heap:
-            best = self._heap[0] if self._fast_keys else self._heap[0].obj
-            have_best = True
-        if self._fast_keys:
-            for run in self._runs:
-                if run.exhausted:
-                    continue
-                if not have_best or run.head_key < best:
-                    best = run.head_key
-                    have_best = True
-            return best if have_best else None
-        for run in self._runs:
-            if run.exhausted:
-                continue
-            if not have_best or self._comparator.cmp(run.head_key, best) < 0:
-                best = run.head_key
-                have_best = True
-        return best if have_best else None
+            top = self._heap[0]
+            heads.insert(0, (top if self._fast_keys else top.obj,))
+        return min(heads, key=self._order)[0] if heads else None
 
     def pop_min_key_values(self) -> tuple[Any, list]:
         """Remove and return ``(min_key, values)`` for the minimal group.
@@ -381,60 +351,35 @@ class Shared:
 
     def _pop_group(self, rep_key: Any) -> tuple[Any, list]:
         """Pop the minimal group, ``rep_key`` being ``peek_min_key()``."""
-        collected: list[tuple[Any, list]] = []  # (sort key, values)
-        fast = self._fast_keys and self._fast_group
-        if fast:
-            heap = self._heap
-            table = self._table
-            while heap:
-                key = heap[0]
-                if key < rep_key or key > rep_key:
-                    break
-                heapq.heappop(heap)
-                # Single-hash pop, mirroring ``add_pairs``' raw-key probe.
-                try:
-                    entry = table.pop(key)
-                except TypeError:
-                    entry = table.pop(serde.encode(key))
-                self._mem_bytes -= entry.nbytes
-                collected.append((key, entry.values))
-            for run in self._runs:
-                for key, value in run.pop_group(
-                    rep_key, self._grouping, natural=True
-                ):
-                    collected.append((key, [value]))
-        else:
-            while (
-                self._heap
-                and self._grouping.cmp(self._head_obj(), rep_key) == 0
-            ):
-                wrapper = heapq.heappop(self._heap)
-                key = wrapper if self._fast_keys else wrapper.obj
-                entry = self._table.pop(self._key_id(key))
-                self._mem_bytes -= entry.nbytes
-                collected.append((wrapper, entry.values))
-            for run in self._runs:
-                for key, value in run.pop_group(
-                    rep_key, self._grouping, natural=self._fast_group
-                ):
-                    collected.append(
-                        (
-                            key if self._fast_keys else self._key_fn(key),
-                            [value],
-                        )
-                    )
+        collected: list[tuple[Any, list]] = []  # (heap key, values)
+        heap = self._heap
+        table = self._table
+        raw = self._fast_keys
+        group_key = self._group_key
+        rep = group_key((rep_key,))
+        while heap:
+            top = heap[0]
+            key = top if raw else top.obj
+            head = group_key((key,))
+            if head < rep or head > rep:
+                break
+            heapq.heappop(heap)
+            try:  # single-hash pop, mirroring ``add_pairs``' probe
+                entry = table.pop(key)
+            except TypeError:
+                entry = table.pop(serde.encode(key))
+            self._mem_bytes -= entry.nbytes
+            collected.append((top, entry.values))
+        for run in self._runs:
+            for key, value in run.pop_group(rep_key, group_key):
+                collected.append((key if raw else self._key_fn(key), [value]))
         if self._runs:
             self._runs = [run for run in self._runs if not run.exhausted]
-        self.idle = not self._heap and not self._runs
+        self.idle = not heap and not self._runs
         if len(collected) == 1:
             return rep_key, collected[0][1]
         collected.sort(key=itemgetter(0))
         return rep_key, [value for _, group in collected for value in group]
-
-    def _head_obj(self) -> Any:
-        """The raw key at the top of the heap."""
-        top = self._heap[0]
-        return top if self._fast_keys else top.obj
 
     def drain(self) -> Iterator[tuple[Any, list]]:
         """Pop every remaining group in ascending key order."""
@@ -474,29 +419,24 @@ class Shared:
         ) as span:
             writer = SpillWriter(self._store, name)
             records = 0
-            if self._fast_keys:
-                # Encode each entry's key once and reuse the bytes for
-                # every value in the group (byte-identical output).
-                encode = serde.encode
-                append_parts = writer.append_parts
-                table = self._table
-                while self._heap:
-                    key = heapq.heappop(self._heap)
-                    try:  # single-hash pop, as in ``add``
-                        entry = table.pop(key)
-                    except TypeError:
-                        entry = table.pop(serde.encode(key))
-                    key_bytes = encode(entry.key)
-                    for value in entry.values:
-                        append_parts(key_bytes, value)
-                        records += 1
-            else:
-                while self._heap:
-                    wrapper = heapq.heappop(self._heap)
-                    entry = self._table.pop(self._key_id(wrapper.obj))
-                    for value in entry.values:
-                        writer.append(entry.key, value)
-                        records += 1
+            # Encode each entry's key once and reuse the bytes for
+            # every value in the group (byte-identical output).
+            encode = serde.encode
+            append_parts = writer.append_parts
+            table = self._table
+            raw = self._fast_keys
+            while self._heap:
+                key = heapq.heappop(self._heap)
+                if not raw:
+                    key = key.obj
+                try:  # single-hash pop, as in ``add``
+                    entry = table.pop(key)
+                except TypeError:
+                    entry = table.pop(encode(key))
+                key_bytes = encode(entry.key)
+                for value in entry.values:
+                    append_parts(key_bytes, value)
+                    records += 1
             spill_file = writer.close()
             span.set(records=records, bytes=spill_file.size_bytes)
         self._spilled_records += records

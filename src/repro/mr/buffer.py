@@ -31,7 +31,7 @@ from repro.mr import counters as C
 from repro.mr import serde
 from repro.mr.api import Context
 from repro.mr.config import JobConf
-from repro.mr.merge import group_by_key, merge_runs
+from repro.mr.merge import group_runs, merge_runs
 from repro.mr.segment import Segment, merge_pass, persist_segment
 from repro.mr.storage import LocalStore
 from repro.obs.trace import current_tracer
@@ -42,9 +42,8 @@ MIN_SPILLS_FOR_COMBINE = 3
 
 EmitFn = Callable[[Any, Any], None]
 
-#: A buffered record's partition, and its raw key.
+#: A buffered record's partition.
 _PARTITION = itemgetter(0)
-_KEY = itemgetter(1)
 
 
 class CombineRunner:
@@ -216,23 +215,13 @@ class MapOutputBuffer:
         The yielded lists hold the buffer's record tuples; callers pick
         the fields they need.  The buffer is sorted stably on the
         partition, an int, each partition's bounds are bisected, and
-        each slice is sorted on the key alone: the raw key under natural
-        order, the serialised key under an encoded-bytes comparator, a
-        ``cmp_to_key`` wrapper otherwise.  Two stable sorts give the
-        order one stable sort on ``(partition, key)`` would (ties stay
-        in buffer order), and the sort-cost charge depends only on the
-        record count.
+        each slice is sorted on the key alone, under the comparator's
+        ``record_key(1)``.  Two stable sorts give the order one stable
+        sort on ``(partition, key)`` would (ties stay in buffer order),
+        and the sort-cost charge depends only on the record count.
         """
         job = self._job
-        comparator = job.comparator
-        if comparator.is_natural:
-            sort_key = _KEY
-        elif comparator.orders_by_encoded_bytes:
-            encode = serde.encode
-            sort_key = lambda rec: encode(rec[1])
-        else:
-            key_fn = comparator.key_fn()
-            sort_key = lambda rec: key_fn(rec[1])
+        sort_key = job.comparator.record_key(1)
         records.sort(key=_PARTITION)
         self._context.counters.add(
             C.CPU_FRAMEWORK_SECONDS,
@@ -258,9 +247,7 @@ class MapOutputBuffer:
         """Run the spill-time combiner over sorted ``records``."""
         assert self._combine_runner is not None
         combined: list[tuple[Any, Any]] = []
-        groups = group_by_key(
-            iter(records), self._job.effective_grouping_comparator
-        )
+        groups = group_runs(records, self._job.effective_grouping_comparator)
         self._combine_runner.run(
             partition, groups, lambda k, v: combined.append((k, v))
         )
@@ -416,7 +403,7 @@ class MapOutputBuffer:
             job.comparator,
         )
         records: list[tuple[Any, Any]] = []
-        groups = group_by_key(iter(merged), job.effective_grouping_comparator)
+        groups = group_runs(merged, job.effective_grouping_comparator)
         self._combine_runner.run(
             partition, groups, lambda k, v: records.append((k, v))
         )

@@ -7,13 +7,16 @@ structure must honour both (Section 6.1), so the substrate models them
 explicitly.
 
 A comparator is any object with a ``cmp(a, b) -> int`` method returning
-a negative / zero / positive integer.  :func:`sort_key` adapts a
-comparator for use with :func:`sorted`, ``heapq`` and friends.
+a negative / zero / positive integer.  :meth:`Comparator.record_key` is
+the one place that turns a comparator into the cheapest ``key=`` for
+:func:`sorted`, :func:`min` and group-boundary tests; no other code
+outside ``Shared``'s heap asks what kind of order it is under.
 """
 
 from __future__ import annotations
 
 import functools
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.mr import serde
@@ -23,11 +26,11 @@ class Comparator:
     """Comparator built from a two-argument ``cmp``-style function.
 
     ``is_natural`` marks the comparator as equivalent to Python's
-    native ordering, unlocking fast paths (plain ``sorted``/``min``)
-    in hot code.  ``orders_by_encoded_bytes`` marks a comparator whose
-    order is exactly the lexicographic order of ``serde.encode(key)``;
-    sorts may then use the cached serialised key as the sort key
-    instead of calling ``cmp`` per comparison.
+    native ordering: the key itself is then its sort key.
+    ``orders_by_encoded_bytes`` marks a comparator whose order is
+    exactly the lexicographic order of ``serde.encode(key)``: the
+    encoded key is then the sort key.  Either spares a Python ``cmp``
+    call per comparison (see :meth:`record_key`).
     """
 
     def __init__(
@@ -45,25 +48,37 @@ class Comparator:
     def cmp(self, a: Any, b: Any) -> int:
         return self._cmp_fn(a, b)
 
+    def record_key(self, field: int = 0) -> Callable[[Any], Any]:
+        """The cheapest ``key=`` ordering records by their item at
+        ``field``.
+
+        ``itemgetter(field)`` under natural order (no Python frame per
+        record), ``serde.encode(record[field])`` under
+        ``orders_by_encoded_bytes``, a ``cmp_to_key`` wrapper otherwise.
+        Comparing two such keys with ``<`` and ``>`` gives the sign of
+        ``cmp``, so ``not (a < b or a > b)`` is exactly ``cmp == 0``:
+        one loop sorts, merges, takes minima and finds group bounds
+        under any comparator.
+        """
+        if self.is_natural:
+            return itemgetter(field)
+        if self.orders_by_encoded_bytes:
+            encode = serde.encode
+            return lambda record: encode(record[field])
+        key_fn = self.key_fn()
+        return lambda record: key_fn(record[field])
+
     def min(self, items):
         """Return the minimum of ``items`` under this comparator."""
         if self.is_natural:
             return min(items)
-        iterator = iter(items)
-        try:
-            best = next(iterator)
-        except StopIteration:
-            raise ValueError("min() of empty sequence") from None
-        for item in iterator:
-            if self.cmp(item, best) < 0:
-                best = item
-        return best
+        return min(items, key=self.key_fn())
 
     def sorted(self, items) -> list:
         """Return ``items`` sorted ascending under this comparator."""
         if self.is_natural:
             return sorted(items)
-        return sorted(items, key=functools.cmp_to_key(self.cmp))
+        return sorted(items, key=self.key_fn())
 
     def key_fn(self) -> Callable[[Any], Any]:
         """A ``key=`` adapter for :func:`sorted` / ``heapq``."""
@@ -107,7 +122,3 @@ def comparator_from_key(key_fn: Callable[[Any], Any], name: str = "keyed") -> Co
 
     return Comparator(cmp, name=name)
 
-
-def sort_key(comparator: Comparator) -> Callable[[Any], Any]:
-    """Alias for ``comparator.key_fn()`` kept for readability at call sites."""
-    return comparator.key_fn()

@@ -17,7 +17,7 @@ from repro.mr import serde
 from repro.mr.api import CaptureContext
 from repro.mr.config import JobConf
 from repro.mr.counters import Counters
-from repro.mr.merge import group_by_key, group_runs, merge_runs
+from repro.mr.merge import group_runs, merge_runs
 from repro.mr.segment import Segment, SegmentPayload, merge_pass
 from repro.mr.storage import LocalStore
 from repro.obs.trace import SpanRecord, current_tracer
@@ -121,15 +121,10 @@ class ReduceTask:
             "reduce.phase.reduce", category="reduce"
         ) as reduce_span:
             groups = 0
-            grouping = job.effective_grouping_comparator
-            # Group with the index-scanning iterator when grouping is
-            # natural, and accumulate the integer group counters locally
-            # (exact under summing).  ``reducer.reduce`` stays metered
-            # per group, charged in group order.
-            if grouping.is_natural:
-                grouped = group_runs(merged)
-            else:
-                grouped = group_by_key(iter(merged), grouping)
+            # Accumulate the integer group counters locally (exact
+            # under summing).  ``reducer.reduce`` stays metered per
+            # group, charged in group order.
+            grouped = group_runs(merged, job.effective_grouping_comparator)
             values_map = counters.raw()
             measure = job.cost_meter.measure
             reduce_fn = reducer.reduce

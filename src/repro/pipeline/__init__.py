@@ -1,9 +1,9 @@
 """Dataflow pipelines over the MapReduce engine.
 
 Declare a DAG of sources, transforms, MapReduce jobs and convergence
-loops over named datasets; run it with topological scheduling,
-content-addressed dataset materialization, and an end-to-end counter
-/span ledger.  See :class:`Pipeline` for the facade and DESIGN.md §10
+loops over named datasets; run it stage by stage in declaration order,
+with content-addressed dataset materialization and an end-to-end
+counter/span ledger.  See :class:`Pipeline` for the facade and DESIGN.md §10
 for the model.
 """
 

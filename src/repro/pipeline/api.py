@@ -4,10 +4,10 @@ A pipeline is declared as a dataflow graph — sources, driver-side
 transforms, MapReduce jobs, convergence loops — over named datasets,
 then executed with :meth:`Pipeline.run`:
 
-* stages are scheduled **topologically**, wave by wave; the stages of
-  one wave are mutually independent and run one after another in
-  declaration order on the calling thread, each MapReduce job on the
-  runner's executor (a process pool parallelises *within* a job);
+* stages run one after another in **declaration order** on the
+  calling thread — a topological order, since a stage can only consume
+  datasets declared before it — each MapReduce job on the runner's
+  executor (a process pool parallelises *within* a job);
 * every dataset crossing a stage boundary is **materialized** through
   the content-addressed :class:`~repro.pipeline.dataset.DatasetStore`,
   so loop-invariant inputs are serde-encoded exactly once;
@@ -325,12 +325,12 @@ class _Execution:
 
     # -- graph scheduling ------------------------------------------------
     def run_graph(self, graph: JobGraph) -> list[StageResult]:
-        """Run one graph wave by wave; results in declaration order."""
+        """Run one graph's stages, and return their results, in
+        declaration order."""
         graph.validate(self.store.has)
         results: list[StageResult] = []
-        for wave in graph.topo_order():
-            for stage in wave:
-                results.extend(self._run_stage(stage))
+        for stage in graph.stages:
+            results.extend(self._run_stage(stage))
         return results
 
     # -- stage execution -------------------------------------------------

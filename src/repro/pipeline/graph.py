@@ -11,11 +11,10 @@ A :class:`JobGraph` is a static DAG assembled by the
 * ``loop`` — a convergence loop whose body builds a fresh sub-graph
   per iteration (see :meth:`~repro.pipeline.api.Pipeline.iterate`).
 
-Acyclicity is enforced by construction — a stage can only consume
-datasets that already exist when it is declared — and re-checked by
-:meth:`JobGraph.topo_order`, which also yields the deterministic
-schedule: ready stages run in declaration order, so results, counter
-folds and ledgers are reproducible on every executor.
+A stage can only consume datasets that already exist when it is
+declared, so declaration order is a topological order: the pipeline
+runs the stages in it, and results, counter folds and ledgers are
+reproducible on every executor.
 """
 
 from __future__ import annotations
@@ -106,56 +105,6 @@ class JobGraph:
         external inputs, e.g. an outer-scope dataset used in a loop)."""
         return self._produced.get(dataset.dataset_id)
 
-    # -- scheduling ------------------------------------------------------
-    def topo_order(self) -> list[list[Stage]]:
-        """Kahn's algorithm over the internal edges.
-
-        Returns the schedule as *waves*: each wave holds the stages
-        (in declaration order) whose inputs are all satisfied once the
-        previous waves ran.  Stages within a wave are independent of
-        each other; the pipeline runs them in declaration order.
-        """
-        remaining: dict[int, int] = {}
-        consumers: dict[int, list[Stage]] = {}
-        for stage in self.stages:
-            internal = [
-                d for d in stage.inputs if d.dataset_id in self._produced
-            ]
-            remaining[stage.stage_id] = len(
-                {d.dataset_id for d in internal}
-            )
-            for dataset in internal:
-                consumers.setdefault(dataset.dataset_id, []).append(stage)
-
-        waves: list[list[Stage]] = []
-        ready = [s for s in self.stages if remaining[s.stage_id] == 0]
-        scheduled = 0
-        seen_edges: set[tuple[int, int]] = set()
-        while ready:
-            wave = sorted(ready, key=lambda s: s.stage_id)
-            waves.append(wave)
-            scheduled += len(wave)
-            ready = []
-            for stage in wave:
-                for dataset in stage.outputs:
-                    for consumer in consumers.get(dataset.dataset_id, ()):
-                        edge = (dataset.dataset_id, consumer.stage_id)
-                        if edge in seen_edges:
-                            continue
-                        seen_edges.add(edge)
-                        remaining[consumer.stage_id] -= 1
-                        if remaining[consumer.stage_id] == 0:
-                            ready.append(consumer)
-        if scheduled != len(self.stages):
-            unreached = [
-                s.name for s in self.stages if remaining[s.stage_id] > 0
-            ]
-            raise PipelineError(
-                f"pipeline {self.name!r} has unsatisfiable stages "
-                f"(cycle or missing producer): {unreached}"
-            )
-        return waves
-
     def validate(self, available: Callable[[Dataset], bool]) -> None:
         """Check every external input is resolvable.
 
@@ -171,4 +120,3 @@ class JobGraph:
                         f"stage {stage.name!r} consumes unknown dataset "
                         f"{dataset.name!r}"
                     )
-        self.topo_order()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import pytest
 
 from repro.mr.comparators import (
@@ -9,7 +11,6 @@ from repro.mr.comparators import (
     comparator_from_key,
     default_comparator,
     raw_bytes_comparator,
-    sort_key,
 )
 
 
@@ -35,7 +36,7 @@ class TestDefaultComparator:
         assert not raw_bytes_comparator.is_natural
 
     def test_key_fn_usable_in_sorted(self) -> None:
-        key_fn = sort_key(default_comparator)
+        key_fn = default_comparator.key_fn()
         assert sorted([3, 1, 2], key=key_fn) == [1, 2, 3]
 
 
@@ -73,3 +74,29 @@ class TestCustomComparators:
         assert ordered == [("a", 1), ("a", 2), ("b", 0)]
         assert grouping.cmp(ordered[0], ordered[1]) == 0
         assert grouping.cmp(ordered[1], ordered[2]) < 0
+
+
+class TestRecordKey:
+    """``record_key`` keys compare with ``<``/``>`` as ``cmp`` signs."""
+
+    @pytest.mark.parametrize(
+        "comparator",
+        [
+            default_comparator,
+            raw_bytes_comparator,
+            Comparator(lambda a, b: (a < b) - (a > b), name="rev"),
+        ],
+        ids=lambda c: c.name,
+    )
+    def test_key_order_is_the_cmp_sign(self, comparator) -> None:
+        items = [3, 1, 2, 1, -5, 300]
+        key = comparator.record_key(1)
+        for a in items:
+            for b in items:
+                ka, kb = key(("x", a)), key(("y", b))
+                order = comparator.cmp(a, b)
+                assert (ka > kb) - (ka < kb) == (order > 0) - (order < 0)
+
+    def test_natural_key_is_an_itemgetter(self) -> None:
+        assert isinstance(default_comparator.record_key(2), itemgetter)
+        assert default_comparator.record_key(2)((0, 1, "k")) == "k"

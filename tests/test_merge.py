@@ -15,11 +15,11 @@ from repro.mr.comparators import (
     default_comparator,
     raw_bytes_comparator,
 )
-from repro.mr.merge import group_by_key, merge_runs
+from repro.mr.merge import group_runs, merge_runs
 
 #: Orders like ``default_comparator`` but is opaque to the code
-#: (``is_natural`` is false): every specialisation falls back to the
-#: generic ``key_fn()`` / ``cmp`` branch.
+#: (``is_natural`` is false): ``record_key`` hands out ``cmp_to_key``
+#: wrappers.
 opaque_comparator = Comparator(_natural_cmp, name="opaque")
 
 _COMPARATORS = {
@@ -87,29 +87,45 @@ class TestMergeSorted:
 
 class TestGroupByKey:
     def test_basic_grouping(self) -> None:
-        records = iter([("a", 1), ("a", 2), ("b", 3)])
-        groups = list(group_by_key(records, default_comparator))
+        records = [("a", 1), ("a", 2), ("b", 3)]
+        groups = list(group_runs(records, default_comparator))
         assert groups == [("a", [1, 2]), ("b", [3])]
 
     def test_empty(self) -> None:
-        assert list(group_by_key(iter([]), default_comparator)) == []
+        assert list(group_runs([], default_comparator)) == []
 
     def test_all_distinct(self) -> None:
-        records = iter([(1, "a"), (2, "b"), (3, "c")])
-        groups = list(group_by_key(records, default_comparator))
+        records = [(1, "a"), (2, "b"), (3, "c")]
+        groups = list(group_runs(records, default_comparator))
         assert groups == [(1, ["a"]), (2, ["b"]), (3, ["c"])]
 
     def test_grouping_comparator_secondary_sort(self) -> None:
         """Composite keys grouped on their first field share one group."""
         grouping = comparator_from_key(lambda key: key[0])
-        records = iter(
-            [(("a", 1), "x"), (("a", 2), "y"), (("b", 1), "z")]
-        )
-        groups = list(group_by_key(records, grouping))
+        records = [(("a", 1), "x"), (("a", 2), "y"), (("b", 1), "z")]
+        groups = list(group_runs(records, grouping))
         assert groups == [(("a", 1), ["x", "y"]), (("b", 1), ["z"])]
 
     def test_group_key_is_first_seen(self) -> None:
         grouping = comparator_from_key(lambda key: key[0])
-        records = iter([(("a", 9), "x"), (("a", 1), "y")])
-        groups = list(group_by_key(records, grouping))
+        records = [(("a", 9), "x"), (("a", 1), "y")]
+        groups = list(group_runs(records, grouping))
         assert groups[0][0] == ("a", 9)
+
+    def test_raw_bytes_grouping_splits_equal_but_distinct_encodings(
+        self,
+    ) -> None:
+        """``1 == 1.0`` in Python, but their bytes differ: two groups."""
+        records = [(1, "a"), (1, "b"), (1.0, "c"), ("k", "d")]
+        groups = list(group_runs(records, raw_bytes_comparator))
+        assert groups == [(1, ["a", "b"]), (1.0, ["c"]), ("k", ["d"])]
+
+    def test_custom_cmp_grouping(self) -> None:
+        """A bare ``cmp`` (case-insensitive) groups through its wrapper."""
+        def casefold_cmp(a, b):
+            return _natural_cmp(a.lower(), b.lower())
+
+        grouping = Comparator(casefold_cmp, name="casefold")
+        records = [("A", 1), ("a", 2), ("B", 3), ("b", 4), ("c", 5)]
+        groups = list(group_runs(records, grouping))
+        assert groups == [("A", [1, 2]), ("B", [3, 4]), ("c", [5])]

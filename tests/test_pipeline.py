@@ -8,7 +8,7 @@ and both executors.  Jobs run with a :class:`FixedCostMeter`, so the
 full counter dict (including every ``cpu.*`` charge) is analytic and
 must match exactly.
 
-The unit half pins the dataflow semantics: topological waves, the
+The unit half pins the dataflow semantics: declaration-order runs, the
 materialization cache (loop-invariant inputs encoded once), content
 dedup, convergence policies, and the error surface.
 """
@@ -54,7 +54,11 @@ from repro.workloads.pagerank import (
     run_pagerank,
     run_pagerank_pipeline,
 )
-from repro.workloads.wordcount import WordCountMapper, WordCountReducer
+from repro.workloads.wordcount import (
+    WordCountMapper,
+    WordCountReducer,
+    wordcount_job,
+)
 
 NUM_NODES = 24
 ITERATIONS = 5
@@ -302,6 +306,30 @@ def test_transform_multiple_outputs() -> None:
     assert result.dataset("evens") == [(0, 0), (2, 2), (4, 4)]
     assert result.dataset("odds") == [(1, 1), (3, 3), (5, 5)]
     assert result.stage("parity").records_out == 6
+
+
+def test_stages_run_in_declaration_order() -> None:
+    """A stage declared later runs later, even when its inputs were
+    ready before an earlier-declared stage's."""
+    ran: list[str] = []
+
+    def copy(name):
+        def fn(records):
+            ran.append(name)
+            return records
+
+        return fn
+
+    pipeline = Pipeline("order")
+    a = pipeline.source("a", [(0, "x y x")])
+    pipeline.mapreduce("b", wordcount_job(num_reducers=1), a, num_splits=1)
+    c = pipeline.source("c", [(1, 1)])
+    pipeline.transform("d", copy("d"), c)
+    e = pipeline.source("e", [(2, 2)])
+    pipeline.transform("f", copy("f"), e)
+    result = pipeline.run()
+    assert [stage.name for stage in result.stages] == list("abcdef")
+    assert ran == ["d", "f"]
 
 
 def test_transform_output_arity_mismatch_raises() -> None:

@@ -680,7 +680,7 @@ from repro.mr.comparators import (  # noqa: E402
     default_comparator,
     raw_bytes_comparator,
 )
-from repro.mr.merge import merge_key_fn, merge_runs  # noqa: E402
+from repro.mr.merge import merge_runs  # noqa: E402
 
 #: Orders like the natural comparator but declares nothing.
 _opaque_comparator = Comparator(_natural_cmp, name="opaque")
@@ -733,7 +733,7 @@ def _runs(draw, comparator):
         keys = draw(st.sampled_from(_natural_key_kinds))
     records = st.tuples(keys, _frame_objects)
     runs = draw(st.lists(st.lists(records, max_size=6), max_size=5))
-    key_fn = merge_key_fn(comparator)
+    key_fn = comparator.record_key(0)
     return [sorted(run, key=key_fn) for run in runs]
 
 
