@@ -42,104 +42,13 @@ an unknown parameter fails with the experiment's tunable list.
 from __future__ import annotations
 
 import argparse
-import inspect
+import contextlib
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
-from repro.analysis.report import ExperimentResult
-from repro.experiments import (
-    run_ablation_crosscall,
-    run_ablation_granularity,
-    run_ablation_record_percent,
-    run_ablation_skew,
-    run_fig9,
-    run_hits_experiment,
-    run_knn_join_experiment,
-    run_multiquery_experiment,
-    run_similarity_join_experiment,
-    run_star_join_experiment,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_pagerank_experiment,
-    run_sec71,
-    run_table1,
-    run_table2,
-    run_wordcount_experiment,
-)
-
-#: Experiment registry: name -> (driver, paper artefact).
-EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentResult], str]] = {
-    "fig9": (run_fig9, "Figure 9 — map output size, Query-Suggestion"),
-    "fig10": (run_fig10, "Figure 10 — with Combiner + compression"),
-    "table1": (run_table1, "Table 1 — codec cost breakdown"),
-    "table2": (run_table2, "Table 2 — Query-Suggestion cost breakdown"),
-    "fig11": (run_fig11, "Figure 11 — CPU vs extra Map work"),
-    "sec71": (run_sec71, "Section 7.1 — overhead on Sort"),
-    "wordcount": (run_wordcount_experiment, "Section 7.7.1 — WordCount"),
-    "pagerank": (run_pagerank_experiment, "Section 7.7.2 — PageRank"),
-    "fig12": (run_fig12, "Figure 12 — theta-join"),
-    "ablation-crosscall": (
-        run_ablation_crosscall,
-        "Ablation — cross-call EagerSH (paper Sec. 9 future work)",
-    ),
-    "ablation-granularity": (
-        run_ablation_granularity,
-        "Ablation — per-partition vs per-call decision",
-    ),
-    "ablation-skew": (run_ablation_skew, "Ablation — LazySH decode skew"),
-    "ablation-record-percent": (
-        run_ablation_record_percent,
-        "Ablation — record-metadata spill mechanism",
-    ),
-    "claim-similarity-join": (
-        run_similarity_join_experiment,
-        "Claim — set-similarity join (paper Sec. 1)",
-    ),
-    "claim-multiquery": (
-        run_multiquery_experiment,
-        "Claim — multi-query scan sharing (paper Sec. 1/8)",
-    ),
-    "claim-hits": (
-        run_hits_experiment,
-        "Claim — HITS graph algorithm (paper Sec. 1)",
-    ),
-    "claim-star-join": (
-        run_star_join_experiment,
-        "Claim — multi-way chain join (paper Sec. 1)",
-    ),
-    "claim-knn-join": (
-        run_knn_join_experiment,
-        "Claim — kNN join, H-BNLJ (paper Sec. 1)",
-    ),
-}
-
-
-def _tunable_params(fn: Callable[..., Any]) -> dict[str, Any]:
-    """The driver's keyword parameters and their defaults."""
-    return {
-        name: parameter.default
-        for name, parameter in inspect.signature(fn).parameters.items()
-        if parameter.default is not inspect.Parameter.empty
-        and isinstance(parameter.default, (int, float, str, bool))
-    }
-
-
-def _convert(raw: str, default: Any) -> Any:
-    """Convert a CLI string to the type of the parameter's default."""
-    if isinstance(default, bool):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+from repro.experiments import EXPERIMENTS, resolve_params, tunable_params
 
 
 @dataclass
@@ -188,40 +97,25 @@ def _extract_runner_flags(
     return flags, rest
 
 
-def _parse_overrides(
-    pairs: list[str], fn: Callable[..., Any]
-) -> dict[str, Any]:
-    """Parse ``--key value`` / ``--key=value`` pairs for the driver."""
-    tunable = _tunable_params(fn)
-    overrides: dict[str, Any] = {}
+def _argv_params(pairs: list[str]) -> dict[str, str]:
+    """Pair ``--key value`` / ``--key=value`` overrides up, unconverted
+    (:func:`~repro.experiments.resolve_params` checks and converts)."""
+    raw: dict[str, str] = {}
     index = 0
     while index < len(pairs):
         flag = pairs[index]
         if not flag.startswith("--"):
             raise ValueError(f"expected --param, got {flag!r}")
-        name, eq, inline = flag[2:].partition("=")
-        name = name.replace("-", "_")
-        if name not in tunable:
-            known = ", ".join(
-                f"--{key.replace('_', '-')}" for key in sorted(tunable)
-            )
-            raise ValueError(
-                f"unknown parameter {flag!r} for this experiment; "
-                f"tunable parameters: {known}"
-            )
+        name, eq, inline = flag.partition("=")
         if eq:
-            raw = inline
+            raw[name] = inline
+        elif index + 1 < len(pairs):
             index += 1
+            raw[name] = pairs[index]
         else:
-            if index + 1 >= len(pairs):
-                raise ValueError(f"missing value for {flag!r}")
-            raw = pairs[index + 1]
-            index += 2
-        try:
-            overrides[name] = _convert(raw, tunable[name])
-        except ValueError as exc:
-            raise ValueError(f"bad value for {flag!r}: {exc}") from exc
-    return overrides
+            raise ValueError(f"missing value for {flag!r}")
+        index += 1
+    return raw
 
 
 def _cmd_list() -> int:
@@ -230,7 +124,7 @@ def _cmd_list() -> int:
         print(f"{name:<{width}}  {description}")
         params = ", ".join(
             f"--{key.replace('_', '-')} {value}"
-            for key, value in _tunable_params(fn).items()
+            for key, value in tunable_params(fn).items()
         )
         print(f"{'':<{width}}    defaults: {params}")
     return 0
@@ -274,7 +168,9 @@ def _cmd_run(
                 return 2
             names = [name]
             kwargs_by_name = {
-                name: _parse_overrides(overrides, EXPERIMENTS[name][0])
+                name: resolve_params(
+                    EXPERIMENTS[name][0], _argv_params(overrides)
+                )
             }
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -282,10 +178,7 @@ def _cmd_run(
 
     recorder = None
     if record or runs_dir is not None:
-        from repro.obs.flightrecorder import (
-            FlightRecorder,
-            set_flight_recorder,
-        )
+        from repro.obs.flightrecorder import FlightRecorder
         from repro.obs.run_store import RunStore
 
         recorder = FlightRecorder(
@@ -296,32 +189,19 @@ def _cmd_run(
             argv=["run", name, *overrides]
             + ([] if jobs is None else ["-j", str(jobs)]),
         )
-        set_flight_recorder(recorder)
-    status = "failed"
     try:
-        for index, exp_name in enumerate(names):
-            if index:
-                print()
-            fn, _ = EXPERIMENTS[exp_name]
-            result = fn(**kwargs_by_name[exp_name])
-            print(result.report())
-        status = "completed"
-    except BaseException as exc:
-        if recorder is not None:
-            recorder.record_error(exc)
-        raise
+        with recorder.recording() if recorder else contextlib.nullcontext():
+            for index, exp_name in enumerate(names):
+                if index:
+                    print()
+                fn, _ = EXPERIMENTS[exp_name]
+                print(fn(**kwargs_by_name[exp_name]).report())
     finally:
-        # Finalise whatever was recorded even when an experiment
-        # raises: a post-mortem is exactly when the bundle matters.
-        # The failed run keeps its partial artifacts and is finalised
-        # with status=failed.
+        # A failed run's bundle is finalised too: a post-mortem is
+        # exactly when it matters.
         if recorder is not None:
-            from repro.obs.flightrecorder import clear_flight_recorder
-
-            clear_flight_recorder()
-            recorder.finalize(status)
             print(
-                f"run ledger: {recorder.path} (status={status}; "
+                f"run ledger: {recorder.path} (status={recorder.status}; "
                 "inspect with 'python -m repro runs ls/show/diff' "
                 "and 'python -m repro trace')",
                 file=sys.stderr,
@@ -437,7 +317,9 @@ def _cmd_loadgen(
     if overrides and overrides[0] == "--":
         overrides = overrides[1:]
     try:
-        params = _parse_overrides(overrides, EXPERIMENTS[experiment][0])
+        params = resolve_params(
+            EXPERIMENTS[experiment][0], _argv_params(overrides)
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,9 +51,9 @@ class JobResult:
     #: Phase spans on the job timeline (empty unless the job was traced).
     spans: list[SpanRecord] = field(default_factory=list)
     #: The job's metrics registry; its counter families are the source
-    #: the ``counters`` totals above were derived from, plus latency /
-    #: byte histograms and attempt counts.  ``metrics.prometheus_text()``
-    #: is the scrape-style dump.
+    #: the ``counters`` totals above were derived from, plus the
+    #: ``mr.derived.*`` gauges.  ``metrics.prometheus_text()`` is the
+    #: scrape-style dump.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: Each partition's output as its reduce task encoded it, with the
     #: per-record sizes (``ReduceTaskResult.output_encoding``).  Kept
@@ -205,14 +205,12 @@ class LocalJobRunner:
         self,
         executor: Executor | None = None,
         fault_policy: FaultPolicy | None = None,
-        max_attempts: int | None = None,
         tracer: Tracer | NullTracer | None = None,
         clock: Any = None,
         sleep: Any = None,
     ):
         self._executor = executor
         self._fault_policy = fault_policy
-        self._max_attempts = max_attempts
         self._tracer = tracer
         # Injectable time sources, handed to the scheduler so tests can
         # drive timeouts/backoff/speculation with a deterministic clock.
@@ -247,7 +245,6 @@ class LocalJobRunner:
         scheduler = JobScheduler(
             executor,
             fault_policy=self._fault_policy,
-            max_attempts=self._max_attempts,
             tracer=tracer,
             clock=self._clock,
             sleep=self._sleep,

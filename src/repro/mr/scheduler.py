@@ -307,9 +307,9 @@ def _run_reduce_attempt(
 class RetryPolicy:
     """The fault-tolerance envelope one wave runs under.
 
-    Assembled by :meth:`JobScheduler.execute` from the job's knobs (and
-    the scheduler's ``max_attempts`` override); pure data, so the wave
-    policy's decisions below can be tested without a scheduler.
+    Assembled by :meth:`JobScheduler.execute` from the job's knobs;
+    pure data, so the wave policy's decisions below can be tested
+    without a scheduler.
     """
 
     max_attempts: int = 1
@@ -470,14 +470,12 @@ class JobScheduler:
         self,
         executor: Executor | None = None,
         fault_policy: FaultPolicy | None = None,
-        max_attempts: int | None = None,
         tracer: Tracer | NullTracer | None = None,
         clock: Callable[[], float] | None = None,
         sleep: Callable[[float], None] | None = None,
     ):
         self._executor = executor if executor is not None else SerialExecutor()
         self._policy = fault_policy if fault_policy is not None else NoFaults()
-        self._max_attempts = max_attempts
         self._tracer = tracer if tracer is not None else NULL_TRACER
         # Injectable time sources: tests drive timeouts, backoff and
         # speculation deterministically with a fake clock/sleep pair.
@@ -680,13 +678,8 @@ class JobScheduler:
         # Imported here: engine imports this module (facade → scheduler).
         from repro.mr.engine import JobResult
 
-        max_attempts = job.max_task_attempts
-        if self._max_attempts is not None:
-            max_attempts = self._max_attempts
-        if max_attempts < 1:
-            raise ValueError("max_task_attempts must be >= 1")
         policy = RetryPolicy(
-            max_attempts=max_attempts,
+            max_attempts=job.max_task_attempts,
             task_timeout_seconds=job.task_timeout_seconds,
             retry_backoff_seconds=job.retry_backoff_seconds,
             speculative_execution=job.speculative_execution,
@@ -806,9 +799,7 @@ class JobScheduler:
             metrics.merge_counters(result.serve_counters)
         totals = metrics.job_counters()
         shuffle_bytes = [r.shuffle_bytes for r in reduce_results]
-        record_job_metrics(
-            metrics, events, job.num_reducers, totals, shuffle_bytes
-        )
+        record_job_metrics(metrics, events, totals, shuffle_bytes)
 
         return JobResult(
             job_name=job.name,

@@ -12,9 +12,9 @@ One :class:`FlightRecorder` owns one run directory (see
 are appended incrementally as each job finishes, so a run that crashes
 mid-way still leaves its post-mortem bundle on disk (a job costs one
 write per artifact); the deterministic ``counters.json`` receipt
-lands at :meth:`FlightRecorder.finalize` — which the CLI drives from
-its ``finally`` path with ``status="failed"`` when the experiment
-raised.
+lands at :meth:`FlightRecorder.finalize`.  :meth:`FlightRecorder.recording`
+is the one recording sequence, for ``repro run --record`` and for a
+job-service worker alike.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ import os
 import platform
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.mr.counters import MEASURED_CPU_COUNTERS, Counters
 from repro.mr.events import EventLog
@@ -34,6 +35,7 @@ from repro.obs.run_store import (
     COUNTERS_FILE,
     ENTRIES_FILE,
     EVENTS_FILE,
+    FAILED,
     SPANS_FILE,
     RunStore,
 )
@@ -171,7 +173,7 @@ class FlightRecorder:
         self._counters = Counters()
         self._entry_index = 0
         self._error: str | None = None
-        self._finalized = False
+        self._status: str | None = None
         #: One recorder may be fed from several threads (jobs a library
         #: caller runs on threads of its own): the lock keeps each
         #: entry's (index, counter fold, rows) atomic so the fold order
@@ -185,6 +187,37 @@ class FlightRecorder:
     @property
     def path(self) -> Path:
         return self._path
+
+    @property
+    def error(self) -> str | None:
+        """``"Type: message"`` of the recorded failure, if any."""
+        return self._error
+
+    @property
+    def status(self) -> str | None:
+        """The final status, once finalised."""
+        return self._status
+
+    @contextmanager
+    def recording(self) -> Iterator[None]:
+        """Record the jobs run inside the block, then finalise the run.
+
+        On entry the recorder is installed.  Any ``BaseException`` the
+        block raises is recorded as the run's error and re-raised.  On
+        exit the recorder is removed and the run finalised
+        ``completed``, or ``failed`` if the block raised.
+        """
+        set_flight_recorder(self)
+        status = FAILED
+        try:
+            yield
+            status = COMPLETED
+        except BaseException as exc:
+            self.record_error(exc)
+            raise
+        finally:
+            clear_flight_recorder()
+            self.finalize(status)
 
     # -- recording -------------------------------------------------------
     def record_job(self, job: Any, result: Any, executor: Any = None) -> None:
@@ -285,9 +318,9 @@ class FlightRecorder:
         bit; measured CPU lives in the per-entry rows.
         """
         with self._lock:
-            if self._finalized:
+            if self._status is not None:
                 return self._run_id
-            self._finalized = True
+            self._status = status
             analytic = deterministic_counters(self._counters.as_dict())
             # The receipt lands atomically (temp file + rename): a
             # concurrent scrape never observes a torn one.

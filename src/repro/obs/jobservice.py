@@ -13,9 +13,8 @@ one-process :class:`~repro.mr.executor.ParallelExecutor`: the thread
 takes a job off the queue, creates its run in the ledger (so ``GET
 /jobs/<id>`` names the ``run_id`` while the job runs), hands the job
 to its worker by experiment name, and waits.  The worker process runs
-the exact sequence of ``repro run --record`` into that run — recorder
-in, driver call, recorder finalised with ``failed`` status on a raise —
-so:
+the driver inside :meth:`~repro.obs.flightrecorder.FlightRecorder.recording`,
+the recording sequence of ``repro run --record`` itself, so:
 
 * ``GET /runs/<id>`` and ``/metrics`` serve a submitted job's status,
   receipt and ``mr.derived.*`` gauges the moment they land;
@@ -52,13 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.mr.executor import ParallelExecutor, WorkerCrashError
-from repro.obs.flightrecorder import (
-    BOOT_ID,
-    FlightRecorder,
-    clear_flight_recorder,
-    run_manifest,
-    set_flight_recorder,
-)
+from repro.obs.flightrecorder import BOOT_ID, FlightRecorder, run_manifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.run_store import (
     COMPLETED,
@@ -185,106 +178,23 @@ def _run_job(
 ) -> tuple[str, str | None]:
     """Run one job in a worker process, recording into ``run_id``.
 
-    This is deliberately the same sequence as ``repro run --record``:
-    recorder in, driver call, recorder finalised with ``failed`` status
-    on a raise — so the receipt (and the failure bundle) are identical
-    either way.  Returns the run's final status and the job's error.
+    Returns the run's final status and the job's error.  Any
+    ``BaseException`` (``SystemExit`` too) fails the job, not the
+    worker; if finalising fails as well, the job's own error stays the
+    cause.
     """
     recorder = FlightRecorder.attach(_worker_store, run_id)
-    status, error = FAILED, None
-    set_flight_recorder(recorder)
     try:
-        _worker_registry[experiment](**params)
-        status = COMPLETED
-    except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        recorder.record_error(exc)
-    finally:
-        clear_flight_recorder()
-        try:
-            recorder.finalize(status)
-        except Exception as exc:
-            error = error or f"{type(exc).__name__}: {exc}"
-            status = FAILED
-    return status, error
+        with recorder.recording():
+            _worker_registry[experiment](**params)
+    except BaseException as exc:
+        return FAILED, recorder.error or f"{type(exc).__name__}: {exc}"
+    return COMPLETED, None
 
 
 def _fork(executor: ParallelExecutor) -> int:
     """Fork a one-process pool's worker now; its pid."""
     return executor.submit(os.getpid).result()
-
-
-def default_experiment_registry() -> dict[str, Callable[..., Any]]:
-    """The CLI's experiment registry, reduced to name → driver."""
-    from repro.cli import EXPERIMENTS
-
-    return {name: fn for name, (fn, _) in EXPERIMENTS.items()}
-
-
-def resolve_spec(
-    document: Any, experiments: Mapping[str, Callable[..., Any]]
-) -> tuple[str, dict]:
-    """Validate a submitted job document into ``(experiment, params)``.
-
-    Mirrors the CLI's override handling: unknown experiments and
-    parameters fail with the known list, string values convert to the
-    type of the parameter's default, and native JSON values must match
-    that type (ints widen to float defaults).
-    """
-    from repro.cli import _convert, _tunable_params
-
-    if not isinstance(document, Mapping):
-        raise JobSpecError("job spec must be a JSON object")
-    name = document.get("experiment", document.get("workload"))
-    if not isinstance(name, str) or not name:
-        raise JobSpecError(
-            "job spec needs an 'experiment' (or 'workload') name; "
-            "known experiments: " + ", ".join(sorted(experiments))
-        )
-    fn = experiments.get(name)
-    if fn is None:
-        raise JobSpecError(
-            f"unknown experiment {name!r}; known experiments: "
-            + ", ".join(sorted(experiments))
-        )
-    raw_params = document.get("params") or {}
-    if not isinstance(raw_params, Mapping):
-        raise JobSpecError("'params' must be a JSON object")
-    tunable = _tunable_params(fn)
-    params: dict[str, Any] = {}
-    for raw_key, value in raw_params.items():
-        key = str(raw_key).replace("-", "_")
-        if key not in tunable:
-            known = ", ".join(sorted(tunable))
-            raise JobSpecError(
-                f"unknown parameter {raw_key!r} for {name!r}; "
-                f"tunable parameters: {known}"
-            )
-        default = tunable[key]
-        if isinstance(value, str):
-            try:
-                value = _convert(value, default)
-            except ValueError as exc:
-                raise JobSpecError(
-                    f"bad value for {raw_key!r}: {exc}"
-                ) from exc
-        elif isinstance(default, bool) or isinstance(value, bool):
-            if not (
-                isinstance(default, bool) and isinstance(value, bool)
-            ):
-                raise JobSpecError(
-                    f"bad value for {raw_key!r}: expected "
-                    f"{type(default).__name__}, got {value!r}"
-                )
-        elif isinstance(default, float) and isinstance(value, int):
-            value = float(value)
-        elif not isinstance(value, type(default)):
-            raise JobSpecError(
-                f"bad value for {raw_key!r}: expected "
-                f"{type(default).__name__}, got {value!r}"
-            )
-        params[key] = value
-    return name, params
 
 
 class JobService:
@@ -439,7 +349,27 @@ class JobService:
         :raises ServiceDraining: shutting down (map to HTTP 503).
         :raises JobQueueFull: admission queue full (map to HTTP 429).
         """
-        experiment, params = resolve_spec(document, self._registry())
+        # Imported here: the experiment drivers import the engine, which
+        # imports this package.
+        from repro.experiments import resolve_params
+
+        if not isinstance(document, Mapping):
+            raise JobSpecError("job spec must be a JSON object")
+        experiment = document.get("experiment", document.get("workload"))
+        experiments = self._registry()
+        if not isinstance(experiment, str) or experiment not in experiments:
+            raise JobSpecError(
+                f"unknown experiment {experiment!r} (a spec names its "
+                "'experiment' or 'workload'); known experiments: "
+                + ", ".join(sorted(experiments))
+            )
+        raw_params = document.get("params") or {}
+        if not isinstance(raw_params, Mapping):
+            raise JobSpecError("'params' must be a JSON object")
+        try:
+            params = resolve_params(experiments[experiment], raw_params)
+        except ValueError as exc:
+            raise JobSpecError(str(exc)) from exc
         with self._lock:
             if self._draining:
                 raise ServiceDraining(
@@ -505,7 +435,11 @@ class JobService:
     # -- execution -------------------------------------------------------
     def _registry(self) -> Mapping[str, Callable[..., Any]]:
         if self._experiments is None:
-            self._experiments = default_experiment_registry()
+            from repro.experiments import EXPERIMENTS
+
+            self._experiments = {
+                name: fn for name, (fn, _) in EXPERIMENTS.items()
+            }
         return self._experiments
 
     def _worker(self, executor: ParallelExecutor, pid: int) -> None:

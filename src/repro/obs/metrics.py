@@ -9,9 +9,10 @@ out of the very same accumulators (same values, same fold order, plain
 float addition), the Prometheus dump and the job counters can never
 disagree — a single source of truth instead of two ledgers.
 
-On top of the counter families the scheduler records observational
-metrics that counters cannot express: per-task latency and CPU
-histograms, shuffle-bytes-per-reducer, attempt/retry counts.
+On top of the counter families the scheduler records the
+``mr.derived.*`` gauges (:func:`record_job_metrics`).  Attempt counts
+and durations are not restated here: the job's
+:class:`~repro.mr.events.EventLog` is their one record.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.mr import counters as C
 from repro.mr import events as E
@@ -257,51 +258,6 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-#: The scheduler's per-kind attempt counters: metric-name suffix after
-#: ``mr.<kind>.attempts``, the :meth:`EventLog.attempt_counts` column
-#: it publishes, and its help string.  All of them are registered for
-#: every run — a zero sample in the Prometheus dump is a statement that
-#: the path was exercised zero times, not that it does not exist.
-_ATTEMPT_COUNTERS: tuple[tuple[str, str, str], ...] = (
-    ("", "started", "attempts started"),
-    (
-        ".failed",
-        "failed",
-        "attempts that raised (task failures and worker crashes)",
-    ),
-    (".speculative", "speculative", "speculative backup attempts launched"),
-    (
-        ".timeout",
-        "timed_out",
-        "attempts abandoned after exceeding task_timeout_seconds",
-    ),
-    (
-        ".worker_crash",
-        "worker_crash",
-        "attempts lost to a crashed worker process",
-    ),
-    (".killed", "killed", "speculative attempts killed (lost the race)"),
-)
-
-
-def record_job_metrics(
-    metrics: MetricsRegistry,
-    events: EventLog,
-    num_reducers: int,
-    totals: Counters,
-    shuffle_bytes: Sequence[int],
-) -> None:
-    """Everything a finished job's registry holds beyond the counter
-    ledger: the per-wave attempt metrics and the ``mr.derived.*``
-    gauges.
-
-    A pure function of the finished :class:`EventLog`, the job totals
-    and the per-reducer shuffle bytes, called once by the scheduler.
-    """
-    _record_wave_metrics(metrics, events, num_reducers)
-    _record_derived_metrics(metrics, events, totals, shuffle_bytes)
-
-
 def _quantile(ordered: Sequence[float], q: float) -> float:
     """Nearest-rank quantile of an ascending-sorted sequence."""
     if not ordered:
@@ -310,53 +266,16 @@ def _quantile(ordered: Sequence[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, max(rank - 1, 0))]
 
 
-def _record_wave_metrics(
-    metrics: MetricsRegistry, events: EventLog, num_reducers: int
-) -> None:
-    """Observational metrics counters cannot express (latencies,
-    attempt counts, per-phase byte distributions)."""
-    metrics.gauge(
-        "mr.job.reducers", "Configured reduce tasks"
-    ).set(num_reducers)
-    attempt_counts = events.attempt_counts()
-    wasted = metrics.counter(
-        "mr.wasted.cpu.seconds", "CPU burned by failed attempts"
-    )
-    for kind in (E.MAP, E.REDUCE):
-        latency = metrics.histogram(
-            f"mr.{kind}.task.wall.seconds",
-            f"Wall seconds per successful {kind} attempt",
-        )
-        for duration in events.wall_durations(kind).values():
-            latency.observe(duration)
-        cpu = metrics.histogram(
-            f"mr.{kind}.task.cpu.seconds",
-            f"CPU seconds per successful {kind} attempt",
-        )
-        output_bytes = metrics.histogram(
-            f"mr.{kind}.output.bytes",
-            "Map output bytes / reduce shuffle bytes per task",
-            buckets=tuple(4.0**n for n in range(2, 16)),
-        )
-        for event in events:
-            if event.kind == kind and event.event == E.FINISH:
-                cpu.observe(event.cpu_seconds)
-                output_bytes.observe(event.output_bytes)
-        counts = attempt_counts.get(kind, {})
-        for suffix, column, help_text in _ATTEMPT_COUNTERS:
-            metrics.counter(
-                f"mr.{kind}.attempts{suffix}", f"{kind} {help_text}"
-            ).add(counts.get(column, 0))
-        wasted.add(counts.get("wasted_cpu_s", 0.0))
-
-
-def _record_derived_metrics(
+def record_job_metrics(
     metrics: MetricsRegistry,
     events: EventLog,
     totals: Counters,
     shuffle_bytes: Sequence[int],
 ) -> None:
     """Per-run derived analytics: the ``mr.derived.*`` gauges.
+
+    A pure function of the finished :class:`EventLog`, the job totals
+    and the per-reducer shuffle bytes, called once by the scheduler.
 
     Replication rate is the communication-cost metric of the
     MapReduce-algorithms literature (arXiv 1204.1754): map output

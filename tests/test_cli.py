@@ -6,15 +6,8 @@ import re
 
 import pytest
 
-from repro.cli import (
-    EXPERIMENTS,
-    _convert,
-    _extract_runner_flags,
-    _parse_overrides,
-    _tunable_params,
-    main,
-)
-from repro.experiments import run_fig9
+from repro.cli import EXPERIMENTS, _argv_params, _extract_runner_flags, main
+from repro.experiments import resolve_params, run_fig9, tunable_params
 from repro.mr.executor import default_jobs, set_default_jobs
 
 
@@ -30,54 +23,59 @@ class TestRegistry:
             assert name == name.lower()
 
 
+def _parse_argv(pairs: list[str]) -> dict:
+    """What ``repro run fig9 <pairs>`` hands the driver."""
+    return resolve_params(run_fig9, _argv_params(pairs))
+
+
 class TestParamParsing:
     def test_tunable_params(self) -> None:
-        params = _tunable_params(run_fig9)
+        params = tunable_params(run_fig9)
         assert params["num_queries"] == 6000
         assert params["num_reducers"] == 8
 
     def test_convert_types(self) -> None:
-        assert _convert("42", 0) == 42
-        assert _convert("2.5", 0.0) == 2.5
-        assert _convert("text", "default") == "text"
-        assert _convert("true", False) is True
-        assert _convert("off", True) is False
+        def driver(n=0, rate=0.0, label="default", on=False, off=True):
+            return None
+
+        assert resolve_params(
+            driver,
+            {"n": "42", "rate": "2.5", "label": "text", "on": "true",
+             "off": "off"},
+        ) == {"n": 42, "rate": 2.5, "label": "text", "on": True,
+              "off": False}
 
     def test_convert_bad_bool(self) -> None:
         with pytest.raises(ValueError):
-            _convert("maybe", True)
+            resolve_params(lambda on=True: None, {"on": "maybe"})
 
     def test_parse_overrides(self) -> None:
-        overrides = _parse_overrides(
-            ["--num-queries", "100", "--seed", "7"], run_fig9
-        )
+        overrides = _parse_argv(["--num-queries", "100", "--seed", "7"])
         assert overrides == {"num_queries": 100, "seed": 7}
 
     def test_parse_overrides_equals_form(self) -> None:
-        overrides = _parse_overrides(
-            ["--num-queries=100", "--seed", "7"], run_fig9
-        )
+        overrides = _parse_argv(["--num-queries=100", "--seed", "7"])
         assert overrides == {"num_queries": 100, "seed": 7}
 
     def test_unknown_param(self) -> None:
         with pytest.raises(ValueError, match="unknown parameter"):
-            _parse_overrides(["--bogus", "1"], run_fig9)
+            _parse_argv(["--bogus", "1"])
 
     def test_unknown_param_lists_tunables(self) -> None:
         with pytest.raises(ValueError, match="--num-queries"):
-            _parse_overrides(["--bogus=1"], run_fig9)
+            _parse_argv(["--bogus=1"])
 
     def test_bad_value_names_the_flag(self) -> None:
         with pytest.raises(ValueError, match="--num-queries"):
-            _parse_overrides(["--num-queries", "lots"], run_fig9)
+            _parse_argv(["--num-queries", "lots"])
 
     def test_missing_value(self) -> None:
         with pytest.raises(ValueError, match="missing value"):
-            _parse_overrides(["--num-queries"], run_fig9)
+            _parse_argv(["--num-queries"])
 
     def test_not_a_flag(self) -> None:
         with pytest.raises(ValueError, match="expected --param"):
-            _parse_overrides(["num-queries", "1"], run_fig9)
+            _parse_argv(["num-queries", "1"])
 
 
 class TestJobsFlag:

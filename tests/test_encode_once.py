@@ -354,8 +354,8 @@ def test_a_failed_attempt_leaves_its_split_unsized() -> None:
     """On the default executor: serial, or a pool under ``REPRO_JOBS``."""
     splits = split_records(_lines(), num_splits=NUM_SPLITS)
     faults = _WatchedFaults(splits[0], fail_first={"map0": 1})
-    runner = LocalJobRunner(fault_policy=faults, max_attempts=2)
-    result = runner.run(_job(), splits)
+    runner = LocalJobRunner(fault_policy=faults)
+    result = runner.run(_job().clone(max_task_attempts=2), splits)
     assert faults.injected == [("map0", 1, "fail")]
     assert faults.sizes_at_start == [None, None]
     assert splits[0].encoded_bytes == _encoded_size(splits[0])
@@ -384,12 +384,11 @@ def test_an_attempt_that_read_its_split_then_failed_leaves_it_unsized(
         num_reducers=NUM_REDUCERS,
         name="fails-once",
         cost_meter=FixedCostMeter(),
+        max_task_attempts=2,
     )
     splits = split_records(_lines(), num_splits=NUM_SPLITS)
     faults = _WatchedFaults(splits[0])
-    runner = LocalJobRunner(
-        executor=SerialExecutor(), fault_policy=faults, max_attempts=2
-    )
+    runner = LocalJobRunner(executor=SerialExecutor(), fault_policy=faults)
     result = runner.run(job, splits)
     assert faults.sizes_at_start == [None, None]
     assert splits[0].encoded_bytes == _encoded_size(splits[0])

@@ -3,8 +3,8 @@
 Acceptance contract (ISSUE: fault-tolerance hardening): a scripted
 worker crash (``os._exit`` in the worker) and a scripted hang both
 complete the job with output and analytic counters **bit-identical** to
-a fault-free serial run, with the recovery visible in the event log and
-the ``mr.*.attempts.*`` metrics counters.
+a fault-free serial run, with the recovery visible in the event log
+(``EventLog.attempt_counts()``).
 
 Two styles of test live here:
 
@@ -188,11 +188,11 @@ def _fake_time_runner(**runner_knobs) -> tuple[LocalJobRunner, FakeClock]:
 class TestWorkerCrashRecovery:
     def test_pool_worker_crash_recovers(self, clean) -> None:
         """Acceptance: os._exit in a real pool worker; job still right."""
-        job, splits = _wordcount()
+        job, splits = _wordcount(max_task_attempts=3)
         policy = ScriptedFaults(faults={"map0": ["crash"]})
         with ParallelExecutor(max_workers=2) as pool:
             result = LocalJobRunner(
-                executor=pool, fault_policy=policy, max_attempts=3
+                executor=pool, fault_policy=policy
             ).run(job, splits)
 
         assert_recovered(result, clean)
@@ -203,18 +203,17 @@ class TestWorkerCrashRecovery:
         assert any(e.task_id == "map0" for e in crashes)
         # ... charged as a retry ...
         assert result.events.attempts("map0") >= 2
-        # ... and visible in the metrics ledger.
-        values = result.metrics.counter_values()
-        assert values["mr.map.attempts.worker_crash"] == len(crashes)
-        assert values["mr.map.attempts.failed"] >= len(crashes)
+        # ... and counted as both.
+        counts = result.events.attempt_counts()["map"]
+        assert counts["worker_crash"] == len(crashes)
+        assert counts["failed"] >= len(crashes)
 
     def test_pool_reduce_crash_recovers(self, clean) -> None:
-        job, splits = _wordcount()
+        job, splits = _wordcount(max_task_attempts=3)
         with ParallelExecutor(max_workers=2) as pool:
             result = LocalJobRunner(
                 executor=pool,
                 fault_policy=ScriptedFaults(faults={"reduce1": ["crash"]}),
-                max_attempts=3,
             ).run(job, splits)
         assert_recovered(result, clean)
         assert result.events.worker_crashes(E.REDUCE)
@@ -222,27 +221,23 @@ class TestWorkerCrashRecovery:
 
     def test_serial_crash_simulation_recovers(self, clean) -> None:
         """The serial executor's simulated crash takes the same path."""
-        job, splits = _wordcount()
+        job, splits = _wordcount(max_task_attempts=2)
         result = LocalJobRunner(
             executor=SerialExecutor(),
             fault_policy=ScriptedFaults(faults={"map0": ["crash"]}),
-            max_attempts=2,
         ).run(job, splits)
         assert_recovered(result, clean)
         # Serial: no siblings in flight, so exactly one crash casualty.
         [crash] = result.events.worker_crashes()
         assert (crash.task_id, crash.attempt) == ("map0", 1)
         assert result.events.attempts("map0") == 2
-        assert result.metrics.counter_values()[
-            "mr.map.attempts.worker_crash"
-        ] == 1
+        assert result.events.attempt_counts()["map"]["worker_crash"] == 1
 
     def test_crash_exhaustion_fails_the_job(self) -> None:
-        job, splits = _wordcount()
+        job, splits = _wordcount(max_task_attempts=2)
         runner = LocalJobRunner(
             executor=SerialExecutor(),
             fault_policy=ScriptedFaults(faults={"map0": ["crash", "crash"]}),
-            max_attempts=2,
         )
         with pytest.raises(TaskFailedError, match="map0.*2 attempt") as info:
             runner.run(job, splits)
@@ -254,10 +249,9 @@ class TestWorkerCrashRecovery:
     def test_default_executor_crash_smoke(self, clean) -> None:
         """Runs under whatever REPRO_JOBS selects (the CI fault-smoke
         job exercises this under both serial and process backends)."""
-        job, splits = _wordcount()
+        job, splits = _wordcount(max_task_attempts=3)
         result = LocalJobRunner(
             fault_policy=ScriptedFaults(faults={"map0": ["crash"]}),
-            max_attempts=3,
         ).run(job, splits)
         assert_recovered(result, clean)
         assert result.events.worker_crashes()
@@ -268,10 +262,10 @@ class TestWorkerCrashRecovery:
 
 class TestTaskTimeouts:
     def test_timed_out_attempt_is_abandoned_and_retried(self, clean) -> None:
-        job, splits = _wordcount(task_timeout_seconds=1.0)
-        runner, _ = _fake_time_runner(
-            delays={"map0": [10.0]}, max_attempts=2
+        job, splits = _wordcount(
+            task_timeout_seconds=1.0, max_task_attempts=2
         )
+        runner, _ = _fake_time_runner(delays={"map0": [10.0]})
         result = runner.run(job, splits)
 
         assert_recovered(result, clean)
@@ -280,13 +274,13 @@ class TestTaskTimeouts:
         # The uncancellable attempt was abandoned, never folded.
         assert len(runner._executor.abandoned) == 1
         assert result.events.attempts("map0") == 2
-        assert result.metrics.counter_values()["mr.map.attempts.timeout"] == 1
+        assert result.events.attempt_counts()["map"]["timed_out"] == 1
 
     def test_timeout_exhaustion_raises_with_cause(self) -> None:
-        job, splits = _wordcount(task_timeout_seconds=1.0)
-        runner, _ = _fake_time_runner(
-            delays={"map0": [10.0, 10.0]}, max_attempts=2
+        job, splits = _wordcount(
+            task_timeout_seconds=1.0, max_task_attempts=2
         )
+        runner, _ = _fake_time_runner(delays={"map0": [10.0, 10.0]})
         with pytest.raises(TaskFailedError) as info:
             runner.run(job, splits)
         assert isinstance(info.value.cause, TaskTimeoutError)
@@ -303,12 +297,13 @@ class TestTaskTimeouts:
     def test_real_pool_hang_recovers(self, clean) -> None:
         """Acceptance: a scripted hang outlives the timeout on a real
         pool; the zombie attempt is abandoned and the retry wins."""
-        job, splits = _wordcount(task_timeout_seconds=0.75)
+        job, splits = _wordcount(
+            task_timeout_seconds=0.75, max_task_attempts=2
+        )
         with ParallelExecutor(max_workers=2) as pool:
             result = LocalJobRunner(
                 executor=pool,
                 fault_policy=ScriptedFaults(faults={"map1": [("hang", 5.0)]}),
-                max_attempts=2,
             ).run(job, splits)
             assert_recovered(result, clean)
             [timeout] = result.events.timeouts()
@@ -320,11 +315,12 @@ class TestTaskTimeouts:
     def test_serial_hang_is_harmless_without_a_worker(self, clean) -> None:
         """Serially a hang is just a sleep inside the attempt: the
         future completes at submit time, so no timeout can trip."""
-        job, splits = _wordcount(task_timeout_seconds=0.75)
+        job, splits = _wordcount(
+            task_timeout_seconds=0.75, max_task_attempts=2
+        )
         result = LocalJobRunner(
             executor=SerialExecutor(),
             fault_policy=ScriptedFaults(faults={"map1": [("hang", 0.05)]}),
-            max_attempts=2,
         ).run(job, splits)
         assert_recovered(result, clean)
         assert not result.events.timeouts()
@@ -334,10 +330,11 @@ class TestTaskTimeouts:
         """CI fault-smoke leg: under REPRO_JOBS=2 the hang trips the
         timeout and is retried; serially it just runs slow.  Either
         way the data products match the clean run."""
-        job, splits = _wordcount(task_timeout_seconds=0.75)
+        job, splits = _wordcount(
+            task_timeout_seconds=0.75, max_task_attempts=2
+        )
         result = LocalJobRunner(
             fault_policy=ScriptedFaults(faults={"map2": [("hang", 1.5)]}),
-            max_attempts=2,
         ).run(job, splits)
         assert_recovered(result, clean)
         if result.events.timeouts():  # process backend
@@ -361,11 +358,12 @@ class TestRetryBackoff:
     def test_retry_schedule_is_deterministic(self, clean) -> None:
         """With an injected clock the retry STARTs land exactly on the
         exponential schedule: t=0, +1s, +2s (cumulative 0, 1, 3)."""
-        job, splits = _wordcount(retry_backoff_seconds=1.0)
+        job, splits = _wordcount(
+            retry_backoff_seconds=1.0, max_task_attempts=4
+        )
         runner, clock = _fake_time_runner(
             executor=SerialExecutor(),
             fault_policy=ScriptedFaults({"map0": 2}),
-            max_attempts=4,
         )
         result = runner.run(job, splits)
 
@@ -384,11 +382,10 @@ class TestRetryBackoff:
         )
 
     def test_zero_backoff_keeps_retries_immediate(self, clean) -> None:
-        job, splits = _wordcount()
+        job, splits = _wordcount(max_task_attempts=2)
         runner, clock = _fake_time_runner(
             executor=SerialExecutor(),
             fault_policy=ScriptedFaults({"map0": 1}),
-            max_attempts=2,
         )
         result = runner.run(job, splits)
         assert_recovered(result, clean)
@@ -424,10 +421,10 @@ class TestSpeculativeExecution:
             if e.event == E.FINISH
         ]
         assert finish.attempt == 2
-        values = result.metrics.counter_values()
-        assert values["mr.map.attempts.speculative"] == 1
-        assert values["mr.map.attempts.killed"] == 1
-        assert values["mr.map.attempts.failed"] == 0
+        counts = result.events.attempt_counts()["map"]
+        assert counts["speculative"] == 1
+        assert counts["killed"] == 1
+        assert counts["failed"] == 0
 
     def test_losing_attempt_result_is_discarded(self, clean) -> None:
         """Both attempts complete in the same poll sweep: the original
@@ -483,9 +480,7 @@ class TestDrainOnTerminalFailure:
         job, splits = _wordcount()
         with ParallelExecutor(max_workers=2) as pool:
             runner = LocalJobRunner(
-                executor=pool,
-                fault_policy=ScriptedFaults({"map1": 99}),
-                max_attempts=1,
+                executor=pool, fault_policy=ScriptedFaults({"map1": 99})
             )
             with pytest.raises(InjectedTaskFailure) as info:
                 runner.run(job, splits)
@@ -496,11 +491,10 @@ class TestDrainOnTerminalFailure:
         )
 
     def test_serial_siblings_keep_their_finish_events(self) -> None:
-        job, splits = _wordcount()
+        job, splits = _wordcount(max_task_attempts=2)
         runner = LocalJobRunner(
             executor=SerialExecutor(),
             fault_policy=ScriptedFaults({"map1": 99}),
-            max_attempts=2,
         )
         with pytest.raises(TaskFailedError) as info:
             runner.run(job, splits)

@@ -50,7 +50,6 @@ from repro.obs.jobservice import (
     JobService,
     JobSpecError,
     ServiceDraining,
-    resolve_spec,
 )
 from repro.obs.loadgen import LoadReport, run_load
 from repro.obs.metrics import validate_prometheus_text
@@ -128,10 +127,23 @@ def _wait_terminal(service: JobService, job_id: str, timeout=30.0):
 
 # -- spec validation --------------------------------------------------------
 class TestResolveSpec:
+    """``submit`` checks the document's shape and resolves its params
+    with the rule ``repro run`` uses (``repro.experiments``)."""
+
     REGISTRY = {"wc": lambda num_lines=10, rate=0.5, fast=False: None}
 
-    def test_valid_spec_with_conversions(self) -> None:
-        name, params = resolve_spec(
+    @pytest.fixture
+    def admit(self, tmp_path):
+        service = JobService(RunStore(tmp_path), experiments=self.REGISTRY)
+
+        def resolve(document):
+            record = service.submit(document)
+            return record.experiment, record.params
+
+        return resolve
+
+    def test_valid_spec_with_conversions(self, admit) -> None:
+        name, params = admit(
             {
                 "experiment": "wc",
                 "params": {
@@ -139,18 +151,14 @@ class TestResolveSpec:
                     "rate": 2,  # int widens to the float default
                     "fast": True,
                 },
-            },
-            self.REGISTRY,
+            }
         )
         assert name == "wc"
         assert params == {"num_lines": 25, "rate": 2.0, "fast": True}
         assert isinstance(params["rate"], float)
 
-    def test_workload_alias_and_empty_params(self) -> None:
-        name, params = resolve_spec(
-            {"workload": "wc"}, self.REGISTRY
-        )
-        assert (name, params) == ("wc", {})
+    def test_workload_alias_and_empty_params(self, admit) -> None:
+        assert admit({"workload": "wc"}) == ("wc", {})
 
     @pytest.mark.parametrize(
         "document, match",
@@ -177,9 +185,11 @@ class TestResolveSpec:
             ),
         ],
     )
-    def test_malformed_specs_raise(self, document, match) -> None:
+    def test_malformed_specs_raise(
+        self, admit, document, match
+    ) -> None:
         with pytest.raises(JobSpecError, match=match):
-            resolve_spec(document, self.REGISTRY)
+            admit(document)
 
 
 # -- admission control ------------------------------------------------------
@@ -255,6 +265,32 @@ class TestAdmission:
         assert failed_run.status_name == "failed"
         assert "kaput" in failed_run.status["error"]
         assert service.drain(timeout=30)
+
+    def test_system_exit_fails_the_job_not_the_dispatcher(
+        self, tmp_path
+    ) -> None:
+        """A job that raises ``SystemExit`` is a failed job like any
+        other: its bundle names the cause, the one dispatcher lives on
+        to run the next job, and ``drain`` waits for both."""
+
+        def bye() -> None:
+            raise SystemExit(3)
+
+        store = RunStore(tmp_path, keep=100)
+        service = JobService(
+            store,
+            experiments={"bye": bye, "ok": lambda: None},
+            workers=1,
+            queue_depth=4,
+        ).start()
+        bad = service.submit({"experiment": "bye"})
+        good = service.submit({"experiment": "ok"})
+        assert service.drain(timeout=30)
+        assert service.job(bad.job_id).state == FAILED_STATE
+        assert service.job(good.job_id).state == DONE
+        status = store.load(service.job(bad.job_id).run_id).status
+        assert status["status"] == "failed"
+        assert "SystemExit" in status["error"]
 
 
 # -- worker processes -------------------------------------------------------

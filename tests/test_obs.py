@@ -284,7 +284,7 @@ class TestMetricsRegistry:
         bag = Counters()
         bag.add("real.counter", 1)
         registry.merge_counters(bag)
-        registry.counter("mr.map.attempts").add(5)
+        registry.counter("observational.only").add(5)
         assert registry.job_counters().as_dict() == {"real.counter": 1.0}
 
     def test_prometheus_text_roundtrip(self) -> None:
@@ -293,7 +293,7 @@ class TestMetricsRegistry:
         bag.add("map.output.bytes", 1234)
         bag.add("cpu.seconds", 0.25)
         registry.merge_counters(bag)
-        registry.gauge("mr.job.reducers").set(4)
+        registry.gauge("mr.derived.shuffle.skew").set(4)
         registry.histogram("lat", buckets=(1.0,)).observe(0.5)
         text = registry.prometheus_text()
         assert "# TYPE map_output_bytes counter" in text
@@ -301,7 +301,7 @@ class TestMetricsRegistry:
         parsed = _plain_samples(text)
         assert parsed["map_output_bytes"] == 1234
         assert parsed["cpu_seconds"] == 0.25
-        assert parsed["mr_job_reducers"] == 4
+        assert parsed["mr_derived_shuffle_skew"] == 4
 
     def test_prometheus_name_sanitization(self) -> None:
         assert prometheus_name("anti.shared.spills") == "anti_shared_spills"
@@ -377,36 +377,38 @@ class TestTracedRuns:
             assert parsed[prometheus_name(name)] == pytest.approx(
                 value
             ), name
-        # The registry carries observational metrics on top.
-        histograms = result.metrics.histogram_snapshots()
-        assert histograms["mr.map.task.wall.seconds"]["count"] == 3
-        assert histograms["mr.reduce.task.wall.seconds"]["count"] == 2
+        # The event log holds one wall duration per task.
+        assert len(result.events.wall_durations(E.MAP)) == 3
+        assert len(result.events.wall_durations(E.REDUCE)) == 2
 
     def test_failed_attempt_spans_marked_and_cpu_attributed(self) -> None:
         job, splits = _wordcount()
         _FLAKY_ATTEMPTS.clear()
-        flaky = job.clone(mapper=FlakyMapper, name="flaky-wordcount")
-        result = LocalJobRunner(max_attempts=2).run(flaky, splits)
+        flaky = job.clone(
+            mapper=FlakyMapper, name="flaky-wordcount", max_task_attempts=2
+        )
+        result = LocalJobRunner().run(flaky, splits)
         failures = result.events.failures(E.MAP)
         assert len(failures) == 1
         # The failed attempt burned metered CPU before dying, and that
         # wasted work is recorded on the FAIL event.
         assert failures[0].cpu_seconds > 0
-        wasted = result.metrics.counter_values()["mr.wasted.cpu.seconds"]
+        wasted = result.events.attempt_counts()["map"]["wasted_cpu_s"]
         assert wasted == pytest.approx(failures[0].cpu_seconds)
-        # A clean run is unaffected — and says so: the wasted-CPU
-        # counter reads zero like the other outcome counters, it is
-        # not absent.
+        # A clean run is unaffected — and says so: its wasted CPU
+        # reads zero, it is not absent.
         clean = LocalJobRunner().run(job, splits)
         assert result.counters.as_dict() == clean.counters.as_dict()
-        assert clean.metrics.counter_values()["mr.wasted.cpu.seconds"] == 0.0
+        assert clean.events.attempt_counts()["map"]["wasted_cpu_s"] == 0.0
 
     def test_failed_attempt_spans_survive_in_trace(self) -> None:
         job, splits = _wordcount()
         _FLAKY_ATTEMPTS.clear()
-        flaky = job.clone(mapper=FlakyMapper, name="flaky-wordcount")
+        flaky = job.clone(
+            mapper=FlakyMapper, name="flaky-wordcount", max_task_attempts=2
+        )
         tracer = Tracer()
-        LocalJobRunner(max_attempts=2, tracer=tracer).run(flaky, splits)
+        LocalJobRunner(tracer=tracer).run(flaky, splits)
         failed = [
             span
             for span in tracer.records()
@@ -495,11 +497,10 @@ class TestExport:
 
     def test_failed_attempt_slice_is_labelled(self) -> None:
         job, splits = _wordcount()
+        job = job.clone(max_task_attempts=2)
         tracer = Tracer()
         runner = LocalJobRunner(
-            max_attempts=2,
-            fault_policy=ScriptedFaults({"map1": 1}),
-            tracer=tracer,
+            fault_policy=ScriptedFaults({"map1": 1}), tracer=tracer
         )
         result = runner.run(job, splits)
         trace = JobTrace(
@@ -637,10 +638,8 @@ class TestEventLogUnderParallelExecutor:
     def test_attempt_numbering_matches_scripted_faults(self, pool) -> None:
         job, splits = _wordcount()
         faults = ScriptedFaults({"map0": 2, "reduce1": 1})
-        runner = LocalJobRunner(
-            executor=pool, fault_policy=faults, max_attempts=3
-        )
-        result = runner.run(job, splits)
+        runner = LocalJobRunner(executor=pool, fault_policy=faults)
+        result = runner.run(job.clone(max_task_attempts=3), splits)
         assert result.events.attempts("map0") == 3
         assert result.events.attempts("reduce1") == 2
         assert faults.injected == [
@@ -848,9 +847,8 @@ class TestExportEdgeCases:
 
     def test_failed_attempt_slice_carries_error(self) -> None:
         job, splits = _wordcount()
-        runner = LocalJobRunner(
-            max_attempts=2, fault_policy=ScriptedFaults({"map0": 1})
-        )
+        job = job.clone(max_task_attempts=2)
+        runner = LocalJobRunner(fault_policy=ScriptedFaults({"map0": 1}))
         result = runner.run(job, splits)
         trace = JobTrace(job_name=job.name, spans=[], events=result.events)
         slices = [

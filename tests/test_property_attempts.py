@@ -8,8 +8,8 @@ builds from one log against each other:
 
 * ``EventLog.attempt_pairs`` pairs every START exactly once;
 * the Chrome trace has one slice per closed attempt;
-* the ``repro trace`` attempt table equals the ``mr.<kind>.attempts*``
-  counters the scheduler publishes;
+* the ``repro trace`` attempt table equals the log's own failure,
+  timeout and kill lists;
 * ``wall_durations`` / ``attempt_wall_durations`` equal the stand-alone
   implementations they replaced (kept below as the reference);
 * ``EventLog`` → ledger rows → ``EventLog`` is the identity.
@@ -25,10 +25,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.tracereport import attempt_rows
 from repro.mr import events as E
-from repro.mr.counters import Counters
 from repro.mr.events import EventLog, TaskEvent
 from repro.obs.export import JobTrace, chrome_trace
-from repro.obs.metrics import MetricsRegistry, record_job_metrics
 
 # -- reference implementations (the pairings before `attempt_pairs`) --------
 
@@ -197,13 +195,15 @@ def test_every_view_of_an_event_log_agrees(log: EventLog) -> None:
     ]
     assert len(slices) == len(closed)
 
-    # 3. The attempt table and the published counters are one count.
-    registry = MetricsRegistry()
-    record_job_metrics(registry, log, 1, Counters(), [])
-    counters = registry.counter_values()
+    # 3. The attempt table and the log's own lists are one count.
     table = {row["kind"]: row for row in attempt_rows(trace)}
+    counts = log.attempt_counts()
     wasted = 0.0
     for kind in (E.MAP, E.REDUCE):
+        # The two columns the table does not show.
+        columns = counts.get(kind, {"speculative": 0, "worker_crash": 0})
+        assert columns["speculative"] == len(log.speculative_starts(kind))
+        assert columns["worker_crash"] == len(log.worker_crashes(kind))
         row = table.get(
             kind,
             dict.fromkeys(
@@ -211,22 +211,11 @@ def test_every_view_of_an_event_log_agrees(log: EventLog) -> None:
                 0,
             ),
         )
-        assert counters[f"mr.{kind}.attempts"] == row["started"]
-        assert counters[f"mr.{kind}.attempts.failed"] == row["failed"]
-        assert counters[f"mr.{kind}.attempts.timeout"] == row["timed_out"]
-        assert counters[f"mr.{kind}.attempts.killed"] == row["killed"]
-        assert counters[f"mr.{kind}.attempts.speculative"] == len(
-            log.speculative_starts(kind)
-        )
-        assert counters[f"mr.{kind}.attempts.worker_crash"] == len(
-            log.worker_crashes(kind)
-        )
         assert row["started"] == sum(e.kind == kind for e in starts)
         assert row["failed"] == len(log.failures(kind))
         assert row["timed_out"] == len(log.timeouts(kind))
         assert row["killed"] == len(log.kills(kind))
         wasted += row["wasted_cpu_s"]
-    assert math.isclose(counters["mr.wasted.cpu.seconds"], wasted)
     assert math.isclose(
         wasted, math.fsum(e.cpu_seconds for e in log.failures())
     )

@@ -128,9 +128,8 @@ class TestFaultInjection:
         runner = LocalJobRunner(
             executor=pool if backend == "process" else None,
             fault_policy=policy,
-            max_attempts=3,
         )
-        result = runner.run(job, splits)
+        result = runner.run(job.clone(max_task_attempts=3), splits)
 
         assert policy.injected == [("map0", 1, "fail")]
         assert result.sorted_output() == clean.sorted_output()
@@ -143,24 +142,20 @@ class TestFaultInjection:
     def test_killed_reduce_attempt_is_retried(self) -> None:
         job, splits = _wordcount()
         clean = LocalJobRunner().run(job, splits)
-        runner = LocalJobRunner(
-            fault_policy=ScriptedFaults({"reduce1": 1}), max_attempts=2
-        )
-        result = runner.run(job, splits)
+        runner = LocalJobRunner(fault_policy=ScriptedFaults({"reduce1": 1}))
+        result = runner.run(job.clone(max_task_attempts=2), splits)
         assert result.counters.as_dict() == clean.counters.as_dict()
         assert result.events.attempts("reduce1") == 2
         assert result.events.attempts("reduce0") == 1
 
     def test_exhausted_attempts_raise_task_failed(self) -> None:
         job, splits = _wordcount()
-        runner = LocalJobRunner(
-            fault_policy=ScriptedFaults({"map1": 99}), max_attempts=2
-        )
+        runner = LocalJobRunner(fault_policy=ScriptedFaults({"map1": 99}))
         with pytest.raises(TaskFailedError, match="map1.*2 attempt"):
-            runner.run(job, splits)
+            runner.run(job.clone(max_task_attempts=2), splits)
 
     def test_fail_fast_propagates_original_exception(self) -> None:
-        # max_attempts == 1 (the default) keeps the historical
+        # max_task_attempts == 1 (the default) keeps the historical
         # behaviour: the task's own exception comes through unchanged.
         job, splits = _wordcount()
         runner = LocalJobRunner(fault_policy=ScriptedFaults({"map0": 1}))
@@ -169,9 +164,9 @@ class TestFaultInjection:
 
     def test_no_faults_policy_injects_nothing(self) -> None:
         job, splits = _wordcount()
-        result = LocalJobRunner(
-            fault_policy=NoFaults(), max_attempts=3
-        ).run(job, splits)
+        result = LocalJobRunner(fault_policy=NoFaults()).run(
+            job.clone(max_task_attempts=3), splits
+        )
         assert not result.events.failures()
 
 
@@ -309,11 +304,9 @@ class TestEventLog:
         """Post-mortem: the raised exception carries the event log,
         with the surviving siblings' FINISH events drained into it."""
         job, splits = _wordcount()
-        runner = LocalJobRunner(
-            fault_policy=ScriptedFaults({"map1": 99}), max_attempts=2
-        )
+        runner = LocalJobRunner(fault_policy=ScriptedFaults({"map1": 99}))
         with pytest.raises(TaskFailedError) as info:
-            runner.run(job, splits)
+            runner.run(job.clone(max_task_attempts=2), splits)
         events = info.value.events
         finished = {e.task_id for e in events if e.event == E.FINISH}
         assert finished == {"map0", "map2", "map3"}
@@ -336,8 +329,8 @@ class TestEventLog:
         # Retried runs schedule failed attempts too: the wasted slot
         # time of the killed attempt is part of the measured runtime.
         retried = LocalJobRunner(
-            fault_policy=ScriptedFaults({"map0": 1}), max_attempts=2
-        ).run(job, splits)
+            fault_policy=ScriptedFaults({"map0": 1})
+        ).run(job.clone(max_task_attempts=2), splits)
         assert retried.measured_runtime().total_seconds >= 0
         assert len(retried.events.attempt_wall_durations(E.MAP)) == (
             len(result.events.attempt_wall_durations(E.MAP)) + 1

@@ -110,14 +110,15 @@ def test_every_way_an_attempt_ends(tmp_path) -> None:
     and a speculative KILL, in one recorded run."""
 
     def body() -> None:
-        job, splits = _wordcount(task_timeout_seconds=0.75)
+        job, splits = _wordcount(
+            task_timeout_seconds=0.75, max_task_attempts=2
+        )
         with ParallelExecutor(max_workers=2) as pool:
             LocalJobRunner(
                 executor=pool,
                 fault_policy=ScriptedFaults(
                     faults={"map0": ["fail"], "map1": [("hang", 5.0)]}
                 ),
-                max_attempts=2,
             ).run(job, splits)
         job, splits = _wordcount(
             speculative_execution=True,
@@ -143,10 +144,10 @@ def test_every_way_an_attempt_ends(tmp_path) -> None:
 
 def test_terminal_failure_rides_in_the_bundle(tmp_path) -> None:
     def body() -> None:
-        job, splits = _wordcount()
-        LocalJobRunner(
-            fault_policy=ScriptedFaults({"map1": 99}), max_attempts=2
-        ).run(job, splits)
+        job, splits = _wordcount(max_task_attempts=2)
+        LocalJobRunner(fault_policy=ScriptedFaults({"map1": 99})).run(
+            job, splits
+        )
 
     witness, reloaded, error = _recorded(tmp_path, body)
     assert isinstance(error, TaskFailedError)
