@@ -114,11 +114,13 @@ def comparator_from_key(key_fn: Callable[[Any], Any], name: str = "keyed") -> Co
     """Build a comparator that compares ``key_fn(a)`` with ``key_fn(b)``.
 
     Useful for grouping comparators, e.g. secondary sort where the
-    grouping key is a prefix of the composite sort key.
+    grouping key is a prefix of the composite sort key.  The comparator
+    pickles whenever ``key_fn`` does (e.g. ``operator.itemgetter(0)``),
+    so its job can run on a process pool.
     """
+    return Comparator(functools.partial(_keyed_cmp, key_fn), name=name)
 
-    def cmp(a: Any, b: Any) -> int:
-        return _natural_cmp(key_fn(a), key_fn(b))
 
-    return Comparator(cmp, name=name)
+def _keyed_cmp(key_fn: Callable[[Any], Any], a: Any, b: Any) -> int:
+    return _natural_cmp(key_fn(a), key_fn(b))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from operator import itemgetter
 
 import pytest
@@ -65,6 +66,12 @@ class TestCustomComparators:
         by_first = comparator_from_key(lambda pair: pair[0])
         assert by_first.cmp(("a", 2), ("a", 99)) == 0
         assert by_first.cmp(("a", 2), ("b", 0)) < 0
+
+    def test_comparator_from_key_pickles(self) -> None:
+        by_first = pickle.loads(pickle.dumps(comparator_from_key(itemgetter(0))))
+        assert by_first.cmp(("a", 2), ("a", 99)) == 0
+        assert by_first.cmp(("b", 0), ("a", 1)) > 0
+        assert by_first.sorted([("b", 0), ("a", 1)]) == [("a", 1), ("b", 0)]
 
     def test_secondary_sort_consistency(self) -> None:
         """Grouping on a prefix must coarsen the full composite order."""

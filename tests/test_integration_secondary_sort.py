@@ -9,6 +9,8 @@ the regular key comparator, e.g., for secondary sort."
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import pytest
 
 from repro.core.config import Strategy
@@ -17,7 +19,9 @@ from repro.mr.api import Context, Mapper, Partitioner, Reducer, stable_hash
 from repro.mr.comparators import comparator_from_key
 from repro.mr.config import JobConf
 from repro.mr.cost import FixedCostMeter
+from repro.mr.counters import MEASURED_CPU_COUNTERS
 from repro.mr.engine import LocalJobRunner
+from repro.mr.executor import ParallelExecutor, SerialExecutor
 from repro.mr.split import split_records
 
 
@@ -103,3 +107,26 @@ class TestSecondarySort:
 
         result = LocalJobRunner().run(_job(num_reducers=1), _splits())
         assert result.counters.get_int(C.REDUCE_INPUT_GROUPS) == 3
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["Original", "AdaptiveSH"])
+def test_pool_run_equals_serial(anti: bool) -> None:
+    """The library's grouping comparator pickles, so a secondary-sort
+    job runs on a process pool, with the serial run's output and
+    deterministic counters."""
+    job = _job(grouping_comparator=comparator_from_key(itemgetter(0)))
+    if anti:
+        job = enable_anti_combining(job)
+
+    def deterministic(result) -> dict:
+        return {
+            name: value
+            for name, value in result.counters.as_dict().items()
+            if name not in MEASURED_CPU_COUNTERS
+        }
+
+    serial = LocalJobRunner(executor=SerialExecutor()).run(job, _splits())
+    with ParallelExecutor(max_workers=2) as pool:
+        pooled = LocalJobRunner(executor=pool).run(job, _splits())
+    assert dict(pooled.output) == dict(serial.output) == EXPECTED
+    assert deterministic(pooled) == deterministic(serial)
