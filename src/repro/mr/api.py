@@ -99,16 +99,16 @@ class Context:
         #: The task's local disk (a LocalStore); the Shared structure
         #: spills here (paper Section 5).
         self.store = store
-        #: The task's one key→partition memo (``None`` without a
-        #: Partitioner).  Contexts derived with ``with_sink`` /
-        #: ``with_capture`` share it, so everything a task runs — the
-        #: map-output buffer, the Anti wrappers, a spill-time combiner —
-        #: asks the Partitioner about a key once and cannot disagree
-        #: about the answer.
+        #: The key→partition memo of this partitioner and reducer count
+        #: in this process (``None`` without a Partitioner): every task
+        #: and every context derived with ``with_sink`` / ``with_capture``
+        #: reads the same dict, so the map-output buffer, the Anti
+        #: wrappers, a spill-time combiner and the LazySH decoder ask the
+        #: Partitioner about a key once and cannot disagree on the answer.
         self.partitions: PartitionMemo | None = (
             None
             if partitioner is None
-            else PartitionMemo(partitioner.get_partition, num_partitions)
+            else PartitionMemo.of(partitioner, num_partitions)
         )
 
     def write(self, key: Any, value: Any) -> None:
@@ -230,18 +230,19 @@ class Partitioner:
 
 
 #: Cap on a key → partition memo (cleared, not evicted, when full —
-#: the key sets of one task are usually far smaller).
+#: the key sets of one job are usually smaller).
 _PARTITION_MEMO_LIMIT = 1 << 16
 
 
 class PartitionMemo(dict):
-    """Partition lookups for whole emission batches of one task.
+    """Key→partition lookups for whole emission batches.
 
-    Key→partition assignments are memoised across calls, which is
-    legal because the Partitioner must be deterministic (the same
-    assumption LazySH decoding rests on).  The calls it skips are
-    framework work, never the AntiMapper's metered first-record probe.
-    Hits are plain ``dict`` subscripts; only misses reach Python code.
+    Key→partition assignments are memoised, which is legal because the
+    Partitioner must be deterministic (the same assumption LazySH
+    decoding rests on).  The calls it skips are framework work, never
+    the AntiMapper's metered first-record probe.  Hits are plain
+    ``dict`` subscripts; only misses reach Python code.  A memo never
+    crosses a process boundary: pickled or copied, it arrives empty.
     """
 
     __slots__ = ("_get_partition", "_num_reducers")
@@ -254,6 +255,31 @@ class PartitionMemo(dict):
         super().__init__()
         self._get_partition = get_partition
         self._num_reducers = num_reducers
+
+    @classmethod
+    def of(cls, partitioner: "Partitioner", num_reducers: int) -> "PartitionMemo":
+        """This process's memo of ``partitioner`` at ``num_reducers``.
+
+        It lives on the partitioner instance, so every task of a job and
+        every later job with the same partitioner read one dict.  A
+        partitioner without an instance ``__dict__`` gets a fresh memo
+        per call; a shallow copy, whose attribute still holds the
+        original's memos, starts a dict of its own.
+        """
+        state = getattr(partitioner, "__dict__", None)
+        if state is None:
+            return cls(partitioner.get_partition, num_reducers)
+        memos = state.setdefault("_partition_memos", {})
+        memo = memos.get(num_reducers)
+        if memo is not None:
+            if getattr(memo._get_partition, "__self__", None) is partitioner:
+                return memo
+            memos = state["_partition_memos"] = {}
+        memo = memos[num_reducers] = cls(partitioner.get_partition, num_reducers)
+        return memo
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self._get_partition, self._num_reducers)
 
     def __missing__(self, key: Any) -> int:
         partition = self._get_partition(key, self._num_reducers)
@@ -292,32 +318,12 @@ class PartitionMemo(dict):
 class HashPartitioner(Partitioner):
     """The default partitioner: stable hash modulo task count.
 
-    Assignments are memoised per instance (the hot paths call
-    ``get_partition`` once per emitted record, and intermediate keys
-    repeat heavily); the memo is keyed by the key itself and reset if
-    the partition count ever changes, so the assignment for any key is
-    exactly ``stable_hash(key) % num_partitions`` either way.
+    It holds no memo: the framework asks it through the one
+    :class:`PartitionMemo` of this instance and reducer count.
     """
 
-    def __init__(self) -> None:
-        self._memo: dict = {}
-        self._memo_partitions: int | None = None
-
     def get_partition(self, key: Any, num_partitions: int) -> int:
-        memo = self._memo
-        if self._memo_partitions != num_partitions:
-            memo.clear()
-            self._memo_partitions = num_partitions
-        try:
-            partition = memo.get(key)
-        except TypeError:  # unhashable key
-            return stable_hash(key) % num_partitions
-        if partition is None:
-            partition = stable_hash(key) % num_partitions
-            if len(memo) >= _PARTITION_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = partition
-        return partition
+        return stable_hash(key) % num_partitions
 
 
 class KeyFieldPartitioner(Partitioner):

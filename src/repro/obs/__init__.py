@@ -36,27 +36,17 @@ from repro.obs.trace import (
     current_tracer,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.export import (
-    JobTrace,
-    chrome_trace,
-    load_jsonl,
-    write_chrome_trace,
-)
 from repro.obs.flightrecorder import (
     FlightRecorder,
     clear_flight_recorder,
     current_flight_recorder,
     set_flight_recorder,
 )
-from repro.obs.jobservice import JobRecord, JobService
 from repro.obs.run_store import RunRecord, RunStore, RunStoreError
 
 __all__ = [
     "NULL_TRACER",
     "FlightRecorder",
-    "JobRecord",
-    "JobService",
-    "JobTrace",
     "MetricsRegistry",
     "RunRecord",
     "RunStore",
@@ -65,8 +55,5 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "activated",
-    "chrome_trace",
     "current_tracer",
-    "load_jsonl",
-    "write_chrome_trace",
 ]

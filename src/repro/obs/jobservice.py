@@ -50,6 +50,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro.experiments import EXPERIMENTS, resolve_params
 from repro.mr.executor import ParallelExecutor, WorkerCrashError
 from repro.obs.flightrecorder import BOOT_ID, FlightRecorder, run_manifest
 from repro.obs.metrics import MetricsRegistry
@@ -349,10 +350,6 @@ class JobService:
         :raises ServiceDraining: shutting down (map to HTTP 503).
         :raises JobQueueFull: admission queue full (map to HTTP 429).
         """
-        # Imported here: the experiment drivers import the engine, which
-        # imports this package.
-        from repro.experiments import resolve_params
-
         if not isinstance(document, Mapping):
             raise JobSpecError("job spec must be a JSON object")
         experiment = document.get("experiment", document.get("workload"))
@@ -435,8 +432,6 @@ class JobService:
     # -- execution -------------------------------------------------------
     def _registry(self) -> Mapping[str, Callable[..., Any]]:
         if self._experiments is None:
-            from repro.experiments import EXPERIMENTS
-
             self._experiments = {
                 name: fn for name, (fn, _) in EXPERIMENTS.items()
             }

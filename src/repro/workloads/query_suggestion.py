@@ -120,32 +120,13 @@ class PrefixPartitioner(Partitioner):
     sharing on very short prefixes for more distinct partitions.
     """
 
-    #: Cap on the per-instance key → partition memo.
-    _MEMO_LIMIT = 1 << 16
-
     def __init__(self, prefix_len: int):
         if prefix_len < 1:
             raise ValueError("prefix_len must be >= 1")
         self.prefix_len = prefix_len
-        self._memo: dict[str, int] = {}
-        self._memo_partitions: int | None = None
 
     def get_partition(self, key: str, num_partitions: int) -> int:
-        # Memoised per instance, like HashPartitioner: the assignment
-        # for a key is pure, and intermediate keys repeat heavily.
-        memo = self._memo
-        if self._memo_partitions != num_partitions:
-            memo.clear()
-            self._memo_partitions = num_partitions
-        partition = memo.get(key)
-        if partition is None:
-            partition = (
-                stable_hash(key[: self.prefix_len]) % num_partitions
-            )
-            if len(memo) >= self._MEMO_LIMIT:
-                memo.clear()
-            memo[key] = partition
-        return partition
+        return stable_hash(key[: self.prefix_len]) % num_partitions
 
 
 def query_suggestion_job(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.mr.api import (
@@ -93,6 +96,37 @@ class TestPartitionMemo:
         memo, _ = self._memo()
         memo.of_records([("a", 0), ("bb", 0), ("ccc", 0)])
         assert dict(memo) == {"ccc": 0}
+
+    def test_one_memo_per_partitioner_and_reducer_count(self) -> None:
+        partitioner = HashPartitioner()
+        memo = PartitionMemo.of(partitioner, 3)
+        assert PartitionMemo.of(partitioner, 3) is memo
+        assert PartitionMemo.of(partitioner, 4) is not memo
+        assert PartitionMemo.of(HashPartitioner(), 3) is not memo
+        for _ in range(2):
+            ctx = Context(
+                Counters(),
+                lambda k, v: None,
+                partitioner=partitioner,
+                num_partitions=3,
+            )
+            assert ctx.partitions is memo
+
+    def test_pickled_or_copied_it_arrives_empty(self) -> None:
+        partitioner = HashPartitioner()
+        keys = [(f"k{index}", 0) for index in range(100)]
+        expected = [partitioner.get_partition(key, 3) for key, _ in keys]
+        assert PartitionMemo.of(partitioner, 3).of_records(keys) == expected
+        for clone in (
+            pickle.loads(pickle.dumps(partitioner)),
+            copy.deepcopy(partitioner),
+            copy.copy(partitioner),
+        ):
+            memo = PartitionMemo.of(clone, 3)
+            assert not memo and memo is not PartitionMemo.of(partitioner, 3)
+            assert memo.of_records(keys) == expected
+        assert len(PartitionMemo.of(partitioner, 3)) == 100
+        assert len(pickle.dumps(partitioner)) < 300
 
 
 class TestContext:

@@ -27,7 +27,7 @@ from repro.mr.api import Context, Mapper
 from repro.mr.counters import Counters
 from repro.mr.cost import FixedCostMeter
 from repro.mr.engine import JobResult, LocalJobRunner
-from repro.mr.executor import ParallelExecutor
+from repro.mr.executor import ParallelExecutor, SerialExecutor
 from repro.mr.scheduler import ScriptedFaults
 from repro.mr.split import split_records
 from repro.obs.export import JobTrace, chrome_trace, load_jsonl
@@ -387,7 +387,7 @@ class TestTracedRuns:
         flaky = job.clone(
             mapper=FlakyMapper, name="flaky-wordcount", max_task_attempts=2
         )
-        result = LocalJobRunner().run(flaky, splits)
+        result = LocalJobRunner(executor=SerialExecutor()).run(flaky, splits)
         failures = result.events.failures(E.MAP)
         assert len(failures) == 1
         # The failed attempt burned metered CPU before dying, and that
@@ -397,7 +397,7 @@ class TestTracedRuns:
         assert wasted == pytest.approx(failures[0].cpu_seconds)
         # A clean run is unaffected — and says so: its wasted CPU
         # reads zero, it is not absent.
-        clean = LocalJobRunner().run(job, splits)
+        clean = LocalJobRunner(executor=SerialExecutor()).run(job, splits)
         assert result.counters.as_dict() == clean.counters.as_dict()
         assert clean.events.attempt_counts()["map"]["wasted_cpu_s"] == 0.0
 
@@ -408,7 +408,9 @@ class TestTracedRuns:
             mapper=FlakyMapper, name="flaky-wordcount", max_task_attempts=2
         )
         tracer = Tracer()
-        LocalJobRunner(tracer=tracer).run(flaky, splits)
+        LocalJobRunner(executor=SerialExecutor(), tracer=tracer).run(
+            flaky, splits
+        )
         failed = [
             span
             for span in tracer.records()
