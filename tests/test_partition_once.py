@@ -23,7 +23,7 @@ from repro.core import encoding
 from repro.core.config import Strategy
 from repro.core.crosscall import enable_cross_call_anti_combining
 from repro.core.transform import enable_anti_combining
-from repro.mr.api import Context, Mapper, Partitioner, Reducer
+from repro.mr.api import Context, HashPartitioner, Mapper, Partitioner, Reducer
 from repro.mr.config import JobConf
 from repro.mr.cost import FixedCostMeter
 from repro.mr.counters import MEASURED_CPU_COUNTERS, Counters
@@ -248,3 +248,48 @@ def test_a_pool_run_equals_serial(variant: str, pool) -> None:
     pooled = LocalJobRunner(executor=pool).run(job, SPLITS)
     assert sorted(pooled.output) == sorted(serial.output) == _expected_output()
     assert _deterministic_counters(pooled) == _deterministic_counters(serial)
+
+
+class _NumberMapper(Mapper):
+    """Emit the record's value as the key: ``1``, ``1.0`` and ``True``."""
+
+    def map(self, key, value, context):
+        context.write(value, key)
+
+
+#: Keys equal under ``==`` that encode, hash and partition apart.
+NUMBER_SPLITS = [[(0, 1), (1, 1.0)], [(2, True), (3, 1)], [(4, 1.0), (5, True)]]
+
+
+@pytest.mark.parametrize("variant", ["Original", "AdaptiveSH"])
+def test_equal_keys_of_other_types_keep_their_partitions(variant, pool) -> None:
+    partitioner = HashPartitioner()
+    job = VARIANTS[variant](
+        JobConf(
+            mapper=_NumberMapper,
+            reducer=Reducer,
+            partitioner=partitioner,
+            num_reducers=8,
+            cost_meter=FixedCostMeter(),
+            name="numbers",
+        )
+    )
+    expected: dict[int, list] = {}
+    for split in NUMBER_SPLITS:
+        for key, value in split:
+            expected.setdefault(partitioner.get_partition(value, 8), []).append(
+                (type(value).__name__, key)
+            )
+
+    def by_partition(result) -> dict[int, list]:
+        return {
+            partition: sorted((type(key).__name__, value) for key, value in records)
+            for partition, records in result.outputs_by_partition.items()
+            if records
+        }
+
+    serial = LocalJobRunner(executor=SerialExecutor()).run(job, NUMBER_SPLITS)
+    pooled = LocalJobRunner(executor=pool).run(job, NUMBER_SPLITS)
+    assert by_partition(serial) == by_partition(pooled) == {
+        partition: sorted(records) for partition, records in expected.items()
+    }
