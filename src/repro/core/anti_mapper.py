@@ -36,7 +36,7 @@ that decision is open (AdaptiveSH with a finite ``T``).
 from __future__ import annotations
 
 import math
-from operator import is_, itemgetter
+from operator import itemgetter
 from typing import Any
 
 from repro.core.config import Strategy
@@ -372,11 +372,8 @@ class AntiMapper(Mapper):
         # identical items encode to identical bytes.
         prev_value = first_value
         for out_key, out_value in records[1:]:
-            if out_value is not prev_value and not (
-                type(out_value) is tuple
-                and type(prev_value) is tuple
-                and len(out_value) == len(prev_value)
-                and all(map(is_, out_value, prev_value))
+            if out_value is not prev_value and not serde.same_items(
+                out_value, prev_value
             ):
                 group_id = _value_group_id(out_value)
                 group = table.get(group_id)

@@ -181,10 +181,10 @@ class Shared:
         behaves exactly like that many ``add`` calls: each pair is
         sized as ``serde.approx_kv_size`` sizes it (the ``str`` case
         inline; consecutive pairs carrying the very same key or value
-        object — a PLAIN run, one Map output tuple fanned out to many
-        keys — size it once), and the memory limit is tested after
-        every pair, so a spill lands on the same pair however the pairs
-        were batched.
+        object, or a value tuple of the very same items — a PLAIN run,
+        one Map output fanned out to many keys — size it once), and the
+        memory limit is tested after every pair, so a spill lands on the
+        same pair however the pairs were batched.
         """
         table = self._table
         heap = self._heap
@@ -200,12 +200,11 @@ class Shared:
                     else serde.approx_size(key)
                 )
             if value is not prev_value:
+                if type(value) is str:
+                    value_size = 2 + len(value)
+                elif not serde.same_items(value, prev_value):
+                    value_size = serde.approx_size(value)
                 prev_value = value
-                value_size = (
-                    2 + len(value)
-                    if type(value) is str
-                    else serde.approx_size(value)
-                )
             size = key_size + value_size
             # Single-hash lookup: probe the table with the raw key
             # (``dict.get`` raises TypeError for an unhashable key,

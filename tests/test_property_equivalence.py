@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,11 +46,19 @@ class SeededMapper(Mapper):
     of small ints.
     """
 
-    seed: int = 0
-    max_fanout: int = 4
-    key_space: int = 20
-    value_sharing: int = 3  # smaller = more shared values
-    float_values: bool = False
+    def __init__(
+        self,
+        seed: int = 0,
+        max_fanout: int = 4,
+        key_space: int = 20,
+        value_sharing: int = 3,  # smaller = more shared values
+        float_values: bool = False,
+    ):
+        self.seed = seed
+        self.max_fanout = max_fanout
+        self.key_space = key_space
+        self.value_sharing = value_sharing
+        self.float_values = float_values
 
     def map(self, key, value, context):
         rng = random.Random(f"{self.seed}:{key}:{value}")
@@ -85,10 +94,11 @@ class SumCombiner(Combiner):
 
 
 def _mapper_class(shape):
-    return type(
-        "GeneratedMapper",
-        (SeededMapper,),
-        {
+    """A picklable mapper factory for ``shape``, so the job can run on
+    a worker pool too."""
+    return partial(
+        SeededMapper,
+        **{
             name: shape[name]
             for name in (
                 "seed",

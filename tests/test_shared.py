@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.shared import Shared
 from repro.mr import counters as C
+from repro.mr import serde
 from repro.mr.api import Combiner, Context
 from repro.mr.comparators import comparator_from_key, default_comparator
 from repro.mr.counters import Counters
@@ -267,6 +268,55 @@ class TestBatches:
             )
         assert runs[0][0] > 1
         assert runs[0] == runs[1] == runs[2]
+
+    def test_same_item_tuples_spill_as_sizing_each_value_would(
+        self, monkeypatch
+    ) -> None:
+        # A LazySH re-execution builds a fresh ("S", record) per key: it
+        # is sized once per run of such tuples, and the spills land on
+        # the pairs where sizing each value puts them.  Equal tuples of
+        # other objects (("S", 1) == ("S", True)) are sized afresh.
+        record = (3, 40, -12, *range(8))
+        pairs = [(key, ("S", record)) for key in range(12)]
+        pairs += [(key, ("T", record)) for key in range(12, 24)]
+        pairs += [(24, ("S", 1)), (25, ("S", True)), (26, ("S", 1.0))]
+        sized: list = []
+        approx_size = serde.approx_size
+
+        def counting(obj):
+            if type(obj) is tuple:
+                sized.append(obj)
+            return approx_size(obj)
+
+        monkeypatch.setattr(serde, "approx_size", counting)
+        runs = []
+        for feed in ("add_pairs", "add"):
+            counters = Counters()
+            shared = _shared(counters=counters, memory_limit_bytes=300)
+            spills_after = []
+            if feed == "add_pairs":
+                shared.add_pairs(pairs)
+            else:
+                for key, value in pairs:
+                    shared.add(key, value)
+                    spills_after.append(shared.spill_count)
+            runs.append(
+                (
+                    counters.get_int(C.ANTI_SHARED_SPILLS),
+                    counters.get_int(C.ANTI_SHARED_SPILLED_BYTES),
+                    counters.get_int(C.ANTI_SHARED_SPILLED_RECORDS),
+                    len(shared),
+                    list(shared.drain()),
+                )
+            )
+            if feed == "add_pairs":
+                # One ("S", record), one ("T", record), three equals.
+                assert sized == [pairs[0][1], pairs[12][1]] + [
+                    value for _, value in pairs[24:]
+                ]
+            sized.clear()
+        assert runs[0][0] > 1 and spills_after[-1] == runs[0][0]
+        assert runs[0] == runs[1]
 
     def test_pop_groups_stops_at_the_bound(self) -> None:
         shared = _shared()
