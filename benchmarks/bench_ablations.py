@@ -1,37 +1,11 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
-Not paper artefacts — these isolate one design decision each:
-cross-call sharing (the paper's Section 9 future work), eager/lazy
-decision granularity (Section 6.1), LazySH decode skew (Section 6.2),
-and the record-metadata spill mechanism behind the WordCount disk
-factors (Section 7.7.1).
+Not paper artefacts — these isolate one design decision each: LazySH
+decode skew (Section 6.2) and the record-metadata spill mechanism
+behind the WordCount disk factors (Section 7.7.1).
 """
 
-from repro.experiments import (
-    run_ablation_crosscall,
-    run_ablation_granularity,
-    run_ablation_record_percent,
-    run_ablation_skew,
-)
-
-
-def test_ablation_crosscall(report_runner) -> None:
-    result = report_runner(run_ablation_crosscall, num_queries=3000)
-    by_name = {row["Configuration"]: row for row in result.rows}
-    # cross-call sharing strictly improves on per-call EagerSH
-    assert (
-        by_name["EagerSH (cross-call)"]["Map Output (B)"]
-        < by_name["EagerSH (per-call)"]["Map Output (B)"]
-    )
-    assert (
-        by_name["EagerSH (cross-call)"]["Map Records"]
-        < by_name["EagerSH (per-call)"]["Map Records"]
-    )
-
-
-def test_ablation_granularity(report_runner) -> None:
-    result = report_runner(run_ablation_granularity, num_queries=3000)
-    assert result.notes["per_partition_advantage"] >= 1.0
+from repro.experiments import run_ablation_record_percent, run_ablation_skew
 
 
 def test_ablation_skew(report_runner) -> None:

@@ -26,8 +26,6 @@ _ORDER = [
     "run_hits_experiment",
     "run_star_join_experiment",
     "run_knn_join_experiment",
-    "run_ablation_crosscall",
-    "run_ablation_granularity",
     "run_ablation_skew",
     "run_ablation_record_percent",
 ]

@@ -12,7 +12,6 @@ The package provides:
 """
 
 from repro.core.config import AntiCombiningConfig, Strategy
-from repro.core.crosscall import enable_cross_call_anti_combining
 from repro.core.encoding import EncodingError
 from repro.core.shared import Shared
 from repro.core.transform import enable_anti_combining
@@ -23,5 +22,4 @@ __all__ = [
     "Shared",
     "Strategy",
     "enable_anti_combining",
-    "enable_cross_call_anti_combining",
 ]

@@ -78,7 +78,6 @@ class AntiMapper(Mapper):
         self._order = runtime.comparator.record_key(0)
         config = runtime.config
         self._strategy = config.strategy
-        self._per_partition = config.per_partition_choice
         # The two cost measurements per call feed nothing but the
         # threshold rule, so they are taken only when ``T`` can bind.
         self._metered = (
@@ -204,11 +203,6 @@ class AntiMapper(Mapper):
             if lazy_allowed and self._strategy is Strategy.ADAPTIVE
             else 0
         )
-        if self._strategy is Strategy.ADAPTIVE and not self._per_partition:
-            self._encode_call_level(
-                context, by_partition, lazy_component, lazy_size
-            )
-            return
         for partition in sorted(by_partition):
             self._encode_partition(
                 context, by_partition[partition], lazy_component, lazy_size
@@ -237,61 +231,21 @@ class AntiMapper(Mapper):
         """Encode a Map call's only output record: PLAIN or LAZY.
 
         Both records carry the same key and the same tag byte, so the
-        size comparison reduces to the payloads; a tie goes where the
-        general path sends it (LAZY per partition, EAGER per call).
+        size comparison reduces to the payloads; a tie is LAZY, where
+        the general path sends it.
         """
         out_key, out_value = record
         lazy = lazy_allowed
         if lazy and self._strategy is Strategy.ADAPTIVE:
             plain_size = serde.approx_size(out_value)
             lazy_size = serde.approx_kv_size(input_key, input_value)
-            lazy = (
-                lazy_size <= plain_size
-                if self._per_partition
-                else lazy_size < plain_size
-            )
+            lazy = lazy_size <= plain_size
         if lazy:
             context.counters.add(C.ANTI_LAZY_RECORDS)
             context.write(out_key, LazyValue(input_key, input_value))
         else:
             context.counters.add(C.ANTI_PLAIN_RECORDS)
             context.write(out_key, PlainValue(out_value))
-
-    def _encode_call_level(
-        self,
-        context: Context,
-        by_partition: dict[int, list[tuple[Any, Any]]],
-        lazy_component: LazyValue | None,
-        lazy_size: int,
-    ) -> None:
-        """Ablation mode: one eager-vs-lazy decision for the whole call.
-
-        Used when ``per_partition_choice`` is off; compares the *total*
-        encoded sizes across all partitions and applies the winner
-        uniformly, instead of the paper's finer per-partition choice.
-        ``lazy_component`` is ``None`` when LazySH is not allowed.
-        """
-        partitions = [by_partition[p] for p in sorted(by_partition)]
-        min_keys: list[Any] = []
-        budget = None
-        if lazy_component is not None:
-            order = self._order
-            min_keys = [min(records, key=order)[0] for records in partitions]
-            # LazySH has to be strictly smaller here: a tie is EAGER.
-            budget = serde.approx_size_sum(
-                min_keys, 1 + lazy_size * len(min_keys)
-            )
-        grouped = []
-        for records in partitions:
-            groups, budget = self._group_by_value(records, budget)
-            if groups is None:
-                context.counters.add(C.ANTI_LAZY_RECORDS, len(min_keys))
-                for min_key in min_keys:
-                    context.write(min_key, lazy_component)
-                return
-            grouped.append(groups)
-        for groups in grouped:
-            self._emit_eager(context, groups)
 
     def _encode_partition(
         self,
@@ -306,7 +260,7 @@ class AntiMapper(Mapper):
         this call (Strategy EAGER, or the threshold rule said no).
         """
         if lazy_component is None:
-            self._emit_eager(context, self._group_by_value(records)[0])
+            self._emit_eager(context, self._group_by_value(records))
             return
         # The partition's minimal key (no frame per record when the
         # order is natural).
@@ -320,7 +274,7 @@ class AntiMapper(Mapper):
                 if type(min_key) is str
                 else serde.approx_size(min_key)
             )
-            groups, _ = self._group_by_value(records, key_size + lazy_size)
+            groups = self._group_by_value(records, key_size + lazy_size)
             if groups is not None:
                 self._emit_eager(context, groups)
                 return
@@ -329,7 +283,7 @@ class AntiMapper(Mapper):
 
     def _group_by_value(
         self, records: list[tuple[Any, Any]], budget: int | None = None
-    ) -> tuple[list[tuple[Any, list[Any]]] | None, int | None]:
+    ) -> list[tuple[Any, list[Any]]] | None:
         """Group one partition's records by value (Algorithm 1's table).
 
         Returns the ``(value, keys)`` groups in first-seen order; values
@@ -345,9 +299,7 @@ class AntiMapper(Mapper):
         bring it back, and the groups come back as ``None`` without
         another value being serialised or sized — after the first one
         when the keys and one value already fill it, as in a fan-out
-        of distinct values no smaller than the Map input.  The second
-        result is the budget left, for the next partition of a
-        call-level decision.
+        of distinct values no smaller than the Map input.
         """
         first_key, first_value = records[0]
         if budget is not None:
@@ -360,10 +312,10 @@ class AntiMapper(Mapper):
                 ),
             )
             if budget <= 0:
-                return None, budget
+                return None
         keys = [first_key]
         if len(records) == 1:
-            return [(first_value, keys)], budget
+            return [(first_value, keys)]
         table = {_value_group_id(first_value): (first_value, keys)}
         # A record carrying the very object the previous one carried
         # (one tuple fanned out to many keys), or a tuple rebuilt around
@@ -385,7 +337,7 @@ class AntiMapper(Mapper):
                             else 1 + serde.approx_size(out_value)
                         )
                         if budget <= 0:
-                            return None, budget
+                            return None
                     group = table[group_id] = (out_value, [])
                 prev_value, keys = out_value, group[1]
             keys.append(out_key)
@@ -393,8 +345,8 @@ class AntiMapper(Mapper):
         if budget is not None:
             budget -= 2 * sum([len(keys) > 1 for _, keys in groups])
             if budget <= 0:
-                return None, budget
-        return groups, budget
+                return None
+        return groups
 
     def _emit_eager(
         self, context: Context, groups: list[tuple[Any, list[Any]]]

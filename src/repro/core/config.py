@@ -57,14 +57,6 @@ class AntiCombiningConfig:
     #: this threshold (mirrors the map phase's merge factor).
     shared_merge_threshold: int = 10
 
-    #: The paper makes the eager-vs-lazy decision *independently per
-    #: partition* (Section 6.1: "the greater flexibility enables
-    #: greater data reduction").  Setting this to False makes one
-    #: decision for the whole Map call instead — the ablation
-    #: ``benchmarks/bench_ablations.py::test_ablation_granularity``
-    #: quantifies the gap.
-    per_partition_choice: bool = True
-
     def __post_init__(self) -> None:
         if self.threshold_t < 0:
             raise ValueError("threshold_t must be >= 0")

@@ -31,7 +31,6 @@ def enable_anti_combining(
     use_shared_combiner: bool = True,
     shared_memory_bytes: int = 4 * 1024 * 1024,
     shared_merge_threshold: int = 10,
-    per_partition_choice: bool = True,
 ) -> JobConf:
     """Return an Anti-Combining-enabled copy of ``job``.
 
@@ -53,7 +52,6 @@ def enable_anti_combining(
         strategy=strategy,
         shared_memory_bytes=shared_memory_bytes,
         shared_merge_threshold=shared_merge_threshold,
-        per_partition_choice=per_partition_choice,
     )
     runtime = AntiRuntime(
         mapper_factory=job.mapper,

@@ -15,8 +15,6 @@ from typing import Any, Callable, Mapping
 
 from repro.analysis.report import ExperimentResult
 from repro.experiments.ablations import (
-    run_ablation_crosscall,
-    run_ablation_granularity,
     run_ablation_record_percent,
     run_ablation_skew,
 )
@@ -42,8 +40,6 @@ __all__ = [
     "EXPERIMENTS",
     "MeasuredRun",
     "measure_job",
-    "run_ablation_crosscall",
-    "run_ablation_granularity",
     "run_ablation_record_percent",
     "run_ablation_skew",
     "run_fig9",
@@ -76,14 +72,6 @@ EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentResult], str]] = {
     "wordcount": (run_wordcount_experiment, "Section 7.7.1 — WordCount"),
     "pagerank": (run_pagerank_experiment, "Section 7.7.2 — PageRank"),
     "fig12": (run_fig12, "Figure 12 — theta-join"),
-    "ablation-crosscall": (
-        run_ablation_crosscall,
-        "Ablation — cross-call EagerSH (paper Sec. 9 future work)",
-    ),
-    "ablation-granularity": (
-        run_ablation_granularity,
-        "Ablation — per-partition vs per-call decision",
-    ),
     "ablation-skew": (run_ablation_skew, "Ablation — LazySH decode skew"),
     "ablation-record-percent": (
         run_ablation_record_percent,

@@ -3,11 +3,6 @@
 These go beyond the paper's published tables: each isolates one design
 decision and quantifies what it buys.
 
-* **cross-call sharing** — the paper's Section 9 future work,
-  implemented in :mod:`repro.core.crosscall`: how much extra reduction
-  does task-scoped EagerSH add over per-call encoding?
-* **decision granularity** — Section 6.1 argues for a per-partition
-  eager/lazy choice over one choice per Map call; measure the gap.
 * **LazySH skew** — Section 6.2 notes that LazySH can concentrate
   decode CPU on some reducers: total cost drops, imbalance rises.
 * **record-metadata spilling** — the Hadoop 1.x io.sort.record.percent
@@ -18,134 +13,16 @@ decision and quantifies what it buys.
 from __future__ import annotations
 
 from repro.analysis.report import ExperimentResult, reduction_factor
-from repro.core.config import Strategy
-from repro.core.crosscall import enable_cross_call_anti_combining
 from repro.core.transform import enable_anti_combining
 from repro.datagen.qlog import generate_query_log
 from repro.datagen.randomtext import generate_random_text
 from repro.experiments.common import measure_job
-from repro.mr.api import HashPartitioner
 from repro.mr.split import split_records
 from repro.workloads.query_suggestion import (
     PrefixPartitioner,
     query_suggestion_job,
 )
 from repro.workloads.wordcount import wordcount_job
-
-
-def run_ablation_crosscall(
-    num_queries: int = 3000,
-    num_reducers: int = 8,
-    num_splits: int = 8,
-    seed: int = 42,
-    pool_factor: float = 0.4,
-) -> ExperimentResult:
-    """Per-call EagerSH vs the cross-call (task-window) extension.
-
-    ``pool_factor`` is set low so the log repeats queries within a
-    split — repeated values in *different* Map calls are exactly what
-    only the cross-call extension can share.
-    """
-    records = generate_query_log(
-        num_queries, seed=seed, pool_factor=pool_factor
-    )
-    splits = split_records(records, num_splits=num_splits)
-    job = query_suggestion_job(
-        num_reducers=num_reducers, partitioner=PrefixPartitioner(5)
-    )
-    runs = [
-        measure_job("Original", job, splits),
-        measure_job(
-            "EagerSH (per-call)",
-            enable_anti_combining(job, strategy=Strategy.EAGER),
-            splits,
-        ),
-        measure_job(
-            "EagerSH (cross-call)",
-            enable_cross_call_anti_combining(job),
-            splits,
-        ),
-        measure_job("AdaptiveSH", enable_anti_combining(job), splits),
-    ]
-    reference = runs[0].result.sorted_output()
-    for run in runs:
-        assert run.result.sorted_output() == reference, run.name
-    rows = [
-        {
-            "Configuration": run.name,
-            "Map Output (B)": run.map_output_bytes,
-            "Map Records": run.map_output_records,
-        }
-        for run in runs
-    ]
-    per_call = rows[1]["Map Output (B)"]
-    cross_call = rows[2]["Map Output (B)"]
-    return ExperimentResult(
-        artifact="Ablation (paper Sec. 9)",
-        title="Per-call vs cross-call EagerSH on Query-Suggestion",
-        headers=["Configuration", "Map Output (B)", "Map Records"],
-        rows=rows,
-        notes={
-            "num_queries": num_queries,
-            "cross_call_extra_factor": round(
-                reduction_factor(per_call, cross_call), 2
-            ),
-        },
-    )
-
-
-def run_ablation_granularity(
-    num_queries: int = 3000,
-    num_reducers: int = 8,
-    num_splits: int = 8,
-    seed: int = 42,
-) -> ExperimentResult:
-    """Per-partition vs per-call eager/lazy decision (Section 6.1).
-
-    Under the hash partitioner a Map call's output scatters: some
-    partitions receive one record (plain/eager wins), others several
-    (lazy wins).  One decision per call must compromise.
-    """
-    records = generate_query_log(num_queries, seed=seed)
-    splits = split_records(records, num_splits=num_splits)
-    job = query_suggestion_job(
-        num_reducers=num_reducers, partitioner=HashPartitioner()
-    )
-    per_partition = measure_job(
-        "AdaptiveSH (per-partition)", enable_anti_combining(job), splits
-    )
-    per_call = measure_job(
-        "AdaptiveSH (per-call)",
-        enable_anti_combining(job, per_partition_choice=False),
-        splits,
-    )
-    assert (
-        per_call.result.sorted_output()
-        == per_partition.result.sorted_output()
-    )
-    rows = [
-        {
-            "Configuration": run.name,
-            "Map Output (B)": run.map_output_bytes,
-        }
-        for run in (per_partition, per_call)
-    ]
-    return ExperimentResult(
-        artifact="Ablation (paper Sec. 6.1)",
-        title="Decision granularity: per-partition vs per-call",
-        headers=["Configuration", "Map Output (B)"],
-        rows=rows,
-        notes={
-            "num_queries": num_queries,
-            "per_partition_advantage": round(
-                reduction_factor(
-                    per_call.map_output_bytes,
-                    per_partition.map_output_bytes,
-                ),
-                3,
-            ),
-        },
-    )
 
 
 def _reexecution_skew(result) -> float:

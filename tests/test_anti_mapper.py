@@ -43,7 +43,6 @@ def _runtime(
     threshold_t=math.inf,
     meter=None,
     num_reducers=4,
-    per_partition_choice=True,
     comparator=default_comparator,
 ) -> AntiRuntime:
     mapper_cls = type("Scripted", (_ScriptMapper,), {"script": script})
@@ -57,9 +56,7 @@ def _runtime(
         grouping_comparator=comparator,
         meter=meter if meter is not None else FixedCostMeter(),
         config=AntiCombiningConfig(
-            threshold_t=threshold_t,
-            strategy=strategy,
-            per_partition_choice=per_partition_choice,
+            threshold_t=threshold_t, strategy=strategy
         ),
     )
 
@@ -230,6 +227,24 @@ class TestAdaptiveChoice:
         assert emitted == [(0, encoding.plain_value("v"))]
         assert counters.get_int(C.ANTI_PLAIN_RECORDS) == 1
 
+    def test_per_partition_mixes_encodings(self) -> None:
+        # Partition 0 gets 4 records with long distinct values (lazy
+        # wins); partition 1 gets one tiny record (plain wins over
+        # shipping the whole input record lazily).
+        script = [
+            (0, "long-distinct-value-zero"),
+            (2, "long-distinct-value-one"),
+            (4, "long-distinct-value-two"),
+            (6, "long-distinct-value-three"),
+            (1, "v"),
+        ]
+        emitted, _ = _run_map(
+            _runtime(script, num_reducers=2), input_value="medium-input"
+        )
+        tags = {key: encoding.tag_of(component) for key, component in emitted}
+        assert tags[0] == encoding.LAZY  # 4 long values, small input
+        assert tags[1] == encoding.PLAIN  # tiny record stays plain
+
 
 def _encoded_bytes(emitted):
     return [serde.encode(record) for record in emitted]
@@ -241,9 +256,8 @@ class TestSingleEmission:
 
     The general path is observed on a two-record call whose records go
     to two different partitions: there each partition holds one record
-    of the same size as the single call's, so under either
-    ``per_partition_choice`` setting it reaches, per partition, the
-    decision the single call must reach.
+    of the same size as the single call's, so it reaches, per
+    partition, the decision the single call must reach.
     """
 
     #: input ("in" under key 7) vs output value: LAZY smaller, the
@@ -251,18 +265,11 @@ class TestSingleEmission:
     VALUES = ["v" * 40, "vvvv", "v"]
 
     @pytest.mark.parametrize("value", VALUES)
-    @pytest.mark.parametrize("per_partition", [True, False])
     @pytest.mark.parametrize("strategy", list(Strategy))
-    def test_matches_general_path(
-        self, strategy, per_partition, value
-    ) -> None:
+    def test_matches_general_path(self, strategy, value) -> None:
         def run(script):
             return _run_map(
-                _runtime(
-                    script, strategy, per_partition_choice=per_partition
-                ),
-                input_key=7,
-                input_value="in",
+                _runtime(script, strategy), input_key=7, input_value="in"
             )
 
         single, single_counters = run([(0, value)])
@@ -276,19 +283,11 @@ class TestSingleEmission:
             for name, count in single_counters.as_dict().items()
         }
 
-    @pytest.mark.parametrize(
-        "per_partition, expected",
-        [(True, encoding.LAZY), (False, encoding.PLAIN)],
-    )
-    def test_size_tie_breaks_opposite_ways(
-        self, per_partition, expected
-    ) -> None:
+    def test_size_tie_is_lazy(self) -> None:
         emitted, _ = _run_map(
-            _runtime([(0, "vvvv")], per_partition_choice=per_partition),
-            input_key=7,
-            input_value="in",
+            _runtime([(0, "vvvv")]), input_key=7, input_value="in"
         )
-        assert encoding.tag_of(emitted[0][1]) == expected
+        assert encoding.tag_of(emitted[0][1]) == encoding.LAZY
 
     def test_pure_strategies_ignore_sizes(self) -> None:
         for value in self.VALUES:
@@ -306,7 +305,6 @@ class TestSingleEmission:
     @settings(max_examples=200, deadline=None)
     @given(
         strategy=st.sampled_from(list(Strategy)),
-        per_partition=st.booleans(),
         # T = inf: unmetered.  A finite T is metered; at a fixed cost
         # of 1 per call, T = 100 allows LazySH and T = 0.5 forbids it.
         threshold_t=st.sampled_from([math.inf, 100.0, 0.5]),
@@ -318,7 +316,6 @@ class TestSingleEmission:
     def test_generated_calls_match_general_path(
         self,
         strategy,
-        per_partition,
         threshold_t,
         input_key,
         input_value,
@@ -355,9 +352,7 @@ class TestSingleEmission:
                 grouping_comparator=default_comparator,
                 meter=FixedCostMeter(cost_per_call=1.0),
                 config=AntiCombiningConfig(
-                    threshold_t=threshold_t,
-                    strategy=strategy,
-                    per_partition_choice=per_partition,
+                    threshold_t=threshold_t, strategy=strategy
                 ),
             )
             return _run_map(runtime, input_key, input_value)
@@ -472,36 +467,7 @@ def _reference_map(runtime, input_key, input_value, script):
         counters.add(C.ANTI_LAZY_RECORDS)
         emitted.append((min_key, lazy_component))
 
-    ordered = sorted(by_partition)
-    if strategy is Strategy.ADAPTIVE and not config.per_partition_choice:
-        eager_by_partition = {
-            partition: _reference_eager_encode(
-                by_partition[partition], comparator
-            )
-            for partition in ordered
-        }
-        if lazy_component is not None:
-            total_eager = sum(
-                serde.approx_size(rep) + serde.approx_size(component)
-                for encoded in eager_by_partition.values()
-                for rep, component in encoded
-            )
-            min_keys = [
-                comparator.min(key for key, _ in by_partition[partition])
-                for partition in ordered
-            ]
-            total_lazy = lazy_size * len(min_keys) + sum(
-                map(serde.approx_size, min_keys)
-            )
-            if total_lazy < total_eager:
-                for min_key in min_keys:
-                    emit_lazy(min_key)
-                return emitted, counters
-        for encoded in eager_by_partition.values():
-            emit_eager(encoded)
-        return emitted, counters
-
-    for partition in ordered:
+    for partition in sorted(by_partition):
         records = by_partition[partition]
         if lazy_component is None:
             emit_eager(_reference_eager_encode(records, comparator))
@@ -579,7 +545,6 @@ class TestDecisionMatchesTrialEncoding:
     @pytest.mark.parametrize(
         "comparator", [default_comparator, _reversed_comparator]
     )
-    @pytest.mark.parametrize("per_partition", [True, False])
     @pytest.mark.parametrize(
         "strategy, threshold_t, cost_per_call",
         [
@@ -592,9 +557,9 @@ class TestDecisionMatchesTrialEncoding:
         ],
     )
     def test_generated_calls(
-        self, strategy, threshold_t, cost_per_call, per_partition, comparator
+        self, strategy, threshold_t, cost_per_call, comparator
     ) -> None:
-        rng = random.Random(f"{strategy}/{threshold_t}/{per_partition}")
+        rng = random.Random(f"{strategy}/{threshold_t}")
         tags: set = set()
         for _ in range(150):
             input_key, input_value, script = _generated_call(rng)
@@ -603,7 +568,6 @@ class TestDecisionMatchesTrialEncoding:
                 strategy,
                 threshold_t,
                 meter=FixedCostMeter(cost_per_call),
-                per_partition_choice=per_partition,
                 comparator=comparator,
             )
             emitted = self._assert_same(
@@ -621,18 +585,16 @@ class TestDecisionMatchesTrialEncoding:
     SHARED = [(0, "vv"), (4, "vv")]
 
     @pytest.mark.parametrize(
-        "per_partition, input_value, expected",
+        "input_value, expected",
         [
-            (True, "iiii", encoding.LAZY),  # eager_size == budget
-            (True, "iiiii", encoding.EAGER),
-            (False, "iiii", encoding.EAGER),  # total_lazy == total_eager
-            (False, "iii", encoding.LAZY),
+            ("iiii", encoding.LAZY),  # eager_size == budget
+            ("iiiii", encoding.EAGER),
         ],
     )
-    def test_exact_ties(self, per_partition, input_value, expected) -> None:
+    def test_exact_ties(self, input_value, expected) -> None:
         assert serde.approx_size(encoding.EagerValue([4], "vv")) == 9
         assert serde.approx_size(encoding.LazyValue(7, "iiii")) == 9
-        runtime = _runtime(self.SHARED, per_partition_choice=per_partition)
+        runtime = _runtime(self.SHARED)
         emitted = self._assert_same(runtime, 7, input_value, self.SHARED)
         assert [encoding.tag_of(v) for _, v in emitted] == [expected]
 

@@ -43,14 +43,42 @@ def _job(mapper, reducer=Reducer, **kwargs) -> JobConf:
 SPLITS = [[(i, i) for i in range(6)]]
 
 
+# Module level, so that the jobs pickle and run on a process pool too.
+class NondeterministicMapper(Mapper):
+    """Different keys on re-execution — the LazySH hazard."""
+
+    def map(self, key, value, context):
+        context.write(random.randrange(1000), value)
+
+
+class CrashingMapper(Mapper):
+    def map(self, key, value, context):
+        raise RuntimeError("mapper boom")
+
+
+class CrashingReducer(Reducer):
+    def reduce(self, key, values, context):
+        raise RuntimeError("reducer boom")
+
+
+class OverflowingPartitioner(Partitioner):
+    def get_partition(self, key, num_partitions):
+        return num_partitions + 1
+
+
+class EmitsObjectsMapper(Mapper):
+    def map(self, key, value, context):
+        context.write(key, object())
+
+
+class MixedKeysMapper(Mapper):
+    def map(self, key, value, context):
+        context.write("string", 1)
+        context.write(123, 2)
+
+
 class TestNondeterminism:
     def test_nondeterministic_map_with_lazy_raises(self) -> None:
-        class NondeterministicMapper(Mapper):
-            """Different keys on re-execution — the LazySH hazard."""
-
-            def map(self, key, value, context):
-                context.write(random.randrange(1000), value)
-
         anti = enable_anti_combining(
             _job(NondeterministicMapper), strategy=Strategy.LAZY
         )
@@ -58,10 +86,6 @@ class TestNondeterminism:
             LocalJobRunner().run(anti, SPLITS)
 
     def test_nondeterministic_map_with_eager_is_safe(self) -> None:
-        class NondeterministicMapper(Mapper):
-            def map(self, key, value, context):
-                context.write(random.randrange(1000), value)
-
         # T = 0 / pure EagerSH is the paper's prescribed setting: no
         # re-execution, so non-determinism cannot corrupt anything.
         anti = enable_anti_combining(
@@ -73,35 +97,19 @@ class TestNondeterminism:
 
 class TestUserCodeCrashes:
     def test_mapper_exception_propagates(self) -> None:
-        class Crashing(Mapper):
-            def map(self, key, value, context):
-                raise RuntimeError("mapper boom")
-
         with pytest.raises(RuntimeError, match="mapper boom"):
-            LocalJobRunner().run(_job(Crashing), SPLITS)
+            LocalJobRunner().run(_job(CrashingMapper), SPLITS)
 
     def test_mapper_exception_propagates_through_anti(self) -> None:
-        class Crashing(Mapper):
-            def map(self, key, value, context):
-                raise RuntimeError("mapper boom")
-
-        anti = enable_anti_combining(_job(Crashing))
+        anti = enable_anti_combining(_job(CrashingMapper))
         with pytest.raises(RuntimeError, match="mapper boom"):
             LocalJobRunner().run(anti, SPLITS)
 
     def test_reducer_exception_propagates(self) -> None:
-        class CrashingReducer(Reducer):
-            def reduce(self, key, values, context):
-                raise RuntimeError("reducer boom")
-
         with pytest.raises(RuntimeError, match="reducer boom"):
             LocalJobRunner().run(_job(Mapper, CrashingReducer), SPLITS)
 
     def test_reducer_exception_propagates_through_anti(self) -> None:
-        class CrashingReducer(Reducer):
-            def reduce(self, key, values, context):
-                raise RuntimeError("reducer boom")
-
         anti = enable_anti_combining(_job(Mapper, CrashingReducer))
         with pytest.raises(RuntimeError, match="reducer boom"):
             LocalJobRunner().run(anti, SPLITS)
@@ -109,43 +117,26 @@ class TestUserCodeCrashes:
 
 class TestBadConfigurations:
     def test_out_of_range_partitioner(self) -> None:
-        class Overflowing(Partitioner):
-            def get_partition(self, key, num_partitions):
-                return num_partitions + 1
-
-        job = _job(Mapper, partitioner=Overflowing())
+        job = _job(Mapper, partitioner=OverflowingPartitioner())
         with pytest.raises(ValueError, match="outside"):
             LocalJobRunner().run(job, SPLITS)
 
     def test_unserialisable_map_output(self) -> None:
-        class EmitsObjects(Mapper):
-            def map(self, key, value, context):
-                context.write(key, object())
-
         with pytest.raises(serde.SerdeError, match="unsupported type"):
-            LocalJobRunner().run(_job(EmitsObjects), SPLITS)
+            LocalJobRunner().run(_job(EmitsObjectsMapper), SPLITS)
 
     def test_unserialisable_output_through_anti(self) -> None:
-        class EmitsObjects(Mapper):
-            def map(self, key, value, context):
-                context.write(key, object())
-
-        anti = enable_anti_combining(_job(EmitsObjects))
+        anti = enable_anti_combining(_job(EmitsObjectsMapper))
         with pytest.raises(serde.SerdeError):
             LocalJobRunner().run(anti, SPLITS)
 
     def test_incomparable_keys_fail_loudly(self) -> None:
-        class MixedKeys(Mapper):
-            def map(self, key, value, context):
-                context.write("string", 1)
-                context.write(123, 2)
-
         from repro.mr.api import HashPartitioner
 
         # The default comparator cannot order str vs int; Python's
         # TypeError must surface, not silent misordering.
         job = _job(
-            MixedKeys, num_reducers=1, partitioner=HashPartitioner()
+            MixedKeysMapper, num_reducers=1, partitioner=HashPartitioner()
         )
         with pytest.raises(TypeError):
             LocalJobRunner().run(job, SPLITS)
@@ -154,13 +145,8 @@ class TestBadConfigurations:
         from repro.mr.api import HashPartitioner
         from repro.mr.comparators import raw_bytes_comparator
 
-        class MixedKeys(Mapper):
-            def map(self, key, value, context):
-                context.write("string", 1)
-                context.write(123, 2)
-
         job = _job(
-            MixedKeys,
+            MixedKeysMapper,
             num_reducers=1,
             partitioner=HashPartitioner(),
             comparator=raw_bytes_comparator,

@@ -96,13 +96,3 @@ class TestInMapperCombining:
         )
         assert counters.get_int(C.ANTI_EAGER_RECORDS) == 0
         assert counters.get_int(C.ANTI_LAZY_RECORDS) == 0
-
-    def test_cross_call_extension_shares_cleanup_emissions(self) -> None:
-        """Cross-call windows DO see cleanup output: per-task counts of
-        1 share their value component across words."""
-        from repro.core.crosscall import enable_cross_call_anti_combining
-
-        cross = enable_cross_call_anti_combining(_job())
-        result = LocalJobRunner().run(cross, _splits())
-        assert dict(result.output) == _expected()
-        assert result.counters.get_int(C.ANTI_EAGER_RECORDS) > 0

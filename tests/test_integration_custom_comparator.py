@@ -22,7 +22,14 @@ from repro.mr.cost import FixedCostMeter
 from repro.mr.engine import LocalJobRunner
 from repro.mr.split import split_records
 
-descending = Comparator(lambda a, b: (a < b) - (a > b), name="descending")
+
+def _descending_cmp(a, b) -> int:
+    return (a < b) - (a > b)
+
+
+# A module-level cmp function, so that the jobs pickle and run on a
+# process pool too.
+descending = Comparator(_descending_cmp, name="descending")
 
 
 class _ModPartitioner(Partitioner):

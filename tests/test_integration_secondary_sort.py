@@ -70,7 +70,7 @@ def _job(**kwargs) -> JobConf:
         mapper=SensorMapper,
         reducer=FirstAndLastReducer,
         partitioner=StationPartitioner(),
-        grouping_comparator=comparator_from_key(lambda key: key[0]),
+        grouping_comparator=comparator_from_key(itemgetter(0)),
         num_reducers=3,
         cost_meter=FixedCostMeter(),
     )
@@ -114,7 +114,7 @@ def test_pool_run_equals_serial(anti: bool) -> None:
     """The library's grouping comparator pickles, so a secondary-sort
     job runs on a process pool, with the serial run's output and
     deterministic counters."""
-    job = _job(grouping_comparator=comparator_from_key(itemgetter(0)))
+    job = _job()
     if anti:
         job = enable_anti_combining(job)
 

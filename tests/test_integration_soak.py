@@ -79,13 +79,3 @@ class TestSoak:
         )
         result = LocalJobRunner().run(anti, splits)
         assert result.sorted_output() == baseline.sorted_output()
-
-    def test_cross_call_extension_survives(self, hostile_setup):
-        from repro.core.crosscall import enable_cross_call_anti_combining
-
-        job, splits, baseline = hostile_setup
-        cross = enable_cross_call_anti_combining(
-            job, window_bytes=2 * 1024, shared_memory_bytes=2 * 1024
-        )
-        result = LocalJobRunner().run(cross, splits)
-        assert result.sorted_output() == baseline.sorted_output()

@@ -21,7 +21,6 @@ import pytest
 
 from repro.core import encoding
 from repro.core.config import Strategy
-from repro.core.crosscall import enable_cross_call_anti_combining
 from repro.core.transform import enable_anti_combining
 from repro.mr.api import Context, HashPartitioner, Mapper, Partitioner, Reducer
 from repro.mr.config import JobConf
@@ -88,7 +87,6 @@ VARIANTS = {
     "EagerSH": lambda job: enable_anti_combining(job, strategy=Strategy.EAGER),
     "LazySH": lambda job: enable_anti_combining(job, strategy=Strategy.LAZY),
     "AdaptiveSH": enable_anti_combining,
-    "CrossCall": enable_cross_call_anti_combining,
 }
 
 

@@ -205,34 +205,6 @@ class TestOutputEquivalence:
         assert result.canonical_output() == base.canonical_output()
 
 
-class TestCrossCallEquivalence:
-    @settings(max_examples=40, deadline=None)
-    @given(job_shapes)
-    def test_cross_call_extension(self, shape) -> None:
-        """The Section 9 extension obeys the same output invariant."""
-        from repro.core.crosscall import enable_cross_call_anti_combining
-
-        mapper = _mapper_class(shape)
-        job = JobConf(
-            mapper=mapper,
-            reducer=CollectReducer,
-            partitioner=ModPartitioner(),
-            num_reducers=shape["num_reducers"],
-            cost_meter=FixedCostMeter(),
-        )
-        cross = enable_cross_call_anti_combining(
-            job, shared_memory_bytes=shape["shared_memory"]
-        )
-        splits = split_records(
-            _inputs(shape["num_records"]), num_splits=shape["num_splits"]
-        )
-        runner = LocalJobRunner()
-        base = runner.run(job, splits)
-        result = runner.run(cross, splits)
-        assert result.canonical_output() == base.canonical_output()
-        assert result.map_output_records <= base.map_output_records
-
-
 class TestTransferReduction:
     @settings(max_examples=30, deadline=None)
     @given(job_shapes)

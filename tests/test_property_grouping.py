@@ -67,9 +67,11 @@ class GroupFieldPartitioner(Partitioner):
 class CompositeKeyMapper(Mapper):
     """Emits composite (group-part, sequence) keys pseudo-randomly."""
 
-    seed: int = 0
-    fanout: int = 3
     key_space: int = 12
+
+    def __init__(self, seed: int = 0, fanout: int = 3):
+        self.seed = seed
+        self.fanout = fanout
 
     def map(self, key, value, context):
         rng = random.Random(f"{self.seed}:{key}:{value}")
@@ -88,6 +90,11 @@ class OrderRecordingReducer(Reducer):
 
     def reduce(self, key, values, context):
         context.write(key[0] // self.divisor, list(values))
+
+
+def _group_field(divisor: int, key) -> int:
+    """The grouping field of a composite key."""
+    return key[0] // divisor
 
 
 shapes = st.fixed_dictionaries(
@@ -109,17 +116,16 @@ class TestGroupingComparatorEquivalence:
     @given(shapes)
     def test_secondary_sort_preserved(self, shape) -> None:
         divisor = shape["divisor"]
-        mapper = type(
-            "GenMapper",
-            (CompositeKeyMapper,),
-            {"seed": shape["seed"], "fanout": shape["fanout"]},
-        )
+        # Partials of module-level code, so that the job pickles and
+        # runs on a process pool too.
         job = JobConf(
-            mapper=mapper,
-            reducer=lambda: OrderRecordingReducer(divisor),
+            mapper=functools.partial(
+                CompositeKeyMapper, seed=shape["seed"], fanout=shape["fanout"]
+            ),
+            reducer=functools.partial(OrderRecordingReducer, divisor),
             partitioner=GroupFieldPartitioner(divisor),
             grouping_comparator=comparator_from_key(
-                lambda key: key[0] // divisor
+                functools.partial(_group_field, divisor)
             ),
             num_reducers=shape["num_reducers"],
             cost_meter=FixedCostMeter(),
