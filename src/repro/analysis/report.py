@@ -3,7 +3,7 @@
 Every experiment returns an :class:`ExperimentResult`: the paper
 artefact it reproduces, ordered rows of named columns, and free-form
 notes (e.g. the paper's reference factors).  ``table()`` renders the
-rows the way the benchmark harness prints them.
+rows the way ``repro run`` prints them.
 """
 
 from __future__ import annotations

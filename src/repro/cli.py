@@ -32,8 +32,6 @@ Commands:
 * ``python -m repro loadgen`` — replay many jobs against a live server
   and verify zero accepted jobs are lost and every ``/metrics`` scrape
   stays valid under load.
-* ``python -m repro summary`` — aggregate the benchmark reports under
-  ``benchmarks/results/`` into one document.
 
 Parameter overrides accept both ``--param value`` and ``--param=value``;
 an unknown parameter fails with the experiment's tunable list.
@@ -362,13 +360,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_summary(results_dir: str) -> int:
-    from repro.analysis.summary import collect_reports, render_summary
-
-    print(render_summary(collect_reports(pathlib.Path(results_dir))))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -524,20 +515,10 @@ def main(argv: list[str] | None = None) -> int:
             metavar="DIR",
             help="ledger root (default: .repro/runs or REPRO_RUNS_DIR)",
         )
-    summary_parser = subparsers.add_parser(
-        "summary", help="aggregate persisted benchmark reports"
-    )
-    summary_parser.add_argument(
-        "--results-dir",
-        default="benchmarks/results",
-        help="directory holding the per-benchmark reports",
-    )
     args = parser.parse_args(argv)
     try:
         if args.command == "list":
             return _cmd_list()
-        if args.command == "summary":
-            return _cmd_summary(args.results_dir)
         if args.command == "trace":
             return _cmd_trace(args.run, args.runs_dir, args.chrome)
         if args.command == "serve":

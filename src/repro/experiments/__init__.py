@@ -1,8 +1,9 @@
 """Experiment drivers: one per table/figure of the paper's Section 7.
 
 Each driver is a pure function from scale parameters to an
-:class:`~repro.analysis.report.ExperimentResult`; the benchmark harness
-in ``benchmarks/`` runs them and prints their tables, and
+:class:`~repro.analysis.report.ExperimentResult`; ``repro run`` prints
+its table (``benchmarks/results/<name>.txt`` holds each one at the
+driver's defaults), the test suite checks its shape, and
 ``EXPERIMENTS.md`` records measured-vs-paper outcomes.
 
 :data:`EXPERIMENTS` is the one registry of runnable experiments and

@@ -26,9 +26,9 @@ from repro.workloads.thetajoin import band_join_job
 
 
 def run_fig12(
-    num_records: int = 1500,
-    grid_rows: int = 12,
-    grid_cols: int = 12,
+    num_records: int = 1200,
+    grid_rows: int = 24,
+    grid_cols: int = 24,
     num_reducers: int = 8,
     num_splits: int = 8,
     seed: int = 42,
@@ -37,7 +37,8 @@ def run_fig12(
     """Reproduce Figure 12.
 
     The grid is finer than the reducer count, modelling the
-    memory-aware chunking that drives the paper's 67x replication.
+    memory-aware chunking that drives the paper's 67x replication:
+    24x24 regions over 8 reducers replicate each record 48x.
     The default cluster model is network-constrained (a shared
     100 Mbit-class fabric) because the join is shuffle-bound — the
     regime the paper's Section 7 intro describes for "larger data

@@ -27,6 +27,14 @@ ReducerFactory = Callable[[], Reducer]
 CombinerFactory = Callable[[], Combiner]
 
 
+#: Per-record accounting overhead in the sort buffer — Hadoop 1.x keeps
+#: 16 bytes of metadata per record in the kvbuffer, so jobs with many
+#: tiny records spill on record count, not data volume.  Anti-Combining's
+#: record-count reduction buys proportionally more buffer headroom, which
+#: is the paper's WordCount disk-I/O effect.
+SORT_RECORD_OVERHEAD_BYTES = 16
+
+
 class JobConfError(ValueError):
     """Raised for invalid job configurations."""
 
@@ -54,14 +62,9 @@ class JobConf:
     #: Map-side sort buffer capacity in (serialised) bytes — Hadoop's
     #: io.sort.mb.  A spill is triggered when the buffer fills.
     sort_buffer_bytes: int = 8 * 1024 * 1024
-    #: Per-record accounting overhead in the sort buffer — Hadoop 1.x
-    #: keeps 16 bytes of metadata per record in the kvbuffer, so jobs
-    #: with many tiny records spill on record count, not data volume.
-    #: Anti-Combining's record-count reduction buys proportionally more
-    #: buffer headroom, which is the paper's WordCount disk-I/O effect.
-    sort_record_overhead_bytes: int = 16
-    #: Fraction of the sort buffer reserved for that per-record
-    #: metadata — Hadoop 1.x's io.sort.record.percent (default 0.05).
+    #: Fraction of the sort buffer reserved for per-record metadata
+    #: (:data:`SORT_RECORD_OVERHEAD_BYTES` a record) — Hadoop 1.x's
+    #: io.sort.record.percent (default 0.05).
     #: The buffer spills when EITHER region fills, so jobs with many
     #: tiny records hit the record-count ceiling first.
     sort_record_percent: float = 0.05
@@ -149,7 +152,7 @@ class JobConf:
     def sort_record_limit(self) -> int:
         """Record-count spill ceiling from the metadata region size."""
         capacity = self.sort_buffer_bytes * self.sort_record_percent
-        return max(1, int(capacity / self.sort_record_overhead_bytes))
+        return max(1, int(capacity / SORT_RECORD_OVERHEAD_BYTES))
 
     @property
     def effective_grouping_comparator(self) -> Comparator:

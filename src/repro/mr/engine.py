@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro.mr import counters as C
+from repro.mr import serde
 from repro.mr.config import JobConf
 from repro.mr.counters import Counters
 from repro.mr.events import EventLog
@@ -88,8 +89,6 @@ class JobResult:
 
     def _record_encodings(self) -> list[bytes]:
         """Each output record's serialised bytes, in output order."""
-        from repro.mr import serde
-
         encoded = self.encoded_output()
         if encoded is None:
             scratch = bytearray()

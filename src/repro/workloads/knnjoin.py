@@ -29,6 +29,7 @@ from typing import Any, Iterator
 
 from repro.mr.api import (
     Context,
+    HashPartitioner,
     Mapper,
     Partitioner,
     Reducer,
@@ -159,8 +160,6 @@ def run_knn_join(
     The merge job inherits the candidate job's reducer count and cost
     meter so accounting stays comparable.
     """
-    from repro.mr.api import HashPartitioner
-
     runner = runner if runner is not None else LocalJobRunner()
     first = runner.run(job, split_records(records, num_splits=num_splits))
     merge_job = job.clone(

@@ -28,6 +28,7 @@ from repro.mr.api import (
     stable_hash,
 )
 from repro.mr.config import JobConf
+from repro.pipeline import Pipeline
 
 
 class Query:
@@ -176,8 +177,6 @@ def run_multiquery_pipeline(
 
     Returns ``({query name: records}, PipelineResult)``.
     """
-    from repro.pipeline import Pipeline
-
     queries = list(queries)
     pipeline = Pipeline("multiquery", runner=runner)
     docs = pipeline.source("docs", records)

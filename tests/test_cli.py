@@ -183,17 +183,20 @@ class TestCommands:
         assert "do not apply to 'run all'" in capsys.readouterr().err
 
     def test_bench_subcommand_is_gone(self, capsys) -> None:
-        """BENCHMARK.json is the only timed gate: the retired
-        micro-benchmark command is a usage error, not a stub."""
-        with pytest.raises(SystemExit) as usage:
-            main(["bench"])
-        assert usage.value.code == 2
-        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        """BENCHMARK.json is the only timed gate and `repro run` the only
+        way to regenerate a table: the retired micro-benchmark and
+        report-summary commands are usage errors, not stubs."""
+        for verb in ("bench", "summary"):
+            with pytest.raises(SystemExit) as usage:
+                main([verb])
+            assert usage.value.code == 2
+            assert f"invalid choice: '{verb}'" in capsys.readouterr().err
         with pytest.raises(SystemExit) as helped:
             main(["--help"])
         assert helped.value.code == 0
-        # ("benchmark" survives in `summary`'s help: match the word)
-        assert "bench" not in re.split(r"[\s{},]+", capsys.readouterr().out)
+        help_words = re.split(r"[\s{},]+", capsys.readouterr().out)
+        assert "bench" not in help_words
+        assert "summary" not in help_words
 
 
 def _only_bundle(ledger):

@@ -1,4 +1,6 @@
-"""Tests for the shared experiment plumbing and claim drivers."""
+"""Tests for the shared experiment plumbing, the claim drivers and the
+ablation drivers (the ``*_full_size``, star, kNN and ablation tests at
+the sizes ``repro run`` writes ``benchmarks/results/`` at)."""
 
 from __future__ import annotations
 
@@ -6,9 +8,13 @@ import pytest
 
 from repro.core.anti_mapper import AntiMapper
 from repro.experiments import (
+    run_ablation_record_percent,
+    run_ablation_skew,
     run_hits_experiment,
+    run_knn_join_experiment,
     run_multiquery_experiment,
     run_similarity_join_experiment,
+    run_star_join_experiment,
 )
 from repro.experiments.common import MeasuredRun, measure_job, strategy_variants
 from repro.mr.api import Mapper, Reducer
@@ -75,12 +81,22 @@ class TestClaimDrivers:
         assert result.notes["output_factor"] > 1.0
         assert result.notes["matches_found"] > 0
 
+    def test_similarity_join_claim_full_size(self) -> None:
+        result = run_similarity_join_experiment(num_records=800)
+        assert result.notes["output_factor"] > 1.2
+        assert result.notes["matches_found"] > 0
+
     def test_multiquery_claim(self) -> None:
         result = run_multiquery_experiment(
             num_lines=200, num_reducers=3, num_splits=3
         )
         assert len(result.rows) == 3
         assert result.rows[-1]["Factor"] >= result.rows[0]["Factor"]
+
+    def test_multiquery_claim_full_size(self) -> None:
+        result = run_multiquery_experiment(num_lines=1500)
+        assert result.notes["factor_grows_with_sharing"]
+        assert result.rows[-1]["Factor"] > result.rows[0]["Factor"]
 
     def test_multiquery_validation(self) -> None:
         with pytest.raises(ValueError):
@@ -92,3 +108,39 @@ class TestClaimDrivers:
         )
         by_metric = {row["Metric"]: row for row in result.rows}
         assert by_metric["Shuffle (B)"]["Factor"] > 1.2
+
+    def test_hits_claim_full_size(self) -> None:
+        result = run_hits_experiment(num_nodes=800, iterations=3)
+        by_metric = {row["Metric"]: row for row in result.rows}
+        assert by_metric["Shuffle (B)"]["Factor"] > 1.5
+        assert by_metric["Disk read (B)"]["Factor"] > 2
+
+    def test_star_join_claim(self) -> None:
+        result = run_star_join_experiment()
+        assert result.notes["output_factor"] > 2
+        assert result.notes["join_results"] > 0
+
+    def test_knn_join_claim(self) -> None:
+        result = run_knn_join_experiment()
+        assert result.notes["output_factor"] > 2
+
+
+class TestAblationDrivers:
+    def test_ablation_skew(self) -> None:
+        result = run_ablation_skew(num_records=2000)
+        by_name = {row["Configuration"]: row for row in result.rows}
+        lazy_heavy = by_name["Adaptive-inf (lazy-heavy)"]
+        eager_only = by_name["Adaptive-0 (eager only)"]
+        # lazy minimises transfer but concentrates decode work on reducers
+        assert lazy_heavy["Map Output (B)"] < eager_only["Map Output (B)"]
+        assert lazy_heavy["Reexecutions"] > 0
+        assert eager_only["Reexecutions"] == 0
+        assert by_name["Original"]["Reexecutions"] == 0
+        # the re-execution load is measurably imbalanced (max/mean > 1)
+        assert lazy_heavy["Reexec skew"] > 1.0
+
+    def test_ablation_record_percent(self) -> None:
+        result = run_ablation_record_percent(num_lines=1000)
+        with_mechanism = result.rows[0]["Factor"]
+        without_mechanism = result.rows[1]["Factor"]
+        assert with_mechanism > without_mechanism
