@@ -68,6 +68,32 @@ def _value_group_id(value: Any) -> Any:
     return serde.encode(value)
 
 
+def _table_entry(value: Any, values: dict) -> list:
+    """A value's entry in its Map call's value table, on an ``id`` miss.
+
+    The table maps ``id(value)`` to ``[size, group id]``, each filled in
+    the first time a partition asks for it (``0``/``None`` until then):
+    ``1 +`` :func:`serde.approx_size` of the value (its tag byte
+    included) and its :func:`_value_group_id`.  It lives for one call,
+    whose emission buffer keeps every value in it alive, so no id can
+    come to stand for another object.  An exact tuple is also filed
+    under the ids of its items, so a tuple rebuilt around the very same
+    items (PageRank's ``(RANK, contribution)`` per out-edge) finds the
+    entry there: identical items encode to identical bytes
+    (``serde.same_items``).
+    """
+    if type(value) is tuple:
+        items = tuple(map(id, value))
+        entry = values.get(items)
+        if entry is not None:
+            return entry
+        entry = values[items] = [0, None]
+    else:
+        entry = [0, None]
+    values[id(value)] = entry
+    return entry
+
+
 class AntiMapper(Mapper):
     """Drop-in replacement for the original mapper class."""
 
@@ -203,9 +229,16 @@ class AntiMapper(Mapper):
             if lazy_allowed and self._strategy is Strategy.ADAPTIVE
             else 0
         )
+        # The call's value table (see ``_table_entry``): every
+        # partition reads a value's size and group id from it.
+        values: dict = {}
         for partition in sorted(by_partition):
             self._encode_partition(
-                context, by_partition[partition], lazy_component, lazy_size
+                context,
+                by_partition[partition],
+                values,
+                lazy_component,
+                lazy_size,
             )
 
     def _lazy_allowed(self, call_cost: float, num_partitions: int) -> bool:
@@ -251,16 +284,18 @@ class AntiMapper(Mapper):
         self,
         context: Context,
         records: list[tuple[Any, Any]],
+        values: dict,
         lazy_component: LazyValue | None,
         lazy_size: int,
     ) -> None:
         """Emit the chosen encoding of one partition's output records.
 
-        ``lazy_component`` is ``None`` when LazySH is not allowed for
-        this call (Strategy EAGER, or the threshold rule said no).
+        ``values`` is the call's value table; ``lazy_component`` is
+        ``None`` when LazySH is not allowed for this call (Strategy
+        EAGER, or the threshold rule said no).
         """
         if lazy_component is None:
-            self._emit_eager(context, self._group_by_value(records))
+            self._emit_eager(context, self._group_by_value(records, values))
             return
         # The partition's minimal key (no frame per record when the
         # order is natural).
@@ -268,13 +303,18 @@ class AntiMapper(Mapper):
         if self._strategy is Strategy.ADAPTIVE:
             # AdaptiveSH: EagerSH wins if its (estimated) serialised
             # size stays under the LazySH record's.  (Sizes here are
-            # ``serde.approx_size``, its ``str`` case inline.)
-            key_size = (
-                2 + len(min_key)
-                if type(min_key) is str
-                else serde.approx_size(min_key)
+            # ``serde.approx_size``, its ``str`` and ``int`` cases
+            # inline.)
+            kind = type(min_key)
+            if kind is str:
+                key_size = 2 + len(min_key)
+            elif kind is int:
+                key_size = 1 + (min_key.bit_length() + 7) // 7
+            else:
+                key_size = serde.approx_size(min_key)
+            groups = self._group_by_value(
+                records, values, key_size + lazy_size
             )
-            groups = self._group_by_value(records, key_size + lazy_size)
             if groups is not None:
                 self._emit_eager(context, groups)
                 return
@@ -282,12 +322,19 @@ class AntiMapper(Mapper):
         context.write(min_key, lazy_component)
 
     def _group_by_value(
-        self, records: list[tuple[Any, Any]], budget: int | None = None
+        self,
+        records: list[tuple[Any, Any]],
+        values: dict,
+        budget: int | None = None,
     ) -> list[tuple[Any, list[Any]]] | None:
         """Group one partition's records by value (Algorithm 1's table).
 
         Returns the ``(value, keys)`` groups in first-seen order; values
-        group by their serialised bytes, so unhashable values work.
+        group by their serialised bytes, so unhashable values work.  A
+        ``str`` value is its own group id and is sized inline; any other
+        value's size and group id come from the call's value table
+        ``values``, so a value fanned out over several partitions is
+        sized and serialised once.
 
         ``budget`` is the size the EagerSH encoding must stay *under*
         (AdaptiveSH).  That size — ``approx_size`` of the records
@@ -302,21 +349,32 @@ class AntiMapper(Mapper):
         of distinct values no smaller than the Map input.
         """
         first_key, first_value = records[0]
+        entry = (
+            None
+            if type(first_value) is str
+            else values.get(id(first_value))
+            or _table_entry(first_value, values)
+        )
         if budget is not None:
-            budget -= serde.approx_size_sum(
-                map(_record_key, records),
-                (
-                    3 + len(first_value)
-                    if type(first_value) is str
-                    else 1 + serde.approx_size(first_value)
-                ),
-            )
+            if entry is None:
+                size = 3 + len(first_value)
+            else:
+                size = entry[0]
+                if not size:
+                    size = entry[0] = 1 + serde.approx_size(first_value)
+            budget -= serde.approx_size_sum(map(_record_key, records), size)
             if budget <= 0:
                 return None
         keys = [first_key]
         if len(records) == 1:
             return [(first_value, keys)]
-        table = {_value_group_id(first_value): (first_value, keys)}
+        if entry is None:
+            group_id = first_value
+        else:
+            group_id = entry[1]
+            if group_id is None:
+                group_id = entry[1] = _value_group_id(first_value)
+        table = {group_id: (first_value, keys)}
         # A record carrying the very object the previous one carried
         # (one tuple fanned out to many keys), or a tuple rebuilt around
         # the very same items (PageRank's ``(RANK, contribution)`` per
@@ -327,15 +385,28 @@ class AntiMapper(Mapper):
             if out_value is not prev_value and not serde.same_items(
                 out_value, prev_value
             ):
-                group_id = _value_group_id(out_value)
+                if type(out_value) is str:
+                    entry = None
+                    group_id = out_value
+                else:
+                    entry = values.get(id(out_value)) or _table_entry(
+                        out_value, values
+                    )
+                    group_id = entry[1]
+                    if group_id is None:
+                        group_id = entry[1] = _value_group_id(out_value)
                 group = table.get(group_id)
                 if group is None:
                     if budget is not None:
-                        budget -= (
-                            3 + len(out_value)
-                            if type(out_value) is str
-                            else 1 + serde.approx_size(out_value)
-                        )
+                        if entry is None:
+                            budget -= 3 + len(out_value)
+                        else:
+                            size = entry[0]
+                            if not size:
+                                size = entry[0] = 1 + serde.approx_size(
+                                    out_value
+                                )
+                            budget -= size
                         if budget <= 0:
                             return None
                     group = table[group_id] = (out_value, [])

@@ -221,13 +221,16 @@ class DecodeLoop:
             components = [*values]
             plain = encoding.PlainValue
             # Sized as ``serde.approx_kv_size`` sizes a pair (its exact
-            # ``str`` case inline), the key once for the group.
+            # ``str`` case inline, and an ``int`` key's), the key once
+            # for the group.
             approx_size = serde.approx_size
-            key_size = (
-                2 + len(rep_key)
-                if type(rep_key) is str
-                else approx_size(rep_key)
-            )
+            key_kind = type(rep_key)
+            if key_kind is str:
+                key_size = 2 + len(rep_key)
+            elif key_kind is int:
+                key_size = 1 + (rep_key.bit_length() + 7) // 7
+            else:
+                key_size = approx_size(rep_key)
             room = self._memory_limit
             for component in components:
                 if type(component) is not plain:

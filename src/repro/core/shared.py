@@ -180,11 +180,12 @@ class Shared:
         A decoded batch costs one frame of ours, not one per pair, and
         behaves exactly like that many ``add`` calls: each pair is
         sized as ``serde.approx_kv_size`` sizes it (the ``str`` case
-        inline; consecutive pairs carrying the very same key or value
-        object, or a value tuple of the very same items — a PLAIN run,
-        one Map output fanned out to many keys — size it once), and the
-        memory limit is tested after every pair, so a spill lands on the
-        same pair however the pairs were batched.
+        and an ``int`` key inline; consecutive pairs carrying the very
+        same key or value object, or a value tuple of the very same
+        items — a PLAIN run, one Map output fanned out to many keys —
+        size it once), and the memory limit is tested after every pair,
+        so a spill lands on the same pair however the pairs were
+        batched.
         """
         table = self._table
         heap = self._heap
@@ -194,11 +195,13 @@ class Shared:
         for key, value in pairs:
             if key is not prev_key:
                 prev_key = key
-                key_size = (
-                    2 + len(key)
-                    if type(key) is str
-                    else serde.approx_size(key)
-                )
+                key_kind = type(key)
+                if key_kind is str:
+                    key_size = 2 + len(key)
+                elif key_kind is int:
+                    key_size = 1 + (key.bit_length() + 7) // 7
+                else:
+                    key_size = serde.approx_size(key)
             if value is not prev_value:
                 if type(value) is str:
                     value_size = 2 + len(value)

@@ -60,25 +60,22 @@ class KnnBlockMapper(Mapper):
             raise ValueError("num_blocks must be >= 1")
         self.num_blocks = num_blocks
 
-    def _cell(self, row: int, col: int) -> int:
-        return row * self.num_blocks + col
-
     def map(self, point_id: Any, record: tuple, context: Context) -> None:
         tag, coords = record
         coords = tuple(coords)
-        block = stable_hash(point_id) % self.num_blocks
+        blocks = self.num_blocks
+        block = stable_hash(point_id) % blocks
+        # One tagged copy, written to every cell of the point's row
+        # (data) or column (query).
         if tag == DATA_TAG:
-            for col in range(self.num_blocks):
-                context.write(
-                    self._cell(block, col),
-                    (DATA_TAG, point_id, coords),
-                )
+            copy = (DATA_TAG, point_id, coords)
+            first = block * blocks
+            context.write_all([(first + c, copy) for c in range(blocks)])
         elif tag == QUERY_TAG:
-            for row in range(self.num_blocks):
-                context.write(
-                    self._cell(row, block),
-                    (QUERY_TAG, point_id, coords),
-                )
+            copy = (QUERY_TAG, point_id, coords)
+            context.write_all(
+                [(r * blocks + block, copy) for r in range(blocks)]
+            )
         else:
             raise ValueError(f"unknown point tag: {tag!r}")
 

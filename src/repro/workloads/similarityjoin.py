@@ -56,8 +56,9 @@ class SimilarityJoinMapper(Mapper):
     def map(self, record_id: Any, tokens: list, context: Context) -> None:
         ordered = sorted(set(tokens))
         prefix = ordered[: prefix_length(len(ordered), self.threshold)]
-        for token in prefix:
-            context.write(token, (record_id, ordered))
+        # One value, written under every prefix token.
+        shared = (record_id, ordered)
+        context.write_all([(token, shared) for token in prefix])
 
 
 class SimilarityJoinReducer(Reducer):

@@ -53,24 +53,26 @@ class StarJoinMapper(Mapper):
         self.b_shares = b_shares
         self.c_shares = c_shares
 
-    def _cell(self, row: int, col: int) -> int:
-        return row * self.c_shares + col
-
     def map(self, key: Any, record: tuple, context: Context) -> None:
         tag, payload = record
         payload = tuple(payload)
+        cols = self.c_shares
         if tag == R_TAG:
-            row = stable_hash(payload[1]) % self.b_shares
-            for col in range(self.c_shares):
-                context.write(self._cell(row, col), (R_TAG, payload))
+            # One tagged copy, written to every cell of its row.
+            first = (stable_hash(payload[1]) % self.b_shares) * cols
+            copy = (R_TAG, payload)
+            context.write_all([(first + c, copy) for c in range(cols)])
         elif tag == S_TAG:
             row = stable_hash(payload[0]) % self.b_shares
-            col = stable_hash(payload[1]) % self.c_shares
-            context.write(self._cell(row, col), (S_TAG, payload))
+            col = stable_hash(payload[1]) % cols
+            context.write(row * cols + col, (S_TAG, payload))
         elif tag == T_TAG:
-            col = stable_hash(payload[0]) % self.c_shares
-            for row in range(self.b_shares):
-                context.write(self._cell(row, col), (T_TAG, payload))
+            # One tagged copy, written to every cell of its column.
+            col = stable_hash(payload[0]) % cols
+            copy = (T_TAG, payload)
+            context.write_all(
+                [(r * cols + col, copy) for r in range(self.b_shares)]
+            )
         else:
             raise ValueError(f"unknown relation tag: {tag!r}")
 

@@ -21,9 +21,9 @@ Riedewald, SIGMOD 2011), which we implement here:
   non-determinism caveat is about re-execution disagreeing with the
   first execution — a hash-random assignment sidesteps it).
 * **Map** sends the record as an S-tuple to every region in its row and
-  as a T-tuple to every region in its column.  All S-copies hold the
-  same items and so do all T-copies, and every copy of a record
-  stems from one Map call — the replication that makes joins "a perfect
+  as a T-tuple to every region in its column.  All S-copies are one
+  object and so are all T-copies, and every copy of a record stems
+  from one Map call — the replication that makes joins "a perfect
   target for Anti-Combining".
 * **Reduce** (one call per region) buckets the region's T-tuples by
   ``(date, longitude)`` and scans, for each S-tuple, only its bucket
@@ -68,16 +68,19 @@ class OneBucketThetaMapper(Mapper):
         self.grid_rows = grid_rows
         self.grid_cols = grid_cols
 
-    def _cell(self, row: int, col: int) -> int:
-        return row * self.grid_cols + col
-
     def map(self, key: Any, record: tuple, context: Context) -> None:
+        cols = self.grid_cols
         row = stable_hash(("row", key)) % self.grid_rows
-        col = stable_hash(("col", key)) % self.grid_cols
-        for c in range(self.grid_cols):
-            context.write(self._cell(row, c), (S_TAG, record))
-        for r in range(self.grid_rows):
-            context.write(self._cell(r, col), (T_TAG, record))
+        col = stable_hash(("col", key)) % cols
+        # One tagged copy per tag, written to every cell of the row
+        # (S) and then of the column (T): the copies are one object.
+        s_copy = (S_TAG, record)
+        t_copy = (T_TAG, record)
+        first = row * cols
+        context.write_all(
+            [(first + c, s_copy) for c in range(cols)]
+            + [(r * cols + col, t_copy) for r in range(self.grid_rows)]
+        )
 
 
 class RegionPartitioner(Partitioner):

@@ -636,7 +636,8 @@ class TestDecisionMatchesTrialEncoding:
     ) -> None:
         """A fan-out that builds ``(tag, shared)`` afresh per key (the
         PageRank Map) groups like one shared tuple: same records, one
-        group id per partition instead of one per record."""
+        group id per distinct value of the call instead of one per
+        record."""
         from repro.core import anti_mapper
 
         calls = []
@@ -657,9 +658,140 @@ class TestDecisionMatchesTrialEncoding:
         runtime = _runtime(script, strategy)
         emitted = self._assert_same(runtime, 7, "i" * 120, script)
         assert {encoding.tag_of(v) for _, v in emitted} == {encoding.EAGER}
-        # Per partition: the first value, then each value that is not
-        # built from the previous one's very items.
-        assert len(calls) == 4 * 4
+        # One per value that is not built from the very items of a
+        # value before it in the call, whatever partition it lands in.
+        assert len(calls) == 4
+
+
+#: Values equal to ``==`` (and as dict keys) that encode differently.
+_EQUAL_VALUES = (1, True, 1.0, 0.0, -0.0)
+
+
+class _FanOutMapper(Mapper):
+    """Fans values out over ``fanout`` keys; the input ``(way, fanout,
+    pad)`` picks how the values are built (``pad`` only sizes the
+    LazySH record)."""
+
+    def map(self, key, plan, context):
+        way, fanout, _pad = plan
+        keys = [key * 7 + i for i in range(fanout)]
+        if way == "one":
+            value = ("one", key, (1, 2))
+            for out_key in keys:
+                context.write(out_key, value)
+        elif way == "rebuilt":
+            items = ("x" * (key % 3), [key])
+            for out_key in keys:
+                context.write(out_key, ("R", items))
+        elif way == "equal":
+            for i, out_key in enumerate(keys):
+                value = _EQUAL_VALUES[i % 5]
+                context.write(out_key, value if i % 2 else (value,))
+        else:
+            # Fresh objects, each call: freed once the call's output is
+            # encoded, so the next call's values may reuse their ids.
+            for i, out_key in enumerate(keys):
+                context.write(out_key, ("F", [key, i % 3]))
+
+
+def _fanout_runtime(strategy) -> AntiRuntime:
+    return AntiRuntime(
+        mapper_factory=_FanOutMapper,
+        reducer_factory=Reducer,
+        combiner_factory=None,
+        partitioner=_ModPartitioner(),
+        num_reducers=4,
+        comparator=default_comparator,
+        grouping_comparator=default_comparator,
+        meter=FixedCostMeter(),
+        config=AntiCombiningConfig(strategy=strategy),
+    )
+
+
+def _anti_counts(counters) -> dict:
+    return {
+        name: count
+        for name, count in counters.as_dict().items()
+        if name.startswith("anti.")
+    }
+
+
+class TestCallValueTable:
+    """A value's size and group id are looked up once per Map call; the
+    table must never stand in for a value it was not filled from."""
+
+    @staticmethod
+    def _run(strategy, calls):
+        """``(encoded output, anti.* counters)`` of one AntiMapper over
+        ``calls``; the sink keeps bytes only, so values die with their
+        call."""
+        runtime = _fanout_runtime(strategy)
+        counters = Counters()
+        out: list[bytes] = []
+        context = Context(
+            counters,
+            lambda k, v: out.append(serde.encode_kv(k, v)),
+            partitioner=runtime.partitioner,
+            num_partitions=runtime.num_reducers,
+        )
+        mapper = AntiMapper(runtime)
+        mapper.setup(context)
+        for key, plan in calls:
+            mapper.map(key, plan, context)
+        mapper.cleanup(context)
+        return out, _anti_counts(counters)
+
+    @staticmethod
+    def _reference(strategy, key, plan):
+        """One call's output by per-record trial encoding."""
+        script: list = []
+        _FanOutMapper().map(
+            key, plan, Context(Counters(), lambda k, v: None).with_capture(
+                script
+            )
+        )
+        emitted, counters = _reference_map(
+            _fanout_runtime(strategy), key, plan, script
+        )
+        return [serde.encode_kv(k, v) for k, v in emitted], _anti_counts(
+            counters
+        )
+
+    @given(
+        strategy=st.sampled_from(list(Strategy)),
+        calls=st.lists(
+            st.tuples(
+                st.integers(0, 50),
+                st.tuples(
+                    st.sampled_from(["one", "rebuilt", "equal", "fresh"]),
+                    st.integers(1, 24),
+                    st.text("i", max_size=60),
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_as_one_fresh_mapper_per_call(self, strategy, calls):
+        """One object, tuples rebuilt around the same items, equal
+        values of other types (``1``/``True``/``1.0``, ``0.0``/
+        ``-0.0``) and fresh objects whose ids the next call may reuse:
+        one AntiMapper over all calls writes what a fresh one per call
+        writes, and each call what per-record trial encoding writes."""
+        out, anti = self._run(strategy, calls)
+        expected_out: list[bytes] = []
+        expected_anti: dict = {}
+        for key, plan in calls:
+            call_out, call_anti = self._run(strategy, [(key, plan)])
+            assert (call_out, call_anti) == self._reference(
+                strategy, key, plan
+            )
+            expected_out += call_out
+            for name, count in call_anti.items():
+                expected_anti[name] = expected_anti.get(name, 0) + count
+        assert out == expected_out
+        assert anti == expected_anti
 
 
 class TestMetering:

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import Strategy
 from repro.core.transform import enable_anti_combining
 from repro.datagen.points import generate_points
+from repro.mr.api import Context, stable_hash
 from repro.mr.cost import FixedCostMeter
+from repro.mr.counters import Counters
 from repro.workloads.knnjoin import (
+    KnnBlockMapper,
     brute_force_knn,
     euclidean,
     knn_join_job,
@@ -28,6 +33,50 @@ class TestPrimitives:
             KnnBlockMapper(0)
         with pytest.raises(ValueError):
             KnnCellReducer(0)
+
+
+def _per_write_loop(mapper, point_id, record) -> list:
+    """What the mapper wrote when it built a tagged copy per ``write``."""
+    tag, coords = record
+    coords = tuple(coords)
+    n = mapper.num_blocks
+    block = stable_hash(point_id) % n
+    if tag == "D":
+        return [(block * n + col, ("D", point_id, coords)) for col in range(n)]
+    return [(row * n + block, ("Q", point_id, coords)) for row in range(n)]
+
+
+class TestMapper:
+    @given(
+        num_blocks=st.integers(1, 6),
+        point_id=st.integers(0, 10**6),
+        tag=st.sampled_from(["D", "Q"]),
+        coords=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_same_records_as_per_write_loop(
+        self, num_blocks, point_id, tag, coords
+    ) -> None:
+        """The former loop's records, in its order, through a capture
+        context and a sink context; every copy is one object."""
+        mapper = KnnBlockMapper(num_blocks)
+        record = (tag, coords)
+        captured: list = []
+        mapper.map(
+            point_id,
+            record,
+            Context(Counters(), lambda k, v: None).with_capture(captured),
+        )
+        sunk: list = []
+        mapper.map(
+            point_id,
+            record,
+            Context(Counters(), lambda k, v: sunk.append((k, v))),
+        )
+        expected = _per_write_loop(mapper, point_id, record)
+        assert captured == expected
+        assert sunk == expected
+        assert all(value is captured[0][1] for _, value in captured)
 
 
 class TestKnnJoin:

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import Strategy
 from repro.core.transform import enable_anti_combining
 from repro.datagen.tokensets import generate_token_sets
+from repro.mr.api import Context
 from repro.mr.cost import FixedCostMeter
+from repro.mr.counters import Counters
 from repro.mr.engine import LocalJobRunner
 from repro.mr.split import split_records
 from repro.workloads.similarityjoin import (
+    SimilarityJoinMapper,
     brute_force_similarity_join,
     jaccard,
     prefix_length,
@@ -53,6 +58,7 @@ class TestPrimitives:
 
     def test_threshold_validation(self) -> None:
         from repro.workloads.similarityjoin import (
+    SimilarityJoinMapper,
             SimilarityJoinMapper,
             SimilarityJoinReducer,
         )
@@ -67,6 +73,40 @@ def _run(job, records, num_splits=4):
     splits = split_records(records, num_splits=num_splits)
     result = LocalJobRunner().run(job, splits)
     return sorted(result.output), result
+
+
+class TestMapper:
+    @given(
+        threshold=st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+        record_id=st.integers(0, 10**6),
+        tokens=st.lists(st.integers(0, 30), max_size=12),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_same_records_as_per_write_loop(
+        self, threshold, record_id, tokens
+    ) -> None:
+        """The former per-``write`` loop's records, in its order,
+        through a capture context and a sink context; every copy is
+        one object."""
+        mapper = SimilarityJoinMapper(threshold)
+        ordered = sorted(set(tokens))
+        prefix = ordered[: prefix_length(len(ordered), threshold)]
+        expected = [(token, (record_id, ordered)) for token in prefix]
+        captured: list = []
+        mapper.map(
+            record_id,
+            tokens,
+            Context(Counters(), lambda k, v: None).with_capture(captured),
+        )
+        sunk: list = []
+        mapper.map(
+            record_id,
+            tokens,
+            Context(Counters(), lambda k, v: sunk.append((k, v))),
+        )
+        assert captured == expected
+        assert sunk == expected
+        assert all(value is captured[0][1] for _, value in captured)
 
 
 class TestJoinCorrectness:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import Strategy
 from repro.core.transform import enable_anti_combining
-from repro.mr.api import Context
+from repro.mr.api import Context, stable_hash
 from repro.mr.counters import Counters
 from repro.mr.cost import FixedCostMeter
 from repro.mr.engine import LocalJobRunner
@@ -42,7 +44,52 @@ def _run(job, records, num_splits=4):
     return sorted(key for key, _ in result.output), result
 
 
+def _per_write_loop(mapper, record) -> list:
+    """What the mapper wrote when it built a tagged copy per ``write``."""
+    tag, payload = record
+    payload = tuple(payload)
+    b, c = mapper.b_shares, mapper.c_shares
+    if tag == "R":
+        row = stable_hash(payload[1]) % b
+        return [(row * c + col, ("R", payload)) for col in range(c)]
+    if tag == "S":
+        row = stable_hash(payload[0]) % b
+        col = stable_hash(payload[1]) % c
+        return [(row * c + col, ("S", payload))]
+    col = stable_hash(payload[0]) % c
+    return [(row * c + col, ("T", payload)) for row in range(b)]
+
+
 class TestMapper:
+    @given(
+        b_shares=st.integers(1, 6),
+        c_shares=st.integers(1, 6),
+        tag=st.sampled_from(["R", "S", "T"]),
+        payload=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_same_records_as_per_write_loop(
+        self, b_shares, c_shares, tag, payload
+    ) -> None:
+        """The former loop's records, in its order, through a capture
+        context and a sink context; every copy is one object."""
+        mapper = StarJoinMapper(b_shares, c_shares)
+        record = (tag, list(payload))
+        captured: list = []
+        mapper.map(
+            0,
+            record,
+            Context(Counters(), lambda k, v: None).with_capture(captured),
+        )
+        sunk: list = []
+        mapper.map(
+            0, record, Context(Counters(), lambda k, v: sunk.append((k, v)))
+        )
+        expected = _per_write_loop(mapper, record)
+        assert captured == expected
+        assert sunk == expected
+        assert all(value is captured[0][1] for _, value in captured)
+
     def test_replication_shape(self) -> None:
         mapper = StarJoinMapper(b_shares=3, c_shares=5)
         for tag, expected_copies in (("R", 5), ("S", 1), ("T", 3)):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.config import Strategy
 from repro.core.transform import enable_anti_combining
 from repro.datagen.cloud import generate_cloud_reports
-from repro.mr.api import Context, Reducer
+from repro.mr.api import Context, Reducer, stable_hash
 from repro.mr.counters import Counters
 from repro.mr.cost import FixedCostMeter
 from repro.mr.engine import LocalJobRunner
@@ -43,7 +43,49 @@ def _run(job, records, num_splits=3):
     return sorted(value for _, value in result.output), result
 
 
+def _per_write_loop(mapper, key, record) -> list:
+    """What the mapper wrote when it built a tagged copy per ``write``."""
+    row = stable_hash(("row", key)) % mapper.grid_rows
+    col = stable_hash(("col", key)) % mapper.grid_cols
+    out = []
+    for c in range(mapper.grid_cols):
+        out.append((row * mapper.grid_cols + c, (S_TAG, record)))
+    for r in range(mapper.grid_rows):
+        out.append((r * mapper.grid_cols + col, (T_TAG, record)))
+    return out
+
+
 class TestMapper:
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        key=st.integers(0, 10**6),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_same_records_as_per_write_loop(self, rows, cols, key) -> None:
+        """Through a capture context (one ``extend``) and a sink context
+        alike: the former loop's records, in its order, with one tagged
+        copy object per tag."""
+        mapper = OneBucketThetaMapper(grid_rows=rows, grid_cols=cols)
+        record = (20140622, 17, -40, key)
+        captured: list = []
+        mapper.map(
+            key,
+            record,
+            Context(Counters(), lambda k, v: None).with_capture(captured),
+        )
+        sunk: list = []
+        mapper.map(
+            key, record, Context(Counters(), lambda k, v: sunk.append((k, v)))
+        )
+        expected = _per_write_loop(mapper, key, record)
+        assert captured == expected
+        assert sunk == expected
+        for tag in (S_TAG, T_TAG):
+            copies = [value for _, value in captured if value[0] == tag]
+            assert all(copy is copies[0] for copy in copies)
+        assert all(value[1] is record for _, value in captured)
+
     def test_covers_row_and_column(self) -> None:
         mapper = OneBucketThetaMapper(grid_rows=3, grid_cols=4)
         collected = []
