@@ -116,6 +116,9 @@ class AntiMapper(Mapper):
         lane = not self._metered
         self._lane_always = lane and config.strategy is Strategy.EAGER
         self._lane_identity = lane and config.strategy is Strategy.ADAPTIVE
+        #: Whether an unmetered call may use LazySH: the strategy alone
+        #: decides.
+        self._lazy_unmetered = config.strategy is not Strategy.EAGER
         self._emit_buffer: list[tuple[Any, Any]] = []
         self._capture: Context | None = None
         self._counts: dict[str, float] = {}
@@ -201,7 +204,9 @@ class AntiMapper(Mapper):
         if len(emitted) == 1:
             self._encode_single(
                 context, key, value, emitted[0],
-                self._lazy_allowed(call_cost, 1),
+                self._lazy_allowed(call_cost, 1)
+                if metered
+                else self._lazy_unmetered,
             )
             return
 
@@ -212,20 +217,26 @@ class AntiMapper(Mapper):
         else:
             partitions = context.partitions.of_records(emitted)
         by_partition: dict[int, list[tuple[Any, Any]]] = {}
-        by_partition_get = by_partition.get
         for record, partition in zip(emitted, partitions):
-            bucket = by_partition_get(partition)
-            if bucket is None:
-                by_partition[partition] = [record]
+            if partition in by_partition:
+                by_partition[partition].append(record)
             else:
-                bucket.append(record)
+                by_partition[partition] = [record]
 
-        lazy_allowed = self._lazy_allowed(call_cost, len(by_partition))
+        lazy_allowed = (
+            self._lazy_allowed(call_cost, len(by_partition))
+            if metered
+            else self._lazy_unmetered
+        )
         # The LazySH component is the same for every partition of the
-        # call: build it (and, for the size comparison, measure it) once.
-        lazy_component = LazyValue(key, value) if lazy_allowed else None
+        # call: build it (and, for the size comparison, size it) once —
+        # ``approx_size`` of a ``LazyValue`` is its tag byte plus its
+        # two fields.
+        lazy_component = (
+            tuple.__new__(LazyValue, (key, value)) if lazy_allowed else None
+        )
         lazy_size = (
-            serde.approx_size(lazy_component)
+            1 + serde.approx_kv_size(key, value)
             if lazy_allowed and self._strategy is Strategy.ADAPTIVE
             else 0
         )
@@ -242,14 +253,12 @@ class AntiMapper(Mapper):
             )
 
     def _lazy_allowed(self, call_cost: float, num_partitions: int) -> bool:
-        """Whether this Map call may use LazySH (Figure 7's threshold).
+        """Whether a metered Map call may use LazySH (Figure 7's
+        threshold).
 
         ``call_cost`` is the measured Map call plus its partition
-        calls; LazySH would re-execute both once per partition.  When
-        the call was not metered the strategy alone decides.
+        calls; LazySH would re-execute both once per partition.
         """
-        if not self._metered:
-            return self._strategy is not Strategy.EAGER
         reexecution_cost = call_cost * num_partitions
         return reexecution_cost <= self._runtime.config.threshold_t
 
@@ -318,7 +327,7 @@ class AntiMapper(Mapper):
             if groups is not None:
                 self._emit_eager(context, groups)
                 return
-        context.counters.add(C.ANTI_LAZY_RECORDS)
+        self._counts[C.ANTI_LAZY_RECORDS] += 1
         context.write(min_key, lazy_component)
 
     def _group_by_value(
@@ -427,27 +436,28 @@ class AntiMapper(Mapper):
         Each group becomes one record keyed by its minimal key,
         carrying the remaining keys in the value component; a group of
         one key is a PLAIN record.  Records go out in
-        representative-key order so output is deterministic.
+        representative-key order so output is deterministic, in one
+        ``write_all``; the values are built as the tuples they are and
+        counted on the live counter mapping, as the PLAIN lane does.
         """
         comparator = self._runtime.comparator
+        new = tuple.__new__
         encoded: list[tuple[Any, tuple]] = []
         plain = 0
         for out_value, keys in groups:
             if len(keys) == 1:
                 plain += 1
-                encoded.append((keys[0], PlainValue(out_value)))
+                encoded.append((keys[0], new(PlainValue, (out_value,))))
                 continue
             ordered = comparator.sorted(keys)
             encoded.append(
-                (ordered[0], EagerValue(ordered[1:], out_value))
+                (ordered[0], new(EagerValue, (ordered[1:], out_value)))
             )
         if len(encoded) > 1:
             encoded.sort(key=self._order)
-        for rep_key, enc_value in encoded:
-            context.write(rep_key, enc_value)
+        context.write_all(encoded)
+        counts = self._counts
         if plain:
-            context.counters.add(C.ANTI_PLAIN_RECORDS, plain)
+            counts[C.ANTI_PLAIN_RECORDS] += plain
         if plain < len(encoded):
-            context.counters.add(
-                C.ANTI_EAGER_RECORDS, len(encoded) - plain
-            )
+            counts[C.ANTI_EAGER_RECORDS] += len(encoded) - plain

@@ -24,6 +24,7 @@ reproduced.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
@@ -31,6 +32,7 @@ from repro.mr import counters as C
 from repro.mr import serde
 from repro.mr.api import Context
 from repro.mr.config import JobConf
+from repro.mr.cost import GROUP_CALLS_PER_BATCH, chunked
 from repro.mr.merge import group_runs, merge_runs
 from repro.mr.segment import Segment, merge_pass, persist_segment
 from repro.mr.storage import LocalStore
@@ -75,17 +77,24 @@ class CombineRunner:
             emit(key, value)
 
         cctx = self._context.with_sink(counted_emit, partition=partition)
-        measure = job.cost_meter.measure
-        _, cost = measure(combiner.setup, cctx)
-        counters.add(C.CPU_COMBINE_SECONDS, cost)
-        for key, values in groups:
-            counters.add(C.COMBINE_INPUT_RECORDS, len(values))
-            _, cost = measure(combiner.reduce, key, iter(values), cctx)
-            counters.add(C.CPU_COMBINE_SECONDS, cost)
+        meter = job.cost_meter
+        charge = partial(counters.add, C.CPU_COMBINE_SECONDS)
+        _, cost = meter.measure(combiner.setup, cctx)
+        charge(cost)
+        # Input records are counted outside the metered batches.
+        for batch in chunked(groups, GROUP_CALLS_PER_BATCH):
+            keys, value_lists = zip(*batch)
+            counters.add(C.COMBINE_INPUT_RECORDS, sum(map(len, value_lists)))
+            meter.measure_each(
+                combiner.reduce,
+                zip(keys, map(iter, value_lists)),
+                cctx,
+                charge,
+            )
         # The spill-time AntiCombiner's cleanup drains Shared, running
         # the user's Combine on every group left there.
-        _, cost = measure(combiner.cleanup, cctx)
-        counters.add(C.CPU_COMBINE_SECONDS, cost)
+        _, cost = meter.measure(combiner.cleanup, cctx)
+        charge(cost)
 
 
 class MapOutputBuffer:

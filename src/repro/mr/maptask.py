@@ -2,16 +2,20 @@
 
 CPU attribution detail: the engine meters every call into user code
 (``setup`` / ``map`` / ``cleanup``) and charges it to
-``cpu.map.seconds``.  Emissions made during a metered call are buffered
-and only fed to the sort buffer *after* the call returns, so framework
-work (partitioning, serialisation, spilling) is charged to its own
-counters and never double-counted inside the user-function measurement.
+``cpu.map.seconds``; ``map`` calls are metered a batch of input records
+at a time (:meth:`~repro.mr.cost.CostMeter.measure_each`).  Emissions
+made during metered calls are buffered and only fed to the sort buffer
+*after* the batch returns, so framework work (partitioning,
+serialisation, spilling) is charged to its own counters and never
+double-counted inside the user-function measurement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from functools import partial
+from operator import length_hint
+from typing import Any, Iterable, Iterator
 
 from repro.mr import counters as C
 from repro.mr import serde
@@ -25,10 +29,22 @@ from repro.mr.storage import LocalStore
 from repro.obs.trace import SpanRecord, current_tracer
 
 #: Emissions accumulate across map calls and flush to the sort buffer
-#: once this many are pending.  Size is a latency/locality trade only —
-#: flush points never affect counters (spill checks run per record
-#: inside ``collect_batch``).
+#: once this many are pending; a metered batch of map calls ends there.
+#: Size is a latency/locality trade only — flush points never affect
+#: the analytic counters (spill checks run per record inside
+#: ``collect_batch``), though each flush is one metered partition pass.
 _BATCH_FLUSH_RECORDS = 512
+
+
+def _until_flush(
+    calls: Iterator[tuple[Any, Any]], pending: list
+) -> Iterator[tuple[Any, Any]]:
+    """``calls`` up to and including the one after which ``pending``
+    holds a flush's worth of emissions; the rest stay in ``calls``."""
+    for call in calls:
+        yield call
+        if len(pending) >= _BATCH_FLUSH_RECORDS:
+            return
 
 
 @dataclass
@@ -120,14 +136,19 @@ class MapTask:
         with tracer.span("map.phase.map", category="map") as map_span:
             # Input-byte accounting sums ints, which is exact under
             # regrouping.  A sized split carries its length; any other
-            # is sized record by record as it is read (the scheduler
-            # writes that count back onto an unsized ``SizedSplit`` once
-            # the attempt finishes).  The mapper is metered per call —
-            # user CPU is measured, never batched away.
-            records = 0
+            # is sized record by record before the first Map call, out
+            # of the metered batches (the scheduler writes that count
+            # back onto an unsized ``SizedSplit`` once the attempt
+            # finishes).  The mapper is metered a batch of calls at a
+            # time — each call's own cost under a deterministic meter,
+            # one clock interval per batch under the real one — and a
+            # batch ends at the call after which the emissions pending
+            # reach a flush, so flushes fall where a per-call loop put
+            # them and the metered partition passes are the same ones.
             input_scratch = bytearray()
             encode_kv_into = serde.encode_kv_into
-            measure = job.cost_meter.measure
+            measure_each = job.cost_meter.measure_each
+            charge = partial(counters.add, C.CPU_MAP_SECONDS)
             mapper_map = mapper.map
             values = counters.raw()
             sized = (
@@ -141,20 +162,23 @@ class MapTask:
                     "immutable once cut"
                 )
             input_bytes = split.encoded_bytes if sized else 0
-            for key, value in split:
-                records += 1
-                if not sized:
+            if not isinstance(split, list):
+                split = list(split)
+            if not sized:
+                for key, value in split:
                     input_scratch.clear()
                     input_bytes += encode_kv_into(input_scratch, key, value)
-                _, cost = measure(mapper_map, key, value, context)
-                values[C.CPU_MAP_SECONDS] += cost
-                if len(pending) >= _BATCH_FLUSH_RECORDS:
-                    flush_pending()
+            calls = iter(split)
+            while length_hint(calls):
+                measure_each(
+                    mapper_map, _until_flush(calls, pending), context, charge
+                )
+                flush_pending()
+            records = len(split)
             values[C.MAP_INPUT_RECORDS] += records
             values[C.MAP_INPUT_BYTES] += input_bytes
             # Reading the split from the distributed file system.
             values[C.HDFS_READ_BYTES] += input_bytes
-            flush_pending()
             map_span.set(input_records=records)
         with tracer.span("map.phase.cleanup", category="map"):
             _, cost = job.cost_meter.measure(mapper.cleanup, context)

@@ -10,12 +10,14 @@ the Reduce function in ascending key order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Sequence
 
 from repro.mr import counters as C
 from repro.mr import serde
 from repro.mr.api import CaptureContext
 from repro.mr.config import JobConf
+from repro.mr.cost import GROUP_CALLS_PER_BATCH, chunked
 from repro.mr.counters import Counters
 from repro.mr.merge import group_runs, merge_runs
 from repro.mr.segment import Segment, SegmentPayload, merge_pass
@@ -122,18 +124,24 @@ class ReduceTask:
         ) as reduce_span:
             groups = 0
             # Accumulate the integer group counters locally (exact
-            # under summing).  ``reducer.reduce`` stays metered per
-            # group, charged in group order.
+            # under summing), outside the metered batches of
+            # ``reducer.reduce`` calls.
             grouped = group_runs(merged, job.effective_grouping_comparator)
             values_map = counters.raw()
-            measure = job.cost_meter.measure
+            measure_each = job.cost_meter.measure_each
+            charge = partial(counters.add, C.CPU_REDUCE_SECONDS)
             reduce_fn = reducer.reduce
             input_records = 0
-            for key, values in grouped:
-                groups += 1
-                input_records += len(values)
-                _, cost = measure(reduce_fn, key, iter(values), context)
-                values_map[C.CPU_REDUCE_SECONDS] += cost
+            for batch in chunked(grouped, GROUP_CALLS_PER_BATCH):
+                keys, value_lists = zip(*batch)
+                groups += len(batch)
+                input_records += sum(map(len, value_lists))
+                measure_each(
+                    reduce_fn,
+                    zip(keys, map(iter, value_lists)),
+                    context,
+                    charge,
+                )
             values_map[C.REDUCE_INPUT_GROUPS] += groups
             values_map[C.REDUCE_INPUT_RECORDS] += input_records
             reduce_span.set(groups=groups)

@@ -326,3 +326,48 @@ class TestSpillCombine:
         buffer.finalize()
         assert len(runs) == 4 * 2 + 2
         assert counters.get(C.CPU_COMBINE_SECONDS) == 3.0 * len(runs)
+
+    def test_combiner_setup_groups_cleanup_all_metered(self) -> None:
+        """Each combiner run — per (spill, partition), and at the final
+        merge — is charged its setup, one call per group and its
+        cleanup, also past one metered batch of groups."""
+        runs = []
+        calls = []
+
+        class Counting(_SumCombiner):
+            def setup(self, context):
+                runs.append(context)
+
+            def reduce(self, key, values, context):
+                calls.append(key)
+                super().reduce(key, values, context)
+
+        # In memory: one run per partition, 600 groups each.
+        buffer, counters, _ = _make_buffer(
+            combiner=Counting,
+            sort_buffer_bytes=1 << 20,
+            cost_meter=FixedCostMeter(cost_per_call=1.0),
+        )
+        for i in range(4 * 600):
+            buffer.collect(i, 1)
+        buffer.finalize()
+        assert buffer.spill_count == 0
+        assert (len(runs), len(calls)) == (4, 2400)
+        assert counters.get(C.CPU_COMBINE_SECONDS) == 4 * (1 + 600 + 1)
+
+        # Spilled: per (spill, partition) plus the final merge's runs.
+        runs.clear()
+        calls.clear()
+        buffer, counters, _ = _make_buffer(
+            combiner=Counting,
+            sort_buffer_bytes=16 * 1024,
+            cost_meter=FixedCostMeter(cost_per_call=1.0),
+        )
+        for i in range(51 * 3 + 10):
+            buffer.collect(i % 4, 1)
+        buffer.finalize()
+        assert buffer.spill_count == 4
+        assert len(runs) == 4 * 4 + 4
+        assert counters.get(C.CPU_COMBINE_SECONDS) == 2 * len(runs) + len(
+            calls
+        )

@@ -47,6 +47,79 @@ class TestMeters:
         assert result == 3
 
 
+def _add_pair(a, b, context):
+    context.append(a + b)
+
+
+class _Charges(list):
+    """Collects what ``measure_each`` charges, in order."""
+
+    def __call__(self, cost: float) -> None:
+        self.append(cost)
+
+
+class TestMeasureEach:
+    @pytest.mark.parametrize(
+        "make_meter",
+        [
+            lambda: FixedCostMeter(cost_per_call=0.1),
+            lambda: TableCostMeter({"_add_pair": 0.3}, default_cost=7.0),
+        ],
+        ids=["fixed", "table"],
+    )
+    def test_deterministic_meter_charges_what_measure_charges(
+        self, make_meter
+    ) -> None:
+        items = [(i, 2 * i) for i in range(5)]
+        looped, batched = make_meter(), make_meter()
+        expected = [looped.measure(_add_pair, a, b, [])[1] for a, b in items]
+        charges = _Charges()
+        results: list = []
+        batched.measure_each(_add_pair, items, results, charges)
+        assert results == [3 * i for i in range(5)]
+        # The same floats, in the same order: sums stay bit-identical.
+        assert charges == expected
+
+    def test_perf_counter_charges_once_per_batch(self) -> None:
+        charges = _Charges()
+        results: list = []
+        PerfCounterMeter().measure_each(
+            _add_pair, [(1, 2), (3, 4), (5, 6)], results, charges
+        )
+        assert results == [3, 7, 11]
+        assert len(charges) == 1 and charges[0] >= 0
+
+    def test_perf_counter_charges_a_batch_that_raises(self) -> None:
+        def fail_on_three(a, b, context):
+            if a == 3:
+                raise RuntimeError("boom")
+            context.append(a)
+
+        charges = _Charges()
+        results: list = []
+        with pytest.raises(RuntimeError, match="boom"):
+            PerfCounterMeter().measure_each(
+                fail_on_three,
+                [(1, 0), (2, 0), (3, 0), (4, 0)],
+                results,
+                charges,
+            )
+        assert results == [1, 2]
+        assert len(charges) == 1 and charges[0] >= 0
+
+    def test_deterministic_meter_charges_calls_before_the_raise(self) -> None:
+        def fail_on_three(a, b, context):
+            if a == 3:
+                raise RuntimeError("boom")
+
+        charges = _Charges()
+        with pytest.raises(RuntimeError, match="boom"):
+            FixedCostMeter(cost_per_call=1.0).measure_each(
+                fail_on_three, [(1, 0), (2, 0), (3, 0), (4, 0)], None, charges
+            )
+        assert charges == [1.0, 1.0]
+
+
 class TestFrameworkCostModel:
     def test_sort_cost_monotone(self) -> None:
         model = FrameworkCostModel()

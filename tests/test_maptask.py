@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.mr import counters as C
 from repro.mr.api import Mapper, Partitioner, Reducer
 from repro.mr.config import JobConf
 from repro.mr.cost import FixedCostMeter
+from repro.mr.counters import Counters
 from repro.mr.maptask import MapTask
 
 
@@ -87,3 +90,44 @@ class TestMapTask:
         # setup + 1 map call + cleanup = 3 metered user calls, plus one
         # metered partition call per emitted record (2) and codec calls.
         assert result.counters.get(C.CPU_MAP_SECONDS) == 3.0
+
+    def test_failed_attempt_keeps_the_calls_it_made(self) -> None:
+        """A mapper raising on its k-th record, past the first flush
+        (two emissions a call, so a batch ends every 256 calls): the
+        attempt's counters hold setup plus the k - 1 calls that
+        returned."""
+        k = 300
+
+        class FailOnK(Mapper):
+            def map(self, key, value, context):
+                if key == k - 1:
+                    raise RuntimeError("boom")
+                context.write(key, value)
+                context.write(key + 1, value)
+
+        counters = Counters()
+        job = _job(mapper=FailOnK, cost_meter=FixedCostMeter(1.0))
+        split = [(i, "x") for i in range(400)]
+        with pytest.raises(RuntimeError, match="boom"):
+            MapTask(job, "map0").run(split, counters)
+        assert counters.get(C.CPU_MAP_SECONDS) == 1 + (k - 1)
+
+    def test_flushes_where_each_call_would(self) -> None:
+        """Emissions flush right after the call that brings 512 or
+        more pending, as a per-call loop flushed them, though calls are
+        metered in batches: a mapper writing three records a call sees
+        the buffer's output count step by 513 every 171 calls, and each
+        flush is one metered partition pass."""
+        seen: list[int] = []
+
+        class Watching(Mapper):
+            def map(self, key, value, context):
+                seen.append(context.counters.get_int(C.MAP_OUTPUT_RECORDS))
+                for i in range(3):
+                    context.write(3 * key + i, value)
+
+        job = _job(mapper=Watching, cost_meter=FixedCostMeter(1.0))
+        result = MapTask(job, "map0").run([(i, "x") for i in range(600)])
+        assert seen == [513 * (i // 171) for i in range(600)]
+        assert result.counters.get(C.CPU_PARTITION_SECONDS) == 4.0
+        assert result.counters.get(C.CPU_MAP_SECONDS) == 1 + 600 + 1

@@ -6,7 +6,7 @@ from repro.mr import counters as C
 from repro.mr.api import Mapper, Partitioner, Reducer
 from repro.mr.comparators import comparator_from_key
 from repro.mr.config import JobConf
-from repro.mr.cost import FixedCostMeter
+from repro.mr.cost import GROUP_CALLS_PER_BATCH, FixedCostMeter
 from repro.mr.maptask import MapTask
 from repro.mr.reducetask import ReduceTask
 
@@ -136,6 +136,20 @@ class TestReduceTask:
         result = ReduceTask(job, 0).run([maps[0].segments[0]])
         assert result.counters.get_int(C.REDUCE_OUTPUT_RECORDS) == 1
         assert result.counters.get(C.HDFS_WRITE_BYTES) > 0
+
+    def test_setup_groups_cleanup_all_metered(self) -> None:
+        """More groups than one metered batch holds: setup, every
+        group's reduce call and cleanup are each charged once."""
+        groups = GROUP_CALLS_PER_BATCH + 100
+        job = _job(cost_meter=FixedCostMeter(cost_per_call=1.0))
+        maps = _run_map_tasks(
+            job, [[(2 * i, "a") for i in range(groups)], [(0, "b")]]
+        )
+        segments = [m.segments[0] for m in maps]
+        result = ReduceTask(job, 0).run(segments)
+        assert result.counters.get_int(C.REDUCE_INPUT_GROUPS) == groups
+        assert result.counters.get_int(C.REDUCE_INPUT_RECORDS) == groups + 1
+        assert result.counters.get(C.CPU_REDUCE_SECONDS) == 1 + groups + 1
 
 
 class TestSecondarySort:
