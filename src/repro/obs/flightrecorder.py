@@ -20,6 +20,7 @@ job-service worker alike.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import threading
@@ -28,6 +29,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
+from repro.mr.cost import PerfCounterMeter
 from repro.mr.counters import MEASURED_CPU_COUNTERS, Counters
 from repro.mr.events import EventLog
 from repro.obs.run_store import (
@@ -111,13 +113,33 @@ def deterministic_counters(counters: dict[str, float]) -> dict[str, float]:
 
     Drops the measured-CPU families (wall-clock measurements of user /
     codec code, nondeterministic run to run); everything left is
-    analytic, so two identical runs produce bit-identical receipts.
+    analytic, so two identical runs produce bit-identical receipts —
+    given a fold without the entries whose LazySH choices read the
+    clock, which :meth:`FlightRecorder.finalize` leaves out.
     """
     return {
         name: value
         for name, value in counters.items()
         if name not in MEASURED_CPU_COUNTERS
     }
+
+
+def _lazy_choice_reads_clock(job: Any) -> bool:
+    """Whether ``job``'s LazySH choices follow a measuring clock.
+
+    Section 6.1's threshold rule compares each Map call's *measured*
+    cost with ``T``.  Under AdaptiveSH with ``0 < T < inf`` and the
+    real-clock :class:`~repro.mr.cost.PerfCounterMeter`, which calls go
+    LazySH — and so every byte and record counter downstream — depends
+    on the host's timing, not on the input.  (``T = 0`` never allows
+    LazySH and ``T = inf`` always does, so neither reads the clock.)
+    """
+    anti = getattr(job, "anti", None)
+    return (
+        getattr(getattr(anti, "strategy", None), "value", None) == "adaptive"
+        and 0 < anti.threshold_t < math.inf
+        and isinstance(getattr(job, "cost_meter", None), PerfCounterMeter)
+    )
 
 
 def run_manifest(
@@ -169,8 +191,11 @@ class FlightRecorder:
         self._path = store.root / run_id
         #: The run-total counter fold: every recorded entry's counter
         #: bag merged in arrival order, so the finalised receipt is
-        #: bit-identical to the engine's totals.
+        #: bit-identical to the engine's totals — except the entries
+        #: whose counters follow the clock, which the receipt names
+        #: instead (see :func:`_lazy_choice_reads_clock`).
         self._counters = Counters()
+        self._clock_decided: list[dict[str, Any]] = []
         self._entry_index = 0
         self._error: str | None = None
         self._status: str | None = None
@@ -232,7 +257,10 @@ class FlightRecorder:
         name = getattr(result, "job_name", None) or getattr(
             job, "name", "job"
         )
-        self._counters.merge(result.counters)
+        if _lazy_choice_reads_clock(job):
+            self._clock_decided.append({"index": index, "name": name})
+        else:
+            self._counters.merge(result.counters)
         derived = {
             gauge: value
             for gauge, value in result.metrics.gauge_values().items()
@@ -315,19 +343,27 @@ class FlightRecorder:
 
         ``counters.json`` holds only the deterministic (analytic)
         counter fold — the receipt two identical runs reproduce bit for
-        bit; measured CPU lives in the per-entry rows.
+        bit; measured CPU lives in the per-entry rows.  Entries whose
+        LazySH choices read the clock are left out of the fold and
+        listed under ``clock_decided_entries``, a key written only when
+        there is one; their counters stay in ``entries.jsonl``.
         """
         with self._lock:
             if self._status is not None:
                 return self._run_id
             self._status = status
-            analytic = deterministic_counters(self._counters.as_dict())
+            receipt: dict[str, Any] = {
+                "schema": SCHEMA_VERSION,
+                "counters": deterministic_counters(self._counters.as_dict()),
+            }
+            if self._clock_decided:
+                receipt["clock_decided_entries"] = self._clock_decided
             # The receipt lands atomically (temp file + rename): a
             # concurrent scrape never observes a torn one.
             _write_atomic(
                 self._path / COUNTERS_FILE,
                 json.dumps(
-                    {"schema": SCHEMA_VERSION, "counters": analytic},
+                    receipt,
                     indent=1,
                     sort_keys=True,
                 )
