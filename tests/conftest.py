@@ -7,6 +7,7 @@ import pytest
 from repro.mr.api import Context
 from repro.mr.counters import Counters
 from repro.mr.cost import FixedCostMeter
+from repro.mr.executor import set_default_jobs
 from repro.mr.storage import LocalStore
 from repro.obs.trace import NULL_TRACER, current_tracer
 
@@ -17,6 +18,15 @@ def _no_tracer_left_active():
     in-process job of the session on the traced path."""
     yield
     assert current_tracer() is NULL_TRACER
+
+
+@pytest.fixture(autouse=True)
+def _no_default_jobs_left():
+    """``repro run -j N`` in process sets the default worker count;
+    left set, it would put every later test's jobs on an N-worker pool
+    (or take them off the ``REPRO_JOBS`` one)."""
+    yield
+    set_default_jobs(None)
 
 
 @pytest.fixture

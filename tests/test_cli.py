@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import EXPERIMENTS, _argv_params, _extract_runner_flags, main
 from repro.experiments import resolve_params, run_fig9, tunable_params
-from repro.mr.executor import default_jobs, set_default_jobs
+from repro.mr.executor import default_jobs
 
 
 class TestRegistry:
@@ -121,26 +121,23 @@ class TestJobsFlag:
             _extract_runner_flags(["-j"])
 
     def test_run_with_jobs_installs_override(self, capsys) -> None:
-        try:
-            status = main(
-                [
-                    "run",
-                    "sec71",
-                    "-j",
-                    "2",
-                    "--num-lines",
-                    "120",
-                    "--num-reducers",
-                    "2",
-                    "--num-splits",
-                    "2",
-                ]
-            )
-            assert status == 0
-            assert default_jobs() == 2
-            assert "Section 7.1" in capsys.readouterr().out
-        finally:
-            set_default_jobs(None)
+        status = main(
+            [
+                "run",
+                "sec71",
+                "-j",
+                "2",
+                "--num-lines",
+                "120",
+                "--num-reducers",
+                "2",
+                "--num-splits",
+                "2",
+            ]
+        )
+        assert status == 0
+        assert default_jobs() == 2
+        assert "Section 7.1" in capsys.readouterr().out
 
 
 class TestCommands:

@@ -31,11 +31,9 @@ from repro.workloads.query_suggestion import query_suggestion_job
 
 @pytest.fixture(autouse=True)
 def _clean_override(monkeypatch):
-    """Every test starts with no process-wide override and no env."""
+    """Every test starts with no ``REPRO_JOBS`` (and, as every test
+    does, no process-wide override)."""
     monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-    set_default_jobs(None)
-    yield
-    set_default_jobs(None)
 
 
 def _square(x: int) -> int:
