@@ -94,6 +94,7 @@ class DecodeLoop:
             raise DecodeError("decoding requires the task's Partitioner")
         self._reexec_buffer: list[tuple[Any, Any]] = []
         self._reexec_capture: Context | None = None
+        self._counts: dict[str, float] = {}
         self.shared = Shared(
             comparator=runtime.comparator,
             grouping_comparator=runtime.grouping_comparator,
@@ -170,15 +171,17 @@ class DecodeLoop:
     ) -> None:
         """Run the original Map, keeping this partition's outputs."""
         # One capture context and emission buffer per loop, reused
-        # across re-executions (drained into Shared before returning).
+        # across re-executions (drained into Shared before returning),
+        # and the live counter mapping, counted on without a frame.
         emitted = self._reexec_buffer
         emitted.clear()
         capture = self._reexec_capture
-        if capture is None:
+        if capture is None or capture.counters is not context.counters:
             capture = context.with_capture(emitted)
             self._reexec_capture = capture
+            self._counts = context.counters.raw()
         self._o_mapper.map(input_key, input_value, capture)
-        context.counters.add(C.ANTI_REDUCE_MAP_REEXECUTIONS)
+        self._counts[C.ANTI_REDUCE_MAP_REEXECUTIONS] += 1
         mine = context.partitions.records_in(emitted, self._partition)
         if not mine:
             raise DecodeError(

@@ -137,14 +137,18 @@ class MapOutputBuffer:
     def collect_batch(self, pairs: list) -> None:
         """Accept a batch of map-output records, in order.
 
-        How the record sequence is cut into batches never shows in the
-        result: one run-oriented encode and one metered partition pass
-        serve the whole batch, but the analytic charges are added per
-        record *in record order* — the ``cpu.framework.seconds``
-        accumulator starts from the counter's running value and is
-        written back at every spill boundary, so the float sums do not
-        depend on the batching — and the spill trigger is checked per
-        record, so spills land on the same record either way.
+        One run-oriented encode and one metered partition pass serve
+        the whole batch.  The analytic charges are added per record
+        *in record order* — the ``cpu.framework.seconds`` accumulator
+        starts from the counter's running value and is written back at
+        every spill boundary, so the float sums do not depend on the
+        batching — and the spill trigger is checked per record, so
+        spills land on the same record either way.  The partition pass
+        does show the batching: it is one charge to
+        ``cpu.partition.seconds`` per batch, so under a deterministic
+        meter that counter counts batches.  Where the map task cuts
+        them is pinned by ``tests/test_maptask.py``'s
+        ``test_flushes_where_each_call_would``.
         """
         if self._finalized:
             raise RuntimeError("map output buffer already finalized")
